@@ -47,7 +47,8 @@ type Config struct {
 	PredictorSize int
 
 	// TLBEntries sizes the data TLB; TLBWalkLatency is the hardware
-	// page-walk cost in cycles on a TLB miss.
+	// page-walk cost in cycles on a TLB miss (0: the walk is free and
+	// translation completes in the address-generation cycle).
 	TLBEntries     int
 	TLBWalkLatency int
 
@@ -91,7 +92,9 @@ func (c Config) Validate() error {
 		{"FetchWidth", c.FetchWidth}, {"DispatchWidth", c.DispatchWidth},
 		{"RetireWidth", c.RetireWidth}, {"ROBSize", c.ROBSize},
 		{"FetchQueue", c.FetchQueue}, {"IntALUs", c.IntALUs}, {"FPUs", c.FPUs},
-		{"IntLatency", c.IntLatency}, {"MemPorts", c.MemPorts}, {"AGUs", c.AGUs},
+		{"IntLatency", c.IntLatency}, {"MulLatency", c.MulLatency},
+		{"FPLatency", c.FPLatency}, {"FPDivLatency", c.FPDivLatency},
+		{"MemPorts", c.MemPorts}, {"AGUs", c.AGUs},
 		{"LSQSize", c.LSQSize}, {"MaxBranches", c.MaxBranches},
 		{"TLBEntries", c.TLBEntries}, {"CSBLatency", c.CSBLatency},
 	}

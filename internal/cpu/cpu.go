@@ -36,6 +36,16 @@ type CPU struct {
 	ccRen  *uop
 	seq    uint64
 
+	// Event-driven scheduling (after gem5 O3's instruction queue): issue
+	// walks only iq, the live uops that still have issue-stage work, and
+	// executeAdvance only exq, the uops with a countdown running (unit or
+	// cached-load latency, or a TLB walk). Both are subsets of the ROB in
+	// program order. Squashes pop younger entries off both tails and
+	// flushAll empties them, so neither ever holds a killed uop: killUop
+	// recycles the slot at once. CheckQueues rebuilds both from the ROB.
+	iq  []*uop
+	exq []*uop
+
 	// Allocation-free steady state: rob and fetchQ are windows into fixed
 	// backing arrays (compacted to the front when a push reaches the end),
 	// retired uops queue in retq until no in-flight uop can reference them
@@ -137,6 +147,8 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 		// copy without ring-buffer indexing at every use site.
 		robBack:  make([]*uop, 0, 2*cfg.ROBSize),
 		fqBack:   make([]*uop, 0, 2*cfg.FetchQueue),
+		iq:       make([]*uop, 0, cfg.ROBSize),
+		exq:      make([]*uop, 0, cfg.ROBSize),
 		decCache: make([]decEntry, decCacheSize),
 		decGen:   1,
 	}
@@ -211,6 +223,42 @@ func (c *CPU) pushFetchQ(u *uop) {
 		c.fetchQ = append(c.fqBack[:0], c.fetchQ...)
 	}
 	c.fetchQ = append(c.fetchQ, u)
+}
+
+// pushIQ appends a just-dispatched uop to the issue queue; dispatch runs
+// in program order, so the queue stays sorted.
+//
+//csb:hotpath
+//csb:pool — the issue queue is the pipeline's own storage for in-flight uops.
+func (c *CPU) pushIQ(u *uop) {
+	c.iq = append(c.iq, u)
+}
+
+// pushExq inserts a uop that starts a countdown into the execute queue,
+// keeping it in program order. The queue holds a handful of entries and
+// the newcomer is usually the youngest, so the insertion scans from the
+// tail.
+//
+//csb:hotpath
+//csb:pool — the execute queue is the pipeline's own storage for in-flight uops.
+func (c *CPU) pushExq(u *uop) {
+	q := append(c.exq, u)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > u.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = u
+	c.exq = q
+}
+
+// dropYounger pops the entries younger than seq off the tail of q, a
+// queue in program order.
+func dropYounger(q []*uop, seq uint64) []*uop {
+	n := len(q)
+	for n > 0 && q[n-1].seq > seq {
+		n--
+	}
+	return q[:n]
 }
 
 // recycleRetired moves retired uops whose references have provably drained
@@ -471,6 +519,9 @@ func (c *CPU) dispatch() {
 		c.rename(u)
 		u.dispatchC = c.stats.Cycles
 		c.pushROB(u)
+		if u.hasIssueStage() {
+			c.pushIQ(u)
+		}
 		c.stats.Dispatched++
 		c.squashRefill = false
 		if u.isBranch {
@@ -588,56 +639,81 @@ func (u *uop) ReadsIntRs2() bool { return u.inst.ReadsIntRs2() }
 
 // ---- issue ----
 
+// issue gives each uop in the issue queue, oldest first, its chance at a
+// functional unit, an AGU or a cache port, and compacts the queue in place
+// to the uops that still wait.
+//
+//csb:hotpath
 func (c *CPU) issue() {
 	ints := c.cfg.IntALUs
 	fps := c.cfg.FPUs
 	agus := c.cfg.AGUs
 	ports := c.cfg.MemPorts
-	for _, u := range c.rob {
-		if u.dead || u.done || u.executing {
-			continue
-		}
+	kept := c.iq[:0]
+	for _, u := range c.iq {
+		var waiting bool
 		if u.isMem {
-			c.issueMem(u, &agus, &ports)
-			continue
+			waiting = c.issueMem(u, &agus, &ports)
+		} else {
+			waiting = c.issueFU(u, &ints, &fps)
 		}
-		switch u.inst.Op.Class() {
-		case isa.ClassInt, isa.ClassIntMul, isa.ClassBranch:
-			if !u.issued && ints > 0 && u.srcReady() {
-				ints--
-				u.issued = true
-				u.executing = true
-				u.issueC = c.stats.Cycles
-				u.remaining = c.latencyFor(u.inst.Op)
-			}
-		case isa.ClassFPU:
-			if !u.issued && fps > 0 && u.srcReady() {
-				fps--
-				u.issued = true
-				u.executing = true
-				u.issueC = c.stats.Cycles
-				u.remaining = c.latencyFor(u.inst.Op)
-			}
+		if waiting {
+			kept = append(kept, u)
 		}
-		// ClassBarrier and ClassSystem execute at retire.
 	}
+	c.iq = kept
+}
+
+// hasIssueStage reports whether u's class goes through the issue stage,
+// the condition for joining the issue queue at dispatch. Barriers and
+// system ops execute at retire; NOP and invalid ops (both ClassSystem)
+// are already done at rename.
+func (u *uop) hasIssueStage() bool {
+	switch u.inst.Op.Class() {
+	case isa.ClassBarrier, isa.ClassSystem:
+		return false
+	}
+	return true
+}
+
+// issueFU starts an integer, branch or FP uop on a free unit of its class
+// once its operands are ready. It reports whether u still waits to issue.
+func (c *CPU) issueFU(u *uop, ints, fps *int) bool {
+	units := ints
+	if u.inst.Op.Class() == isa.ClassFPU {
+		units = fps
+	}
+	if *units <= 0 || !u.srcReady() {
+		return true
+	}
+	*units--
+	u.issued = true
+	u.executing = true
+	u.issueC = c.stats.Cycles
+	u.remaining = c.latencyFor(u.inst.Op)
+	c.pushExq(u)
+	return false
 }
 
 // issueMem advances a memory uop through agen → translate → (cached loads
 // only) cache access. Retire-executed memory ops stop after translation.
-func (c *CPU) issueMem(u *uop, agus, ports *int) {
+// It reports whether u still has issue-stage work.
+func (c *CPU) issueMem(u *uop, agus, ports *int) bool {
 	if !u.agenDone {
-		if *agus > 0 && u.addrSrcReady() {
-			*agus--
-			u.agenDone = true
-			u.issueC = c.stats.Cycles
-			u.va = u.val1() + uint64(u.inst.Imm)
-			c.translate(u)
+		if *agus <= 0 || !u.addrSrcReady() {
+			return true
 		}
-		return
+		*agus--
+		u.agenDone = true
+		u.issueC = c.stats.Cycles
+		u.va = u.val1() + uint64(u.inst.Imm)
+		c.translate(u)
+		// A translated retire-executed op is finished here. Anything else
+		// continues next cycle; a faulted op is marked done then.
+		return !u.addrReady || u.faulted || !u.needsRetireExec()
 	}
 	if !u.addrReady {
-		return // translation walk in progress (executeAdvance counts it down)
+		return true // translation walk in progress (executeAdvance counts it down)
 	}
 	if u.faulted {
 		// Wrong-path garbage addresses land here routinely; mark the uop
@@ -645,26 +721,29 @@ func (c *CPU) issueMem(u *uop, agus, ports *int) {
 		// fault is taken there.
 		u.result = 0
 		c.markDone(u)
-		return
+		return false
 	}
 	if u.needsRetireExec() {
-		return
+		return false
 	}
 	switch u.inst.Op.Class() {
 	case isa.ClassLoad: // cached load
-		if u.memIssued || u.memWait {
-			return
+		if u.memWait {
+			return true // fill in flight; the access restarts once it lands
 		}
 		if *ports <= 0 || !c.orderingSafe(u) {
-			return
+			return true
 		}
 		*ports--
 		c.startCachedLoad(u)
+		return !u.executing // a miss or refused access retries later
 	case isa.ClassStore: // cached store: complete when data is ready
-		if u.dataSrcReady() {
-			c.markDone(u)
+		if !u.dataSrcReady() {
+			return true
 		}
+		c.markDone(u)
 	}
+	return false
 }
 
 // startCachedLoad issues u's cache access.
@@ -689,6 +768,7 @@ func (c *CPU) startCachedLoad(u *uop) {
 		u.memIssued = true
 		u.executing = true
 		u.remaining = lat
+		c.pushExq(u)
 		return
 	}
 	u.memWait = true // fill in progress; re-access on completion
@@ -708,9 +788,14 @@ func (c *CPU) translate(u *uop) {
 		c.finishTranslate(u, pte)
 		return
 	}
-	// Hardware walk.
+	// Hardware walk; a zero-latency walk completes on the spot.
+	if c.cfg.TLBWalkLatency == 0 {
+		c.finishWalk(u)
+		return
+	}
 	u.walkStarted = true
 	u.translating = c.cfg.TLBWalkLatency
+	c.pushExq(u)
 }
 
 func (c *CPU) finishWalk(u *uop) {
@@ -765,35 +850,51 @@ func (c *CPU) orderingSafe(u *uop) bool {
 
 // ---- execute ----
 
+// executeAdvance counts down every uop in the execute queue, oldest first,
+// and compacts the queue in place to the uops still counting. The length
+// is re-read each iteration: a mispredicted branch's squash pops the
+// younger, not yet visited entries off the tail.
+//
+//csb:hotpath
 func (c *CPU) executeAdvance() {
-	for _, u := range c.rob {
-		if u.dead {
-			continue
-		}
-		if u.walkStarted && u.translating > 0 {
-			u.translating--
-			if u.translating == 0 {
-				u.walkStarted = false
-				c.finishWalk(u)
-			}
-		}
-		if !u.executing {
-			continue
-		}
-		u.remaining--
-		if u.remaining > 0 {
-			continue
-		}
-		u.executing = false
-		if u.isMem {
-			c.completeCachedLoad(u)
-			continue
-		}
-		c.execute(u)
-		if u.isBranch {
-			c.resolveBranch(u)
+	n := 0
+	for i := 0; i < len(c.exq); i++ {
+		u := c.exq[i]
+		if c.advance(u) {
+			c.exq[n] = u
+			n++
 		}
 	}
+	c.exq = c.exq[:n]
+}
+
+// advance runs one cycle of u's TLB walk or execution latency and
+// completes it when the count reaches zero. It reports whether u is
+// still counting.
+func (c *CPU) advance(u *uop) bool {
+	if u.walkStarted {
+		u.translating--
+		if u.translating > 0 {
+			return true
+		}
+		u.walkStarted = false
+		c.finishWalk(u)
+		return false
+	}
+	u.remaining--
+	if u.remaining > 0 {
+		return true
+	}
+	u.executing = false
+	if u.isMem {
+		c.completeCachedLoad(u)
+		return false
+	}
+	c.execute(u)
+	if u.isBranch {
+		c.resolveBranch(u)
+	}
+	return false
 }
 
 func (c *CPU) completeCachedLoad(u *uop) {
@@ -842,6 +943,11 @@ func (c *CPU) squashAfter(u *uop) {
 	if idx < 0 {
 		return
 	}
+	// Pop the killed uops off both scheduling queues first: their slots go
+	// back to the free list below. executeAdvance may be mid-walk over exq
+	// at u's own index; everything it has not visited yet is younger.
+	c.iq = dropYounger(c.iq, u.seq)
+	c.exq = dropYounger(c.exq, u.seq)
 	for _, x := range c.rob[idx+1:] {
 		c.killUop(x)
 	}
@@ -910,6 +1016,8 @@ func (c *CPU) flushAll() {
 	}
 	c.stats.Squashed += uint64(len(c.rob) + len(c.fetchQ))
 	c.rob = c.rob[:0]
+	c.iq = c.iq[:0]
+	c.exq = c.exq[:0]
 	c.recycleFetchQ()
 	c.intRen = [isa.NumRegs]*uop{}
 	c.fpRen = [isa.NumFRegs]*uop{}

@@ -97,6 +97,9 @@ func (r *rig) run(t *testing.T, max int) {
 			return
 		}
 		r.tick()
+		if err := r.c.CheckQueues(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Fatalf("cycle limit %d reached at pc %#x", max, r.c.State().PC)
 }
@@ -114,6 +117,45 @@ func TestConfigValidate(t *testing.T) {
 	bad2.PredictorSize = 1000 // not a power of two
 	if err := bad2.Validate(); err == nil {
 		t.Error("non-power-of-two predictor accepted")
+	}
+}
+
+// TestConfigValidateLatencies checks that every execution latency must be
+// positive (a zero or negative one used to behave as 1 cycle silently),
+// while a zero TLB walk latency stays legal: the walk is then free.
+func TestConfigValidateLatencies(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"IntLatency", func(c *Config, v int) { c.IntLatency = v }},
+		{"MulLatency", func(c *Config, v int) { c.MulLatency = v }},
+		{"FPLatency", func(c *Config, v int) { c.FPLatency = v }},
+		{"FPDivLatency", func(c *Config, v int) { c.FPDivLatency = v }},
+	}
+	for _, tc := range cases {
+		for _, v := range []int{0, -1} {
+			cfg := DefaultConfig()
+			tc.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("%s = %d: err = %v, want one naming %s", tc.name, v, err, tc.name)
+			}
+		}
+		cfg := DefaultConfig()
+		tc.set(&cfg, 1)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s = 1 rejected: %v", tc.name, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.TLBWalkLatency = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("TLBWalkLatency = 0 rejected: %v", err)
+	}
+	cfg.TLBWalkLatency = -1
+	if err := cfg.Validate(); err == nil {
+		t.Error("negative TLBWalkLatency accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -29,6 +30,52 @@ func (c *CPU) PipelineDump() string {
 			i, u.seq, u.pc, u.inst.String(), uopState(u))
 	}
 	return b.String()
+}
+
+// CheckQueues verifies the scheduling queues against the ROB they shadow:
+// rebuilt from the live ROB entries' own state, the issue queue and the
+// execute queue must hold the same uops in the same order. Invariant
+// tests call it after every Tick; nil means consistent. Not a hot path.
+func (c *CPU) CheckQueues() error {
+	var iq, exq []*uop
+	for _, u := range c.rob {
+		if u.dead {
+			continue
+		}
+		if u.inIssueQueue() {
+			iq = append(iq, u)
+		}
+		if u.executing || u.walkStarted {
+			exq = append(exq, u)
+		}
+	}
+	if !slices.Equal(c.iq, iq) {
+		return fmt.Errorf("cpu: cycle %d: issue queue holds seqs %v, the ROB implies %v",
+			c.stats.Cycles, seqs(c.iq), seqs(iq))
+	}
+	if !slices.Equal(c.exq, exq) {
+		return fmt.Errorf("cpu: cycle %d: execute queue holds seqs %v, the ROB implies %v",
+			c.stats.Cycles, seqs(c.exq), seqs(exq))
+	}
+	return nil
+}
+
+// inIssueQueue states issue-queue membership from the uop's own state: a
+// uop that joined at dispatch and is neither executing nor done, unless
+// it is a translated retire-executed memory op (finished with issue).
+func (u *uop) inIssueQueue() bool {
+	if u.done || u.executing || !u.hasIssueStage() {
+		return false
+	}
+	return !(u.isMem && u.addrReady && !u.faulted && u.needsRetireExec())
+}
+
+func seqs(q []*uop) []uint64 {
+	s := make([]uint64, len(q))
+	for i, u := range q {
+		s[i] = u.seq
+	}
+	return s
 }
 
 // uopState summarizes a uop's progress flags.

@@ -163,6 +163,15 @@ RETRY:
 	}
 	p1.Space.MapRange(0x4000_0000, 0x4000_0000, 1<<20, mem.KindCombining, true)
 	p2.Space.MapRange(0x4100_0000, 0x4100_0000, 1<<20, mem.KindCombining, true)
+	// Every preemption flushes the pipeline mid-sequence: the CPU's
+	// scheduling queues must track the ROB through each flush.
+	if err := m.AttachPeriodic(1, func(uint64) {
+		if err := m.CPU.CheckQueues(); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := k.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}

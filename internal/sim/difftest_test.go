@@ -223,16 +223,18 @@ func generate(seed int64) string {
 	return g.b.String()
 }
 
-// runBoth executes the program on the OOO machine and the reference
-// emulator and compares all architectural state.
-func runBoth(t *testing.T, seed int64, src string) {
+// runBoth executes the program on an OOO machine built from cfg and on the
+// reference emulator and compares all architectural state. setup, if not
+// nil, runs on the loaded machine before it starts. It returns the
+// machine for further checks.
+func runBoth(t *testing.T, cfg Config, seed int64, src string, setup func(*Machine)) *Machine {
 	t.Helper()
 	prog, err := asm.Assemble(fmt.Sprintf("seed%d.s", seed), src)
 	if err != nil {
 		t.Fatalf("seed %d: assemble: %v\n%s", seed, err, src)
 	}
 
-	m, err := New(DefaultConfig())
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +243,9 @@ func runBoth(t *testing.T, seed int64, src string) {
 	}
 	m.MapRange(diffIOBase, mem.PageSize, mem.KindUncached)
 	m.WarmProgram(prog)
+	if setup != nil {
+		setup(m)
+	}
 	if err := m.Run(20_000_000); err != nil {
 		t.Fatalf("seed %d: machine: %v\n%s", seed, err, src)
 	}
@@ -286,16 +291,96 @@ func runBoth(t *testing.T, seed int64, src string) {
 		t.Logf("program:\n%s", src)
 		t.FailNow()
 	}
+	return m
+}
+
+func diffSeeds() int {
+	if testing.Short() {
+		return 10
+	}
+	return 60
 }
 
 func TestDifferentialRandomPrograms(t *testing.T) {
-	seeds := 60
-	if testing.Short() {
-		seeds = 10
-	}
-	for seed := 0; seed < seeds; seed++ {
+	for seed := 0; seed < diffSeeds(); seed++ {
 		src := generate(int64(seed))
-		runBoth(t, int64(seed), src)
+		runBoth(t, DefaultConfig(), int64(seed), src, nil)
+	}
+}
+
+// checkQueuesEveryTick asserts the CPU's scheduling-queue invariant
+// (cpu.CPU.CheckQueues) after every machine cycle.
+func checkQueuesEveryTick(t *testing.T, m *Machine) {
+	t.Helper()
+	if err := m.AttachPeriodic(1, func(uint64) {
+		if err := m.CPU.CheckQueues(); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSchedulingQueuesMatchROB runs the differential seeds with a 4-entry
+// TLB, so page walks count down in the execute queue alongside
+// mispredict squashes and cached-load fills, and checks after every cycle
+// that the issue and execute queues are exactly what the ROB implies.
+func TestSchedulingQueuesMatchROB(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPU.TLBEntries = 4
+	var walks, squashes, fills uint64
+	for seed := 0; seed < diffSeeds(); seed++ {
+		src := generate(int64(seed))
+		m := runBoth(t, cfg, int64(seed), src, func(m *Machine) { checkQueuesEveryTick(t, m) })
+		s := m.Stats()
+		walks += s.TLBMisses
+		squashes += s.CPU.Mispredicts
+		fills += s.Caches.L1D.Misses
+	}
+	if walks == 0 || squashes == 0 || fills == 0 {
+		t.Errorf("walks %d, mispredict squashes %d, L1D fills %d: every event must occur", walks, squashes, fills)
+	}
+}
+
+// TestZeroLatencyTLBWalk is the regression test for TLBWalkLatency 0,
+// which Validate accepts: a walk used to start with nothing to count
+// down and never finish, wedging the first TLB-missing store. The walk
+// must complete on the spot: the run matches the emulator and times
+// exactly like one whose accesses all hit a large TLB.
+func TestZeroLatencyTLBWalk(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPU.TLBWalkLatency = 0
+	cfg.CPU.TLBEntries = 2
+	// A dependent chain of accesses rotating over three pages: with two
+	// TLB entries every access misses, and each walk is on the chain.
+	src := fmt.Sprintf(`
+	set %#x, %%o1
+	set 4096, %%g4
+	mov 100, %%g2
+	clr %%g3
+loop:
+	add %%o1, %%g3, %%o2    ! %%g3 is always 0: a dependence, not an offset
+	stx %%g2, [%%o2+8]
+	ldx [%%o2], %%g3
+	add %%o2, %%g4, %%o2
+	add %%o2, %%g3, %%o2
+	ldx [%%o2], %%g3
+	add %%o2, %%g4, %%o2
+	add %%o2, %%g3, %%o2
+	ldx [%%o2], %%g3
+	subcc %%g2, 1, %%g2
+	bnz loop
+	halt
+`, diffScratch)
+	free := runBoth(t, cfg, 0, src, func(m *Machine) { checkQueuesEveryTick(t, m) }).Stats()
+	if free.TLBMisses < 300 {
+		t.Errorf("TLB misses = %d, want >= 300 (every access)", free.TLBMisses)
+	}
+	cfg.CPU.TLBEntries = 64
+	hits := runBoth(t, cfg, 0, src, nil).Stats()
+	if free.Cycles != hits.Cycles {
+		t.Errorf("free walks took %d cycles, TLB hits %d: a free walk must cost nothing",
+			free.Cycles, hits.Cycles)
 	}
 }
 

@@ -214,6 +214,7 @@ func TestFaultRecoveryMatchesEmulator(t *testing.T) {
 		if err := m.Load(prog); err != nil {
 			t.Fatal(err)
 		}
+		checkQueuesEveryTick(t, m)
 		if err := m.Run(50_000_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
