@@ -4,7 +4,7 @@ GO ?= go
 # Parallel workers for figure sweeps (cmd/csbfig -j); defaults to all cores.
 J ?= 0
 
-.PHONY: all build vet lint test race bench-smoke obsbench figures bench-simspeed bench-cluster zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
+.PHONY: all build vet fmt-check lint test race bench-smoke obsbench figures bench-simspeed bench-cluster zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
 
 all: build
 
@@ -15,12 +15,18 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/csbvet ./...
 
+# gofmt over every tracked Go file outside testdata/ (analyzer fixtures
+# keep their deliberate layout); fails listing the files that need it.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Project invariants: csbvet (pooling/determinism/hot-path plus the
 # cluster engine's phase-discipline and clock-domain contracts over the
 # Go sources) and csblint (SV9L protocol checks over the example
 # programs; loadgen's generated server programs are linted by their own
 # test suite). CI runs these plus a pinned staticcheck in a separate job.
-lint: vet
+lint: fmt-check vet
 	$(GO) run ./cmd/csblint examples/asm/*.s
 
 test:

@@ -42,12 +42,12 @@ type ScaleResult struct {
 
 // Report is the full clusterspeed output.
 type Report struct {
-	GoVersion  string        `json:"go_version"`
-	NumCPU     int           `json:"num_cpu"`
-	Wire       uint64        `json:"wire_latency"`
-	Scaling    []ScaleResult `json:"scaling"`
-	LockstepS  float64       `json:"lockstep_2node_seconds"`
-	ParallelS  float64       `json:"parallel_2node_seconds"`
+	GoVersion string        `json:"go_version"`
+	NumCPU    int           `json:"num_cpu"`
+	Wire      uint64        `json:"wire_latency"`
+	Scaling   []ScaleResult `json:"scaling"`
+	LockstepS float64       `json:"lockstep_2node_seconds"`
+	ParallelS float64       `json:"parallel_2node_seconds"`
 	// OverheadPct is how much slower the two-node parallel engine ran
 	// than the lockstep loop on the same workload (negative = faster).
 	OverheadPct float64 `json:"parallel_overhead_pct"`

@@ -29,8 +29,8 @@ import (
 // PooledTypes lists the pool-managed named types as "importpath.Name".
 // Values of type *T for any listed T are subject to the no-retention rule.
 var PooledTypes = map[string]bool{
-	"csbsim/internal/bus.Txn":  true,
-	"csbsim/internal/cpu.uop":  true,
+	"csbsim/internal/bus.Txn":     true,
+	"csbsim/internal/cpu.uop":     true,
 	"csbsim/internal/cpu.renSnap": true,
 }
 

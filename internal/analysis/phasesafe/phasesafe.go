@@ -46,8 +46,8 @@ var Analyzer = &analysis.Analyzer{
 // (sim.Machine, device.NIC, cluster.Node) is deliberately absent: a
 // worker owns its node outright during a window.
 var sharedTypes = map[string]string{
-	"csbsim/internal/cluster.Cluster":       "cross-node cluster state (other nodes' machines, links, inboxes)",
-	"csbsim/internal/cluster/ctrace.Tracer": "the shared wire tracer",
+	"csbsim/internal/cluster.Cluster":        "cross-node cluster state (other nodes' machines, links, inboxes)",
+	"csbsim/internal/cluster/ctrace.Tracer":  "the shared wire tracer",
 	"csbsim/internal/obs/telemetry.Streamer": "the telemetry sink",
 	"csbsim/internal/obs/counters.Registry":  "a counter registry read at barriers",
 	"csbsim/internal/obs/rec.Recorder":       "the flight recorder (reads every node's registries)",

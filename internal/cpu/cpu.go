@@ -37,14 +37,22 @@ type CPU struct {
 	seq    uint64
 
 	// Event-driven scheduling (after gem5 O3's instruction queue): issue
-	// walks only iq, the live uops that still have issue-stage work, and
-	// executeAdvance only exq, the uops with a countdown running (unit or
-	// cached-load latency, or a TLB walk). Both are subsets of the ROB in
-	// program order. Squashes pop younger entries off both tails and
-	// flushAll empties them, so neither ever holds a killed uop: killUop
-	// recycles the slot at once. CheckQueues rebuilds both from the ROB.
-	iq  []*uop
-	exq []*uop
+	// walks only the uops that can act this cycle, and executeAdvance
+	// only exq, the uops with a countdown running (unit or cached-load
+	// latency, or a TLB walk). iq holds the memory uops with issue-stage
+	// work and the non-memory uops whose operands are all done. A
+	// non-memory uop still waiting on an operand is parked on that
+	// producer's wakeup list instead (see park), and the producer's
+	// markDone moves it to woken, which issue merges with iq. iqNext is
+	// the buffer issue compacts into before the two swap. All queues are
+	// subsets of the ROB in program order. Squashes pop younger entries
+	// off the tails and unlink killed waiters, and flushAll empties them,
+	// so none ever holds a killed uop: killUop recycles the slot at once.
+	// CheckQueues rebuilds all of them from the ROB.
+	iq     []*uop
+	iqNext []*uop
+	woken  []*uop
+	exq    []*uop
 
 	// Allocation-free steady state: rob and fetchQ are windows into fixed
 	// backing arrays (compacted to the front when a push reaches the end),
@@ -148,6 +156,8 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 		robBack:  make([]*uop, 0, 2*cfg.ROBSize),
 		fqBack:   make([]*uop, 0, 2*cfg.FetchQueue),
 		iq:       make([]*uop, 0, cfg.ROBSize),
+		iqNext:   make([]*uop, 0, cfg.ROBSize),
+		woken:    make([]*uop, 0, cfg.ROBSize),
 		exq:      make([]*uop, 0, cfg.ROBSize),
 		decCache: make([]decEntry, decCacheSize),
 		decGen:   1,
@@ -225,30 +235,75 @@ func (c *CPU) pushFetchQ(u *uop) {
 	c.fetchQ = append(c.fetchQ, u)
 }
 
-// pushIQ appends a just-dispatched uop to the issue queue; dispatch runs
-// in program order, so the queue stays sorted.
-//
-//csb:hotpath
-//csb:pool — the issue queue is the pipeline's own storage for in-flight uops.
-func (c *CPU) pushIQ(u *uop) {
-	c.iq = append(c.iq, u)
-}
-
 // pushExq inserts a uop that starts a countdown into the execute queue,
-// keeping it in program order. The queue holds a handful of entries and
-// the newcomer is usually the youngest, so the insertion scans from the
-// tail.
+// keeping it in program order.
 //
 //csb:hotpath
 //csb:pool — the execute queue is the pipeline's own storage for in-flight uops.
 func (c *CPU) pushExq(u *uop) {
-	q := append(c.exq, u)
+	c.exq = insertBySeq(c.exq, u)
+}
+
+// insertBySeq inserts u into q, a queue in program order. The queues hold
+// a handful of entries and the newcomer is usually the youngest, so the
+// insertion scans from the tail.
+//
+//csb:hotpath
+//csb:pool — callers pass the pipeline's own queues.
+func insertBySeq(q []*uop, u *uop) []*uop {
+	q = append(q, u)
 	i := len(q) - 1
 	for ; i > 0 && q[i-1].seq > u.seq; i-- {
 		q[i] = q[i-1]
 	}
 	q[i] = u
-	c.exq = q
+	return q
+}
+
+// park puts u, a non-memory uop whose operand p is not done, on p's
+// wakeup list; markDone(p) re-examines it.
+//
+//csb:hotpath
+//csb:pool — wakeup lists are the pipeline's own storage for in-flight uops.
+func park(u, p *uop) {
+	u.wnext = p.waiters
+	p.waiters = u
+}
+
+// wake re-examines the uops parked on p, which just completed: each one
+// parks again on another operand that is not done, or joins woken, in
+// program order, for this cycle's issue walk. (Only rename completes a
+// uop after issue, and nothing can have parked on a uop being renamed.)
+//
+//csb:hotpath
+//csb:pool — wakeup lists and woken are the pipeline's own storage for in-flight uops.
+func (c *CPU) wake(p *uop) {
+	w := p.waiters
+	p.waiters = nil
+	for w != nil {
+		next := w.wnext
+		w.wnext = nil
+		if q := w.blocker(); q != nil {
+			park(w, q)
+		} else {
+			c.woken = insertBySeq(c.woken, w)
+		}
+		w = next
+	}
+}
+
+// dropDeadWaiters unlinks squashed uops from p's wakeup list.
+//
+//csb:pool — wakeup lists are the pipeline's own storage for in-flight uops.
+func dropDeadWaiters(p *uop) {
+	link := &p.waiters
+	for w := p.waiters; w != nil; w = w.wnext {
+		if w.dead {
+			*link = w.wnext
+		} else {
+			link = &w.wnext
+		}
+	}
 }
 
 // dropYounger pops the entries younger than seq off the tail of q, a
@@ -520,7 +575,7 @@ func (c *CPU) dispatch() {
 		u.dispatchC = c.stats.Cycles
 		c.pushROB(u)
 		if u.hasIssueStage() {
-			c.pushIQ(u)
+			c.enqueue(u)
 		}
 		c.stats.Dispatched++
 		c.squashRefill = false
@@ -533,11 +588,31 @@ func (c *CPU) dispatch() {
 	}
 }
 
-// rename captures u's sources from the rename maps and registers u as the
-// new producer for its destinations.
+// enqueue enters a just-dispatched uop into scheduling: a non-memory uop
+// with an operand that is not done parks on its producer, everything
+// else joins the tail of the issue queue (dispatch runs in program
+// order, so the queue stays sorted). Memory uops are checked first and
+// stay polled in iq: their agen, walk, fill, port and ordering waits are
+// not operand waits.
 //
-//csb:pool — the rename maps are pipeline-owned storage for in-flight uops;
-// recycleRetired proves references drain before a slot is reused.
+//csb:hotpath
+//csb:pool — the issue queue is the pipeline's own storage for in-flight uops.
+func (c *CPU) enqueue(u *uop) {
+	if !u.isMem {
+		if p := u.blocker(); p != nil {
+			park(u, p)
+			return
+		}
+	}
+	c.iq = append(c.iq, u)
+}
+
+// rename captures u's sources from the rename maps and registers u as the
+// new producer for its destinations. The rename maps are pipeline-owned
+// storage for in-flight uops; recycleRetired proves references drain
+// before a slot is reused.
+//
+//csb:pool
 func (c *CPU) rename(u *uop) {
 	in := u.inst
 	// Source 1.
@@ -625,11 +700,17 @@ func (c *CPU) rename(u *uop) {
 	}
 }
 
-// markDone completes a uop (its result becomes visible to dependents) and
-// stamps the completion cycle for lifecycle tracing.
+// markDone completes a uop (its result becomes visible to dependents),
+// stamps the completion cycle for lifecycle tracing and wakes the uops
+// parked on it.
+//
+//csb:hotpath
 func (c *CPU) markDone(u *uop) {
 	u.done = true
 	u.completeC = c.stats.Cycles
+	if u.waiters != nil {
+		c.wake(u)
+	}
 }
 
 // ReadsIntRs1 and ReadsIntRs2 forward to the instruction predicates; kept
@@ -639,9 +720,13 @@ func (u *uop) ReadsIntRs2() bool { return u.inst.ReadsIntRs2() }
 
 // ---- issue ----
 
-// issue gives each uop in the issue queue, oldest first, its chance at a
-// functional unit, an AGU or a cache port, and compacts the queue in place
-// to the uops that still wait.
+// issue gives each uop in the issue queue and the woken list, merged
+// oldest first, its chance at a functional unit, an AGU or a cache port,
+// and compacts the uops that still wait into the spare buffer, which
+// becomes the issue queue. Parked uops are skipped: issueFU would find an
+// operand not done and leave every counter untouched. issueMem can wake
+// a uop mid-walk by marking a faulted load done; the uop is younger than
+// the load, so it lands in woken ahead of the walk and issues this cycle.
 //
 //csb:hotpath
 func (c *CPU) issue() {
@@ -649,8 +734,18 @@ func (c *CPU) issue() {
 	fps := c.cfg.FPUs
 	agus := c.cfg.AGUs
 	ports := c.cfg.MemPorts
-	kept := c.iq[:0]
-	for _, u := range c.iq {
+	kept := c.iqNext[:0]
+	for i, j := 0, 0; ; {
+		var u *uop
+		if i < len(c.iq) && (j == len(c.woken) || c.iq[i].seq < c.woken[j].seq) {
+			u = c.iq[i]
+			i++
+		} else if j < len(c.woken) {
+			u = c.woken[j]
+			j++
+		} else {
+			break
+		}
 		var waiting bool
 		if u.isMem {
 			waiting = c.issueMem(u, &agus, &ports)
@@ -661,6 +756,8 @@ func (c *CPU) issue() {
 			kept = append(kept, u)
 		}
 	}
+	c.woken = c.woken[:0]
+	c.iqNext = c.iq[:0]
 	c.iq = kept
 }
 
@@ -676,14 +773,15 @@ func (u *uop) hasIssueStage() bool {
 	return true
 }
 
-// issueFU starts an integer, branch or FP uop on a free unit of its class
-// once its operands are ready. It reports whether u still waits to issue.
+// issueFU starts an integer, branch or FP uop, whose operands are all
+// done, on a free unit of its class. It reports whether u still waits to
+// issue.
 func (c *CPU) issueFU(u *uop, ints, fps *int) bool {
 	units := ints
 	if u.inst.Op.Class() == isa.ClassFPU {
 		units = fps
 	}
-	if *units <= 0 || !u.srcReady() {
+	if *units <= 0 {
 		return true
 	}
 	*units--
@@ -746,10 +844,11 @@ func (c *CPU) issueMem(u *uop, agus, ports *int) bool {
 	return false
 }
 
-// startCachedLoad issues u's cache access.
+// startCachedLoad issues u's cache access. The fill callback's capture of
+// u is pin-counted: u.pins keeps the uop off the free list until the
+// callback has run (see recycleRetired).
 //
-//csb:pool — the fill callback's capture of u is pin-counted: u.pins keeps
-// the uop off the free list until the callback has run (see recycleRetired).
+//csb:pool
 func (c *CPU) startCachedLoad(u *uop) {
 	u.pins++ // the fill callback captures u; see recycleRetired
 	lat, hit, accepted := c.hier.Load(u.pa, false, func() {
@@ -827,9 +926,6 @@ func (c *CPU) orderingSafe(u *uop) bool {
 	for _, x := range c.rob {
 		if x == u {
 			return true
-		}
-		if x.dead {
-			continue
 		}
 		if x.inst.Op == isa.OpMEMBAR {
 			return false
@@ -943,16 +1039,24 @@ func (c *CPU) squashAfter(u *uop) {
 	if idx < 0 {
 		return
 	}
-	// Pop the killed uops off both scheduling queues first: their slots go
+	// Pop the killed uops off the scheduling queues first: their slots go
 	// back to the free list below. executeAdvance may be mid-walk over exq
 	// at u's own index; everything it has not visited yet is younger.
 	c.iq = dropYounger(c.iq, u.seq)
+	c.woken = dropYounger(c.woken, u.seq)
 	c.exq = dropYounger(c.exq, u.seq)
 	for _, x := range c.rob[idx+1:] {
 		c.killUop(x)
 	}
 	c.stats.Squashed += uint64(len(c.rob) - idx - 1 + len(c.fetchQ))
 	c.rob = c.rob[:idx+1]
+	// Killed uops may be parked on survivors. Unlink them now, before
+	// fetch reuses their slots.
+	for _, x := range c.rob {
+		if x.waiters != nil {
+			dropDeadWaiters(x)
+		}
+	}
 	c.recycleFetchQ()
 	c.fetchGen++
 	c.icacheMiss = false // a fill for the squashed stream no longer matters
@@ -989,10 +1093,12 @@ func (c *CPU) recycleFetchQ() {
 	c.fetchQ = c.fetchQ[:0]
 }
 
-// killUop squashes an in-flight uop. Squashed uops become unreachable the
-// moment their ROB window is truncated (references only ever point from
-// younger to older, and everything younger dies with them), so the slot is
-// recycled immediately — unless an outstanding callback still pins it.
+// killUop squashes an in-flight uop. Its callers truncate the ROB window
+// right after, so the ROB never holds a dead uop. Squashed uops become
+// unreachable at that moment (references only ever point from younger to
+// older, and everything younger dies with them; squashAfter unlinks them
+// from the survivors' wakeup lists), so the slot is recycled immediately —
+// unless an outstanding callback still pins it.
 //
 //csb:pool
 func (c *CPU) killUop(x *uop) {
@@ -1016,7 +1122,9 @@ func (c *CPU) flushAll() {
 	}
 	c.stats.Squashed += uint64(len(c.rob) + len(c.fetchQ))
 	c.rob = c.rob[:0]
+	// Wakeup lists die with their uops: newUop zeroes a recycled slot.
 	c.iq = c.iq[:0]
+	c.woken = c.woken[:0]
 	c.exq = c.exq[:0]
 	c.recycleFetchQ()
 	c.intRen = [isa.NumRegs]*uop{}

@@ -89,6 +89,13 @@ func (r *rig) tick() {
 
 func (r *rig) run(t *testing.T, max int) {
 	t.Helper()
+	r.runWatched(t, max, nil, nil)
+}
+
+// runWatched is run with hooks around every cycle: before runs ahead of
+// each Tick and after behind it, once CheckQueues has passed.
+func (r *rig) runWatched(t *testing.T, max int, before, after func()) {
+	t.Helper()
 	for i := 0; i < max; i++ {
 		if r.c.Halted() {
 			if err := r.c.Err(); err != nil {
@@ -96,9 +103,15 @@ func (r *rig) run(t *testing.T, max int) {
 			}
 			return
 		}
+		if before != nil {
+			before()
+		}
 		r.tick()
 		if err := r.c.CheckQueues(); err != nil {
 			t.Fatal(err)
+		}
+		if after != nil {
+			after()
 		}
 	}
 	t.Fatalf("cycle limit %d reached at pc %#x", max, r.c.State().PC)

@@ -32,22 +32,55 @@ func (c *CPU) PipelineDump() string {
 	return b.String()
 }
 
-// CheckQueues verifies the scheduling queues against the ROB they shadow:
-// rebuilt from the live ROB entries' own state, the issue queue and the
-// execute queue must hold the same uops in the same order. Invariant
-// tests call it after every Tick; nil means consistent. Not a hot path.
+// CheckQueues verifies the scheduling state against the ROB it shadows.
+// The ROB holds no dead uop. Rebuilt from the ROB entries' own state, the
+// issue queue and the execute queue must hold the same uops in the same
+// order, and woken must be empty (issue consumes it every cycle). Every
+// non-memory uop waiting to issue with an operand not done must sit on
+// the wakeup list of exactly one such operand and nowhere else; wakeup
+// lists hold nothing but those uops. Invariant tests call it after every
+// Tick; nil means consistent. Not a hot path.
 func (c *CPU) CheckQueues() error {
+	parkedOn := map[*uop]*uop{}
+	for _, p := range c.rob {
+		if p.dead {
+			return fmt.Errorf("cpu: cycle %d: ROB holds dead uop seq %d", c.stats.Cycles, p.seq)
+		}
+		for w := p.waiters; w != nil; w = w.wnext {
+			if w.dead {
+				return fmt.Errorf("cpu: cycle %d: dead uop seq %d is parked on seq %d",
+					c.stats.Cycles, w.seq, p.seq)
+			}
+			if q, dup := parkedOn[w]; dup {
+				return fmt.Errorf("cpu: cycle %d: uop seq %d is parked on seq %d and seq %d",
+					c.stats.Cycles, w.seq, q.seq, p.seq)
+			}
+			parkedOn[w] = p
+		}
+	}
 	var iq, exq []*uop
 	for _, u := range c.rob {
-		if u.dead {
-			continue
-		}
-		if u.inIssueQueue() {
+		p, parked := parkedOn[u]
+		switch {
+		case parked:
+			if u.isMem || !u.waitsToIssue() || p.done || !u.readsFrom(p) {
+				return fmt.Errorf("cpu: cycle %d: uop seq %d (%s) is parked on seq %d, not one of its pending operands",
+					c.stats.Cycles, u.seq, uopState(u), p.seq)
+			}
+		case u.waitsToIssue():
+			if !u.isMem && u.blocker() != nil {
+				return fmt.Errorf("cpu: cycle %d: uop seq %d waits on seq %d but is not parked",
+					c.stats.Cycles, u.seq, u.blocker().seq)
+			}
 			iq = append(iq, u)
 		}
 		if u.executing || u.walkStarted {
 			exq = append(exq, u)
 		}
+	}
+	if len(c.woken) != 0 {
+		return fmt.Errorf("cpu: cycle %d: woken holds seqs %v after issue",
+			c.stats.Cycles, seqs(c.woken))
 	}
 	if !slices.Equal(c.iq, iq) {
 		return fmt.Errorf("cpu: cycle %d: issue queue holds seqs %v, the ROB implies %v",
@@ -60,14 +93,20 @@ func (c *CPU) CheckQueues() error {
 	return nil
 }
 
-// inIssueQueue states issue-queue membership from the uop's own state: a
+// waitsToIssue states issue-stage membership from the uop's own state: a
 // uop that joined at dispatch and is neither executing nor done, unless
 // it is a translated retire-executed memory op (finished with issue).
-func (u *uop) inIssueQueue() bool {
+// A non-memory one is in iq or parked, by whether an operand is pending.
+func (u *uop) waitsToIssue() bool {
 	if u.done || u.executing || !u.hasIssueStage() {
 		return false
 	}
 	return !(u.isMem && u.addrReady && !u.faulted && u.needsRetireExec())
+}
+
+// readsFrom reports whether p is one of u's source producers.
+func (u *uop) readsFrom(p *uop) bool {
+	return u.s1 == p || u.s2 == p || u.sd == p || u.ccProd == p
 }
 
 func seqs(q []*uop) []uint64 {

@@ -25,11 +25,6 @@ func (c *CPU) retire() {
 	}
 	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
 		u := c.rob[0]
-		if u.dead {
-			c.rob = c.rob[1:]
-			n--
-			continue
-		}
 		if u.needsRetireExec() {
 			if u.isMem && !(u.addrReady && u.dataSrcReady()) {
 				return
@@ -76,7 +71,7 @@ func (c *CPU) retireExecInFlight() bool {
 		return false
 	}
 	u := c.rob[0]
-	return !u.dead && u.needsRetireExec() && u.retPhase > 0
+	return u.needsRetireExec() && u.retPhase > 0
 }
 
 // commit applies a normal instruction's architectural effects. It returns

@@ -26,14 +26,7 @@ func (c *CPU) classifyCycle() obs.StallCause {
 	if c.cycleCauseSet {
 		return c.cycleCause
 	}
-	var head *uop
-	for _, u := range c.rob {
-		if !u.dead {
-			head = u
-			break
-		}
-	}
-	if head == nil {
+	if len(c.rob) == 0 {
 		switch {
 		case len(c.fetchQ) > 0:
 			// Decoded instructions are waiting; dispatch refills the ROB
@@ -47,6 +40,7 @@ func (c *CPU) classifyCycle() obs.StallCause {
 			return obs.CauseFrontend
 		}
 	}
+	head := c.rob[0]
 	if head.faulted && head.done {
 		// fault() halts the core this cycle; charge the bookkeeping
 		// cycle rather than invent a bucket for a terminal event.

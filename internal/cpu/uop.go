@@ -30,6 +30,11 @@ type uop struct {
 	done      bool // result available to dependents
 	dead      bool // squashed
 
+	// Wakeup list (see park): waiters heads the list of uops parked on
+	// this one until it is done, and wnext links that list.
+	waiters *uop
+	wnext   *uop
+
 	result   uint64
 	flags    isa.Flags
 	writesCC bool
@@ -98,21 +103,20 @@ func (u *uop) needsRetireExec() bool {
 	return false
 }
 
-// srcReady reports whether all register sources are available.
-func (u *uop) srcReady() bool {
-	if u.s1 != nil && !u.s1.done {
-		return false
+// blocker returns a source producer (register, store-data or condition
+// codes) whose result is not available yet, or nil when all are.
+func (u *uop) blocker() *uop {
+	switch {
+	case u.s1 != nil && !u.s1.done:
+		return u.s1
+	case u.s2 != nil && !u.s2.done:
+		return u.s2
+	case u.sd != nil && !u.sd.done:
+		return u.sd
+	case u.ccProd != nil && !u.ccProd.done:
+		return u.ccProd
 	}
-	if u.s2 != nil && !u.s2.done {
-		return false
-	}
-	if u.sd != nil && !u.sd.done {
-		return false
-	}
-	if u.ccProd != nil && !u.ccProd.done {
-		return false
-	}
-	return true
+	return nil
 }
 
 // addrSrcReady reports whether the address source (rs1) is available.

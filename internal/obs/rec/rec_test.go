@@ -35,14 +35,14 @@ func TestParseSLO(t *testing.T) {
 		t.Errorf("rule 1 parsed as %+v", r)
 	}
 	for _, bad := range []string{
-		"",                       // empty spec
-		"dev/alpha",              // no operator
-		"frob(dev/alpha) <= 1",   // unknown aggregation
-		"ratio(dev/a) >= 0.5",    // ratio needs two series
-		"p99(a, b) <= 1",         // one-series agg given two
-		"ratio(a/*, b) >= 0.5",   // glob count mismatch
-		"dev/alpha <= fast",      // non-numeric threshold
-		"p99(dev/lat <= 100",     // unclosed paren
+		"",                     // empty spec
+		"dev/alpha",            // no operator
+		"frob(dev/alpha) <= 1", // unknown aggregation
+		"ratio(dev/a) >= 0.5",  // ratio needs two series
+		"p99(a, b) <= 1",       // one-series agg given two
+		"ratio(a/*, b) >= 0.5", // glob count mismatch
+		"dev/alpha <= fast",    // non-numeric threshold
+		"p99(dev/lat <= 100",   // unclosed paren
 	} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)

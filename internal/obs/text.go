@@ -15,8 +15,8 @@ const pipeMaxCols = 120
 // happened: F fetch, D dispatch, I issue, C complete, R retire; '='
 // fills the span between the first and last recorded stage.
 //
-//	  seq        pc  |0         1         2      |
-//	    7  00001008  |F==D=I=C==R                |  stx %o0, [%o1]
+//	seq        pc  |0         1         2      |
+//	  7  00001008  |F==D=I=C==R                |  stx %o0, [%o1]
 //
 // Events must be in retire order (as delivered by the retire observers).
 func FormatPipeline(events []InstEvent) string {
