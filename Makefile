@@ -4,7 +4,7 @@ GO ?= go
 # Parallel workers for figure sweeps (cmd/csbfig -j); defaults to all cores.
 J ?= 0
 
-.PHONY: all build vet fmt-check lint test race bench-smoke obsbench figures bench-simspeed bench-cluster zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
+.PHONY: all build vet fmt-check lint test race bench-smoke obsbench figures bench-simspeed bench-cluster perf-ab zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
 
 all: build
 
@@ -59,6 +59,29 @@ bench-simspeed:
 bench-cluster:
 	$(GO) run ./cmd/clusterspeed > BENCH_cluster.json
 	$(GO) run ./cmd/clusterspeed -gate BENCH_cluster.json
+
+# Parent-vs-change benchmark pairs, the protocol a performance change is
+# judged by: BASE's committed files are extracted into .bench_build/base
+# and run with their own csbperf, the working tree with its own; PAIRS
+# pairs of `bench.sh run --seconds 20` alternate which side
+# runs first, the reports land in out/perf-ab/ (base-N.json, head-N.json)
+# and `csbperf compare` prints the verdicts, failing on a regression.
+BASE ?= HEAD
+PAIRS ?= 10
+perf-ab:
+	rm -rf .bench_build/base out/perf-ab
+	mkdir -p .bench_build/base out/perf-ab
+	git archive --format=tar $(BASE) | tar -x -C .bench_build/base
+	@set -e; for i in $$(seq 1 $(PAIRS)); do \
+		sides="base head"; [ $$((i % 2)) = 1 ] || sides="head base"; \
+		for side in $$sides; do \
+			dir=.; [ $$side = head ] || dir=.bench_build/base; \
+			echo "perf-ab: pair $$i/$(PAIRS): $$side"; \
+			(cd $$dir && bash cmd/csbperf/bench.sh run --seconds 20 \
+				--out $(CURDIR)/out/perf-ab/$$side-$$i.json) > /dev/null; \
+		done; \
+	done
+	bash cmd/csbperf/bench.sh compare out/perf-ab/base-*.json -- out/perf-ab/head-*.json
 
 # The steady-state zero-allocation check must run WITHOUT -race (the race
 # detector's instrumentation allocates); the race target skips it via its

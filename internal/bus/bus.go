@@ -12,6 +12,7 @@ package bus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
@@ -143,7 +144,10 @@ type Bus struct {
 	// a later bus cycle, the same recovery path as losing arbitration.
 	nackHook func(*Txn) bool
 
-	stats Stats
+	// bySize counts completed transactions by log2 of their size; Stats
+	// folds it into Stats.BySize, which stats leaves nil.
+	bySize [64]uint64
+	stats  Stats
 }
 
 // AttachObserver registers fn to run on every completed transaction, in
@@ -170,7 +174,7 @@ func New(cfg Config, rt *mem.Router) (*Bus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Bus{cfg: cfg, router: rt, stats: Stats{BySize: make(map[int]uint64)}}, nil
+	return &Bus{cfg: cfg, router: rt}, nil
 }
 
 // Cycle returns the current bus cycle number.
@@ -183,11 +187,12 @@ func (b *Bus) Config() Config { return b.cfg }
 func (b *Bus) Stats() Stats {
 	s := b.stats
 	s.Cycles = b.cycle
-	bySize := make(map[int]uint64, len(b.stats.BySize))
-	for k, v := range b.stats.BySize {
-		bySize[k] = v
+	s.BySize = make(map[int]uint64)
+	for lg, n := range b.bySize {
+		if n != 0 {
+			s.BySize[1<<lg] = n
+		}
 	}
-	s.BySize = bySize
 	return s
 }
 
@@ -309,7 +314,7 @@ func (b *Bus) Tick() {
 func (b *Bus) complete(t *Txn) {
 	b.stats.Transactions++
 	b.stats.Bytes += uint64(t.Size)
-	b.stats.BySize[t.Size]++
+	b.bySize[bits.TrailingZeros(uint(t.Size))]++
 	if t.Size > b.cfg.WidthBytes {
 		b.stats.Bursts++
 	}

@@ -247,10 +247,8 @@ func (c *CSB) Drained() bool { return c.pendCount == 0 }
 func (c *CSB) clear() {
 	c.valid = false
 	c.hits = 0
-	for i := range c.data {
-		c.data[i] = 0
-		c.mask[i] = false
-	}
+	clear(c.data)
+	clear(c.mask)
 }
 
 // Store offers a combining store to the CSB. It returns false when the
@@ -392,7 +390,9 @@ func (c *CSB) ConditionalFlush(pid uint8, addr uint64, expected int64, old uint6
 //
 //csb:hotpath
 func (c *CSB) TickBus(b *bus.Bus) {
-	if c.pendCount == 0 {
+	// While the bus would refuse the ordered burst, skip building it:
+	// TryIssue acts only once CanIssue holds.
+	if c.pendCount == 0 || !b.CanIssue(true) {
 		return
 	}
 	p := &c.pending[c.pendHead]

@@ -79,6 +79,10 @@ type CPU struct {
 
 	stallCycles int // context-switch cost injected by the kernel
 
+	// asleep marks a core stalled at retire (see retireBound): until the
+	// ROB head's retire step makes progress, Tick runs only that step.
+	asleep bool
+
 	halted  bool
 	haltErr error
 
@@ -448,6 +452,13 @@ func (c *CPU) FlushPipeline() {
 // charged to exactly one CPI-stack bucket (see stall.go), so the stack's
 // buckets always sum to stats.Cycles.
 //
+// A core asleep at retire (after gem5 O3, which deschedules a CPU with no
+// activity) runs only its ROB head's retire step, the cycle's
+// classification and fetch, while that step stalls; fetch then only counts
+// its stall or finds the fetch queue full. The rest of the cycle would
+// change nothing: see retireBound. A pending interrupt runs the full
+// cycle.
+//
 //csb:hotpath
 func (c *CPU) Tick() {
 	c.stats.Cycles++
@@ -462,7 +473,16 @@ func (c *CPU) Tick() {
 	}
 	c.retiredThisCycle = false
 	c.cycleCauseSet = false
-	c.retire()
+	if c.asleep && c.pendingIntr == 0 {
+		if !c.retireExecStep(c.rob[0]) {
+			c.stats.CPI.Add(c.classifyCycle())
+			c.fetch()
+			return
+		}
+	} else {
+		c.retire()
+	}
+	c.asleep = false
 	c.stats.CPI.Add(c.classifyCycle())
 	c.recycleRetired()
 	if c.halted {
@@ -472,6 +492,40 @@ func (c *CPU) Tick() {
 	c.issue()
 	c.dispatch()
 	c.fetch()
+	c.asleep = c.retireBound()
+}
+
+// retireBound reports whether, at the end of a full cycle, only the ROB
+// head's retire step can change the core in the cycles that follow. The
+// head is a retire-executed operation that did not complete this cycle,
+// and the other stages are provably idle until it does (an interrupt is
+// not: Tick checks pendingIntr every cycle):
+//   - the issue, wakeup and execute queues are empty. Every producer of
+//     the head is older, hence retired, so the head's operands are ready,
+//     and a parked uop wakes only through markDone, which only the head's
+//     completion can now call;
+//   - recycleRetired is a no-op until the head changes;
+//   - dispatch is held by a limit only retire relaxes: an empty fetch
+//     queue, a full ROB, or a fetch-queue head at the branch or LSQ limit;
+//   - fetch is held: a full fetch queue, or a JALR/HALT/IRET redirect wait
+//     with no I-cache fill in flight (a fill's callback would unblock it).
+//
+// Squashes and flushes change these counts too, but only retire (IRET,
+// TRAP, an interrupt) or a caller going through flushAll can cause one.
+func (c *CPU) retireBound() bool {
+	if c.retiredThisCycle || c.cycleCauseSet || c.halted ||
+		len(c.rob) == 0 || !c.rob[0].needsRetireExec() ||
+		len(c.iq) != 0 || len(c.woken) != 0 || len(c.exq) != 0 {
+		return false
+	}
+	if len(c.fetchQ) != 0 && len(c.rob) < c.cfg.ROBSize {
+		u := c.fetchQ[0]
+		if !(u.isBranch && c.branchCount >= c.cfg.MaxBranches) &&
+			!(u.inst.Op.IsMem() && c.memCount >= c.cfg.LSQSize) {
+			return false
+		}
+	}
+	return len(c.fetchQ) >= c.cfg.FetchQueue || c.fetchBlocked && !c.icacheMiss
 }
 
 // ---- fetch ----
@@ -1136,4 +1190,5 @@ func (c *CPU) flushAll() {
 	c.fetchGen++
 	c.squashRefill = false
 	c.icacheMiss = false
+	c.asleep = false
 }

@@ -38,8 +38,10 @@ func (c *CPU) PipelineDump() string {
 // order, and woken must be empty (issue consumes it every cycle). Every
 // non-memory uop waiting to issue with an operand not done must sit on
 // the wakeup list of exactly one such operand and nowhere else; wakeup
-// lists hold nothing but those uops. Invariant tests call it after every
-// Tick; nil means consistent. Not a hot path.
+// lists hold nothing but those uops. A core asleep at retire must still
+// meet every condition it fell asleep on (retireBound), and its ROB head's
+// operands must all be done. Invariant tests call it after every Tick;
+// nil means consistent. Not a hot path.
 func (c *CPU) CheckQueues() error {
 	parkedOn := map[*uop]*uop{}
 	for _, p := range c.rob {
@@ -89,6 +91,18 @@ func (c *CPU) CheckQueues() error {
 	if !slices.Equal(c.exq, exq) {
 		return fmt.Errorf("cpu: cycle %d: execute queue holds seqs %v, the ROB implies %v",
 			c.stats.Cycles, seqs(c.exq), seqs(exq))
+	}
+	if c.asleep {
+		if !c.retireBound() {
+			return fmt.Errorf("cpu: cycle %d: asleep, but other stages can act: halted=%v "+
+				"rob %d/%d iq %d woken %d exq %d fetchq %d/%d fetch-blocked=%v icache-miss=%v branches %d mem %d",
+				c.stats.Cycles, c.halted, len(c.rob), c.cfg.ROBSize, len(c.iq), len(c.woken),
+				len(c.exq), len(c.fetchQ), c.cfg.FetchQueue, c.fetchBlocked, c.icacheMiss, c.branchCount, c.memCount)
+		}
+		if h := c.rob[0]; h.blocker() != nil || h.isMem && !h.addrReady {
+			return fmt.Errorf("cpu: cycle %d: asleep on head seq %d (%s) whose operands or address are not ready",
+				c.stats.Cycles, h.seq, uopState(h))
+		}
 	}
 	return nil
 }

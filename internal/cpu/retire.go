@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"csbsim/internal/isa"
@@ -26,23 +27,7 @@ func (c *CPU) retire() {
 	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
 		u := c.rob[0]
 		if u.needsRetireExec() {
-			if u.isMem && !(u.addrReady && u.dataSrcReady()) {
-				return
-			}
-			if u.isMem && u.faulted {
-				c.fault(u)
-				return
-			}
-			switch c.retireExec(u) {
-			case rexStall:
-				return
-			case rexRetired:
-				c.commitDest(u)
-				c.popHead(u)
-			case rexRedirected:
-				c.stats.Retired++
-				c.retiredThisCycle = true
-			}
+			c.retireExecStep(u)
 			return // at most one retire-exec per cycle
 		}
 		if !u.done {
@@ -57,6 +42,32 @@ func (c *CPU) retire() {
 		}
 		c.popHead(u)
 	}
+}
+
+// retireExecStep gives u, the retire-executed ROB head, its retire step
+// for this cycle. It reports whether the step made progress: retired u,
+// redirected the pipeline or halted the core. A stalled step may still
+// advance u's own retire phase or countdown; a sleeping core (see Tick)
+// re-runs exactly this step.
+func (c *CPU) retireExecStep(u *uop) bool {
+	if u.isMem && !(u.addrReady && u.dataSrcReady()) {
+		return false
+	}
+	if u.isMem && u.faulted {
+		c.fault(u)
+		return true
+	}
+	switch c.retireExec(u) {
+	case rexStall:
+		return false
+	case rexRetired:
+		c.commitDest(u)
+		c.popHead(u)
+	case rexRedirected:
+		c.stats.Retired++
+		c.retiredThisCycle = true
+	}
+	return true
 }
 
 // retireExecInFlight reports whether the head of the ROB is a
@@ -455,9 +466,6 @@ func leUint(data []byte) uint64 {
 // returned slice is only valid until the next call; both consumers
 // (uncbuf.AddStore, core.CSB.Store) copy the bytes before returning.
 func (c *CPU) leBytes(v uint64, size int) []byte {
-	b := c.stBuf[:size]
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
+	binary.LittleEndian.PutUint64(c.stBuf[:], v)
+	return c.stBuf[:size]
 }

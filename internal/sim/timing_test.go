@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	"csbsim/internal/cpu"
+	"csbsim/internal/device"
+	"csbsim/internal/fault"
+	"csbsim/internal/isa"
 	"csbsim/internal/mem"
 )
 
@@ -37,53 +41,240 @@ func attachTimingHash(m *Machine) *timingHash {
 	return th
 }
 
-func (th *timingHash) line(name string) string {
-	return fmt.Sprintf("%s %d %016x\n", name, th.n, th.h.Sum64())
+// line formats a run's golden line: the retired count, the timing hash
+// and an FNV-1a hash of the machine's final Stats JSON, which pins every
+// counter (refused attempts, fetch stalls, CPI buckets) beside the timing.
+func (th *timingHash) line(t *testing.T, name string, m *Machine) string {
+	t.Helper()
+	js, err := json.Marshal(m.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := fnv.New64a()
+	sh.Write(js)
+	return fmt.Sprintf("%s %d %016x %016x\n", name, th.n, th.h.Sum64(), sh.Sum64())
 }
 
-// TestRetireTimingGolden pins the issue, completion and retire cycle of
-// every instruction in the differential programs and in the §4.3.1 store
-// streams through the CSB and through uncached space. Scheduler
-// optimizations must leave it byte-identical.
-// Refresh with: go test ./internal/sim -run TestRetireTimingGolden -update
-func TestRetireTimingGolden(t *testing.T) {
-	var got strings.Builder
-	for seed := 0; seed < 60; seed++ {
-		var th *timingHash
-		runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed)), func(m *Machine) {
-			th = attachTimingHash(m)
-		})
-		got.WriteString(th.line(fmt.Sprintf("seed%d", seed)))
+// timedRun is one machine run of TestRetireTimingGolden. Its line checks
+// the CPU's queue and sleep invariants (cpu.CPU.CheckQueues) after every
+// cycle.
+type timedRun struct {
+	name string
+	src  string
+	// kind maps the 64 KB window at 0x4000_0000; with nic it holds a NIC
+	// instead, registers and packet buffer uncached.
+	kind mem.Kind
+	nic  bool
+	// faults attaches fault.DefaultConfig: UB and CSB pressure, delayed
+	// and dropped flush acknowledgements and bus NACKs, each drawn per
+	// attempt.
+	faults bool
+	// intrEvery posts a timer interrupt every intrEvery cycles.
+	intrEvery uint64
+	// cycles runs a never-halting guest for exactly this many cycles;
+	// zero runs to HALT and drains.
+	cycles uint64
+}
+
+func exampleSource(t *testing.T, file string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "asm", file))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range []struct {
-		file string
-		kind mem.Kind
-	}{
-		{"csb_stores.s", mem.KindCombining},
-		{"uncached_stores.s", mem.KindUncached},
-	} {
-		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "asm", s.file))
-		if err != nil {
+	return string(src)
+}
+
+func (r timedRun) line(t *testing.T) string {
+	t.Helper()
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.nic {
+		nic := device.NewNIC(device.DefaultConfig(), nicBase)
+		if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(DefaultConfig())
-		if err != nil {
+		m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
+	} else {
+		m.MapRange(0x4000_0000, 1<<16, r.kind)
+	}
+	if r.faults {
+		if _, err := m.AttachFaults(fault.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
-		m.MapRange(0x4000_0000, 1<<16, s.kind)
-		p, err := m.LoadSource(s.file, string(src))
-		if err != nil {
+	}
+	p, err := m.LoadSource(r.name, r.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmProgram(p)
+	th := attachTimingHash(m)
+	if r.intrEvery != 0 {
+		if err := m.AttachPeriodic(r.intrEvery, func(uint64) {
+			m.CPU.Interrupt(uint64(isa.CauseTimer))
+		}); err != nil {
 			t.Fatal(err)
 		}
-		m.WarmProgram(p)
-		th := attachTimingHash(m)
+	}
+	checkQueuesEveryTick(t, m)
+	if r.cycles != 0 {
+		for i := uint64(0); i < r.cycles; i++ {
+			m.Tick()
+		}
+		if m.CPU.Halted() {
+			t.Fatalf("%s: halted: %v", r.name, m.CPU.Err())
+		}
+	} else {
 		if err := m.Run(10_000_000); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Drain(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-		got.WriteString(th.line(s.file))
+	}
+	return th.line(t, r.name, m)
+}
+
+// ringTraffic is the cluster ring's traffic guest on one node: send a word
+// (an uncached store, a membar, a descriptor push), poll the NIC's sent
+// counter with uncached loads, drain the receive queue, repeat.
+const ringTraffic = `
+	.equ NICREG, 0x40000000
+	.equ PKTBUF, 0x40001000
+	set NICREG, %o0
+	set PKTBUF, %o1
+	set 8, %g4
+	sll %g4, 48, %g4
+	clr %l0
+	set 0x5A, %g6
+loop:	stx %g6, [%o1]
+	membar
+	stx %g4, [%o0]
+	inc %l0
+sent:	ldx [%o0+0x10], %g1
+	srl %g1, 32, %g1
+	cmp %g1, %l0
+	bl sent
+drain:	ldx [%o0+0x28], %g1
+	tst %g1
+	bz out
+	ldx [%o0+0x20], %g2
+	ba drain
+out:	ba loop
+`
+
+// intrStream wraps a store stream in an interrupt-enabled program whose
+// IVEC handler counts the interrupt and returns with iret; the stream
+// runs eight times over.
+func intrStream(body string) string {
+	return `
+	set handler, %g7
+	wrpr %g7, %ivec
+	mov 1, %g7
+	wrpr %g7, %status
+	mov 201, %g1
+	movr2f %g1, %f0
+	set 8, %g3
+pass:
+	set 0x40000000, %o1
+	set 64, %g2
+loop:
+` + body + `
+	add %o1, 64, %o1
+	subcc %g2, 1, %g2
+	bnz loop
+	subcc %g3, 1, %g3
+	bnz pass
+	membar
+	halt
+handler:
+	add %g5, 1, %g5
+	iret
+`
+}
+
+const (
+	// lineStores writes the 64-byte line at %o1 with eight doubleword
+	// stores; csbLine gathers them in the CSB and flushes, retrying
+	// until the flush succeeds.
+	lineStores = `
+	std %f0, [%o1]
+	std %f0, [%o1+8]
+	std %f0, [%o1+16]
+	std %f0, [%o1+24]
+	std %f0, [%o1+32]
+	std %f0, [%o1+40]
+	std %f0, [%o1+48]
+	std %f0, [%o1+56]`
+	csbLine = `
+RETRY:
+	set 8, %l4` + lineStores + `
+	swap [%o1], %l4
+	cmp %l4, 8
+	bnz RETRY`
+)
+
+// csbConflict gathers 64 lines through the CSB; the first attempt at each
+// line ends with a store to the next line, which resets the buffer, so
+// that attempt's flush fails and the sequence retries.
+const csbConflict = `
+	set 0x40000000, %o1
+	mov 201, %g1
+	movr2f %g1, %f0
+	set 64, %g2
+loop:
+	clr %g3
+RETRY:
+	set 8, %l4` + lineStores + `
+	tst %g3
+	bnz flush
+	stx %g1, [%o1+64]
+	mov 1, %g3
+flush:
+	swap [%o1], %l4
+	cmp %l4, 8
+	bnz RETRY
+	add %o1, 64, %o1
+	subcc %g2, 1, %g2
+	bnz loop
+	membar
+	halt
+`
+
+// TestRetireTimingGolden pins the issue, completion and retire cycle of
+// every instruction, and the final machine statistics, in the
+// differential programs, in the §4.3.1 store streams through the CSB and
+// through uncached space, and in runs built to stall the core at retire
+// and release it at every edge: both streams
+// under fault injection (pressure and NACKs drawn per attempt), the ring
+// traffic guest polling a NIC with uncached loads and membars, both
+// streams taking a timer interrupt every 997 cycles, and a CSB sequence
+// whose flush fails on a conflicting store and retries. Scheduler
+// optimizations must leave it byte-identical.
+// Refresh with: go test ./internal/sim -run TestRetireTimingGolden -update
+func TestRetireTimingGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := 0; seed < 60; seed++ {
+		var th *timingHash
+		m := runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed)), func(m *Machine) {
+			th = attachTimingHash(m)
+		})
+		got.WriteString(th.line(t, fmt.Sprintf("seed%d", seed), m))
+	}
+	csb, unc := exampleSource(t, "csb_stores.s"), exampleSource(t, "uncached_stores.s")
+	for _, r := range []timedRun{
+		{name: "csb_stores.s", src: csb, kind: mem.KindCombining},
+		{name: "uncached_stores.s", src: unc, kind: mem.KindUncached},
+		{name: "csb_stores.s+faults", src: csb, kind: mem.KindCombining, faults: true},
+		{name: "uncached_stores.s+faults", src: unc, kind: mem.KindUncached, faults: true},
+		{name: "ring_traffic", src: ringTraffic, nic: true, cycles: 200_000},
+		{name: "csb_intr997", src: intrStream(csbLine), kind: mem.KindCombining, intrEvery: 997},
+		{name: "uncached_intr997", src: intrStream(lineStores), kind: mem.KindUncached, intrEvery: 997},
+		{name: "csb_conflict", src: csbConflict, kind: mem.KindCombining},
+	} {
+		got.WriteString(r.line(t))
 	}
 
 	golden := filepath.Join("testdata", "retire_timing.golden")

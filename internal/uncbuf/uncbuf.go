@@ -430,6 +430,11 @@ func (u *Buffer) TickCPU() {
 //csb:hotpath
 func (u *Buffer) TickBus(b *bus.Bus) {
 	u.TickCPU() // the send stage also refills on bus cycles
+	// Loads and stores are both ordered transactions. While the bus would
+	// refuse one, skip building it: TryIssue acts only once CanIssue holds.
+	if !b.CanIssue(true) {
+		return
+	}
 	if len(u.sending) == 0 && u.qlen > 0 {
 		head := u.at(0)
 		switch head.kind {
