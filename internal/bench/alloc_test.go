@@ -18,7 +18,9 @@ import (
 // transactions, combining-buffer entries and store payloads all recycle.
 // The journey-traced variants extend that contract to the store-journey
 // tracer: ring slots, histogram buckets and the slowest-set all recycle
-// too, so tracing every store stays allocation-free in steady state.
+// too, so tracing every store stays allocation-free in steady state. The
+// measured window must spend most of its cycles in the coast step
+// (sim/effort/coasted_cycles), so the check covers that path too.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -46,6 +48,10 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			reg := m.AttachCounters()
+			coasted := func() uint64 {
+				return reg.Snapshot().Counters["sim/effort/coasted_cycles"]
+			}
 			const span = 1 << 24 // far more stores than the measured window retires
 			m.MapRange(IOBase, span, kind)
 			prog, err := m.LoadSource(tc.name, StoreBandwidthProgram(span, p.LineSize, tc.csb))
@@ -66,6 +72,7 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 			if m.CPU.Halted() {
 				t.Fatal("workload finished during warm-up")
 			}
+			c0, coasted0 := m.Cycle(), coasted()
 			avg := testing.AllocsPerRun(5, func() {
 				for i := 0; i < 20_000; i++ {
 					m.Tick()
@@ -76,6 +83,11 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if avg != 0 {
 				t.Errorf("steady-state Tick allocated %.1f times per 20k cycles, want 0", avg)
+			}
+			cycles, n := m.Cycle()-c0, coasted()-coasted0
+			t.Logf("coasted %d of %d measured cycles", n, cycles)
+			if 2*n < cycles {
+				t.Errorf("coasted %d of %d measured cycles, want most", n, cycles)
 			}
 		})
 	}

@@ -254,6 +254,31 @@ func (b *Bus) CanIssue(ordered bool) bool {
 	return true
 }
 
+// QuietTicks returns how many of the following Ticks leave the bus
+// unchanged but for its cycle and busy count: those before the one that
+// completes the in-flight transaction or, with the bus idle and an agent
+// waiting (waiting) to issue an ordered transaction, before the first
+// after which CanIssue(true) holds. An idle bus nobody waits for is quiet
+// indefinitely.
+//
+//csb:hotpath
+func (b *Bus) QuietTicks(waiting bool) uint64 {
+	if t := b.cur; t != nil {
+		return t.End - b.cycle
+	}
+	if !waiting {
+		return ^uint64(0)
+	}
+	free := b.ackFreeAt
+	if b.everIssued {
+		free = max(free, b.freeAt)
+	}
+	if free <= b.cycle+1 {
+		return 0
+	}
+	return free - b.cycle - 1
+}
+
 // TryIssue attempts to start t at the current cycle. It returns false when
 // the bus is occupied or a spacing rule blocks the start.
 func (b *Bus) TryIssue(t *Txn) bool {

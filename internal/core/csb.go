@@ -244,6 +244,18 @@ func (c *CSB) Busy() bool {
 // Drained reports whether no flushed line is still waiting for the bus.
 func (c *CSB) Drained() bool { return c.pendCount == 0 }
 
+// Quiet reports whether no fault hook draws on stores or flushes and no
+// injected flush delay is running: a Busy CSB then refuses every store
+// and flush the same way until a bus cycle issues its pending line. The
+// machine skips quiet cycles (sim.Machine.Tick).
+func (c *CSB) Quiet() bool {
+	return c.storePressure == nil && c.flushDelay == nil && c.dropFlush == nil && c.delayLeft == 0
+}
+
+// CountStallBusy charges one store or flush refused while Busy, for a
+// cycle the machine skips.
+func (c *CSB) CountStallBusy() { c.stats.StallBusy++ }
+
 func (c *CSB) clear() {
 	c.valid = false
 	c.hits = 0

@@ -81,7 +81,11 @@ type CPU struct {
 
 	// asleep marks a core stalled at retire (see retireBound): until the
 	// ROB head's retire step makes progress, Tick runs only that step.
-	asleep bool
+	// asleepCycles counts the cycles that began asleep, ticked or
+	// coasted, and coast is the charge of a coasted cycle (coast.go).
+	asleep       bool
+	asleepCycles uint64
+	coast        coastPlan
 
 	halted  bool
 	haltErr error
@@ -416,12 +420,21 @@ func (c *CPU) State() *ArchState { return &c.arch }
 func (c *CPU) Cycles() uint64 { return c.stats.Cycles }
 
 // Interrupt posts an external interrupt; it is taken at the next retire
-// boundary if interrupts are enabled.
-func (c *CPU) Interrupt(cause uint64) { c.pendingIntr = cause }
+// boundary if interrupts are enabled. It wakes an asleep core, whose next
+// Tick runs the full cycle either way.
+func (c *CPU) Interrupt(cause uint64) {
+	c.pendingIntr = cause
+	c.asleep = false
+}
 
 // Stall freezes the core for n cycles (models the kernel's context-switch
-// cost without simulating kernel code instruction by instruction).
-func (c *CPU) Stall(n int) { c.stallCycles += n }
+// cost without simulating kernel code instruction by instruction). It
+// wakes an asleep core: the first cycle after the stall runs in full,
+// which retireBound makes equivalent to an asleep one.
+func (c *CPU) Stall(n int) {
+	c.stallCycles += n
+	c.asleep = false
+}
 
 // SaveState copies the committed state; PC is the resume point of the
 // interrupted process.
@@ -474,6 +487,7 @@ func (c *CPU) Tick() {
 	c.retiredThisCycle = false
 	c.cycleCauseSet = false
 	if c.asleep && c.pendingIntr == 0 {
+		c.asleepCycles++
 		if !c.retireExecStep(c.rob[0]) {
 			c.stats.CPI.Add(c.classifyCycle())
 			c.fetch()

@@ -149,7 +149,7 @@ type NIC struct {
 	rxSpans   []rxSpan
 	rxSpanPos int // index of the head span (compacted when fully drained)
 
-	lastCycle uint64 // most recent bus cycle seen in TickBus
+	lastCycle uint64 // most recent bus cycle seen in TickBus (or SkipTo)
 	packets   []Packet
 	dropped   uint64
 
@@ -180,6 +180,11 @@ type NIC struct {
 	// rxDrained fires when the last word of a span delivered via
 	// DeliverTraced is popped by software (SetRxDrainHook).
 	rxDrained func(id uint64)
+
+	// wake, if set, runs before any input from outside the bus ticks — a
+	// register or buffer write, an RX delivery — so a machine skipping
+	// this quiet device's ticks stops first (SetWake).
+	wake func()
 }
 
 // rxSpan is one traced packet's word span inside the RX queue.
@@ -327,6 +332,11 @@ func (n *NIC) RxPop() (uint64, bool) {
 	return v, true
 }
 
+// SetWake installs the hook run before every register or packet-buffer
+// write and every RX delivery: the machine's cue that the device may no
+// longer be quiet.
+func (n *NIC) SetWake(fn func()) { n.wake = fn }
+
 // Deliver injects received words into the RX queue (the simulated wire's
 // receive side).
 func (n *NIC) Deliver(words ...uint64) { n.DeliverWords(0, words) }
@@ -343,6 +353,9 @@ func (n *NIC) DeliverTraced(id uint64, words ...uint64) { n.DeliverWords(id, wor
 //
 //csb:hotpath
 func (n *NIC) DeliverWords(id uint64, words []uint64) {
+	if n.wake != nil {
+		n.wake()
+	}
 	n.rxQueue = append(n.rxQueue, words...) //csb:alloc-ok amortized RX queue growth
 	if d := len(n.rxQueue); d > n.rxHighWater {
 		n.rxHighWater = d
@@ -388,6 +401,9 @@ func (n *NIC) RxPops() uint64 { return n.rxPops }
 // line bursts into the packet buffer (§3.3: the target device must accept
 // burst writes).
 func (n *NIC) WriteTarget(pa uint64, data []byte) {
+	if n.wake != nil {
+		n.wake()
+	}
 	off := pa - n.base
 	switch {
 	case off >= PacketBufBase && off+uint64(len(data)) <= PacketBufBase+PacketBufSize:
@@ -539,6 +555,21 @@ func (n *NIC) TickBus(b *bus.Bus) {
 		}
 	}
 }
+
+// Quiet reports whether TickBus would only note the bus cycle until an
+// outside input arrives: no DMA transfer, transmission, queued
+// descriptor, injected stall or backpressure window, and no fault hook,
+// which draws on every tick. A machine may then skip the device's ticks
+// and catch it up with SkipTo.
+func (n *NIC) Quiet() bool {
+	return n.dma == dmaIdle && !n.dmaInFly && !n.sending && len(n.fifo) == 0 &&
+		n.stallLeft == 0 && n.bpLeft == 0 && n.stallHook == nil && n.bpHook == nil
+}
+
+// SkipTo records that the device's ticks were skipped while it was
+// Quiet, the last of them at bus cycle busCycle: the cycle it would have
+// noted, so descriptor and DMA stamps come out as if it had been ticked.
+func (n *NIC) SkipTo(busCycle uint64) { n.lastCycle = busCycle }
 
 // Idle reports whether no transmission or DMA work is pending.
 func (n *NIC) Idle() bool {

@@ -8,7 +8,13 @@ package mem
 // the CSB — at run time).
 type TLB struct {
 	entries []tlbEntry
-	clock   uint64
+	// last is the slot of the most recent hit or insert, checked before
+	// the scan: consecutive accesses mostly fall in one page. The check
+	// compares the whole tag, so any stale slot is merely a miss of the
+	// shortcut, and a (vpn, asid) pair is valid in at most one slot, so
+	// the shortcut finds the same entry the scan would.
+	last  int
+	clock uint64
 	// Stats
 	Hits, Misses uint64
 }
@@ -34,11 +40,17 @@ func NewTLB(entries int) *TLB {
 func (t *TLB) Lookup(va uint64, asid uint8) (PTE, bool) {
 	vpn := va >> PageBits
 	t.clock++
+	if e := &t.entries[t.last]; e.valid && e.vpn == vpn && e.asid == asid {
+		e.used = t.clock
+		t.Hits++
+		return e.pte, true
+	}
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn && e.asid == asid {
 			e.used = t.clock
 			t.Hits++
+			t.last = i
 			return e.pte, true
 		}
 	}
@@ -58,6 +70,7 @@ func (t *TLB) Insert(va uint64, asid uint8, pte PTE) {
 		if e.valid && e.vpn == vpn && e.asid == asid {
 			e.pte = pte
 			e.used = t.clock
+			t.last = i
 			return
 		}
 		if !e.valid {
@@ -69,6 +82,7 @@ func (t *TLB) Insert(va uint64, asid uint8, pte PTE) {
 		}
 	}
 	t.entries[victim] = tlbEntry{vpn: vpn, asid: asid, pte: pte, used: t.clock, valid: true}
+	t.last = victim
 }
 
 // FlushASID invalidates all entries belonging to one address space.

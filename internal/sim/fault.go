@@ -40,6 +40,7 @@ func (m *Machine) AttachFaults(cfg fault.Config) (*fault.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.endCoast()
 	m.faults = inj
 	m.Bus.SetNackHook(func(*bus.Txn) bool { return inj.NackBus() })
 	m.CSB.SetFaultHooks(inj.SqueezeCSB, inj.FlushDelay, inj.DropFlush)

@@ -41,6 +41,9 @@ func (m *Machine) AttachCounters() *counters.Registry {
 	m.Hier.RegisterCounters("cache", r)
 	m.UB.RegisterCounters("ub", r)
 	m.CSB.RegisterCounters("csb", r)
+	r.Counter("sim/effort/full_ticks", func() uint64 { return m.Effort().FullTicks })
+	r.Counter("sim/effort/coasted_cycles", func() uint64 { return m.Effort().CoastedCycles })
+	r.Counter("sim/effort/asleep_cycles", func() uint64 { return m.Effort().AsleepCycles })
 	for _, d := range m.devices {
 		m.registerDeviceCounters(d)
 	}

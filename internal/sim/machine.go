@@ -85,6 +85,20 @@ type Device interface {
 	TickBus(b *bus.Bus)
 	// Idle reports whether the device has no pending work.
 	Idle() bool
+	// Quiet reports whether TickBus, until an input from outside the
+	// machine's ticks reaches the device, would only note the bus cycle.
+	// The machine then may skip the device's ticks (see Tick).
+	Quiet() bool
+	// SkipTo tells a Quiet device that its ticks were skipped, the last
+	// at bus cycle busCycle, so it notes that cycle as if ticked.
+	SkipTo(busCycle uint64)
+}
+
+// deviceWaker is implemented by devices that take inputs from outside
+// the machine's ticks (device.NIC: host register writes, RX delivery);
+// the hook they run first ends a quiet stretch the machine is coasting.
+type deviceWaker interface {
+	SetWake(fn func())
 }
 
 // Stats is a full-machine snapshot.
@@ -151,6 +165,15 @@ type Machine struct {
 	// busCountdown reaches 0 every Ratio-th CPU cycle (a decrement and
 	// compare instead of a 64-bit modulo in the hottest loop).
 	busCountdown int
+
+	// Coasting (see Tick): while m.cycle < coastEnd and the core sleeps,
+	// Tick runs the O(1) coast step; 0 when no quiet stretch is open.
+	// skippedBus records that a coast step ticked the bus without the
+	// devices. fullTicks counts the Ticks that ran every stage (the
+	// sim/effort counters).
+	coastEnd   uint64
+	skippedBus bool
+	fullTicks  uint64
 }
 
 // New builds a machine from the configuration.
@@ -243,7 +266,11 @@ func (m *Machine) AddDevice(base, size uint64, name string, t mem.Target, d Devi
 		return err
 	}
 	if d != nil {
+		m.endCoast()
 		m.devices = append(m.devices, d)
+		if w, ok := d.(deviceWaker); ok {
+			w.SetWake(m.endCoast)
+		}
 		m.wireDeviceFaults(d)
 		if es, ok := d.(deviceErrSource); ok {
 			m.errDevices = append(m.errDevices, es.Err)
@@ -322,9 +349,28 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 // low-latency I/O path), then the uncached buffer, then cache miss
 // traffic, then DMA devices.
 //
+// A Tick that leaves the core asleep at retire computes a quiet horizon
+// (quietHorizon): the first cycle at which any agent can change without
+// outside input. Until then, Tick runs the O(1) coast step, which charges
+// exactly what the skipped stages would have charged on that cycle, so
+// every counter, hook and Stats read stays exact cycle by cycle (after
+// gem5's O3 CPU, which deschedules an idle core and counts its idle
+// cycles instead of ticking it). An input that can change the quiet
+// agents wakes the core or calls endCoast: an interrupt, a kernel stall,
+// a pipeline flush or state restore, a NIC write or delivery, attaching
+// a hook or device.
+//
 //csb:hotpath
 //csb:worker ticked from the node's goroutine inside cluster lookahead windows
 func (m *Machine) Tick() {
+	if m.coastEnd != 0 {
+		if m.cycle < m.coastEnd && m.CPU.Asleep() {
+			m.coast()
+			return
+		}
+		m.endCoast()
+	}
+	m.fullTicks++
 	// The uncached buffer's send stage drains at core rate, before this
 	// cycle's retiring stores arrive (so an idle system interface takes
 	// the head entry immediately, bounding the combining window).
@@ -368,6 +414,118 @@ func (m *Machine) Tick() {
 			h.fn(m.cycle)
 		}
 	}
+	if m.CPU.Asleep() {
+		m.coastEnd = m.quietHorizon()
+	}
+}
+
+// quietHorizon returns the cycle at which the next full Tick must run
+// for a machine whose core is asleep, or 0 when the next one must. The
+// stretch before it is quiet: the core's head repeats a refused or
+// counting retire step (cpu.CPU.QuietCycles), the uncached buffer's send
+// stage and the cache hierarchy are idle, the CSB and every device are
+// quiet, and the horizon stops before the bus tick that completes the
+// transaction in flight or, with the bus idle, first lets a waiting
+// buffer issue, and before the next sampler or periodic-hook firing. A
+// fault injector forbids coasting: its hooks draw from the PRNG on every
+// refused attempt.
+//
+//csb:hotpath
+func (m *Machine) quietHorizon() uint64 {
+	if m.faults != nil || !m.UB.Quiet() || !m.Hier.Idle() || !m.CSB.Quiet() {
+		return 0
+	}
+	for _, d := range m.devices {
+		if !d.Quiet() {
+			return 0
+		}
+	}
+	n := m.CPU.QuietCycles()
+	if n == 0 {
+		return 0
+	}
+	end := ^uint64(0)
+	if n != end {
+		end = m.cycle + n
+	}
+	// The j-th bus tick from now runs in the Tick that starts at cycle
+	// m.cycle + busCountdown - 1 + (j-1)*Ratio; the first unquiet one is
+	// j = q+1.
+	if q := m.Bus.QuietTicks(!m.CSB.Drained() || m.UB.HasWork()); q != ^uint64(0) {
+		end = min(end, m.cycle+uint64(m.busCountdown)-1+q*uint64(m.Cfg.Ratio))
+	}
+	if s := m.sampler; s != nil {
+		end = min(end, m.cycle+s.countdown-1)
+	}
+	for i := range m.periodicHooks {
+		end = min(end, m.cycle+m.periodicHooks[i].countdown-1)
+	}
+	if end <= m.cycle {
+		return 0
+	}
+	return end
+}
+
+// coast advances a quiet machine one cycle in O(1): the core charges its
+// asleep cycle (cpu.CPU.Coast: the cycle, its CPI bucket, the fetch
+// stall, the refused step's uncached-buffer StallFull, CSB StallBusy or
+// MembarStall count, and the head's countdown), the bus divider advances
+// and a bus cycle ticks the bus (its cycle and busy count; the horizon
+// keeps completions and issues out of the stretch), and the sampler and
+// periodic-hook countdowns advance (none reaches zero before the
+// horizon). The uncached buffer, the caches, the CSB and the devices
+// would do nothing and are not called.
+//
+//csb:hotpath
+func (m *Machine) coast() {
+	m.CPU.Coast()
+	m.cycle++
+	m.busCountdown--
+	if m.busCountdown == 0 {
+		m.busCountdown = m.Cfg.Ratio
+		m.Bus.Tick()
+		m.skippedBus = true
+	}
+	if s := m.sampler; s != nil {
+		s.countdown--
+	}
+	for i := range m.periodicHooks {
+		m.periodicHooks[i].countdown--
+	}
+}
+
+// endCoast closes an open quiet stretch: devices whose bus ticks were
+// skipped note the bus cycle they would have seen last. It is also the
+// devices' outside-input hook (deviceWaker), run before the input lands.
+//
+//csb:hotpath
+func (m *Machine) endCoast() {
+	m.coastEnd = 0
+	if m.skippedBus {
+		m.skippedBus = false
+		for _, d := range m.devices {
+			d.SkipTo(m.Bus.Cycle())
+		}
+	}
+}
+
+// Effort counts the simulator's own work: Ticks that ran every stage,
+// cycles coasted through in O(1), and cycles the core spent asleep at
+// retire, ticked or coasted. The counts are pure functions of the run.
+type Effort struct {
+	FullTicks     uint64
+	CoastedCycles uint64
+	AsleepCycles  uint64
+}
+
+// Effort returns the machine's effort counts (also registered as
+// sim/effort/* by AttachCounters).
+func (m *Machine) Effort() Effort {
+	return Effort{
+		FullTicks:     m.fullTicks,
+		CoastedCycles: m.cycle - m.fullTicks,
+		AsleepCycles:  m.CPU.AsleepCycles(),
+	}
 }
 
 // periodicHook is one AttachPeriodic registration.
@@ -390,6 +548,7 @@ func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 	if fn == nil {
 		return fmt.Errorf("sim: nil periodic hook")
 	}
+	m.endCoast()
 	m.periodicHooks = append(m.periodicHooks, periodicHook{every: every, countdown: every, fn: fn})
 	return nil
 }

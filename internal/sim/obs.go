@@ -108,6 +108,7 @@ func (m *Machine) AttachMetrics(w *obs.MetricsWriter, every uint64) error {
 	if m.sampler != nil {
 		return fmt.Errorf("sim: metrics sampler already attached")
 	}
+	m.endCoast()
 	m.sampler = &metricsSampler{every: every, countdown: every, w: w,
 		prevCycle: m.cycle}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"csbsim/internal/bus"
 	"csbsim/internal/cpu"
 	"csbsim/internal/device"
 	"csbsim/internal/fault"
@@ -57,10 +58,13 @@ func (th *timingHash) line(t *testing.T, name string, m *Machine) string {
 
 // timedRun is one machine run of TestRetireTimingGolden. Its line checks
 // the CPU's queue and sleep invariants (cpu.CPU.CheckQueues) after every
-// cycle.
+// cycle, from the driving loop rather than a periodic hook, so the run
+// ticks exactly as an unobserved machine would.
 type timedRun struct {
 	name string
 	src  string
+	// cfg, if set, edits the default configuration.
+	cfg func(*Config)
 	// kind maps the 64 KB window at 0x4000_0000; with nic it holds a NIC
 	// instead, registers and packet buffer uncached.
 	kind mem.Kind
@@ -85,9 +89,22 @@ func exampleSource(t *testing.T, file string) string {
 	return string(src)
 }
 
-func (r timedRun) line(t *testing.T) string {
+// effortLine formats a run's line of the effort golden: the machine's
+// sim/effort counts and its cycles.
+func effortLine(name string, m *Machine) string {
+	e := m.Effort()
+	return fmt.Sprintf("%s cycles=%d full_ticks=%d coasted_cycles=%d asleep_cycles=%d\n",
+		name, m.Cycle(), e.FullTicks, e.CoastedCycles, e.AsleepCycles)
+}
+
+// lines runs r and returns its timing and effort golden lines.
+func (r timedRun) lines(t *testing.T) (timing, effort string) {
 	t.Helper()
-	m, err := New(DefaultConfig())
+	cfg := DefaultConfig()
+	if r.cfg != nil {
+		r.cfg(&cfg)
+	}
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,23 +135,38 @@ func (r timedRun) line(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	checkQueuesEveryTick(t, m)
+	tick := func() {
+		m.Tick()
+		if err := m.CPU.CheckQueues(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
 	if r.cycles != 0 {
 		for i := uint64(0); i < r.cycles; i++ {
-			m.Tick()
+			tick()
 		}
 		if m.CPU.Halted() {
 			t.Fatalf("%s: halted: %v", r.name, m.CPU.Err())
 		}
 	} else {
-		if err := m.Run(10_000_000); err != nil {
-			t.Fatal(err)
+		// Machine.Run and Machine.Drain, one checked Tick at a time.
+		for !m.CPU.Halted() {
+			if m.Cycle() >= 10_000_000 {
+				t.Fatalf("%s: no HALT in %d cycles", r.name, m.Cycle())
+			}
+			tick()
 		}
-		if err := m.Drain(1_000_000); err != nil {
-			t.Fatal(err)
+		if err := m.CPU.Err(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		for start := m.Cycle(); !m.Settled(); {
+			if m.Cycle()-start >= 1_000_000 {
+				t.Fatalf("%s: drain did not complete", r.name)
+			}
+			tick()
 		}
 	}
-	return th.line(t, r.name, m)
+	return th.line(t, r.name, m), effortLine(r.name, m)
 }
 
 // ringTraffic is the cluster ring's traffic guest on one node: send a word
@@ -243,6 +275,57 @@ flush:
 	halt
 `
 
+// uncachedPoll stores a counter to uncached space and polls it back with
+// an uncached load, so the core sleeps at retire on a load in flight on
+// the bus behind a store still in the uncached buffer.
+const uncachedPoll = `
+	set 0x40000000, %o1
+	set 400, %g2
+loop:
+	stx %g2, [%o1]
+	ldx [%o1], %g1
+	add %g3, %g1, %g3
+	ldx [%o1+8], %g1
+	add %g3, %g1, %g3
+	subcc %g2, 1, %g2
+	bnz loop
+	halt
+`
+
+// membarHeavy separates short uncached store runs and one cached store
+// with MEMBARs, so the core sleeps on barriers waiting for the uncached
+// buffer, the bus and the cache write buffer to drain.
+const membarHeavy = `
+	set 0x40000000, %o1
+	set scratch, %o2
+	set 300, %g2
+loop:
+	stx %g2, [%o1]
+	membar
+	stx %g2, [%o1+8]
+	stx %g2, [%o1+16]
+	stx %g2, [%o2]
+	membar
+	add %o1, 32, %o1
+	subcc %g2, 1, %g2
+	bnz loop
+	membar
+	halt
+	.align 64
+scratch:
+	.space 64
+`
+
+// splitBusAck is a split 16-byte bus with a turnaround cycle and a
+// selective-flow-control acknowledgement delay between ordered
+// transactions (figures 3g-3i and 4c-4e).
+func splitBusAck(c *Config) {
+	c.Bus.Model = bus.Split
+	c.Bus.WidthBytes = 16
+	c.Bus.Turnaround = 1
+	c.Bus.AckDelay = 5
+}
+
 // TestRetireTimingGolden pins the issue, completion and retire cycle of
 // every instruction, and the final machine statistics, in the
 // differential programs, in the §4.3.1 store streams through the CSB and
@@ -251,17 +334,25 @@ flush:
 // under fault injection (pressure and NACKs drawn per attempt), the ring
 // traffic guest polling a NIC with uncached loads and membars, both
 // streams taking a timer interrupt every 997 cycles, and a CSB sequence
-// whose flush fails on a conflicting store and retries. Scheduler
+// whose flush fails on a conflicting store and retries. It adds runs at
+// the edges of the machine's quiet time: both streams at bus ratio 3 and
+// on a split bus with turnaround and acknowledgement delay, an uncached
+// load polling loop, a MEMBAR-heavy sequence, the double-buffered CSB
+// and a 12-cycle conditional-flush latency, which the core counts down
+// at retire.
+// Scheduler
 // optimizations must leave it byte-identical.
 // Refresh with: go test ./internal/sim -run TestRetireTimingGolden -update
 func TestRetireTimingGolden(t *testing.T) {
-	var got strings.Builder
+	var got, effort strings.Builder
 	for seed := 0; seed < 60; seed++ {
 		var th *timingHash
 		m := runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed)), func(m *Machine) {
 			th = attachTimingHash(m)
 		})
-		got.WriteString(th.line(t, fmt.Sprintf("seed%d", seed), m))
+		name := fmt.Sprintf("seed%d", seed)
+		got.WriteString(th.line(t, name, m))
+		effort.WriteString(effortLine(name, m))
 	}
 	csb, unc := exampleSource(t, "csb_stores.s"), exampleSource(t, "uncached_stores.s")
 	for _, r := range []timedRun{
@@ -273,13 +364,29 @@ func TestRetireTimingGolden(t *testing.T) {
 		{name: "csb_intr997", src: intrStream(csbLine), kind: mem.KindCombining, intrEvery: 997},
 		{name: "uncached_intr997", src: intrStream(lineStores), kind: mem.KindUncached, intrEvery: 997},
 		{name: "csb_conflict", src: csbConflict, kind: mem.KindCombining},
+		{name: "csb_stores.s@ratio3", src: csb, kind: mem.KindCombining, cfg: func(c *Config) { c.Ratio = 3 }},
+		{name: "uncached_stores.s@ratio3", src: unc, kind: mem.KindUncached, cfg: func(c *Config) { c.Ratio = 3 }},
+		{name: "csb_stores.s@split", src: csb, kind: mem.KindCombining, cfg: splitBusAck},
+		{name: "uncached_stores.s@split", src: unc, kind: mem.KindUncached, cfg: splitBusAck},
+		{name: "uncached_poll", src: uncachedPoll, kind: mem.KindUncached},
+		{name: "membar_heavy", src: membarHeavy, kind: mem.KindUncached},
+		{name: "csb_stores.s@double", src: csb, kind: mem.KindCombining, cfg: func(c *Config) { c.CSB.DoubleBuffered = true }},
+		{name: "csb_stores.s@flushlat12", src: csb, kind: mem.KindCombining, cfg: func(c *Config) { c.CPU.CSBLatency = 12 }},
 	} {
-		got.WriteString(r.line(t))
+		timing, eff := r.lines(t)
+		got.WriteString(timing)
+		effort.WriteString(eff)
 	}
+	checkGolden(t, "retire timing", filepath.Join("testdata", "retire_timing.golden"), got.String())
+	checkGolden(t, "simulator effort", filepath.Join("testdata", "effort.golden"), effort.String())
+}
 
-	golden := filepath.Join("testdata", "retire_timing.golden")
+// checkGolden compares got with the golden file, rewriting it first
+// under -update.
+func checkGolden(t *testing.T, what, golden, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,8 +394,8 @@ func TestRetireTimingGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("retire timing drifted from %s (refresh with -update)\ngot:\n%swant:\n%s",
-			golden, got.String(), want)
+	if got != string(want) {
+		t.Errorf("%s drifted from %s (refresh with -update)\ngot:\n%swant:\n%s",
+			what, golden, got, want)
 	}
 }

@@ -263,6 +263,22 @@ func (u *Buffer) HasWork() bool {
 	return u.qlen != 0 || len(u.sending) != 0
 }
 
+// Full reports whether the queue has no free entry: a load, or a store
+// that cannot coalesce, is refused.
+func (u *Buffer) Full() bool { return u.qlen >= u.cfg.Entries }
+
+// Quiet reports whether TickCPU would do nothing and no fault hook draws
+// on accepts: the send stage is busy, the queue is empty, or its head is
+// a load (which leaves only on a bus cycle). The machine skips quiet
+// cycles (sim.Machine.Tick).
+func (u *Buffer) Quiet() bool {
+	return u.pressure == nil && (len(u.sending) != 0 || u.qlen == 0 || u.queue[u.qhead].kind != entryStore)
+}
+
+// CountStallFull charges one refused accept, as AddStore or AddLoad does
+// on a full queue, for a cycle the machine skips.
+func (u *Buffer) CountStallFull() { u.stats.StallFull++ }
+
 // CanAcceptStore reports whether a store would be accepted this cycle.
 func (u *Buffer) CanAcceptStore(addr uint64, size int) bool {
 	if u.mergeTarget(addr, size) != nil {
