@@ -54,8 +54,8 @@ bench-simspeed:
 	$(GO) run ./cmd/simspeed > BENCH_simspeed.json
 
 # Re-measure parallel cluster-engine scaling (1/2/4/8-node rates across
-# GOMAXPROCS, plus the two-node parallel-vs-lockstep overhead) and gate
-# the scheduler overhead at 5%.
+# GOMAXPROCS, plus the two-node overhead of parallel windows over inline
+# ones) and gate that scheduler overhead at 5%.
 bench-cluster:
 	$(GO) run ./cmd/clusterspeed > BENCH_cluster.json
 	$(GO) run ./cmd/clusterspeed -gate BENCH_cluster.json

@@ -2,14 +2,15 @@
 // wall-clock rate (simulated cluster cycles per second, and aggregate
 // node-cycles per second) of a never-halting ring traffic workload at 1,
 // 2, 4 and 8 nodes under the goroutine-per-node windowed engine, swept
-// across GOMAXPROCS settings, plus the two-node parallel-vs-lockstep
-// overhead — the price of the windowed scheduler itself.
+// across GOMAXPROCS settings, plus the two-node overhead of goroutine-
+// per-node windows over the same windows run inline on one goroutine —
+// the price of the parallel scheduler itself.
 //
 // The JSON it prints is the repo's cluster-speed baseline; `make
 // bench-cluster` refreshes BENCH_cluster.json with it. -gate FILE
 // re-reads a recorded report and fails if the two-node parallel engine
-// was more than -max-overhead percent slower than lockstep — the CI
-// regression gate on scheduler overhead. Methodology is described in
+// was more than -max-overhead percent slower than the inline run — the
+// CI regression gate on scheduler overhead. Methodology is described in
 // EXPERIMENTS.md ("Parallel engine scaling").
 //
 // Usage:
@@ -42,14 +43,14 @@ type ScaleResult struct {
 
 // Report is the full clusterspeed output.
 type Report struct {
-	GoVersion string        `json:"go_version"`
-	NumCPU    int           `json:"num_cpu"`
-	Wire      uint64        `json:"wire_latency"`
-	Scaling   []ScaleResult `json:"scaling"`
-	LockstepS float64       `json:"lockstep_2node_seconds"`
-	ParallelS float64       `json:"parallel_2node_seconds"`
-	// OverheadPct is how much slower the two-node parallel engine ran
-	// than the lockstep loop on the same workload (negative = faster).
+	GoVersion   string        `json:"go_version"`
+	NumCPU      int           `json:"num_cpu"`
+	Wire        uint64        `json:"wire_latency"`
+	Scaling     []ScaleResult `json:"scaling"`
+	SequentialS float64       `json:"sequential_2node_seconds"`
+	ParallelS   float64       `json:"parallel_2node_seconds"`
+	// OverheadPct is how much slower the two-node parallel run was than
+	// the inline run on the same workload (negative = faster).
 	OverheadPct float64 `json:"parallel_overhead_pct"`
 }
 
@@ -98,13 +99,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lock, err := measure(2, runtime.NumCPU(), *wire, *cycles, *reps, false)
+	seq, err := measure(2, runtime.NumCPU(), *wire, *cycles, *reps, false)
 	if err != nil {
 		fatal(err)
 	}
-	rep.ParallelS, rep.LockstepS = par.Seconds, lock.Seconds
-	if lock.Seconds > 0 {
-		rep.OverheadPct = 100 * (par.Seconds - lock.Seconds) / lock.Seconds
+	rep.ParallelS, rep.SequentialS = par.Seconds, seq.Seconds
+	if seq.Seconds > 0 {
+		rep.OverheadPct = 100 * (par.Seconds - seq.Seconds) / seq.Seconds
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -169,11 +170,7 @@ func measure(nodes, gomaxprocs int, wire, cycles uint64, reps int, parallel bool
 		}
 		prev := runtime.GOMAXPROCS(gomaxprocs)
 		start := time.Now()
-		if parallel {
-			err = c.RunFor(cycles, true)
-		} else {
-			err = runLockstepFor(c, cycles)
-		}
+		err = c.RunFor(cycles, parallel)
 		elapsed := time.Since(start)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
@@ -191,20 +188,6 @@ func measure(nodes, gomaxprocs int, wire, cycles uint64, reps int, parallel bool
 	return res, nil
 }
 
-// runLockstepFor drives the classic cycle-by-cycle engine for a fixed
-// horizon — the reference cost the windowed engine is gated against.
-func runLockstepFor(c *cluster.Cluster, cycles uint64) error {
-	for i := uint64(0); i < cycles; i++ {
-		c.Tick()
-	}
-	for _, n := range c.Nodes() {
-		if err := n.M.CPU.Err(); err != nil {
-			return fmt.Errorf("node %s: %w", n.Name(), err)
-		}
-	}
-	return nil
-}
-
 // runGate reads a recorded report and fails if the parallel engine's
 // two-node overhead exceeds the budget.
 func runGate(path string, maxPct float64) error {
@@ -216,12 +199,12 @@ func runGate(path string, maxPct float64) error {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if rep.LockstepS == 0 || rep.ParallelS == 0 {
+	if rep.SequentialS == 0 || rep.ParallelS == 0 {
 		return fmt.Errorf("%s: no engine comparison to gate (regenerate with clusterspeed)", path)
 	}
 	fmt.Printf("gate: parallel_overhead_pct = %.1f (budget %.1f)\n", rep.OverheadPct, maxPct)
 	if rep.OverheadPct > maxPct {
-		return fmt.Errorf("two-node parallel engine %.1f%% slower than lockstep, budget %.1f%%",
+		return fmt.Errorf("two-node parallel run %.1f%% slower than inline, budget %.1f%%",
 			rep.OverheadPct, maxPct)
 	}
 	var lines []string

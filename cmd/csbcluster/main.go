@@ -12,11 +12,9 @@
 //	csbcluster -serve [flags]           # open-loop serving workload
 //
 // Topology flags (-nodes, -topology, -bandwidth, -link-depth) shape the
-// fabric; -engine picks the scheduler: "parallel" is the goroutine-per-
-// node conservative-lookahead engine (requires ≥1 cycle of wire latency),
-// "seq" its single-threaded reference, "lockstep" the classic
-// cycle-by-cycle loop, and "auto" (default) parallel when the wire allows
-// it. All three produce byte-identical results.
+// fabric; -engine picks how the conservative-lookahead engine runs its
+// windows: "parallel" (default) on a goroutine per node, "seq" inline on
+// one. Both produce byte-identical results at any wire latency.
 //
 // Serving flags: -rate R offers R requests per 1000 cycles per client
 // (open loop — arrivals never wait for completions), -dist picks the
@@ -111,7 +109,7 @@ func main() {
 	flag.Uint64Var(&o.bandwidth, "bandwidth", 0, "link serialization cost in cycles per 8-byte word (0 = infinite)")
 	flag.IntVar(&o.linkDepth, "link-depth", 0, "max packets in flight per link (0 = unbounded)")
 	flag.Uint64Var(&o.enqDelay, "rx-delay", 0, "extra RX staging delay in CPU cycles (wire_arrive to rx_enqueue)")
-	flag.StringVar(&o.engine, "engine", "auto", "scheduler: auto, parallel, seq or lockstep")
+	flag.StringVar(&o.engine, "engine", "parallel", "window scheduling: parallel or seq")
 	flag.Uint64Var(&o.maxCycles, "cycles", 100_000_000, "cluster cycle limit")
 
 	flag.BoolVar(&o.serve, "serve", false, "run the open-loop serving workload")
@@ -162,7 +160,7 @@ func run(o *options, args []string) error {
 		return fmt.Errorf("-serve and custom guests are mutually exclusive")
 	}
 
-	// Shape defaults depend on the mode: ping-pong wants the classic pair,
+	// Shape defaults depend on the mode: ping-pong wants two nodes,
 	// serving wants a star of clients around a server hub.
 	cfg := cluster.DefaultConfig()
 	cfg.WireLatency = o.wire
@@ -190,12 +188,7 @@ func run(o *options, args []string) error {
 		return fmt.Errorf("%d guest programs for %d nodes", len(args), cfg.Nodes)
 	}
 
-	var c *cluster.Cluster
-	if len(args) == 0 && !o.serve && cfg.Nodes == 2 {
-		c, err = cluster.NewPair(cfg) // historical "a"/"b" trace names
-	} else {
-		c, err = cluster.New(cfg)
-	}
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -410,14 +403,14 @@ func run(o *options, args []string) error {
 		fmt.Println(string(data))
 	case o.verbose:
 		fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire (%d completed)\n",
-			c.Cycle(), c.Trace().Started(), c.Trace().Completed())
+			c.HaltCycle(), c.Trace().Started(), c.Trace().Completed())
 		fmt.Print(c.Registry().Snapshot().Format())
 	default:
 		if traced {
 			fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire\n",
-				c.Cycle(), c.Trace().Started())
+				c.HaltCycle(), c.Trace().Started())
 		} else {
-			fmt.Printf("cluster halted after %d cycles\n", c.Cycle())
+			fmt.Printf("cluster halted after %d cycles\n", c.HaltCycle())
 		}
 	}
 	return nil
@@ -585,34 +578,20 @@ func reportServe(c *cluster.Cluster, o *options, gens []*loadgen.Generator, clie
 	return nil
 }
 
-// runEngine dispatches to the scheduler the -engine flag picked.
+// runEngine runs the cluster with the window scheduling -engine picked.
 func runEngine(c *cluster.Cluster, o *options) error {
-	engine := o.engine
-	if engine == "auto" {
-		if o.wire == 0 {
-			engine = "lockstep"
-		} else {
-			engine = "parallel"
-		}
-	}
-	switch engine {
-	case "lockstep":
-		if o.serve {
-			return fmt.Errorf("-serve needs the windowed engine (-engine parallel or seq)")
-		}
-		return c.Run(o.maxCycles)
-	case "seq":
-		if o.serve {
-			return c.RunFor(o.horizon, false)
-		}
-		return c.RunSequentialRef(o.maxCycles)
+	var parallel bool
+	switch o.engine {
 	case "parallel":
-		if o.serve {
-			return c.RunFor(o.horizon, true)
-		}
-		return c.RunParallel(o.maxCycles)
+		parallel = true
+	case "seq":
+	default:
+		return fmt.Errorf("unknown engine %q (want parallel or seq)", o.engine)
 	}
-	return fmt.Errorf("unknown engine %q (want auto, parallel, seq or lockstep)", o.engine)
+	if o.serve {
+		return c.RunFor(o.horizon, parallel)
+	}
+	return c.Run(o.maxCycles, parallel)
 }
 
 func parseServers(s string, nodes int) ([]int, error) {

@@ -255,7 +255,7 @@ func runStores(csb bool, md mode) (uint64, uint64, time.Duration, error) {
 func runPingPong(md mode) (uint64, uint64, time.Duration, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.WireLatency = 60
-	c, err := cluster.NewPair(cfg)
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -312,12 +312,12 @@ func runPingPong(md mode) (uint64, uint64, time.Duration, error) {
 	c.Node(0).M.WarmProgram(pa)
 	c.Node(1).M.WarmProgram(pb)
 	start := time.Now()
-	if err := c.Run(100_000_000); err != nil {
+	if err := c.Run(100_000_000, false); err != nil {
 		return 0, 0, 0, err
 	}
 	elapsed := time.Since(start)
 	sa, sb := c.Node(0).M.Stats(), c.Node(1).M.Stats()
-	return c.Cycle(), sa.CPU.Retired + sb.CPU.Retired, elapsed, nil
+	return c.HaltCycle(), sa.CPU.Retired + sb.CPU.Retired, elapsed, nil
 }
 
 func runMessageSend(md mode) (uint64, uint64, time.Duration, error) {

@@ -59,7 +59,7 @@ func TestCPIStackInvariantPingPong(t *testing.T) {
 	for _, method := range []SendMethod{SendPIO, SendCSB} {
 		cfg := cluster.DefaultConfig()
 		cfg.WireLatency = 60
-		c, err := cluster.NewPair(cfg)
+		c, err := cluster.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +77,11 @@ func TestCPIStackInvariantPingPong(t *testing.T) {
 		}
 		c.Node(0).M.WarmProgram(pa)
 		c.Node(1).M.WarmProgram(pb)
-		if err := c.Run(10_000_000); err != nil {
+		if err := c.Run(10_000_000, false); err != nil {
 			t.Fatal(err)
 		}
-		checkCPI(t, "pingpong/"+method.String()+"/A", c.Node(0).M.Stats())
-		checkCPI(t, "pingpong/"+method.String()+"/B", c.Node(1).M.Stats())
+		checkCPI(t, "pingpong/"+method.String()+"/n0", c.Node(0).M.Stats())
+		checkCPI(t, "pingpong/"+method.String()+"/n1", c.Node(1).M.Stats())
 	}
 }
 

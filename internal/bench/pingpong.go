@@ -102,32 +102,30 @@ func PingPongPrograms(method SendMethod, rounds int) (ping, pong string) {
 }
 
 // MeasurePingPong returns the average round-trip time in CPU cycles for
-// 64-byte messages bounced between two nodes.
+// 64-byte messages bounced between two nodes: the cycle the last node
+// halts, over the number of rounds.
 func MeasurePingPong(method SendMethod, rounds int, wireLatency uint64) (float64, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.WireLatency = wireLatency
-	c, err := cluster.NewPair(cfg)
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	for _, n := range c.Nodes() {
+	ping, pong := PingPongPrograms(method, rounds)
+	for i, prog := range [][2]string{{"ping.s", ping}, {"pong.s", pong}} {
+		n := c.Node(i)
 		n.MapIO(method == SendCSB)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
+		p, err := n.M.LoadSource(prog[0], prog[1])
+		if err != nil {
+			return 0, err
+		}
+		n.M.WarmProgram(p)
 	}
-	pa, err := c.Node(0).M.LoadSource("ping.s", pingProgram(method, rounds))
-	if err != nil {
+	if err := c.Run(100_000_000, false); err != nil {
 		return 0, err
 	}
-	pb, err := c.Node(1).M.LoadSource("pong.s", pongProgram(method, rounds))
-	if err != nil {
-		return 0, err
-	}
-	c.Node(0).M.WarmProgram(pa)
-	c.Node(1).M.WarmProgram(pb)
-	if err := c.Run(100_000_000); err != nil {
-		return 0, err
-	}
-	return float64(c.Cycle()) / float64(rounds), nil
+	return float64(c.HaltCycle()) / float64(rounds), nil
 }
 
 // ExtensionPingPong regenerates X8: round-trip time vs wire latency for

@@ -11,12 +11,12 @@
 // the NIC's RegTxDest register; packets left on the default route go to
 // the topology's natural next hop.
 //
-// Execution engines: the classic lockstep Tick/Run loop (every node
-// advances one cycle per call — required when any link has zero latency),
-// and the windowed conservative-lookahead engine in engine.go
-// (RunParallel/RunSequentialRef/RunFor) that runs each node on its own
-// goroutine for whole windows of cycles, bounded by the minimum link
-// latency so no inbound packet can be missed.
+// Execution: one windowed conservative-lookahead engine (engine.go). Each
+// node runs whole windows of cycles — on its own goroutine, or inline
+// when parallel is off — bounded by the minimum link latency so no
+// inbound packet can be missed; a zero-latency link shrinks the window to
+// one cycle. Run advances until every node halts and the fabric drains,
+// RunFor for a fixed horizon.
 //
 // Observability: AttachTrace extends the PR 5 per-node journey tracer
 // across the wire — every pumped packet carries a trace ID (a flight-keyed
@@ -28,8 +28,7 @@
 // watchdog dumps), and AttachTelemetry publishes live frames for the
 // csbtop dashboard on a sim-cycle cadence. All tracer mutations funnel
 // through per-node event logs replayed single-threaded (see engine.go),
-// so the same code path serves both engines and the parallel scheduler
-// stays byte-identical to the sequential reference.
+// so the parallel schedule stays byte-identical to the inline one.
 package cluster
 
 import (
@@ -53,7 +52,7 @@ const NICBase uint64 = 0x4000_0000
 // Config parameterizes the cluster.
 type Config struct {
 	Node sim.Config
-	// Nodes is the node count (0 = the classic two-node pair).
+	// Nodes is the node count (0 = two nodes).
 	Nodes int
 	// Topology selects the wiring (default full mesh; for two nodes all
 	// three shapes coincide).
@@ -61,7 +60,8 @@ type Config struct {
 	// WireLatency is the propagation delay in *CPU cycles* from a packet
 	// completing transmission to its words appearing in the receiver's
 	// RX queue, applied to every link (override per link with SetLink).
-	// The windowed engine requires at least 1 on every link.
+	// Zero is allowed: the engine then barriers every cycle (1-cycle
+	// windows) and delivers the packet in the cycle it was pumped.
 	WireLatency uint64
 	// Bandwidth is the default link serialization cost in cycles per
 	// 8-byte word (0 = infinitely fast links).
@@ -125,14 +125,17 @@ type Node struct {
 	frozen bool
 	err    error
 
+	// haltAt is the first cluster cycle after whose tick the CPU read
+	// halted; 0 until then.
+	haltAt uint64
+
 	// down marks a node the cluster watchdog declared wedged and removed
 	// from service under graceful degradation: it is no longer ticked and
 	// packets routed to it are dropped (cluster/degraded_drops).
 	down bool
 }
 
-// Name returns the node's cluster-local name ("n0", "n1", … — or "a"/"b"
-// for the NewPair compatibility constructor).
+// Name returns the node's cluster-local name ("n0", "n1", …).
 func (n *Node) Name() string { return n.name }
 
 // Index returns the node's position in the topology.
@@ -186,7 +189,7 @@ type Cluster struct {
 
 	// Wire fault-injection state; nil when unattached. Consumed only at
 	// the routing barrier, in the global (pump cycle, node index, push
-	// order) routing order, so the schedule is engine-independent.
+	// order) routing order, so the schedule does not depend on parallelism.
 	wfaults          *fault.Injector
 	faultDrops       uint64 // packets dropped by WireDrop
 	faultDups        uint64 // duplicate deliveries injected by WireDup
@@ -223,28 +226,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: invalid node count %d", cfg.Nodes)
 	}
-	names := make([]string, cfg.Nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i)
-	}
-	return newNamed(cfg, names)
-}
-
-// NewPair is the two-node compatibility constructor: the classic "a"/"b"
-// pair joined by one wire, matching the historical two-node cluster (and
-// its trace dumps) exactly.
-func NewPair(cfg Config) (*Cluster, error) {
-	cfg.Nodes = 2
-	return newNamed(cfg, []string{"a", "b"})
-}
-
-func newNamed(cfg Config, names []string) (*Cluster, error) {
 	c := &Cluster{cfg: cfg}
-	for i, name := range names {
+	for i := 0; i < cfg.Nodes; i++ {
 		m, err := sim.New(cfg.Node)
 		if err != nil {
 			return nil, err
 		}
+		name := fmt.Sprintf("n%d", i)
 		nic := device.NewNIC(cfg.NIC, NICBase)
 		if err := m.AddDevice(NICBase, device.RegionSize, "nic-"+name, nic, nic); err != nil {
 			return nil, err
@@ -366,7 +354,7 @@ func (c *Cluster) registerWireCounters(r *counters.Registry) {
 // (only the cluster-scope wire classes are consumed; machine classes in
 // cfg are ignored — attach those per node with sim.Machine.AttachFaults).
 // The injector draws at the single-threaded routing barrier in the global
-// routing order, so RunParallel stays byte-identical to RunSequentialRef
+// routing order, so a parallel run stays byte-identical to an inline one
 // under any seed. Attach before running.
 func (c *Cluster) AttachWireFaults(cfg fault.Config) (*fault.Injector, error) {
 	if c.wfaults != nil {
@@ -430,9 +418,8 @@ func (c *Cluster) Trace() *ctrace.Tracer { return c.tracer }
 
 // AttachTelemetry registers every node plus the cluster registry with the
 // streamer and publishes one frame every `every` cluster cycles while the
-// cluster runs (under the windowed engine, at the first barrier past each
-// interval). Attach before running; serve the streamer separately
-// (telemetry.Streamer.Serve).
+// cluster runs (at the first barrier past each interval). Attach before
+// running; serve the streamer separately (telemetry.Streamer.Serve).
 func (c *Cluster) AttachTelemetry(s *telemetry.Streamer, every uint64) error {
 	if every == 0 {
 		return fmt.Errorf("cluster: telemetry interval must be positive")
@@ -487,7 +474,7 @@ func (c *Cluster) Recorder() *rec.Recorder { return c.rec }
 // startObs seals the recorder's series tables at run start (all counter
 // registration has happened by then — sources register lazily right up
 // to the first window) and wires active SLO alerts into telemetry
-// frames. Idempotent; called at the top of every engine's run loop.
+// frames. Idempotent; called at the top of every run.
 //
 //csb:barrier reads every source registry; all node goroutines are parked
 func (c *Cluster) startObs() {
@@ -526,7 +513,7 @@ func (c *Cluster) maybeRoll() {
 
 // recEvent logs one cluster event into the recording (no-op when no
 // recorder is attached). All call sites run at barriers in the global
-// deterministic order, so event logs are engine-independent.
+// deterministic order, so event logs do not depend on parallelism.
 //
 //csb:barrier appends to the recorder's shared event log
 func (c *Cluster) recEvent(cycle uint64, kind, node string, value float64) {
@@ -555,7 +542,7 @@ func (c *Cluster) flushObs() {
 	}
 }
 
-// ---- per-node window mechanics (shared by both engines) ----
+// ---- per-node window mechanics ----
 
 // logEvent defers one tracer mutation to the node's event log.
 //
@@ -885,72 +872,6 @@ func (c *Cluster) maybePublish() {
 		c.lastPub = c.cycle
 		c.telem.Publish(c.cycle)
 	}
-}
-
-// ---- lockstep engine ----
-
-// Tick advances every node one CPU cycle and moves packets across the
-// fabric. This is the classic lockstep engine: exact at any link latency
-// (including zero), one cycle per call.
-func (c *Cluster) Tick() {
-	next := c.cycle + 1
-	for _, n := range c.nodes {
-		if n.hookActive() {
-			if !n.hook(next) {
-				n.hookDone = true
-			}
-		}
-		if !n.down {
-			n.M.Tick()
-		}
-	}
-	c.cycle = next
-	c.drainTraceLogs()
-	for _, n := range c.nodes {
-		n.pump(next)
-	}
-	c.routeAll()
-	for _, n := range c.nodes {
-		n.applyDue(next)
-	}
-	c.drainTraceLogs()
-	c.compactInboxes()
-	c.maybeRoll()
-	c.maybePublish()
-}
-
-// Run advances the cluster in lockstep until every node halts (or
-// maxCycles elapse). Every exit path — success, fault, watchdog, limit —
-// flushes observability state first, so post-mortems of a wedged or
-// faulted node see everything up to the abort and recordings always
-// carry their final window and footer.
-func (c *Cluster) Run(maxCycles uint64) error {
-	c.startObs()
-	for i := uint64(0); i < maxCycles; i++ {
-		allHalted := true
-		for _, n := range c.nodes {
-			if n.down {
-				continue // removed from service; never halts, never errs
-			}
-			if err := n.M.CPU.Err(); err != nil {
-				c.flushObs()
-				return fmt.Errorf("cluster: node %s: %w", n.name, err)
-			}
-			if !n.M.CPU.Halted() {
-				allHalted = false
-			}
-		}
-		if allHalted {
-			c.flushObs()
-			return nil
-		}
-		c.Tick()
-		if err := c.checkWatchdog(); err != nil {
-			return err // checkWatchdog flushed observability state
-		}
-	}
-	c.flushObs()
-	return fmt.Errorf("cluster: cycle limit %d reached (%s)", maxCycles, c.haltSummary())
 }
 
 // haltSummary renders each node's halt state for limit-exceeded errors.

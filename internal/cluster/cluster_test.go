@@ -11,7 +11,7 @@ func newCluster(t *testing.T, wire uint64) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.WireLatency = wire
-	c, err := NewPair(cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPacketCrossesWire(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(1).M.RAM.ReadUint(0x20000, 8); got != 0x1234 {
@@ -93,15 +93,45 @@ func TestWireLatencyDelaysDelivery(t *testing.T) {
 		if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.Run(1_000_000, false); err != nil {
 			t.Fatal(err)
 		}
-		return c.Cycle()
+		return c.HaltCycle()
 	}
 	fast := cycles(0)
 	slow := cycles(600)
 	if slow < fast+500 {
 		t.Errorf("wire latency not honored: %d vs %d cycles", fast, slow)
+	}
+}
+
+// TestZeroLatencyDeliversInPumpCycle: over a zero-latency wire the
+// engine runs 1-cycle windows and its barrier delivers a packet into the
+// receiver's RX queue in the cycle the sender's NIC finished it, so the
+// receiver's next tick already sees the words.
+func TestZeroLatencyDeliversInPumpCycle(t *testing.T) {
+	c := newCluster(t, 0)
+	if w := c.lookahead(); w != 1 {
+		t.Fatalf("window = %d cycles at zero latency, want 1", w)
+	}
+	c.Node(0).MapIO(false)
+	c.Node(1).MapIO(false)
+	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Node(1).M.LoadSource("idle.s", "halt\n"); err != nil {
+		t.Fatal(err)
+	}
+	for len(c.Node(0).NIC.Packets()) == 0 {
+		if c.Cycle() > 10_000 {
+			t.Fatal("packet never sent")
+		}
+		if err := c.RunFor(1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Node(1).NIC.RxPending(); got != 1 {
+		t.Fatalf("cycle %d: packet sent but %d words queued at the receiver, want 1", c.Cycle(), got)
 	}
 }
 
@@ -138,14 +168,14 @@ wait:	ldx [%o0+0x28], %g1
 	if _, err := c.Node(1).M.LoadSource("b.s", both(222)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(0).M.RAM.ReadUint(0x20000, 8); got != 222 {
-		t.Errorf("node a received %d, want 222", got)
+		t.Errorf("node n0 received %d, want 222", got)
 	}
 	if got := c.Node(1).M.RAM.ReadUint(0x20000, 8); got != 111 {
-		t.Errorf("node b received %d, want 111", got)
+		t.Errorf("node n1 received %d, want 111", got)
 	}
 }
 
@@ -158,7 +188,7 @@ func TestNodeFaultSurfaces(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("ok.s", "halt\n"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err == nil {
+	if err := c.Run(1_000_000, false); err == nil {
 		t.Error("node fault not surfaced")
 	}
 }

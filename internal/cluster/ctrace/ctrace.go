@@ -20,11 +20,10 @@
 //
 // Clock-domain alignment: every stamp is taken in its own node's cycle
 // domain; SetAlign records a per-node offset to the shared cluster
-// timeline (zero in today's lockstep cluster, supplied by the lookahead
-// synchronization window once nodes tick on their own goroutines —
-// ROADMAP item 3). All histogram deltas and merged dumps use the aligned
-// stamps, so the per-hop latencies telescope exactly to the e2e latency
-// regardless of skew.
+// timeline (zero in today's cluster, whose lookahead barrier keeps every
+// node on the cluster clock). All histogram deltas and merged dumps use
+// the aligned stamps, so the per-hop latencies telescope exactly to the
+// e2e latency regardless of skew.
 //
 // Like the journey tracer, ctrace is built for the zero-alloc tick loop:
 // spans live in a preallocated ring, stamps are array writes, and the
@@ -140,7 +139,7 @@ func New(cfg Config, reg *counters.Registry) (*Tracer, error) {
 }
 
 // SetAlign records a node's clock offset to the shared cluster timeline.
-// Call before running; today's lockstep cluster passes 0 for both nodes.
+// Call before running; today's cluster passes 0 for every node.
 //
 //csb:barrier rewrites the offset table every merged stamp reads
 func (t *Tracer) SetAlign(node string, offset int64) { t.offsets[node] = offset }

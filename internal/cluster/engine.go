@@ -1,52 +1,49 @@
-// The windowed conservative-lookahead engine: the classic conservative
-// parallel-discrete-event scheme (gem5's multi-system KVM sync and CMB
-// null messages are the references) applied to the cluster. The minimum
-// link latency W is the lookahead: a packet pumped at cycle t cannot
-// arrive anywhere before t+W, so every node can tick a whole window of W
-// cycles on its own goroutine without observing an inbound packet the
-// coordinator hasn't already delivered to its inbox. Between windows a
-// single-threaded barrier routes the window's departures, replays the
-// deferred tracer logs in node order, and publishes telemetry.
+// The cluster's one engine: windowed conservative lookahead, the classic
+// conservative parallel-discrete-event scheme (gem5's multi-system KVM
+// sync and CMB null messages are the references). The minimum link
+// latency W is the lookahead: a packet pumped at cycle t cannot arrive
+// anywhere before t+W, so every node can tick a whole window of W cycles
+// without observing an inbound packet the coordinator hasn't already
+// delivered to its inbox. A zero-latency link makes W one cycle, and the
+// barrier itself delivers what arrives in the cycle it was pumped.
+// Between windows a single-threaded barrier routes the window's
+// departures, replays the deferred tracer logs in node order, and
+// publishes telemetry.
 //
 // Determinism: a node's window run touches only node-local state (its
 // machine, its NIC, its inbox positions, its event log and outbox), and
 // every shared-state mutation — routing, tracer stamps, counters reads —
 // happens at the barrier in a fixed order: departures are routed in
 // (pump cycle, node index, push order), trace logs replayed in node
-// order. RunSequentialRef executes the identical window/barrier schedule
-// inline, so the parallel run is byte-identical to the sequential
-// reference by construction, not by luck.
+// order. With parallel off the same window/barrier schedule runs inline,
+// so a parallel run is byte-identical to the inline one by construction,
+// not by luck.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // soloLookahead is the window used when the cluster has no links at all
 // (a single node): there is nothing to synchronize with, so the window is
 // just a large batching factor.
 const soloLookahead = 4096
 
-// lookahead computes the window W = min link latency, or an error when a
-// link has zero latency (the windowed engine would have to barrier every
-// cycle; use the lockstep engine instead).
-func (c *Cluster) lookahead() (uint64, error) {
-	w := uint64(0)
+// lookahead computes the window W = max(1, min link latency).
+func (c *Cluster) lookahead() uint64 {
+	w := uint64(math.MaxUint64)
 	for i := range c.links {
 		for j := range c.links[i] {
 			if l := c.links[i][j]; l != nil {
-				if l.Latency == 0 {
-					return 0, fmt.Errorf("cluster: link %s→%s has zero latency; the windowed engine needs ≥1 on every link (use the lockstep Run)",
-						c.nodes[i].name, c.nodes[j].name)
-				}
-				if w == 0 || l.Latency < w {
-					w = l.Latency
-				}
+				w = min(w, l.Latency)
 			}
 		}
 	}
-	if w == 0 {
-		w = soloLookahead
+	if w == math.MaxUint64 {
+		return soloLookahead
 	}
-	return w, nil
+	return max(w, 1)
 }
 
 // runWindow advances this node through the window (start, end]: per cycle
@@ -75,10 +72,15 @@ func (n *Node) runWindow(start, end uint64) {
 			if err := n.M.CPU.Err(); err != nil {
 				n.err = err
 				n.frozen = true
-			} else if n.M.CPU.Halted() && !n.hookActive() && n.M.Settled() {
-				// Halted with every engine quiet and no live hook: further
-				// ticks are no-ops, stop paying for them.
-				n.frozen = true
+			} else if n.M.CPU.Halted() {
+				if n.haltAt == 0 {
+					n.haltAt = cyc
+				}
+				if !n.hookActive() && n.M.Settled() {
+					// Halted with every engine quiet and no live hook:
+					// further ticks are no-ops, stop paying for them.
+					n.frozen = true
+				}
 			}
 		}
 		n.pump(cyc)
@@ -132,12 +134,9 @@ func (w *nodeWorkers) stop() {
 	}
 }
 
-// runWindowed is the shared coordinator loop for the windowed engine.
+// runWindowed is the coordinator loop behind Run and RunFor.
 func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
-	w, err := c.lookahead()
-	if err != nil {
-		return err
-	}
+	w := c.lookahead()
 	var workers *nodeWorkers
 	if parallel {
 		workers = c.startWorkers()
@@ -159,8 +158,14 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		}
 		c.cycle = end
 		// Barrier: all node goroutines are parked; shared state is ours.
+		// A flight routed here is due at end+1 or later unless its link
+		// has zero latency; applyDue delivers exactly those in this cycle.
 		c.drainTraceLogs()
 		c.routeAll()
+		for _, n := range c.nodes {
+			n.applyDue(end)
+		}
+		c.drainTraceLogs()
 		c.compactInboxes()
 		c.maybeRoll()
 		c.maybePublish()
@@ -198,27 +203,41 @@ func (c *Cluster) settled() bool {
 	return true
 }
 
-// RunParallel advances the cluster on the parallel windowed engine —
-// goroutine per node, conservative lookahead barrier — until every node
-// halts and drains (or maxCycles elapse, an error). Requires ≥1 cycle of
-// latency on every link. The result (machine state, trace dumps, counter
-// values) is byte-identical to RunSequentialRef with the same inputs.
-func (c *Cluster) RunParallel(maxCycles uint64) error {
-	return c.runWindowed(maxCycles, true, true)
+// Run advances the cluster until every live node halts and the fabric
+// drains, or maxCycles elapse (an error). parallel runs each node's
+// windows on its own goroutine; the result (machine state, trace dumps,
+// counter values) is byte-identical either way. HaltCycle reports the
+// cycle the last node halted, independent of the window size. Every exit
+// path — success, fault, watchdog, limit — flushes observability state
+// first, so post-mortems of a wedged or faulted node see everything up to
+// the abort and recordings always carry their final window and footer.
+func (c *Cluster) Run(maxCycles uint64, parallel bool) error {
+	return c.runWindowed(maxCycles, parallel, true)
 }
 
-// RunSequentialRef advances the cluster on the windowed engine with every
-// window executed inline on one goroutine — the sequential reference the
-// determinism guard compares RunParallel against.
-func (c *Cluster) RunSequentialRef(maxCycles uint64) error {
-	return c.runWindowed(maxCycles, false, true)
-}
-
-// RunFor advances the cluster on the windowed engine for a fixed horizon:
-// reaching it is success, not an error — the shape serving experiments
-// want, where server nodes never halt. Node faults still abort with an
-// error. Observability state is flushed (and a final telemetry frame
-// published) on every path.
+// RunFor advances the cluster for a fixed horizon: reaching it is
+// success, not an error — the shape serving experiments want, where
+// server nodes never halt. Node faults still abort with an error.
+// Observability state is flushed (and a final telemetry frame published)
+// on every path.
 func (c *Cluster) RunFor(cycles uint64, parallel bool) error {
 	return c.runWindowed(cycles, parallel, false)
+}
+
+// HaltCycle returns the cluster cycle after whose tick the last live node
+// halted — where a cycle-by-cycle run would stop — or 0 while a live node
+// is still running. Cycle, by contrast, is the barrier clock: it ends on
+// a window edge at or after the fabric drains.
+func (c *Cluster) HaltCycle() uint64 {
+	var last uint64
+	for _, n := range c.nodes {
+		if n.down {
+			continue
+		}
+		if n.haltAt == 0 {
+			return 0
+		}
+		last = max(last, n.haltAt)
+	}
+	return last
 }

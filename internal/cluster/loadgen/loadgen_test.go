@@ -14,7 +14,7 @@ func serveCluster(t *testing.T, method bench.SendMethod, gcfg Config) (*cluster.
 	t.Helper()
 	ccfg := cluster.DefaultConfig()
 	ccfg.WireLatency = 80
-	c, err := cluster.NewPair(ccfg)
+	c, err := cluster.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,14 +54,14 @@ func TestRetryRecoversFromWireDrops(t *testing.T) {
 		t.Errorf("histogram count %d, completed %d", got, st.Completed)
 	}
 	snap := c.Registry().Snapshot()
-	if got := snap.Counters["loadgen/a/outstanding"]; got != 0 {
+	if got := snap.Counters["loadgen/n0/outstanding"]; got != 0 {
 		t.Errorf("outstanding gauge = %d after drain", got)
 	}
-	if got := snap.Counters["loadgen/a/retries"]; got != st.Retries {
+	if got := snap.Counters["loadgen/n0/retries"]; got != st.Retries {
 		t.Errorf("registry retries = %d, stats say %d", got, st.Retries)
 	}
 	// Retried completions land in the dedicated retry-latency histogram.
-	rh := snap.Histograms["loadgen/a/retry_latency"]
+	rh := snap.Histograms["loadgen/n0/retry_latency"]
 	if rh.Count == 0 {
 		t.Error("retry latency histogram empty despite retries completing")
 	}
@@ -107,7 +107,7 @@ func TestTimeoutWithoutRetriesExactAccounting(t *testing.T) {
 	if got := g.Latency().Count(); got != st.Completed {
 		t.Errorf("histogram count %d, completed %d", got, st.Completed)
 	}
-	if got := c.Registry().Snapshot().Counters["loadgen/a/outstanding"]; got != 0 {
+	if got := c.Registry().Snapshot().Counters["loadgen/n0/outstanding"]; got != 0 {
 		t.Errorf("outstanding gauge = %d after drain", got)
 	}
 }
@@ -149,7 +149,7 @@ func TestDuplicateRepliesSuppressed(t *testing.T) {
 func TestLateReplySlotReuse(t *testing.T) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.WireLatency = 2000
-	c, err := cluster.NewPair(ccfg)
+	c, err := cluster.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestReliabilityDeterministic(t *testing.T) {
 // TestReliabilityValidation: retry knobs are validated at Attach.
 func TestReliabilityValidation(t *testing.T) {
 	ccfg := cluster.DefaultConfig()
-	c, err := cluster.NewPair(ccfg)
+	c, err := cluster.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

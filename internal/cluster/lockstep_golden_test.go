@@ -1,0 +1,126 @@
+package cluster_test
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"csbsim/internal/bench"
+	"csbsim/internal/cluster"
+	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/mem"
+	"csbsim/internal/obs/journey"
+)
+
+// testdata/lockstep.golden was written by the cycle-by-cycle lockstep
+// engine this package used to carry beside the windowed one. That engine
+// advanced every node one cycle at a time and stopped in the first cycle
+// after which every node had halted, so its exit cycle, per-node halt
+// cycles, guest results and merged trace dumps are the reference the
+// windowed engine must reproduce at every link latency, zero included.
+// The file cannot be regenerated: it pins results the engine can no
+// longer be asked for.
+
+// lockstepCase is one workload of the lockstep golden.
+type lockstepCase struct {
+	name  string
+	build func(t *testing.T) *cluster.Cluster
+}
+
+// lockstepCases lists the golden's workloads: the determinism guard's
+// 4-node ring at four wire latencies, and figure X8's ping-pong pair for
+// each send method at two.
+func lockstepCases() []lockstepCase {
+	var cs []lockstepCase
+	for _, wire := range []uint64{0, 1, 7, 90} {
+		cs = append(cs, lockstepCase{fmt.Sprintf("ring wire=%d", wire),
+			func(t *testing.T) *cluster.Cluster { return cluster.GuardRing(t, wire) }})
+	}
+	for _, m := range []bench.SendMethod{bench.SendPIO, bench.SendCSB, bench.SendDMA} {
+		for _, wire := range []uint64{0, 60} {
+			cs = append(cs, lockstepCase{fmt.Sprintf("x8 %s wire=%d", m, wire),
+				func(t *testing.T) *cluster.Cluster { return buildGoldenPingPong(t, m, wire) }})
+		}
+	}
+	return cs
+}
+
+// buildGoldenPingPong is bench.MeasurePingPong's cluster (30 rounds) with
+// the wire tracer attached.
+func buildGoldenPingPong(t *testing.T, method bench.SendMethod, wire uint64) *cluster.Cluster {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.WireLatency = wire
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping, pong := bench.PingPongPrograms(method, 30)
+	for i, src := range []string{ping, pong} {
+		n := c.Node(i)
+		n.MapIO(method == bench.SendCSB)
+		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
+		p, err := n.M.LoadSource(n.Name()+".s", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.M.WarmProgram(p)
+	}
+	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// renderLockstepCase prints one run in the golden's format: the exit
+// cycle, then per node its halt cycle, retired count and result word
+// (ringGuest's received sum at 0x20000), then the merged trace dump.
+func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint64, halts []uint64) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "=== %s\nexit %d\n", name, exit)
+	for i, n := range c.Nodes() {
+		fmt.Fprintf(&b, "%s halt=%d retired=%d result=%#x\n",
+			n.Name(), halts[i], n.M.CPU.Retired(), n.M.RAM.ReadUint(0x20000, 8))
+	}
+	if _, err := c.Trace().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestParallelMatchesLockstepGolden: the windowed engine, parallel and
+// inline, reproduces the lockstep engine's results. HaltCycle stands in
+// for lockstep's exit cycle and each node's halt cycle for the one
+// lockstep observed; everything else must match byte for byte.
+func TestParallelMatchesLockstepGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/lockstep.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		var got bytes.Buffer
+		for _, lc := range lockstepCases() {
+			c := lc.build(t)
+			if err := c.Run(100_000_000, parallel); err != nil {
+				t.Fatalf("%s: %v", lc.name, err)
+			}
+			halts := make([]uint64, c.NumNodes())
+			for i, n := range c.Nodes() {
+				halts[i] = n.HaltCycle()
+			}
+			got.Write(renderLockstepCase(t, lc.name, c, c.HaltCycle(), halts))
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gl), len(wl)) {
+				if gl[i] != wl[i] {
+					t.Fatalf("parallel=%v: line %d differs:\n got %q\nwant %q", parallel, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("parallel=%v: %d lines, want %d", parallel, len(gl), len(wl))
+		}
+	}
+}

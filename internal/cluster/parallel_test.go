@@ -64,17 +64,18 @@ type ringSnapshot struct {
 	reg   []byte // cluster registry snapshot, JSON
 }
 
-// runRing builds the guard workload — a 4-node traced ring with per-link
-// bandwidth, queue depth and RX staging all exercised, each node sending
-// 3 packets clockwise and receiving 3 — runs it with the given engine,
-// verifies delivery, and snapshots every observable output.
-func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
+// ringSends is how many packets each guardRing node sends and receives.
+const ringSends = 3
+
+// guardRing builds the guard workload — a 4-node traced ring with
+// per-link bandwidth, queue depth and RX staging all exercised, each node
+// sending ringSends packets clockwise and receiving as many.
+func guardRing(t *testing.T, wire uint64) *Cluster {
 	t.Helper()
-	const sends = 3
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
 	cfg.Topology = TopoRing
-	cfg.WireLatency = 90
+	cfg.WireLatency = wire
 	cfg.Bandwidth = 2
 	cfg.LinkDepth = 8
 	cfg.RxEnqueueDelay = 13
@@ -84,24 +85,35 @@ func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 	}
 	for i, n := range c.Nodes() {
 		n.MapIO(false)
-		if _, err := n.M.LoadSource("ring.s", ringGuest(100*(i+1), sends, sends)); err != nil {
+		if _, err := n.M.LoadSource("ring.s", ringGuest(100*(i+1), ringSends, ringSends)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// runRing runs guardRing at a 90-cycle wire with the given engine,
+// verifies delivery, and snapshots every observable output.
+func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
+	t.Helper()
+	c := guardRing(t, 90)
 	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
 		from := (i + 3) % 4
-		want := sumOf(100*(from+1), sends)
+		want := sumOf(100*(from+1), ringSends)
 		if got := n.M.RAM.ReadUint(0x20000, 8); got != want {
 			t.Errorf("node %s received sum %d, want %d", n.Name(), got, want)
 		}
 	}
-	var snap ringSnapshot
+	var (
+		snap ringSnapshot
+		err  error
+	)
 	snap.cycle = c.Cycle()
 	var dump bytes.Buffer
 	if _, err := c.Trace().WriteTo(&dump); err != nil {
@@ -127,9 +139,9 @@ func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 // inline sequential reference, and repeated parallel runs must be
 // byte-identical to each other.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq := runRing(t, func(c *Cluster) error { return c.RunSequentialRef(2_000_000) })
-	par := runRing(t, func(c *Cluster) error { return c.RunParallel(2_000_000) })
-	par2 := runRing(t, func(c *Cluster) error { return c.RunParallel(2_000_000) })
+	seq := runRing(t, func(c *Cluster) error { return c.Run(2_000_000, false) })
+	par := runRing(t, func(c *Cluster) error { return c.Run(2_000_000, true) })
+	par2 := runRing(t, func(c *Cluster) error { return c.Run(2_000_000, true) })
 
 	if seq.cycle != par.cycle {
 		t.Errorf("final cycle: sequential %d, parallel %d", seq.cycle, par.cycle)
@@ -156,35 +168,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesLockstep checks the two engines agree functionally
-// (delivered payloads, span counts) on the same ring workload — the
-// engines barrier on different schedules, so final cycle counts may
-// differ, but what the guests observe may not.
-func TestParallelMatchesLockstep(t *testing.T) {
-	lock := runRing(t, func(c *Cluster) error { return c.Run(2_000_000) })
-	par := runRing(t, func(c *Cluster) error { return c.RunParallel(2_000_000) })
-	var dl, dp ctrace.Dump
-	if err := json.Unmarshal(lock.dump, &dl); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(par.dump, &dp); err != nil {
-		t.Fatal(err)
-	}
-	if dl.Completed != dp.Completed || dl.Started != dp.Started {
-		t.Errorf("lockstep %d/%d spans vs parallel %d/%d",
-			dl.Started, dl.Completed, dp.Started, dp.Completed)
-	}
-}
-
-// TestParallelZeroLatencyRejected: the windowed engine has no lookahead
-// at zero link latency and must refuse to run rather than go wrong.
-func TestParallelZeroLatencyRejected(t *testing.T) {
-	c := newCluster(t, 0)
-	if err := c.RunParallel(1000); err == nil {
-		t.Fatal("zero-latency link accepted by the windowed engine")
-	}
-}
-
 // TestParallelNodeChurn runs an 8-node ring where nodes send different
 // packet counts and halt at staggered times — under -race this covers
 // worker goroutines freezing and thawing around barriers.
@@ -205,7 +188,7 @@ func TestParallelNodeChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.RunParallel(2_000_000); err != nil {
+	if err := c.Run(2_000_000, true); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
@@ -270,7 +253,7 @@ spin:	dec %g5
 			t.Fatal(err)
 		}
 	}
-	err = c.RunParallel(10_000_000)
+	err = c.Run(10_000_000, true)
 	if err == nil {
 		t.Fatal("expected node fault")
 	}
@@ -341,7 +324,7 @@ func TestParallelTelemetryUnderLoad(t *testing.T) {
 		}
 	}()
 
-	if err := c.RunParallel(2_000_000); err != nil {
+	if err := c.Run(2_000_000, true); err != nil {
 		t.Fatal(err)
 	}
 	f := <-frames
@@ -390,7 +373,7 @@ func TestTxDestSteering(t *testing.T) {
 	if _, err := c.Node(2).M.LoadSource("recv.s", ringGuest(0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunParallel(1_000_000); err != nil {
+	if err := c.Run(1_000_000, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(2).M.RAM.ReadUint(0x20000, 8); got != 0x77 {
@@ -443,7 +426,7 @@ func TestStarTopologyRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.RunParallel(1_000_000); err != nil {
+	if err := c.Run(1_000_000, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(0).M.RAM.ReadUint(0x20000, 8); got != 5 {
@@ -462,7 +445,7 @@ func TestLinkBandwidthSerializes(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.WireLatency = 20
 		cfg.Bandwidth = cpw
-		c, err := NewPair(cfg)
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +457,7 @@ func TestLinkBandwidthSerializes(t *testing.T) {
 		if _, err := c.Node(1).M.LoadSource("recv.s", ringGuest(0, 0, 6)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunParallel(1_000_000); err != nil {
+		if err := c.Run(1_000_000, true); err != nil {
 			t.Fatal(err)
 		}
 		return c.Cycle()
@@ -492,7 +475,7 @@ func TestLinkDepthDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WireLatency = 5000 // long enough that the burst overlaps in flight
 	cfg.LinkDepth = 1
-	c, err := NewPair(cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +488,7 @@ func TestLinkDepthDrops(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", ringGuest(0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunParallel(1_000_000); err != nil {
+	if err := c.Run(1_000_000, true); err != nil {
 		t.Fatal(err)
 	}
 	snap := c.Registry().Snapshot()

@@ -17,7 +17,7 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 	cfg := DefaultConfig()
 	cfg.WireLatency = wire
 	cfg.RxEnqueueDelay = enqDelay
-	c, err := NewPair(cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 // to the end-to-end figure, with every stamp in order.
 func TestTracedRunMergedSpans(t *testing.T) {
 	c := newTracedCluster(t, 80, 0)
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	tr := c.Trace()
@@ -52,7 +52,7 @@ func TestTracedRunMergedSpans(t *testing.T) {
 		t.Fatalf("retained %d spans, want 1", len(spans))
 	}
 	s := spans[0]
-	if !s.Done || s.From != "a" || s.To != "b" {
+	if !s.Done || s.From != "n0" || s.To != "n1" {
 		t.Fatalf("bad span: %+v", s)
 	}
 	if s.JID == 0 {
@@ -88,7 +88,7 @@ func TestTracedRunMergedSpans(t *testing.T) {
 func TestTracedDumpDeterministic(t *testing.T) {
 	run := func() []byte {
 		c := newTracedCluster(t, 50, 7)
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.Run(1_000_000, false); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -106,10 +106,10 @@ func TestTracedDumpDeterministic(t *testing.T) {
 func TestRxEnqueueDelayDelaysDelivery(t *testing.T) {
 	cycles := func(delay uint64) uint64 {
 		c := newTracedCluster(t, 20, delay)
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.Run(1_000_000, false); err != nil {
 			t.Fatal(err)
 		}
-		return c.Cycle()
+		return c.HaltCycle()
 	}
 	fast := cycles(0)
 	slow := cycles(600)
@@ -132,7 +132,7 @@ func TestClusterCountersInNodeRegistries(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
@@ -146,7 +146,7 @@ func TestClusterCountersInNodeRegistries(t *testing.T) {
 		}
 	}
 	snap := c.Registry().Snapshot()
-	if snap.Counters["cluster/b/rx_highwater"] == 0 {
+	if snap.Counters["cluster/n1/rx_highwater"] == 0 {
 		t.Error("receiver rx_highwater never rose above zero")
 	}
 	if snap.Counters["cluster/packets_in_flight"] != 0 {
@@ -167,34 +167,29 @@ func TestWireCountersDuringFlight(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	// Tick until the packet is pumped, well before the 10k-cycle wire
-	// latency elapses.
-	var sawFlight bool
-	for i := 0; i < 5000; i++ {
-		c.Tick()
-		snap := c.Registry().Snapshot()
-		if snap.Counters["cluster/packets_in_flight"] == 1 {
-			sawFlight = true
-			if snap.Counters["cluster/wire_occupancy_words"] != 1 {
-				t.Fatalf("occupancy = %d words, want 1", snap.Counters["cluster/wire_occupancy_words"])
-			}
-			break
-		}
+	// Run a short horizon: the packet is pumped well before the 10k-cycle
+	// wire latency elapses, so it is still crossing the wire at the end.
+	if err := c.RunFor(5000, false); err != nil {
+		t.Fatal(err)
 	}
-	if !sawFlight {
-		t.Fatal("packet never observed in flight")
+	snap := c.Registry().Snapshot()
+	if snap.Counters["cluster/packets_in_flight"] != 1 {
+		t.Fatalf("in flight = %d packets, want 1", snap.Counters["cluster/packets_in_flight"])
+	}
+	if snap.Counters["cluster/wire_occupancy_words"] != 1 {
+		t.Fatalf("occupancy = %d words, want 1", snap.Counters["cluster/wire_occupancy_words"])
 	}
 }
 
 // TestTelemetryCadence: frames are published on the configured sim-cycle
-// period and carry all three registered nodes.
+// period, rounded up to the window, and carry all three registered nodes.
 func TestTelemetryCadence(t *testing.T) {
 	c := newTracedCluster(t, 40, 0)
 	s := telemetry.New()
 	if err := c.AttachTelemetry(s, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	data := s.Snapshot()
@@ -205,15 +200,16 @@ func TestTelemetryCadence(t *testing.T) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []string{"a", "b", "cluster"} {
+	for _, n := range []string{"n0", "n1", "cluster"} {
 		if f.Nodes[n] == nil {
 			t.Errorf("frame missing node %q", n)
 		}
 	}
-	// One frame per 100 cycles, ± the final flush.
-	want := c.Cycle() / 100
-	if f.Seq < want || f.Seq > want+1 {
-		t.Errorf("published %d frames over %d cycles (period 100)", f.Seq, c.Cycle())
+	// A frame at the first barrier past each 100-cycle interval — with
+	// 40-cycle windows, every 120 cycles — plus the final flush.
+	if want := c.Cycle()/120 + 1; f.Seq != want {
+		t.Errorf("published %d frames over %d cycles, want %d (period 100, 40-cycle windows)",
+			f.Seq, c.Cycle(), want)
 	}
 	if f.Nodes["cluster"].Histograms["ctrace/e2e"].Count != 1 {
 		t.Errorf("cluster frame e2e count = %d, want 1",
@@ -227,7 +223,7 @@ func TestTelemetryCadence(t *testing.T) {
 func TestRunErrorFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WireLatency = 30_000 // packet still on the wire at fault time
-	c, err := NewPair(cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +265,7 @@ spin:	dec %g5
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err == nil {
+	if err := c.Run(1_000_000, false); err == nil {
 		t.Fatal("expected node fault")
 	}
 	// The flush must have published a final frame despite the period never

@@ -43,10 +43,9 @@ func (e *WatchdogError) Error() string {
 // declared wedged. With degrade false the run aborts with a
 // *WatchdogError (flushing observability state first); with degrade true
 // the node is removed from service instead and the run continues in
-// degraded mode. The check runs at the windowed engine's barriers (and
-// once per lockstep Run iteration), so the effective detection
-// granularity is one lookahead window; window must be at least one
-// window long to avoid false positives. Call before running.
+// degraded mode. The check runs at the engine's barriers, so the
+// effective detection granularity is one lookahead window; window must be
+// at least one window long to avoid false positives. Call before running.
 func (c *Cluster) SetWatchdog(window uint64, degrade bool) error {
 	if window == 0 {
 		return fmt.Errorf("cluster: watchdog window must be positive")

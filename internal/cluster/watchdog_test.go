@@ -18,8 +18,8 @@ func wedgeNode(t *testing.T, n *Node) {
 	}
 }
 
-// wedgedPair builds the watchdog workload: node "a" wedged from cycle 0,
-// node "b" a healthy idler.
+// wedgedPair builds the watchdog workload: node n0 wedged from cycle 0,
+// node n1 a healthy idler.
 func wedgedPair(t *testing.T) *Cluster {
 	t.Helper()
 	c := newCluster(t, 120)
@@ -42,42 +42,26 @@ func TestClusterWatchdogTripsWindowed(t *testing.T) {
 	if err := c.SetWatchdog(2000, false); err != nil {
 		t.Fatal(err)
 	}
-	err := c.RunParallel(1_000_000)
+	err := c.Run(1_000_000, true)
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("expected *WatchdogError, got %v", err)
 	}
-	if we.Node != "a" {
-		t.Errorf("watchdog blamed node %q, want a", we.Node)
+	if we.Node != "n0" {
+		t.Errorf("watchdog blamed node %q, want n0", we.Node)
 	}
 	if we.Cycle < 2000 || we.Retired != 0 {
 		t.Errorf("bad trip point: cycle=%d retired=%d", we.Cycle, we.Retired)
 	}
 	for _, want := range []string{
 		"==== cluster diagnostic dump",
-		"---- node a",
-		"---- node b",
+		"---- node n0",
+		"---- node n1",
 		"fabric:",
 	} {
 		if !strings.Contains(we.Dump, want) {
 			t.Errorf("dump missing %q", want)
 		}
-	}
-}
-
-// TestClusterWatchdogTripsLockstep: the same wedge must trip under the
-// lockstep engine too (the check runs once per Tick there).
-func TestClusterWatchdogTripsLockstep(t *testing.T) {
-	c := wedgedPair(t)
-	if err := c.SetWatchdog(2000, false); err != nil {
-		t.Fatal(err)
-	}
-	var we *WatchdogError
-	if err := c.Run(1_000_000); !errors.As(err, &we) {
-		t.Fatalf("expected *WatchdogError, got %v", err)
-	}
-	if we.Node != "a" {
-		t.Errorf("watchdog blamed node %q, want a", we.Node)
 	}
 }
 
@@ -120,7 +104,7 @@ func TestSetWatchdogValidation(t *testing.T) {
 // the corpse is dropped and counted, and the run completes cleanly.
 func TestClusterWatchdogDegrade(t *testing.T) {
 	c := wedgedPair(t)
-	// Node b streams packets at the wedged node well past the markdown.
+	// Node n1 streams packets at the wedged node well past the markdown.
 	hookSender(c, 1, 200, 6000, 7000)
 	if err := c.SetWatchdog(1500, true); err != nil {
 		t.Fatal(err)
@@ -129,8 +113,8 @@ func TestClusterWatchdogDegrade(t *testing.T) {
 		t.Fatalf("degraded run failed: %v", err)
 	}
 	down := c.DownNodes()
-	if len(down) != 1 || down[0] != "a" {
-		t.Fatalf("DownNodes = %v, want [a]", down)
+	if len(down) != 1 || down[0] != "n0" {
+		t.Fatalf("DownNodes = %v, want [n0]", down)
 	}
 	snap := c.Registry().Snapshot()
 	if got := snap.Counters["cluster/nodes_down"]; got != 1 {
@@ -139,7 +123,11 @@ func TestClusterWatchdogDegrade(t *testing.T) {
 	if got := snap.Counters["cluster/degraded_drops"]; got == 0 {
 		t.Error("no degraded drops counted for traffic at the down node")
 	}
-	if !strings.Contains(c.DiagnosticDump(), "degraded: nodes down: a") {
+	// The down node never halts; the halt cycle is the live node's.
+	if got := c.HaltCycle(); got == 0 || got != c.Node(1).HaltCycle() {
+		t.Errorf("HaltCycle = %d, want n1's %d", got, c.Node(1).HaltCycle())
+	}
+	if !strings.Contains(c.DiagnosticDump(), "degraded: nodes down: n0") {
 		t.Error("diagnostic dump missing the degraded-node list")
 	}
 }
