@@ -50,6 +50,7 @@ import (
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 	"csbsim/internal/obs/telemetry"
+	"csbsim/internal/sim"
 	"csbsim/internal/trace"
 )
 
@@ -216,18 +217,7 @@ func main() {
 			fatal(err)
 		}
 		if recorder != nil {
-			r := recorder
-			streamer.SetAlerts(func() []telemetry.Alert {
-				active := r.ActiveAlerts()
-				if len(active) == 0 {
-					return nil
-				}
-				out := make([]telemetry.Alert, len(active))
-				for i, a := range active {
-					out[i] = telemetry.Alert{Rule: a.Rule, Series: a.Series, Since: a.Since, Value: a.Value}
-				}
-				return out
-			})
+			streamer.SetAlerts(recorder.ActiveAlerts)
 		}
 		if err := m.AttachPeriodic(*telemEach, streamer.Publish); err != nil {
 			fatal(err)
@@ -275,15 +265,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	var pipeRing []obs.InstEvent
+	var pipeRing *trace.Ring
 	if *pipeview > 0 {
-		n := *pipeview
-		m.AttachInstEvents(func(e obs.InstEvent) {
-			pipeRing = append(pipeRing, e)
-			if len(pipeRing) > n {
-				pipeRing = pipeRing[1:]
-			}
-		})
+		pipeRing = trace.NewRing(*pipeview)
+		m.CPU.AttachRetire(pipeRing.Push)
 	}
 
 	runErr := m.Run(*maxCycles)
@@ -293,7 +278,10 @@ func main() {
 			fmt.Println()
 		}
 	}
-	m.FlushMetrics()
+	// One last firing of every periodic hook emits the final partial
+	// windows (metrics, telemetry, recording); a no-op after an abort
+	// that Run already flushed.
+	m.FlushObs()
 	if metricsFile != nil {
 		if err := metricsBuf.Flush(); err != nil {
 			fatal(err)
@@ -330,8 +318,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	// The recording is closed even when the run aborted: the machine's
-	// flushObs already fired the final periodic roll, this adds the footer.
+	// The recording is closed even when the run aborted: FlushObs already
+	// fired the final periodic roll, this adds the footer.
 	if recorder != nil {
 		recorder.Flush(m.Cycle())
 		if err := recorder.Err(); err != nil {
@@ -371,7 +359,7 @@ func main() {
 		fmt.Print(s.ReportCPI())
 	}
 	if *pipeview > 0 {
-		fmt.Print(obs.FormatPipeline(pipeRing))
+		fmt.Print(obs.FormatPipeline(sim.InstEvents(pipeRing.Last(*pipeview))))
 	}
 }
 

@@ -222,9 +222,7 @@ func frameFromWindow(rc *rec.Recording, wi int, slo *rec.SLO) *telemetry.Frame {
 		}
 	}
 	if slo != nil {
-		for _, a := range slo.ActiveAt(rc, wi) {
-			f.Alerts = append(f.Alerts, telemetry.Alert{Rule: a.Rule, Series: a.Series, Since: a.Since, Value: a.Value})
-		}
+		f.Alerts = slo.ActiveAt(rc, wi)
 	}
 	return f
 }

@@ -19,18 +19,23 @@ import (
 // The journey-traced variants extend that contract to the store-journey
 // tracer: ring slots, histogram buckets and the slowest-set all recycle
 // too, so tracing every store stays allocation-free in steady state. The
-// measured window must spend most of its cycles in the coast step
+// -wd variants arm the retire-progress watchdog, whose retire ring must
+// record every retirement without allocating. The measured window must
+// spend most of its cycles in the coast step
 // (sim/effort/coasted_cycles), so the check covers that path too.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		csb      bool
 		journeys bool
+		watchdog bool
 	}{
-		{"store-bandwidth-uncached", false, false},
-		{"store-bandwidth-csb", true, false},
-		{"store-bandwidth-uncached-journeys", false, true},
-		{"store-bandwidth-csb-journeys", true, true},
+		{"store-bandwidth-uncached", false, false, false},
+		{"store-bandwidth-csb", true, false, false},
+		{"store-bandwidth-uncached-journeys", false, true, false},
+		{"store-bandwidth-csb-journeys", true, true, false},
+		{"store-bandwidth-uncached-wd", false, false, true},
+		{"store-bandwidth-csb-wd", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
@@ -45,6 +50,11 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if tc.journeys {
 				if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.watchdog {
+				if err := m.SetWatchdog(100_000); err != nil {
 					t.Fatal(err)
 				}
 			}

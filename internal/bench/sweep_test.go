@@ -128,7 +128,7 @@ func instrumentedReport(csb, doubleBuf bool) (string, error) {
 	if err := m.Drain(1_000_000); err != nil {
 		return "", err
 	}
-	m.FlushMetrics()
+	m.FlushObs()
 	return fmt.Sprintf("%+v\nretire events: %d\n%s", m.Stats(), retired, metrics.String()), nil
 }
 

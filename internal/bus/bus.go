@@ -213,12 +213,6 @@ func (b *Bus) RegisterCounters(prefix string, r *counters.Registry) {
 // Idle reports whether no transaction is in flight.
 func (b *Bus) Idle() bool { return b.cur == nil }
 
-// Activity returns the busy-cycle and byte counters without the map copy
-// Stats makes — cheap enough for per-sample polling.
-func (b *Bus) Activity() (busyCycles, bytes uint64) {
-	return b.stats.BusyCycles, b.stats.Bytes
-}
-
 // Duration returns the number of bus cycles a transaction of the given
 // size and direction occupies.
 func (b *Bus) Duration(size int, write, io bool) int {

@@ -484,18 +484,7 @@ func (c *Cluster) startObs() {
 	c.rec.Start(c.cycle)
 	c.lastRoll = c.cycle
 	if c.telem != nil {
-		r := c.rec
-		c.telem.SetAlerts(func() []telemetry.Alert {
-			active := r.ActiveAlerts()
-			if len(active) == 0 {
-				return nil
-			}
-			out := make([]telemetry.Alert, len(active))
-			for i, a := range active {
-				out[i] = telemetry.Alert{Rule: a.Rule, Series: a.Series, Since: a.Since, Value: a.Value}
-			}
-			return out
-		})
+		c.telem.SetAlerts(c.rec.ActiveAlerts)
 	}
 }
 

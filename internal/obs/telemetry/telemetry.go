@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
 )
 
 // HistFrame is one histogram's state in a frame: the cumulative summary
@@ -42,15 +43,10 @@ type NodeFrame struct {
 	Histograms map[string]HistFrame `json:"histograms,omitempty"`
 }
 
-// Alert is one currently-breached SLO rule binding, mirrored from the
-// flight recorder into frames so live dashboards show breach state
-// without parsing the recording.
-type Alert struct {
-	Rule   string  `json:"rule"`
-	Series string  `json:"series"`
-	Since  uint64  `json:"since_cycle"`
-	Value  float64 `json:"value"`
-}
+// Alert is one currently-breached SLO rule binding: the flight
+// recorder's own type, mirrored into frames so live dashboards show
+// breach state without parsing the recording.
+type Alert = rec.Alert
 
 // Frame is one published telemetry snapshot.
 type Frame struct {
@@ -113,8 +109,8 @@ func (s *Streamer) AddNode(name string, reg *counters.Registry) error {
 }
 
 // SetAlerts installs the active-alert source (the flight recorder's
-// ActiveAlerts), called at every Publish from the sim loop. The last
-// setter wins; pass nil to detach.
+// ActiveAlerts method), called at every Publish from the sim loop. The
+// last setter wins; pass nil to detach.
 func (s *Streamer) SetAlerts(fn func() []Alert) { s.alerts = fn }
 
 // Publish snapshots every node and broadcasts one frame. Called from the

@@ -42,13 +42,6 @@ func refTick(m *Machine) {
 			d.TickBus(m.Bus)
 		}
 	}
-	if s := m.sampler; s != nil {
-		s.countdown--
-		if s.countdown == 0 {
-			s.countdown = s.every
-			m.sampleMetrics()
-		}
-	}
 	for i := range m.periodicHooks {
 		h := &m.periodicHooks[i]
 		h.countdown--

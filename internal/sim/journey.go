@@ -102,20 +102,25 @@ func (m *Machine) ExportJourneys() {
 	}
 }
 
-// flushObs drains buffered observability state on any run exit —
-// including the abort paths (watchdog trip, typed device error), which
-// previously lost the final partial metrics window.
+// flushObs fires every periodic hook once more at the current cycle, so
+// the final partial window (metrics, telemetry, recorder) is emitted on
+// any run exit, the abort paths (watchdog trip, typed device error)
+// included. A second flush at the same cycle fires nothing.
 //
 //csb:barrier flushes windows shared consumers read; never inside a window
 func (m *Machine) flushObs() {
-	m.FlushMetrics()
+	if m.flushedAt == m.cycle+1 {
+		return
+	}
+	m.flushedAt = m.cycle + 1
 	for i := range m.periodicHooks {
 		m.periodicHooks[i].fn(m.cycle)
 	}
 }
 
-// FlushObs drains buffered observability state (the final partial metrics
-// window, one last periodic-hook firing). Machine.Run's abort paths call
+// FlushObs drains buffered observability state: one last firing of every
+// periodic hook, which emits the final partial metrics window (a hook
+// whose window is empty emits nothing). Machine.Run's abort paths call
 // it internally; cluster.Run calls it on its own error paths so a wedged
 // node still yields a partial dump.
 //

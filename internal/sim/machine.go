@@ -135,10 +135,10 @@ type Machine struct {
 	devices []Device
 	spaces  map[uint8]*mem.PageTable
 
-	// Optional observability hooks (see obs.go); nil when unattached, so
-	// an uninstrumented machine pays one nil check per tick.
-	sampler  *metricsSampler
+	// Optional observability hooks (see obs.go): the Perfetto exporter
+	// (nil when unattached) and whether AttachMetrics ran.
 	perfetto *obs.Perfetto
+	metrics  bool
 
 	// Optional robustness hooks: the fault injector (fault.go), the
 	// retire-progress watchdog (watchdog.go), and the Err providers of
@@ -155,9 +155,9 @@ type Machine struct {
 	devCounters int // next device counter-prefix index
 
 	// Optional periodic hooks (AttachPeriodic): each fires every
-	// hook.every CPU cycles — the cadence driver for the telemetry
-	// streamer and the flight recorder, which may run side by side. One
-	// len check per tick when unattached.
+	// hook.every CPU cycles — the one cadence driver, for the metrics
+	// stream, the telemetry streamer and the flight recorder, which may
+	// run side by side. One len check per tick when unattached.
 	periodicHooks []periodicHook
 
 	console bytes.Buffer
@@ -174,6 +174,9 @@ type Machine struct {
 	coastEnd   uint64
 	skippedBus bool
 	fullTicks  uint64
+
+	// flushedAt is one past the cycle of the last flushObs (0: never).
+	flushedAt uint64
 }
 
 // New builds a machine from the configuration.
@@ -399,13 +402,6 @@ func (m *Machine) Tick() {
 			d.TickBus(m.Bus)
 		}
 	}
-	if s := m.sampler; s != nil {
-		s.countdown--
-		if s.countdown == 0 {
-			s.countdown = s.every
-			m.sampleMetrics()
-		}
-	}
 	for i := range m.periodicHooks {
 		h := &m.periodicHooks[i]
 		h.countdown--
@@ -426,7 +422,7 @@ func (m *Machine) Tick() {
 // stage and the cache hierarchy are idle, the CSB and every device are
 // quiet, and the horizon stops before the bus tick that completes the
 // transaction in flight or, with the bus idle, first lets a waiting
-// buffer issue, and before the next sampler or periodic-hook firing. A
+// buffer issue, and before the next periodic-hook firing. A
 // fault injector forbids coasting: its hooks draw from the PRNG on every
 // refused attempt.
 //
@@ -454,9 +450,6 @@ func (m *Machine) quietHorizon() uint64 {
 	if q := m.Bus.QuietTicks(!m.CSB.Drained() || m.UB.HasWork()); q != ^uint64(0) {
 		end = min(end, m.cycle+uint64(m.busCountdown)-1+q*uint64(m.Cfg.Ratio))
 	}
-	if s := m.sampler; s != nil {
-		end = min(end, m.cycle+s.countdown-1)
-	}
 	for i := range m.periodicHooks {
 		end = min(end, m.cycle+m.periodicHooks[i].countdown-1)
 	}
@@ -471,10 +464,10 @@ func (m *Machine) quietHorizon() uint64 {
 // stall, the refused step's uncached-buffer StallFull, CSB StallBusy or
 // MembarStall count, and the head's countdown), the bus divider advances
 // and a bus cycle ticks the bus (its cycle and busy count; the horizon
-// keeps completions and issues out of the stretch), and the sampler and
-// periodic-hook countdowns advance (none reaches zero before the
-// horizon). The uncached buffer, the caches, the CSB and the devices
-// would do nothing and are not called.
+// keeps completions and issues out of the stretch), and the periodic-hook
+// countdowns advance (none reaches zero before the horizon). The uncached
+// buffer, the caches, the CSB and the devices would do nothing and are
+// not called.
 //
 //csb:hotpath
 func (m *Machine) coast() {
@@ -485,9 +478,6 @@ func (m *Machine) coast() {
 		m.busCountdown = m.Cfg.Ratio
 		m.Bus.Tick()
 		m.skippedBus = true
-	}
-	if s := m.sampler; s != nil {
-		s.countdown--
 	}
 	for i := range m.periodicHooks {
 		m.periodicHooks[i].countdown--
@@ -536,11 +526,12 @@ type periodicHook struct {
 }
 
 // AttachPeriodic installs a hook invoked every `every` CPU cycles with
-// the current cycle — the cadence driver for the telemetry streamer
-// (cmd/csbsim -telemetry) and the flight recorder (cmd/csbsim -record),
-// which may be attached side by side with independent cadences. Hooks
-// fire in attach order; attach before running. Every hook also fires
-// once more from FlushObs so abort paths emit their final window.
+// the current cycle — the machine's one cadence driver: the metrics
+// stream (AttachMetrics), the telemetry streamer (cmd/csbsim -telemetry)
+// and the flight recorder (cmd/csbsim -record) each ride it, side by
+// side with independent cadences. Hooks fire in attach order; attach
+// before running. Every hook also fires once more from FlushObs so abort
+// paths emit their final window.
 func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 	if every == 0 {
 		return fmt.Errorf("sim: periodic interval must be positive")

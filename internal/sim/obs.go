@@ -1,16 +1,20 @@
 // Machine-level observability wiring: this file connects the leaf obs
 // package to the live machine — converting CPU retire events and bus
 // transactions into obs events on a shared CPU-cycle timeline, and
-// driving the periodic metrics sampler from Machine.Tick. All hooks are
-// opt-in; an unattached machine pays only one nil check per tick.
+// turning flight-recorder windows into the periodic metrics stream. All
+// hooks are opt-in; an unattached machine pays only one nil check per
+// tick.
 package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"csbsim/internal/bus"
 	"csbsim/internal/cpu"
 	"csbsim/internal/obs"
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
 )
 
 // AttachPerfetto wires a Perfetto exporter to the machine: every retired
@@ -47,6 +51,18 @@ func (m *Machine) AttachInstEvents(fn func(obs.InstEvent)) {
 	})
 }
 
+// InstEvents converts retire events to the obs event type, oldest first
+// as given — the input of obs.FormatPipeline for the watchdog dump and
+// the csbsim -pipeview diagram.
+func InstEvents(evs []cpu.RetireEvent) []obs.InstEvent {
+	cache := make(disasmCache)
+	out := make([]obs.InstEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = instEvent(ev, cache)
+	}
+	return out
+}
+
 // disasmCache memoizes disassembly per PC — rendering an instruction is
 // ~10x the cost of recording its event, and loops retire the same static
 // instruction many times. (The simulator has no self-modifying code, so
@@ -77,93 +93,89 @@ func instEvent(ev cpu.RetireEvent, cache disasmCache) obs.InstEvent {
 	}
 }
 
-// metricsSampler holds the sampler cadence, sink, and the previous
-// snapshot the deltas are computed against.
-type metricsSampler struct {
-	every uint64
-	// countdown ticks down to the next sample (cheaper than a modulo in
-	// Machine.Tick; samples land every `every` cycles after attach).
-	countdown uint64
-	w         *obs.MetricsWriter
-
-	prevCycle     uint64
-	prevBusCycles uint64
-	prevBusBusy   uint64
-	prevBusBytes  uint64
-	prevRetired   uint64
-	prevL1DMiss   uint64
-	prevUncStores uint64
-	prevCSBStores uint64
+// metricsView turns each window of a ring-only flight recorder into one
+// metrics sample. The recorder reads a private registry of the CPU, bus
+// and cache counters; the occupancies are gauges, not registry series
+// (a window stores v-prev as a uint64, so a falling gauge would
+// underflow), and are read from the layers when the sample is taken.
+type metricsView struct {
+	m *Machine
+	r *rec.Recorder
+	w *obs.MetricsWriter
+	// Column of each sampled counter in the recorder's sorted tables.
+	busCycles, busBusy, busBytes, retired, l1dMisses, uncStores, csbStores int
 }
 
-// AttachMetrics installs a periodic sampler that writes one obs.Sample to
-// w every `every` CPU cycles (delta counters over the window plus
-// instantaneous occupancies). If a Perfetto exporter is attached, samples
-// also land in the trace as counter tracks. Call FlushMetrics after the
-// run to emit the final partial window.
+// AttachMetrics writes one obs.Sample to w every `every` CPU cycles:
+// counter deltas over the window plus instantaneous occupancies, the
+// first window counting from the attach cycle. If a Perfetto exporter is
+// attached, samples also land in the trace as counter tracks. The
+// sampler is an AttachPeriodic hook, so FlushObs emits the final partial
+// window. Stats().Counters stays nil unless AttachCounters is called.
 func (m *Machine) AttachMetrics(w *obs.MetricsWriter, every uint64) error {
 	if every == 0 {
 		return fmt.Errorf("sim: metrics sample interval must be positive")
 	}
-	if m.sampler != nil {
+	if m.metrics {
 		return fmt.Errorf("sim: metrics sampler already attached")
 	}
-	m.endCoast()
-	m.sampler = &metricsSampler{every: every, countdown: every, w: w,
-		prevCycle: m.cycle}
+	reg := counters.NewRegistry()
+	m.CPU.RegisterCounters("cpu", reg)
+	m.Bus.RegisterCounters("bus", reg)
+	m.Hier.RegisterCounters("cache", reg)
+	r, err := rec.New(rec.Config{Every: every, Ring: 1})
+	if err != nil {
+		return err
+	}
+	if err := r.AddSource("m", reg); err != nil {
+		return err
+	}
+	r.Start(m.cycle)
+	names := r.CounterNames()
+	col := func(name string) int { return sort.SearchStrings(names, "m/"+name) }
+	v := &metricsView{m: m, r: r, w: w,
+		busCycles: col("bus/cycles"), busBusy: col("bus/busy_cycles"), busBytes: col("bus/bytes"),
+		retired: col("cpu/retired"), l1dMisses: col("cache/l1d/misses"),
+		uncStores: col("cpu/uncached_stores"), csbStores: col("cpu/csb_stores")}
+	if err := m.AttachPeriodic(every, v.sample); err != nil {
+		return err
+	}
+	m.metrics = true
 	return nil
 }
 
-// FlushMetrics emits a final sample covering the cycles since the last
-// periodic one. It is a no-op without an attached sampler or when the
-// last window is empty.
-func (m *Machine) FlushMetrics() {
-	if m.sampler == nil || m.cycle == m.sampler.prevCycle {
+// sample rolls the recorder's window ending at cycle and emits it; a
+// flush at the last sample's cycle rolls nothing and emits nothing.
+func (v *metricsView) sample(cycle uint64) {
+	n := v.r.Windows()
+	v.r.Roll(cycle)
+	if v.r.Windows() == n {
 		return
 	}
-	m.sampleMetrics()
-}
-
-func (m *Machine) sampleMetrics() {
-	s := m.sampler
-	cs := m.CPU.Stats()
-	hs := m.Hier.Stats()
-	busBusy, busBytes := m.Bus.Activity()
-	busCycle := m.Bus.Cycle()
-
-	sample := obs.Sample{
-		Cycle:          m.cycle,
-		BusCycle:       busCycle,
-		Retired:        cs.Retired - s.prevRetired,
-		BusBytes:       busBytes - s.prevBusBytes,
-		L1DMisses:      hs.L1D.Misses - s.prevL1DMiss,
-		UncachedStores: cs.UncachedStores - s.prevUncStores,
-		CSBStores:      cs.CSBStores - s.prevCSBStores,
+	win := v.r.Recent()[0]
+	d := win.CtrDelta
+	m := v.m
+	s := obs.Sample{
+		Cycle:          cycle,
+		BusCycle:       win.CtrEnd[v.busCycles],
+		Retired:        d[v.retired],
+		IPC:            float64(d[v.retired]) / float64(win.C1-win.C0),
+		BusBytes:       d[v.busBytes],
+		L1DMisses:      d[v.l1dMisses],
+		UncachedStores: d[v.uncStores],
+		CSBStores:      d[v.csbStores],
 		CSBOccupancy:   m.CSB.Occupancy(),
 		CSBPending:     m.CSB.PendingLines(),
 		UBDepth:        m.UB.Len(),
 		WriteBufDepth:  m.Hier.WriteBufDepth(),
 	}
-	if window := m.cycle - s.prevCycle; window > 0 {
-		sample.IPC = float64(sample.Retired) / float64(window)
+	if busWindow := d[v.busCycles]; busWindow > 0 {
+		s.BusBusyPct = 100 * float64(d[v.busBusy]) / float64(busWindow)
 	}
-	if busWindow := busCycle - s.prevBusCycles; busWindow > 0 {
-		sample.BusBusyPct = 100 * float64(busBusy-s.prevBusBusy) / float64(busWindow)
-	}
-
-	s.prevCycle = m.cycle
-	s.prevBusCycles = busCycle
-	s.prevBusBusy = busBusy
-	s.prevBusBytes = busBytes
-	s.prevRetired = cs.Retired
-	s.prevL1DMiss = hs.L1D.Misses
-	s.prevUncStores = cs.UncachedStores
-	s.prevCSBStores = cs.CSBStores
-
-	if s.w != nil {
-		s.w.Write(sample)
+	if v.w != nil {
+		v.w.Write(s)
 	}
 	if m.perfetto != nil {
-		m.perfetto.AddCounters(sample)
+		m.perfetto.AddCounters(s)
 	}
 }

@@ -103,7 +103,8 @@ func TestMachineCPIInvariant(t *testing.T) {
 }
 
 // TestAttachMetricsSampling verifies the sampler cadence (one sample per
-// interval plus the final flush) and the delta semantics.
+// interval plus the final flush) and the delta semantics: every rate
+// field's deltas sum to the machine's final count.
 func TestAttachMetricsSampling(t *testing.T) {
 	m := runStoreLoop(t)
 	var buf bytes.Buffer
@@ -117,28 +118,106 @@ func TestAttachMetricsSampling(t *testing.T) {
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushMetrics()
-	m.FlushMetrics() // idempotent at the same cycle
+	m.FlushObs()
+	m.FlushObs() // idempotent at the same cycle
 
 	cycles := m.Cycle()
 	wantMin := int(cycles / 200)
 	if w.Count() < wantMin {
 		t.Fatalf("%d samples over %d cycles, want >= %d", w.Count(), cycles, wantMin)
 	}
-	var prevCycle, totalRetired uint64
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var s obs.Sample
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("bad sample %q: %v", line, err)
-		}
+	var prevCycle uint64
+	var sum obs.Sample
+	for _, s := range parseSamples(t, buf.String()) {
 		if s.Cycle <= prevCycle {
 			t.Fatalf("samples not monotone: %d after %d", s.Cycle, prevCycle)
 		}
 		prevCycle = s.Cycle
-		totalRetired += s.Retired
+		sum.Retired += s.Retired
+		sum.BusBytes += s.BusBytes
+		sum.L1DMisses += s.L1DMisses
+		sum.UncachedStores += s.UncachedStores
+		sum.CSBStores += s.CSBStores
 	}
-	if got := m.Stats().CPU.Retired; totalRetired != got {
-		t.Errorf("sample deltas sum to %d retired, machine says %d", totalRetired, got)
+	st := m.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"retired", sum.Retired, st.CPU.Retired},
+		{"bus_bytes", sum.BusBytes, st.Bus.Bytes},
+		{"l1d_misses", sum.L1DMisses, st.Caches.L1D.Misses},
+		{"uncached_stores", sum.UncachedStores, st.CPU.UncachedStores},
+		{"csb_stores", sum.CSBStores, st.CPU.CSBStores},
+	} {
+		if c.got != c.want {
+			t.Errorf("sample %s deltas sum to %d, machine says %d", c.name, c.got, c.want)
+		}
+	}
+	if sum.CSBStores == 0 || sum.BusBytes == 0 {
+		t.Errorf("store loop sampled no CSB stores or bus bytes: %+v", sum)
+	}
+}
+
+func parseSamples(t *testing.T, stream string) []obs.Sample {
+	t.Helper()
+	var out []obs.Sample
+	for _, line := range strings.Split(strings.TrimSpace(stream), "\n") {
+		var s obs.Sample
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestAttachMetricsMidRun attaches the sampler to a machine already
+// running the uncached stream: the first sample counts only the window
+// since attach, so its deltas match the Stats difference across it.
+func TestAttachMetricsMidRun(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4000_0000, 1<<16, mem.KindUncached)
+	if _, err := m.LoadSource("uncached_stores.s", exampleSource(t, "uncached_stores.s")); err != nil {
+		t.Fatal(err)
+	}
+	for m.Cycle() < 3000 {
+		m.Tick()
+	}
+	before := m.Stats()
+	var buf bytes.Buffer
+	if err := m.AttachMetrics(obs.NewMetricsWriter(&buf, obs.FormatJSONL), 200); err != nil {
+		t.Fatal(err)
+	}
+	for m.Cycle() < 3200 {
+		m.Tick()
+	}
+	after := m.Stats()
+	samples := parseSamples(t, buf.String())
+	if len(samples) != 1 {
+		t.Fatalf("got %d samples by cycle 3200, want 1:\n%s", len(samples), buf.String())
+	}
+	s := samples[0]
+	retired := after.CPU.Retired - before.CPU.Retired
+	busBusy := after.Bus.BusyCycles - before.Bus.BusyCycles
+	busCycles := after.BusCycles - before.BusCycles
+	if s.Cycle != 3200 || s.BusCycle != after.BusCycles {
+		t.Errorf("sample at cycle %d bus cycle %d, want 3200 and %d", s.Cycle, s.BusCycle, after.BusCycles)
+	}
+	if s.Retired != retired || s.IPC != float64(retired)/200 {
+		t.Errorf("retired %d ipc %g, want %d over the 200-cycle window", s.Retired, s.IPC, retired)
+	}
+	if want := 100 * float64(busBusy) / float64(busCycles); s.BusBusyPct != want {
+		t.Errorf("bus_busy_pct %g, want %g (%d of %d bus cycles)", s.BusBusyPct, want, busBusy, busCycles)
+	}
+	if want := after.Bus.Bytes - before.Bus.Bytes; s.BusBytes != want {
+		t.Errorf("bus_bytes %d, want %d", s.BusBytes, want)
+	}
+	if want := after.CPU.UncachedStores - before.CPU.UncachedStores; s.UncachedStores != want || want == 0 {
+		t.Errorf("uncached_stores %d, want %d (nonzero)", s.UncachedStores, want)
 	}
 }
 
@@ -159,7 +238,7 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 	if err := m.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushMetrics()
+	m.FlushObs()
 	if p.Count() == 0 {
 		t.Fatal("no instructions recorded")
 	}
@@ -205,16 +284,16 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 }
 
 // TestUnattachedMachineHasNoObservers documents the nil-cost-off design:
-// a plain machine carries no observers or sampler.
+// a plain machine carries no observers or periodic hooks.
 func TestUnattachedMachineHasNoObservers(t *testing.T) {
 	m := runStoreLoop(t)
-	if m.sampler != nil || m.perfetto != nil {
+	if m.metrics || len(m.periodicHooks) != 0 || m.perfetto != nil {
 		t.Error("fresh machine has observability state attached")
 	}
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushMetrics() // must be a no-op, not a panic
+	m.FlushObs() // must be a no-op, not a panic
 }
 
 // TestAttachPeriodic verifies the generic periodic hooks: one firing per
@@ -248,6 +327,11 @@ func TestAttachPeriodic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.FlushObs()
+	firedAtFlush, fired2AtFlush := fired, fired2
+	m.FlushObs() // a second flush at the same cycle fires nothing
+	if fired != firedAtFlush || fired2 != fired2AtFlush {
+		t.Errorf("second flush at cycle %d fired the hooks again", m.Cycle())
+	}
 	want := int(m.Cycle() / 250)
 	if fired < want || fired > want+2 {
 		t.Errorf("hook fired %d times over %d cycles (interval 250)", fired, m.Cycle())

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"strings"
 
-	"csbsim/internal/cpu"
 	"csbsim/internal/obs"
+	"csbsim/internal/trace"
 )
 
 // wdRingSize is how many recently retired instructions the watchdog keeps
@@ -36,25 +36,13 @@ func (e *WatchdogError) Error() string {
 }
 
 // watchdogState tracks retire progress between checks and keeps the
-// recent-retirement ring for the dump. The ring write is allocation-free
-// (fixed backing array), so an armed watchdog does not disturb the
-// zero-alloc tick loop.
+// recent-retirement ring for the dump. The ring's Push is allocation-free,
+// so an armed watchdog does not disturb the zero-alloc tick loop.
 type watchdogState struct {
 	window      uint64
 	countdown   uint64
 	lastRetired uint64
-	ring        [wdRingSize]cpu.RetireEvent
-	ringPos     int
-	ringLen     int
-}
-
-//csb:hotpath
-func (w *watchdogState) observe(ev cpu.RetireEvent) {
-	w.ring[w.ringPos] = ev
-	w.ringPos = (w.ringPos + 1) % wdRingSize
-	if w.ringLen < wdRingSize {
-		w.ringLen++
-	}
+	ring        *trace.Ring
 }
 
 // SetWatchdog arms the retire-progress watchdog: if no instruction
@@ -69,8 +57,8 @@ func (m *Machine) SetWatchdog(window uint64) error {
 		return fmt.Errorf("sim: watchdog already armed")
 	}
 	m.wd = &watchdogState{window: window, countdown: window,
-		lastRetired: m.CPU.Retired()}
-	m.CPU.AttachRetire(m.wd.observe)
+		lastRetired: m.CPU.Retired(), ring: trace.NewRing(wdRingSize)}
+	m.CPU.AttachRetire(m.wd.ring.Push)
 	return nil
 }
 
@@ -119,15 +107,9 @@ func (m *Machine) DiagnosticDump() string {
 			b.WriteByte('\n')
 		}
 	}
-	if w := m.wd; w != nil && w.ringLen > 0 {
-		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", w.ringLen)
-		cache := make(disasmCache)
-		evs := make([]obs.InstEvent, 0, w.ringLen)
-		start := (w.ringPos - w.ringLen + wdRingSize) % wdRingSize
-		for i := 0; i < w.ringLen; i++ {
-			evs = append(evs, instEvent(w.ring[(start+i)%wdRingSize], cache))
-		}
-		b.WriteString(obs.FormatPipeline(evs))
+	if w := m.wd; w != nil && w.ring.Len() > 0 {
+		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", w.ring.Len())
+		b.WriteString(obs.FormatPipeline(InstEvents(w.ring.Last(wdRingSize))))
 	}
 	return b.String()
 }

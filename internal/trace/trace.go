@@ -11,14 +11,67 @@ import (
 	"csbsim/internal/cpu"
 )
 
+// Ring keeps the most recent retire events in a fixed-capacity buffer.
+// Push is allocation-free, so a ring can ride the retire hook of a
+// zero-alloc tick loop (the machine watchdog's does).
+type Ring struct {
+	buf  []cpu.RetireEvent
+	next int
+	full bool
+}
+
+// NewRing creates a ring holding the last capacity events (at least 1).
+func NewRing(capacity int) *Ring {
+	return &Ring{buf: make([]cpu.RetireEvent, max(capacity, 1))}
+}
+
+// Push records one event, evicting the oldest at capacity (usable
+// directly as a retire observer).
+//
+//csb:hotpath
+func (r *Ring) Push(ev cpu.RetireEvent) {
+	r.buf[r.next] = ev
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.full = true
+	}
+}
+
+// Len returns the number of events held (0 for a nil ring).
+func (r *Ring) Len() int {
+	if r == nil {
+		return 0
+	}
+	if r.full {
+		return len(r.buf)
+	}
+	return r.next
+}
+
+// Last returns a copy of up to n most recent events, oldest first (nil
+// for a nil ring).
+func (r *Ring) Last(n int) []cpu.RetireEvent {
+	if r == nil {
+		return nil
+	}
+	k := min(n, r.Len())
+	out := make([]cpu.RetireEvent, k)
+	start := r.next - k
+	if start < 0 {
+		start += len(r.buf)
+	}
+	copied := copy(out, r.buf[start:])
+	copy(out[copied:], r.buf)
+	return out
+}
+
 // Recorder collects retire events. It can stream them to a writer, keep
 // the last N in a ring, or both. The zero value keeps nothing; use New.
 type Recorder struct {
 	w     io.Writer
-	ring  []cpu.RetireEvent
-	next  int
+	ring  *Ring
 	count uint64
-	full  bool
 	// Filter, if set, drops events for which it returns false.
 	Filter func(cpu.RetireEvent) bool
 }
@@ -28,7 +81,7 @@ type Recorder struct {
 func New(w io.Writer, ringSize int) *Recorder {
 	r := &Recorder{w: w}
 	if ringSize > 0 {
-		r.ring = make([]cpu.RetireEvent, ringSize)
+		r.ring = NewRing(ringSize)
 	}
 	return r
 }
@@ -46,12 +99,7 @@ func (r *Recorder) Record(ev cpu.RetireEvent) {
 	}
 	r.count++
 	if r.ring != nil {
-		r.ring[r.next] = ev
-		r.next++
-		if r.next == len(r.ring) {
-			r.next = 0
-			r.full = true
-		}
+		r.ring.Push(ev)
 	}
 	if r.w != nil {
 		fmt.Fprintln(r.w, FormatEvent(ev))
@@ -62,22 +110,7 @@ func (r *Recorder) Record(ev cpu.RetireEvent) {
 func (r *Recorder) Count() uint64 { return r.count }
 
 // Last returns up to n most recent events, oldest first.
-func (r *Recorder) Last(n int) []cpu.RetireEvent {
-	if r.ring == nil {
-		return nil
-	}
-	var events []cpu.RetireEvent
-	if r.full {
-		events = append(events, r.ring[r.next:]...)
-	}
-	events = append(events, r.ring[:r.next]...)
-	if n < len(events) {
-		events = events[len(events)-n:]
-	}
-	out := make([]cpu.RetireEvent, len(events))
-	copy(out, events)
-	return out
-}
+func (r *Recorder) Last(n int) []cpu.RetireEvent { return r.ring.Last(n) }
 
 // FormatEvent renders one event as a single trace line.
 func FormatEvent(ev cpu.RetireEvent) string {
@@ -94,7 +127,7 @@ func FormatEvent(ev cpu.RetireEvent) string {
 
 // Dump writes the ring buffer contents to w, oldest first.
 func (r *Recorder) Dump(w io.Writer) {
-	for _, ev := range r.Last(len(r.ring)) {
+	for _, ev := range r.Last(r.ring.Len()) {
 		fmt.Fprintln(w, FormatEvent(ev))
 	}
 }

@@ -62,6 +62,44 @@ func TestRingBeforeWrap(t *testing.T) {
 	}
 }
 
+// TestRingLast checks Last across many wrap positions against a plain
+// slice of everything pushed, and that Push does not allocate.
+func TestRingLast(t *testing.T) {
+	const capacity = 5
+	r := NewRing(capacity)
+	if r.Len() != 0 || len(r.Last(3)) != 0 {
+		t.Fatalf("empty ring: Len %d, Last(3) %v", r.Len(), r.Last(3))
+	}
+	var all []cpu.RetireEvent
+	for i := uint64(1); i <= 13; i++ {
+		e := ev(i, 0x1000+4*i)
+		r.Push(e)
+		all = append(all, e)
+		if want := min(len(all), capacity); r.Len() != want {
+			t.Fatalf("after %d pushes Len = %d, want %d", i, r.Len(), want)
+		}
+		for n := 0; n <= capacity+1; n++ {
+			got := r.Last(n)
+			want := all[len(all)-min(n, r.Len()):]
+			if len(got) != len(want) {
+				t.Fatalf("after %d pushes Last(%d) has %d events, want %d", i, n, len(got), len(want))
+			}
+			for j := range got {
+				if got[j].Seq != want[j].Seq {
+					t.Fatalf("after %d pushes Last(%d)[%d].Seq = %d, want %d", i, n, j, got[j].Seq, want[j].Seq)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Push(all[0]) }); allocs != 0 {
+		t.Errorf("Push allocated %.1f times", allocs)
+	}
+	var nilRing *Ring
+	if nilRing.Len() != 0 || nilRing.Last(4) != nil {
+		t.Error("nil ring is not empty")
+	}
+}
+
 func TestFilter(t *testing.T) {
 	r := New(nil, 8)
 	r.Filter = func(e cpu.RetireEvent) bool { return e.Inst.Op.IsMem() }
