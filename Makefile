@@ -88,6 +88,7 @@ perf-ab:
 # build tag.
 zero-alloc:
 	$(GO) test -run TestTickSteadyStateZeroAlloc ./internal/bench/
+	$(GO) test -run TestUncachedLoadAllocs ./internal/sim/
 
 # Journey-traced runs of the paired store workloads: dump the per-hop
 # store journeys for the uncached and CSB paths, render both with

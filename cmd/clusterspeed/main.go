@@ -1,10 +1,10 @@
 // Command clusterspeed measures how fast the cluster simulator runs: the
 // wall-clock rate (simulated cluster cycles per second, and aggregate
 // node-cycles per second) of a never-halting ring traffic workload at 1,
-// 2, 4 and 8 nodes under the goroutine-per-node windowed engine, swept
-// across GOMAXPROCS settings, plus the two-node overhead of goroutine-
-// per-node windows over the same windows run inline on one goroutine —
-// the price of the parallel scheduler itself.
+// 2, 4 and 8 nodes under the parallel windowed engine, swept across
+// GOMAXPROCS settings, plus the two-node overhead of parallel windows over
+// the same windows run inline on one goroutine — the price of the
+// parallel scheduler itself.
 //
 // The JSON it prints is the repo's cluster-speed baseline; `make
 // bench-cluster` refreshes BENCH_cluster.json with it. -gate FILE

@@ -4,7 +4,7 @@
 // topologies × wire-fault specs over the open-loop serving workload and
 // asserts three properties per scenario:
 //
-//  1. Determinism: the goroutine-per-node engine and the sequential
+//  1. Determinism: the parallel engine and the sequential
 //     reference produce byte-identical counter state under wire faults —
 //     the fault schedule is a function of (seed, traffic), never of the
 //     scheduler.

@@ -15,8 +15,8 @@
 //     map iteration feeding output);
 //   - hotalloc: functions annotated //csb:hotpath must not contain
 //     heap-allocating constructs;
-//   - phasesafe: code colored //csb:worker (runs on a node goroutine
-//     inside a lookahead window) must not reach cross-node shared state
+//   - phasesafe: code colored //csb:worker (runs on a pool thread
+//     inside a node's lookahead window) must not reach cross-node shared state
 //     or barrier-only APIs; colors propagate over the package call graph
 //     (see BuildCallGraph);
 //   - clockdomain: uint64 cycle stamps from different nodes' clocks must
@@ -38,8 +38,8 @@
 //	//csb:orderless on the line of a `range` statement over a map whose
 //	                iteration order provably does not affect output.
 //	//csb:worker    (reason) on a function's doc comment or a go-func
-//	                literal's line: the code runs on a per-node goroutine
-//	                inside a lookahead window; phasesafe propagates the
+//	                literal's line: the code runs on a pool thread
+//	                inside a node's lookahead window; phasesafe propagates the
 //	                color to everything it calls.
 //	//csb:barrier   (reason) on a function's doc comment or a literal's
 //	                line: barrier-only code, single-threaded between

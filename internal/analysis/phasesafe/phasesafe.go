@@ -1,11 +1,11 @@
 // Package phasesafe enforces the parallel cluster engine's phase
 // discipline. The windowed engine (internal/cluster/engine.go) runs each
-// node on its own goroutine for whole lookahead windows; all shared
-// mutation happens single-threaded at the barrier between windows. That
-// split is expressed as function colors:
+// node's whole lookahead windows on one of a pool of host threads; all
+// shared mutation happens single-threaded at the barrier between windows.
+// That split is expressed as function colors:
 //
-//	//csb:worker <reason>   the function runs on a per-node goroutine
-//	                        inside a lookahead window and may touch only
+//	//csb:worker <reason>   the function runs on a pool thread inside a
+//	                        node's lookahead window and may touch only
 //	                        node-local state;
 //	//csb:barrier <reason>  the function runs single-threaded between
 //	                        windows and is forbidden inside one.

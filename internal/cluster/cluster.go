@@ -12,10 +12,10 @@
 // the topology's natural next hop.
 //
 // Execution: one windowed conservative-lookahead engine (engine.go). Each
-// node runs whole windows of cycles — on its own goroutine, or inline
-// when parallel is off — bounded by the minimum link latency so no
-// inbound packet can be missed; a zero-latency link shrinks the window to
-// one cycle. Run advances until every node halts and the fabric drains,
+// node runs whole windows of cycles — spread over up to GOMAXPROCS host
+// threads, or inline when parallel is off — bounded by the minimum link
+// latency so no inbound packet can be missed; a zero-latency link shrinks
+// the window to one cycle. Run advances until every node halts and the fabric drains,
 // RunFor for a fixed horizon.
 //
 // Observability: AttachTrace extends the PR 5 per-node journey tracer
@@ -85,9 +85,9 @@ func DefaultConfig() Config {
 }
 
 // NodeHook is a per-cycle host-side driver for one node (a load
-// generator): it runs before the node's machine tick each cycle, on the
-// node's own goroutine under the parallel engine, and may touch only that
-// node's state (its NIC, its registers). Returning false retires the
+// generator): it runs before the node's machine tick each cycle, on
+// whichever pool thread runs the node's window under the parallel engine,
+// and may touch only that node's state (its NIC, its registers). Returning false retires the
 // hook; a node with a live hook is kept ticking even when its CPU has
 // halted, so hook-injected NIC work still progresses.
 type NodeHook func(cycle uint64) bool
@@ -106,8 +106,8 @@ type Node struct {
 
 	// inbox holds this node's inbound flights ordered by (due, seq):
 	// [0:enqPos) fully delivered, [enqPos:arrPos) arrived but staging,
-	// [arrPos:) still on the wire. Only the owning node goroutine touches
-	// the positions during a window; the coordinator appends at barriers.
+	// [arrPos:) still on the wire. Only the node's own window touches the
+	// positions; the coordinator appends at barriers.
 	inbox  []flight
 	arrPos int
 	enqPos int
@@ -309,7 +309,7 @@ func (c *Cluster) AttachCounters() *counters.Registry {
 
 // registerWireCounters registers the shared fabric-state counters in r.
 // The closures walk per-node inboxes; they are only read at barriers or
-// after a run, when the node goroutines are parked.
+// after a run, when no node window is running.
 func (c *Cluster) registerWireCounters(r *counters.Registry) {
 	r.Counter("cluster/packets_in_flight", func() uint64 {
 		var n uint64
@@ -403,7 +403,7 @@ func (c *Cluster) AttachTrace(jcfg journey.Config, tcfg ctrace.Config) (*ctrace.
 		// Drain stamps are deferred to the node's event log and replayed
 		// at the barrier: the hook fires on the node's goroutine under the
 		// parallel engine, where the shared tracer must not be touched.
-		//csb:worker RX drain hook fires on the node goroutine inside a window
+		//csb:worker RX drain hook fires inside the node's window
 		n.NIC.SetRxDrainHook(func(id uint64) {
 			node.logEvent(evDrain, id, node.M.Cycle())
 		})
@@ -476,7 +476,7 @@ func (c *Cluster) Recorder() *rec.Recorder { return c.rec }
 // to the first window) and wires active SLO alerts into telemetry
 // frames. Idempotent; called at the top of every run.
 //
-//csb:barrier reads every source registry; all node goroutines are parked
+//csb:barrier reads every source registry; no node window is running
 func (c *Cluster) startObs() {
 	if c.rec == nil {
 		return
@@ -492,7 +492,7 @@ func (c *Cluster) startObs() {
 // before maybePublish so a frame published at the same barrier already
 // reflects this window's SLO state.
 //
-//csb:barrier reads every source registry; all node goroutines are parked
+//csb:barrier reads every source registry; no node window is running
 func (c *Cluster) maybeRoll() {
 	if c.rec != nil && c.cycle-c.lastRoll >= c.recEvery {
 		c.lastRoll = c.cycle
@@ -517,7 +517,7 @@ func (c *Cluster) recEvent(cycle uint64, kind, node string, value float64) {
 // frame — so a wedged or faulted node still yields a partial dump,
 // mirroring the single-node flushObs abort behavior.
 //
-//csb:barrier drains every node's deferred state; all node goroutines are parked
+//csb:barrier drains every node's deferred state; no node window is running
 func (c *Cluster) flushObs() {
 	c.drainTraceLogs()
 	for _, n := range c.nodes {
@@ -837,7 +837,7 @@ func (c *Cluster) openSpan(from, dest int, d *departure) uint64 {
 
 // compactInboxes releases fully delivered inbox prefixes.
 //
-//csb:barrier rewrites inbox slices the node goroutines index into
+//csb:barrier rewrites inbox slices the node windows index into
 func (c *Cluster) compactInboxes() {
 	for _, n := range c.nodes {
 		switch {

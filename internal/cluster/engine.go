@@ -10,19 +10,36 @@
 // departures, replays the deferred tracer logs in node order, and
 // publishes telemetry.
 //
+// Host threads: a window is a few microseconds of work per node, less
+// than one futex wake-up, so the hand-off must stay out of the
+// scheduler. The parallel engine runs min(GOMAXPROCS, nodes) − 1
+// persistent workers beside the coordinator goroutine; each window all of
+// them claim nodes off one atomic index. The barrier's happens-before
+// edges are two atomics: the coordinator opens a window by bumping the
+// epoch (publishing the window bounds and the routed inboxes), and each
+// worker leaves it by decrementing the pending count (publishing its
+// nodes' window state). Both sides spin on these for a bounded number of
+// polls and only then park on a per-worker channel, whose wake token is
+// the third edge. With one host thread no worker exists and the windows
+// run inline.
+//
 // Determinism: a node's window run touches only node-local state (its
 // machine, its NIC, its inbox positions, its event log and outbox), and
 // every shared-state mutation — routing, tracer stamps, counters reads —
 // happens at the barrier in a fixed order: departures are routed in
 // (pump cycle, node index, push order), trace logs replayed in node
-// order. With parallel off the same window/barrier schedule runs inline,
-// so a parallel run is byte-identical to the inline one by construction,
-// not by luck.
+// order. Which thread runs a node's window changes nothing it computes.
+// With parallel off the same window/barrier schedule runs inline, so a
+// parallel run is byte-identical to the inline one by construction, not
+// by luck.
 package cluster
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // soloLookahead is the window used when the cluster has no links at all
@@ -55,7 +72,7 @@ func (c *Cluster) lookahead() uint64 {
 // fast-forward is exact.
 //
 //csb:hotpath
-//csb:worker runs a whole lookahead window on the node's own goroutine
+//csb:worker runs a whole lookahead window of one node on a pool thread
 func (n *Node) runWindow(start, end uint64) {
 	if n.frozen && !n.hookActive() {
 		n.applyDue(end)
@@ -88,59 +105,160 @@ func (n *Node) runWindow(start, end uint64) {
 	}
 }
 
-// nodeWorkers is the persistent goroutine-per-node pool: each worker owns
-// one node for the duration of a run and executes its windows. The
-// start/done channel pairs give the barrier its happens-before edges: the
-// coordinator's sends publish the routed inboxes to the workers, the
-// workers' completions publish window state back to the coordinator.
-type nodeWorkers struct {
-	start []chan [2]uint64
-	done  chan int
+// spinBudget is how many times a participant polls the barrier's atomics
+// before it parks on its channel. A window of work is a few microseconds,
+// so a peer usually arrives within the spin and the hand-off never enters
+// the scheduler; the budget (tens of microseconds of polling) only bounds
+// what a long barrier or a descheduled peer costs in burnt CPU.
+var spinBudget = 1 << 15
+
+// parker is one participant's park slot: after its spin runs out it sets
+// parked and blocks on wake; whoever makes its condition true and wins
+// the parked flag sends the one wake token. Every parked.Store(true) is
+// matched by exactly one successful CAS back to false — the sleeper's own
+// (it saw the condition after all, no token) or the waker's (one token,
+// always received) — so no token is ever left behind. A waker can be
+// late: the last worker of one window may unpark the coordinator only
+// after it parked for the next. So a woken participant re-checks its
+// condition and parks again if it does not hold yet.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
-func (c *Cluster) startWorkers() *nodeWorkers {
-	w := &nodeWorkers{
-		start: make([]chan [2]uint64, len(c.nodes)),
-		done:  make(chan int, len(c.nodes)),
+// await returns once ready reports true: spinning first, parking after.
+// The spin polls the atomics only; entering the scheduler (Gosched) per
+// poll costs more than the hand-off it is meant to speed up.
+func (p *parker) await(ready func() bool) {
+	for range spinBudget {
+		if ready() {
+			return
+		}
 	}
-	for i, n := range c.nodes {
-		ch := make(chan [2]uint64, 1)
-		w.start[i] = ch
-		//csb:worker the per-node goroutine body: one window per start-channel message
-		go func(n *Node, ch chan [2]uint64, idx int) {
-			for win := range ch {
-				n.runWindow(win[0], win[1])
-				w.done <- idx
-			}
-		}(n, ch, i)
-	}
-	return w
-}
-
-// run executes one window on every node concurrently and waits for all.
-func (w *nodeWorkers) run(start, end uint64) {
-	for _, ch := range w.start {
-		ch <- [2]uint64{start, end}
-	}
-	for range w.start {
-		<-w.done
+	for !ready() {
+		p.parked.Store(true)
+		if ready() && p.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-p.wake
 	}
 }
 
-// stop retires the worker goroutines.
-func (w *nodeWorkers) stop() {
-	for _, ch := range w.start {
-		close(ch)
+// unpark wakes the participant if it parked; the caller has already made
+// its condition true.
+func (p *parker) unpark() {
+	if p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
 	}
+}
+
+// windowPool runs each window's node windows on min(GOMAXPROCS, nodes)
+// host threads: the coordinator plus persistent workers, all claiming
+// nodes off one atomic index, so the load balances without a partition.
+// The barrier's happens-before edges are the atomics: the coordinator
+// publishes the window bounds and the routed inboxes by bumping epoch,
+// which workers observe before they claim; every worker publishes its
+// nodes' window state by decrementing pending, which the coordinator
+// observes reaching zero before it touches shared state. A park and its
+// wake token add the channel's edge on the slow path.
+type windowPool struct {
+	nodes      []*Node
+	start, end uint64 // the current window, written before epoch is bumped
+	quit       bool   // set before the final epoch bump
+	epoch      atomic.Uint64
+	next       atomic.Int64 // the next node index to claim
+	pending    atomic.Int64 // workers still inside the current window
+	coord      parker
+	workers    []*parker
+	exited     sync.WaitGroup
+}
+
+// startPool starts the worker goroutines, or returns nil when only one
+// host thread may run Go code and the windows are best run inline.
+func startPool(nodes []*Node) *windowPool {
+	nw := min(runtime.GOMAXPROCS(0), len(nodes)) - 1
+	if nw < 1 {
+		return nil
+	}
+	p := &windowPool{nodes: nodes, coord: parker{wake: make(chan struct{}, 1)}}
+	p.exited.Add(nw)
+	for range nw {
+		w := &parker{wake: make(chan struct{}, 1)}
+		p.workers = append(p.workers, w)
+		go p.work(w)
+	}
+	return p
+}
+
+// work is a worker goroutine's body: wait for the next epoch, claim and
+// run node windows until none are left, report done.
+//
+//csb:worker the pool worker body: runs claimed node windows between barriers
+func (p *windowPool) work(w *parker) {
+	defer p.exited.Done()
+	var seen uint64
+	for {
+		w.await(func() bool { return p.epoch.Load() != seen })
+		seen = p.epoch.Load()
+		if p.quit {
+			return
+		}
+		claimWindows(p.nodes, &p.next, p.start, p.end)
+		if p.pending.Add(-1) == 0 {
+			p.coord.unpark()
+		}
+	}
+}
+
+// claimWindows runs node windows off the shared claim index until every
+// node of the window is taken. Workers and the coordinator both run it;
+// it sees only the node slice, never the cluster.
+//
+//csb:worker runs claimed node windows on the calling host thread
+func claimWindows(nodes []*Node, next *atomic.Int64, start, end uint64) {
+	for {
+		i := next.Add(1) - 1
+		if i >= int64(len(nodes)) {
+			return
+		}
+		nodes[i].runWindow(start, end)
+	}
+}
+
+// run executes one window on every node — the coordinator takes its share
+// — and returns once every worker has left the window.
+func (p *windowPool) run(start, end uint64) {
+	p.start, p.end = start, end
+	p.next.Store(0)
+	p.pending.Store(int64(len(p.workers)))
+	p.bump()
+	claimWindows(p.nodes, &p.next, start, end)
+	p.coord.await(func() bool { return p.pending.Load() == 0 })
+}
+
+// bump opens the next epoch and wakes the workers that parked.
+func (p *windowPool) bump() {
+	p.epoch.Add(1)
+	for _, w := range p.workers {
+		w.unpark()
+	}
+}
+
+// stop retires the workers and waits until every one has exited.
+func (p *windowPool) stop() {
+	p.quit = true
+	p.bump()
+	p.exited.Wait()
 }
 
 // runWindowed is the coordinator loop behind Run and RunFor.
 func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 	w := c.lookahead()
-	var workers *nodeWorkers
+	var pool *windowPool
 	if parallel {
-		workers = c.startWorkers()
-		defer workers.stop()
+		if pool = startPool(c.nodes); pool != nil {
+			defer pool.stop()
+		}
 	}
 	c.startObs()
 	horizon := c.cycle + limit
@@ -149,15 +267,15 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		if end > horizon {
 			end = horizon
 		}
-		if workers != nil {
-			workers.run(c.cycle, end)
+		if pool != nil {
+			pool.run(c.cycle, end)
 		} else {
 			for _, n := range c.nodes {
 				n.runWindow(c.cycle, end)
 			}
 		}
 		c.cycle = end
-		// Barrier: all node goroutines are parked; shared state is ours.
+		// Barrier: every worker has left the window; shared state is ours.
 		// A flight routed here is due at end+1 or later unless its link
 		// has zero latency; applyDue delivers exactly those in this cycle.
 		c.drainTraceLogs()
@@ -204,13 +322,14 @@ func (c *Cluster) settled() bool {
 }
 
 // Run advances the cluster until every live node halts and the fabric
-// drains, or maxCycles elapse (an error). parallel runs each node's
-// windows on its own goroutine; the result (machine state, trace dumps,
-// counter values) is byte-identical either way. HaltCycle reports the
-// cycle the last node halted, independent of the window size. Every exit
-// path — success, fault, watchdog, limit — flushes observability state
-// first, so post-mortems of a wedged or faulted node see everything up to
-// the abort and recordings always carry their final window and footer.
+// drains, or maxCycles elapse (an error). parallel spreads each window's
+// nodes over up to GOMAXPROCS host threads; the result (machine state,
+// trace dumps, counter values) is byte-identical either way. HaltCycle
+// reports the cycle the last node halted, independent of the window size.
+// Every exit path — success, fault, watchdog, limit — flushes
+// observability state first, so post-mortems of a wedged or faulted node
+// see everything up to the abort and recordings always carry their final
+// window and footer.
 func (c *Cluster) Run(maxCycles uint64, parallel bool) error {
 	return c.runWindowed(maxCycles, parallel, true)
 }

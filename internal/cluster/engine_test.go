@@ -1,0 +1,167 @@
+package cluster
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs/journey"
+)
+
+// withProcs sets GOMAXPROCS for the rest of the test.
+func withProcs(t *testing.T, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// churnRing builds a traced ring of n nodes whose node i sends i%3+1
+// packets clockwise and drains what its counter-clockwise neighbor sends,
+// so nodes halt, freeze and go quiet at staggered times. A lone node's
+// packets have no route and are counted as drops.
+func churnRing(t *testing.T, n int) *Cluster {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Nodes = n
+	cfg.Topology = TopoRing
+	cfg.WireLatency = 70
+	cfg.Bandwidth = 2
+	cfg.LinkDepth = 8
+	cfg.RxEnqueueDelay = 13
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := func(i int) int { return i%3 + 1 }
+	for i, node := range c.Nodes() {
+		node.MapIO(false)
+		recvs := 0
+		if n > 1 {
+			recvs = sends((i + n - 1) % n)
+		}
+		if _, err := node.M.LoadSource("churn.s", ringGuest(10*(i+1), sends(i), recvs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// engineOutput renders everything a run must reproduce byte for byte:
+// the cycle, HaltCycle, the merged trace dump, every node's Stats JSON
+// and the cluster registry snapshot.
+func engineOutput(t *testing.T, c *Cluster) string {
+	t.Helper()
+	s := snapshotOf(t, c)
+	return fmt.Sprintf("cycle %d halt %d\ndump %s\nstats %s\nregistry %s\n", s.cycle, c.HaltCycle(), s.dump, s.stats, s.reg)
+}
+
+// TestParallelEngineIdentity runs rings of 1, 2, 3, 5 and 8 nodes under
+// GOMAXPROCS 1 to 4, in parallel with the barrier's spin and with every
+// wait parking at once, and requires each run to reproduce the inline
+// run byte for byte.
+func TestParallelEngineIdentity(t *testing.T) {
+	for _, nodes := range []int{1, 2, 3, 5, 8} {
+		run := func(parallel bool) string {
+			c := churnRing(t, nodes)
+			if err := c.Run(2_000_000, parallel); err != nil {
+				t.Fatalf("%d nodes: %v", nodes, err)
+			}
+			if c.HaltCycle() == 0 {
+				t.Fatalf("%d nodes: HaltCycle 0 after a run to halt", nodes)
+			}
+			return engineOutput(t, c)
+		}
+		want := run(false)
+		for procs := 1; procs <= 4; procs++ {
+			for _, park := range []bool{false, true} {
+				t.Run(fmt.Sprintf("nodes%d/procs%d/park=%v", nodes, procs, park), func(t *testing.T) {
+					withProcs(t, procs)
+					if park {
+						parkAlways(t)
+					}
+					if got := run(true); got != want {
+						t.Errorf("parallel run differs from the inline one\n%s\n---- inline ----\n%s", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// settleGoroutines waits briefly for the goroutine count to fall back to
+// base: a worker that returned may still be unwinding.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestParallelWorkersExit checks that no pool worker outlives Run or
+// RunFor on any exit path: halt, cycle limit, fixed horizon, node fault
+// and watchdog abort. A node hook counts the goroutines during the run,
+// so each case also proves the pool was running.
+func TestParallelWorkersExit(t *testing.T) {
+	withProcs(t, 4)
+	bad := `
+	set 0x70000000, %o1
+	ldx [%o1], %g1
+	halt
+`
+	for _, tc := range []struct {
+		name    string
+		build   func(t *testing.T) *Cluster
+		run     func(c *Cluster) error
+		wantErr string
+	}{
+		{"halt", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+			func(c *Cluster) error { return c.Run(2_000_000, true) }, ""},
+		{"cycle-limit", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+			func(c *Cluster) error { return c.Run(500, true) }, "cycle limit"},
+		{"horizon", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+			func(c *Cluster) error { return c.RunFor(500, true) }, ""},
+		{"node-fault", func(t *testing.T) *Cluster {
+			c := churnRing(t, 3)
+			if _, err := c.Node(1).M.LoadSource("bad.s", bad); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, func(c *Cluster) error { return c.Run(2_000_000, true) }, "node n1"},
+		{"watchdog", func(t *testing.T) *Cluster {
+			c := wedgedPair(t)
+			if err := c.SetWatchdog(2000, false); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, func(c *Cluster) error { return c.Run(1_000_000, true) }, "watchdog"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build(t)
+			base := runtime.NumGoroutine()
+			peak := 0
+			c.SetNodeHook(c.NumNodes()-1, func(uint64) bool {
+				peak = max(peak, runtime.NumGoroutine())
+				return false
+			})
+			err := tc.run(c)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("got error %v, want one containing %q", err, tc.wantErr)
+			}
+			if peak <= base {
+				t.Errorf("saw %d goroutines during the run, %d before it: no pool worker ran", peak, base)
+			}
+			if n := settleGoroutines(base); n > base {
+				t.Errorf("%d goroutines after the run, %d before it", n, base)
+			}
+		})
+	}
+}

@@ -29,7 +29,7 @@ func wireFaultMix() fault.Config {
 
 // nicStoreWord writes one little-endian word through a node's NIC write
 // path — the host-side injection primitive the fault tests' hooks use.
-// Hooks run on the node's own goroutine and may touch only the node.
+// Hooks run inside the node's window and may touch only the node.
 func nicStoreWord(n *Node, pa, v uint64) {
 	var b [8]byte
 	for i := range b {
@@ -132,7 +132,7 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 }
 
 // TestParallelMatchesSequentialWithWireFaults is the PR's acceptance
-// check: with every wire fault class firing, the goroutine-per-node
+// check: with every wire fault class firing, the parallel
 // engine must still produce byte-identical trace dumps, machine stats
 // and counter snapshots to the inline sequential reference — the fault
 // draws happen at the routing barrier in the global routing order, so

@@ -76,7 +76,7 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeDeterministic: two identical parallel serving runs produce
 // identical stats and identical registry snapshots (loadgen hooks run on
-// node goroutines — this is the determinism guard for the traffic model).
+// pool threads — this is the determinism guard for the traffic model).
 func TestServeDeterministic(t *testing.T) {
 	run := func() (Stats, []byte) {
 		c, g := serveCluster(t, bench.SendPIO, Config{MeanGap: 900, Dist: DistBursty, Seed: 42, Words: 8})

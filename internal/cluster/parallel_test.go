@@ -110,6 +110,12 @@ func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 			t.Errorf("node %s received sum %d, want %d", n.Name(), got, want)
 		}
 	}
+	return snapshotOf(t, c)
+}
+
+// snapshotOf renders c's observable outputs for byte-wise comparison.
+func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
+	t.Helper()
 	var (
 		snap ringSnapshot
 		err  error
@@ -134,7 +140,7 @@ func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 }
 
 // TestParallelMatchesSequential is the determinism guard (the PR's
-// acceptance check): the goroutine-per-node engine must produce
+// acceptance check): the parallel engine must produce
 // byte-identical trace dumps, machine stats and counter snapshots to the
 // inline sequential reference, and repeated parallel runs must be
 // byte-identical to each other.

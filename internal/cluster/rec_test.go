@@ -73,7 +73,7 @@ func runRecordedRing(t *testing.T, run func(*Cluster) error) ([]byte, *rec.Recor
 }
 
 // TestRecordingParallelMatchesSequential is this PR's acceptance check:
-// under the full wire-fault mix, the goroutine-per-node engine must
+// under the full wire-fault mix, the parallel engine must
 // produce a byte-identical recording file — header, every window frame,
 // every cycle-stamped event — to the inline sequential reference, and
 // to a second parallel run. Windowed rollups read registries only at

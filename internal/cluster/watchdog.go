@@ -133,7 +133,7 @@ func (c *Cluster) markDown(i int) {
 // injector's accounting, the fabric's drop counters, the degraded-node
 // set, and every node's single-machine diagnostic dump (stats report,
 // CPI stack, pipeline and buffer state). Read it at barriers or after a
-// run, when the node goroutines are parked.
+// run, when no node window is running.
 //
 //csb:barrier reads every node's machine state between windows
 func (c *Cluster) DiagnosticDump() string {

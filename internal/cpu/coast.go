@@ -26,12 +26,13 @@ const (
 )
 
 // coastPlan is the charge of one coasted cycle: its CPI bucket, a fetch
-// stall while fetch is blocked, the head's refusal counter, and the head
-// whose retire-phase countdown (a CSB flush's latency, a cached swap's
-// hit latency) advances.
+// stall while fetch is blocked, an asleep cycle unless the core halted,
+// the head's refusal counter, and the head whose retire-phase countdown
+// (a CSB flush's latency, a cached swap's hit latency) advances.
 type coastPlan struct {
 	cause      obs.StallCause
 	fetchStall uint64
+	asleep     uint64
 	refusal    refusal
 	countdown  *uop
 }
@@ -45,18 +46,25 @@ func (c *CPU) Asleep() bool { return c.asleep }
 // coasted (an effort count, kept out of Stats).
 func (c *CPU) AsleepCycles() uint64 { return c.asleepCycles }
 
-// QuietCycles returns how many of the following cycles an asleep core's
-// Tick would repeat exactly, charging the same counters, provided the
-// uncached buffer, the CSB and the cache hierarchy do not change: the
-// head's retire step is refused by a full uncached buffer, a busy CSB or
-// a barrier still waiting for the buffers, waits for its uncached load,
-// or counts down a latency that ends after the returned cycles. It
-// returns 0 when the core is awake, has an interrupt or kernel stall
-// pending, or its next step may make progress, and records the charge
-// Coast applies.
+// QuietCycles returns how many of the following cycles an asleep or
+// halted core's Tick would repeat exactly, charging the same counters,
+// provided the uncached buffer, the CSB and the cache hierarchy do not
+// change: the head's retire step is refused by a full uncached buffer, a
+// busy CSB or a barrier still waiting for the buffers, waits for its
+// uncached load, or counts down a latency that ends after the returned
+// cycles. A halted
+// core repeats its halted cycle until Reset or RestoreState, so it has
+// no bound of its own. It returns 0 when the core is awake, has an
+// interrupt or kernel stall pending, or its next step may make progress,
+// and records the charge Coast applies.
 //
 //csb:hotpath
 func (c *CPU) QuietCycles() uint64 {
+	p := &c.coast
+	if c.halted {
+		*p = coastPlan{cause: obs.CauseHalted}
+		return ^uint64(0)
+	}
 	if !c.asleep || c.pendingIntr != 0 || c.stallCycles != 0 {
 		return 0
 	}
@@ -64,7 +72,6 @@ func (c *CPU) QuietCycles() uint64 {
 	if u.isMem && (!u.addrReady || !u.dataSrcReady() || u.faulted) {
 		return 0
 	}
-	p := &c.coast
 	p.refusal = refuseNone
 	p.countdown = nil
 	n := ^uint64(0)
@@ -118,6 +125,7 @@ func (c *CPU) QuietCycles() uint64 {
 		return 0
 	}
 	p.cause = c.classifyRetireExec(u)
+	p.asleep = 1
 	p.fetchStall = 0
 	if c.fetchBlocked {
 		p.fetchStall = 1
@@ -125,9 +133,10 @@ func (c *CPU) QuietCycles() uint64 {
 	return n
 }
 
-// Coast charges one cycle of an asleep core exactly as Tick would, within
-// the cycles QuietCycles allowed: the cycle, its CPI bucket, the fetch
-// stall, the refused step's counter and the head's countdown.
+// Coast charges one cycle of an asleep or halted core exactly as Tick
+// would, within the cycles QuietCycles allowed: the cycle, its CPI
+// bucket, the fetch stall, the asleep cycle, the refused step's counter
+// and the head's countdown.
 //
 //csb:hotpath
 func (c *CPU) Coast() {
@@ -135,7 +144,7 @@ func (c *CPU) Coast() {
 	c.stats.Cycles++
 	c.stats.CPI.Add(p.cause)
 	c.stats.FetchStalls += p.fetchStall
-	c.asleepCycles++
+	c.asleepCycles += p.asleep
 	switch p.refusal {
 	case refuseUB:
 		c.ub.CountStallFull()

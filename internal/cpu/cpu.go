@@ -79,6 +79,13 @@ type CPU struct {
 
 	stallCycles int // context-switch cost injected by the kernel
 
+	// ucLoads holds the uops whose uncached reads are queued or in flight
+	// in the uncached buffer, oldest first: the buffer completes its loads
+	// in queue order, so loadDone, bound once at New, pops the front. A
+	// flushed uop stays here, pinned and dead, until its read completes.
+	ucLoads  []*uop
+	loadDone func([]byte)
+
 	// asleep marks a core stalled at retire (see retireBound): until the
 	// ROB head's retire step makes progress, Tick runs only that step.
 	// asleepCycles counts the cycles that began asleep, ticked or
@@ -172,6 +179,7 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 	}
 	c.rob = c.robBack
 	c.fetchQ = c.fqBack
+	c.loadDone = c.uncachedLoadDone
 	return c, nil
 }
 

@@ -337,25 +337,43 @@ func (c *CPU) retireConditionalFlush(u *uop) int {
 	}
 }
 
+// addUncachedLoad queues u's uncached read of size bytes and moves it to
+// retire phase 1, waiting for the data; a refused read stays in phase 0
+// to retry.
+//
+//csb:hotpath
+func (c *CPU) addUncachedLoad(u *uop, size int) {
+	if !c.ub.AddLoad(u.pa, size, c.loadDone) {
+		return
+	}
+	u.pins++
+	c.ucLoads = append(c.ucLoads, u) //csb:pool — pin-counted (u.pins) until its read completes
+	u.retPhase = 1
+}
+
+// uncachedLoadDone completes the oldest queued uncached read: a live uop
+// takes the data and moves to its last retire phase; a flushed one is
+// just unpinned.
+//
+//csb:hotpath
+func (c *CPU) uncachedLoadDone(data []byte) {
+	u := c.ucLoads[0]
+	n := copy(c.ucLoads, c.ucLoads[1:])
+	c.ucLoads[n] = nil
+	c.ucLoads = c.ucLoads[:n]
+	u.pins--
+	if !u.dead {
+		u.result = leUint(data)
+		u.retPhase = 2
+	}
+}
+
 // retireSwapUncached implements swap to plain uncached space as a blocking
 // bus read followed by a bus write, both strongly ordered.
 func (c *CPU) retireSwapUncached(u *uop) int {
 	switch u.retPhase {
 	case 0:
-		u.pins++
-		//csb:pool — the load callback's capture of u is pin-counted (u.pins).
-		ok := c.ub.AddLoad(u.pa, 8, func(data []byte) {
-			u.pins--
-			if !u.dead {
-				u.result = leUint(data)
-				u.retPhase = 2
-			}
-		})
-		if !ok {
-			u.pins--
-			return rexStall
-		}
-		u.retPhase = 1
+		c.addUncachedLoad(u, 8)
 		return rexStall
 	case 1:
 		return rexStall // waiting for the read
@@ -372,21 +390,7 @@ func (c *CPU) retireSwapUncached(u *uop) int {
 func (c *CPU) retireUncachedLoad(u *uop) int {
 	switch u.retPhase {
 	case 0:
-		size := u.inst.Op.MemBytes()
-		u.pins++
-		//csb:pool — the load callback's capture of u is pin-counted (u.pins).
-		ok := c.ub.AddLoad(u.pa, size, func(data []byte) {
-			u.pins--
-			if !u.dead {
-				u.result = leUint(data)
-				u.retPhase = 2
-			}
-		})
-		if !ok {
-			u.pins--
-			return rexStall
-		}
-		u.retPhase = 1
+		c.addUncachedLoad(u, u.inst.Op.MemBytes())
 		return rexStall
 	case 1:
 		return rexStall

@@ -151,7 +151,10 @@ type NIC struct {
 
 	lastCycle uint64 // most recent bus cycle seen in TickBus (or SkipTo)
 	packets   []Packet
-	dropped   uint64
+	// slab is the unused tail of the chunk sent packets' Data is cut
+	// from, so a send allocates once per packetSlab bytes, not per packet.
+	slab    []byte
+	dropped uint64
 
 	// txDest is the destination node index latched from RegTxDest and
 	// stamped onto every descriptor at push time (-1 = default route).
@@ -523,7 +526,7 @@ func (n *NIC) TickBus(b *bus.Bus) {
 	// Transmit path.
 	if n.sending {
 		if b.Cycle() >= n.sendDone {
-			data := make([]byte, n.cur.length)
+			data := n.packetData(n.cur.length)
 			copy(data, n.packetBuf[n.cur.offset:])
 			n.packets = append(n.packets, Packet{
 				Data:     data,
@@ -547,13 +550,29 @@ func (n *NIC) TickBus(b *bus.Bus) {
 	}
 	if len(n.fifo) > 0 {
 		n.cur = n.fifo[0]
-		n.fifo = n.fifo[1:]
+		// Shift down rather than reslice, so pushes reuse the backing.
+		n.fifo = n.fifo[:copy(n.fifo, n.fifo[1:])]
 		n.sending = true
 		n.sendDone = b.Cycle() + uint64(n.cfg.WireCyclesPerByte*n.cur.length)
 		if n.txStarted != nil && n.cur.jid != 0 {
 			n.txStarted(n.cur.jid)
 		}
 	}
+}
+
+// packetSlab is the chunk size sent packets' Data is cut from.
+const packetSlab = 4096
+
+// packetData returns a length-byte buffer for a sent packet's Data, cut
+// from the current slab with its capacity capped, so no two packets
+// share writable bytes.
+func (n *NIC) packetData(length int) []byte {
+	if len(n.slab) < length {
+		n.slab = make([]byte, max(packetSlab, length))
+	}
+	data := n.slab[:length:length]
+	n.slab = n.slab[length:]
+	return data
 }
 
 // Quiet reports whether TickBus would only note the bus cycle until an

@@ -200,6 +200,28 @@ func (k *timerKernel) step() {
 	}
 }
 
+// haltedNICStep drives a halted machine's NIC from the host, as a load
+// generator's node hook does on a halted cluster client: every 997
+// cycles it writes a two-word packet into the packet buffer and pushes
+// its descriptor, and every 1301 cycles it delivers an inbound word.
+// Each input lands while the machine coasts and must end the stretch.
+func haltedNICStep(m *Machine, nic *device.NIC) {
+	word := func(pa, v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		nic.WriteTarget(pa, b[:])
+	}
+	c := m.Cycle()
+	if c%997 == 500 {
+		word(nicBase+device.PacketBufBase, c)
+		word(nicBase+device.PacketBufBase+8, ^c)
+		word(nicBase+device.RegTxFIFO, 16<<48)
+	}
+	if c%1301 == 700 {
+		nic.DeliverWords(0, []uint64{c})
+	}
+}
+
 func lockstepCases(t *testing.T) []lockstepCase {
 	var cases []lockstepCase
 	seedCase := func(name string, seed int64, edit func(*Config)) lockstepCase {
@@ -240,6 +262,15 @@ func lockstepCases(t *testing.T) []lockstepCase {
 				m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
 			})
 		}},
+		lockstepCase{name: "halted_nic", cycles: 40_000, build: func(t *testing.T, tw *twin) {
+			tw.loadSource(t, DefaultConfig(), "\thalt\n", func(m *Machine) {
+				tw.nic = device.NewNIC(device.DefaultConfig(), nicBase)
+				if err := m.AddDevice(nicBase, device.RegionSize, "nic", tw.nic, tw.nic); err != nil {
+					t.Fatal(err)
+				}
+			})
+			tw.sched = func() { haltedNICStep(tw.m, tw.nic) }
+		}},
 		lockstepCase{name: "timer_kernel", build: func(t *testing.T, tw *twin) {
 			tw.loadSource(t, DefaultConfig(), exampleSource(t, "uncached_stores.s"),
 				func(m *Machine) { m.MapRange(0x4000_0000, 1<<16, mem.KindUncached) })
@@ -279,10 +310,11 @@ func lockstepCases(t *testing.T) []lockstepCase {
 // retire stream, hook log, metrics stream and NIC packets every 1000
 // cycles and at the end. Inputs: the differential seeds, both §4.3.1
 // streams at bus ratios 1, 2, 3, 5 and 6 and on a split bus with
-// turnaround and acknowledgement delay, the ring NIC guest, two
-// processes under a timer-driven scheduler, and a stream with a periodic
-// hook every 7 cycles and the metrics sampler. The uncached stream at the
-// paper's ratio must coast through most of its cycles.
+// turnaround and acknowledgement delay, the ring NIC guest, a halted
+// machine whose NIC the host writes and delivers to, two processes under
+// a timer-driven scheduler, and a stream with a periodic hook every 7
+// cycles and the metrics sampler. The uncached stream at the paper's
+// ratio and the halted machine must coast through most of their cycles.
 func TestCoastLockstep(t *testing.T) {
 	for _, c := range lockstepCases(t) {
 		a, b := newTwin(t, c), newTwin(t, c)
@@ -317,11 +349,16 @@ func TestCoastLockstep(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, a.m.CPU.Err())
 		}
 		e := a.m.Effort()
-		if e.FullTicks+e.CoastedCycles != a.m.Cycle() || e.CoastedCycles > e.AsleepCycles {
+		halted := a.m.CPU.Stats().CPI[obs.CauseHalted]
+		if e.FullTicks+e.CoastedCycles != a.m.Cycle() || e.CoastedCycles > e.AsleepCycles+halted {
 			t.Errorf("%s: effort %+v over %d cycles is inconsistent", c.name, e, a.m.Cycle())
 		}
-		if c.name == "uncached@ratio6" && 2*e.CoastedCycles <= a.m.Cycle() {
+		if (c.name == "uncached@ratio6" || c.name == "halted_nic") && 2*e.CoastedCycles <= a.m.Cycle() {
 			t.Errorf("%s: coasted %d of %d cycles, want more than half", c.name, e.CoastedCycles, a.m.Cycle())
+		}
+		if c.name == "halted_nic" && (len(a.nic.Packets()) == 0 || a.nic.RxPending() == 0) {
+			t.Errorf("%s: sent %d packets, %d words pending: the host inputs never landed",
+				c.name, len(a.nic.Packets()), a.nic.RxPending())
 		}
 		t.Logf("%s: %d cycles, %d coasted", c.name, a.m.Cycle(), e.CoastedCycles)
 	}

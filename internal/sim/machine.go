@@ -352,9 +352,9 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 // low-latency I/O path), then the uncached buffer, then cache miss
 // traffic, then DMA devices.
 //
-// A Tick that leaves the core asleep at retire computes a quiet horizon
-// (quietHorizon): the first cycle at which any agent can change without
-// outside input. Until then, Tick runs the O(1) coast step, which charges
+// A Tick that leaves the core asleep at retire, or halted, computes a
+// quiet horizon (quietHorizon): the first cycle at which any agent can
+// change without outside input. Until then, Tick runs the O(1) coast step, which charges
 // exactly what the skipped stages would have charged on that cycle, so
 // every counter, hook and Stats read stays exact cycle by cycle (after
 // gem5's O3 CPU, which deschedules an idle core and counts its idle
@@ -367,7 +367,7 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 //csb:worker ticked from the node's goroutine inside cluster lookahead windows
 func (m *Machine) Tick() {
 	if m.coastEnd != 0 {
-		if m.cycle < m.coastEnd && m.CPU.Asleep() {
+		if m.cycle < m.coastEnd && (m.CPU.Asleep() || m.CPU.Halted()) {
 			m.coast()
 			return
 		}
@@ -410,21 +410,21 @@ func (m *Machine) Tick() {
 			h.fn(m.cycle)
 		}
 	}
-	if m.CPU.Asleep() {
+	if m.CPU.Asleep() || m.CPU.Halted() {
 		m.coastEnd = m.quietHorizon()
 	}
 }
 
 // quietHorizon returns the cycle at which the next full Tick must run
-// for a machine whose core is asleep, or 0 when the next one must. The
-// stretch before it is quiet: the core's head repeats a refused or
-// counting retire step (cpu.CPU.QuietCycles), the uncached buffer's send
-// stage and the cache hierarchy are idle, the CSB and every device are
-// quiet, and the horizon stops before the bus tick that completes the
-// transaction in flight or, with the bus idle, first lets a waiting
-// buffer issue, and before the next periodic-hook firing. A
-// fault injector forbids coasting: its hooks draw from the PRNG on every
-// refused attempt.
+// for a machine whose core is asleep or halted, or 0 when the next one
+// must. The stretch before it is quiet: the core's head repeats a refused
+// or counting retire step, or the core stays halted
+// (cpu.CPU.QuietCycles), the uncached buffer's send stage and the cache
+// hierarchy are idle, the CSB and every device are quiet, and the
+// horizon stops before the bus tick that completes the transaction in
+// flight or, with the bus idle, first lets a waiting buffer issue, and
+// before the next periodic-hook firing. A fault injector forbids
+// coasting: its hooks draw from the PRNG on every refused attempt.
 //
 //csb:hotpath
 func (m *Machine) quietHorizon() uint64 {

@@ -137,6 +137,13 @@ type Buffer struct {
 
 	txnFree     []*bus.Txn // recycled store transactions
 	onStoreDone func(*bus.Txn)
+	// loadTxn is the one read transaction: a load issues only once every
+	// older transaction completed, so at most one is ever in flight, and
+	// loadDone is its requester's callback. The read's Data is the
+	// target's fresh result, so the Txn stays out of the store pool, whose
+	// payload buffers it would otherwise replace.
+	loadTxn  *bus.Txn
+	loadDone func([]byte)
 
 	// Journey tracing (AttachTracer), all optional. The send stage
 	// remembers the journey range of the entry it carries; jq matches
@@ -208,6 +215,14 @@ func New(cfg Config) (*Buffer, error) {
 		}
 		u.txnFree = append(u.txnFree, t) //csb:pool — Done handler returning t to the free list
 	}
+	u.loadTxn = &bus.Txn{Ordered: true, IO: true, Done: func(t *bus.Txn) {
+		u.inflight--
+		done := u.loadDone
+		u.loadDone = nil
+		if done != nil {
+			done(t.Data)
+		}
+	}}
 	return u, nil
 }
 
@@ -460,20 +475,12 @@ func (u *Buffer) TickBus(b *bus.Bus) {
 			if u.inflight > 0 {
 				return
 			}
-			//csb:alloc-ok — uncached loads block the CPU; one Txn per load is off the zero-alloc budget
-			txn := &bus.Txn{
-				Addr: head.loadAddr, Size: head.loadSize,
-				Ordered: true, IO: true,
-			}
-			done := head.done
-			//csb:alloc-ok — per-load completion closure, same budget exemption as the Txn above
-			txn.Done = func(t *bus.Txn) {
-				u.inflight--
-				if done != nil {
-					done(t.Data)
-				}
-			}
+			txn := u.loadTxn
+			txn.Addr, txn.Size, txn.Data = head.loadAddr, head.loadSize, nil
+			txn.Start, txn.End = 0, 0
 			if b.TryIssue(txn) {
+				u.loadDone = head.done
+				head.done = nil
 				u.popHead()
 				u.inflight++
 				u.stats.Transactions++
