@@ -127,9 +127,11 @@ cluster-trace:
 
 # Flight recorder end to end: record a faulted serving run with the
 # committed SLO spec riding along (live breaches land in the event log),
-# print the summary, re-verify the spec offline with `csbrec check`, and
-# export the counter-track Perfetto view. out/serve.rec is the replayable
-# artifact (`csbtop -replay out/serve.rec`); CI uploads out/.
+# print the summary, re-verify the spec offline with `csbrec check`,
+# export the counter-track Perfetto view, and render every window with
+# csbtop (the finished file has a footer, so it renders and exits).
+# out/serve.rec is the replayable artifact (`csbtop out/serve.rec`); CI
+# uploads out/.
 flight-recorder:
 	mkdir -p out
 	$(GO) run ./cmd/csbcluster -serve -nodes 4 -rate 0.33 -send csb -horizon 300000 \
@@ -138,6 +140,7 @@ flight-recorder:
 	$(GO) run ./cmd/csbrec summary out/serve.rec
 	$(GO) run ./cmd/csbrec check -slo @specs/serving.slo out/serve.rec
 	$(GO) run ./cmd/csbrec perfetto -o out/serve_rec_perfetto.json out/serve.rec
+	$(GO) run ./cmd/csbtop -plain out/serve.rec
 
 # Fault campaign: sweep injection seeds across the recovery guests and
 # assert every run converges to the fault-free architectural state, then

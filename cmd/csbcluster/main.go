@@ -29,8 +29,8 @@
 // rx_drain stamps aligned onto the shared cluster timeline, plus per-hop
 // latency histograms), -perfetto FILE writes the per-node-timeline Chrome
 // trace (flow arrows across the wire; load at ui.perfetto.dev), and
-// -telemetry ADDR serves live counter frames over HTTP/SSE for csbtop
-// while the cluster runs.
+// -record FILE writes the flight recording window by window while the
+// cluster runs (watch it live with csbtop FILE).
 //
 // Examples:
 //
@@ -55,7 +55,6 @@ import (
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/obs/telemetry"
 )
 
 type options struct {
@@ -86,14 +85,12 @@ type options struct {
 	retries    int
 	backoff    uint64
 
-	traceOut  string
-	perfetto  string
-	window    int
-	telemAddr string
-	telemEach uint64
-	record    string
-	recEvery  uint64
-	slo       string
+	traceOut string
+	perfetto string
+	window   int
+	record   string
+	recEvery uint64
+	slo      string
 
 	verbose bool
 	jsonOut bool
@@ -131,11 +128,9 @@ func main() {
 	flag.StringVar(&o.traceOut, "trace", "", "write the merged distributed-trace dump to FILE")
 	flag.StringVar(&o.perfetto, "perfetto", "", "write the per-node-timeline Chrome trace to FILE (load at ui.perfetto.dev)")
 	flag.IntVar(&o.window, "trace-window", 0, "count of recent wire spans retained in the dump (0 = default 4096)")
-	flag.StringVar(&o.telemAddr, "telemetry", "", "serve live cluster telemetry on ADDR (/snapshot, /stream; watch with csbtop)")
-	flag.Uint64Var(&o.telemEach, "telemetry-every", 10_000, "telemetry frame interval in cluster cycles")
-	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, replay with csbtop -replay)")
+	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
 	flag.Uint64Var(&o.recEvery, "record-every", 10_000, "recording window in cluster cycles")
-	flag.StringVar(&o.slo, "slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log and telemetry alerts")
+	flag.StringVar(&o.slo, "slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 
 	flag.BoolVar(&o.verbose, "v", false, "print the wire-hop histograms")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the run summary as JSON")
@@ -193,9 +188,7 @@ func run(o *options, args []string) error {
 		return err
 	}
 
-	// Telemetry implies tracing: csbtop's latency panel reads the ctrace
-	// histograms out of the cluster frames.
-	traced := o.traceOut != "" || o.perfetto != "" || o.verbose || o.jsonOut || o.telemAddr != ""
+	traced := o.traceOut != "" || o.perfetto != "" || o.verbose || o.jsonOut
 	if traced {
 		tcfg := ctrace.DefaultConfig()
 		if o.window > 0 {
@@ -205,23 +198,9 @@ func run(o *options, args []string) error {
 			return err
 		}
 	}
-	if o.telemAddr != "" {
-		streamer := telemetry.New()
-		if err := c.AttachTelemetry(streamer, o.telemEach); err != nil {
-			return err
-		}
-		addr, stopTelem, err := streamer.Serve(o.telemAddr)
-		if err != nil {
-			return err
-		}
-		defer stopTelem()
-		fmt.Fprintf(os.Stderr, "csbcluster: telemetry on http://%s (snapshot: /snapshot, live: /stream)\n", addr)
-	}
-
 	// Flight recorder: -record persists windows to disk, -slo alone still
-	// evaluates live (ring-only) and feeds telemetry alerts. Series tables
-	// seal at run start, so attaching before the workloads register their
-	// counters is fine.
+	// evaluates live (ring-only). Series tables seal at run start, so
+	// attaching before the workloads register their counters is fine.
 	if o.record != "" || o.slo != "" {
 		r, err := rec.New(rec.Config{Every: o.recEvery})
 		if err != nil {

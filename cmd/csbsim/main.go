@@ -22,9 +22,9 @@
 // system (per-hop cycle stamps, per-layer latency histograms) and writes
 // a dump queryable with csbtrace; with -perfetto the journeys also land
 // in the trace as a "memory system" track with flow arrows. -counters
-// attaches the unified per-layer counter registry on its own. -telemetry
-// ADDR serves live counter snapshots over HTTP while the run is going
-// (/snapshot for the latest frame, /stream for SSE; watch with csbtop).
+// attaches the unified per-layer counter registry on its own. -record
+// FILE writes a flight recording, window by window as the run goes
+// (watch it live with csbtop FILE).
 //
 // Robustness flags: -faults attaches a deterministic fault injector
 // ("default", or a key=value list such as "busnack=64,seed=3"),
@@ -49,7 +49,6 @@ import (
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/obs/telemetry"
 	"csbsim/internal/sim"
 	"csbsim/internal/trace"
 )
@@ -77,12 +76,9 @@ func main() {
 		journeyWindow = flag.Int("journey-window", 0, "per-kind count of recent journeys retained in the dump (0 = default 4096)")
 		countersOn    = flag.Bool("counters", false, "attach the unified counter registry (implied by -journeys); counters land in -v and -json output")
 
-		telemAddr = flag.String("telemetry", "", "serve live counter telemetry on ADDR (e.g. 127.0.0.1:8077); /snapshot for the latest frame, /stream for SSE — watch with csbtop")
-		telemEach = flag.Uint64("telemetry-every", 10_000, "telemetry frame interval in CPU cycles")
-
-		record  = flag.String("record", "", "write a flight-recorder recording to FILE (inspect with csbrec, replay with csbtop -replay)")
+		record  = flag.String("record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
 		recEach = flag.Uint64("record-every", 10_000, "recording window in CPU cycles")
-		sloSpec = flag.String("slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log and telemetry alerts")
+		sloSpec = flag.String("slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 
 		perfetto    = flag.String("perfetto", "", "write a Chrome trace-event JSON file (load at ui.perfetto.dev)")
 		metrics     = flag.String("metrics", "", "write periodic machine metrics to FILE (JSONL, or CSV with a .csv extension)")
@@ -164,10 +160,10 @@ func main() {
 	} else if *journeyWindow > 0 {
 		fatal(fmt.Errorf("-journey-window needs -journeys"))
 	}
-	// The flight recorder rides the generic periodic hook next to
-	// telemetry: one rollup window per -record-every cycles, flushed with
-	// a footer after the run (even an aborted one). -slo without -record
-	// still evaluates live, ring-only.
+	// The flight recorder rides the generic periodic hook: one rollup
+	// window per -record-every cycles, flushed with a footer after the run
+	// (even an aborted one). -slo without -record still evaluates live,
+	// ring-only.
 	var recorder *rec.Recorder
 	var recFile *os.File
 	if *record != "" || *sloSpec != "" {
@@ -210,24 +206,6 @@ func main() {
 			fatal(err)
 		}
 		recorder = r
-	}
-	if *telemAddr != "" {
-		streamer := telemetry.New()
-		if err := streamer.AddNode("machine", m.AttachCounters()); err != nil {
-			fatal(err)
-		}
-		if recorder != nil {
-			streamer.SetAlerts(recorder.ActiveAlerts)
-		}
-		if err := m.AttachPeriodic(*telemEach, streamer.Publish); err != nil {
-			fatal(err)
-		}
-		addr, stopTelem, err := streamer.Serve(*telemAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer stopTelem()
-		fmt.Fprintf(os.Stderr, "csbsim: telemetry on http://%s (snapshot: /snapshot, live: /stream)\n", addr)
 	}
 
 	file := flag.Arg(0)
@@ -279,7 +257,7 @@ func main() {
 		}
 	}
 	// One last firing of every periodic hook emits the final partial
-	// windows (metrics, telemetry, recording); a no-op after an abort
+	// windows (metrics, recording); a no-op after an abort
 	// that Run already flushed.
 	m.FlushObs()
 	if metricsFile != nil {

@@ -1,0 +1,164 @@
+package main
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
+)
+
+// sampleRecording writes a cluster-shaped recording: two nodes whose NICs
+// send k² packets by the end of window k, and a cluster source with one
+// load-generator client. It returns the whole file and the offset of its
+// footer frame.
+func sampleRecording(t *testing.T) ([]byte, int) {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k uint64
+	for i, node := range []string{"n0", "n1"} {
+		reg := counters.NewRegistry()
+		scale := uint64(i + 1)
+		reg.Counter("dev0/packets_sent", func() uint64 { return scale * k * k })
+		reg.Counter("dev0/rx_pending", func() uint64 { return k % 3 })
+		reg.Counter("cluster/rx_highwater", func() uint64 { return 2 * k })
+		if err := r.AddSource(node, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	creg := counters.NewRegistry()
+	creg.Counter("loadgen/n1/issued", func() uint64 { return 4 * k })
+	lat := creg.Histogram("loadgen/n1/latency")
+	if err := r.AddSource("cluster", creg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.SetWriter(&buf)
+	r.Start(0)
+	for k = 1; k <= 4; k++ {
+		lat.Record(100 * k)
+		r.Roll(100 * k)
+	}
+	footer := buf.Len()
+	r.Flush(400)
+	return buf.Bytes(), footer
+}
+
+// fastPoll makes followers re-read appended frames every millisecond.
+func fastPoll(t *testing.T) {
+	old := pollEvery
+	pollEvery = time.Millisecond
+	t.Cleanup(func() { pollEvery = old })
+}
+
+func writeFile(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.rec")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestAtShowsWindowDelta: -at renders one window with its own counter
+// deltas, not zeros.
+func TestAtShowsWindowDelta(t *testing.T) {
+	data, _ := sampleRecording(t)
+	path := writeFile(t, data)
+	var out bytes.Buffer
+	if err := follow(&out, path, view{atSet: true, at: 250}); err != nil {
+		t.Fatal(err)
+	}
+	// Window 3 covers (200,300]: n0 has sent 9 packets, 5 of them in it;
+	// n1 twice that.
+	for _, want := range []string{"window 3  cycles 200..300", "n0                    9        5", "n1                   18       10"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-at output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "csbtop — "); n != 1 {
+		t.Errorf("-at rendered %d windows, want 1", n)
+	}
+}
+
+// TestFollowChunkedMatchesFinished: following a recording while a writer
+// appends it in arbitrary chunks renders exactly what the finished file
+// does.
+func TestFollowChunkedMatchesFinished(t *testing.T) {
+	fastPoll(t)
+	data, _ := sampleRecording(t)
+	var want bytes.Buffer
+	finished := writeFile(t, data)
+	if err := follow(&want, finished, view{plain: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(want.String(), "csbtop — "); n != 4 {
+		t.Fatalf("finished file rendered %d windows, want 4", n)
+	}
+
+	path := writeFile(t, nil)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		for rest := data; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(97))
+			f.Write(rest[:n])
+			rest = rest[n:]
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	var got bytes.Buffer
+	if err := follow(&got, path, view{plain: true}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.ReplaceAll(got.String(), path, "run.rec") != strings.ReplaceAll(want.String(), finished, "run.rec") {
+		t.Errorf("followed render differs from the finished file's:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
+// TestFollowStopsAtFooter: a recording without a footer is followed
+// until the footer arrives, and not a moment longer.
+func TestFollowStopsAtFooter(t *testing.T) {
+	fastPoll(t)
+	data, footer := sampleRecording(t)
+	path := writeFile(t, data[:footer])
+	done := make(chan error, 1)
+	var out bytes.Buffer
+	go func() { done <- follow(&out, path, view{plain: true}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("follow returned before the footer: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(data[footer:]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follow did not stop at the footer")
+	}
+	if n := strings.Count(out.String(), "csbtop — "); n != 4 {
+		t.Errorf("rendered %d windows, want 4", n)
+	}
+}

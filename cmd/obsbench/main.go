@@ -6,7 +6,7 @@
 // BENCH_observability.json for a recorded baseline).
 //
 // Cluster workloads additionally run with the PR 6 cross-node layer
-// (distributed wire tracing + live telemetry publishing) attached, and
+// (per-node journeys + distributed wire tracing) attached, and
 // once more with the flight recorder + SLO engine rolling windows on top
 // of that stack. -gate FILE re-reads a recorded report and fails if the
 // cluster-trace or recorder overhead regressed past
@@ -35,7 +35,6 @@ import (
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/obs/telemetry"
 	"csbsim/internal/sim"
 )
 
@@ -68,7 +67,7 @@ const (
 	modeOff          mode = iota // no hooks
 	modeHooks                    // Perfetto exporter + metrics sampler
 	modeJourneys                 // journey tracer + unified counter registry
-	modeClusterTrace             // distributed wire tracing + telemetry publishing (cluster workloads only)
+	modeClusterTrace             // per-node journeys + distributed wire tracing (cluster workloads only)
 	modeRecorder                 // cluster trace + flight recorder with an SLO attached (cluster workloads only)
 )
 
@@ -113,7 +112,7 @@ func main() {
 	}
 
 	rep := report{
-		Description: "observability overhead: example workloads with hooks off vs Perfetto+metrics attached vs journey tracer+counter registry attached; cluster workloads also run with distributed wire tracing+telemetry attached, and again with the flight recorder + SLO engine on top",
+		Description: "observability overhead: example workloads with hooks off vs Perfetto+metrics attached vs journey tracer+counter registry attached; cluster workloads also run with distributed wire tracing attached, and again with the flight recorder + SLO engine on top",
 		Reps:        *reps,
 	}
 	for _, w := range workloads {
@@ -265,13 +264,8 @@ func runPingPong(md mode) (uint64, uint64, time.Duration, error) {
 		attach(n.M, md)
 	}
 	if md == modeClusterTrace || md == modeRecorder {
-		// The full PR 6 stack: per-node journeys + wire spans + live
-		// telemetry frames (published, not served — the publish path is
-		// the per-tick cost).
+		// The full PR 6 stack: per-node journeys + wire spans.
 		if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := c.AttachTelemetry(telemetry.New(), 10_000); err != nil {
 			return 0, 0, 0, err
 		}
 	}

@@ -39,7 +39,6 @@ var Packages = []string{
 	"csbsim/internal/obs/counters",
 	"csbsim/internal/obs/journey",
 	"csbsim/internal/obs/rec",
-	"csbsim/internal/obs/telemetry",
 	"csbsim/internal/cluster",
 	// Covered by the prefix rule above, but listed explicitly: the load
 	// generator drives the serving experiments and must replay exactly

@@ -15,10 +15,10 @@
 // held to the same rules without their own annotation. A propagated or
 // annotated worker function must not
 //
-//   - call a //csb:barrier function (routing, trace drains, telemetry
-//     publishing, future Snapshot/Restore), and
+//   - call a //csb:barrier function (routing, trace drains, recorder
+//     rolls, future Snapshot/Restore), and
 //   - mention a value of a cross-node shared type: cluster.Cluster,
-//     ctrace.Tracer, telemetry.Streamer, counters.Registry. Per-node
+//     ctrace.Tracer, counters.Registry, rec.Recorder. Per-node
 //     state (sim.Machine, device.NIC, cluster.Node) is the sanctioned
 //     set and stays unrestricted.
 //
@@ -46,11 +46,10 @@ var Analyzer = &analysis.Analyzer{
 // (sim.Machine, device.NIC, cluster.Node) is deliberately absent: a
 // worker owns its node outright during a window.
 var sharedTypes = map[string]string{
-	"csbsim/internal/cluster.Cluster":        "cross-node cluster state (other nodes' machines, links, inboxes)",
-	"csbsim/internal/cluster/ctrace.Tracer":  "the shared wire tracer",
-	"csbsim/internal/obs/telemetry.Streamer": "the telemetry sink",
-	"csbsim/internal/obs/counters.Registry":  "a counter registry read at barriers",
-	"csbsim/internal/obs/rec.Recorder":       "the flight recorder (reads every node's registries)",
+	"csbsim/internal/cluster.Cluster":       "cross-node cluster state (other nodes' machines, links, inboxes)",
+	"csbsim/internal/cluster/ctrace.Tracer": "the shared wire tracer",
+	"csbsim/internal/obs/counters.Registry": "a counter registry read at barriers",
+	"csbsim/internal/obs/rec.Recorder":      "the flight recorder (reads every node's registries)",
 }
 
 // barrierAPIs lists barrier-only entry points on otherwise-sanctioned
@@ -60,7 +59,6 @@ var sharedTypes = map[string]string{
 // at the declarations.
 var barrierAPIs = map[string]bool{
 	"csbsim/internal/sim.Machine.FlushObs":                 true,
-	"csbsim/internal/obs/telemetry.Streamer.Publish":       true,
 	"csbsim/internal/cluster/ctrace.Tracer.SetAlign":       true,
 	"csbsim/internal/cluster/ctrace.Tracer.PacketDeparted": true,
 	"csbsim/internal/cluster/ctrace.Tracer.PacketArrived":  true,

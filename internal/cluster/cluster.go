@@ -25,10 +25,11 @@
 // cycle domain, merged by internal/cluster/ctrace into end-to-end
 // send→receive journeys. AttachCounters registers the cluster-level wire
 // counters in every node's registry (so they surface in reports and
-// watchdog dumps), and AttachTelemetry publishes live frames for the
-// csbtop dashboard on a sim-cycle cadence. All tracer mutations funnel
-// through per-node event logs replayed single-threaded (see engine.go),
-// so the parallel schedule stays byte-identical to the inline one.
+// watchdog dumps), and AttachRecorder rolls every registry into a flight
+// recording on a sim-cycle cadence — the stream the csbtop dashboard
+// follows. All tracer mutations funnel through per-node event logs
+// replayed single-threaded (see engine.go), so the parallel schedule
+// stays byte-identical to the inline one.
 package cluster
 
 import (
@@ -42,7 +43,6 @@ import (
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/obs/telemetry"
 	"csbsim/internal/sim"
 )
 
@@ -208,9 +208,6 @@ type Cluster struct {
 	tracer     *ctrace.Tracer
 	reg        *counters.Registry // cluster-level registry (ctrace hists, wire counters)
 	countersOn bool
-	telem      *telemetry.Streamer
-	telemEvery uint64
-	lastPub    uint64
 	rec        *rec.Recorder
 	recEvery   uint64
 	lastRoll   uint64
@@ -283,7 +280,7 @@ func (n *Node) hookActive() bool { return n.hook != nil && !n.hookDone }
 // registers the fabric counters — packets in flight, wire occupancy,
 // routing/link drops, and each node's RX-queue high-water mark — in every
 // node's PR 5 registry (so they surface in per-node reports and watchdog
-// dumps) as well as the cluster registry (the telemetry "cluster" node).
+// dumps) as well as the cluster registry (the recording's "cluster" source).
 func (c *Cluster) AttachCounters() *counters.Registry {
 	if c.countersOn {
 		return c.reg
@@ -416,38 +413,12 @@ func (c *Cluster) AttachTrace(jcfg journey.Config, tcfg ctrace.Config) (*ctrace.
 // Trace returns the attached wire tracer, or nil.
 func (c *Cluster) Trace() *ctrace.Tracer { return c.tracer }
 
-// AttachTelemetry registers every node plus the cluster registry with the
-// streamer and publishes one frame every `every` cluster cycles while the
-// cluster runs (at the first barrier past each interval). Attach before
-// running; serve the streamer separately (telemetry.Streamer.Serve).
-func (c *Cluster) AttachTelemetry(s *telemetry.Streamer, every uint64) error {
-	if every == 0 {
-		return fmt.Errorf("cluster: telemetry interval must be positive")
-	}
-	if c.telem != nil {
-		return fmt.Errorf("cluster: telemetry already attached")
-	}
-	c.AttachCounters()
-	for _, n := range c.nodes {
-		if err := s.AddNode(n.name, n.M.Counters()); err != nil {
-			return err
-		}
-	}
-	if err := s.AddNode("cluster", c.reg); err != nil {
-		return err
-	}
-	c.telem = s
-	c.telemEvery = every
-	return nil
-}
-
 // AttachRecorder attaches a flight recorder: every node's registry plus
 // the cluster registry become recorder sources, and the cluster rolls a
 // window every recorder-cadence cycles at the single-threaded barrier
 // (so recordings of parallel runs are byte-identical to sequential
 // ones). Cluster events — watchdog fires, node-down transitions, wire
-// outage windows — land in the recording's event log, and active SLO
-// alerts surface in telemetry frames when a streamer is also attached.
+// outage windows — land in the recording's event log.
 // Attach before running, after any loadgen/workload registration that
 // creates counters.
 func (c *Cluster) AttachRecorder(r *rec.Recorder) error {
@@ -473,8 +444,7 @@ func (c *Cluster) Recorder() *rec.Recorder { return c.rec }
 
 // startObs seals the recorder's series tables at run start (all counter
 // registration has happened by then — sources register lazily right up
-// to the first window) and wires active SLO alerts into telemetry
-// frames. Idempotent; called at the top of every run.
+// to the first window). Idempotent; called at the top of every run.
 //
 //csb:barrier reads every source registry; no node window is running
 func (c *Cluster) startObs() {
@@ -483,14 +453,10 @@ func (c *Cluster) startObs() {
 	}
 	c.rec.Start(c.cycle)
 	c.lastRoll = c.cycle
-	if c.telem != nil {
-		c.telem.SetAlerts(c.rec.ActiveAlerts)
-	}
 }
 
-// maybeRoll closes a recorder window once per cadence interval. Runs
-// before maybePublish so a frame published at the same barrier already
-// reflects this window's SLO state.
+// maybeRoll closes a recorder window once per cadence interval: the
+// barrier's only observation cadence.
 //
 //csb:barrier reads every source registry; no node window is running
 func (c *Cluster) maybeRoll() {
@@ -513,9 +479,9 @@ func (c *Cluster) recEvent(cycle uint64, kind, node string, value float64) {
 
 // flushObs drains buffered observability state on any Run exit — every
 // node's partial metrics windows, the deferred trace logs, the
-// recorder's final partial window plus footer, and one final telemetry
-// frame — so a wedged or faulted node still yields a partial dump,
-// mirroring the single-node flushObs abort behavior.
+// recorder's final partial window plus footer — so a wedged or faulted
+// node still yields a partial dump, mirroring the single-node flushObs
+// abort behavior.
 //
 //csb:barrier drains every node's deferred state; no node window is running
 func (c *Cluster) flushObs() {
@@ -525,9 +491,6 @@ func (c *Cluster) flushObs() {
 	}
 	if c.rec != nil {
 		c.rec.Flush(c.cycle)
-	}
-	if c.telem != nil {
-		c.telem.Publish(c.cycle)
 	}
 }
 
@@ -850,16 +813,6 @@ func (c *Cluster) compactInboxes() {
 			n.arrPos -= n.enqPos
 			n.enqPos = 0
 		}
-	}
-}
-
-// maybePublish emits a telemetry frame once per cadence interval.
-//
-//csb:barrier publishes to the shared telemetry streamer
-func (c *Cluster) maybePublish() {
-	if c.telem != nil && c.cycle-c.lastPub >= c.telemEvery {
-		c.lastPub = c.cycle
-		c.telem.Publish(c.cycle)
 	}
 }
 

@@ -108,7 +108,7 @@ type Tracer struct {
 }
 
 // New creates a tracer. Histograms and run counters are created in reg so
-// they render uniformly in reports and telemetry frames; reg may be nil
+// they render uniformly in reports and recordings; reg may be nil
 // for standalone use.
 func New(cfg Config, reg *counters.Registry) (*Tracer, error) {
 	if cfg.Window == 0 {

@@ -7,8 +7,8 @@
 // delivered to its inbox. A zero-latency link makes W one cycle, and the
 // barrier itself delivers what arrives in the cycle it was pumped.
 // Between windows a single-threaded barrier routes the window's
-// departures, replays the deferred tracer logs in node order, and
-// publishes telemetry.
+// departures, replays the deferred tracer logs in node order, and rolls
+// the flight recorder's window when one is due.
 //
 // Host threads: a window is a few microseconds of work per node, less
 // than one futex wake-up, so the hand-off must stay out of the
@@ -286,7 +286,6 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		c.drainTraceLogs()
 		c.compactInboxes()
 		c.maybeRoll()
-		c.maybePublish()
 		for _, n := range c.nodes {
 			if n.err != nil {
 				c.flushObs()
@@ -337,8 +336,8 @@ func (c *Cluster) Run(maxCycles uint64, parallel bool) error {
 // RunFor advances the cluster for a fixed horizon: reaching it is
 // success, not an error — the shape serving experiments want, where
 // server nodes never halt. Node faults still abort with an error.
-// Observability state is flushed (and a final telemetry frame published)
-// on every path.
+// Observability state is flushed (and the recording closed with its final
+// window and footer) on every path.
 func (c *Cluster) RunFor(cycles uint64, parallel bool) error {
 	return c.runWindowed(cycles, parallel, false)
 }

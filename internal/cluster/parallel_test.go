@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
 	"testing"
 
 	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/journey"
-	"csbsim/internal/obs/telemetry"
 	"csbsim/internal/sim"
 )
 
@@ -208,7 +205,7 @@ func TestParallelNodeChurn(t *testing.T) {
 
 // TestParallelAbortFlushesObs: a faulting node under the parallel engine
 // aborts the run with the node named in the error, and the abort path
-// still flushes a final telemetry frame and a partial trace dump even
+// still closes the recording and flushes a partial trace dump even
 // though a sibling node is wedged in an infinite poll.
 func TestParallelAbortFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -224,10 +221,7 @@ func TestParallelAbortFlushesObs(t *testing.T) {
 	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	s := telemetry.New()
-	if err := c.AttachTelemetry(s, 100_000_000); err != nil { // period longer than the run
-		t.Fatal(err)
-	}
+	buf := attachRecording(t, c, 100_000_000) // period longer than the run
 	// Node 0 sends (default route: node 1), spins past its NIC transmit,
 	// then faults; node 1 polls forever for a packet still crossing the
 	// wire; node 2 polls forever for a packet that never comes.
@@ -266,78 +260,10 @@ spin:	dec %g5
 	if !strings.Contains(err.Error(), "n0") {
 		t.Errorf("error does not name the faulting node: %v", err)
 	}
-	if s.Snapshot() == nil {
-		t.Fatal("no telemetry frame flushed on the abort path")
-	}
+	requireFlushedAt(t, buf.Bytes(), c.Cycle())
 	spans := c.Trace().Retained()
 	if len(spans) != 1 || spans[0].Done {
 		t.Fatalf("expected one partial span, got %+v", spans)
-	}
-}
-
-// TestParallelTelemetryUnderLoad publishes telemetry frames from the
-// parallel engine while a live SSE subscriber consumes the stream — the
-// cross-goroutine surface the -race job watches.
-func TestParallelTelemetryUnderLoad(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 4
-	cfg.Topology = TopoRing
-	cfg.WireLatency = 60
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range c.Nodes() {
-		n.MapIO(false)
-		if _, err := n.M.LoadSource("ring.s", ringGuest(10*(i+1), 2, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := telemetry.New()
-	if err := c.AttachTelemetry(s, 50); err != nil {
-		t.Fatal(err)
-	}
-	addr, stop, err := s.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	// Prime one frame so the SSE connect below gets its response headers
-	// immediately (the handler flushes on the first event).
-	s.Publish(0)
-	resp, err := http.Get("http://" + addr + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	frames := make(chan telemetry.Frame, 1024)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var f telemetry.Frame
-			if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f) == nil {
-				select {
-				case frames <- f:
-				default:
-				}
-			}
-		}
-	}()
-
-	if err := c.Run(2_000_000, true); err != nil {
-		t.Fatal(err)
-	}
-	f := <-frames
-	for _, name := range []string{"n0", "n3", "cluster"} {
-		if f.Nodes[name] == nil {
-			t.Errorf("streamed frame missing node %q", name)
-		}
 	}
 }
 

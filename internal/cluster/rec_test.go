@@ -189,6 +189,42 @@ func TestRecorderFlushedOnWatchdogAbort(t *testing.T) {
 	}
 }
 
+// attachRecording attaches a flight recorder rolling every `every`
+// cycles into an in-memory recording and returns that buffer.
+func attachRecording(t *testing.T, c *Cluster, every uint64) *bytes.Buffer {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachRecorder(r); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// requireFlushedAt reads a recording back and requires the clean close
+// the abort and halt paths promise: a footer at the cluster's final
+// cycle, and a last window that ends there.
+func requireFlushedAt(t *testing.T, data []byte, cycle uint64) *rec.Recording {
+	t.Helper()
+	rc, err := rec.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.Clean || rc.End != cycle {
+		t.Fatalf("recording clean=%v end=%d, want a footer at cycle %d", rc.Clean, rc.End, cycle)
+	}
+	if len(rc.Windows) == 0 || rc.Windows[len(rc.Windows)-1].C1 != cycle {
+		t.Fatalf("last of %d windows does not end at cycle %d", len(rc.Windows), cycle)
+	}
+	return rc
+}
+
 // logFirstDiff reports the byte offset and surrounding text of the first
 // divergence between two recordings, for debugging.
 func logFirstDiff(t *testing.T, a, b []byte) {

@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/journey"
-	"csbsim/internal/obs/telemetry"
 )
 
 // newTracedCluster builds a cluster with distributed tracing attached and
@@ -181,44 +181,48 @@ func TestWireCountersDuringFlight(t *testing.T) {
 	}
 }
 
-// TestTelemetryCadence: frames are published on the configured sim-cycle
-// period, rounded up to the window, and carry all three registered nodes.
-func TestTelemetryCadence(t *testing.T) {
+// TestRecorderCadence: the barrier rolls a recorder window at the first
+// window edge past each cadence interval — with a 100-cycle cadence and
+// 40-cycle windows, every 120 cycles — and the final flush closes a
+// partial window at the cluster's last cycle.
+func TestRecorderCadence(t *testing.T) {
 	c := newTracedCluster(t, 40, 0)
-	s := telemetry.New()
-	if err := c.AttachTelemetry(s, 100); err != nil {
-		t.Fatal(err)
-	}
+	buf := attachRecording(t, c, 100)
 	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
-	data := s.Snapshot()
-	if data == nil {
-		t.Fatal("no telemetry frame published")
+	rc := requireFlushedAt(t, buf.Bytes(), c.Cycle())
+	if want := []string{"n0", "n1", "cluster"}; !slices.Equal(rc.Sources, want) {
+		t.Errorf("sources %v, want %v", rc.Sources, want)
 	}
-	var f telemetry.Frame
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"n0", "n1", "cluster"} {
-		if f.Nodes[n] == nil {
-			t.Errorf("frame missing node %q", n)
+	var c0 uint64
+	for i, w := range rc.Windows {
+		if w.C0 != c0 {
+			t.Fatalf("window %d starts at %d, want %d", i, w.C0, c0)
 		}
+		if i < len(rc.Windows)-1 && w.C1 != c0+120 {
+			t.Errorf("window %d is (%d,%d], want a roll at the first barrier past %d", i, w.C0, w.C1, c0+100)
+		}
+		c0 = w.C1
 	}
-	// A frame at the first barrier past each 100-cycle interval — with
-	// 40-cycle windows, every 120 cycles — plus the final flush.
-	if want := c.Cycle()/120 + 1; f.Seq != want {
-		t.Errorf("published %d frames over %d cycles, want %d (period 100, 40-cycle windows)",
-			f.Seq, c.Cycle(), want)
+	if want := (c.Cycle() + 119) / 120; uint64(len(rc.Windows)) != want {
+		t.Errorf("%d windows over %d cycles, want %d", len(rc.Windows), c.Cycle(), want)
 	}
-	if f.Nodes["cluster"].Histograms["ctrace/e2e"].Count != 1 {
-		t.Errorf("cluster frame e2e count = %d, want 1",
-			f.Nodes["cluster"].Histograms["ctrace/e2e"].Count)
+	e2e := rc.HistIndex("cluster/ctrace/e2e")
+	if e2e < 0 {
+		t.Fatal("recording has no cluster/ctrace/e2e series")
+	}
+	var n uint64
+	for _, w := range rc.Windows {
+		n += w.Hist[e2e].N
+	}
+	if n != 1 {
+		t.Errorf("e2e samples across windows = %d, want 1", n)
 	}
 }
 
-// TestRunErrorFlushesObs: a faulting node still yields a final telemetry
-// frame and a partial merged dump (satellite 1 — mirror of the
+// TestRunErrorFlushesObs: a faulting node still yields a closed
+// recording and a partial merged dump (satellite 1 — mirror of the
 // single-node flushObs abort behavior).
 func TestRunErrorFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -232,10 +236,7 @@ func TestRunErrorFlushesObs(t *testing.T) {
 	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	s := telemetry.New()
-	if err := c.AttachTelemetry(s, 1_000_000); err != nil { // period longer than the run
-		t.Fatal(err)
-	}
+	recording := attachRecording(t, c, 1_000_000) // period longer than the run
 	// A sends, spins long enough for its NIC to finish transmitting, then
 	// faults; B waits forever for a packet that is still crossing the wire
 	// when the cluster aborts.
@@ -268,11 +269,10 @@ spin:	dec %g5
 	if err := c.Run(1_000_000, false); err == nil {
 		t.Fatal("expected node fault")
 	}
-	// The flush must have published a final frame despite the period never
-	// elapsing, and the tracer holds the partial (undelivered) span.
-	if s.Snapshot() == nil {
-		t.Fatal("no telemetry frame flushed on the error path")
-	}
+	// The flush must have closed the recording at the abort cycle despite
+	// the period never elapsing, and the tracer holds the partial
+	// (undelivered) span.
+	requireFlushedAt(t, recording.Bytes(), c.Cycle())
 	spans := c.Trace().Retained()
 	if len(spans) != 1 || spans[0].Done {
 		t.Fatalf("expected one partial span, got %+v", spans)

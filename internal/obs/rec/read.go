@@ -1,11 +1,14 @@
 // Recording reader: parses the length-prefixed frame stream back into a
-// Recording, tolerating a truncated tail (an aborted writer leaves a
-// valid prefix), plus the tolerance-aware Diff used for same-seed
-// regression checks and parallel-vs-sequential identity tests.
+// Recording, whole or as it is appended, tolerating a truncated tail (an
+// aborted writer leaves a valid prefix), plus the tolerance-aware Diff
+// used for same-seed regression checks and parallel-vs-sequential
+// identity tests.
 package rec
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -25,7 +28,7 @@ type Recording struct {
 	Windows   []Window
 	Events    []Event
 	Clean     bool // footer frame present
-	Truncated bool // trailing partial frame dropped
+	Truncated bool // a malformed or incomplete trailing frame dropped
 }
 
 // frameJSON is the union of every frame kind's fields.
@@ -64,91 +67,162 @@ func ReadFile(path string) (*Recording, error) {
 	return rc, nil
 }
 
-// Read parses recording bytes. A malformed or incomplete trailing frame
-// marks the recording Truncated and is dropped; everything before it is
-// returned. An error is returned only when no valid header exists.
+// Read parses recording bytes: one Parser fed the whole file.
 func Read(data []byte) (*Recording, error) {
-	rc := &Recording{}
-	sawHeader := false
+	var p Parser
+	p.Write(data)
+	return p.Recording()
+}
+
+// Parser parses a recording incrementally: each Write hands it the bytes
+// appended since the previous one (a followed file's new data), and every
+// frame they complete is parsed on arrival. A frame still missing bytes
+// waits for the next Write. A malformed frame ends the recording there:
+// it and everything after it are dropped and the recording is Truncated.
+type Parser struct {
+	rc   Recording
+	tail []byte // an incomplete trailing frame, awaiting more bytes
+	bad  bool   // a malformed frame ended the recording
+	err  error  // the first frame is not a valid header
+}
+
+// errNoHeader reports a stream whose first frame is not a header.
+var errNoHeader = errors.New("rec: no header frame (not a recording?)")
+
+// maxPrefix bounds a frame's decimal length prefix, so a stream that
+// is not a recording is rejected without waiting for a newline.
+const maxPrefix = 20
+
+// Write parses every frame data completes. It never fails: a stream that
+// is not a recording is reported by Recording.
+func (p *Parser) Write(data []byte) (int, error) {
+	n := len(data)
+	if p.bad {
+		return n, nil
+	}
+	if len(p.tail) > 0 {
+		p.tail = append(p.tail, data...)
+		data = p.tail
+	}
 	pos := 0
 	for pos < len(data) {
-		// "<len>\n<json>\n"
-		nl := -1
-		for i := pos; i < len(data); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
+		doc, size := splitFrame(data[pos:])
+		if size == 0 {
+			break
+		}
+		err := errNoHeader // for a malformed frame; reported only before the header
+		if size > 0 {
+			err = p.frame(doc)
+		}
+		if err != nil {
+			if p.rc.Version == 0 {
+				p.err = err
 			}
-		}
-		if nl < 0 {
-			rc.Truncated = true
+			p.bad = true
 			break
 		}
-		flen, err := strconv.Atoi(string(data[pos:nl]))
-		if err != nil || flen < 0 || nl+1+flen+1 > len(data) || data[nl+1+flen] != '\n' {
-			rc.Truncated = true
-			break
-		}
-		doc := data[nl+1 : nl+1+flen]
-		pos = nl + 1 + flen + 1
+		pos += size
+	}
+	p.tail = append(p.tail[:0], data[pos:]...)
+	return n, nil
+}
 
-		var f frameJSON
-		if err := json.Unmarshal(doc, &f); err != nil {
-			rc.Truncated = true
-			break
-		}
-		switch f.K {
-		case "h":
-			if sawHeader {
-				return nil, fmt.Errorf("rec: duplicate header frame")
-			}
-			if f.V != FormatVersion {
-				return nil, fmt.Errorf("rec: unsupported format version %d (want %d)", f.V, FormatVersion)
-			}
-			sawHeader = true
-			rc.Version = f.V
-			rc.Every = f.Every
-			rc.Start = f.C
-			rc.Sources = f.Sources
-			rc.SLOSpecs = f.SLO
-			rc.CtrNames = f.CtrN
-			rc.HistNames = f.HistN
-		case "w":
-			if !sawHeader {
-				return nil, fmt.Errorf("rec: window frame before header")
-			}
-			if len(f.Ctr) != len(rc.CtrNames) || len(f.Hist) != len(rc.HistNames) {
-				return nil, fmt.Errorf("rec: window %d series count mismatch", f.I)
-			}
-			w := Window{
-				Index: f.I, C0: f.C0, C1: f.C1,
-				CtrEnd:   make([]uint64, len(f.Ctr)),
-				CtrDelta: make([]uint64, len(f.Ctr)),
-				Hist:     make([]HistWindow, len(f.Hist)),
-			}
-			for i, p := range f.Ctr {
-				w.CtrEnd[i], w.CtrDelta[i] = p[0], p[1]
-			}
-			for i, h := range f.Hist {
-				w.Hist[i] = HistWindow{N: h[0], Sum: h[1], Min: h[2], P50: h[3], P95: h[4], P99: h[5], Max: h[6]}
-			}
-			rc.Windows = append(rc.Windows, w)
-		case "e":
-			if !sawHeader {
-				return nil, fmt.Errorf("rec: event frame before header")
-			}
-			rc.Events = append(rc.Events, Event{Cycle: f.C, Kind: f.Ev, Node: f.N, Rule: f.R, Value: f.Val})
-		case "f":
-			rc.Clean = true
-			rc.End = f.C
-		default:
-			return nil, fmt.Errorf("rec: unknown frame kind %q", f.K)
-		}
+// Done reports that no later byte can change the recording: its footer
+// has arrived, a malformed frame ended it, or it is not a recording.
+func (p *Parser) Done() bool { return p.bad || p.rc.Clean }
+
+// Recording returns what has been parsed so far; it is updated in place
+// by later Writes. Truncated reports bytes that did not parse: a
+// malformed frame, or a trailing frame still incomplete. An error is
+// returned only when no valid header has been parsed.
+func (p *Parser) Recording() (*Recording, error) {
+	if p.err != nil {
+		return nil, p.err
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("rec: no header frame (not a recording?)")
+	if p.rc.Version == 0 {
+		return nil, errNoHeader
 	}
-	return rc, nil
+	p.rc.Truncated = p.bad || len(p.tail) > 0
+	return &p.rc, nil
+}
+
+// splitFrame cuts the first "<len>\n<json>\n" frame off data and returns
+// its JSON document and total size: size 0 while data holds only part of
+// the frame, -1 when the frame is malformed.
+func splitFrame(data []byte) (doc []byte, size int) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 && len(data) <= maxPrefix {
+		return nil, 0
+	}
+	if nl < 0 || nl > maxPrefix {
+		return nil, -1
+	}
+	flen, err := strconv.Atoi(string(data[:nl]))
+	if err != nil || flen < 0 {
+		return nil, -1
+	}
+	if flen > len(data)-nl-2 { // written so that a huge prefix cannot overflow
+		return nil, 0
+	}
+	if data[nl+1+flen] != '\n' {
+		return nil, -1
+	}
+	return data[nl+1 : nl+1+flen], nl + flen + 2
+}
+
+// frame parses one frame into the recording. The first frame must be a
+// header of this format version; an error after it marks the frame
+// malformed.
+func (p *Parser) frame(doc []byte) error {
+	var f frameJSON
+	err := json.Unmarshal(doc, &f)
+	rc := &p.rc
+	if rc.Version == 0 {
+		if err != nil || f.K != "h" {
+			return errNoHeader
+		}
+		if f.V != FormatVersion {
+			return fmt.Errorf("rec: unsupported format version %d (want %d)", f.V, FormatVersion)
+		}
+		rc.Version = f.V
+		rc.Every = f.Every
+		rc.Start = f.C
+		rc.Sources = f.Sources
+		rc.SLOSpecs = f.SLO
+		rc.CtrNames = f.CtrN
+		rc.HistNames = f.HistN
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	switch f.K {
+	case "w":
+		if len(f.Ctr) != len(rc.CtrNames) || len(f.Hist) != len(rc.HistNames) {
+			return fmt.Errorf("rec: window %d series count mismatch", f.I)
+		}
+		w := Window{
+			Index: f.I, C0: f.C0, C1: f.C1,
+			CtrEnd:   make([]uint64, len(f.Ctr)),
+			CtrDelta: make([]uint64, len(f.Ctr)),
+			Hist:     make([]HistWindow, len(f.Hist)),
+		}
+		for i, c := range f.Ctr {
+			w.CtrEnd[i], w.CtrDelta[i] = c[0], c[1]
+		}
+		for i, h := range f.Hist {
+			w.Hist[i] = HistWindow{N: h[0], Sum: h[1], Min: h[2], P50: h[3], P95: h[4], P99: h[5], Max: h[6]}
+		}
+		rc.Windows = append(rc.Windows, w)
+	case "e":
+		rc.Events = append(rc.Events, Event{Cycle: f.C, Kind: f.Ev, Node: f.N, Rule: f.R, Value: f.Val})
+	case "f":
+		rc.Clean = true
+		rc.End = f.C
+	default:
+		return fmt.Errorf("rec: unexpected frame kind %q", f.K)
+	}
+	return nil
 }
 
 // WindowAt returns the window covering the given cycle (C0 < cycle <=

@@ -101,8 +101,8 @@ type Event struct {
 	Value float64 `json:"val,omitempty"`
 }
 
-// Alert is one currently-breached SLO binding, exported into telemetry
-// frames for the live dashboard.
+// Alert is one currently-breached SLO binding: what ActiveAlerts reports
+// at the end of a run and SLO.ActiveAt replays for csbtop.
 type Alert struct {
 	Rule   string  `json:"rule"`
 	Series string  `json:"series"`

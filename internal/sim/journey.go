@@ -103,7 +103,7 @@ func (m *Machine) ExportJourneys() {
 }
 
 // flushObs fires every periodic hook once more at the current cycle, so
-// the final partial window (metrics, telemetry, recorder) is emitted on
+// the final partial window (metrics, recorder) is emitted on
 // any run exit, the abort paths (watchdog trip, typed device error)
 // included. A second flush at the same cycle fires nothing.
 //

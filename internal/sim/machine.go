@@ -156,8 +156,7 @@ type Machine struct {
 
 	// Optional periodic hooks (AttachPeriodic): each fires every
 	// hook.every CPU cycles — the one cadence driver, for the metrics
-	// stream, the telemetry streamer and the flight recorder, which may
-	// run side by side. One len check per tick when unattached.
+	// stream and the flight recorder, which may run side by side. One len check per tick when unattached.
 	periodicHooks []periodicHook
 
 	console bytes.Buffer
@@ -527,9 +526,8 @@ type periodicHook struct {
 
 // AttachPeriodic installs a hook invoked every `every` CPU cycles with
 // the current cycle — the machine's one cadence driver: the metrics
-// stream (AttachMetrics), the telemetry streamer (cmd/csbsim -telemetry)
-// and the flight recorder (cmd/csbsim -record) each ride it, side by
-// side with independent cadences. Hooks fire in attach order; attach
+// stream (AttachMetrics) and the flight recorder (cmd/csbsim -record)
+// each ride it, side by side with independent cadences. Hooks fire in attach order; attach
 // before running. Every hook also fires once more from FlushObs so abort
 // paths emit their final window.
 func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {

@@ -298,8 +298,8 @@ func TestUnattachedMachineHasNoObservers(t *testing.T) {
 
 // TestAttachPeriodic verifies the generic periodic hooks: one firing per
 // interval per hook while running, plus exactly one more each from the
-// final flush, and independent cadences for coexisting hooks (telemetry
-// alongside the flight recorder).
+// final flush, and independent cadences for coexisting hooks (the
+// metrics stream alongside the flight recorder).
 func TestAttachPeriodic(t *testing.T) {
 	m := runStoreLoop(t)
 	if err := m.AttachPeriodic(0, func(uint64) {}); err == nil {
