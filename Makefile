@@ -87,7 +87,7 @@ perf-ab:
 # detector's instrumentation allocates); the race target skips it via its
 # build tag.
 zero-alloc:
-	$(GO) test -run TestTickSteadyStateZeroAlloc ./internal/bench/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc' ./internal/bench/
 	$(GO) test -run TestUncachedLoadAllocs ./internal/sim/
 
 # Journey-traced runs of the paired store workloads: dump the per-hop

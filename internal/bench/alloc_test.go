@@ -102,3 +102,62 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestRunSteadyStateZeroAlloc holds Machine.Run, which jumps through
+// quiet stretches with CoastFor, to the same contract: in steady state a
+// Run over 20k cycles of either store stream allocates exactly what a
+// 1000-cycle Run does, which is its cycle-limit error, and
+// sim/effort/steps shows that most of those cycles were jumped rather
+// than stepped.
+func TestRunSteadyStateZeroAlloc(t *testing.T) {
+	for _, csb := range []bool{false, true} {
+		name := "store-bandwidth-uncached"
+		if csb {
+			name = "store-bandwidth-csb"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := DefaultParams()
+			kind := mem.KindUncached
+			if csb {
+				p.Scheme = SchemeCSB
+				kind = mem.KindCombining
+			}
+			m, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := m.AttachCounters()
+			steps := func() uint64 { return reg.Snapshot().Counters["sim/effort/steps"] }
+			const span = 1 << 24
+			m.MapRange(IOBase, span, kind)
+			prog, err := m.LoadSource(name, StoreBandwidthProgram(span, p.LineSize, csb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.WarmProgram(prog)
+			zero := []byte{0}
+			for a := uint64(0); a < span; a += mem.PageSize {
+				m.RAM.Write(IOBase+a, zero)
+			}
+			if err := m.Run(200_000); err == nil {
+				t.Fatal("workload finished during warm-up")
+			}
+			limitErr := testing.AllocsPerRun(5, func() { _ = m.Run(1000) })
+			c0, steps0 := m.Cycle(), steps()
+			avg := testing.AllocsPerRun(5, func() {
+				if err := m.Run(20_000); err == nil {
+					t.Fatal("workload finished during measurement")
+				}
+			})
+			if avg != limitErr {
+				t.Errorf("steady-state Run allocated %.1f times per 20k cycles, its cycle-limit error alone %.1f",
+					avg, limitErr)
+			}
+			cycles, n := m.Cycle()-c0, steps()-steps0
+			t.Logf("%d steps over %d measured cycles", n, cycles)
+			if 2*n >= cycles {
+				t.Errorf("%d steps over %d measured cycles, want most cycles jumped", n, cycles)
+			}
+		})
+	}
+}

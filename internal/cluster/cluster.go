@@ -15,8 +15,9 @@
 // node runs whole windows of cycles — spread over up to GOMAXPROCS host
 // threads, or inline when parallel is off — bounded by the minimum link
 // latency so no inbound packet can be missed; a zero-latency link shrinks
-// the window to one cycle. Run advances until every node halts and the fabric drains,
-// RunFor for a fixed horizon.
+// the window to one cycle. Within a window a node jumps through its quiet
+// cycles to its next event. Run advances until every node halts and the
+// fabric drains, RunFor for a fixed horizon.
 //
 // Observability: AttachTrace extends the PR 5 per-node journey tracer
 // across the wire — every pumped packet carries a trace ID (a flight-keyed
@@ -33,8 +34,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/device"
@@ -84,12 +86,13 @@ func DefaultConfig() Config {
 	return Config{Node: sim.DefaultConfig(), Nodes: 2, WireLatency: 120, NIC: device.DefaultConfig()}
 }
 
-// NodeHook is a per-cycle host-side driver for one node (a load
-// generator): it runs before the node's machine tick each cycle, on
-// whichever pool thread runs the node's window under the parallel engine,
-// and may touch only that node's state (its NIC, its registers). Returning false retires the
-// hook; a node with a live hook is kept ticking even when its CPU has
-// halted, so hook-injected NIC work still progresses.
+// NodeHook is a host-side driver for one node (a load generator): it runs
+// before the node's machine tick, every cycle unless SetNodeWake gives it
+// a wake function, on whichever pool thread runs the node's window under
+// the parallel engine, and may touch only that node's state (its NIC, its
+// registers). Returning false retires the hook; a node with a live hook is
+// kept ticking even when its CPU has halted, so hook-injected NIC work
+// still progresses.
 type NodeHook func(cycle uint64) bool
 
 // Node is one machine plus its NIC and its endpoint state on the fabric.
@@ -103,6 +106,12 @@ type Node struct {
 
 	hook     NodeHook
 	hookDone bool
+	// wake, when set (SetNodeWake), returns the next cycle the hook must
+	// run; wakeAt holds its last answer, and rxWoke asks for a call in the
+	// cycle after an RX delivery.
+	wake   func() uint64
+	wakeAt uint64
+	rxWoke bool
 
 	// inbox holds this node's inbound flights ordered by (due, seq):
 	// [0:enqPos) fully delivered, [enqPos:arrPos) arrived but staging,
@@ -184,6 +193,7 @@ type Cluster struct {
 	route []int // default destination per node, -1 = must steer
 
 	seq        uint64 // flight sequence numbers (total routing order)
+	routePos   []int  // routeAll's per-node outbox positions, reused each barrier
 	routeDrops uint64 // packets with no usable destination
 	linkDrops  uint64 // packets refused by a full link queue
 
@@ -237,6 +247,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, &Node{M: m, NIC: nic, name: name, idx: i})
 	}
 	c.links, c.route = buildLinks(cfg)
+	c.routePos = make([]int, len(c.nodes))
 	return c, nil
 }
 
@@ -264,11 +275,29 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // cluster's own — treat it as read-only.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// SetNodeHook installs a per-cycle host-side driver on node i (see
-// NodeHook). Install before running.
+// SetNodeHook installs a host-side driver on node i (see NodeHook), called
+// every cycle until SetNodeWake gives it a wake function. Install before
+// running.
 func (c *Cluster) SetNodeHook(i int, h NodeHook) {
-	c.nodes[i].hook = h
-	c.nodes[i].hookDone = false
+	n := c.nodes[i]
+	n.hook = h
+	n.hookDone = false
+	n.wake = nil
+}
+
+// SetNodeWake lets node i's hook sleep between events: the hook is called
+// only at the cycle next returns and in the cycle after an RX delivery to
+// the node, and next is asked again after every call. next runs on the
+// node's window thread and may read only the hook's own state. It must
+// never return a cycle after one at which the hook would act; an earlier
+// one is safe, since a hook called when nothing is due must do nothing.
+// Between calls the node's window jumps through quiet cycles (runWindow).
+// A nil next restores per-cycle calls. Call after SetNodeHook, before
+// running.
+func (c *Cluster) SetNodeWake(i int, next func() uint64) {
+	n := c.nodes[i]
+	n.wake = next
+	n.wakeAt = 0
 }
 
 // hookActive reports whether the node has a live hook.
@@ -556,6 +585,7 @@ func (n *Node) applyDue(cycle uint64) {
 		}
 		f.words = nil
 		n.enqPos++
+		n.rxWoke = true
 	}
 }
 
@@ -594,7 +624,8 @@ func (c *Cluster) drainTraceLogs() {
 //
 //csb:barrier mutates every node's inbox and the shared link state
 func (c *Cluster) routeAll() {
-	pos := make([]int, len(c.nodes))
+	pos := c.routePos
+	clear(pos)
 	touched := false
 	for {
 		best := -1
@@ -622,13 +653,12 @@ func (c *Cluster) routeAll() {
 	// Restore (due, seq) order on every inbox tail that may have received
 	// out-of-order inserts (bandwidth queueing can reorder dues).
 	for _, n := range c.nodes {
-		tail := n.inbox[n.arrPos:]
-		if len(tail) > 1 {
-			sort.Slice(tail, func(a, b int) bool {
-				if tail[a].due != tail[b].due {
-					return tail[a].due < tail[b].due
+		if tail := n.inbox[n.arrPos:]; len(tail) > 1 {
+			slices.SortFunc(tail, func(a, b flight) int {
+				if a.due != b.due {
+					return cmp.Compare(a.due, b.due)
 				}
-				return tail[a].seq < tail[b].seq
+				return cmp.Compare(a.seq, b.seq)
 			})
 		}
 	}

@@ -10,6 +10,14 @@
 // departures, replays the deferred tracer logs in node order, and rolls
 // the flight recorder's window when one is due.
 //
+// Inside a window a node does not step every cycle: after each step it
+// jumps to the cycle before its next event (its machine's quiet-stretch
+// end, the window end, its next inbound flight, its hook's next wake),
+// charging the jumped cycles in one sim.Machine.CoastFor call — gem5's
+// event queue, where a CPU schedules its next event instead of ticking
+// through idle cycles. A halted load-generator client thus steps only
+// around its own sends and replies instead of every cycle.
+//
 // Host threads: a window is a few microseconds of work per node, less
 // than one futex wake-up, so the hand-off must stay out of the
 // scheduler. The parallel engine runs min(GOMAXPROCS, nodes) − 1
@@ -63,13 +71,18 @@ func (c *Cluster) lookahead() uint64 {
 	return max(w, 1)
 }
 
-// runWindow advances this node through the window (start, end]: per cycle
-// it runs the node hook, ticks the machine (unless frozen), pumps freshly
-// transmitted packets into the outbox and applies due inbound flights.
-// Everything touched is node-local, so windows of different nodes run
-// concurrently. A frozen, hook-less node skips the cycle loop and just
-// catches its inbox up — stamps use the flights' own due cycles, so the
-// fast-forward is exact.
+// runWindow advances this node through the window (start, end] one step
+// at a time. A step runs the node hook when it is due, ticks the machine
+// (unless frozen), pumps freshly transmitted packets into the outbox and
+// applies due inbound flights; then the node jumps with
+// sim.Machine.CoastFor through the cycles before its next event: the end
+// of the machine's quiet stretch, the window end, the next inbound due or
+// enqueue cycle, and the hook's next wake (jumpTo). No packet can leave a
+// coasting machine and no flight falls due inside the jump, so pump and
+// applyDue have nothing to do there. Everything touched is node-local, so
+// windows of different nodes run concurrently. A frozen, hook-less node
+// skips the cycle loop and just catches its inbox up — stamps use the
+// flights' own due cycles, so the fast-forward is exact.
 //
 //csb:hotpath
 //csb:worker runs a whole lookahead window of one node on a pool thread
@@ -79,9 +92,12 @@ func (n *Node) runWindow(start, end uint64) {
 		return
 	}
 	for cyc := start + 1; cyc <= end; cyc++ {
-		if n.hookActive() {
+		if n.hookActive() && (n.wake == nil || n.rxWoke || cyc >= n.wakeAt) {
+			n.rxWoke = false
 			if !n.hook(cyc) {
 				n.hookDone = true
+			} else if n.wake != nil {
+				n.wakeAt = n.wake()
 			}
 		}
 		if !n.frozen {
@@ -102,7 +118,38 @@ func (n *Node) runWindow(start, end uint64) {
 		}
 		n.pump(cyc)
 		n.applyDue(cyc)
+		if to := n.jumpTo(cyc, end); to > cyc {
+			if n.frozen {
+				cyc = to
+			} else {
+				cyc += n.M.CoastFor(to - cyc)
+			}
+		}
 	}
+}
+
+// jumpTo returns the last cycle through which the node may advance from
+// cyc without running a step: the cycle before its next inbound due or
+// enqueue, before its hook's next wake (cyc itself when the hook runs
+// every cycle or an RX delivery woke it), and at most end. The machine's
+// own quiet stretch bounds the jump further (CoastFor).
+//
+//csb:hotpath
+func (n *Node) jumpTo(cyc, end uint64) uint64 {
+	to := end
+	if n.hookActive() {
+		if n.wake == nil || n.rxWoke || n.wakeAt <= cyc+1 {
+			return cyc
+		}
+		to = min(to, n.wakeAt-1)
+	}
+	if n.arrPos < len(n.inbox) {
+		to = min(to, n.inbox[n.arrPos].due-1)
+	}
+	if n.enqPos < n.arrPos {
+		to = min(to, n.inbox[n.enqPos].dueEnq-1)
+	}
+	return to
 }
 
 // spinBudget is how many times a participant polls the barrier's atomics

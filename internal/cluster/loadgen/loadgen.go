@@ -11,7 +11,10 @@
 // The generator is a cluster.NodeHook: it runs on its node's goroutine
 // under the parallel engine and touches only that node's NIC (injecting
 // requests host-side, draining replies with destructive pops), so the
-// windowed scheduler's determinism guarantee extends to serving runs.
+// windowed scheduler's determinism guarantee extends to serving runs. It
+// registers a wake function (cluster.SetNodeWake), so the cluster calls
+// it only at its next issue, deadline or retry and after a reply lands,
+// and jumps its halted node through the cycles between.
 // Open loop means arrivals never wait for completions — the
 // characteristic that exposes queueing collapse past saturation, which a
 // closed-loop (ping-pong) benchmark structurally cannot show.
@@ -96,14 +99,19 @@ const pendingCap = 1 << 13
 // stay zero (no retries).
 const idMask = 1<<40 - 1
 
-// maxBackoff caps the exponential backoff shift so BackoffBase<<attempt
-// cannot overflow or schedule a retry past any practical horizon.
+// maxBackoff caps the exponential backoff so a retry is never scheduled
+// past any practical horizon; BackoffBase<<attempt saturates at it.
 const maxBackoff = 1 << 22
+
+// maxMeanGap bounds MeanGap so every gap draw stays in range: the
+// bursty off-period MeanGap·burstLen and the Pareto cap 100·MeanGap fit
+// an int with room to spare.
+const maxMeanGap = 1 << 48
 
 // Config parameterizes one generator.
 type Config struct {
 	// MeanGap is the mean inter-arrival time in CPU cycles (the offered
-	// rate is 1/MeanGap requests per cycle). Minimum 1.
+	// rate is 1/MeanGap requests per cycle), 1..2^48.
 	MeanGap uint64
 	// Dist is the inter-arrival distribution.
 	Dist Dist
@@ -129,8 +137,9 @@ type Config struct {
 	// timeout is terminal). Requires Timeout > 0.
 	MaxRetries int
 	// BackoffBase is the base retry delay: attempt k waits
-	// BackoffBase<<k cycles plus seeded jitter in [0, half that] after
-	// its timeout fires. 0 defaults to Timeout/4 (min 1).
+	// BackoffBase<<k cycles, capped at 2^22, plus seeded jitter in [0,
+	// half that] after its timeout fires. 0 defaults to Timeout/4 (min 1);
+	// at most 2^22.
 	BackoffBase uint64
 }
 
@@ -237,8 +246,8 @@ func New(cfg Config) *Generator {
 // Attach binds the generator to node `self` of c: validates the server
 // set against the topology, registers the latency histogram and request
 // counters under "loadgen/<node>/" in the cluster registry, and installs
-// the per-cycle hook. The node's guest should simply halt — the hook
-// keeps the node's NIC ticking.
+// the hook with its wake function (nextWake). The node's guest should
+// simply halt — the hook keeps the node's NIC ticking.
 func (g *Generator) Attach(c *cluster.Cluster, self int) error {
 	if self < 0 || self >= c.NumNodes() {
 		return fmt.Errorf("loadgen: client node %d out of range", self)
@@ -251,6 +260,12 @@ func (g *Generator) Attach(c *cluster.Cluster, self int) error {
 	}
 	if g.cfg.MaxRetries > 0 && g.cfg.Timeout == 0 {
 		return fmt.Errorf("loadgen: MaxRetries %d without a Timeout", g.cfg.MaxRetries)
+	}
+	if g.cfg.MeanGap > maxMeanGap {
+		return fmt.Errorf("loadgen: MeanGap %d cycles exceeds the maximum %d", g.cfg.MeanGap, uint64(maxMeanGap))
+	}
+	if g.cfg.BackoffBase > maxBackoff {
+		return fmt.Errorf("loadgen: BackoffBase %d cycles exceeds the backoff cap %d", g.cfg.BackoffBase, maxBackoff)
 	}
 	if len(g.cfg.Servers) == 0 {
 		return fmt.Errorf("loadgen: no server nodes")
@@ -282,6 +297,7 @@ func (g *Generator) Attach(c *cluster.Cluster, self int) error {
 	reg.Counter(prefix+"goodput", func() uint64 { return g.stats.Goodput })
 	g.nextIssue = g.cfg.Warmup + g.gap()
 	c.SetNodeHook(self, g.hook)
+	c.SetNodeWake(self, g.nextWake)
 	return nil
 }
 
@@ -293,13 +309,15 @@ func (g *Generator) Stats() Stats { return g.stats }
 // Latency returns the round-trip latency histogram.
 func (g *Generator) Latency() *counters.Histogram { return g.hist }
 
-// hook is the per-cycle driver: drain replies, expire deadlines, fire
-// due retries, then issue per schedule — a fixed order so the PRNG draw
-// sequence (and with it the whole run) is deterministic. It runs on the
-// node's goroutine inside lookahead windows and touches only this node's
-// state (its NIC, the generator's own accounting and histograms).
+// hook is the driver: drain replies, expire deadlines, fire due retries,
+// then issue per schedule — a fixed order so the PRNG draw sequence (and
+// with it the whole run) is deterministic. It runs on the node's
+// goroutine inside lookahead windows and touches only this node's state
+// (its NIC, the generator's own accounting and histograms). The cluster
+// calls it at nextWake's cycle and after RX deliveries; a call at any
+// other cycle finds nothing due and does nothing.
 //
-//csb:worker per-cycle NodeHook on the owning node's goroutine
+//csb:worker NodeHook on the owning node's goroutine
 func (g *Generator) hook(cycle uint64) bool {
 	g.drain(cycle)
 	if g.cfg.Timeout > 0 {
@@ -311,6 +329,26 @@ func (g *Generator) hook(cycle uint64) bool {
 		g.nextIssue = cycle + g.gap()
 	}
 	return true
+}
+
+// nextWake returns the next cycle the hook has work at without an RX
+// delivery: the next issue while issuing continues, the head deadline
+// and the earliest retry. An early answer is safe; a late one would
+// delay that work, so every input of the hook's decisions is covered.
+//
+//csb:worker NodeHook wake function on the owning node's goroutine
+func (g *Generator) nextWake() uint64 {
+	w := uint64(math.MaxUint64)
+	if g.cfg.IssueUntil == 0 || g.nextIssue <= g.cfg.IssueUntil {
+		w = g.nextIssue
+	}
+	if g.dlHead < len(g.dlq) {
+		w = min(w, g.dlq[g.dlHead].deadline)
+	}
+	for i := range g.retryq {
+		w = min(w, g.retryq[i].at)
+	}
+	return w
 }
 
 // inject issues one fresh request. Mirrors what a guest's uncached
@@ -377,12 +415,12 @@ func (g *Generator) expire(cycle uint64) {
 	}
 }
 
-// backoff draws attempt k's retry delay: BackoffBase<<k plus seeded
-// jitter in [0, half that], capped at maxBackoff.
+// backoff draws attempt k's retry delay: BackoffBase<<k, saturating at
+// maxBackoff, plus seeded jitter in [0, half that].
 func (g *Generator) backoff(attempt uint8) uint64 {
-	b := g.cfg.BackoffBase << attempt
-	if b == 0 || b > maxBackoff {
-		b = maxBackoff
+	b := uint64(maxBackoff)
+	if base := g.cfg.BackoffBase; base != 0 && base <= maxBackoff>>attempt {
+		b = base << attempt
 	}
 	return b + uint64(g.prng.Intn(int(b/2)+1))
 }

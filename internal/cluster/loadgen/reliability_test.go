@@ -328,3 +328,60 @@ func TestWatchdogDegradeFailover(t *testing.T) {
 		t.Error("no degraded drops despite traffic at the down server")
 	}
 }
+
+// TestAttachRejectsOutOfRange: a MeanGap whose gap draws would overflow
+// an int (csbcluster -rate 1e-20 converts to 2^63 and panicked in the
+// uniform draw's Intn) and a BackoffBase past the backoff cap are
+// refused by Attach; the largest accepted MeanGap draws in range under
+// every distribution.
+func TestAttachRejectsOutOfRange(t *testing.T) {
+	pair := func() *cluster.Cluster {
+		c, err := cluster.New(cluster.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, cfg := range []Config{
+		{MeanGap: 1 << 63},
+		{MeanGap: maxMeanGap + 1, Dist: DistBursty},
+		{MeanGap: ^uint64(0), Dist: DistHeavyTail},
+		{Timeout: 100, MaxRetries: 2, BackoffBase: 4611686018427387905},
+		{Timeout: 100, BackoffBase: maxBackoff + 1},
+	} {
+		cfg.Servers = []int{1}
+		if err := New(cfg).Attach(pair(), 0); err == nil {
+			t.Errorf("Attach accepted %+v", cfg)
+		}
+	}
+	for _, d := range []Dist{DistUniform, DistBursty, DistHeavyTail} {
+		g := New(Config{MeanGap: maxMeanGap, Dist: d, Servers: []int{1}})
+		if err := g.Attach(pair(), 0); err != nil {
+			t.Fatal(err)
+		}
+		for range 1000 {
+			if v := g.gap(); v < 1 || v > 100*maxMeanGap {
+				t.Fatalf("%v: gap %d out of range", d, v)
+			}
+			g.reqID++
+		}
+	}
+}
+
+// TestBackoffSaturates: BackoffBase<<attempt saturates at maxBackoff
+// instead of wrapping; a base of 2^62+1 used to give attempt 2 a
+// 4-cycle backoff.
+func TestBackoffSaturates(t *testing.T) {
+	for _, base := range []uint64{1, 300, maxBackoff, 4611686018427387905} {
+		g := New(Config{Timeout: 100, BackoffBase: base})
+		for attempt := range 201 {
+			want := uint64(maxBackoff)
+			if attempt < 23 && base <= maxBackoff>>attempt {
+				want = base << attempt
+			}
+			if b := g.backoff(uint8(attempt)); b < want || b > want+want/2 {
+				t.Fatalf("base %d attempt %d: backoff %d, want %d plus at most half", base, attempt, b, want)
+			}
+		}
+	}
+}

@@ -252,9 +252,9 @@ func (c *CSB) Quiet() bool {
 	return c.storePressure == nil && c.flushDelay == nil && c.dropFlush == nil && c.delayLeft == 0
 }
 
-// CountStallBusy charges one store or flush refused while Busy, for a
-// cycle the machine skips.
-func (c *CSB) CountStallBusy() { c.stats.StallBusy++ }
+// CountStallBusy charges n stores or flushes refused while Busy, for n
+// cycles the machine skips.
+func (c *CSB) CountStallBusy(n uint64) { c.stats.StallBusy += n }
 
 func (c *CSB) clear() {
 	c.valid = false

@@ -133,27 +133,27 @@ func (c *CPU) QuietCycles() uint64 {
 	return n
 }
 
-// Coast charges one cycle of an asleep or halted core exactly as Tick
-// would, within the cycles QuietCycles allowed: the cycle, its CPI
-// bucket, the fetch stall, the asleep cycle, the refused step's counter
+// Coast charges n cycles of an asleep or halted core exactly as n Ticks
+// would, within the cycles QuietCycles allowed: the cycles, their CPI
+// bucket, the fetch stalls, the asleep cycles, the refused step's counter
 // and the head's countdown.
 //
 //csb:hotpath
-func (c *CPU) Coast() {
+func (c *CPU) Coast(n uint64) {
 	p := &c.coast
-	c.stats.Cycles++
-	c.stats.CPI.Add(p.cause)
-	c.stats.FetchStalls += p.fetchStall
-	c.asleepCycles += p.asleep
+	c.stats.Cycles += n
+	c.stats.CPI[p.cause] += n
+	c.stats.FetchStalls += p.fetchStall * n
+	c.asleepCycles += p.asleep * n
 	switch p.refusal {
 	case refuseUB:
-		c.ub.CountStallFull()
+		c.ub.CountStallFull(n)
 	case refuseCSB:
-		c.csb.CountStallBusy()
+		c.csb.CountStallBusy(n)
 	case refuseMembar:
-		c.stats.MembarStall++
+		c.stats.MembarStall += n
 	}
 	if u := p.countdown; u != nil {
-		u.remaining--
+		u.remaining -= int(n)
 	}
 }

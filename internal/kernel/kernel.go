@@ -168,6 +168,11 @@ func (k *Kernel) Run(maxCycles uint64) error {
 			k.m.CPU.Interrupt(uint64(isa.CauseTimer))
 		}
 		k.m.Tick()
+		// Jump through the machine's quiet stretch, up to the next timer
+		// cycle; a halted process is handed over on the next iteration.
+		if c := k.m.Cycle(); c < k.nextTimer && !k.m.CPU.Halted() {
+			i += k.m.CoastFor(min(maxCycles-i-1, k.nextTimer-c))
+		}
 	}
 	return fmt.Errorf("kernel: cycle limit %d reached", maxCycles)
 }

@@ -63,6 +63,8 @@ type twin struct {
 	nic     *device.NIC
 	// sched, when set, runs before every tick (the timer scheduler).
 	sched func()
+	// kernel is the timer scheduler, when sched is its step.
+	kernel *timerKernel
 }
 
 // lockstepCase builds one machine; it is called once per twin.
@@ -284,6 +286,7 @@ func lockstepCases(t *testing.T) []lockstepCase {
 			tw.m.CPU.InterruptHook = k.onInterrupt
 			k.dispatch(0)
 			tw.sched = k.step
+			tw.kernel = k
 		}},
 		lockstepCase{name: "uncached+hook7+metrics", build: func(t *testing.T, tw *twin) {
 			tw.loadSource(t, DefaultConfig(), exampleSource(t, "uncached_stores.s"), func(m *Machine) {

@@ -44,6 +44,7 @@ func (m *Machine) AttachCounters() *counters.Registry {
 	r.Counter("sim/effort/full_ticks", func() uint64 { return m.Effort().FullTicks })
 	r.Counter("sim/effort/coasted_cycles", func() uint64 { return m.Effort().CoastedCycles })
 	r.Counter("sim/effort/asleep_cycles", func() uint64 { return m.Effort().AsleepCycles })
+	r.Counter("sim/effort/steps", func() uint64 { return m.Effort().Steps })
 	for _, d := range m.devices {
 		m.registerDeviceCounters(d)
 	}

@@ -165,14 +165,16 @@ type Machine struct {
 	// compare instead of a 64-bit modulo in the hottest loop).
 	busCountdown int
 
-	// Coasting (see Tick): while m.cycle < coastEnd and the core sleeps,
-	// Tick runs the O(1) coast step; 0 when no quiet stretch is open.
-	// skippedBus records that a coast step ticked the bus without the
-	// devices. fullTicks counts the Ticks that ran every stage (the
-	// sim/effort counters).
+	// Coasting (see Tick and CoastFor): while m.cycle < coastEnd and the
+	// core sleeps, the machine advances by O(1) coast steps; 0 when no
+	// quiet stretch is open. skippedBus records that a coast step ticked
+	// the bus without the devices. fullTicks counts the Ticks that ran
+	// every stage and coastSteps the coast steps (the sim/effort
+	// counters).
 	coastEnd   uint64
 	skippedBus bool
 	fullTicks  uint64
+	coastSteps uint64
 
 	// flushedAt is one past the cycle of the last flushObs (0: never).
 	flushedAt uint64
@@ -353,21 +355,22 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 //
 // A Tick that leaves the core asleep at retire, or halted, computes a
 // quiet horizon (quietHorizon): the first cycle at which any agent can
-// change without outside input. Until then, Tick runs the O(1) coast step, which charges
-// exactly what the skipped stages would have charged on that cycle, so
-// every counter, hook and Stats read stays exact cycle by cycle (after
-// gem5's O3 CPU, which deschedules an idle core and counts its idle
-// cycles instead of ticking it). An input that can change the quiet
-// agents wakes the core or calls endCoast: an interrupt, a kernel stall,
-// a pipeline flush or state restore, a NIC write or delivery, attaching
-// a hook or device.
+// change without outside input. Until then, Tick is CoastFor(1), which
+// charges exactly what the skipped stages would have charged on that
+// cycle, so every counter, hook and Stats read stays exact cycle by cycle
+// (after gem5's O3 CPU, which deschedules an idle core and counts its
+// idle cycles instead of ticking it). Loops that own the clock (Run,
+// Drain, kernel.Run, the cluster's node windows) call CoastFor with the
+// whole stretch instead. An input that can change the quiet agents wakes
+// the core or calls endCoast: an interrupt, a kernel stall, a pipeline
+// flush or state restore, a NIC write or delivery, attaching a hook or
+// device.
 //
 //csb:hotpath
 //csb:worker ticked from the node's goroutine inside cluster lookahead windows
 func (m *Machine) Tick() {
 	if m.coastEnd != 0 {
-		if m.cycle < m.coastEnd && (m.CPU.Asleep() || m.CPU.Halted()) {
-			m.coast()
+		if m.CoastFor(1) != 0 {
 			return
 		}
 		m.endCoast()
@@ -458,29 +461,47 @@ func (m *Machine) quietHorizon() uint64 {
 	return end
 }
 
-// coast advances a quiet machine one cycle in O(1): the core charges its
-// asleep cycle (cpu.CPU.Coast: the cycle, its CPI bucket, the fetch
-// stall, the refused step's uncached-buffer StallFull, CSB StallBusy or
-// MembarStall count, and the head's countdown), the bus divider advances
-// and a bus cycle ticks the bus (its cycle and busy count; the horizon
-// keeps completions and issues out of the stretch), and the periodic-hook
-// countdowns advance (none reaches zero before the horizon). The uncached
-// buffer, the caches, the CSB and the devices would do nothing and are
-// not called.
+// CoastFor advances a machine inside an open quiet stretch by up to k
+// cycles in O(1) and returns how many it charged: min(k, the cycles left
+// before the horizon), or 0 when no stretch is open. The charge is what
+// that many full Ticks would have made: the core's asleep cycles
+// (cpu.CPU.Coast: the cycles, their CPI bucket, the fetch stalls, the
+// refused step's uncached-buffer StallFull, CSB StallBusy or MembarStall
+// count, and the head's countdown), the bus ticks the divider runs in
+// them (their cycles and busy counts, keeping the divider phase; the
+// horizon keeps completions and issues out of the stretch), and k off
+// every periodic-hook countdown (none reaches zero before the horizon).
+// The uncached buffer, the caches, the CSB and the devices would do
+// nothing and are not called.
 //
 //csb:hotpath
-func (m *Machine) coast() {
-	m.CPU.Coast()
-	m.cycle++
-	m.busCountdown--
-	if m.busCountdown == 0 {
-		m.busCountdown = m.Cfg.Ratio
-		m.Bus.Tick()
+func (m *Machine) CoastFor(k uint64) uint64 {
+	if m.coastEnd == 0 || m.cycle >= m.coastEnd || k == 0 || !(m.CPU.Asleep() || m.CPU.Halted()) {
+		return 0
+	}
+	k = min(k, m.coastEnd-m.cycle)
+	m.coastSteps++
+	m.CPU.Coast(k)
+	m.cycle += k
+	// The bus ticks in the cycle that takes busCountdown to zero and every
+	// Ratio cycles after it.
+	if b := uint64(m.busCountdown); k < b {
+		m.busCountdown -= int(k)
+	} else {
+		ratio := uint64(m.Cfg.Ratio)
+		j, rest := uint64(1), k-b
+		if rest >= ratio {
+			j += rest / ratio
+			rest %= ratio
+		}
+		m.busCountdown = m.Cfg.Ratio - int(rest)
+		m.Bus.Skip(j)
 		m.skippedBus = true
 	}
 	for i := range m.periodicHooks {
-		m.periodicHooks[i].countdown--
+		m.periodicHooks[i].countdown -= k
 	}
+	return k
 }
 
 // endCoast closes an open quiet stretch: devices whose bus ticks were
@@ -499,12 +520,15 @@ func (m *Machine) endCoast() {
 }
 
 // Effort counts the simulator's own work: Ticks that ran every stage,
-// cycles coasted through in O(1), and cycles the core spent asleep at
-// retire, ticked or coasted. The counts are pure functions of the run.
+// cycles coasted through in O(1), cycles the core spent asleep at retire,
+// ticked or coasted, and steps — the calls that advanced the machine,
+// full Ticks plus coast steps, each of which may charge many cycles. The
+// counts are pure functions of the run and of how its loop steps it.
 type Effort struct {
 	FullTicks     uint64
 	CoastedCycles uint64
 	AsleepCycles  uint64
+	Steps         uint64
 }
 
 // Effort returns the machine's effort counts (also registered as
@@ -514,6 +538,7 @@ func (m *Machine) Effort() Effort {
 		FullTicks:     m.fullTicks,
 		CoastedCycles: m.cycle - m.fullTicks,
 		AsleepCycles:  m.CPU.AsleepCycles(),
+		Steps:         m.fullTicks + m.coastSteps,
 	}
 }
 
@@ -546,7 +571,10 @@ func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 // CPU faulted, a device recorded an out-of-range guest access (a typed
 // *device.AddrError reachable via errors.As), the armed watchdog detected
 // retire-progress livelock (*WatchdogError with a diagnostic dump), or
-// the cycle limit was hit.
+// the cycle limit was hit. After each Tick it jumps through the open
+// quiet stretch with CoastFor, stopping at maxCycles and before the
+// watchdog's next check; a halted core is not coasted, so Run returns at
+// the halt. Nothing a loop iteration checks can change inside a stretch.
 func (m *Machine) Run(maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
 		// Device errors are checked before the halt exit: a guest that
@@ -564,7 +592,8 @@ func (m *Machine) Run(maxCycles uint64) error {
 			return m.CPU.Err()
 		}
 		m.Tick()
-		if w := m.wd; w != nil {
+		w := m.wd
+		if w != nil {
 			w.countdown--
 			if w.countdown == 0 {
 				w.countdown = w.window
@@ -574,6 +603,17 @@ func (m *Machine) Run(maxCycles uint64) error {
 				} else {
 					w.lastRetired = r
 				}
+			}
+		}
+		if m.coastEnd != 0 && !m.CPU.Halted() {
+			k := maxCycles - i - 1
+			if w != nil {
+				k = min(k, w.countdown-1)
+			}
+			k = m.CoastFor(k)
+			i += k
+			if w != nil {
+				w.countdown -= k
 			}
 		}
 	}
@@ -590,6 +630,8 @@ func (m *Machine) Run(maxCycles uint64) error {
 }
 
 // Drain runs bus cycles until all buffers, devices and the bus are idle.
+// Like Run, it jumps through quiet stretches, which cannot settle the
+// machine.
 func (m *Machine) Drain(maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
 		if m.Settled() {
@@ -599,6 +641,9 @@ func (m *Machine) Drain(maxCycles uint64) error {
 			return nil
 		}
 		m.Tick()
+		if m.coastEnd != 0 && !m.Settled() {
+			i += m.CoastFor(maxCycles - i - 1)
+		}
 	}
 	if m.wd != nil {
 		// The watchdog is armed: attach the diagnostic dump, so a drain

@@ -97,8 +97,16 @@ func effortLine(name string, m *Machine) string {
 		name, m.Cycle(), e.FullTicks, e.CoastedCycles, e.AsleepCycles)
 }
 
-// lines runs r and returns its timing and effort golden lines.
-func (r timedRun) lines(t *testing.T) (timing, effort string) {
+// stepsLine formats a line of the effort golden's steps section: the
+// steps a run driven by Run and Drain took, with its cycles and full
+// ticks.
+func stepsLine(name string, m *Machine) string {
+	e := m.Effort()
+	return fmt.Sprintf("%s run: cycles=%d full_ticks=%d steps=%d\n", name, m.Cycle(), e.FullTicks, e.Steps)
+}
+
+// machine builds r's machine, loaded and warm.
+func (r timedRun) machine(t *testing.T) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
 	if r.cfg != nil {
@@ -127,7 +135,12 @@ func (r timedRun) lines(t *testing.T) (timing, effort string) {
 		t.Fatal(err)
 	}
 	m.WarmProgram(p)
-	th := attachTimingHash(m)
+	return m
+}
+
+// attachIntr posts r's timer interrupts.
+func (r timedRun) attachIntr(t *testing.T, m *Machine) {
+	t.Helper()
 	if r.intrEvery != 0 {
 		if err := m.AttachPeriodic(r.intrEvery, func(uint64) {
 			m.CPU.Interrupt(uint64(isa.CauseTimer))
@@ -135,6 +148,14 @@ func (r timedRun) lines(t *testing.T) (timing, effort string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// lines runs r and returns its timing and effort golden lines.
+func (r timedRun) lines(t *testing.T) (timing, effort string) {
+	t.Helper()
+	m := r.machine(t)
+	th := attachTimingHash(m)
+	r.attachIntr(t, m)
 	tick := func() {
 		m.Tick()
 		if err := m.CPU.CheckQueues(); err != nil {
@@ -167,6 +188,31 @@ func (r timedRun) lines(t *testing.T) (timing, effort string) {
 		}
 	}
 	return th.line(t, r.name, m), effortLine(r.name, m)
+}
+
+// steps runs r through Machine.Run and Machine.Drain, which jump through
+// quiet stretches, and returns its steps line. The run must cover the
+// cycles and full ticks of r's per-cycle run (effort).
+func (r timedRun) steps(t *testing.T, effort string) string {
+	t.Helper()
+	m := r.machine(t)
+	r.attachIntr(t, m)
+	if r.cycles != 0 {
+		if err := m.Run(r.cycles); err == nil || m.CPU.Halted() {
+			t.Fatalf("%s: Run(%d) = %v, want the cycle limit", r.name, r.cycles, err)
+		}
+	} else {
+		if err := m.Run(10_000_000); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if err := m.Drain(1_000_000); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	if got := effortLine(r.name, m); got != effort {
+		t.Errorf("%s: Run and Drain's effort\n%sdiffers from the per-cycle run's\n%s", r.name, got, effort)
+	}
+	return stepsLine(r.name, m)
 }
 
 // ringTraffic is the cluster ring's traffic guest on one node: send a word
@@ -342,9 +388,12 @@ func splitBusAck(c *Config) {
 // at retire.
 // Scheduler
 // optimizations must leave it byte-identical.
+// The effort golden appends a steps section: the steps each run takes
+// when Run and Drain drive it (the differential programs already run
+// that way), which must reach the same cycles and full ticks.
 // Refresh with: go test ./internal/sim -run TestRetireTimingGolden -update
 func TestRetireTimingGolden(t *testing.T) {
-	var got, effort strings.Builder
+	var got, effort, steps strings.Builder
 	for seed := 0; seed < 60; seed++ {
 		var th *timingHash
 		m := runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed)), func(m *Machine) {
@@ -353,6 +402,7 @@ func TestRetireTimingGolden(t *testing.T) {
 		name := fmt.Sprintf("seed%d", seed)
 		got.WriteString(th.line(t, name, m))
 		effort.WriteString(effortLine(name, m))
+		steps.WriteString(stepsLine(name, m))
 	}
 	csb, unc := exampleSource(t, "csb_stores.s"), exampleSource(t, "uncached_stores.s")
 	for _, r := range []timedRun{
@@ -376,9 +426,10 @@ func TestRetireTimingGolden(t *testing.T) {
 		timing, eff := r.lines(t)
 		got.WriteString(timing)
 		effort.WriteString(eff)
+		steps.WriteString(r.steps(t, eff))
 	}
 	checkGolden(t, "retire timing", filepath.Join("testdata", "retire_timing.golden"), got.String())
-	checkGolden(t, "simulator effort", filepath.Join("testdata", "effort.golden"), effort.String())
+	checkGolden(t, "simulator effort", filepath.Join("testdata", "effort.golden"), effort.String()+steps.String())
 }
 
 // checkGolden compares got with the golden file, rewriting it first

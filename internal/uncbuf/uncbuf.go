@@ -290,9 +290,9 @@ func (u *Buffer) Quiet() bool {
 	return u.pressure == nil && (len(u.sending) != 0 || u.qlen == 0 || u.queue[u.qhead].kind != entryStore)
 }
 
-// CountStallFull charges one refused accept, as AddStore or AddLoad does
-// on a full queue, for a cycle the machine skips.
-func (u *Buffer) CountStallFull() { u.stats.StallFull++ }
+// CountStallFull charges n refused accepts, as AddStore or AddLoad does
+// on a full queue, for n cycles the machine skips.
+func (u *Buffer) CountStallFull(n uint64) { u.stats.StallFull += n }
 
 // CanAcceptStore reports whether a store would be accepted this cycle.
 func (u *Buffer) CanAcceptStore(addr uint64, size int) bool {
