@@ -95,7 +95,7 @@ zero-alloc:
 # csbtrace (totals, per-layer latency histograms, slowest-journey table),
 # and write the CSB run's Perfetto trace with memory-system flow arrows.
 # A third run drives csbsim's end-of-run flush of the periodic hooks:
-# the metrics stream and the recording must both come out non-empty.
+# the recording must come out with the CSB occupancy gauges in it.
 # Artifacts land in out/.
 journeys:
 	mkdir -p out
@@ -106,11 +106,10 @@ journeys:
 		examples/asm/csb_stores.s
 	$(GO) run ./cmd/csbtrace -top 5 out/journeys_uncached.json
 	$(GO) run ./cmd/csbtrace -top 5 out/journeys_csb.json
-	$(GO) run ./cmd/csbsim -combining 0x40000000:64K \
-		-metrics out/metrics_csb.jsonl -metrics-every 1000 -pipeview 16 \
-		-record out/csb.rec examples/asm/csb_stores.s
-	test -s out/metrics_csb.jsonl
+	$(GO) run ./cmd/csbsim -combining 0x40000000:64K -pipeview 16 \
+		-record out/csb.rec -record-every 1000 examples/asm/csb_stores.s
 	$(GO) run ./cmd/csbrec summary out/csb.rec
+	$(GO) run ./cmd/csbrec series -m 'machine/csb/*' out/csb.rec | grep 'csb/occupancy_bytes'
 
 # Cross-node tracing: run a traced two-node ping-pong, write the merged
 # distributed-trace dump plus the two-timeline Perfetto export to out/,

@@ -2,7 +2,9 @@
 // summaries, per-series statistics, window slices, the cycle-stamped
 // event log, SLO checks, tolerance-aware recording diffs for regression
 // gating, and Perfetto counter-track export so recorded history lines up
-// with journey/ctrace slices on one timeline.
+// with journey/ctrace slices on one timeline. A counter is shown by its
+// change over each window, a gauge (an occupancy) by its value at the
+// window's end.
 //
 // Usage:
 //
@@ -35,19 +37,19 @@ func main() {
 	var err error
 	switch cmd {
 	case "summary":
-		err = cmdSummary(args)
+		err = cmdSummary(args, os.Stdout)
 	case "series":
-		err = cmdSeries(args)
+		err = cmdSeries(args, os.Stdout)
 	case "slice":
-		err = cmdSlice(args)
+		err = cmdSlice(args, os.Stdout)
 	case "events":
-		err = cmdEvents(args)
+		err = cmdEvents(args, os.Stdout)
 	case "check":
-		err = cmdCheck(args)
+		err = cmdCheck(args, os.Stdout)
 	case "diff":
-		err = cmdDiff(args)
+		err = cmdDiff(args, os.Stdout)
 	case "perfetto":
-		err = cmdPerfetto(args)
+		err = cmdPerfetto(args, os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -97,7 +99,7 @@ func oneArg(fs *flag.FlagSet, args []string) (string, error) {
 	return fs.Arg(0), nil
 }
 
-func cmdSummary(args []string) error {
+func cmdSummary(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
 	path, err := oneArg(fs, args)
 	if err != nil {
@@ -107,15 +109,22 @@ func cmdSummary(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recording %s (format v%d)\n", path, rc.Version)
-	fmt.Printf("  sources:   %s\n", strings.Join(rc.Sources, ", "))
-	fmt.Printf("  series:    %d counters, %d histograms\n", len(rc.CtrNames), len(rc.HistNames))
-	fmt.Printf("  cadence:   %d cycles/window\n", rc.Every)
+	fmt.Fprintf(out, "recording %s (format v%d)\n", path, rc.Version)
+	fmt.Fprintf(out, "  sources:   %s\n", strings.Join(rc.Sources, ", "))
+	gauges := 0
+	for i := range rc.CtrNames {
+		if rc.IsGauge(i) {
+			gauges++
+		}
+	}
+	fmt.Fprintf(out, "  series:    %d counters, %d gauges, %d histograms\n",
+		len(rc.CtrNames)-gauges, gauges, len(rc.HistNames))
+	fmt.Fprintf(out, "  cadence:   %d cycles/window\n", rc.Every)
 	end := rc.End
 	if len(rc.Windows) > 0 {
 		end = rc.Windows[len(rc.Windows)-1].C1
 	}
-	fmt.Printf("  windows:   %d, cycles %d..%d\n", len(rc.Windows), rc.Start, end)
+	fmt.Fprintf(out, "  windows:   %d, cycles %d..%d\n", len(rc.Windows), rc.Start, end)
 	status := "clean close (footer present)"
 	if !rc.Clean {
 		status = "no footer (writer did not flush)"
@@ -123,9 +132,9 @@ func cmdSummary(args []string) error {
 	if rc.Truncated {
 		status += ", truncated tail"
 	}
-	fmt.Printf("  status:    %s\n", status)
+	fmt.Fprintf(out, "  status:    %s\n", status)
 	if len(rc.SLOSpecs) > 0 {
-		fmt.Printf("  slo:       %s\n", strings.Join(rc.SLOSpecs, "; "))
+		fmt.Fprintf(out, "  slo:       %s\n", strings.Join(rc.SLOSpecs, "; "))
 	}
 	if len(rc.Events) > 0 {
 		byKind := map[string]int{}
@@ -142,9 +151,9 @@ func cmdSummary(args []string) error {
 		for k, n := range byKind { //csb:orderless — leftover kinds, cosmetic order
 			kinds = append(kinds, fmt.Sprintf("%s=%d", k, n))
 		}
-		fmt.Printf("  events:    %d (%s)\n", len(rc.Events), strings.Join(kinds, " "))
+		fmt.Fprintf(out, "  events:    %d (%s)\n", len(rc.Events), strings.Join(kinds, " "))
 	} else {
-		fmt.Printf("  events:    0\n")
+		fmt.Fprintf(out, "  events:    0\n")
 	}
 	return nil
 }
@@ -157,7 +166,7 @@ func matchGlob(pat, name string) bool {
 	return rec.MatchSeries(pat, name)
 }
 
-func cmdSeries(args []string) error {
+func cmdSeries(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("series", flag.ContinueOnError)
 	m := fs.String("m", "", "series glob filter ('*' wildcards)")
 	path, err := oneArg(fs, args)
@@ -177,18 +186,23 @@ func cmdSeries(args []string) error {
 		if !matchGlob(*m, name) {
 			continue
 		}
-		// Deltas are two's-complement: a gauge that shrank over a window
-		// records a wrapped uint64; render signed.
-		var total, maxDelta int64
-		for wi := range rc.Windows {
-			d := int64(rc.Windows[wi].CtrDelta[i])
-			total += d
-			if d > maxDelta {
-				maxDelta = d
+		if rc.IsGauge(i) {
+			lo, hi := last.CtrEnd[i], last.CtrEnd[i]
+			for wi := range rc.Windows {
+				v := rc.Windows[wi].CtrEnd[i]
+				lo, hi = min(lo, v), max(hi, v)
 			}
+			fmt.Fprintf(out, "gauge %-43s end=%-10d min=%d max=%d\n", name, last.CtrEnd[i], lo, hi)
+			continue
+		}
+		var total, maxDelta uint64
+		for wi := range rc.Windows {
+			d := rc.Windows[wi].CtrDelta[i]
+			total += d
+			maxDelta = max(maxDelta, d)
 		}
 		rate := float64(total) * 1000 / float64(span)
-		fmt.Printf("ctr  %-44s end=%-10d delta=%-10d rate=%.3f/kcycle peak_window=%d\n",
+		fmt.Fprintf(out, "ctr  %-44s end=%-10d delta=%-10d rate=%.3f/kcycle peak_window=%d\n",
 			name, last.CtrEnd[i], total, rate, maxDelta)
 	}
 	for i, name := range rc.HistNames {
@@ -215,16 +229,16 @@ func cmdSeries(args []string) error {
 			seen = true
 		}
 		if !seen {
-			fmt.Printf("hist %-44s n=0\n", name)
+			fmt.Fprintf(out, "hist %-44s n=0\n", name)
 			continue
 		}
-		fmt.Printf("hist %-44s n=%-8d p99=[%d..%d] worst_window=(%d,%d]\n",
+		fmt.Fprintf(out, "hist %-44s n=%-8d p99=[%d..%d] worst_window=(%d,%d]\n",
 			name, n, p99lo, p99hi, worst.C0, worst.C1)
 	}
 	return nil
 }
 
-func cmdSlice(args []string) error {
+func cmdSlice(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slice", flag.ContinueOnError)
 	from := fs.Uint64("from", 0, "first cycle of interest")
 	to := fs.Uint64("to", ^uint64(0), "last cycle of interest")
@@ -243,12 +257,16 @@ func cmdSlice(args []string) error {
 		if w.C1 < *from || w.C0 > *to {
 			continue
 		}
-		fmt.Printf("window %d (%d,%d]\n", w.Index, w.C0, w.C1)
+		fmt.Fprintf(out, "window %d (%d,%d]\n", w.Index, w.C0, w.C1)
 		for i, name := range rc.CtrNames {
 			if !matchGlob(*m, name) {
 				continue
 			}
-			fmt.Printf("  ctr  %-44s end=%-10d delta=%d\n", name, w.CtrEnd[i], int64(w.CtrDelta[i]))
+			if rc.IsGauge(i) {
+				fmt.Fprintf(out, "  gauge %-43s value=%d\n", name, w.CtrEnd[i])
+				continue
+			}
+			fmt.Fprintf(out, "  ctr  %-44s end=%-10d delta=%d\n", name, w.CtrEnd[i], w.CtrDelta[i])
 		}
 		for i, name := range rc.HistNames {
 			if !matchGlob(*m, name) {
@@ -256,10 +274,10 @@ func cmdSlice(args []string) error {
 			}
 			h := &w.Hist[i]
 			if h.N == 0 {
-				fmt.Printf("  hist %-44s n=0\n", name)
+				fmt.Fprintf(out, "  hist %-44s n=0\n", name)
 				continue
 			}
-			fmt.Printf("  hist %-44s n=%-6d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f\n",
+			fmt.Fprintf(out, "  hist %-44s n=%-6d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f\n",
 				name, h.N, h.Min, h.P50, h.P95, h.P99, h.Max, h.Mean())
 		}
 		printed++
@@ -270,7 +288,7 @@ func cmdSlice(args []string) error {
 	return nil
 }
 
-func cmdEvents(args []string) error {
+func cmdEvents(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("events", flag.ContinueOnError)
 	path, err := oneArg(fs, args)
 	if err != nil {
@@ -291,9 +309,9 @@ func cmdEvents(args []string) error {
 		if ev.Value != 0 {
 			line += fmt.Sprintf("  value=%g", ev.Value)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 	}
-	fmt.Printf("%d events\n", len(rc.Events))
+	fmt.Fprintf(out, "%d events\n", len(rc.Events))
 	return nil
 }
 
@@ -312,7 +330,7 @@ func loadSLO(arg string) (*rec.SLO, error) {
 	return rec.ParseSLO(arg)
 }
 
-func cmdCheck(args []string) error {
+func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	sloArg := fs.String("slo", "", "SLO spec string, or @file")
 	path, err := oneArg(fs, args)
@@ -336,19 +354,19 @@ func cmdCheck(args []string) error {
 		if ev.Kind == "slo_breach" {
 			breaches++
 		}
-		fmt.Printf("cycle %-10d %-12s %s  rule=%q  value=%g\n", ev.Cycle, ev.Kind, ev.Node, ev.Rule, ev.Value)
+		fmt.Fprintf(out, "cycle %-10d %-12s %s  rule=%q  value=%g\n", ev.Cycle, ev.Kind, ev.Node, ev.Rule, ev.Value)
 	}
 	for _, a := range res.Active {
-		fmt.Printf("STILL BREACHED at end: %s  rule=%q  value=%g (since cycle %d)\n", a.Series, a.Rule, a.Value, a.Since)
+		fmt.Fprintf(out, "STILL BREACHED at end: %s  rule=%q  value=%g (since cycle %d)\n", a.Series, a.Rule, a.Value, a.Since)
 	}
 	if breaches > 0 || len(res.Active) > 0 {
 		return fmt.Errorf("%d breach(es) over %d windows", breaches, len(rc.Windows))
 	}
-	fmt.Printf("ok: %d rules over %d windows, no breaches\n", len(slo.Rules), len(rc.Windows))
+	fmt.Fprintf(out, "ok: %d rules over %d windows, no breaches\n", len(slo.Rules), len(rc.Windows))
 	return nil
 }
 
-func cmdDiff(args []string) error {
+func cmdDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	tol := fs.Float64("tol", 0, "relative tolerance on numeric comparisons (0 = exact)")
 	if err := fs.Parse(args); err != nil {
@@ -367,7 +385,7 @@ func cmdDiff(args []string) error {
 	}
 	diffs := rec.Diff(a, b, *tol)
 	for _, d := range diffs {
-		fmt.Println(d)
+		fmt.Fprintln(out, d)
 	}
 	if len(diffs) > 0 {
 		return fmt.Errorf("recordings differ (%d difference(s), tol=%g)", len(diffs), *tol)
@@ -388,9 +406,9 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func cmdPerfetto(args []string) error {
+func cmdPerfetto(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("perfetto", flag.ContinueOnError)
-	out := fs.String("o", "-", "output path ('-' = stdout)")
+	outPath := fs.String("o", "-", "output path ('-' = stdout)")
 	m := fs.String("m", "", "series glob filter ('*' wildcards)")
 	path, err := oneArg(fs, args)
 	if err != nil {
@@ -409,8 +427,12 @@ func cmdPerfetto(args []string) error {
 			if !matchGlob(*m, name) {
 				continue
 			}
-			events = append(events, traceEvent{Name: name + " (delta)", Ph: "C", Ts: w.C1, PID: pid,
-				Args: map[string]any{"value": w.CtrDelta[i]}})
+			track, v := name+" (delta)", w.CtrDelta[i]
+			if rc.IsGauge(i) {
+				track, v = name, w.CtrEnd[i]
+			}
+			events = append(events, traceEvent{Name: track, Ph: "C", Ts: w.C1, PID: pid,
+				Args: map[string]any{"value": v}})
 		}
 		for i, name := range rc.HistNames {
 			if !matchGlob(*m, name) {
@@ -443,9 +465,9 @@ func cmdPerfetto(args []string) error {
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
 	}{events, "ns"}
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
+	w := out
+	if *outPath != "-" {
+		f, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}

@@ -15,16 +15,21 @@
 //
 // Observability flags: -cpistack prints the stall-attribution stack,
 // -perfetto writes a Chrome trace-event JSON loadable at ui.perfetto.dev,
-// -metrics streams periodic machine samples (JSONL, or CSV for .csv
-// files), -json emits the full statistics object, and -pipeview N prints
-// an ASCII pipeline diagram of the last N instructions. -journeys FILE
+// -json emits the full statistics object, and -pipeview N prints an
+// ASCII pipeline diagram of the last N instructions. -journeys FILE
 // traces every uncached/CSB store and NIC descriptor through the memory
 // system (per-hop cycle stamps, per-layer latency histograms) and writes
 // a dump queryable with csbtrace; with -perfetto the journeys also land
 // in the trace as a "memory system" track with flow arrows. -counters
 // attaches the unified per-layer counter registry on its own. -record
 // FILE writes a flight recording, window by window as the run goes
-// (watch it live with csbtop FILE).
+// (watch it live with csbtop FILE): every counter's change and every
+// gauge's value (CSB occupancy and pending lines, uncached-buffer and
+// write-buffer depth) per -record-every cycles. csbrec reads it back:
+// `csbrec slice` lists each window, and `csbrec perfetto` turns it into
+// Perfetto counter tracks. Per-window IPC is the ratio of the
+// cpu/retired and cpu/cycles deltas, bus-busy% that of bus/busy_cycles
+// and bus/cycles.
 //
 // Robustness flags: -faults attaches a deterministic fault injector
 // ("default", or a key=value list such as "busnack=64,seed=3"),
@@ -35,7 +40,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -80,12 +84,10 @@ func main() {
 		recEach = flag.Uint64("record-every", 10_000, "recording window in CPU cycles")
 		sloSpec = flag.String("slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 
-		perfetto    = flag.String("perfetto", "", "write a Chrome trace-event JSON file (load at ui.perfetto.dev)")
-		metrics     = flag.String("metrics", "", "write periodic machine metrics to FILE (JSONL, or CSV with a .csv extension)")
-		metricsEach = flag.Uint64("metrics-every", 10_000, "metrics sample interval in CPU cycles")
-		cpistack    = flag.Bool("cpistack", false, "print the CPI stall-attribution stack")
-		jsonOut     = flag.Bool("json", false, "print full statistics as JSON on stdout")
-		pipeview    = flag.Int("pipeview", 0, "print an ASCII pipeline diagram of the last N retired instructions")
+		perfetto = flag.String("perfetto", "", "write a Chrome trace-event JSON file (load at ui.perfetto.dev)")
+		cpistack = flag.Bool("cpistack", false, "print the CPI stall-attribution stack")
+		jsonOut  = flag.Bool("json", false, "print full statistics as JSON on stdout")
+		pipeview = flag.Int("pipeview", 0, "print an ASCII pipeline diagram of the last N retired instructions")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: csbsim [flags] program.s\n")
@@ -225,24 +227,6 @@ func main() {
 		exporter = obs.NewPerfetto()
 		m.AttachPerfetto(exporter)
 	}
-	var metricsFile *os.File
-	var metricsBuf *bufio.Writer
-	var metricsW *obs.MetricsWriter
-	if *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err != nil {
-			fatal(err)
-		}
-		metricsFile, metricsBuf = f, bufio.NewWriter(f)
-		format := obs.FormatJSONL
-		if strings.HasSuffix(*metrics, ".csv") {
-			format = obs.FormatCSV
-		}
-		metricsW = obs.NewMetricsWriter(metricsBuf, format)
-		if err := m.AttachMetrics(metricsW, *metricsEach); err != nil {
-			fatal(err)
-		}
-	}
 	var pipeRing *trace.Ring
 	if *pipeview > 0 {
 		pipeRing = trace.NewRing(*pipeview)
@@ -257,17 +241,8 @@ func main() {
 		}
 	}
 	// One last firing of every periodic hook emits the final partial
-	// windows (metrics, recording); a no-op after an abort
-	// that Run already flushed.
+	// recording window; a no-op after an abort that Run already flushed.
 	m.FlushObs()
-	if metricsFile != nil {
-		if err := metricsBuf.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := metricsFile.Close(); err != nil {
-			fatal(err)
-		}
-	}
 	if exporter != nil {
 		m.ExportJourneys() // no-op unless -journeys is also on
 		f, err := os.Create(*perfetto)

@@ -23,7 +23,9 @@
 // before it).
 //
 // Every number is the window's own: Δ columns are the window's counter
-// deltas, histogram panels show the window's samples and quantiles, and
+// deltas, gauges (rx pending, outstanding requests) their values at the
+// window's end, histogram panels show the window's samples and
+// quantiles, and
 // the alerts panel replays the recording's own SLO spec up to the
 // rendered window.
 package main

@@ -28,7 +28,7 @@ func sampleRecording(t *testing.T) ([]byte, int) {
 		reg := counters.NewRegistry()
 		scale := uint64(i + 1)
 		reg.Counter("dev0/packets_sent", func() uint64 { return scale * k * k })
-		reg.Counter("dev0/rx_pending", func() uint64 { return k % 3 })
+		reg.Gauge("dev0/rx_pending", func() uint64 { return k % 3 })
 		reg.Counter("cluster/rx_highwater", func() uint64 { return 2 * k })
 		if err := r.AddSource(node, reg); err != nil {
 			t.Fatal(err)

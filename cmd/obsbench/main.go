@@ -1,6 +1,7 @@
 // Command obsbench measures the runtime cost of the observability layer:
 // it runs the example workloads with hooks disabled, with the Perfetto
-// exporter plus metrics sampler attached, and with the store-journey
+// exporter plus a flight recorder rolling 1000-cycle windows attached,
+// and with the store-journey
 // tracer plus unified counter registry attached, and reports simulated
 // cycles and wall-clock time for each as JSON (see
 // BENCH_observability.json for a recorded baseline).
@@ -65,7 +66,7 @@ type mode int
 
 const (
 	modeOff          mode = iota // no hooks
-	modeHooks                    // Perfetto exporter + metrics sampler
+	modeHooks                    // Perfetto exporter + flight recorder on the machine registry
 	modeJourneys                 // journey tracer + unified counter registry
 	modeClusterTrace             // per-node journeys + distributed wire tracing (cluster workloads only)
 	modeRecorder                 // cluster trace + flight recorder with an SLO attached (cluster workloads only)
@@ -112,7 +113,7 @@ func main() {
 	}
 
 	rep := report{
-		Description: "observability overhead: example workloads with hooks off vs Perfetto+metrics attached vs journey tracer+counter registry attached; cluster workloads also run with distributed wire tracing attached, and again with the flight recorder + SLO engine on top",
+		Description: "observability overhead: example workloads with hooks off vs Perfetto+flight recorder attached vs journey tracer+counter registry attached; cluster workloads also run with distributed wire tracing attached, and again with the flight recorder + SLO engine on top",
 		Reps:        *reps,
 	}
 	for _, w := range workloads {
@@ -214,7 +215,20 @@ func attach(m *sim.Machine, md mode) {
 	switch md {
 	case modeHooks:
 		m.AttachPerfetto(obs.NewPerfetto())
-		m.AttachMetrics(obs.NewMetricsWriter(io.Discard, obs.FormatJSONL), 1000)
+		r, err := rec.New(rec.Config{Every: 1000})
+		if err == nil {
+			err = r.AddSource("machine", m.AttachCounters())
+		}
+		if err == nil {
+			err = r.SetWriter(io.Discard)
+		}
+		if err == nil {
+			err = m.AttachPeriodic(1000, r.Roll)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "obsbench:", err)
+			os.Exit(1)
+		}
 	case modeJourneys:
 		if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
 			fmt.Fprintln(os.Stderr, "obsbench:", err)

@@ -21,7 +21,9 @@
 //   - Observe execution: Stats.CPU.CPI is a stall-attribution stack whose
 //     buckets sum to the cycle count; Machine.AttachPerfetto exports
 //     per-instruction lifecycle traces as Chrome trace-event JSON;
-//     Machine.AttachMetrics streams periodic machine samples.
+//     Machine.AttachCounters registers every layer's counters and gauges
+//     (buffer occupancies among them), which cmd/csbsim -record rolls
+//     into a windowed flight recording that cmd/csbrec reads.
 //   - Prove recovery paths: Machine.AttachFaults threads a deterministic
 //     seed-driven fault injector (bus NACKs, device stalls, FIFO
 //     backpressure, dropped/delayed conditional-flush acks, buffer
@@ -177,31 +179,12 @@ type CPIStack = obs.CPIStack
 type StallCause = obs.StallCause
 
 // PerfettoTrace accumulates instruction lifecycles, bus transactions and
-// counter samples and writes Chrome trace-event JSON loadable at
+// store journeys and writes Chrome trace-event JSON loadable at
 // ui.perfetto.dev. Attach with Machine.AttachPerfetto before running.
 type PerfettoTrace = obs.Perfetto
 
-// MetricsSample is one periodic machine snapshot from an attached
-// metrics sampler.
-type MetricsSample = obs.Sample
-
-// MetricsWriter encodes samples as JSONL or CSV; pass it to
-// Machine.AttachMetrics.
-type MetricsWriter = obs.MetricsWriter
-
-// Metrics stream encodings.
-const (
-	MetricsJSONL = obs.FormatJSONL
-	MetricsCSV   = obs.FormatCSV
-)
-
 // NewPerfetto creates a trace exporter with the default lane count.
 func NewPerfetto() *PerfettoTrace { return obs.NewPerfetto() }
-
-// NewMetricsWriter creates a sample encoder writing the given format to w.
-func NewMetricsWriter(w io.Writer, format obs.MetricsFormat) *MetricsWriter {
-	return obs.NewMetricsWriter(w, format)
-}
 
 // FormatPipeline renders retired-instruction lifecycle events as an ASCII
 // pipeline diagram — the plain-text fallback when no Perfetto UI is at
@@ -228,7 +211,7 @@ type Journey = journey.Journey
 type CounterRegistry = counters.Registry
 
 // CounterSnapshot is a point-in-time reading of every registered counter
-// and latency-histogram summary.
+// and gauge and latency-histogram summary.
 type CounterSnapshot = counters.Snapshot
 
 // DefaultJourneyConfig returns the default journey retention sizes.

@@ -11,6 +11,8 @@ import (
 
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
 )
 
 func TestSweepPreservesOrder(t *testing.T) {
@@ -96,8 +98,8 @@ func TestParallelFigureMatchesSequential(t *testing.T) {
 
 // instrumentedReport runs the store-bandwidth workload on a fresh machine
 // with observability hooks attached and renders everything deterministic
-// about the run — full stats, retire-event count, and the metrics stream —
-// as one string for bit-for-bit comparison.
+// about the run — full stats, retire-event count, and the flight
+// recording — as one string for bit-for-bit comparison.
 func instrumentedReport(csb, doubleBuf bool) (string, error) {
 	p := DefaultParams()
 	kind := mem.KindUncached
@@ -110,10 +112,29 @@ func instrumentedReport(csb, doubleBuf bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var metrics bytes.Buffer
-	if err := m.AttachMetrics(obs.NewMetricsWriter(&metrics, obs.FormatCSV), 5000); err != nil {
+	// A private registry keeps Stats free of a counters snapshot, whose
+	// pointer %+v would print.
+	reg := counters.NewRegistry()
+	m.CPU.RegisterCounters("cpu", reg)
+	m.Bus.RegisterCounters("bus", reg)
+	m.Hier.RegisterCounters("cache", reg)
+	m.UB.RegisterCounters("ub", reg)
+	m.CSB.RegisterCounters("csb", reg)
+	var recording bytes.Buffer
+	r, err := rec.New(rec.Config{Every: 5000})
+	if err == nil {
+		err = r.AddSource("machine", reg)
+	}
+	if err == nil {
+		err = r.SetWriter(&recording)
+	}
+	if err == nil {
+		err = m.AttachPeriodic(5000, r.Roll)
+	}
+	if err != nil {
 		return "", err
 	}
+	r.Start(m.Cycle())
 	var retired int
 	m.AttachInstEvents(func(obs.InstEvent) { retired++ })
 	m.MapRange(IOBase, 1<<20, kind)
@@ -129,7 +150,7 @@ func instrumentedReport(csb, doubleBuf bool) (string, error) {
 		return "", err
 	}
 	m.FlushObs()
-	return fmt.Sprintf("%+v\nretire events: %d\n%s", m.Stats(), retired, metrics.String()), nil
+	return fmt.Sprintf("%+v\nretire events: %d\n%s", m.Stats(), retired, recording.String()), nil
 }
 
 // Machines share no mutable state, so N of them running in different

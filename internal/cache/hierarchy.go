@@ -146,6 +146,7 @@ func (h *Hierarchy) RegisterCounters(prefix string, r *counters.Registry) {
 	r.Counter(prefix+"/fills", func() uint64 { return h.stats.Fills })
 	r.Counter(prefix+"/writebacks", func() uint64 { return h.stats.Writebacks })
 	r.Counter(prefix+"/store_stalls", func() uint64 { return h.stats.StoreStalls })
+	r.Gauge(prefix+"/write_buf_depth", func() uint64 { return uint64(len(h.writeBuf)) })
 }
 
 // L1D exposes the data cache (used by tests and warmup helpers).

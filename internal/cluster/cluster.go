@@ -306,10 +306,11 @@ func (n *Node) hookActive() bool { return n.hook != nil && !n.hookDone }
 // ---- observability attachment ----
 
 // AttachCounters creates (once) the cluster-level counter registry and
-// registers the fabric counters — packets in flight, wire occupancy,
-// routing/link drops, and each node's RX-queue high-water mark — in every
-// node's PR 5 registry (so they surface in per-node reports and watchdog
-// dumps) as well as the cluster registry (the recording's "cluster" source).
+// registers the fabric series — the packets-in-flight and
+// wire-occupancy gauges, routing/link drops, and each node's RX-queue
+// high-water mark — in every node's machine registry (so they surface in
+// per-node reports and watchdog dumps) as well as the cluster registry
+// (the recording's "cluster" source).
 func (c *Cluster) AttachCounters() *counters.Registry {
 	if c.countersOn {
 		return c.reg
@@ -323,28 +324,29 @@ func (c *Cluster) AttachCounters() *counters.Registry {
 		r.Counter("cluster/rx_highwater", func() uint64 { return uint64(nic.RxHighWater()) })
 	}
 	c.registerWireCounters(c.reg)
-	c.reg.Counter("cluster/nodes", func() uint64 { return uint64(len(c.nodes)) })
+	c.reg.Gauge("cluster/nodes", func() uint64 { return uint64(len(c.nodes)) })
 	for _, n := range c.nodes {
 		nic := n.NIC
 		c.reg.Counter("cluster/"+n.name+"/rx_highwater", func() uint64 { return uint64(nic.RxHighWater()) })
 		c.reg.Counter("cluster/"+n.name+"/packets_sent", func() uint64 { return uint64(len(nic.Packets())) })
-		c.reg.Counter("cluster/"+n.name+"/rx_pending", func() uint64 { return uint64(nic.RxPending()) })
+		c.reg.Gauge("cluster/"+n.name+"/rx_pending", func() uint64 { return uint64(nic.RxPending()) })
 	}
 	return c.reg
 }
 
-// registerWireCounters registers the shared fabric-state counters in r.
+// registerWireCounters registers the shared fabric-state counters and
+// gauges in r.
 // The closures walk per-node inboxes; they are only read at barriers or
 // after a run, when no node window is running.
 func (c *Cluster) registerWireCounters(r *counters.Registry) {
-	r.Counter("cluster/packets_in_flight", func() uint64 {
+	r.Gauge("cluster/packets_in_flight", func() uint64 {
 		var n uint64
 		for _, nd := range c.nodes {
 			n += uint64(len(nd.inbox) - nd.enqPos)
 		}
 		return n
 	})
-	r.Counter("cluster/wire_occupancy_words", func() uint64 {
+	r.Gauge("cluster/wire_occupancy_words", func() uint64 {
 		var words uint64
 		for _, nd := range c.nodes {
 			for i := nd.arrPos; i < len(nd.inbox); i++ {

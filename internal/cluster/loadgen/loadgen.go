@@ -290,7 +290,7 @@ func (g *Generator) Attach(c *cluster.Cluster, self int) error {
 	reg.Counter(prefix+"issued", func() uint64 { return g.stats.Issued })
 	reg.Counter(prefix+"completed", func() uint64 { return g.stats.Completed })
 	reg.Counter(prefix+"lost", func() uint64 { return g.stats.Lost })
-	reg.Counter(prefix+"outstanding", func() uint64 { return g.stats.Issued - g.stats.Completed - g.stats.Lost })
+	reg.Gauge(prefix+"outstanding", func() uint64 { return g.stats.Issued - g.stats.Completed - g.stats.Lost })
 	reg.Counter(prefix+"timeouts", func() uint64 { return g.stats.Timeouts })
 	reg.Counter(prefix+"retries", func() uint64 { return g.stats.Retries })
 	reg.Counter(prefix+"duplicate_replies", func() uint64 { return g.stats.DuplicateReplies })

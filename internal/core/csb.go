@@ -199,6 +199,8 @@ func (c *CSB) RegisterCounters(prefix string, r *counters.Registry) {
 	r.Counter(prefix+"/stall_busy", func() uint64 { return c.stats.StallBusy })
 	r.Counter(prefix+"/padded_bytes", func() uint64 { return c.stats.PaddedBytes })
 	r.Counter(prefix+"/bytes_committed", func() uint64 { return c.stats.BytesCommitted })
+	r.Gauge(prefix+"/occupancy_bytes", func() uint64 { return uint64(c.Occupancy()) })
+	r.Gauge(prefix+"/pending_lines", func() uint64 { return uint64(c.pendCount) })
 }
 
 // Config returns the CSB configuration.
@@ -211,7 +213,7 @@ func (c *CSB) Stats() Stats { return c.stats }
 func (c *CSB) HitCount() int64 { return c.hits }
 
 // Occupancy returns the number of valid bytes in the combining data
-// register (the metrics sampler's gauge of how full the buffer is).
+// register (registered as the csb/occupancy_bytes gauge).
 func (c *CSB) Occupancy() int {
 	if !c.valid {
 		return 0

@@ -221,7 +221,7 @@ func (n *NIC) RegisterCounters(prefix string, r *counters.Registry) {
 	r.Counter(prefix+"/dropped_descs", func() uint64 { return n.dropped })
 	r.Counter(prefix+"/bad_descs", func() uint64 { return n.badDescs })
 	r.Counter(prefix+"/rx_pops", func() uint64 { return n.rxPops })
-	r.Counter(prefix+"/rx_pending", func() uint64 { return uint64(len(n.rxQueue)) })
+	r.Gauge(prefix+"/rx_pending", func() uint64 { return uint64(len(n.rxQueue)) })
 	r.Counter(prefix+"/rx_highwater", func() uint64 { return uint64(n.rxHighWater) })
 }
 

@@ -8,7 +8,11 @@
 //
 // Counters are registered as read closures over the component's existing
 // fields, so attaching a registry never perturbs simulation state or
-// timing; histograms are owned by the registry and recorded into directly
+// timing. A series is a counter (monotonic: a window's change is what it
+// means) or a gauge (an occupancy that rises and falls: only its value at
+// a point in time means anything), the split gem5's statistics make
+// between Scalar and Value; a point-in-time Snapshot reads both alike.
+// Histograms are owned by the registry and recorded into directly
 // by instrumentation (the journey tracer), with a fixed power-of-two
 // bucket layout so Record stays allocation-free on the tick hot path.
 package counters
@@ -254,8 +258,9 @@ type Registry struct {
 }
 
 type counterEntry struct {
-	name string
-	read func() uint64
+	name  string
+	read  func() uint64
+	gauge bool
 }
 
 // NewRegistry creates an empty registry.
@@ -263,12 +268,20 @@ func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]bool)}
 }
 
-// Counter registers a named counter as a read closure over the owning
-// component's state. Names must be unique; a duplicate is a wiring bug
-// and panics.
+// Counter registers a named monotonic counter as a read closure over the
+// owning component's state. Names must be unique; a duplicate is a wiring
+// bug and panics.
 func (r *Registry) Counter(name string, read func() uint64) {
 	r.claim(name)
 	r.counters = append(r.counters, counterEntry{name: name, read: read})
+}
+
+// Gauge registers a named gauge: a read closure over a level that may
+// fall as well as rise (a queue depth, a buffer occupancy). Consumers
+// read its value and never its change over a window.
+func (r *Registry) Gauge(name string, read func() uint64) {
+	r.claim(name)
+	r.counters = append(r.counters, counterEntry{name: name, read: read, gauge: true})
 }
 
 // Histogram creates, registers and returns a named histogram.
@@ -289,12 +302,12 @@ func (r *Registry) claim(name string) {
 	r.names[name] = true
 }
 
-// VisitCounters calls fn for every registered counter in registration
-// order — the flight recorder uses this at seal time to build its series
-// table without going through an allocating Snapshot.
-func (r *Registry) VisitCounters(fn func(name string, read func() uint64)) {
+// VisitCounters calls fn for every registered counter and gauge in
+// registration order — the flight recorder uses this at seal time to
+// build its series table without going through an allocating Snapshot.
+func (r *Registry) VisitCounters(fn func(name string, read func() uint64, gauge bool)) {
 	for _, c := range r.counters {
-		fn(c.name, c.read)
+		fn(c.name, c.read, c.gauge)
 	}
 }
 
@@ -306,15 +319,15 @@ func (r *Registry) VisitHistograms(fn func(h *Histogram)) {
 	}
 }
 
-// Snapshot is a point-in-time copy of every registered counter value and
-// histogram summary, ready for JSON output (maps marshal with sorted
+// Snapshot is a point-in-time copy of every registered counter and gauge
+// value and histogram summary, ready for JSON output (maps marshal with sorted
 // keys, keeping the output deterministic).
 type Snapshot struct {
 	Counters   map[string]uint64  `json:"counters"`
 	Histograms map[string]Summary `json:"histograms,omitempty"`
 }
 
-// Snapshot reads every counter and summarizes every histogram.
+// Snapshot reads every counter and gauge and summarizes every histogram.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Counters: make(map[string]uint64, len(r.counters))}
 	for _, c := range r.counters {

@@ -97,15 +97,14 @@ func TestInstEventSpan(t *testing.T) {
 }
 
 // TestPerfettoRoundTrip checks that the exported document is valid JSON in
-// the Chrome trace-event shape Perfetto loads, and that instruction, bus
-// and counter events all survive the trip.
+// the Chrome trace-event shape Perfetto loads, and that instruction and
+// bus events survive the trip.
 func TestPerfettoRoundTrip(t *testing.T) {
 	p := NewPerfetto()
 	p.AddInst(InstEvent{Seq: 1, PC: 0x1000, Disasm: "stx %o0, [%o1]",
 		Fetch: 2, Dispatch: 4, Retire: 9, IsMem: true, Addr: 0x4000_0000})
 	p.AddInst(InstEvent{Seq: 2, PC: 0x1004, Disasm: "halt", Retire: 9})
 	p.AddBus(BusEvent{Start: 12, End: 30, Addr: 0x4000_0000, Size: 8, Write: true, IO: true})
-	p.AddCounters(Sample{Cycle: 100, IPC: 0.5, BusBusyPct: 40})
 	if p.Count() != 2 {
 		t.Errorf("Count = %d, want 2", p.Count())
 	}
@@ -139,8 +138,8 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	if byPh["X"] != 3 {
 		t.Errorf("want 3 slices (2 inst + 1 bus), got %d", byPh["X"])
 	}
-	if byPh["C"] == 0 {
-		t.Error("no counter events")
+	if len(byPh) != 2 {
+		t.Errorf("event phases %v, want only M and X", byPh)
 	}
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" && e.Dur == 0 {
@@ -185,51 +184,6 @@ func TestPerfettoLaneRotation(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("instructions spread over %d lanes, want 4", len(seen))
-	}
-}
-
-func TestMetricsWriterJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewMetricsWriter(&buf, FormatJSONL)
-	for i := 0; i < 3; i++ {
-		if err := w.Write(Sample{Cycle: uint64(10000 * (i + 1)), Retired: 100, IPC: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 3 {
-		t.Errorf("Count = %d, want 3", w.Count())
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	for _, line := range lines {
-		var s Sample
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if s.Retired != 100 {
-			t.Errorf("retired = %d, want 100", s.Retired)
-		}
-	}
-}
-
-func TestMetricsWriterCSV(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewMetricsWriter(&buf, FormatCSV)
-	w.Write(Sample{Cycle: 10000, Retired: 42, IPC: 0.0042})
-	w.Write(Sample{Cycle: 20000, Retired: 43})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 records:\n%s", len(lines), buf.String())
-	}
-	header := strings.Split(lines[0], ",")
-	record := strings.Split(lines[1], ",")
-	if len(header) != len(record) {
-		t.Errorf("header has %d columns, record %d", len(header), len(record))
-	}
-	if header[0] != "cycle" || !strings.HasPrefix(lines[1], "10000,") {
-		t.Errorf("unexpected CSV:\n%s", buf.String())
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"csbsim/internal/obs/journey"
 )
 
-// Perfetto collects instruction lifecycles, bus transactions and counter
-// samples and renders them as Chrome trace-event JSON, loadable in
+// Perfetto collects instruction lifecycles, bus transactions and store
+// journeys and renders them as Chrome trace-event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps are CPU
 // cycles written as microseconds — absolute time units are meaningless
 // for a cycle simulator, only the relative scale matters.
@@ -17,8 +17,8 @@ import (
 // Instructions render as slices on a set of round-robin lanes (threads)
 // under the "cpu" process, one slice per instruction spanning fetch to
 // retire, with the per-stage stamps in the slice args. Bus transactions
-// render under the "bus" process; counters (IPC, bus busy, buffer
-// depths) as Perfetto counter tracks.
+// render under the "bus" process. Counter tracks (IPC, bus busy, buffer
+// depths) come from a flight recording: `csbrec perfetto`.
 //
 // Recording only appends raw events to slices; all JSON assembly is
 // deferred to WriteTo, keeping the per-instruction recording cost low
@@ -31,7 +31,6 @@ type Perfetto struct {
 
 	insts    []InstEvent
 	bus      []BusEvent
-	samples  []Sample
 	journeys []journey.Journey
 	ratio    int // CPU-to-bus clock ratio (flow binding to bus slices)
 }
@@ -68,9 +67,6 @@ func (p *Perfetto) AddInst(e InstEvent) { p.insts = append(p.insts, e) }
 
 // AddBus records one completed bus transaction (CPU-cycle timestamps).
 func (p *Perfetto) AddBus(e BusEvent) { p.bus = append(p.bus, e) }
-
-// AddCounters records one metrics sample as Perfetto counter tracks.
-func (p *Perfetto) AddCounters(s Sample) { p.samples = append(p.samples, s) }
 
 func (p *Perfetto) instEvent(e InstEvent) traceEvent {
 	start, end := e.Span()
@@ -130,7 +126,7 @@ func busEvent(e BusEvent) traceEvent {
 
 // WriteTo renders the trace as a single JSON document.
 func (p *Perfetto) WriteTo(w io.Writer) (int64, error) {
-	events := make([]traceEvent, 0, 2+len(p.insts)+len(p.bus)+5*len(p.samples))
+	events := make([]traceEvent, 0, 2+len(p.insts)+len(p.bus))
 	events = append(events,
 		traceEvent{Name: "process_name", Ph: "M", PID: perfettoPIDCPU,
 			Args: map[string]any{"name": "cpu pipeline"}},
@@ -143,24 +139,6 @@ func (p *Perfetto) WriteTo(w io.Writer) (int64, error) {
 		events = append(events, busEvent(e))
 	}
 	events = p.journeyEvents(events)
-	for _, s := range p.samples {
-		for _, c := range []struct {
-			name  string
-			value float64
-		}{
-			{"IPC", s.IPC},
-			{"bus busy %", s.BusBusyPct},
-			{"CSB occupancy (bytes)", float64(s.CSBOccupancy)},
-			{"uncached buffer depth", float64(s.UBDepth)},
-			{"write buffer depth", float64(s.WriteBufDepth)},
-		} {
-			events = append(events, traceEvent{
-				Name: c.name, Ph: "C", Ts: s.Cycle,
-				PID: perfettoPIDCPU, TID: 0,
-				Args: map[string]any{"value": c.value},
-			})
-		}
-	}
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
 		DisplayTimeUnit string       `json:"displayTimeUnit"`

@@ -24,6 +24,7 @@ type Recording struct {
 	Sources   []string
 	SLOSpecs  []string
 	CtrNames  []string
+	Gauge     []bool // aligned with CtrNames: the series is a gauge
 	HistNames []string
 	Windows   []Window
 	Events    []Event
@@ -40,6 +41,7 @@ type frameJSON struct {
 	Sources []string    `json:"sources"`
 	SLO     []string    `json:"slo"`
 	CtrN    []string    `json:"ctrn"`
+	Gauges  []string    `json:"gauges"`
 	HistN   []string    `json:"histn"`
 	I       uint64      `json:"i"`
 	C0      uint64      `json:"c0"`
@@ -171,8 +173,8 @@ func splitFrame(data []byte) (doc []byte, size int) {
 }
 
 // frame parses one frame into the recording. The first frame must be a
-// header of this format version; an error after it marks the frame
-// malformed.
+// header of this format version whose gauges all name counter-table
+// series; an error after it marks the frame malformed.
 func (p *Parser) frame(doc []byte) error {
 	var f frameJSON
 	err := json.Unmarshal(doc, &f)
@@ -184,12 +186,21 @@ func (p *Parser) frame(doc []byte) error {
 		if f.V != FormatVersion {
 			return fmt.Errorf("rec: unsupported format version %d (want %d)", f.V, FormatVersion)
 		}
+		gauge := make([]bool, len(f.CtrN))
+		for _, g := range f.Gauges {
+			i := indexOf(f.CtrN, g)
+			if i < 0 {
+				return fmt.Errorf("rec: gauge %q is not in the counter table", g)
+			}
+			gauge[i] = true
+		}
 		rc.Version = f.V
 		rc.Every = f.Every
 		rc.Start = f.C
 		rc.Sources = f.Sources
 		rc.SLOSpecs = f.SLO
 		rc.CtrNames = f.CtrN
+		rc.Gauge = gauge
 		rc.HistNames = f.HistN
 		return nil
 	}
@@ -242,6 +253,9 @@ func (rc *Recording) WindowAt(cycle uint64) (*Window, bool) {
 // CounterIndex returns the series index of a counter name, or -1.
 func (rc *Recording) CounterIndex(name string) int { return indexOf(rc.CtrNames, name) }
 
+// IsGauge reports whether counter-table series i is a gauge.
+func (rc *Recording) IsGauge(i int) bool { return i < len(rc.Gauge) && rc.Gauge[i] }
+
 // HistIndex returns the series index of a histogram name, or -1.
 func (rc *Recording) HistIndex(name string) int { return indexOf(rc.HistNames, name) }
 
@@ -265,6 +279,12 @@ func Diff(a, b *Recording, tol float64) []string {
 	if !eqStrings(a.CtrNames, b.CtrNames) {
 		add("counter series tables differ (%d vs %d series)", len(a.CtrNames), len(b.CtrNames))
 		return d
+	}
+	for i := range a.CtrNames {
+		if a.IsGauge(i) != b.IsGauge(i) {
+			add("series %s is a gauge in one recording only", a.CtrNames[i])
+			return d
+		}
 	}
 	if !eqStrings(a.HistNames, b.HistNames) {
 		add("histogram series tables differ (%d vs %d series)", len(a.HistNames), len(b.HistNames))
@@ -305,7 +325,8 @@ func Diff(a, b *Recording, tol float64) []string {
 			continue
 		}
 		for i := range wa.CtrEnd {
-			if !near(wa.CtrEnd[i], wb.CtrEnd[i]) || !near(wa.CtrDelta[i], wb.CtrDelta[i]) {
+			// A gauge's delta only restates its end values.
+			if !near(wa.CtrEnd[i], wb.CtrEnd[i]) || !a.IsGauge(i) && !near(wa.CtrDelta[i], wb.CtrDelta[i]) {
 				add("window %d (cycle %d) counter %s: end %d/%d delta %d/%d",
 					wi, wa.C1, a.CtrNames[i], wa.CtrEnd[i], wb.CtrEnd[i], wa.CtrDelta[i], wb.CtrDelta[i])
 			}

@@ -2,8 +2,10 @@ package rec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +37,65 @@ func sampleRecording(t testing.TB) []byte {
 	*a = 9
 	r.Flush(250)
 	return buf.Bytes()
+}
+
+// gaugeRecording is a cleanly closed recording with a counter, a gauge
+// that rises and then falls, and a histogram.
+func gaugeRecording(t testing.TB) []byte {
+	reg, a, _, h := testSource()
+	depth := new(uint64)
+	reg.Gauge("depth", func() uint64 { return *depth })
+	r, err := New(Config{Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("dev", reg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.SetWriter(&buf)
+	r.Start(0)
+	*a, *depth = 4, 6
+	h.Record(9)
+	r.Roll(100)
+	*a, *depth = 7, 2
+	r.Flush(150)
+	return buf.Bytes()
+}
+
+// TestReadGauges: the header's gauges list marks its series, Diff
+// reports a series whose kind differs, and a gauge missing from the
+// counter table is an error, not a panic or a series silently read as
+// the wrong kind.
+func TestReadGauges(t *testing.T) {
+	rc, err := Read(gaugeRecording(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gauges []string
+	for i, name := range rc.CtrNames {
+		if rc.IsGauge(i) {
+			gauges = append(gauges, name)
+		}
+	}
+	if !reflect.DeepEqual(gauges, []string{"dev/depth"}) || len(rc.Gauge) != len(rc.CtrNames) {
+		t.Errorf("gauges read back as %v (%d flags for %d series)", gauges, len(rc.Gauge), len(rc.CtrNames))
+	}
+	// Diff compares kinds before values.
+	plain := *rc
+	plain.Gauge = nil
+	if d := Diff(rc, &plain, 0); len(d) != 1 || !strings.Contains(d[0], "dev/depth") {
+		t.Errorf("diff against an all-counter copy = %q", d)
+	}
+	// A recording without the field is all counters.
+	if rc, err := Read(sampleRecording(t)); err != nil || len(rc.Gauge) != len(rc.CtrNames) || rc.IsGauge(0) {
+		t.Errorf("recording without gauges: %v, err %v", rc.Gauge, err)
+	}
+	bad := `{"k":"h","v":1,"every":100,"c":0,"sources":["dev"],"slo":[],"ctrn":["dev/alpha"],"gauges":["dev/beta"],"histn":[]}`
+	if _, err := Read([]byte(fmt.Sprintf("%d\n%s\n", len(bad), bad))); err == nil ||
+		!strings.Contains(err.Error(), `gauge "dev/beta"`) {
+		t.Errorf("gauge outside the counter table read with error %v", err)
+	}
 }
 
 // TestReadHugeLengthPrefix: a length prefix larger than the data left is
@@ -80,15 +141,19 @@ func TestParserFollowsAppends(t *testing.T) {
 	}
 }
 
-// FuzzRead: no input panics the reader; once a header has parsed, no
-// later byte turns the recording into an error; and feeding the bytes
-// to a Parser in random chunks yields exactly what one Read does.
+// FuzzRead: no input panics the reader; a parsed recording has one kind
+// per counter-table series; once a header has parsed, no later byte
+// turns the recording into an error; and feeding the bytes to a Parser
+// in random chunks yields exactly what one Read does.
 func FuzzRead(f *testing.F) {
 	f.Add(sampleRecording(f), int64(1))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		want, wantErr := Read(data)
 		if (want == nil) == (wantErr == nil) {
 			t.Fatalf("Read returned recording %v with error %v", want != nil, wantErr)
+		}
+		if want != nil && len(want.Gauge) != len(want.CtrNames) {
+			t.Fatalf("%d kinds for %d counter-table series", len(want.Gauge), len(want.CtrNames))
 		}
 
 		rng := rand.New(rand.NewSource(seed))

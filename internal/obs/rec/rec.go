@@ -5,10 +5,11 @@
 // Every W sim-cycles (driven by Machine.AttachPeriodic on a single node,
 // or by the cluster at its single-threaded barrier phase) the recorder
 // snapshots every attached registry and computes *window deltas*: how
-// much each counter moved, and — via raw histogram bucket states
-// (counters.HistState) — genuine per-window latency quantiles rather
-// than cumulative ones. Each window lands in a fixed-capacity in-memory
-// ring (the live consumers: SLO evaluation, active-alert export) and, if
+// much each counter moved, each gauge's value at the window's end, and —
+// via raw histogram bucket states (counters.HistState) — genuine
+// per-window latency quantiles rather than cumulative ones. Each window
+// lands in a fixed-capacity in-memory ring (the live consumers: SLO
+// evaluation, active-alert export) and, if
 // a writer is attached, as one length-prefixed JSON frame in the
 // recording file. Frames are written whole, one Write call each, so an
 // aborted run leaves a valid prefix: the reader tolerates a truncated
@@ -28,6 +29,13 @@
 // rows aligned with the header's series lists), "e" cycle-stamped event
 // (SLO breach/recover, watchdog fire, node-down transition, link outage
 // window), "f" footer (totals; its presence marks a clean close).
+//
+// The header's "ctrn" table lists counters and gauges alike. Its
+// optional "gauges" list names the ctrn entries that are gauges; a
+// recording without it is all counters. A gauge's row carries the same
+// [end,delta] pair, but only end means anything: delta is v-prev in
+// uint64 arithmetic and wraps whenever the gauge falls, so every
+// consumer (csbrec, csbtop, the SLO aggregations) reads a gauge's end.
 package rec
 
 import (
@@ -77,9 +85,10 @@ func (h HistWindow) Mean() float64 {
 	return float64(h.Sum) / float64(h.N)
 }
 
-// Window is one rollup: every counter's end-of-window value and delta,
-// and every histogram's window statistics, in the recorder's sorted
-// series order (see Recorder.CounterNames/HistNames).
+// Window is one rollup: every counter's and gauge's end-of-window value
+// and delta (meaningless for a gauge), and every histogram's window
+// statistics, in the recorder's sorted series order (see
+// Recorder.CounterNames/HistNames).
 type Window struct {
 	Index    uint64
 	C0, C1   uint64 // window covers sim cycles (C0, C1]
@@ -130,9 +139,11 @@ type Recorder struct {
 	footerDone bool
 	err        error
 
-	// Series tables, sorted by full name ("<source>/<registered name>").
+	// Series tables, sorted by full name ("<source>/<registered name>");
+	// ctrGauge marks the ctrNames entries that are gauges.
 	ctrNames  []string
 	ctrRead   []func() uint64
+	ctrGauge  []bool
 	histNames []string
 	hists     []*counters.Histogram
 
@@ -218,8 +229,8 @@ func (r *Recorder) SetSLO(s *SLO) error {
 	return nil
 }
 
-// CounterNames returns the sealed counter-series names (sorted); nil
-// before Start.
+// CounterNames returns the sealed counter- and gauge-series names
+// (sorted); nil before Start.
 func (r *Recorder) CounterNames() []string { return r.ctrNames }
 
 // HistNames returns the sealed histogram-series names (sorted); nil
@@ -257,8 +268,9 @@ func (r *Recorder) Start(cycle uint64) {
 	r.started = cycle
 	r.lastRoll = cycle
 	type centry struct {
-		name string
-		read func() uint64
+		name  string
+		read  func() uint64
+		gauge bool
 	}
 	var ctrs []centry
 	for _, s := range r.sources {
@@ -272,8 +284,8 @@ func (r *Recorder) Start(cycle uint64) {
 			}
 			return prefix + name
 		}
-		s.reg.VisitCounters(func(name string, read func() uint64) {
-			ctrs = append(ctrs, centry{name: full(name), read: read})
+		s.reg.VisitCounters(func(name string, read func() uint64, gauge bool) {
+			ctrs = append(ctrs, centry{name: full(name), read: read, gauge: gauge})
 		})
 		s.reg.VisitHistograms(func(h *counters.Histogram) {
 			r.histNames = append(r.histNames, full(h.Name()))
@@ -283,9 +295,11 @@ func (r *Recorder) Start(cycle uint64) {
 	sort.Slice(ctrs, func(i, j int) bool { return ctrs[i].name < ctrs[j].name })
 	r.ctrNames = make([]string, len(ctrs))
 	r.ctrRead = make([]func() uint64, len(ctrs))
+	r.ctrGauge = make([]bool, len(ctrs))
 	for i, c := range ctrs {
 		r.ctrNames[i] = c.name
 		r.ctrRead[i] = c.read
+		r.ctrGauge[i] = c.gauge
 	}
 	sort.Sort(&histSorter{r.histNames, r.hists})
 
@@ -305,7 +319,7 @@ func (r *Recorder) Start(cycle uint64) {
 	}
 	if r.slo != nil {
 		var unbound []string
-		r.bindings, unbound = r.slo.bind(r.ctrNames, r.histNames)
+		r.bindings, unbound = r.slo.bind(r.ctrNames, r.ctrGauge, r.histNames)
 		r.writeHeader(cycle)
 		// A rule whose glob matches no series is surfaced in the event
 		// log instead of silently never evaluating.
@@ -480,8 +494,9 @@ func (r *Recorder) drainEvents() {
 }
 
 // writeHeader emits the header frame: format version, cadence, source
-// names, SLO rule texts, and the sorted series tables the window frames'
-// positional arrays align with.
+// names, SLO rule texts, the sorted series tables the window frames'
+// positional arrays align with, and (when there are any) the gauges'
+// names.
 func (r *Recorder) writeHeader(cycle uint64) {
 	r.jbuf = r.jbuf[:0]
 	r.jbuf = append(r.jbuf, `{"k":"h","v":`...)
@@ -512,6 +527,19 @@ func (r *Recorder) writeHeader(cycle uint64) {
 			r.jbuf = append(r.jbuf, ',')
 		}
 		r.jbuf = appendJSONString(r.jbuf, n)
+	}
+	gauges := 0
+	for i, n := range r.ctrNames {
+		if !r.ctrGauge[i] {
+			continue
+		}
+		if gauges == 0 {
+			r.jbuf = append(r.jbuf, `],"gauges":[`...)
+		} else {
+			r.jbuf = append(r.jbuf, ',')
+		}
+		r.jbuf = appendJSONString(r.jbuf, n)
+		gauges++
 	}
 	r.jbuf = append(r.jbuf, `],"histn":[`...)
 	for i, n := range r.histNames {

@@ -86,7 +86,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	// must not be double-prefixed (the cluster registry does this).
 	preReg := counters.NewRegistry()
 	pv := new(uint64)
-	preReg.Counter("pre/gauge", func() uint64 { return *pv })
+	preReg.Gauge("pre/gauge", func() uint64 { return *pv })
 
 	r, err := New(Config{Every: 100, Ring: 4})
 	if err != nil {
@@ -105,7 +105,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if err := r.SetWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
-	slo, err := ParseSLO("p99(dev/lat) <= 50; delta(pre/gauge) >= 0; nosuch/series == 0")
+	// delta binds counters only, so the last rule matches nothing.
+	slo, err := ParseSLO("p99(dev/lat) <= 50; pre/gauge >= 2; nosuch/series == 0; delta(pre/*) >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +133,16 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	r.Event(80, "node_down", "n1", "", 1)
 	r.Roll(100)
-	// Window 2: slow latencies breach the p99 rule; the gauge shrinks
-	// (two's-complement delta).
+	// Window 2: slow latencies breach the p99 rule; the gauge falls
+	// below its floor.
 	*a, *pv = 25, 1
 	h.Record(4000)
 	h.Record(5000)
 	r.Roll(200)
 	r.Roll(200) // same cycle: must be a no-op
-	// Window 3: latencies recover.
+	// Window 3: latencies and the gauge recover.
 	h.Record(2)
+	*pv = 4
 	r.Roll(300)
 	r.Flush(350) // final partial window + footer
 	r.Flush(350) // second flush must not write a second footer
@@ -174,8 +176,13 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if w1.CtrEnd[ai] != 25 || w1.CtrDelta[ai] != 15 {
 		t.Errorf("window 1 dev/alpha = end %d delta %d", w1.CtrEnd[ai], w1.CtrDelta[ai])
 	}
-	if got := int64(w1.CtrDelta[gi]); got != -2 {
-		t.Errorf("shrinking gauge delta = %d, want -2", got)
+	if !rc.IsGauge(gi) || rc.IsGauge(ai) || rc.IsGauge(rc.CounterIndex("dev/beta")) {
+		t.Errorf("gauge kinds read back as %v, want only pre/gauge", rc.Gauge)
+	}
+	// A gauge's row keeps the counter frame: its end is the value, and
+	// its delta is v-prev in uint64 arithmetic, wrapped when it falls.
+	if w1.CtrEnd[gi] != 1 || w1.CtrDelta[gi] != ^uint64(1) {
+		t.Errorf("falling gauge row = [%d,%d], want [1,2^64-2]", w1.CtrEnd[gi], w1.CtrDelta[gi])
 	}
 	if w0.Hist[hi].N != 20 || w0.Hist[hi].P99 > 50 {
 		t.Errorf("window 0 hist = %+v", w0.Hist[hi])
@@ -195,11 +202,11 @@ func TestRecorderRoundTrip(t *testing.T) {
 	for _, ev := range rc.Events {
 		kinds[ev.Kind]++
 	}
-	if kinds["slo_unbound"] != 1 || kinds["node_down"] != 1 {
+	if kinds["slo_unbound"] != 2 || kinds["node_down"] != 1 {
 		t.Errorf("event kinds = %v", kinds)
 	}
-	// Two breaches in window 2 — the slow p99 and the shrinking gauge
-	// (delta -2 < 0) — and both recover in window 3.
+	// Two breaches in window 2 — the slow p99 and the gauge at 1 < 2 —
+	// and both recover in window 3.
 	if kinds["slo_breach"] != 2 || kinds["slo_recover"] != 2 {
 		t.Errorf("SLO transitions = %v, want two breaches + two recoveries", kinds)
 	}
@@ -210,7 +217,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 
 	// Offline Check replays to the same verdicts the live engine logged.
 	res := slo.Check(rc)
-	if len(res.Unbound) != 1 || res.Unbound[0] != "nosuch/series == 0" {
+	if len(res.Unbound) != 2 || res.Unbound[0] != "nosuch/series == 0" || res.Unbound[1] != "delta(pre/*) >= 0" {
 		t.Errorf("check unbound = %v", res.Unbound)
 	}
 	gotLive := 0

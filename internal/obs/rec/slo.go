@@ -21,11 +21,13 @@ import (
 //	agg       := value|delta|rate|ratio|p50|p95|p99|mean|min|max|count
 //	op        := <= | >= | == | != | < | >
 //
-// A bare series name means value(series). Counter aggregations:
-// value (end-of-window cumulative value), delta (change over the
-// window), rate (delta per 1000 cycles), ratio (delta of the first
-// series over delta of the second). Histogram aggregations: p50, p95,
-// p99, mean, min, max, count — over the window's own samples only.
+// A bare series name means value(series). value (end-of-window value)
+// binds counters and gauges. delta (change over the window), rate
+// (delta per 1000 cycles) and ratio (delta of the first series over
+// delta of the second) bind counters only: a gauge's change over a
+// window means nothing, so a glob skips the gauges it matches.
+// Histogram aggregations: p50, p95, p99, mean, min, max, count — over
+// the window's own samples only.
 // Series names may use '*' globs; ratio's two patterns must use the
 // same number of '*'s, and each match of the first pattern binds the
 // second with the same captures (so
@@ -64,7 +66,8 @@ type SLO struct {
 	Rules []Rule
 }
 
-// counter aggs bind to counter series; the rest bind to histograms.
+// counter aggs bind to the counter table (delta/rate/ratio to its
+// counters only); the rest bind to histograms.
 var ctrAggs = map[string]bool{"value": true, "delta": true, "rate": true, "ratio": true}
 var histAggs = map[string]bool{"p50": true, "p95": true, "p99": true, "mean": true, "min": true, "max": true, "count": true}
 
@@ -189,14 +192,13 @@ func (b *binding) value(w *Window) (float64, bool) {
 	case "value":
 		return float64(w.CtrEnd[b.idx]), true
 	case "delta":
-		// Deltas are two's-complement (gauges can shrink): signed.
-		return float64(int64(w.CtrDelta[b.idx])), true
+		return float64(w.CtrDelta[b.idx]), true
 	case "rate":
 		cycles := w.C1 - w.C0
 		if cycles == 0 {
 			return 0, false
 		}
-		return float64(int64(w.CtrDelta[b.idx])) * 1000 / float64(cycles), true
+		return float64(w.CtrDelta[b.idx]) * 1000 / float64(cycles), true
 	case "ratio":
 		den := w.CtrDelta[b.idx2]
 		if den == 0 {
@@ -227,10 +229,11 @@ func (b *binding) value(w *Window) (float64, bool) {
 	return 0, false
 }
 
-// bind expands every rule's glob patterns over the sealed series tables,
-// returning the concrete bindings in deterministic order (rule order ×
-// sorted series order) plus the raw text of rules that matched nothing.
-func (s *SLO) bind(ctrNames, histNames []string) ([]binding, []string) {
+// bind expands every rule's glob patterns over the sealed series tables
+// (gauge marks the ctrNames entries that are gauges), returning the
+// concrete bindings in deterministic order (rule order × sorted series
+// order) plus the raw text of rules that matched nothing.
+func (s *SLO) bind(ctrNames []string, gauge []bool, histNames []string) ([]binding, []string) {
 	var bs []binding
 	var unbound []string
 	for ri := range s.Rules {
@@ -239,12 +242,12 @@ func (s *SLO) bind(ctrNames, histNames []string) ([]binding, []string) {
 		if r.Agg == "ratio" {
 			for i, name := range ctrNames {
 				caps, ok := globMatch(r.Arg1, name)
-				if !ok {
+				if !ok || gauge[i] {
 					continue
 				}
 				den := substitute(r.Arg2, caps)
 				j := indexOf(ctrNames, den)
-				if j < 0 {
+				if j < 0 || gauge[j] {
 					continue
 				}
 				bs = append(bs, binding{rule: r, series: name + "/" + den, idx: i, idx2: j})
@@ -252,6 +255,9 @@ func (s *SLO) bind(ctrNames, histNames []string) ([]binding, []string) {
 			}
 		} else if ctrAggs[r.Agg] {
 			for i, name := range ctrNames {
+				if gauge[i] && r.Agg != "value" {
+					continue
+				}
 				if _, ok := globMatch(r.Arg1, name); ok {
 					bs = append(bs, binding{rule: r, series: name, idx: i})
 					n++
@@ -305,7 +311,7 @@ type CheckResult struct {
 
 // Check replays every window of a finished recording through the spec.
 func (s *SLO) Check(rc *Recording) CheckResult {
-	bs, unbound := s.bind(rc.CtrNames, rc.HistNames)
+	bs, unbound := s.bind(rc.CtrNames, rc.Gauge, rc.HistNames)
 	res := CheckResult{Unbound: unbound}
 	for wi := range rc.Windows {
 		evalBindings(bs, &rc.Windows[wi], func(ev Event) {
@@ -325,7 +331,7 @@ func (s *SLO) Check(rc *Recording) CheckResult {
 // still active after window wi — csbtop's replay scrub uses it to show
 // breach state at an arbitrary point in a recording.
 func (s *SLO) ActiveAt(rc *Recording, wi int) []Alert {
-	bs, _ := s.bind(rc.CtrNames, rc.HistNames)
+	bs, _ := s.bind(rc.CtrNames, rc.Gauge, rc.HistNames)
 	for i := 0; i <= wi && i < len(rc.Windows); i++ {
 		evalBindings(bs, &rc.Windows[i], func(Event) {})
 	}

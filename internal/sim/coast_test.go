@@ -15,6 +15,7 @@ import (
 	"csbsim/internal/isa"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
+	"csbsim/internal/obs/counters"
 )
 
 // refTick advances m one cycle by calling every layer directly, in the
@@ -59,7 +60,7 @@ type twin struct {
 	retired hash.Hash64
 	nret    int
 	hooks   strings.Builder // the periodic hook's log, when attached
-	metrics bytes.Buffer    // the metrics sampler's stream, when attached
+	rec     *bytes.Buffer   // the flight recording, when attached
 	nic     *device.NIC
 	// sched, when set, runs before every tick (the timer scheduler).
 	sched func()
@@ -96,7 +97,7 @@ func newTwin(t *testing.T, c lockstepCase) *twin {
 // state renders everything the twins must agree on: Stats JSON with the
 // registry snapshot (less the sim/effort counts, which measure how the
 // cycles were run), the cycle, the console, the retire stream, the hook
-// log, the metrics stream and the NIC's packets with their stamps.
+// log, the flight recording and the NIC's packets with their stamps.
 func (tw *twin) state(t *testing.T) string {
 	t.Helper()
 	st := tw.m.Stats()
@@ -115,9 +116,13 @@ func (tw *twin) state(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	return fmt.Sprintf("cycle %d\nstats %s\nconsole %q\nretired %d %016x\nhooks %q\nmetrics %q\nnic %s\n",
+	var recording string
+	if tw.rec != nil {
+		recording = tw.rec.String()
+	}
+	return fmt.Sprintf("cycle %d\nstats %s\nconsole %q\nretired %d %016x\nhooks %q\nrecording %q\nnic %s\n",
 		tw.m.Cycle(), js, tw.m.Console(), tw.nret, tw.retired.Sum64(), tw.hooks.String(),
-		tw.metrics.String(), nic)
+		recording, nic)
 }
 
 // loadSource loads src into tw's machine, warm, after cfg edits the
@@ -288,7 +293,7 @@ func lockstepCases(t *testing.T) []lockstepCase {
 			tw.sched = k.step
 			tw.kernel = k
 		}},
-		lockstepCase{name: "uncached+hook7+metrics", build: func(t *testing.T, tw *twin) {
+		lockstepCase{name: "uncached+hook7+record", build: func(t *testing.T, tw *twin) {
 			tw.loadSource(t, DefaultConfig(), exampleSource(t, "uncached_stores.s"), func(m *Machine) {
 				m.MapRange(0x4000_0000, 1<<16, mem.KindUncached)
 			})
@@ -299,9 +304,15 @@ func lockstepCases(t *testing.T) []lockstepCase {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.AttachMetrics(obs.NewMetricsWriter(&tw.metrics, obs.FormatJSONL), 250); err != nil {
-				t.Fatal(err)
-			}
+			// Every layer but sim/effort, whose counts differ by design:
+			// the gauges are read at hook cycles inside coast stretches.
+			reg := counters.NewRegistry()
+			m.CPU.RegisterCounters("cpu", reg)
+			m.Bus.RegisterCounters("bus", reg)
+			m.Hier.RegisterCounters("cache", reg)
+			m.UB.RegisterCounters("ub", reg)
+			m.CSB.RegisterCounters("csb", reg)
+			tw.rec = attachRecorder(t, m, reg, 250)
 		}},
 	)
 	return cases
@@ -310,13 +321,13 @@ func lockstepCases(t *testing.T) []lockstepCase {
 // TestCoastLockstep ticks one machine with Machine.Tick, which coasts
 // through quiet stretches, and its twin with refTick, which never does,
 // and compares their Stats (registry snapshot included), cycle, console,
-// retire stream, hook log, metrics stream and NIC packets every 1000
+// retire stream, hook log, flight recording and NIC packets every 1000
 // cycles and at the end. Inputs: the differential seeds, both §4.3.1
 // streams at bus ratios 1, 2, 3, 5 and 6 and on a split bus with
 // turnaround and acknowledgement delay, the ring NIC guest, a halted
 // machine whose NIC the host writes and delivers to, two processes under
 // a timer-driven scheduler, and a stream with a periodic hook every 7
-// cycles and the metrics sampler. The uncached stream at the paper's
+// cycles and a flight recorder rolling every 250. The uncached stream at the paper's
 // ratio and the halted machine must coast through most of their cycles.
 func TestCoastLockstep(t *testing.T) {
 	for _, c := range lockstepCases(t) {

@@ -1,6 +1,6 @@
 // Machine-level journey-tracing and counter-registry wiring: connects the
 // leaf obs packages (internal/obs/journey, internal/obs/counters) to the
-// live machine. Like the fault and metrics hooks, everything here is
+// live machine. Like the fault and periodic hooks, everything here is
 // opt-in — an unattached machine pays nothing, and attaching changes no
 // simulated timing.
 package sim
@@ -104,7 +104,7 @@ func (m *Machine) ExportJourneys() {
 }
 
 // flushObs fires every periodic hook once more at the current cycle, so
-// the final partial window (metrics, recorder) is emitted on
+// the final partial recording window is emitted on
 // any run exit, the abort paths (watchdog trip, typed device error)
 // included. A second flush at the same cycle fires nothing.
 //
@@ -120,7 +120,7 @@ func (m *Machine) flushObs() {
 }
 
 // FlushObs drains buffered observability state: one last firing of every
-// periodic hook, which emits the final partial metrics window (a hook
+// periodic hook, which emits the final partial recording window (a hook
 // whose window is empty emits nothing). Machine.Run's abort paths call
 // it internally; cluster.Run calls it on its own error paths so a wedged
 // node still yields a partial dump.

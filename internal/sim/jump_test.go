@@ -151,7 +151,7 @@ func runSched(tw *twin, c lockstepCase, jump bool) string {
 // up to the scheduler's next action — and once through per-cycle Tick
 // loops with the same limit and watchdog semantics, and compares Stats
 // (registry included, less the sim/effort counts), the cycle, the
-// console, the retire stream, the hook log, the metrics stream, the NIC's
+// console, the retire stream, the hook log, the flight recording, the NIC's
 // packets and the error text. Each case without a scheduler runs again
 // with a 37-cycle watchdog, and the uncached stream runs to a range of
 // cycle limits; at least one watchdog trip and one cycle limit must fall

@@ -135,10 +135,8 @@ type Machine struct {
 	devices []Device
 	spaces  map[uint8]*mem.PageTable
 
-	// Optional observability hooks (see obs.go): the Perfetto exporter
-	// (nil when unattached) and whether AttachMetrics ran.
+	// Optional Perfetto exporter (see obs.go); nil when unattached.
 	perfetto *obs.Perfetto
-	metrics  bool
 
 	// Optional robustness hooks: the fault injector (fault.go), the
 	// retire-progress watchdog (watchdog.go), and the Err providers of
@@ -155,8 +153,8 @@ type Machine struct {
 	devCounters int // next device counter-prefix index
 
 	// Optional periodic hooks (AttachPeriodic): each fires every
-	// hook.every CPU cycles — the one cadence driver, for the metrics
-	// stream and the flight recorder, which may run side by side. One len check per tick when unattached.
+	// hook.every CPU cycles — the one cadence driver, which the flight
+	// recorder rides. One len check per tick when unattached.
 	periodicHooks []periodicHook
 
 	console bytes.Buffer
@@ -550,11 +548,13 @@ type periodicHook struct {
 }
 
 // AttachPeriodic installs a hook invoked every `every` CPU cycles with
-// the current cycle — the machine's one cadence driver: the metrics
-// stream (AttachMetrics) and the flight recorder (cmd/csbsim -record)
-// each ride it, side by side with independent cadences. Hooks fire in attach order; attach
-// before running. Every hook also fires once more from FlushObs so abort
-// paths emit their final window.
+// the current cycle — the machine's one cadence driver and its one
+// periodic-observation path: the flight recorder (cmd/csbsim -record)
+// rides it, reading every counter and gauge of the registry at the hook
+// cycle, and several hooks may run side by side with independent
+// cadences. Hooks fire in attach order; attach before running. Every
+// hook also fires once more from FlushObs so abort paths emit their
+// final window.
 func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 	if every == 0 {
 		return fmt.Errorf("sim: periodic interval must be positive")
@@ -582,7 +582,7 @@ func (m *Machine) Run(maxCycles uint64) error {
 		if len(m.errDevices) != 0 {
 			if err := m.deviceErr(); err != nil {
 				// Abort paths flush buffered observability state (the
-				// final partial metrics window) before surfacing the
+				// final partial recording window) before surfacing the
 				// error, so post-mortems see everything up to the abort.
 				m.flushObs()
 				return err

@@ -11,6 +11,8 @@ import (
 
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -102,80 +104,127 @@ func TestMachineCPIInvariant(t *testing.T) {
 	}
 }
 
-// TestAttachMetricsSampling verifies the sampler cadence (one sample per
-// interval plus the final flush) and the delta semantics: every rate
-// field's deltas sum to the machine's final count.
-func TestAttachMetricsSampling(t *testing.T) {
-	m := runStoreLoop(t)
-	var buf bytes.Buffer
-	w := obs.NewMetricsWriter(&buf, obs.FormatJSONL)
-	if err := m.AttachMetrics(w, 200); err != nil {
+// attachRecorder rides a flight recorder over reg on AttachPeriodic at
+// the given cadence, sealed at the machine's current cycle, and returns
+// the buffer the recording is written to.
+func attachRecorder(t *testing.T, m *Machine, reg *counters.Registry, every uint64) *bytes.Buffer {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: every})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AttachMetrics(w, 200); err == nil {
-		t.Error("second sampler attach accepted")
+	if err := r.AddSource("machine", reg); err != nil {
+		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r.Start(m.Cycle())
+	if err := m.AttachPeriodic(every, r.Roll); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// readRecording parses a recording and looks series up by name.
+func readRecording(t *testing.T, buf *bytes.Buffer) (*rec.Recording, func(name string) int) {
+	t.Helper()
+	rc, err := rec.Read(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc, func(name string) int {
+		i := rc.CounterIndex("machine/" + name)
+		if i < 0 {
+			t.Fatalf("recording has no series machine/%s", name)
+		}
+		return i
+	}
+}
+
+// occupancyGauges are the machine registry's gauges, with the live
+// value each reads.
+func occupancyGauges(m *Machine) map[string]int {
+	return map[string]int{
+		"csb/occupancy_bytes":   m.CSB.Occupancy(),
+		"csb/pending_lines":     m.CSB.PendingLines(),
+		"ub/depth":              m.UB.Len(),
+		"cache/write_buf_depth": m.Hier.WriteBufDepth(),
+	}
+}
+
+// TestRecorderSampling verifies the recorder's cadence on the machine
+// (one window per interval plus the final flush), its counter semantics
+// (every counter's window deltas sum to the machine's final count), and
+// its gauges: exactly the four occupancies, each window's end value read
+// live at the window's last cycle.
+func TestRecorderSampling(t *testing.T) {
+	m := runStoreLoop(t)
+	buf := attachRecorder(t, m, m.AttachCounters(), 200)
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	m.FlushObs()
 	m.FlushObs() // idempotent at the same cycle
 
+	rc, col := readRecording(t, buf)
 	cycles := m.Cycle()
-	wantMin := int(cycles / 200)
-	if w.Count() < wantMin {
-		t.Fatalf("%d samples over %d cycles, want >= %d", w.Count(), cycles, wantMin)
+	if len(rc.Windows) < int(cycles/200) || rc.Windows[len(rc.Windows)-1].C1 != cycles {
+		t.Fatalf("%d windows over %d cycles, the last ending at %d", len(rc.Windows), cycles, rc.Windows[len(rc.Windows)-1].C1)
 	}
-	var prevCycle uint64
-	var sum obs.Sample
-	for _, s := range parseSamples(t, buf.String()) {
-		if s.Cycle <= prevCycle {
-			t.Fatalf("samples not monotone: %d after %d", s.Cycle, prevCycle)
+	var prev uint64
+	for _, w := range rc.Windows {
+		if w.C0 != prev || w.C1 <= w.C0 {
+			t.Fatalf("window (%d,%d] does not follow cycle %d", w.C0, w.C1, prev)
 		}
-		prevCycle = s.Cycle
-		sum.Retired += s.Retired
-		sum.BusBytes += s.BusBytes
-		sum.L1DMisses += s.L1DMisses
-		sum.UncachedStores += s.UncachedStores
-		sum.CSBStores += s.CSBStores
+		prev = w.C1
 	}
 	st := m.Stats()
 	for _, c := range []struct {
-		name      string
-		got, want uint64
+		name string
+		want uint64
 	}{
-		{"retired", sum.Retired, st.CPU.Retired},
-		{"bus_bytes", sum.BusBytes, st.Bus.Bytes},
-		{"l1d_misses", sum.L1DMisses, st.Caches.L1D.Misses},
-		{"uncached_stores", sum.UncachedStores, st.CPU.UncachedStores},
-		{"csb_stores", sum.CSBStores, st.CPU.CSBStores},
+		{"cpu/retired", st.CPU.Retired},
+		{"bus/bytes", st.Bus.Bytes},
+		{"cache/l1d/misses", st.Caches.L1D.Misses},
+		{"cpu/uncached_stores", st.CPU.UncachedStores},
+		{"cpu/csb_stores", st.CPU.CSBStores},
 	} {
-		if c.got != c.want {
-			t.Errorf("sample %s deltas sum to %d, machine says %d", c.name, c.got, c.want)
+		var sum uint64
+		for _, w := range rc.Windows {
+			sum += w.CtrDelta[col(c.name)]
+		}
+		if sum != c.want {
+			t.Errorf("%s deltas sum to %d, machine says %d", c.name, sum, c.want)
+		}
+		if c.want == 0 && (c.name == "cpu/csb_stores" || c.name == "bus/bytes") {
+			t.Errorf("store loop recorded no %s", c.name)
 		}
 	}
-	if sum.CSBStores == 0 || sum.BusBytes == 0 {
-		t.Errorf("store loop sampled no CSB stores or bus bytes: %+v", sum)
+	var gauges []string
+	for i, name := range rc.CtrNames {
+		if rc.IsGauge(i) {
+			gauges = append(gauges, name)
+		}
+	}
+	want := "machine/cache/write_buf_depth machine/csb/occupancy_bytes machine/csb/pending_lines machine/ub/depth"
+	if got := strings.Join(gauges, " "); got != want {
+		t.Errorf("gauges %q, want %q", got, want)
+	}
+	last := &rc.Windows[len(rc.Windows)-1]
+	for name, live := range occupancyGauges(m) {
+		if got := last.CtrEnd[col(name)]; got != uint64(live) {
+			t.Errorf("%s = %d at the final window, machine says %d", name, got, live)
+		}
 	}
 }
 
-func parseSamples(t *testing.T, stream string) []obs.Sample {
-	t.Helper()
-	var out []obs.Sample
-	for _, line := range strings.Split(strings.TrimSpace(stream), "\n") {
-		var s obs.Sample
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("bad sample %q: %v", line, err)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// TestAttachMetricsMidRun attaches the sampler to a machine already
-// running the uncached stream: the first sample counts only the window
-// since attach, so its deltas match the Stats difference across it.
-func TestAttachMetricsMidRun(t *testing.T) {
+// TestRecorderMidRun attaches the recorder to a machine already running
+// the uncached stream: the first window counts only the cycles since
+// attach, so its deltas match the Stats difference across it, and its
+// gauges read the live occupancies at its end.
+func TestRecorderMidRun(t *testing.T) {
 	m, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -188,50 +237,51 @@ func TestAttachMetricsMidRun(t *testing.T) {
 		m.Tick()
 	}
 	before := m.Stats()
-	var buf bytes.Buffer
-	if err := m.AttachMetrics(obs.NewMetricsWriter(&buf, obs.FormatJSONL), 200); err != nil {
-		t.Fatal(err)
-	}
+	buf := attachRecorder(t, m, m.AttachCounters(), 200)
 	for m.Cycle() < 3200 {
 		m.Tick()
 	}
 	after := m.Stats()
-	samples := parseSamples(t, buf.String())
-	if len(samples) != 1 {
-		t.Fatalf("got %d samples by cycle 3200, want 1:\n%s", len(samples), buf.String())
+	rc, col := readRecording(t, buf)
+	if len(rc.Windows) != 1 {
+		t.Fatalf("got %d windows by cycle 3200, want 1", len(rc.Windows))
 	}
-	s := samples[0]
-	retired := after.CPU.Retired - before.CPU.Retired
-	busBusy := after.Bus.BusyCycles - before.Bus.BusyCycles
-	busCycles := after.BusCycles - before.BusCycles
-	if s.Cycle != 3200 || s.BusCycle != after.BusCycles {
-		t.Errorf("sample at cycle %d bus cycle %d, want 3200 and %d", s.Cycle, s.BusCycle, after.BusCycles)
+	w := &rc.Windows[0]
+	if w.C0 != 3000 || w.C1 != 3200 || w.CtrEnd[col("bus/cycles")] != after.BusCycles {
+		t.Errorf("window (%d,%d] at bus cycle %d, want (3000,3200] and %d",
+			w.C0, w.C1, w.CtrEnd[col("bus/cycles")], after.BusCycles)
 	}
-	if s.Retired != retired || s.IPC != float64(retired)/200 {
-		t.Errorf("retired %d ipc %g, want %d over the 200-cycle window", s.Retired, s.IPC, retired)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"cpu/retired", after.CPU.Retired - before.CPU.Retired},
+		{"bus/busy_cycles", after.Bus.BusyCycles - before.Bus.BusyCycles},
+		{"bus/cycles", after.BusCycles - before.BusCycles},
+		{"bus/bytes", after.Bus.Bytes - before.Bus.Bytes},
+		{"cpu/uncached_stores", after.CPU.UncachedStores - before.CPU.UncachedStores},
+	} {
+		if got := w.CtrDelta[col(c.name)]; got != c.want || c.want == 0 {
+			t.Errorf("%s delta %d, want %d (nonzero)", c.name, got, c.want)
+		}
 	}
-	if want := 100 * float64(busBusy) / float64(busCycles); s.BusBusyPct != want {
-		t.Errorf("bus_busy_pct %g, want %g (%d of %d bus cycles)", s.BusBusyPct, want, busBusy, busCycles)
+	for name, live := range occupancyGauges(m) {
+		if got := w.CtrEnd[col(name)]; got != uint64(live) {
+			t.Errorf("%s = %d, machine says %d", name, got, live)
+		}
 	}
-	if want := after.Bus.Bytes - before.Bus.Bytes; s.BusBytes != want {
-		t.Errorf("bus_bytes %d, want %d", s.BusBytes, want)
-	}
-	if want := after.CPU.UncachedStores - before.CPU.UncachedStores; s.UncachedStores != want || want == 0 {
-		t.Errorf("uncached_stores %d, want %d (nonzero)", s.UncachedStores, want)
+	if w.CtrEnd[col("ub/depth")] == 0 {
+		t.Error("the saturated uncached stream recorded an empty uncached buffer")
 	}
 }
 
 // TestAttachPerfettoIntegration runs an instrumented machine and checks
-// the exported trace holds instruction, bus and counter events on the
-// shared CPU-cycle timeline.
+// the exported trace holds instruction and bus events on the shared
+// CPU-cycle timeline.
 func TestAttachPerfettoIntegration(t *testing.T) {
 	m := runStoreLoop(t)
 	p := obs.NewPerfetto()
 	m.AttachPerfetto(p)
-	var buf bytes.Buffer
-	if err := m.AttachMetrics(obs.NewMetricsWriter(&buf, obs.FormatJSONL), 500); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +309,7 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
 	cycles := m.Cycle()
-	var busSlices, counters int
+	var busSlices int
 	for _, e := range doc.TraceEvents {
 		switch e.Ph {
 		case "X":
@@ -271,15 +321,10 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 			if e.Ts+e.Dur > cycles+uint64(m.Cfg.Ratio) {
 				t.Errorf("slice ends at %d, run was %d CPU cycles", e.Ts+e.Dur, cycles)
 			}
-		case "C":
-			counters++
 		}
 	}
 	if busSlices == 0 {
 		t.Error("no bus slices in trace")
-	}
-	if counters == 0 {
-		t.Error("metrics samples did not land as counter tracks")
 	}
 }
 
@@ -287,7 +332,7 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 // a plain machine carries no observers or periodic hooks.
 func TestUnattachedMachineHasNoObservers(t *testing.T) {
 	m := runStoreLoop(t)
-	if m.metrics || len(m.periodicHooks) != 0 || m.perfetto != nil {
+	if len(m.periodicHooks) != 0 || m.perfetto != nil {
 		t.Error("fresh machine has observability state attached")
 	}
 	if err := m.Run(1_000_000); err != nil {
@@ -298,8 +343,7 @@ func TestUnattachedMachineHasNoObservers(t *testing.T) {
 
 // TestAttachPeriodic verifies the generic periodic hooks: one firing per
 // interval per hook while running, plus exactly one more each from the
-// final flush, and independent cadences for coexisting hooks (the
-// metrics stream alongside the flight recorder).
+// final flush, and independent cadences for coexisting hooks.
 func TestAttachPeriodic(t *testing.T) {
 	m := runStoreLoop(t)
 	if err := m.AttachPeriodic(0, func(uint64) {}); err == nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,14 +10,14 @@ import (
 
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
-	"csbsim/internal/obs"
 )
 
-// observeRun runs one §4.3.1 example stream to HALT with the metrics
-// stream attached before the run at cadence 1000 (plus a Perfetto
-// exporter when p is non-nil), flushes the final window, and returns
-// the stream.
-func observeRun(t *testing.T, file string, kind mem.Kind, format obs.MetricsFormat, p *obs.Perfetto) string {
+// observeRun runs one §4.3.1 example stream to HALT with a flight
+// recorder over the machine's registry rolling every 1000 cycles from
+// cycle 0, flushes the final window, and returns the recording: the
+// bytes `csbsim -record FILE -record-every 1000` writes before its
+// footer.
+func observeRun(t *testing.T, file string, kind mem.Kind) string {
 	t.Helper()
 	m, err := New(DefaultConfig())
 	if err != nil {
@@ -29,48 +27,12 @@ func observeRun(t *testing.T, file string, kind mem.Kind, format obs.MetricsForm
 	if _, err := m.LoadSource(file, exampleSource(t, file)); err != nil {
 		t.Fatal(err)
 	}
-	if p != nil {
-		m.AttachPerfetto(p)
-	}
-	var buf bytes.Buffer
-	if err := m.AttachMetrics(obs.NewMetricsWriter(&buf, format), 1000); err != nil {
-		t.Fatal(err)
-	}
+	buf := attachRecorder(t, m, m.AttachCounters(), 1000)
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	m.FlushObs()
 	return buf.String()
-}
-
-// perfettoCounters returns the trace's "ph":"C" events, one raw JSON
-// object per line, in emission order.
-func perfettoCounters(t *testing.T, p *obs.Perfetto) string {
-	t.Helper()
-	var out bytes.Buffer
-	if _, err := p.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, raw := range doc.TraceEvents {
-		var ev struct {
-			Ph string `json:"ph"`
-		}
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Ph == "C" {
-			b.Write(raw)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }
 
 // wedgeAfterSpin retires a 25-iteration loop (75 instructions, more than
@@ -120,21 +82,17 @@ func watchdogRetiredSection(t *testing.T) string {
 }
 
 // TestObserveGolden pins the machine's periodic and post-mortem views
-// byte for byte: the metrics stream (JSONL for both §4.3.1 streams, CSV
-// for one), the Perfetto counter tracks the samples become, and the
-// watchdog dump's retired-instruction ring after it has wrapped.
+// byte for byte: the flight recording of both §4.3.1 streams (every
+// counter's change and every gauge's value per 1000-cycle window) and
+// the watchdog dump's retired-instruction ring after it has wrapped.
 // Refresh with: go test ./internal/sim -run TestObserveGolden -update
 func TestObserveGolden(t *testing.T) {
 	var b strings.Builder
 	section := func(title, body string) { fmt.Fprintf(&b, "== %s ==\n%s", title, body) }
-	section("metrics uncached_stores.s jsonl every 1000",
-		observeRun(t, "uncached_stores.s", mem.KindUncached, obs.FormatJSONL, nil))
-	p := obs.NewPerfetto()
-	section("metrics csb_stores.s jsonl every 1000",
-		observeRun(t, "csb_stores.s", mem.KindCombining, obs.FormatJSONL, p))
-	section("perfetto counter events csb_stores.s", perfettoCounters(t, p))
-	section("metrics csb_stores.s csv every 1000",
-		observeRun(t, "csb_stores.s", mem.KindCombining, obs.FormatCSV, nil))
+	section("recording uncached_stores.s every 1000",
+		observeRun(t, "uncached_stores.s", mem.KindUncached))
+	section("recording csb_stores.s every 1000",
+		observeRun(t, "csb_stores.s", mem.KindCombining))
 	section("watchdog dump, last retired instructions", watchdogRetiredSection(t))
 	got := b.String()
 

@@ -191,6 +191,7 @@ func (u *Buffer) RegisterCounters(prefix string, r *counters.Registry) {
 	r.Counter(prefix+"/entries", func() uint64 { return u.stats.Entries })
 	r.Counter(prefix+"/transactions", func() uint64 { return u.stats.Transactions })
 	r.Counter(prefix+"/stall_full", func() uint64 { return u.stats.StallFull })
+	r.Gauge(prefix+"/depth", func() uint64 { return uint64(u.qlen) })
 }
 
 // New creates an uncached buffer.
