@@ -4,7 +4,7 @@ GO ?= go
 # Parallel workers for figure sweeps (cmd/csbfig -j); defaults to all cores.
 J ?= 0
 
-.PHONY: all build vet fmt-check lint test race bench-smoke obsbench figures bench-simspeed bench-cluster perf-ab zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
+.PHONY: all build vet fmt-check lint test race bench-smoke figures perf-ab zero-alloc faults faults-cluster journeys cluster-trace flight-recorder ci
 
 all: build
 
@@ -40,25 +40,10 @@ race:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# Re-measure the observability overhead baseline.
-obsbench:
-	$(GO) run ./cmd/obsbench > BENCH_observability.json
-
 # Regenerate all paper figures, sweeping measurement points across $(J)
 # workers (0 = one per core).
 figures:
 	$(GO) run ./cmd/csbfig -all -j $(J)
-
-# Re-measure raw simulator speed (tick rate + parallel figure speedup).
-bench-simspeed:
-	$(GO) run ./cmd/simspeed > BENCH_simspeed.json
-
-# Re-measure parallel cluster-engine scaling (1/2/4/8-node rates across
-# GOMAXPROCS, plus the two-node overhead of parallel windows over inline
-# ones) and gate that scheduler overhead at 5%.
-bench-cluster:
-	$(GO) run ./cmd/clusterspeed > BENCH_cluster.json
-	$(GO) run ./cmd/clusterspeed -gate BENCH_cluster.json
 
 # Parent-vs-change benchmark pairs, the protocol a performance change is
 # judged by: BASE's committed files are extracted into .bench_build/base
@@ -111,18 +96,16 @@ journeys:
 	$(GO) run ./cmd/csbrec summary out/csb.rec
 	$(GO) run ./cmd/csbrec series -m 'machine/csb/*' out/csb.rec | grep 'csb/occupancy_bytes'
 
-# Cross-node tracing: run a traced two-node ping-pong, write the merged
-# distributed-trace dump plus the two-timeline Perfetto export to out/,
-# then re-measure the observability overheads and gate both the
-# cluster-trace and flight-recorder modes at 10%. CI uploads out/ as an
-# artifact.
+# Cross-node tracing: run a traced two-node ping-pong and write the
+# merged distributed-trace dump plus the two-timeline Perfetto export to
+# out/. CI uploads out/ as an artifact. What the trace and the recorder
+# cost is checked exactly by TestServeObservedEffort and
+# TestObservedEffort (go test ./...) and timed by
+# BenchmarkObservedPingPong (bench-smoke).
 cluster-trace:
 	mkdir -p out
 	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 \
 		-trace out/cluster_trace.json -perfetto out/cluster_trace_perfetto.json -v
-	$(GO) run ./cmd/obsbench -reps 5 > out/BENCH_observability.json
-	$(GO) run ./cmd/obsbench -gate out/BENCH_observability.json \
-		-max-cluster-overhead 10 -max-recorder-overhead 10
 
 # Flight recorder end to end: record a faulted serving run with the
 # committed SLO spec riding along (live breaches land in the event log),

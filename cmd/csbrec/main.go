@@ -254,7 +254,7 @@ func cmdSlice(args []string, out io.Writer) error {
 	printed := 0
 	for wi := range rc.Windows {
 		w := &rc.Windows[wi]
-		if w.C1 < *from || w.C0 > *to {
+		if w.C1 < *from || w.C0 >= *to {
 			continue
 		}
 		fmt.Fprintf(out, "window %d (%d,%d]\n", w.Index, w.C0, w.C1)

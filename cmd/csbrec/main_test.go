@@ -71,12 +71,17 @@ func TestSeriesAndSlice(t *testing.T) {
 		"hist dev/lat                                      n=3        p99=[12..63] worst_window=(200,250]\n"; got != want {
 		t.Errorf("series:\n got %q\nwant %q", got, want)
 	}
-	if got, want := run(t, cmdSlice, "-from", "150", "-to", "199", path), ""+
-		"window 1 (100,200]\n"+
-		"  gauge dev/depth                                   value=2\n"+
-		"  ctr  dev/sent                                     end=16         delta=6\n"+
-		"  hist dev/lat                                      n=0\n"; got != want {
-		t.Errorf("slice:\n got %q\nwant %q", got, want)
+	// A window covers (C0,C1]: -to 200 ends inside (100,200] and must
+	// not reach (200,250], which holds no cycle at or before 200.
+	want := "" +
+		"window 1 (100,200]\n" +
+		"  gauge dev/depth                                   value=2\n" +
+		"  ctr  dev/sent                                     end=16         delta=6\n" +
+		"  hist dev/lat                                      n=0\n"
+	for _, to := range []string{"199", "200"} {
+		if got := run(t, cmdSlice, "-from", "150", "-to", to, path); got != want {
+			t.Errorf("slice -from 150 -to %s:\n got %q\nwant %q", to, got, want)
+		}
 	}
 }
 

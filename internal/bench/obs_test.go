@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"io"
 	"testing"
 
 	"csbsim/internal/cluster"
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/device"
 	"csbsim/internal/mem"
+	"csbsim/internal/obs/journey"
+	"csbsim/internal/obs/rec"
 	"csbsim/internal/sim"
 )
 
@@ -119,4 +123,82 @@ func TestCPIStackInvariantMessageSend(t *testing.T) {
 		}
 		checkCPI(t, "piodma/"+method.String(), m.Stats())
 	}
+}
+
+// BenchmarkObservedPingPong times the X8 ping-pong (CSB sends, 600
+// rounds, wire latency 60) under each observer stack: none, per-node
+// journeys, the cross-node trace (journeys plus wire spans), and that
+// trace plus a flight recorder rolling 10k-cycle windows, with an SLO,
+// into a discarded writer. An observer's wall-time cost is the
+// difference between sub-benchmarks' ns/cycle; its cost in simulator
+// work is exact and held by TestObservedEffort (internal/sim) and
+// TestServeObservedEffort (internal/cluster/loadgen).
+func BenchmarkObservedPingPong(b *testing.B) {
+	for _, mode := range []string{"off", "journeys", "cluster-trace", "recorder"} {
+		b.Run(mode, func(b *testing.B) {
+			var cycles uint64
+			for range b.N {
+				b.StopTimer()
+				c := observedPingPong(b, mode)
+				b.StartTimer()
+				if err := c.Run(100_000_000, false); err != nil {
+					b.Fatal(err)
+				}
+				cycles += c.HaltCycle()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
+	}
+}
+
+// observedPingPong builds BenchmarkObservedPingPong's cluster, loaded,
+// warm and observed as mode names.
+func observedPingPong(b *testing.B, mode string) *cluster.Cluster {
+	cfg := cluster.DefaultConfig()
+	cfg.WireLatency = 60
+	c, err := cluster.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ping, pong := PingPongPrograms(SendCSB, 600)
+	for i, src := range []string{ping, pong} {
+		n := c.Node(i)
+		n.MapIO(true)
+		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
+		p, err := n.M.LoadSource(n.Name()+".s", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.M.WarmProgram(p)
+		if mode == "journeys" {
+			if _, err := n.M.AttachJourneys(journey.DefaultConfig()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if mode == "cluster-trace" || mode == "recorder" {
+		if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if mode == "recorder" {
+		r, err := rec.New(rec.DefaultConfig())
+		if err == nil {
+			err = r.SetWriter(io.Discard)
+		}
+		var slo *rec.SLO
+		if err == nil {
+			slo, err = rec.ParseSLO("cluster/nodes_down == 0; p99(*/ctrace/e2e) <= 1000000")
+		}
+		if err == nil {
+			err = r.SetSLO(slo)
+		}
+		if err == nil {
+			err = c.AttachRecorder(r)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
 }

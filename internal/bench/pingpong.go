@@ -96,7 +96,8 @@ func pongProgram(method SendMethod, rounds int) string {
 }
 
 // PingPongPrograms returns the two node programs of the round-trip
-// workload, for harnesses (cmd/obsbench) that need the raw sources.
+// workload, for callers that build their own cluster around them
+// (csbcluster -send, BenchmarkObservedPingPong).
 func PingPongPrograms(method SendMethod, rounds int) (ping, pong string) {
 	return pingProgram(method, rounds), pongProgram(method, rounds)
 }

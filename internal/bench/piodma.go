@@ -96,12 +96,6 @@ func messageSendProgram(method SendMethod, msgBytes, lineSize int) string {
 	return b.String()
 }
 
-// MessageSendProgram returns the NIC message-send program of the PIO vs
-// DMA workload, for harnesses that need the raw source.
-func MessageSendProgram(method SendMethod, msgBytes, lineSize int) string {
-	return messageSendProgram(method, msgBytes, lineSize)
-}
-
 // MeasureMessageSend returns two costs of delivering one message: wire is
 // the CPU-cycle latency until the NIC has the complete message on the
 // wire; overhead is the CPU cycles until the processor is free again (for

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"csbsim/internal/fault"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
+	"csbsim/internal/obs/rec"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/effort.golden")
@@ -216,16 +218,11 @@ func firstDiff(a, b string) string {
 // most 0.25. Refresh with: go test ./internal/cluster/loadgen -run
 // TestServeEffortGolden -update
 func TestServeEffortGolden(t *testing.T) {
-	const cycles = 60_000
-	c, _ := starScenario{gen: Config{MeanGap: serveGap, Seed: 1}}.build(t, true)
-	if err := c.RunFor(cycles, false); err != nil {
-		t.Fatal(err)
-	}
+	c := serveEffortRun(t, false)
 	var got strings.Builder
 	for i, n := range c.Nodes() {
 		e := n.M.Effort()
-		fmt.Fprintf(&got, "serve %s cycles=%d full_ticks=%d coasted_cycles=%d asleep_cycles=%d steps=%d\n",
-			n.Name(), n.M.Cycle(), e.FullTicks, e.CoastedCycles, e.AsleepCycles, e.Steps)
+		got.WriteString(effortLine(n))
 		limit := 0.03
 		if i == 0 {
 			limit = 0.25
@@ -246,5 +243,54 @@ func TestServeEffortGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("serving effort drifted from %s (refresh with -update)\ngot:\n%swant:\n%s", golden, got.String(), want)
+	}
+}
+
+// serveEffortRun runs TestServeEffortGolden's 60k-cycle serving star,
+// with the cross-node trace and a cluster flight recorder rolling every
+// 1000 cycles when observed.
+func serveEffortRun(t *testing.T, observed bool) *cluster.Cluster {
+	t.Helper()
+	c, _ := starScenario{gen: Config{MeanGap: serveGap, Seed: 1}, trace: observed}.build(t, true)
+	if observed {
+		r, err := rec.New(rec.Config{Every: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetWriter(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AttachRecorder(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RunFor(60_000, false); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// effortLine formats a node's line of the serving effort golden.
+func effortLine(n *cluster.Node) string {
+	e := n.M.Effort()
+	return fmt.Sprintf("serve %s cycles=%d full_ticks=%d coasted_cycles=%d asleep_cycles=%d steps=%d\n",
+		n.Name(), n.M.Cycle(), e.FullTicks, e.CoastedCycles, e.AsleepCycles, e.Steps)
+}
+
+// TestServeObservedEffort holds the cluster observers to their cost in
+// simulator work, which unlike their wall time is exact: with per-node
+// journeys, wire spans and a flight recorder attached, every node of
+// the serving star must take exactly the unobserved run's full ticks,
+// coasted and asleep cycles and steps. The recorder rolls at the
+// barrier, so no window edge reaches a node's quiet stretch.
+func TestServeObservedEffort(t *testing.T) {
+	bare, observed := serveEffortRun(t, false), serveEffortRun(t, true)
+	for i, n := range observed.Nodes() {
+		if got, want := effortLine(n), effortLine(bare.Node(i)); got != want {
+			t.Errorf("observed %s\nunobserved %s", got, want)
+		}
+	}
+	if observed.Recorder().Windows() == 0 {
+		t.Error("the recorder rolled no window")
 	}
 }

@@ -501,7 +501,7 @@ func (i *Injector) LinkOutage() int {
 }
 
 // specKeys maps spec-string keys to Config fields. Kept in one table so
-// ParseSpec and FormatSpec cannot drift apart.
+// ParseSpec and the key list SpecKeys prints cannot drift apart.
 var specKeys = []struct {
 	key string
 	get func(*Config) *int

@@ -359,3 +359,50 @@ func TestStatsSeedCarried(t *testing.T) {
 		t.Fatalf("stats seed = %d", inj.Stats().Seed)
 	}
 }
+
+// FuzzParseSpec: every spec either fails to parse or yields a Config
+// that validates, and an Injector built from it survives 1000 draws of
+// every class, each injected window within [1, Max].
+func FuzzParseSpec(f *testing.F) {
+	f.Add("default,seed=7")
+	f.Add("busnack=64,flushdrop=128,seed=3")
+	f.Add("wiredrop=32,outage=4,outagemax=2000")
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			if cfg != (Config{}) {
+				t.Fatalf("ParseSpec(%q) returned %+v with error %v", spec, cfg, err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, which does not validate: %v", spec, cfg, err)
+		}
+		inj, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := []struct {
+			name string
+			draw func() int
+			max  int
+		}{
+			{"DeviceStall", inj.DeviceStall, cfg.DeviceStallMax},
+			{"Backpressure", inj.Backpressure, cfg.NICBackpressureMax},
+			{"FlushDelay", inj.FlushDelay, cfg.FlushDelayMax},
+			{"PacketDelay", inj.PacketDelay, cfg.WireDelayMax},
+			{"LinkOutage", inj.LinkOutage, cfg.LinkOutageMax},
+		}
+		events := []func() bool{inj.NackBus, inj.DropFlush, inj.SqueezeCSB, inj.SqueezeUB, inj.DropPacket, inj.DupPacket}
+		for range 1000 {
+			for _, w := range windows {
+				if n := w.draw(); n != 0 && (n < 1 || n > w.max) {
+					t.Fatalf("%q: %s window %d outside [1, %d]", spec, w.name, n, w.max)
+				}
+			}
+			for _, ev := range events {
+				ev()
+			}
+		}
+	})
+}

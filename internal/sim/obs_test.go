@@ -6,12 +6,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -386,5 +388,65 @@ func TestAttachPeriodic(t *testing.T) {
 	want2 := int(m.Cycle() / 700)
 	if fired2 < want2 || fired2 > want2+2 {
 		t.Errorf("second hook fired %d times over %d cycles (interval 700)", fired2, m.Cycle())
+	}
+}
+
+// TestObservedEffort holds the single-machine observers to their cost in
+// simulator work, which unlike their wall time is exact. Both §4.3.1
+// streams run through Run and Drain bare and again with the journey
+// tracer plus a flight recorder on AttachPeriodic. The observed run must
+// simulate the same machine, and each recorder window may add at most
+// one full tick and two steps: a hook fires in a full tick, so a window
+// edge ends the quiet stretch it falls in.
+func TestObservedEffort(t *testing.T) {
+	run := func(file string, kind mem.Kind, every uint64) *Machine {
+		m, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.MapRange(0x4000_0000, 1<<16, kind)
+		p, err := m.LoadSource(file, exampleSource(t, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.WarmProgram(p)
+		if every != 0 {
+			if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			attachRecorder(t, m, m.Counters(), every)
+		}
+		if err := m.Run(10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Drain(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	simulated := func(m *Machine) Stats {
+		s := m.Stats()
+		s.Counters = nil
+		return s
+	}
+	for _, stream := range []struct {
+		file string
+		kind mem.Kind
+	}{{"csb_stores.s", mem.KindCombining}, {"uncached_stores.s", mem.KindUncached}} {
+		bare := run(stream.file, stream.kind, 0)
+		be := bare.Effort()
+		for _, every := range []uint64{1000, 250} {
+			m := run(stream.file, stream.kind, every)
+			if !reflect.DeepEqual(simulated(m), simulated(bare)) {
+				t.Fatalf("%s every %d: observers changed the simulated machine", stream.file, every)
+			}
+			e, windows := m.Effort(), m.Cycle()/every
+			if e.AsleepCycles != be.AsleepCycles || e.FullTicks < be.FullTicks ||
+				e.FullTicks-be.FullTicks > windows || e.Steps < be.Steps || e.Steps-be.Steps > 2*windows {
+				t.Errorf("%s every %d: effort %+v over %d windows, bare %+v", stream.file, every, e, windows, be)
+			}
+			t.Logf("%s every %d: %d windows add %d full ticks, %d steps",
+				stream.file, every, windows, e.FullTicks-be.FullTicks, e.Steps-be.Steps)
+		}
 	}
 }
