@@ -75,22 +75,25 @@ zero-alloc:
 	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc' ./internal/bench/
 	$(GO) test -run TestUncachedLoadAllocs ./internal/sim/
 
-# Journey-traced runs of the paired store workloads: dump the per-hop
-# store journeys for the uncached and CSB paths, render both with
-# csbtrace (totals, per-layer latency histograms, slowest-journey table),
-# and write the CSB run's Perfetto trace with memory-system flow arrows.
+# Journey-traced runs of the paired store workloads: record the per-hop
+# store journeys for the uncached and CSB paths, render both with csbrec
+# (journey counters and whole-run per-layer latency histograms, then the
+# slowest-journey table), and write the CSB run's Perfetto trace with
+# memory-system flow arrows.
 # A third run drives csbsim's end-of-run flush of the periodic hooks:
 # the recording must come out with the CSB occupancy gauges in it.
 # Artifacts land in out/.
 journeys:
 	mkdir -p out
 	$(GO) run ./cmd/csbsim -uncached 0x40000000:64K \
-		-journeys out/journeys_uncached.json examples/asm/uncached_stores.s
+		-journeys -record out/journeys_uncached.rec examples/asm/uncached_stores.s
 	$(GO) run ./cmd/csbsim -combining 0x40000000:64K \
-		-journeys out/journeys_csb.json -perfetto out/trace_csb.json \
+		-journeys -record out/journeys_csb.rec -perfetto out/trace_csb.json \
 		examples/asm/csb_stores.s
-	$(GO) run ./cmd/csbtrace -top 5 out/journeys_uncached.json
-	$(GO) run ./cmd/csbtrace -top 5 out/journeys_csb.json
+	$(GO) run ./cmd/csbrec series -m 'machine/journey/*' out/journeys_uncached.rec
+	$(GO) run ./cmd/csbrec journeys -top 5 out/journeys_uncached.rec
+	$(GO) run ./cmd/csbrec series -m 'machine/journey/*' out/journeys_csb.rec
+	$(GO) run ./cmd/csbrec journeys -top 5 out/journeys_csb.rec
 	$(GO) run ./cmd/csbsim -combining 0x40000000:64K -pipeview 16 \
 		-record out/csb.rec -record-every 1000 examples/asm/csb_stores.s
 	$(GO) run ./cmd/csbrec summary out/csb.rec

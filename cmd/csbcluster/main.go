@@ -199,7 +199,7 @@ func run(o *options, args []string) error {
 		}
 	}
 	// Flight recorder: -record persists windows to disk, -slo alone still
-	// evaluates live (ring-only). Series tables seal at run start, so
+	// evaluates live (writing nothing). Series tables seal at run start, so
 	// attaching before the workloads register their counters is fine.
 	if o.record != "" || o.slo != "" {
 		r, err := rec.New(rec.Config{Every: o.recEvery})

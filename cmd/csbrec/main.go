@@ -1,10 +1,11 @@
 // csbrec inspects flight-recorder recordings (internal/obs/rec): window
-// summaries, per-series statistics, window slices, the cycle-stamped
-// event log, SLO checks, tolerance-aware recording diffs for regression
-// gating, and Perfetto counter-track export so recorded history lines up
-// with journey/ctrace slices on one timeline. A counter is shown by its
-// change over each window, a gauge (an occupancy) by its value at the
-// window's end.
+// summaries, per-series statistics (a histogram's exact over the whole
+// run, from the footer), window slices, the cycle-stamped event log, the
+// store journeys of a `csbsim -journeys -record` run, SLO checks,
+// tolerance-aware recording diffs for regression gating, and Perfetto
+// counter-track export so recorded history lines up with journey/ctrace
+// slices on one timeline. A counter is shown by its change over each
+// window, a gauge (an occupancy) by its value at the window's end.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@
 //	csbrec series [-m glob] file.rec
 //	csbrec slice [-from N] [-to M] [-m glob] file.rec
 //	csbrec events file.rec
+//	csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] file.rec
 //	csbrec check -slo 'spec-or-@file' file.rec   (exit 1 on any breach)
 //	csbrec diff [-tol F] a.rec b.rec             (exit 1 when different)
 //	csbrec perfetto [-o out.json] file.rec
@@ -23,8 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
+	"text/tabwriter"
 
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -44,6 +49,8 @@ func main() {
 		err = cmdSlice(args, os.Stdout)
 	case "events":
 		err = cmdEvents(args, os.Stdout)
+	case "journeys":
+		err = cmdJourneys(args, os.Stdout)
 	case "check":
 		err = cmdCheck(args, os.Stdout)
 	case "diff":
@@ -67,9 +74,11 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   csbrec summary file.rec                      recording overview
-  csbrec series [-m glob] file.rec             per-series stats over all windows
+  csbrec series [-m glob] file.rec             per-series stats over the whole run
   csbrec slice [-from N] [-to M] [-m glob] f   windows in a cycle range
   csbrec events file.rec                       the cycle-stamped event log
+  csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] f
+                                               slowest and most recent store journeys
   csbrec check -slo spec|@file file.rec        evaluate an SLO spec (exit 1 on breach)
   csbrec diff [-tol F] a.rec b.rec             compare recordings (exit 1 when different)
   csbrec perfetto [-o out.json] file.rec       Perfetto counter-track export
@@ -209,6 +218,11 @@ func cmdSeries(args []string, out io.Writer) error {
 		if !matchGlob(*m, name) {
 			continue
 		}
+		if rc.Total != nil {
+			fmt.Fprintf(out, "hist %-44s %s\n", name, histStats(&rc.Total[i], 8))
+			continue
+		}
+		// No footer: per-window quantiles do not merge, so show their range.
 		var n uint64
 		var worst *rec.Window
 		var p99lo, p99hi uint64
@@ -272,13 +286,7 @@ func cmdSlice(args []string, out io.Writer) error {
 			if !matchGlob(*m, name) {
 				continue
 			}
-			h := &w.Hist[i]
-			if h.N == 0 {
-				fmt.Fprintf(out, "  hist %-44s n=0\n", name)
-				continue
-			}
-			fmt.Fprintf(out, "  hist %-44s n=%-6d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f\n",
-				name, h.N, h.Min, h.P50, h.P95, h.P99, h.Max, h.Mean())
+			fmt.Fprintf(out, "  hist %-44s %s\n", name, histStats(&w.Hist[i], 6))
 		}
 		printed++
 	}
@@ -286,6 +294,15 @@ func cmdSlice(args []string, out io.Writer) error {
 		return fmt.Errorf("no windows intersect cycles [%d,%d]", *from, *to)
 	}
 	return nil
+}
+
+// histStats renders a histogram's statistics, its count padded to width.
+func histStats(h *rec.HistWindow, width int) string {
+	if h.N == 0 {
+		return "n=0"
+	}
+	return fmt.Sprintf("n=%-*d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f",
+		width, h.N, h.Min, h.P50, h.P95, h.P99, h.Max, h.Mean())
 }
 
 func cmdEvents(args []string, out io.Writer) error {
@@ -313,6 +330,135 @@ func cmdEvents(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "%d events\n", len(rc.Events))
 	return nil
+}
+
+func cmdJourneys(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("journeys", flag.ContinueOnError)
+	top := fs.Int("top", 10, "show the N slowest journeys (0 = none)")
+	recent := fs.Int("recent", 0, "also list the N most recent journeys (0 = none)")
+	kind := fs.String("kind", "", "filter by kind: uncached_store, csb_store or nic_descriptor")
+	addr := fs.String("addr", "", "filter: journeys whose span contains this address (hex ok)")
+	rng := fs.String("range", "", "filter: journeys starting inside lo:hi (hex ok)")
+	path, err := oneArg(fs, args)
+	if err != nil {
+		return err
+	}
+	keep, err := journeyFilter(*kind, *addr, *rng)
+	if err != nil {
+		return err
+	}
+	rc, err := loadRec(path)
+	if err != nil {
+		return err
+	}
+	if len(rc.Slowest)+len(rc.Journeys) == 0 {
+		return fmt.Errorf("%s holds no journeys (record with csbsim -journeys -record)", path)
+	}
+	filter := func(js []journey.Journey) []journey.Journey {
+		var kept []journey.Journey
+		for _, j := range js {
+			if keep(j) {
+				kept = append(kept, j)
+			}
+		}
+		return kept
+	}
+	if *top > 0 {
+		js := filter(rc.Slowest)
+		js = js[:min(len(js), *top)]
+		fmt.Fprintf(out, "slowest %d journeys:\n", len(js))
+		journeyTable(out, js)
+	}
+	if *recent > 0 {
+		js := filter(rc.Journeys)
+		js = js[max(0, len(js)-*recent):]
+		fmt.Fprintf(out, "most recent %d journeys:\n", len(js))
+		journeyTable(out, js)
+	}
+	return nil
+}
+
+// journeyFilter builds the -kind and -addr/-range predicate.
+func journeyFilter(kind, addr, rng string) (func(journey.Journey) bool, error) {
+	var want journey.Kind
+	if kind != "" {
+		var err error
+		if want, err = journey.ParseKind(kind); err != nil {
+			return nil, err
+		}
+	}
+	inSpan := func(journey.Journey) bool { return true }
+	switch {
+	case addr != "" && rng != "":
+		return nil, fmt.Errorf("-addr and -range are mutually exclusive")
+	case addr != "":
+		a, err := parseAddr(addr)
+		if err != nil {
+			return nil, err
+		}
+		inSpan = func(j journey.Journey) bool { return j.Addr <= a && a < j.Addr+uint64(j.Size) }
+	case rng != "":
+		lo, hi, ok := strings.Cut(rng, ":")
+		l, err1 := parseAddr(lo)
+		h, err2 := parseAddr(hi)
+		if !ok || err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("bad range %q (want lo:hi)", rng)
+		}
+		inSpan = func(j journey.Journey) bool { return l <= j.Addr && j.Addr < h }
+	}
+	return func(j journey.Journey) bool { return (kind == "" || j.Kind == want) && inSpan(j) }, nil
+}
+
+// parseAddr reads a decimal or 0x-prefixed hex address.
+func parseAddr(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if h, ok := strings.CutPrefix(s, "0x"); ok {
+		v, err = strconv.ParseUint(h, 16, 64)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q", s)
+	}
+	return v, nil
+}
+
+// journeyTable prints one row per journey: its start cycle, then each
+// later hop as the cycles since the previous stamp ("-" when the hop was
+// not reached), the end-to-end latency and the flags.
+func journeyTable(out io.Writer, js []journey.Journey) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "kind\tid\taddr\tsize\tstart\thop1\thop2\thop3\te2e\tflags")
+	for _, j := range js {
+		var flags []string
+		if j.Coalesced {
+			flags = append(flags, "coalesced")
+		}
+		if j.Aborted {
+			flags = append(flags, "aborted")
+		} else if !j.Done {
+			flags = append(flags, "in-flight")
+		}
+		e2e := "-"
+		if j.Done {
+			e2e = strconv.FormatUint(j.E2E(), 10)
+		}
+		var cols [3]string
+		n, prev := 0, j.T[journey.HopStart]
+		for h, name := range journey.HopNames(j.Kind) {
+			switch {
+			case h == int(journey.HopStart) || name == "":
+				continue
+			case j.T[h] == 0:
+				cols[n] = name + ":-"
+			default:
+				cols[n] = fmt.Sprintf("%s:+%d", name, j.T[h]-prev)
+				prev = j.T[h]
+			}
+			n++
+		}
+		fmt.Fprintf(w, "%s\t%d\t%#x\t%d\t%d\t%s\t%s\t%s\t%s\t%s\n", j.Kind, j.ID, j.Addr, j.Size,
+			j.T[journey.HopStart], cols[0], cols[1], cols[2], e2e, strings.Join(flags, ","))
+	}
+	w.Flush()
 }
 
 // loadSLO parses a -slo argument: a literal spec, or @path to a file.
@@ -435,7 +581,8 @@ func cmdPerfetto(args []string, out io.Writer) error {
 				Args: map[string]any{"value": v}})
 		}
 		for i, name := range rc.HistNames {
-			if !matchGlob(*m, name) {
+			// An empty window has no p99; plotting 0 would read as a drop.
+			if !matchGlob(*m, name) || w.Hist[i].N == 0 {
 				continue
 			}
 			h := &w.Hist[i]

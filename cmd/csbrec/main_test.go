@@ -3,14 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
+	"csbsim/internal/sim"
 )
 
 // writeRecording records three windows of a counter that only rises, a
@@ -62,14 +67,30 @@ func run(t *testing.T, cmd func([]string, io.Writer) error, args ...string) stri
 
 // TestSeriesAndSlice pins how each kind renders: a counter by its
 // change, the gauge by its value (end and the range of window-end
-// values in series; the value in slice), never by its wrapped delta.
+// values in series; the value in slice), never by its wrapped delta,
+// and a histogram in series by the footer's whole-run row, or by the
+// range of its window p99s when there is no footer.
 func TestSeriesAndSlice(t *testing.T) {
 	path := writeRecording(t)
-	if got, want := run(t, cmdSeries, path), ""+
-		"gauge dev/depth                                   end=4          min=2 max=5\n"+
-		"ctr  dev/sent                                     end=30         delta=30         rate=120.000/kcycle peak_window=14\n"+
-		"hist dev/lat                                      n=3        p99=[12..63] worst_window=(200,250]\n"; got != want {
+	head := "" +
+		"gauge dev/depth                                   end=4          min=2 max=5\n" +
+		"ctr  dev/sent                                     end=30         delta=30         rate=120.000/kcycle peak_window=14\n"
+	if got, want := run(t, cmdSeries, path), head+
+		"hist dev/lat                                      n=3        min=12 p50=15 p95=63 p99=63 max=90 mean=47.3\n"; got != want {
 		t.Errorf("series:\n got %q\nwant %q", got, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unclosed := filepath.Join(t.TempDir(), "unclosed.rec")
+	footer := bytes.LastIndexByte(data[:bytes.LastIndex(data, []byte(`{"k":"f"`))-1], '\n') + 1
+	if err := os.WriteFile(unclosed, data[:footer], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run(t, cmdSeries, unclosed), head+
+		"hist dev/lat                                      n=3        p99=[12..63] worst_window=(200,250]\n"; got != want {
+		t.Errorf("series without a footer:\n got %q\nwant %q", got, want)
 	}
 	// A window covers (C0,C1]: -to 200 ends inside (100,200] and must
 	// not reach (200,250], which holds no cycle at or before 200.
@@ -87,7 +108,8 @@ func TestSeriesAndSlice(t *testing.T) {
 
 // TestPerfettoPlotsGaugeValues: the gauge's track carries its values
 // (5, 2, 4), so no counter event reaches 2^63, where a falling gauge's
-// wrapped delta would land.
+// wrapped delta would land, and the histogram's p99 track skips the
+// (100,200] window, which took no samples, instead of plotting a 0.
 func TestPerfettoPlotsGaugeValues(t *testing.T) {
 	var doc struct {
 		TraceEvents []struct {
@@ -116,9 +138,100 @@ func TestPerfettoPlotsGaugeValues(t *testing.T) {
 	}
 	want := "" +
 		"dev/depth@100=5\ndev/sent (delta)@100=10\ndev/lat p99@100=12\n" +
-		"dev/depth@200=2\ndev/sent (delta)@200=6\ndev/lat p99@200=0\n" +
+		"dev/depth@200=2\ndev/sent (delta)@200=6\n" +
 		"dev/depth@250=4\ndev/sent (delta)@250=14\ndev/lat p99@250=63\n"
 	if got != want {
 		t.Errorf("counter tracks:\n got %q\nwant %q", got, want)
+	}
+}
+
+// recordCSBStores runs examples/asm/csb_stores.s the way `csbsim
+// -combining 0x40000000:64K -journeys -record FILE -record-every 500`
+// does, and returns the tracer, the machine's registry and the file.
+func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string) {
+	t.Helper()
+	m, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4000_0000, 64<<10, mem.KindCombining)
+	tr, err := m.AttachJourneys(journey.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rec.New(rec.Config{Every: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("machine", m.AttachCounters()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddJourneys(tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r.Start(m.Cycle())
+	if err := m.AttachPeriodic(500, r.Roll); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "asm", "csb_stores.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadSource("csb_stores.s", string(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	m.FlushObs()
+	r.Flush(m.Cycle())
+	path := filepath.Join(t.TempDir(), "csb.rec")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return tr, m.Counters(), path
+}
+
+// TestJourneysAndTotalsFromRecording: on a recorded CSB store stream,
+// `journeys` prints exactly the tracer's slowest set and `series` prints
+// every histogram's whole-run Summary, though the run spans several
+// windows whose quantiles could not be merged into it.
+func TestJourneysAndTotalsFromRecording(t *testing.T) {
+	tr, reg, path := recordCSBStores(t)
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "slowest %d journeys:\n", len(tr.Slowest()))
+	journeyTable(&want, tr.Slowest())
+	if got := run(t, cmdJourneys, "-top", "100", path); got != want.String() {
+		t.Errorf("journeys:\n got %s\nwant %s", got, want.String())
+	}
+	if row := strings.Fields(strings.Split(want.String(), "\n")[2]); strings.Join(row, " ") !=
+		"csb_store 1 0x40000000 8 139 flush_ok:+94 bus_grant:+1 bus_complete:+54 149" {
+		t.Errorf("slowest journey: %q", row)
+	}
+
+	got := map[string]string{}
+	for _, line := range strings.Split(run(t, cmdSeries, "-m", "machine/journey/*", path), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "hist" {
+			got[f[1]] = strings.Join(f[2:], " ")
+		}
+	}
+	hists := 0
+	reg.VisitHistograms(func(h *counters.Histogram) {
+		hists++
+		s := h.Summary()
+		want := "n=0"
+		if s.Count > 0 {
+			want = fmt.Sprintf("n=%d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f", s.Count, s.Min, s.P50, s.P95, s.P99, s.Max, s.Mean)
+		}
+		if name := "machine/" + h.Name(); got[name] != want {
+			t.Errorf("series %s: got %q, want %q", name, got[name], want)
+		}
+	})
+	if len(got) != hists || got["machine/journey/e2e/csb_store"] != "n=504 min=56 p50=127 p95=127 p99=127 max=149 mean=104.7" {
+		t.Errorf("series printed %d histograms of %d: %v", len(got), hists, got)
 	}
 }

@@ -16,20 +16,22 @@
 // Observability flags: -cpistack prints the stall-attribution stack,
 // -perfetto writes a Chrome trace-event JSON loadable at ui.perfetto.dev,
 // -json emits the full statistics object, and -pipeview N prints an
-// ASCII pipeline diagram of the last N instructions. -journeys FILE
-// traces every uncached/CSB store and NIC descriptor through the memory
-// system (per-hop cycle stamps, per-layer latency histograms) and writes
-// a dump queryable with csbtrace; with -perfetto the journeys also land
-// in the trace as a "memory system" track with flow arrows. -counters
-// attaches the unified per-layer counter registry on its own. -record
-// FILE writes a flight recording, window by window as the run goes
-// (watch it live with csbtop FILE): every counter's change and every
-// gauge's value (CSB occupancy and pending lines, uncached-buffer and
-// write-buffer depth) per -record-every cycles. csbrec reads it back:
-// `csbrec slice` lists each window, and `csbrec perfetto` turns it into
-// Perfetto counter tracks. Per-window IPC is the ratio of the
-// cpu/retired and cpu/cycles deltas, bus-busy% that of bus/busy_cycles
-// and bus/cycles.
+// ASCII pipeline diagram of the last N instructions. -counters attaches
+// the unified per-layer counter registry on its own. -record FILE writes
+// a flight recording, window by window as the run goes (watch it live
+// with csbtop FILE): every counter's change and every gauge's value (CSB
+// occupancy and pending lines, uncached-buffer and write-buffer depth)
+// per -record-every cycles, and at the end a footer with every latency
+// histogram's whole-run statistics. csbrec reads it back: `csbrec slice`
+// lists each window, `csbrec series` the whole run, and `csbrec
+// perfetto` turns it into Perfetto counter tracks. Per-window IPC is the
+// ratio of the cpu/retired and cpu/cycles deltas, bus-busy% that of
+// bus/busy_cycles and bus/cycles. -journeys traces every uncached/CSB
+// store and NIC descriptor through the memory system (per-hop cycle
+// stamps, per-layer latency histograms); with -record the slowest and
+// the most recent journeys land in the recording, an aborted run's
+// included (query them with `csbrec journeys`), and with -perfetto in
+// the trace as a "memory system" track with flow arrows.
 //
 // Robustness flags: -faults attaches a deterministic fault injector
 // ("default", or a key=value list such as "busnack=64,seed=3"),
@@ -76,9 +78,8 @@ func main() {
 		faultSeed = flag.Uint64("fault-seed", 0, "override the fault spec's PRNG seed (0 = keep the spec's)")
 		watchdog  = flag.Uint64("watchdog", 0, "abort with a diagnostic dump after N cycles without a retired instruction (0 = off)")
 
-		journeys      = flag.String("journeys", "", "trace store journeys (UB/CSB/bus/device hops) and write the dump to FILE (query with csbtrace)")
-		journeyWindow = flag.Int("journey-window", 0, "per-kind count of recent journeys retained in the dump (0 = default 4096)")
-		countersOn    = flag.Bool("counters", false, "attach the unified counter registry (implied by -journeys); counters land in -v and -json output")
+		journeys   = flag.Bool("journeys", false, "trace store journeys (UB/CSB/bus/device hops); with -record they land in the recording (query with csbrec journeys)")
+		countersOn = flag.Bool("counters", false, "attach the unified counter registry (implied by -journeys); counters land in -v and -json output")
 
 		record  = flag.String("record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
 		recEach = flag.Uint64("record-every", 10_000, "recording window in CPU cycles")
@@ -151,21 +152,15 @@ func main() {
 	if *countersOn {
 		m.AttachCounters()
 	}
-	if *journeys != "" {
-		jcfg := journey.DefaultConfig()
-		if *journeyWindow > 0 {
-			jcfg.Window = *journeyWindow
-		}
-		if _, err := m.AttachJourneys(jcfg); err != nil {
+	if *journeys {
+		if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
 			fatal(err)
 		}
-	} else if *journeyWindow > 0 {
-		fatal(fmt.Errorf("-journey-window needs -journeys"))
 	}
 	// The flight recorder rides the generic periodic hook: one rollup
-	// window per -record-every cycles, flushed with a footer after the run
-	// (even an aborted one). -slo without -record still evaluates live,
-	// ring-only.
+	// window per -record-every cycles, flushed with the journeys and a
+	// footer after the run (even an aborted one). -slo without -record
+	// still evaluates live, writing nothing.
 	var recorder *rec.Recorder
 	var recFile *os.File
 	if *record != "" || *sloSpec != "" {
@@ -174,6 +169,9 @@ func main() {
 			fatal(err)
 		}
 		if err := r.AddSource("machine", m.AttachCounters()); err != nil {
+			fatal(err)
+		}
+		if err := r.AddJourneys(m.Journeys()); err != nil {
 			fatal(err)
 		}
 		if *sloSpec != "" {
@@ -256,23 +254,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	// The journey dump is written even when the run aborted (watchdog,
-	// device error): the partial journeys are exactly what a post-mortem
-	// wants to query.
-	if *journeys != "" {
-		f, err := os.Create(*journeys)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := m.Journeys().WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	// The recording is closed even when the run aborted: FlushObs already
-	// fired the final periodic roll, this adds the footer.
+	// The recording is closed even when the run aborted (watchdog, device
+	// error): FlushObs already fired the final periodic roll, this adds
+	// the journeys, the partial ones a post-mortem wants, and the footer.
 	if recorder != nil {
 		recorder.Flush(m.Cycle())
 		if err := recorder.Err(); err != nil {

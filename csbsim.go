@@ -194,11 +194,12 @@ func FormatPipeline(events []obs.InstEvent) string { return obs.FormatPipeline(e
 // JourneyTracer follows each uncached store, CSB store and NIC transmit
 // descriptor through the memory system after retire, stamping a cycle
 // timestamp at every hop and folding per-hop latencies into fixed-bucket
-// histograms. Attach with Machine.AttachJourneys before running; dump
-// with its WriteTo (readable by cmd/csbtrace).
+// histograms. Attach with Machine.AttachJourneys before running; a
+// flight recorder given it with AddJourneys writes its slowest and
+// retained journeys into the recording (read by `csbrec journeys`).
 type JourneyTracer = journey.Tracer
 
-// JourneyConfig sizes the tracer's retention window and slowest-set.
+// JourneyConfig sizes the tracer's retention window.
 type JourneyConfig = journey.Config
 
 // Journey is one traced store or descriptor: per-hop cycle stamps plus
@@ -214,7 +215,7 @@ type CounterRegistry = counters.Registry
 // and gauge and latency-histogram summary.
 type CounterSnapshot = counters.Snapshot
 
-// DefaultJourneyConfig returns the default journey retention sizes.
+// DefaultJourneyConfig returns the default journey retention window.
 func DefaultJourneyConfig() JourneyConfig { return journey.DefaultConfig() }
 
 // FaultConfig enables and tunes the deterministic fault-injection

@@ -45,7 +45,7 @@ func runRecordedRing(t *testing.T, run func(*Cluster) error) ([]byte, *rec.Recor
 	if _, err := c.AttachWireFaults(wireFaultMix()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := rec.New(rec.Config{Every: 5_000, Ring: 16})
+	r, err := rec.New(rec.Config{Every: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}

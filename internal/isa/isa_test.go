@@ -356,3 +356,24 @@ func TestDecodeNeverPanics(t *testing.T) {
 		_ = in.String()
 	}
 }
+
+// FuzzDecode: every word decodes to OpInvalid or to an instruction that
+// encodes and decodes back to itself (bits no field uses may differ),
+// and every decoded instruction disassembles without panicking.
+func FuzzDecode(f *testing.F) {
+	f.Add(MustEncode(Inst{Op: OpADDI, Rd: 1, Rs1: 2, Imm: -8192}))
+	f.Fuzz(func(t *testing.T, w uint32) {
+		in := Decode(w)
+		_ = in.String()
+		if in.Op == OpInvalid {
+			return
+		}
+		enc, err := Encode(in)
+		if err != nil {
+			t.Fatalf("Decode(%#08x) = %+v does not encode: %v", w, in, err)
+		}
+		if back := Decode(enc); back != in {
+			t.Fatalf("Decode(%#08x) = %+v encodes to %#08x, which decodes to %+v", w, in, enc, back)
+		}
+	})
+}

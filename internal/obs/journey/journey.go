@@ -26,9 +26,7 @@
 package journey
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"csbsim/internal/obs/counters"
@@ -59,22 +57,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// MarshalJSON renders the kind as its name.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
-// UnmarshalJSON accepts a kind name (for cmd/csbtrace reading dumps).
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
+// ParseKind returns the kind a name (Kind.String) stands for.
+func ParseKind(name string) (Kind, error) {
 	for i, n := range kindNames {
-		if n == s {
-			*k = Kind(i)
-			return nil
+		if n == name {
+			return Kind(i), nil
 		}
 	}
-	return fmt.Errorf("journey: unknown kind %q", s)
+	return 0, fmt.Errorf("journey: unknown kind %q", name)
 }
 
 // Hop indexes a journey's timestamp array. The four slots have a
@@ -120,14 +110,14 @@ func HopNames(k Kind) [NumHops]string {
 // cycles on the machine's shared timeline; a zero stamp means the hop
 // was not reached.
 type Journey struct {
-	ID        uint64          `json:"id"`
-	Kind      Kind            `json:"kind"`
-	Addr      uint64          `json:"addr"`
-	Size      uint32          `json:"size"`
-	Coalesced bool            `json:"coalesced,omitempty"`
-	Aborted   bool            `json:"aborted,omitempty"`
-	Done      bool            `json:"done"`
-	T         [NumHops]uint64 `json:"t"`
+	ID        uint64
+	Kind      Kind
+	Addr      uint64
+	Size      uint32
+	Coalesced bool
+	Aborted   bool
+	Done      bool
+	T         [NumHops]uint64
 }
 
 // E2E returns the end-to-end latency (0 until the journey completes).
@@ -141,26 +131,24 @@ func (j Journey) E2E() uint64 {
 // Config parameterizes the tracer.
 type Config struct {
 	// Window is the per-kind count of most-recent journeys retained for
-	// the dump (default 4096). Histograms and counters always cover the
-	// whole run regardless of the window.
+	// the recording (default 4096). Histograms and counters always cover
+	// the whole run regardless of the window.
 	Window int
-	// TopN is how many slowest completed journeys are tracked exactly
-	// over the whole run (default 32).
-	TopN int
 }
 
-// DefaultConfig returns the default window and top-N sizes.
-func DefaultConfig() Config { return Config{Window: 4096, TopN: 32} }
+// DefaultConfig returns the default retention window.
+func DefaultConfig() Config { return Config{Window: 4096} }
+
+// topN is how many slowest completed journeys are tracked exactly over
+// the whole run.
+const topN = 32
 
 func (c *Config) fill() error {
 	if c.Window == 0 {
 		c.Window = 4096
 	}
-	if c.TopN == 0 {
-		c.TopN = 32
-	}
-	if c.Window < 0 || c.TopN < 0 {
-		return fmt.Errorf("journey: negative window or top-N")
+	if c.Window < 0 {
+		return fmt.Errorf("journey: negative window")
 	}
 	return nil
 }
@@ -211,7 +199,7 @@ func NewTracer(cfg Config, reg *counters.Registry, now func() uint64) (*Tracer, 
 	for k := range t.rings {
 		t.rings[k] = make([]Journey, cfg.Window)
 	}
-	t.slowest = make([]Journey, 0, cfg.TopN)
+	t.slowest = make([]Journey, 0, topN)
 	if reg == nil {
 		reg = counters.NewRegistry()
 	}
@@ -303,14 +291,11 @@ func (t *Tracer) finish(j *Journey) {
 	t.noteSlow(j, e2e)
 }
 
-// noteSlow keeps the TopN slowest completed journeys (exact over the
+// noteSlow keeps the topN slowest completed journeys (exact over the
 // whole run). The fixed-capacity slice never reallocates.
 //
 //csb:hotpath
 func (t *Tracer) noteSlow(j *Journey, e2e uint64) {
-	if cap(t.slowest) == 0 {
-		return
-	}
 	if len(t.slowest) < cap(t.slowest) {
 		t.slowest = append(t.slowest, *j)
 		if len(t.slowest) == 1 || e2e < t.slowMin {
@@ -346,7 +331,7 @@ func (t *Tracer) recomputeSlowMin() {
 
 // abort marks a journey range failed (CSB conflict, flush failure).
 // Aborted journeys keep the stamps they collected and stay in the ring
-// for the dump, but contribute to no latency histogram.
+// for the recording, but contribute to no latency histogram.
 //
 //csb:hotpath
 func (t *Tracer) abortRange(k Kind, first uint64, count int) {
@@ -528,7 +513,7 @@ func (t *Tracer) Retained() []Journey {
 	return out
 }
 
-// Slowest returns the TopN slowest completed journeys, slowest first
+// Slowest returns the topN slowest completed journeys, slowest first
 // (ties broken by kind then ID, keeping the order deterministic).
 func (t *Tracer) Slowest() []Journey {
 	out := make([]Journey, len(t.slowest))
@@ -544,54 +529,4 @@ func (t *Tracer) Slowest() []Journey {
 		return out[a].ID < out[b].ID
 	})
 	return out
-}
-
-// Dump is the on-disk journey trace: run totals, the per-layer latency
-// histograms, the exact slowest set, and the retained recent journeys.
-// cmd/csbtrace reads this format.
-type Dump struct {
-	Started    map[string]uint64           `json:"started"`
-	Completed  map[string]uint64           `json:"completed"`
-	Aborted    map[string]uint64           `json:"aborted"`
-	StaleDrops uint64                      `json:"stale_drops"`
-	Histograms map[string]counters.Summary `json:"histograms"`
-	Slowest    []Journey                   `json:"slowest"`
-	Recent     []Journey                   `json:"recent"`
-}
-
-// BuildDump assembles the dump structure.
-func (t *Tracer) BuildDump() *Dump {
-	d := &Dump{
-		Started:    make(map[string]uint64, numKinds),
-		Completed:  make(map[string]uint64, numKinds),
-		Aborted:    make(map[string]uint64, numKinds),
-		StaleDrops: t.stale,
-		Histograms: make(map[string]counters.Summary, 9),
-		Slowest:    t.Slowest(),
-		Recent:     t.Retained(),
-	}
-	for k := Kind(0); k < numKinds; k++ {
-		d.Started[k.String()] = t.started[k]
-		d.Completed[k.String()] = t.completed[k]
-		d.Aborted[k.String()] = t.aborted[k]
-	}
-	for _, h := range []*counters.Histogram{
-		t.hUBWait, t.hCSBCombine, t.hBusArb, t.hBusXfer, t.hDevFIFO, t.hDevTx,
-		t.hE2E[KindUncachedStore], t.hE2E[KindCSBStore], t.hE2E[KindNICDesc],
-	} {
-		d.Histograms[h.Name()] = h.Summary()
-	}
-	return d
-}
-
-// WriteTo writes the dump as indented JSON. Map keys marshal sorted, so
-// equal tracer states produce byte-identical dumps.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(t.BuildDump(), "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
 }

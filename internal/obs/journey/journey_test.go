@@ -1,7 +1,6 @@
 package journey
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -79,30 +78,31 @@ func TestTracerLifecycle(t *testing.T) {
 	if len(retained) != 5 { // 1 uncached + 2 aborted + 2 committed
 		t.Errorf("retained %d journeys, want 5", len(retained))
 	}
-
-	// Dump round-trips through JSON byte-identically on equal state.
-	var a, b bytes.Buffer
-	if _, err := tr.WriteTo(&a); err != nil {
-		t.Fatal(err)
+	for _, name := range kindNames {
+		if k, err := ParseKind(name); err != nil || k.String() != name {
+			t.Errorf("ParseKind(%q) = %v, %v", name, k, err)
+		}
 	}
-	if _, err := tr.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two dumps of the same tracer state differ")
+	if _, err := ParseKind("kind(3)"); err == nil {
+		t.Error("ParseKind accepted an unknown kind")
 	}
 }
 
 func TestStaleStampDropped(t *testing.T) {
-	tr, cycle := newTestTracer(t, Config{Window: 2, TopN: 4})
+	reg := counters.NewRegistry()
+	var cycle uint64
+	tr, err := NewTracer(Config{Window: 2}, reg, func() uint64 { return cycle })
+	if err != nil {
+		t.Fatal(err)
+	}
 	id := tr.UBStoreAccepted(0x1000, 8, false)
 	// Two more journeys evict the first from its 2-slot ring.
 	tr.UBStoreAccepted(0x1008, 8, false)
 	tr.UBStoreAccepted(0x1010, 8, false)
-	*cycle = 50
+	cycle = 50
 	tr.UBEntryDeparted(id, 1) // journey gone: counted, not crashed
-	if tr.BuildDump().StaleDrops != 1 {
-		t.Errorf("stale drops = %d, want 1", tr.BuildDump().StaleDrops)
+	if got := reg.Snapshot().Counters["journey/stale_drops"]; got != 1 {
+		t.Errorf("journey/stale_drops = %d, want 1", got)
 	}
 }
 

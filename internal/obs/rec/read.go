@@ -13,6 +13,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"csbsim/internal/obs/journey"
 )
 
 // Recording is a fully parsed recording file.
@@ -28,8 +30,11 @@ type Recording struct {
 	HistNames []string
 	Windows   []Window
 	Events    []Event
-	Clean     bool // footer frame present
-	Truncated bool // a malformed or incomplete trailing frame dropped
+	Total     []HistWindow      // footer: whole-run row per HistNames entry (nil without one)
+	Slowest   []journey.Journey // the tracer's slowest set, slowest first
+	Journeys  []journey.Journey // the tracer's retained recent journeys, by start cycle
+	Clean     bool              // footer frame present
+	Truncated bool              // a malformed or incomplete trailing frame dropped
 }
 
 // frameJSON is the union of every frame kind's fields.
@@ -54,6 +59,22 @@ type frameJSON struct {
 	Val     float64     `json:"val"`
 	Windows uint64      `json:"windows"`
 	Events  uint64      `json:"events"`
+	Total   [][7]uint64 `json:"total"`
+	journeyJSON
+}
+
+// journeyJSON is a "j" frame's journey: its set ("slowest" or
+// "recent"), its fields, and the flags that are set.
+type journeyJSON struct {
+	Set       string                  `json:"set"`
+	ID        uint64                  `json:"id"`
+	Kind      string                  `json:"kind"`
+	Addr      uint64                  `json:"addr"`
+	Size      uint32                  `json:"size"`
+	T         [journey.NumHops]uint64 `json:"t"`
+	Coalesced bool                    `json:"coalesced,omitempty"`
+	Aborted   bool                    `json:"aborted,omitempty"`
+	Done      bool                    `json:"done,omitempty"`
 }
 
 // ReadFile parses a recording file.
@@ -222,18 +243,48 @@ func (p *Parser) frame(doc []byte) error {
 			w.CtrEnd[i], w.CtrDelta[i] = c[0], c[1]
 		}
 		for i, h := range f.Hist {
-			w.Hist[i] = HistWindow{N: h[0], Sum: h[1], Min: h[2], P50: h[3], P95: h[4], P99: h[5], Max: h[6]}
+			w.Hist[i] = histRow(h)
 		}
 		rc.Windows = append(rc.Windows, w)
 	case "e":
 		rc.Events = append(rc.Events, Event{Cycle: f.C, Kind: f.Ev, Node: f.N, Rule: f.R, Value: f.Val})
+	case "j":
+		k, err := journey.ParseKind(f.Kind)
+		if err != nil {
+			return err
+		}
+		j := journey.Journey{ID: f.ID, Kind: k, Addr: f.Addr, Size: f.Size,
+			Coalesced: f.Coalesced, Aborted: f.Aborted, Done: f.Done, T: f.T}
+		switch f.Set {
+		case "slowest":
+			rc.Slowest = append(rc.Slowest, j)
+		case "recent":
+			rc.Journeys = append(rc.Journeys, j)
+		default:
+			return fmt.Errorf("rec: journey %d in unknown set %q", f.ID, f.Set)
+		}
 	case "f":
+		// A footer written before the whole-run rows existed has none.
+		if f.Total != nil {
+			if len(f.Total) != len(rc.HistNames) {
+				return fmt.Errorf("rec: footer has %d histogram rows for %d series", len(f.Total), len(rc.HistNames))
+			}
+			rc.Total = make([]HistWindow, len(f.Total))
+			for i, h := range f.Total {
+				rc.Total[i] = histRow(h)
+			}
+		}
 		rc.Clean = true
 		rc.End = f.C
 	default:
 		return fmt.Errorf("rec: unexpected frame kind %q", f.K)
 	}
 	return nil
+}
+
+// histRow reads a [n,sum,min,p50,p95,p99,max] row.
+func histRow(h [7]uint64) HistWindow {
+	return HistWindow{N: h[0], Sum: h[1], Min: h[2], P50: h[3], P95: h[4], P99: h[5], Max: h[6]}
 }
 
 // WindowAt returns the window covering the given cycle (C0 < cycle <=
@@ -263,10 +314,12 @@ func (rc *Recording) HistIndex(name string) int { return indexOf(rc.HistNames, n
 // produce megabytes of noise.
 const maxDiffs = 50
 
-// Diff compares two recordings. tol is a relative tolerance applied to
-// every numeric comparison (0 = exact): values a,b differ when
-// |a-b| > tol*max(|a|,|b|). Returns human-readable differences, empty
-// when the recordings match — the same-seed regression contract.
+// Diff compares two recordings: windows, events, the footer's whole-run
+// histogram rows, and the journeys. tol is a relative tolerance applied
+// to every window and footer number (0 = exact; journeys compare
+// exactly): values a,b differ when |a-b| > tol*max(|a|,|b|). Returns
+// human-readable differences, empty when the recordings match — the
+// same-seed regression contract.
 func Diff(a, b *Recording, tol float64) []string {
 	var d []string
 	add := func(format string, args ...interface{}) {
@@ -318,6 +371,13 @@ func Diff(a, b *Recording, tol float64) []string {
 		}
 		return diff <= tol*m
 	}
+	histDiff := func(where string, i int, ha, hb *HistWindow) {
+		if !near(ha.N, hb.N) || !near(ha.Sum, hb.Sum) || !near(ha.Min, hb.Min) ||
+			!near(ha.P50, hb.P50) || !near(ha.P95, hb.P95) || !near(ha.P99, hb.P99) || !near(ha.Max, hb.Max) {
+			add("%s histogram %s: n=%d/%d p50=%d/%d p99=%d/%d max=%d/%d",
+				where, a.HistNames[i], ha.N, hb.N, ha.P50, hb.P50, ha.P99, hb.P99, ha.Max, hb.Max)
+		}
+	}
 	for wi := 0; wi < n; wi++ {
 		wa, wb := &a.Windows[wi], &b.Windows[wi]
 		if wa.C0 != wb.C0 || wa.C1 != wb.C1 {
@@ -332,12 +392,7 @@ func Diff(a, b *Recording, tol float64) []string {
 			}
 		}
 		for i := range wa.Hist {
-			ha, hb := &wa.Hist[i], &wb.Hist[i]
-			if !near(ha.N, hb.N) || !near(ha.Sum, hb.Sum) || !near(ha.Min, hb.Min) ||
-				!near(ha.P50, hb.P50) || !near(ha.P95, hb.P95) || !near(ha.P99, hb.P99) || !near(ha.Max, hb.Max) {
-				add("window %d (cycle %d) histogram %s: n=%d/%d p50=%d/%d p99=%d/%d max=%d/%d",
-					wi, wa.C1, a.HistNames[i], ha.N, hb.N, ha.P50, hb.P50, ha.P99, hb.P99, ha.Max, hb.Max)
-			}
+			histDiff(fmt.Sprintf("window %d (cycle %d)", wi, wa.C1), i, &wa.Hist[i], &wb.Hist[i])
 		}
 	}
 	if len(a.Events) != len(b.Events) {
@@ -352,6 +407,27 @@ func Diff(a, b *Recording, tol float64) []string {
 		if ea != eb {
 			add("event %d differs: cycle %d %s %s vs cycle %d %s %s",
 				i, ea.Cycle, ea.Kind, ea.Node, eb.Cycle, eb.Kind, eb.Node)
+		}
+	}
+	if (a.Total == nil) != (b.Total == nil) {
+		add("whole-run histogram rows in one recording only")
+	} else {
+		for i := range a.Total {
+			histDiff("whole-run", i, &a.Total[i], &b.Total[i])
+		}
+	}
+	for _, set := range [2]struct {
+		name string
+		a, b []journey.Journey
+	}{{"slowest", a.Slowest, b.Slowest}, {"recent", a.Journeys, b.Journeys}} {
+		if len(set.a) != len(set.b) {
+			add("%s journey count differs: %d vs %d", set.name, len(set.a), len(set.b))
+		}
+		for i := 0; i < min(len(set.a), len(set.b)); i++ {
+			if ja, jb := set.a[i], set.b[i]; ja != jb {
+				add("%s journey %d differs: %s %d at %d, e2e %d vs %s %d at %d, e2e %d", set.name, i,
+					ja.Kind, ja.ID, ja.T[journey.HopStart], ja.E2E(), jb.Kind, jb.ID, jb.T[journey.HopStart], jb.E2E())
+			}
 		}
 	}
 	return d

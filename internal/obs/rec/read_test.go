@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
 
 // sampleRecording is a small cleanly closed recording: two sources, a
@@ -61,6 +64,144 @@ func gaugeRecording(t testing.TB) []byte {
 	*a, *depth = 7, 2
 	r.Flush(150)
 	return buf.Bytes()
+}
+
+// journeyRecording records a journey tracer's registry over three
+// windows: two uncached stores complete in the first, one more and an
+// aborted CSB sequence in the second, and a store is still in flight at
+// the footer. It returns the tracer, its registry and the recording.
+func journeyRecording(t testing.TB) (*journey.Tracer, *counters.Registry, []byte) {
+	reg := counters.NewRegistry()
+	var cycle uint64
+	tr, err := journey.NewTracer(journey.DefaultConfig(), reg, func() uint64 { return cycle })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("m", reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddJourneys(tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.SetWriter(&buf)
+	r.Start(0)
+	store := func(at, e2e uint64) {
+		cycle = at
+		id := tr.UBStoreAccepted(0x1000+at, 8, at%20 == 0)
+		cycle += 2
+		tr.UBEntryDeparted(id, 1)
+		cycle += 3
+		tr.UBBusGranted(id, 1)
+		cycle = at + e2e
+		tr.UBEntryDone(id, 1)
+	}
+	store(10, 40)
+	store(20, 70)
+	r.Roll(100)
+	store(110, 60)
+	cycle = 150
+	first := tr.CSBStoreAccepted(0x2000, 8, false)
+	tr.CSBStoreAccepted(0x2008, 8, true)
+	tr.CSBSequenceAborted(first, 2)
+	r.Roll(200)
+	cycle = 230
+	tr.UBStoreAccepted(0x3000, 8, false)
+	if err := r.AddJourneys(tr); err == nil {
+		t.Error("AddJourneys after Start accepted")
+	}
+	r.Flush(250)
+	return tr, reg, buf.Bytes()
+}
+
+// TestFooterAndJourneys: the footer's whole-run row for each histogram
+// equals its Summary (the last window holds no samples, so no window's
+// row could stand in), the journey frames read back as the tracer's
+// Slowest and Retained, the same tracer state writes the same bytes,
+// and Diff reports a journey or a whole-run row that differs.
+func TestFooterAndJourneys(t *testing.T) {
+	tr, reg, data := journeyRecording(t)
+	rc, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.Clean || rc.Truncated || len(rc.Windows) != 3 || len(rc.Total) != len(rc.HistNames) {
+		t.Fatalf("clean=%v truncated=%v windows=%d rows=%d for %d histograms",
+			rc.Clean, rc.Truncated, len(rc.Windows), len(rc.Total), len(rc.HistNames))
+	}
+	reg.VisitHistograms(func(h *counters.Histogram) {
+		i := rc.HistIndex("m/" + h.Name())
+		s, got := h.Summary(), rc.Total[i]
+		if got.N != s.Count || got.Min != s.Min || got.P50 != s.P50 || got.P95 != s.P95 ||
+			got.P99 != s.P99 || got.Max != s.Max || got.Mean() != s.Mean {
+			t.Errorf("%s: whole-run row %+v, summary %+v", h.Name(), got, s)
+		}
+	})
+	if rc.Total[rc.HistIndex("m/journey/e2e/uncached_store")].N != 3 {
+		t.Errorf("e2e row counts %d stores, want 3", rc.Total[rc.HistIndex("m/journey/e2e/uncached_store")].N)
+	}
+	if !reflect.DeepEqual(rc.Slowest, tr.Slowest()) || len(rc.Slowest) != 3 {
+		t.Errorf("slowest read back as %+v\nwant %+v", rc.Slowest, tr.Slowest())
+	}
+	if !reflect.DeepEqual(rc.Journeys, tr.Retained()) || len(rc.Journeys) != 6 {
+		t.Errorf("recent read back as %+v\nwant %+v", rc.Journeys, tr.Retained())
+	}
+	if _, _, again := journeyRecording(t); !bytes.Equal(data, again) {
+		t.Error("the same tracer state wrote different recordings")
+	}
+
+	other, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Journeys[5].Done = true
+	other.Total[0].P99++
+	d := strings.Join(Diff(rc, other, 0), "\n")
+	if !strings.Contains(d, "recent journey 5 differs") || !strings.Contains(d, "whole-run histogram "+rc.HistNames[0]) {
+		t.Errorf("diff misses the changed journey or row:\n%s", d)
+	}
+}
+
+// reframe rewrites every frame's JSON document with edit and renews the
+// length prefixes.
+func reframe(data []byte, edit func(doc string) string) []byte {
+	var out []byte
+	for len(data) > 0 {
+		doc, size := splitFrame(data)
+		d := edit(string(doc))
+		out = fmt.Appendf(out, "%d\n%s\n", len(d), d)
+		data = data[size:]
+	}
+	return out
+}
+
+// TestReadMalformedFooterAndJourneys: a footer whose rows do not match
+// the histogram table, and a journey of an unknown kind or set, end the
+// recording there as Truncated; a footer written before the whole-run
+// rows existed reads clean, with Total nil.
+func TestReadMalformedFooterAndJourneys(t *testing.T) {
+	_, _, data := journeyRecording(t)
+	for _, tc := range []struct {
+		name, old, new string
+		clean          bool
+	}{
+		{"footer row count", `"total":[[`, `"total":[[0,0,0,0,0,0,0],[`, false},
+		{"unknown kind", `"kind":"csb_store"`, `"kind":"dma_store"`, false},
+		{"unknown set", `"set":"recent"`, `"set":"oldest"`, false},
+		{"footer without rows", `,"total":[`, `,"untotal":[`, true},
+	} {
+		rc, err := Read(reframe(data, func(doc string) string { return strings.Replace(doc, tc.old, tc.new, 1) }))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rc.Clean != tc.clean || rc.Truncated == tc.clean || rc.Total != nil || len(rc.Windows) != 3 {
+			t.Errorf("%s: clean=%v truncated=%v total=%v windows=%d", tc.name, rc.Clean, rc.Truncated, rc.Total, len(rc.Windows))
+		}
+	}
 }
 
 // TestReadGauges: the header's gauges list marks its series, Diff
@@ -142,7 +283,8 @@ func TestParserFollowsAppends(t *testing.T) {
 }
 
 // FuzzRead: no input panics the reader; a parsed recording has one kind
-// per counter-table series; once a header has parsed, no later byte
+// per counter-table series and, when its footer has whole-run rows, one
+// per histogram; once a header has parsed, no later byte
 // turns the recording into an error; and feeding the bytes to a Parser
 // in random chunks yields exactly what one Read does.
 func FuzzRead(f *testing.F) {
@@ -154,6 +296,9 @@ func FuzzRead(f *testing.F) {
 		}
 		if want != nil && len(want.Gauge) != len(want.CtrNames) {
 			t.Fatalf("%d kinds for %d counter-table series", len(want.Gauge), len(want.CtrNames))
+		}
+		if want != nil && want.Total != nil && len(want.Total) != len(want.HistNames) {
+			t.Fatalf("%d whole-run rows for %d histograms", len(want.Total), len(want.HistNames))
 		}
 
 		rng := rand.New(rand.NewSource(seed))

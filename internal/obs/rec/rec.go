@@ -8,13 +8,12 @@
 // much each counter moved, each gauge's value at the window's end, and —
 // via raw histogram bucket states (counters.HistState) — genuine
 // per-window latency quantiles rather than cumulative ones. Each window
-// lands in a fixed-capacity in-memory ring (the live consumers: SLO
-// evaluation, active-alert export) and, if
-// a writer is attached, as one length-prefixed JSON frame in the
-// recording file. Frames are written whole, one Write call each, so an
-// aborted run leaves a valid prefix: the reader tolerates a truncated
-// tail, and the cluster/machine abort paths flush a final partial window
-// plus a footer (mirroring flushObs).
+// is evaluated against the SLO rules (the live consumers: breach events,
+// active-alert export) and, if a writer is attached, written as one
+// length-prefixed JSON frame in the recording file. Frames are written
+// whole, one Write call each, so an aborted run leaves a valid prefix:
+// the reader tolerates a truncated tail, and the cluster/machine abort
+// paths flush a final partial window plus a footer (mirroring flushObs).
 //
 // Nothing here reads the wall clock, iterates maps, or depends on the
 // execution engine: all inputs are sim-cycle stamps and registry values
@@ -28,7 +27,12 @@
 // (counter [end,delta] pairs and histogram [n,sum,min,p50,p95,p99,max]
 // rows aligned with the header's series lists), "e" cycle-stamped event
 // (SLO breach/recover, watchdog fire, node-down transition, link outage
-// window), "f" footer (totals; its presence marks a clean close).
+// window), "j" journey (one store or descriptor journey of an attached
+// journey.Tracer: "set" is "slowest" or "recent", then id, kind, addr,
+// size, the four hop stamps "t" and the coalesced/aborted/done flags;
+// written once, at Flush, before the footer), "f" footer (totals, and
+// "total": one whole-run [n,sum,min,p50,p95,p99,max] row per histogram,
+// aligned with histn; its presence marks a clean close).
 //
 // The header's "ctrn" table lists counters and gauges alike. Its
 // optional "gauges" list names the ctrn entries that are gauges; a
@@ -39,12 +43,14 @@
 package rec
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
 
 // FormatVersion is the recording format version written in the header.
@@ -56,13 +62,10 @@ type Config struct {
 	// cycles. The attacher (Machine.AttachPeriodic, Cluster.AttachRecorder)
 	// drives Roll on this cadence.
 	Every uint64
-	// Ring is the number of recent windows retained in memory (default
-	// 256). The recording file keeps every window regardless.
-	Ring int
 }
 
-// DefaultConfig is a 10k-cycle window with a 256-window ring.
-func DefaultConfig() Config { return Config{Every: 10_000, Ring: 256} }
+// DefaultConfig is a 10k-cycle window.
+func DefaultConfig() Config { return Config{Every: 10_000} }
 
 // HistWindow is one histogram's statistics over a single window: the
 // sample count and sum recorded during the window, and quantiles exact
@@ -125,15 +128,16 @@ type source struct {
 	reg  *counters.Registry
 }
 
-// Recorder owns the series tables, the window ring, the event log and
+// Recorder owns the series tables, the window scratch, the event log and
 // the recording writer. Attach sources and the SLO before the run;
 // Roll/Event/Flush are barrier-phase only (single-threaded, between
 // lookahead windows) — the pinned phasesafe contract.
 type Recorder struct {
-	cfg     Config
-	w       io.Writer
-	slo     *SLO
-	sources []source
+	cfg      Config
+	w        io.Writer
+	slo      *SLO
+	sources  []source
+	journeys *journey.Tracer
 
 	sealed     bool
 	footerDone bool
@@ -147,17 +151,17 @@ type Recorder struct {
 	histNames []string
 	hists     []*counters.Histogram
 
-	// Rollup state: previous end-of-window values/states, reused scratch.
-	prevCtr  []uint64
-	prevHist []counters.HistState
-	curHist  counters.HistState
+	// Rollup state: previous end-of-window values/states, reused scratch,
+	// and the histogram states at Start the footer's totals start from.
+	prevCtr   []uint64
+	prevHist  []counters.HistState
+	curHist   counters.HistState
+	startHist []counters.HistState
 
-	ring      []Window
-	ringStart int
-	ringLen   int
-	windows   uint64
-	lastRoll  uint64
-	started   uint64 // cycle Start sealed the tables
+	win      Window // the window Roll fills, reused
+	windows  uint64
+	lastRoll uint64
+	started  uint64 // cycle Start sealed the tables
 
 	pending    []Event // events not yet written to the file
 	eventCount uint64
@@ -173,12 +177,6 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Every == 0 {
 		return nil, fmt.Errorf("rec: window cadence must be positive")
 	}
-	if cfg.Ring == 0 {
-		cfg.Ring = DefaultConfig().Ring
-	}
-	if cfg.Ring < 1 {
-		return nil, fmt.Errorf("rec: ring capacity must be positive")
-	}
 	return &Recorder{cfg: cfg}, nil
 }
 
@@ -186,7 +184,7 @@ func New(cfg Config) (*Recorder, error) {
 func (r *Recorder) Every() uint64 { return r.cfg.Every }
 
 // Err returns the first write error, if any (sticky; the recorder keeps
-// rolling windows into the ring after a write error).
+// rolling windows and evaluating the SLO after a write error).
 func (r *Recorder) Err() error { return r.err }
 
 // AddSource attaches a named counter registry; every counter and
@@ -210,7 +208,7 @@ func (r *Recorder) AddSource(name string, reg *counters.Registry) error {
 
 // SetWriter attaches the recording sink; every frame is written whole in
 // one Write call. Must be called before the first Roll. Without a
-// writer the recorder is ring-only (live SLO evaluation still runs).
+// writer the recorder only evaluates the SLO live.
 func (r *Recorder) SetWriter(w io.Writer) error {
 	if r.sealed {
 		return fmt.Errorf("rec: recorder already started")
@@ -229,6 +227,17 @@ func (r *Recorder) SetSLO(s *SLO) error {
 	return nil
 }
 
+// AddJourneys attaches a journey tracer: at Flush, before the footer,
+// its slowest set and its retained journeys are written as "j" frames.
+// A nil tracer writes none. Must be called before the first Roll.
+func (r *Recorder) AddJourneys(t *journey.Tracer) error {
+	if r.sealed {
+		return fmt.Errorf("rec: recorder already started")
+	}
+	r.journeys = t
+	return nil
+}
+
 // CounterNames returns the sealed counter- and gauge-series names
 // (sorted); nil before Start.
 func (r *Recorder) CounterNames() []string { return r.ctrNames }
@@ -242,16 +251,6 @@ func (r *Recorder) Windows() uint64 { return r.windows }
 
 // EventCount returns the number of events logged so far.
 func (r *Recorder) EventCount() uint64 { return r.eventCount }
-
-// Recent returns the retained ring windows, oldest first. The returned
-// slice aliases ring storage: read it at barriers or after the run.
-func (r *Recorder) Recent() []Window {
-	out := make([]Window, 0, r.ringLen)
-	for i := 0; i < r.ringLen; i++ {
-		out = append(out, r.ring[(r.ringStart+i)%len(r.ring)])
-	}
-	return out
-}
 
 // Start seals the series tables (collecting and sorting every source's
 // counters and histograms), records the baseline the first window's
@@ -311,12 +310,10 @@ func (r *Recorder) Start(cycle uint64) {
 	for i, h := range r.hists {
 		h.ReadState(&r.prevHist[i])
 	}
-	r.ring = make([]Window, r.cfg.Ring)
-	for i := range r.ring {
-		r.ring[i].CtrEnd = make([]uint64, len(r.ctrRead))
-		r.ring[i].CtrDelta = make([]uint64, len(r.ctrRead))
-		r.ring[i].Hist = make([]HistWindow, len(r.hists))
-	}
+	r.startHist = append([]counters.HistState(nil), r.prevHist...)
+	r.win.CtrEnd = make([]uint64, len(r.ctrRead))
+	r.win.CtrDelta = make([]uint64, len(r.ctrRead))
+	r.win.Hist = make([]HistWindow, len(r.hists))
 	if r.slo != nil {
 		var unbound []string
 		r.bindings, unbound = r.slo.bind(r.ctrNames, r.ctrGauge, r.histNames)
@@ -354,7 +351,7 @@ func (r *Recorder) Event(cycle uint64, kind, node string, rule string, value flo
 }
 
 // Roll closes the window (lastRoll, cycle]: reads every counter and
-// histogram, stores the deltas in the ring, evaluates the SLO rules, and
+// histogram, computes the window's deltas, evaluates the SLO rules, and
 // appends the pending events plus the window frame to the recording.
 // Alloc-free in steady state (no events firing, scratch buffers grown).
 // A cycle at or before the previous roll is a no-op, so abort-path
@@ -369,7 +366,7 @@ func (r *Recorder) Roll(cycle uint64) {
 	if cycle <= r.lastRoll || r.footerDone {
 		return
 	}
-	w := r.slot()
+	w := &r.win
 	w.Index = r.windows
 	w.C0 = r.lastRoll
 	w.C1 = cycle
@@ -381,11 +378,7 @@ func (r *Recorder) Roll(cycle uint64) {
 	}
 	for i, h := range r.hists {
 		h.ReadState(&r.curHist)
-		s := counters.WindowStats(&r.prevHist[i], &r.curHist)
-		w.Hist[i] = HistWindow{
-			N: s.Count, Sum: r.curHist.Sum - r.prevHist[i].Sum,
-			Min: s.Min, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max,
-		}
+		w.Hist[i] = histWindow(&r.prevHist[i], &r.curHist)
 		r.prevHist[i] = r.curHist
 	}
 	r.windows++
@@ -395,10 +388,20 @@ func (r *Recorder) Roll(cycle uint64) {
 	r.writeWindow(w)
 }
 
+// histWindow summarizes the samples a histogram took between two states.
+func histWindow(prev, cur *counters.HistState) HistWindow {
+	s := counters.WindowStats(prev, cur)
+	return HistWindow{N: s.Count, Sum: cur.Sum - prev.Sum,
+		Min: s.Min, P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max}
+}
+
 // Flush closes the recording: a final partial window if cycles elapsed
-// since the last roll, any pending events, and the footer frame. Safe to
-// call more than once (the footer is written exactly once) — both the
-// abort paths and the normal end-of-run path funnel through it.
+// since the last roll, any pending events, the attached tracer's
+// journeys, and the footer frame with every histogram's statistics over
+// the whole run (exact at bucket resolution, unlike any merge of
+// per-window quantiles). Safe to call more than once (the footer is
+// written exactly once) — both the abort paths and the normal end-of-run
+// path funnel through it.
 //
 //csb:barrier reads every source registry; only safe between windows
 func (r *Recorder) Flush(cycle uint64) {
@@ -414,6 +417,14 @@ func (r *Recorder) Flush(cycle uint64) {
 		return
 	}
 	r.footerDone = true
+	if r.journeys != nil {
+		for _, j := range r.journeys.Slowest() {
+			r.writeJourney("slowest", &j)
+		}
+		for _, j := range r.journeys.Retained() {
+			r.writeJourney("recent", &j)
+		}
+	}
 	r.jbuf = r.jbuf[:0]
 	r.jbuf = append(r.jbuf, `{"k":"f","c":`...)
 	r.jbuf = strconv.AppendUint(r.jbuf, cycle, 10)
@@ -421,7 +432,12 @@ func (r *Recorder) Flush(cycle uint64) {
 	r.jbuf = strconv.AppendUint(r.jbuf, r.windows, 10)
 	r.jbuf = append(r.jbuf, `,"events":`...)
 	r.jbuf = strconv.AppendUint(r.jbuf, r.eventCount, 10)
-	r.jbuf = append(r.jbuf, '}')
+	r.jbuf = append(r.jbuf, `,"total":[`...)
+	for i, h := range r.hists {
+		h.ReadState(&r.curHist)
+		r.appendHistRow(i, histWindow(&r.startHist[i], &r.curHist))
+	}
+	r.jbuf = append(r.jbuf, `]}`...)
 	r.writeFrame()
 }
 
@@ -441,18 +457,6 @@ func (r *Recorder) ActiveAlerts() []Alert {
 		}
 	}
 	return out
-}
-
-// slot claims the next ring window, evicting the oldest at capacity.
-func (r *Recorder) slot() *Window {
-	if r.ringLen < len(r.ring) {
-		w := &r.ring[(r.ringStart+r.ringLen)%len(r.ring)]
-		r.ringLen++
-		return w
-	}
-	w := &r.ring[r.ringStart]
-	r.ringStart = (r.ringStart + 1) % len(r.ring)
-	return w
 }
 
 // evalSLO evaluates every binding against the freshly rolled window and
@@ -575,26 +579,42 @@ func (r *Recorder) writeWindow(w *Window) {
 		r.jbuf = append(r.jbuf, ']')
 	}
 	r.jbuf = append(r.jbuf, `],"hist":[`...)
-	for i := range w.Hist {
-		if i > 0 {
-			r.jbuf = append(r.jbuf, ',')
-		}
-		h := &w.Hist[i]
-		r.jbuf = append(r.jbuf, '[')
-		r.jbuf = strconv.AppendUint(r.jbuf, h.N, 10)
-		for _, v := range [6]uint64{h.Sum, h.Min, h.P50, h.P95, h.P99, h.Max} {
-			r.jbuf = append(r.jbuf, ',')
-			r.jbuf = strconv.AppendUint(r.jbuf, v, 10)
-		}
-		r.jbuf = append(r.jbuf, ']')
+	for i, h := range w.Hist {
+		r.appendHistRow(i, h)
 	}
 	r.jbuf = append(r.jbuf, `]}`...)
 	r.writeFrame()
 }
 
+// appendHistRow appends the i-th [n,sum,min,p50,p95,p99,max] row of a
+// histogram list.
+func (r *Recorder) appendHistRow(i int, h HistWindow) {
+	if i > 0 {
+		r.jbuf = append(r.jbuf, ',')
+	}
+	r.jbuf = append(r.jbuf, '[')
+	r.jbuf = strconv.AppendUint(r.jbuf, h.N, 10)
+	for _, v := range [6]uint64{h.Sum, h.Min, h.P50, h.P95, h.P99, h.Max} {
+		r.jbuf = append(r.jbuf, ',')
+		r.jbuf = strconv.AppendUint(r.jbuf, v, 10)
+	}
+	r.jbuf = append(r.jbuf, ']')
+}
+
+// writeJourney emits one "j" frame: a journey of the given set with its
+// hop stamps, and the flags that are set.
+func (r *Recorder) writeJourney(set string, j *journey.Journey) {
+	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
+		K string `json:"k"`
+		journeyJSON
+	}{"j", journeyJSON{set, j.ID, j.Kind.String(), j.Addr, j.Size, j.T, j.Coalesced, j.Aborted, j.Done}})
+	r.jbuf = append(r.jbuf[:0], doc...)
+	r.writeFrame()
+}
+
 // writeFrame wraps r.jbuf as one length-prefixed frame and writes it in
 // a single call. A write error is sticky and stops further file output;
-// the in-memory ring keeps rolling.
+// windows keep rolling.
 func (r *Recorder) writeFrame() {
 	if r.w == nil || r.err != nil {
 		return

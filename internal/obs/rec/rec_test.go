@@ -88,7 +88,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	pv := new(uint64)
 	preReg.Gauge("pre/gauge", func() uint64 { return *pv })
 
-	r, err := New(Config{Every: 100, Ring: 4})
+	r, err := New(Config{Every: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestDiff(t *testing.T) {
 // mid-run.
 func TestRollAllocFree(t *testing.T) {
 	reg, a, _, h := testSource()
-	r, _ := New(Config{Every: 10, Ring: 8})
+	r, _ := New(Config{Every: 10})
 	if err := r.AddSource("dev", reg); err != nil {
 		t.Fatal(err)
 	}

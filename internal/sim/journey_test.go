@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"csbsim/internal/device"
@@ -12,6 +14,7 @@ import (
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
+	"csbsim/internal/obs/rec"
 )
 
 // uncachedStoreLoop mirrors obs_test.go's storeLoop but through plain
@@ -197,12 +200,39 @@ func TestJourneyFlowsGolden(t *testing.T) {
 	}
 }
 
-// TestJourneyDumpDeterministicUnderFaults extends the per-seed
+// recordJourneys attaches a recorder that rolls every 10000 cycles and
+// carries the machine's journeys, as `csbsim -journeys -record FILE`
+// does; close it with FlushObs and Flush.
+func recordJourneys(t *testing.T, m *Machine) (*rec.Recorder, *bytes.Buffer) {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("machine", m.AttachCounters()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddJourneys(m.Journeys()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r.Start(m.Cycle())
+	if err := m.AttachPeriodic(10_000, r.Roll); err != nil {
+		t.Fatal(err)
+	}
+	return r, &buf
+}
+
+// TestJourneyRecordingDeterministicUnderFaults extends the per-seed
 // bit-identity criterion to the journey layer: two runs with the same
-// fault seed produce byte-identical journey dumps — totals, histogram
-// summaries, slowest set and retained journeys all agree.
-func TestJourneyDumpDeterministicUnderFaults(t *testing.T) {
-	dump := func(seed uint64) []byte {
+// fault seed write byte-identical recordings with journeys (windows,
+// whole-run histogram rows, slowest set and retained journeys), and
+// another seed changes the journeys themselves.
+func TestJourneyRecordingDeterministicUnderFaults(t *testing.T) {
+	record := func(seed uint64) []byte {
 		cfg := fault.DefaultConfig()
 		cfg.Seed = seed
 		m, err := New(DefaultConfig())
@@ -221,6 +251,7 @@ func TestJourneyDumpDeterministicUnderFaults(t *testing.T) {
 		if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
+		r, buf := recordJourneys(t, m)
 		if _, err := m.LoadSource("nic.s", robustNICGuest); err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +261,68 @@ func TestJourneyDumpDeterministicUnderFaults(t *testing.T) {
 		if err := m.Drain(1_000_000); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
-		var buf bytes.Buffer
-		if _, err := m.Journeys().WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
+		m.FlushObs()
+		r.Flush(m.Cycle())
 		return buf.Bytes()
 	}
-
-	a, b := dump(3), dump(3)
-	if !bytes.Equal(a, b) {
-		t.Error("same fault seed, different journey dumps")
+	journeys := func(data []byte) []any {
+		rc, err := rec.Read(data)
+		if err != nil || !rc.Clean || len(rc.Journeys) == 0 {
+			t.Fatalf("recording: err %v, clean %v, %d journeys", err, rc != nil && rc.Clean, len(rc.Journeys))
+		}
+		return []any{rc.Total, rc.Slowest, rc.Journeys}
 	}
-	c := dump(4)
-	if bytes.Equal(a, c) {
-		t.Error("seeds 3 and 4 produced identical journey dumps; the seed is not reaching the schedule")
+
+	a, b := record(3), record(3)
+	if !bytes.Equal(a, b) {
+		t.Error("same fault seed, different recordings")
+	}
+	if reflect.DeepEqual(journeys(a), journeys(record(4))) {
+		t.Error("seeds 3 and 4 recorded identical journeys; the seed is not reaching the schedule")
+	}
+}
+
+// TestAbortedRunRecordsJourneys: a watchdog-aborted run's recording,
+// closed the way csbsim closes it, carries the partial journeys: the
+// wedged uncached store is there, not done.
+func TestAbortedRunRecordsJourneys(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4800_0000, 0x1000, mem.KindUncached)
+	if _, err := m.AttachFaults(fault.Config{Seed: 1, BusNack: fault.RateScale}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetWatchdog(5000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	r, buf := recordJourneys(t, m)
+	p, err := m.LoadSource("wedge.s", wedgeAfterSpin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmProgram(p) // the NACKing bus must wedge the store, not the fetch
+	var wd *WatchdogError
+	if err := m.Run(1_000_000); !errors.As(err, &wd) {
+		t.Fatalf("run ended with %v, want *WatchdogError", err)
+	}
+	m.FlushObs()
+	r.Flush(m.Cycle())
+	rc, err := rec.Read(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight := 0
+	for _, j := range rc.Journeys {
+		if !j.Done && !j.Aborted && j.Kind == journey.KindUncachedStore && j.Addr == 0x4800_0000 {
+			inFlight++
+		}
+	}
+	if !rc.Clean || inFlight != 1 {
+		t.Errorf("clean=%v, %d in-flight journeys to the wedged address in %+v", rc.Clean, inFlight, rc.Journeys)
 	}
 }
