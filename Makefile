@@ -99,16 +99,22 @@ journeys:
 	$(GO) run ./cmd/csbrec summary out/csb.rec
 	$(GO) run ./cmd/csbrec series -m 'machine/csb/*' out/csb.rec | grep 'csb/occupancy_bytes'
 
-# Cross-node tracing: run a traced two-node ping-pong and write the
-# merged distributed-trace dump plus the two-timeline Perfetto export to
-# out/. CI uploads out/ as an artifact. What the trace and the recorder
-# cost is checked exactly by TestServeObservedEffort and
-# TestObservedEffort (go test ./...) and timed by
-# BenchmarkObservedPingPong (bench-smoke).
+# Cross-node tracing: record a traced two-node ping-pong under each
+# engine, require the two recordings to match (csbrec diff exits 1 on
+# any difference, the wire spans included), then list the slowest spans
+# and write the two-timeline Perfetto export to out/. CI uploads out/ as
+# an artifact. What the trace and the recorder cost is checked exactly
+# by TestServeObservedEffort and TestObservedEffort (go test ./...) and
+# timed by BenchmarkObservedPingPong (bench-smoke).
 cluster-trace:
 	mkdir -p out
-	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 \
-		-trace out/cluster_trace.json -perfetto out/cluster_trace_perfetto.json -v
+	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 -engine parallel \
+		-trace -record out/cluster_trace_parallel.rec -v
+	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 -engine seq \
+		-trace -record out/cluster_trace_seq.rec
+	$(GO) run ./cmd/csbrec diff out/cluster_trace_parallel.rec out/cluster_trace_seq.rec
+	$(GO) run ./cmd/csbrec journeys out/cluster_trace_parallel.rec
+	$(GO) run ./cmd/csbrec perfetto -o out/cluster_trace_perfetto.json out/cluster_trace_parallel.rec
 
 # Flight recorder end to end: record a faulted serving run with the
 # committed SLO spec riding along (live breaches land in the event log),

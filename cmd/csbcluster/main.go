@@ -13,8 +13,9 @@
 //
 // Topology flags (-nodes, -topology, -bandwidth, -link-depth) shape the
 // fabric; -engine picks how the conservative-lookahead engine runs its
-// windows: "parallel" (default) on a goroutine per node, "seq" inline on
-// one. Both produce byte-identical results at any wire latency.
+// node windows: "parallel" (default) spreads them over up to GOMAXPROCS
+// host threads, "seq" runs them inline on one. Both produce
+// byte-identical results at any wire latency.
 //
 // Serving flags: -rate R offers R requests per 1000 cycles per client
 // (open loop — arrivals never wait for completions), -dist picks the
@@ -23,18 +24,19 @@
 // length, -req-words the request/reply size. The run reports per-client
 // and merged throughput/latency quantiles as JSON.
 //
-// Observability flags wire up the PR 6 cross-node layer: -trace FILE
-// writes the merged distributed-trace dump (per-packet spans with
-// fifo_push → tx_start → wire_depart → wire_arrive → rx_enqueue →
-// rx_drain stamps aligned onto the shared cluster timeline, plus per-hop
-// latency histograms), -perfetto FILE writes the per-node-timeline Chrome
-// trace (flow arrows across the wire; load at ui.perfetto.dev), and
+// Observability flags wire up the cross-node layer: -trace follows every
+// packet across the wire (per-packet spans with fifo_push → tx_start →
+// wire_depart → wire_arrive → rx_enqueue → rx_drain stamps aligned onto
+// the shared cluster timeline, plus per-hop latency histograms), and
 // -record FILE writes the flight recording window by window while the
-// cluster runs (watch it live with csbtop FILE).
+// cluster runs (watch it live with csbtop FILE). With both, the
+// recording ends with the retained spans: `csbrec journeys FILE` lists
+// them and `csbrec perfetto FILE` draws one timeline per node with flow
+// arrows across the wire (load at ui.perfetto.dev).
 //
 // Examples:
 //
-//	csbcluster -send csb -rounds 50 -wire 120 -trace wire.json -v
+//	csbcluster -send csb -rounds 50 -wire 120 -trace -record wire.rec -v
 //	csbcluster -serve -nodes 4 -topology star -rate 2 -send csb -json
 package main
 
@@ -42,18 +44,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"csbsim/internal/bench"
 	"csbsim/internal/cluster"
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/cluster/loadgen"
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -85,9 +86,7 @@ type options struct {
 	retries    int
 	backoff    uint64
 
-	traceOut string
-	perfetto string
-	window   int
+	trace    bool
 	record   string
 	recEvery uint64
 	slo      string
@@ -125,9 +124,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "retry budget per timed-out request (-serve; needs -timeout)")
 	flag.Uint64Var(&o.backoff, "backoff", 0, "base retry backoff in cycles (0 = timeout/4)")
 
-	flag.StringVar(&o.traceOut, "trace", "", "write the merged distributed-trace dump to FILE")
-	flag.StringVar(&o.perfetto, "perfetto", "", "write the per-node-timeline Chrome trace to FILE (load at ui.perfetto.dev)")
-	flag.IntVar(&o.window, "trace-window", 0, "count of recent wire spans retained in the dump (0 = default 4096)")
+	flag.BoolVar(&o.trace, "trace", false, "trace every wire packet; with -record the spans go into the recording (csbrec journeys, csbrec perfetto)")
 	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
 	flag.Uint64Var(&o.recEvery, "record-every", 10_000, "recording window in cluster cycles")
 	flag.StringVar(&o.slo, "slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
@@ -140,13 +137,14 @@ func main() {
 	}
 	flag.Parse()
 
-	if err := run(&o, flag.Args()); err != nil {
+	if err := run(&o, flag.Args(), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "csbcluster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o *options, args []string) error {
+// run runs the cluster o describes and prints its summary to out.
+func run(o *options, args []string, out io.Writer) error {
 	method, csb, err := parseSend(o.send)
 	if err != nil {
 		return err
@@ -188,13 +186,9 @@ func run(o *options, args []string) error {
 		return err
 	}
 
-	traced := o.traceOut != "" || o.perfetto != "" || o.verbose || o.jsonOut
+	traced := o.trace || o.verbose || o.jsonOut
 	if traced {
-		tcfg := ctrace.DefaultConfig()
-		if o.window > 0 {
-			tcfg.Window = o.window
-		}
-		if _, err := c.AttachTrace(journey.DefaultConfig(), tcfg); err != nil {
+		if _, err := c.AttachTrace(); err != nil {
 			return err
 		}
 	}
@@ -322,25 +316,6 @@ func run(o *options, args []string) error {
 	}
 
 	runErr := runEngine(c, o)
-	// Dumps are written even on an aborted run: the partial spans are
-	// exactly what a post-mortem wants (the cluster has already flushed
-	// the observability state).
-	if o.traceOut != "" {
-		if err := writeFile(o.traceOut, func(f *os.File) error {
-			_, err := c.Trace().WriteTo(f)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	if o.perfetto != "" {
-		if err := writeFile(o.perfetto, func(f *os.File) error {
-			_, err := c.Trace().WritePerfetto(f)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
 	if r := c.Recorder(); r != nil {
 		if err := r.Err(); err != nil {
 			return err
@@ -359,37 +334,42 @@ func run(o *options, args []string) error {
 	}
 
 	if o.serve {
-		return reportServe(c, o, gens, clients)
+		return reportServe(c, o, gens, clients, out)
 	}
 	switch {
 	case o.jsonOut:
-		out := struct {
+		sum := struct {
 			Cycles    uint64                      `json:"cycles"`
 			Nodes     int                         `json:"nodes"`
 			Rounds    int                         `json:"rounds,omitempty"`
 			Started   uint64                      `json:"packets_started"`
 			Completed uint64                      `json:"packets_completed"`
 			Hops      map[string]counters.Summary `json:"hops"`
-		}{Cycles: c.Cycle(), Nodes: c.NumNodes(), Started: c.Trace().Started(), Completed: c.Trace().Completed()}
+		}{Cycles: c.Cycle(), Nodes: c.NumNodes(), Started: c.Trace().Started(), Completed: c.Trace().Completed(),
+			Hops: map[string]counters.Summary{}}
 		if len(args) == 0 {
-			out.Rounds = o.rounds
+			sum.Rounds = o.rounds
 		}
-		out.Hops = c.Trace().BuildDump().Histograms
-		data, err := json.MarshalIndent(out, "", "  ")
+		c.Registry().VisitHistograms(func(h *counters.Histogram) {
+			if strings.HasPrefix(h.Name(), "ctrace/") {
+				sum.Hops[h.Name()] = h.Summary()
+			}
+		})
+		data, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(out, string(data))
 	case o.verbose:
-		fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire (%d completed)\n",
+		fmt.Fprintf(out, "cluster halted after %d cycles; %d packets crossed the wire (%d completed)\n",
 			c.HaltCycle(), c.Trace().Started(), c.Trace().Completed())
-		fmt.Print(c.Registry().Snapshot().Format())
+		fmt.Fprint(out, c.Registry().Snapshot().Format())
 	default:
 		if traced {
-			fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire\n",
+			fmt.Fprintf(out, "cluster halted after %d cycles; %d packets crossed the wire\n",
 				c.HaltCycle(), c.Trace().Started())
 		} else {
-			fmt.Printf("cluster halted after %d cycles\n", c.HaltCycle())
+			fmt.Fprintf(out, "cluster halted after %d cycles\n", c.HaltCycle())
 		}
 	}
 	return nil
@@ -468,7 +448,7 @@ func setupServe(c *cluster.Cluster, o *options, method bench.SendMethod) ([]*loa
 
 // reportServe aggregates the generators' accounting into the serving-run
 // summary.
-func reportServe(c *cluster.Cluster, o *options, gens []*loadgen.Generator, clients []int) error {
+func reportServe(c *cluster.Cluster, o *options, gens []*loadgen.Generator, clients []int, w io.Writer) error {
 	type clientOut struct {
 		Node  string        `json:"node"`
 		Stats loadgen.Stats `json:"stats"`
@@ -530,29 +510,29 @@ func reportServe(c *cluster.Cluster, o *options, gens []*loadgen.Generator, clie
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(w, string(data))
 		return nil
 	}
-	fmt.Printf("serving run: %d cycles, %d clients → %d servers (%s, %s replies, %s arrivals)\n",
+	fmt.Fprintf(w, "serving run: %d cycles, %d clients → %d servers (%s, %s replies, %s arrivals)\n",
 		out.Cycles, len(gens), c.NumNodes()-len(gens), out.Topology, o.send, o.dist)
-	fmt.Printf("offered %.2f req/kcycle/client; issued %d, completed %d (%.2f/kcycle), lost %d, stray %d\n",
+	fmt.Fprintf(w, "offered %.2f req/kcycle/client; issued %d, completed %d (%.2f/kcycle), lost %d, stray %d\n",
 		o.rate, out.Total.Issued, out.Total.Completed, out.Throughput, out.Total.Lost, out.Total.Stray)
 	if o.timeout > 0 {
-		fmt.Printf("reliability: timeouts %d, retries %d, duplicate replies %d, goodput %d\n",
+		fmt.Fprintf(w, "reliability: timeouts %d, retries %d, duplicate replies %d, goodput %d\n",
 			out.Total.Timeouts, out.Total.Retries, out.Total.DuplicateReplies, out.Total.Goodput)
 	}
-	fmt.Printf("latency: p50=%d p95=%d p99=%d max=%d cycles\n",
+	fmt.Fprintf(w, "latency: p50=%d p95=%d p99=%d max=%d cycles\n",
 		out.Latency.P50, out.Latency.P95, out.Latency.P99, out.Latency.Max)
 	if fs := out.WireFaults; fs != nil {
-		fmt.Printf("wire faults: seed=%d drops=%d dups=%d delays=%d (%d cycles) outages=%d (%d cycles)\n",
+		fmt.Fprintf(w, "wire faults: seed=%d drops=%d dups=%d delays=%d (%d cycles) outages=%d (%d cycles)\n",
 			fs.Seed, fs.WireDrops, fs.WireDups, fs.WireDelays, fs.WireDelayCycles,
 			fs.OutageWindows, fs.OutageCycles)
 	}
 	if len(out.NodesDown) > 0 {
-		fmt.Printf("degraded: nodes down: %s\n", strings.Join(out.NodesDown, ", "))
+		fmt.Fprintf(w, "degraded: nodes down: %s\n", strings.Join(out.NodesDown, ", "))
 	}
 	if o.verbose {
-		fmt.Print(c.Registry().Snapshot().Format())
+		fmt.Fprint(w, c.Registry().Snapshot().Format())
 	}
 	return nil
 }
@@ -602,16 +582,4 @@ func parseSend(s string) (bench.SendMethod, bool, error) {
 		return bench.SendDMA, false, nil
 	}
 	return 0, false, fmt.Errorf("unknown send method %q (want pio, csb or dma)", s)
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,11 +1,13 @@
 // csbrec inspects flight-recorder recordings (internal/obs/rec): window
 // summaries, per-series statistics (a histogram's exact over the whole
 // run, from the footer), window slices, the cycle-stamped event log, the
-// store journeys of a `csbsim -journeys -record` run, SLO checks,
-// tolerance-aware recording diffs for regression gating, and Perfetto
-// counter-track export so recorded history lines up with journey/ctrace
-// slices on one timeline. A counter is shown by its change over each
-// window, a gauge (an occupancy) by its value at the window's end.
+// store journeys of a `csbsim -journeys -record` run and the wire spans
+// of a `csbcluster -trace -record` run, SLO checks, tolerance-aware
+// recording diffs for regression gating, and Perfetto export: counter
+// tracks of the recorded history, plus one timeline per node with the
+// wire spans and their flow arrows. A counter is shown by its change
+// over each window, a gauge (an occupancy) by its value at the window's
+// end.
 //
 // Usage:
 //
@@ -25,10 +27,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
@@ -79,9 +84,10 @@ func usage() {
   csbrec events file.rec                       the cycle-stamped event log
   csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] f
                                                slowest and most recent store journeys
+                                               and wire spans
   csbrec check -slo spec|@file file.rec        evaluate an SLO spec (exit 1 on breach)
   csbrec diff [-tol F] a.rec b.rec             compare recordings (exit 1 when different)
-  csbrec perfetto [-o out.json] file.rec       Perfetto counter-track export
+  csbrec perfetto [-o out.json] file.rec       Perfetto export: counter tracks, wire spans
 `)
 }
 
@@ -142,6 +148,17 @@ func cmdSummary(args []string, out io.Writer) error {
 		status += ", truncated tail"
 	}
 	fmt.Fprintf(out, "  status:    %s\n", status)
+	if len(rc.Spans) > 0 {
+		var done, dropped int
+		for _, s := range rc.Spans {
+			if s.Done {
+				done++
+			} else if s.Dropped {
+				dropped++
+			}
+		}
+		fmt.Fprintf(out, "  spans:     %d (%d completed, %d dropped)\n", len(rc.Spans), done, dropped)
+	}
 	if len(rc.SLOSpecs) > 0 {
 		fmt.Fprintf(out, "  slo:       %s\n", strings.Join(rc.SLOSpecs, "; "))
 	}
@@ -334,9 +351,9 @@ func cmdEvents(args []string, out io.Writer) error {
 
 func cmdJourneys(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("journeys", flag.ContinueOnError)
-	top := fs.Int("top", 10, "show the N slowest journeys (0 = none)")
-	recent := fs.Int("recent", 0, "also list the N most recent journeys (0 = none)")
-	kind := fs.String("kind", "", "filter by kind: uncached_store, csb_store or nic_descriptor")
+	top := fs.Int("top", 10, "show the N slowest journeys and spans (0 = none)")
+	recent := fs.Int("recent", 0, "also list the N most recent journeys and spans (0 = none)")
+	kind := fs.String("kind", "", "filter journeys by kind: uncached_store, csb_store or nic_descriptor")
 	addr := fs.String("addr", "", "filter: journeys whose span contains this address (hex ok)")
 	rng := fs.String("range", "", "filter: journeys starting inside lo:hi (hex ok)")
 	path, err := oneArg(fs, args)
@@ -351,8 +368,8 @@ func cmdJourneys(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(rc.Slowest)+len(rc.Journeys) == 0 {
-		return fmt.Errorf("%s holds no journeys (record with csbsim -journeys -record)", path)
+	if len(rc.Slowest)+len(rc.Journeys)+len(rc.Spans) == 0 {
+		return fmt.Errorf("%s holds no journeys or spans (record with csbsim -journeys -record or csbcluster -trace -record)", path)
 	}
 	filter := func(js []journey.Journey) []journey.Journey {
 		var kept []journey.Journey
@@ -363,17 +380,36 @@ func cmdJourneys(args []string, out io.Writer) error {
 		}
 		return kept
 	}
-	if *top > 0 {
+	journeys := len(rc.Slowest)+len(rc.Journeys) > 0
+	if *top > 0 && journeys {
 		js := filter(rc.Slowest)
 		js = js[:min(len(js), *top)]
 		fmt.Fprintf(out, "slowest %d journeys:\n", len(js))
 		journeyTable(out, js)
 	}
-	if *recent > 0 {
+	if *recent > 0 && journeys {
 		js := filter(rc.Journeys)
 		js = js[max(0, len(js)-*recent):]
 		fmt.Fprintf(out, "most recent %d journeys:\n", len(js))
 		journeyTable(out, js)
+	}
+	if *top > 0 && len(rc.Spans) > 0 {
+		var done []ctrace.MergedSpan
+		for _, s := range rc.Spans {
+			if s.Done {
+				done = append(done, s)
+			}
+		}
+		// Slowest first; equal latencies keep trace-ID order.
+		sort.SliceStable(done, func(i, j int) bool { return done[i].E2E > done[j].E2E })
+		done = done[:min(len(done), *top)]
+		fmt.Fprintf(out, "slowest %d spans:\n", len(done))
+		spanTable(out, done)
+	}
+	if *recent > 0 && len(rc.Spans) > 0 {
+		ss := rc.Spans[max(0, len(rc.Spans)-*recent):]
+		fmt.Fprintf(out, "most recent %d spans:\n", len(ss))
+		spanTable(out, ss)
 	}
 	return nil
 }
@@ -461,6 +497,42 @@ func journeyTable(out io.Writer, js []journey.Journey) {
 	w.Flush()
 }
 
+// spanTable prints one row per wire span: its route and size, its
+// fifo_push cycle, then each later stamp as the cycles since the
+// previous one ("-" when the hop was not reached), the end-to-end
+// latency and the drop cycle or in-flight flag.
+func spanTable(out io.Writer, ss []ctrace.MergedSpan) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Fprint(w, "id\tfrom\tto\tsize\tstart")
+	for _, name := range ctrace.HopNames[1:] {
+		fmt.Fprintf(w, "\t%s", name)
+	}
+	fmt.Fprintln(w, "\te2e\tflags")
+	for _, s := range ss {
+		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d", s.TraceID, s.From, s.To, s.Size, s.FIFOPush)
+		prev := s.FIFOPush
+		for _, t := range []uint64{s.TxStart, s.WireDepart, s.WireArrive, s.RxEnqueue, s.RxDrain} {
+			if t == 0 {
+				fmt.Fprint(w, "\t-")
+				continue
+			}
+			fmt.Fprintf(w, "\t+%d", t-prev)
+			prev = t
+		}
+		e2e, flag := "-", ""
+		switch {
+		case s.Done:
+			e2e = strconv.FormatUint(s.E2E, 10)
+		case s.Dropped:
+			flag = fmt.Sprintf("dropped@%d", s.DropCycle)
+		default:
+			flag = "in-flight"
+		}
+		fmt.Fprintf(w, "\t%s\t%s\n", e2e, flag)
+	}
+	w.Flush()
+}
+
 // loadSLO parses a -slo argument: a literal spec, or @path to a file.
 func loadSLO(arg string) (*rec.SLO, error) {
 	if arg == "" {
@@ -539,17 +611,22 @@ func cmdDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// traceEvent mirrors the Chrome trace-event subset ctrace emits, plus
-// the "C" counter phase — loading this file together with a ctrace or
-// journey export lines recorded history up with the slices.
+// traceEvent is the Chrome trace-event subset the export writes:
+// metadata, counter, instant and complete events, and flow arrows.
+// Loading it together with a csbsim -perfetto trace lines recorded
+// history up with the journey slices.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name   string         `json:"name"`
+	Cat    string         `json:"cat,omitempty"`
+	Ph     string         `json:"ph"`
+	Ts     uint64         `json:"ts"`
+	Dur    uint64         `json:"dur,omitempty"`
+	PID    int            `json:"pid"`
+	TID    int            `json:"tid,omitempty"`
+	FlowID uint64         `json:"id,omitempty"`
+	BP     string         `json:"bp,omitempty"`
+	S      string         `json:"s,omitempty"`
+	Args   map[string]any `json:"args,omitempty"`
 }
 
 func cmdPerfetto(args []string, out io.Writer) error {
@@ -564,7 +641,7 @@ func cmdPerfetto(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	const pid = 99 // past the ctrace per-node pids, so merged loads don't collide
+	const pid = 99 // past the per-node pids of the span timelines
 	events := []traceEvent{{Name: "process_name", Ph: "M", PID: pid,
 		Args: map[string]any{"name": "flight recorder"}}}
 	for wi := range rc.Windows {
@@ -607,6 +684,7 @@ func cmdPerfetto(args []string, out io.Writer) error {
 		}
 		events = append(events, e)
 	}
+	events = spanEvents(events, rc.Spans)
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
@@ -623,4 +701,73 @@ func cmdPerfetto(args []string, out io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)
+}
+
+// The span timelines' thread IDs: each node process has a tx and an rx
+// thread.
+const (
+	tidTx = 1
+	tidRx = 2
+)
+
+// spanEvents appends the wire spans as one process per node (sorted by
+// name, numbered from 1) with tx and rx threads: a slice per packet on
+// each side of the wire, and a flow arrow from the sender's wire_depart
+// to the receiver's wire_arrive binding the two timelines.
+func spanEvents(events []traceEvent, spans []ctrace.MergedSpan) []traceEvent {
+	var names []string
+	for _, s := range spans {
+		names = append(names, s.From, s.To)
+	}
+	sort.Strings(names)
+	names = slices.Compact(names)
+	pid := make(map[string]int, len(names))
+	for i, n := range names {
+		pid[n] = 1 + i
+		events = append(events,
+			traceEvent{Name: "process_name", Ph: "M", PID: 1 + i,
+				Args: map[string]any{"name": "node " + n}},
+			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidTx,
+				Args: map[string]any{"name": "nic tx"}},
+			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidRx,
+				Args: map[string]any{"name": "nic rx"}})
+	}
+	for _, s := range spans {
+		tx := traceEvent{
+			Name: fmt.Sprintf("pkt %d → %s", s.TraceID, s.To),
+			Ph:   "X", Ts: s.FIFOPush, Dur: max(s.WireDepart-s.FIFOPush, 1),
+			PID: pid[s.From], TID: tidTx,
+			Args: map[string]any{
+				"trace_id": s.TraceID, "size": s.Size,
+				"fifo_push": s.FIFOPush, "tx_start": s.TxStart, "wire_depart": s.WireDepart,
+			},
+		}
+		if s.Dropped {
+			tx.Args["dropped_at"] = s.DropCycle
+		}
+		events = append(events, tx)
+		if s.WireArrive == 0 {
+			continue // still on the wire: sender side only
+		}
+		rxArgs := map[string]any{"trace_id": s.TraceID, "size": s.Size, "wire_arrive": s.WireArrive}
+		if s.RxEnqueue != 0 {
+			rxArgs["rx_enqueue"] = s.RxEnqueue
+		}
+		if s.RxDrain != 0 {
+			rxArgs["rx_drain"] = s.RxDrain
+		}
+		if s.Done {
+			rxArgs["e2e"] = s.E2E
+		}
+		rxEnd := max(s.WireArrive, s.RxEnqueue, s.RxDrain)
+		events = append(events,
+			traceEvent{Name: fmt.Sprintf("pkt %d ← %s", s.TraceID, s.From),
+				Ph: "X", Ts: s.WireArrive, Dur: max(rxEnd-s.WireArrive, 1),
+				PID: pid[s.To], TID: tidRx, Args: rxArgs},
+			traceEvent{Name: "wire", Cat: "wire", Ph: "s", Ts: s.WireDepart,
+				PID: pid[s.From], TID: tidTx, FlowID: s.TraceID},
+			traceEvent{Name: "wire", Cat: "wire", Ph: "f", BP: "e", Ts: s.WireArrive,
+				PID: pid[s.To], TID: tidRx, FlowID: s.TraceID})
+	}
+	return events
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
@@ -155,7 +156,7 @@ func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string)
 		t.Fatal(err)
 	}
 	m.MapRange(0x4000_0000, 64<<10, mem.KindCombining)
-	tr, err := m.AttachJourneys(journey.DefaultConfig())
+	tr, err := m.AttachJourneys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,5 +234,108 @@ func TestJourneysAndTotalsFromRecording(t *testing.T) {
 	})
 	if len(got) != hists || got["machine/journey/e2e/csb_store"] != "n=504 min=56 p50=127 p95=127 p99=127 max=149 mean=104.7" {
 		t.Errorf("series printed %d histograms of %d: %v", len(got), hists, got)
+	}
+}
+
+// writeSpanRecording records a wire tracer over one window: a packet
+// n0→n1 that completes, one n1→n0 the fabric drops, and one n0→n1 still
+// on the wire at the footer. It returns the file's path.
+func writeSpanRecording(t *testing.T) string {
+	t.Helper()
+	reg := counters.NewRegistry()
+	tr := ctrace.New(reg)
+	r, err := rec.New(rec.Config{Every: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("cluster", reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSpans(tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r.Start(0)
+	id := tr.PacketDeparted("n0", "n1", 64, 7, 10, 12, 20)
+	tr.PacketArrived(id, 140)
+	tr.PacketEnqueued(id, 141)
+	tr.PacketDrained(id, 200)
+	tr.PacketDropped(tr.PacketDeparted("n1", "n0", 8, 0, 300, 302, 310), 310)
+	tr.PacketDeparted("n0", "n1", 16, 8, 500, 501, 510)
+	r.Flush(600)
+	path := filepath.Join(t.TempDir(), "wire.rec")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestPerfettoDrawsSpans: the export draws one process per node with a
+// tx slice per packet, an rx slice and a wire flow arrow per packet that
+// arrived, and the drop cycle on a dropped packet's slice.
+func TestPerfettoDrawsSpans(t *testing.T) {
+	out := run(t, cmdPerfetto, writeSpanRecording(t))
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("perfetto not valid JSON: %v", err)
+	}
+	var procs, slices, flowS, flowF int
+	for _, ev := range doc.TraceEvents {
+		if ev["pid"] == 99.0 {
+			continue // the recorder's counter tracks
+		}
+		switch ev["ph"] {
+		case "M":
+			if ev["name"] == "process_name" {
+				procs++
+			}
+		case "X":
+			slices++
+		case "s":
+			flowS++
+		case "f":
+			flowF++
+		}
+	}
+	// Completed packet: tx + rx slices; dropped and in-flight: tx only.
+	if procs != 2 || slices != 4 || flowS != 1 || flowF != 1 {
+		t.Errorf("processes=%d slices=%d flows s/f=%d/%d, want 2, 4, 1/1", procs, slices, flowS, flowF)
+	}
+	for _, want := range []string{`"bp":"e"`, `"dropped_at":310`, `"name":"node n1"`, `"e2e":190`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("perfetto export misses %s", want)
+		}
+	}
+}
+
+// TestJourneysListsSpans: a cluster recording's spans print as a table,
+// slowest completed first and most recent last, with each hop as the
+// cycles since the previous stamp; summary counts them.
+func TestJourneysListsSpans(t *testing.T) {
+	path := writeSpanRecording(t)
+	var rows []string
+	for _, line := range strings.Split(run(t, cmdJourneys, "-recent", "2", path), "\n") {
+		rows = append(rows, strings.Join(strings.Fields(line), " "))
+	}
+	want := []string{
+		"slowest 1 spans:",
+		"id from to size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
+		"1 n0 n1 64 10 +2 +8 +120 +1 +59 190",
+		"most recent 2 spans:",
+		"id from to size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
+		"2 n1 n0 8 300 +2 +8 - - - - dropped@310",
+		"3 n0 n1 16 500 +1 +9 - - - - in-flight",
+		"",
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Errorf("journeys:\n got %q\nwant %q", rows, want)
+	}
+	if got := run(t, cmdSummary, path); !strings.Contains(got, "spans:     3 (1 completed, 1 dropped)") {
+		t.Errorf("summary misses the span count:\n%s", got)
 	}
 }

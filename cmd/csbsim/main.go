@@ -53,7 +53,6 @@ import (
 	"csbsim/internal/bus"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 	"csbsim/internal/sim"
 	"csbsim/internal/trace"
@@ -153,7 +152,7 @@ func main() {
 		m.AttachCounters()
 	}
 	if *journeys {
-		if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+		if _, err := m.AttachJourneys(); err != nil {
 			fatal(err)
 		}
 	}

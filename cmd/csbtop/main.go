@@ -189,8 +189,9 @@ func render(out io.Writer, rc *rec.Recording, wi int, slo *rec.SLO) {
 		if e2e == nil {
 			continue
 		}
+		// n counts the packets completed over the run, Δ this window's.
 		fmt.Fprintf(out, "\ne2e latency: p50=%d p99=%d max=%d cycles  (n=%d, Δ%d)\n",
-			e2e.P50, e2e.P99, e2e.Max, e2e.N, e2e.N)
+			e2e.P50, e2e.P99, e2e.Max, ctr(node+"/ctrace/packets_completed"), e2e.N)
 		hopPrefix := node + "/ctrace/hop/"
 		var hops []string
 		for i, name := range rc.HistNames { // sorted, so hops render in name order

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"csbsim/internal/bench"
+	"csbsim/internal/cluster"
+	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/rec"
 )
@@ -160,5 +164,64 @@ func TestFollowStopsAtFooter(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "csbtop — "); n != 4 {
 		t.Errorf("rendered %d windows, want 4", n)
+	}
+}
+
+// TestE2EPanelCountsRunAndWindow: on a traced cluster recording the e2e
+// panel's n counts the packets completed over the run so far and Δ the
+// window's own, so each window's n is the running sum of the Δs.
+func TestE2EPanelCountsRunAndWindow(t *testing.T) {
+	c, err := cluster.New(cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping, pong := bench.PingPongPrograms(bench.SendCSB, 20)
+	for i, src := range []string{ping, pong} {
+		n := c.Node(i)
+		n.MapIO(true)
+		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
+		if _, err := n.M.LoadSource(n.Name()+".s", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := c.AttachTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rec.New(rec.Config{Every: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachRecorder(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(10_000_000, false); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := follow(&out, writeFile(t, buf.Bytes()), view{plain: true}); err != nil {
+		t.Fatal(err)
+	}
+	var sum, n, delta, windows uint64
+	for _, line := range strings.Split(out.String(), "\n") {
+		i := strings.Index(line, "(n=")
+		if !strings.HasPrefix(line, "e2e latency:") || i < 0 {
+			continue
+		}
+		if _, err := fmt.Sscanf(line[i:], "(n=%d, Δ%d)", &n, &delta); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		sum += delta
+		windows++
+		if n != sum {
+			t.Errorf("window %d: n=%d, but its Δs sum to %d", windows, n, sum)
+		}
+	}
+	if windows < 3 || n != tr.Completed() || n == 0 {
+		t.Errorf("%d e2e panels ending at n=%d, want several ending at the %d packets completed", windows, n, tr.Completed())
 	}
 }

@@ -199,9 +199,6 @@ func FormatPipeline(events []obs.InstEvent) string { return obs.FormatPipeline(e
 // retained journeys into the recording (read by `csbrec journeys`).
 type JourneyTracer = journey.Tracer
 
-// JourneyConfig sizes the tracer's retention window.
-type JourneyConfig = journey.Config
-
 // Journey is one traced store or descriptor: per-hop cycle stamps plus
 // coalescing/abort flags.
 type Journey = journey.Journey
@@ -214,9 +211,6 @@ type CounterRegistry = counters.Registry
 // CounterSnapshot is a point-in-time reading of every registered counter
 // and gauge and latency-histogram summary.
 type CounterSnapshot = counters.Snapshot
-
-// DefaultJourneyConfig returns the default journey retention window.
-func DefaultJourneyConfig() JourneyConfig { return journey.DefaultConfig() }
 
 // FaultConfig enables and tunes the deterministic fault-injection
 // classes: bus transaction NACKs, device latency bursts, NIC FIFO

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"csbsim/internal/mem"
-	"csbsim/internal/obs/journey"
 )
 
 // The hot loop's contract: once a bandwidth workload reaches steady state,
@@ -49,7 +48,7 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.journeys {
-				if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+				if _, err := m.AttachJourneys(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"csbsim/internal/cluster"
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/device"
 	"csbsim/internal/mem"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 	"csbsim/internal/sim"
 )
@@ -171,13 +169,13 @@ func observedPingPong(b *testing.B, mode string) *cluster.Cluster {
 		}
 		n.M.WarmProgram(p)
 		if mode == "journeys" {
-			if _, err := n.M.AttachJourneys(journey.DefaultConfig()); err != nil {
+			if _, err := n.M.AttachJourneys(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	if mode == "cluster-trace" || mode == "recorder" {
-		if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+		if _, err := c.AttachTrace(); err != nil {
 			b.Fatal(err)
 		}
 	}

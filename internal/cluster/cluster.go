@@ -407,24 +407,22 @@ func (c *Cluster) WireFaults() *fault.Injector { return c.wfaults }
 func (c *Cluster) Registry() *counters.Registry { return c.reg }
 
 // AttachTrace enables cross-node distributed tracing: per-node journey
-// tracers on every machine (jcfg), the wire-span tracer (tcfg) whose
-// histograms land in the cluster registry, and the NIC RX drain hooks.
+// tracers on every machine, the wire-span tracer whose histograms land
+// in the cluster registry, and the NIC RX drain hooks. A recorder
+// attached afterwards writes the tracer's spans into the recording.
 // Every node's clock offset is aligned at zero: the lookahead barrier
 // keeps all node clocks within one window of the cluster cycle, and all
 // stamps are taken in cluster cycles, so the domains coincide exactly —
 // SetAlign stays the single point where a skewed fabric would be
 // re-aligned. Attach before running.
-func (c *Cluster) AttachTrace(jcfg journey.Config, tcfg ctrace.Config) (*ctrace.Tracer, error) {
+func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
 	if c.tracer != nil {
 		return c.tracer, nil
 	}
 	c.AttachCounters()
-	tr, err := ctrace.New(tcfg, c.reg)
-	if err != nil {
-		return nil, err
-	}
+	tr := ctrace.New(c.reg)
 	for _, n := range c.nodes {
-		if _, err := n.M.AttachJourneys(jcfg); err != nil {
+		if _, err := n.M.AttachJourneys(); err != nil {
 			return nil, err
 		}
 		node := n
@@ -445,11 +443,13 @@ func (c *Cluster) AttachTrace(jcfg journey.Config, tcfg ctrace.Config) (*ctrace.
 func (c *Cluster) Trace() *ctrace.Tracer { return c.tracer }
 
 // AttachRecorder attaches a flight recorder: every node's registry plus
-// the cluster registry become recorder sources, and the cluster rolls a
-// window every recorder-cadence cycles at the single-threaded barrier
-// (so recordings of parallel runs are byte-identical to sequential
-// ones). Cluster events — watchdog fires, node-down transitions, wire
-// outage windows — land in the recording's event log.
+// the cluster registry become recorder sources, the wire tracer's spans
+// (when AttachTrace came first) go into the recording at its close, and
+// the cluster rolls a window every recorder-cadence cycles at the
+// single-threaded barrier (so recordings of parallel runs are
+// byte-identical to sequential ones). Cluster events — watchdog fires,
+// node-down transitions, wire outage windows — land in the recording's
+// event log.
 // Attach before running, after any loadgen/workload registration that
 // creates counters.
 func (c *Cluster) AttachRecorder(r *rec.Recorder) error {
@@ -463,6 +463,9 @@ func (c *Cluster) AttachRecorder(r *rec.Recorder) error {
 		}
 	}
 	if err := r.AddSource("cluster", c.reg); err != nil {
+		return err
+	}
+	if err := r.AddSpans(c.tracer); err != nil {
 		return err
 	}
 	c.rec = r

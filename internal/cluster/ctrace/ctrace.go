@@ -21,7 +21,7 @@
 // Clock-domain alignment: every stamp is taken in its own node's cycle
 // domain; SetAlign records a per-node offset to the shared cluster
 // timeline (zero in today's cluster, whose lookahead barrier keeps every
-// node on the cluster clock). All histogram deltas and merged dumps use
+// node on the cluster clock). All histogram deltas and recorded spans use
 // the aligned stamps, so the per-hop latencies telescope exactly to the
 // e2e latency regardless of skew.
 //
@@ -30,14 +30,7 @@
 // histograms have fixed power-of-two buckets.
 package ctrace
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-
-	"csbsim/internal/obs/counters"
-)
+import "csbsim/internal/obs/counters"
 
 // Span is one packet's crossing, stamps in node-local cycle domains
 // (0 = hop not reached).
@@ -66,27 +59,19 @@ type Span struct {
 	RxDrain    uint64 `json:"rx_drain"`    // receiver domain
 }
 
-// HopNames lists the six stamps in order; merged dumps and the Perfetto
-// export render hops as deltas between consecutive aligned stamps.
+// HopNames lists the six stamps in order; `csbrec journeys` renders hops
+// as deltas between consecutive aligned stamps.
 var HopNames = [6]string{"fifo_push", "tx_start", "wire_depart", "wire_arrive", "rx_enqueue", "rx_drain"}
 
-// Config parameterizes the tracer.
-type Config struct {
-	// Window is the count of most-recent spans retained for the merged
-	// dump (default 4096). Histograms and counters always cover the whole
-	// run regardless of the window.
-	Window int
-}
-
-// DefaultConfig returns the default retention window.
-func DefaultConfig() Config { return Config{Window: 4096} }
+// window is the count of most-recent spans the ring retains for the
+// recording. Histograms and counters always cover the whole run.
+const window = 4096
 
 // Tracer assigns trace IDs, stamps wire and RX hops, aligns the two clock
 // domains, and aggregates per-hop latency histograms. One tracer serves
 // the whole cluster; internal/cluster drives it from the pump/deliver
 // path and the NICs' RX drain hooks.
 type Tracer struct {
-	cfg  Config
 	ring []Span
 	next uint64
 
@@ -110,19 +95,16 @@ type Tracer struct {
 // New creates a tracer. Histograms and run counters are created in reg so
 // they render uniformly in reports and recordings; reg may be nil
 // for standalone use.
-func New(cfg Config, reg *counters.Registry) (*Tracer, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 4096
-	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("ctrace: negative window")
-	}
+func New(reg *counters.Registry) *Tracer { return newTracer(window, reg) }
+
+// newTracer creates a tracer whose ring retains the given number of
+// spans.
+func newTracer(window int, reg *counters.Registry) *Tracer {
 	if reg == nil {
 		reg = counters.NewRegistry()
 	}
 	t := &Tracer{
-		cfg:     cfg,
-		ring:    make([]Span, cfg.Window),
+		ring:    make([]Span, window),
 		offsets: make(map[string]int64),
 	}
 	t.hSend = reg.Histogram("ctrace/hop/fifo_wait")
@@ -135,7 +117,7 @@ func New(cfg Config, reg *counters.Registry) (*Tracer, error) {
 	reg.Counter("ctrace/packets_completed", func() uint64 { return t.completed })
 	reg.Counter("ctrace/packets_dropped", func() uint64 { return t.dropped })
 	reg.Counter("ctrace/stale_drops", func() uint64 { return t.stale })
-	return t, nil
+	return t
 }
 
 // SetAlign records a node's clock offset to the shared cluster timeline.
@@ -197,7 +179,7 @@ func (t *Tracer) stamp(id uint64) *Span {
 // PacketDropped closes a span as lost to the fabric (injected wire
 // fault, link outage window, or a degraded destination): the span is
 // marked dropped at the given routing cycle (sender domain) and will
-// never complete. Partial dumps then show the loss explicitly instead of
+// never complete. A recording then shows the loss explicitly instead of
 // an eternally open span.
 //
 //csb:hotpath
@@ -296,7 +278,7 @@ func (t *Tracer) aligned(s Span) MergedSpan {
 	return m
 }
 
-// Retained returns every span still in the ring (the most recent Window),
+// Retained returns every span still in the ring (the most recent window),
 // aligned, ordered by trace ID (which is also departure order — the
 // cluster pumps deterministically).
 func (t *Tracer) Retained() []MergedSpan {
@@ -313,173 +295,4 @@ func (t *Tracer) Retained() []MergedSpan {
 		}
 	}
 	return out
-}
-
-// Dump is the on-disk merged trace: run totals, per-node clock offsets,
-// the per-hop and e2e histograms, and the retained spans on the shared
-// timeline. cmd/csbcluster writes it; map keys marshal sorted, so equal
-// tracer states produce byte-identical dumps.
-type Dump struct {
-	ClockOffsets map[string]int64            `json:"clock_offsets"`
-	Started      uint64                      `json:"started"`
-	Completed    uint64                      `json:"completed"`
-	Dropped      uint64                      `json:"dropped"`
-	StaleDrops   uint64                      `json:"stale_drops"`
-	Histograms   map[string]counters.Summary `json:"histograms"`
-	Spans        []MergedSpan                `json:"spans"`
-}
-
-// BuildDump assembles the dump structure.
-func (t *Tracer) BuildDump() *Dump {
-	d := &Dump{
-		ClockOffsets: make(map[string]int64, len(t.offsets)),
-		Started:      t.started,
-		Completed:    t.completed,
-		Dropped:      t.dropped,
-		StaleDrops:   t.stale,
-		Histograms:   make(map[string]counters.Summary, 6),
-		Spans:        t.Retained(),
-	}
-	for n, off := range t.offsets { //csb:orderless — map copy
-		d.ClockOffsets[n] = off
-	}
-	for _, h := range []*counters.Histogram{t.hSend, t.hTx, t.hWire, t.hRx, t.hDrain, t.hE2E} {
-		d.Histograms[h.Name()] = h.Summary()
-	}
-	return d
-}
-
-// WriteTo writes the merged dump as indented JSON.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(t.BuildDump(), "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// ---- Perfetto export ----
-
-// traceEvent is the Chrome trace-event subset the two-timeline export
-// emits (mirrors internal/obs but stays self-contained: the cluster view
-// has its own process-per-node layout).
-type traceEvent struct {
-	Name   string         `json:"name"`
-	Cat    string         `json:"cat,omitempty"`
-	Ph     string         `json:"ph"`
-	Ts     uint64         `json:"ts"`
-	Dur    uint64         `json:"dur,omitempty"`
-	PID    int            `json:"pid"`
-	TID    int            `json:"tid"`
-	FlowID int            `json:"id,omitempty"`
-	BP     string         `json:"bp,omitempty"`
-	Args   map[string]any `json:"args,omitempty"`
-}
-
-const (
-	tidTx = 1
-	tidRx = 2
-)
-
-// WritePerfetto renders the retained spans as a two-timeline Chrome
-// trace: one process per node (tx and rx threads), a slice per packet on
-// each side of the wire, and a flow arrow crossing from the sender's
-// wire_depart to the receiver's wire_arrive. Load at ui.perfetto.dev.
-func (t *Tracer) WritePerfetto(w io.Writer) (int64, error) {
-	spans := t.Retained()
-
-	// Deterministic process numbering: sorted node names.
-	nodeSet := make(map[string]bool)
-	for _, s := range spans {
-		nodeSet[s.From] = true
-		nodeSet[s.To] = true
-	}
-	names := make([]string, 0, len(nodeSet))
-	for n := range nodeSet { //csb:orderless — collects keys, sorted below
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pid := make(map[string]int, len(names))
-	events := make([]traceEvent, 0, 3*len(names)+5*len(spans))
-	for i, n := range names {
-		pid[n] = 1 + i
-		events = append(events,
-			traceEvent{Name: "process_name", Ph: "M", PID: 1 + i,
-				Args: map[string]any{"name": "node " + n}},
-			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidTx,
-				Args: map[string]any{"name": "nic tx"}},
-			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidRx,
-				Args: map[string]any{"name": "nic rx"}})
-	}
-
-	for _, s := range spans {
-		txEnd := s.WireDepart
-		sendSlice := traceEvent{
-			Name: fmt.Sprintf("pkt %d → %s", s.TraceID, s.To),
-			Ph:   "X", Ts: s.FIFOPush, Dur: max1(txEnd - s.FIFOPush),
-			PID: pid[s.From], TID: tidTx,
-			Args: map[string]any{
-				"trace_id": s.TraceID, "size": s.Size,
-				"fifo_push": s.FIFOPush, "tx_start": s.TxStart, "wire_depart": s.WireDepart,
-			},
-		}
-		if s.Dropped {
-			sendSlice.Args["dropped_at"] = s.DropCycle
-		}
-		events = append(events, sendSlice)
-		if s.WireArrive == 0 {
-			continue // still on the wire: sender side only
-		}
-		rxEnd := s.WireArrive
-		for _, c := range []uint64{s.RxEnqueue, s.RxDrain} {
-			if c > rxEnd {
-				rxEnd = c
-			}
-		}
-		rxArgs := map[string]any{
-			"trace_id": s.TraceID, "size": s.Size, "wire_arrive": s.WireArrive,
-		}
-		if s.RxEnqueue != 0 {
-			rxArgs["rx_enqueue"] = s.RxEnqueue
-		}
-		if s.RxDrain != 0 {
-			rxArgs["rx_drain"] = s.RxDrain
-		}
-		if s.Done {
-			rxArgs["e2e"] = s.E2E
-		}
-		events = append(events, traceEvent{
-			Name: fmt.Sprintf("pkt %d ← %s", s.TraceID, s.From),
-			Ph:   "X", Ts: s.WireArrive, Dur: max1(rxEnd - s.WireArrive),
-			PID: pid[s.To], TID: tidRx, Args: rxArgs,
-		})
-		// The wire crossing: a flow arrow from the sender's departure to
-		// the receiver's arrival, binding the two timelines.
-		flow := int(s.TraceID)
-		events = append(events,
-			traceEvent{Name: "wire", Cat: "wire", Ph: "s", Ts: s.WireDepart,
-				PID: pid[s.From], TID: tidTx, FlowID: flow},
-			traceEvent{Name: "wire", Cat: "wire", Ph: "f", BP: "e", Ts: s.WireArrive,
-				PID: pid[s.To], TID: tidRx, FlowID: flow})
-	}
-
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{TraceEvents: events, DisplayTimeUnit: "ns"}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-func max1(v uint64) uint64 {
-	if v == 0 {
-		return 1
-	}
-	return v
 }

@@ -1,9 +1,7 @@
 package ctrace
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
+	"slices"
 	"testing"
 
 	"csbsim/internal/obs/counters"
@@ -20,10 +18,7 @@ func drive(t *Tracer, fifo, txs, dep, arr, enq, drn uint64) uint64 {
 
 func TestSpanLifecycle(t *testing.T) {
 	reg := counters.NewRegistry()
-	tr, err := New(Config{Window: 16}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTracer(16, reg)
 	id := drive(tr, 100, 110, 150, 270, 270, 400)
 	if id != 1 {
 		t.Fatalf("first trace ID = %d, want 1", id)
@@ -60,10 +55,7 @@ func TestSpanLifecycle(t *testing.T) {
 // are skewed.
 func TestHopSumMatchesE2E(t *testing.T) {
 	for _, offB := range []int64{0, 5000, -50} {
-		tr, err := New(Config{Window: 64}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := newTracer(64, nil)
 		tr.SetAlign("a", 0)
 		tr.SetAlign("b", offB)
 		// Receiver stamps in b's skewed domain: true time minus the offset.
@@ -94,10 +86,7 @@ func TestHopSumMatchesE2E(t *testing.T) {
 }
 
 func TestStaleDropsOnRingEviction(t *testing.T) {
-	tr, err := New(Config{Window: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTracer(2, nil)
 	id1 := tr.PacketDeparted("a", "b", 8, 0, 1, 2, 3)
 	tr.PacketDeparted("a", "b", 8, 0, 4, 5, 6)
 	tr.PacketDeparted("a", "b", 8, 0, 7, 8, 9) // evicts id1
@@ -110,47 +99,30 @@ func TestStaleDropsOnRingEviction(t *testing.T) {
 	}
 }
 
-// TestDumpDeterministic: identical stamp sequences produce byte-identical
-// merged dumps.
-func TestDumpDeterministic(t *testing.T) {
-	mk := func() []byte {
-		tr, err := New(Config{Window: 8}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestRetainedAligned: identical stamp sequences retain identical
+// spans, each stamp shifted by its own node's clock offset.
+func TestRetainedAligned(t *testing.T) {
+	mk := func() []MergedSpan {
+		tr := newTracer(8, nil)
 		tr.SetAlign("a", 0)
 		tr.SetAlign("b", 17)
 		drive(tr, 10, 12, 20, 140, 141, 200)
 		drive(tr, 300, 300, 310, 430, 430, 488)
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return tr.Retained()
 	}
 	a, b := mk(), mk()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("dumps differ:\n%s\n----\n%s", a, b)
+	if !slices.Equal(a, b) || len(a) != 2 {
+		t.Fatalf("retained spans differ or miscount:\n%+v\n----\n%+v", a, b)
 	}
-	var d Dump
-	if err := json.Unmarshal(a, &d); err != nil {
-		t.Fatalf("dump not valid JSON: %v", err)
-	}
-	if d.Completed != 2 || len(d.Spans) != 2 {
-		t.Fatalf("dump completed=%d spans=%d, want 2/2", d.Completed, len(d.Spans))
-	}
-	if d.ClockOffsets["b"] != 17 {
-		t.Fatalf("clock offset b = %d, want 17", d.ClockOffsets["b"])
+	if s := a[0]; s.WireDepart != 20 || s.WireArrive != 157 || s.RxDrain != 217 || s.E2E != 207 {
+		t.Fatalf("span not aligned by b's offset 17: %+v", s)
 	}
 }
 
 // TestStampPathZeroAlloc guards the wire stamp path: once the ring is
 // allocated, opening and stamping spans must not allocate.
 func TestStampPathZeroAlloc(t *testing.T) {
-	tr, err := New(Config{Window: 256}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTracer(256, nil)
 	tr.SetAlign("a", 0)
 	tr.SetAlign("b", 0)
 	var cyc uint64
@@ -167,14 +139,11 @@ func TestStampPathZeroAlloc(t *testing.T) {
 }
 
 // TestDroppedSpan: a packet the fabric discards is closed as dropped —
-// counted in the registry, flagged in the merged dump, and annotated on
-// its sender-side slice in the Perfetto export.
+// counted in the registry, and flagged with its drop cycle in the
+// retained span.
 func TestDroppedSpan(t *testing.T) {
 	reg := counters.NewRegistry()
-	tr, err := New(Config{Window: 8}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTracer(8, reg)
 	drive(tr, 10, 12, 20, 140, 141, 200)
 	id := tr.PacketDeparted("a", "b", 64, 0, 300, 302, 310)
 	tr.PacketDropped(id, 310)
@@ -195,72 +164,5 @@ func TestDroppedSpan(t *testing.T) {
 	}
 	if !lost.Dropped || lost.DropCycle != 310 || lost.Done {
 		t.Fatalf("bad dropped span: %+v", lost)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var d Dump
-	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Dropped != 1 || d.Completed != 1 {
-		t.Fatalf("dump dropped=%d completed=%d, want 1/1", d.Dropped, d.Completed)
-	}
-	var pb bytes.Buffer
-	if _, err := tr.WritePerfetto(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(pb.String(), "dropped_at") {
-		t.Error("perfetto export missing the dropped_at annotation")
-	}
-}
-
-func TestWritePerfetto(t *testing.T) {
-	tr, err := New(Config{Window: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(tr, 10, 12, 20, 140, 141, 200)
-	// One span still on the wire: sender-side slice only.
-	tr.PacketDeparted("b", "a", 16, 0, 500, 501, 510)
-	var buf bytes.Buffer
-	if _, err := tr.WritePerfetto(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("perfetto not valid JSON: %v", err)
-	}
-	var procs, slices, flowS, flowF int
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "M":
-			if ev["name"] == "process_name" {
-				procs++
-			}
-		case "X":
-			slices++
-		case "s":
-			flowS++
-		case "f":
-			flowF++
-		}
-	}
-	if procs != 2 {
-		t.Fatalf("processes = %d, want 2", procs)
-	}
-	// Completed span: tx + rx slices; in-flight span: tx slice only.
-	if slices != 3 {
-		t.Fatalf("slices = %d, want 3", slices)
-	}
-	// Exactly one wire crossing completed → one flow arrow pair.
-	if flowS != 1 || flowF != 1 {
-		t.Fatalf("flow s/f = %d/%d, want 1/1", flowS, flowF)
-	}
-	if !strings.Contains(buf.String(), `"bp":"e"`) {
-		t.Fatal("flow finish missing bp:e binding")
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"csbsim/internal/cluster/ctrace"
-	"csbsim/internal/obs/journey"
 )
 
 // withProcs sets GOMAXPROCS for the rest of the test.
@@ -45,19 +42,19 @@ func churnRing(t *testing.T, n int) *Cluster {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
 // engineOutput renders everything a run must reproduce byte for byte:
-// the cycle, HaltCycle, the merged trace dump, every node's Stats JSON
+// the cycle, HaltCycle, the wire spans, every node's Stats JSON
 // and the cluster registry snapshot.
 func engineOutput(t *testing.T, c *Cluster) string {
 	t.Helper()
 	s := snapshotOf(t, c)
-	return fmt.Sprintf("cycle %d halt %d\ndump %s\nstats %s\nregistry %s\n", s.cycle, c.HaltCycle(), s.dump, s.stats, s.reg)
+	return fmt.Sprintf("cycle %d halt %d\nspans %s\nstats %s\nregistry %s\n", s.cycle, c.HaltCycle(), s.spans, s.stats, s.reg)
 }
 
 // TestParallelEngineIdentity runs rings of 1, 2, 3, 5 and 8 nodes under

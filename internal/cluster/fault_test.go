@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/device"
 	"csbsim/internal/fault"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/sim"
 )
 
@@ -70,7 +68,7 @@ func hookSender(c *Cluster, i int, period, until, drainUntil uint64) {
 // byte-wise, plus the injector's own accounting.
 type faultSnapshot struct {
 	cycle  uint64
-	dump   []byte // merged ctrace dump
+	spans  []byte // the wire tracer's retained spans, JSON
 	stats  []byte // per-node machine stats, JSON
 	reg    []byte // cluster registry snapshot, JSON
 	fstats fault.Stats
@@ -101,7 +99,7 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 		}
 		hookSender(c, i, uint64(97+13*i), 30_000, 45_000)
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AttachWireFaults(wireFaultMix()); err != nil {
@@ -113,11 +111,9 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 	var snap faultSnapshot
 	snap.cycle = c.Cycle()
 	snap.fstats = c.WireFaults().Stats()
-	var dump bytes.Buffer
-	if _, err := c.Trace().WriteTo(&dump); err != nil {
+	if snap.spans, err = json.Marshal(c.Trace().Retained()); err != nil {
 		t.Fatal(err)
 	}
-	snap.dump = dump.Bytes()
 	var stats []sim.Stats
 	for _, n := range c.Nodes() {
 		stats = append(stats, n.M.Stats())
@@ -133,7 +129,7 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 
 // TestParallelMatchesSequentialWithWireFaults is the PR's acceptance
 // check: with every wire fault class firing, the parallel
-// engine must still produce byte-identical trace dumps, machine stats
+// engine must still produce byte-identical wire spans, machine stats
 // and counter snapshots to the inline sequential reference — the fault
 // draws happen at the routing barrier in the global routing order, so
 // the schedule is a pure function of (seed, traffic), not the engine.
@@ -154,10 +150,10 @@ func TestParallelMatchesSequentialWithWireFaults(t *testing.T) {
 			t.Errorf("%s differ:\n%s\n---- vs ----\n%s", what, a, b)
 		}
 	}
-	check("trace dumps (seq vs par)", seq.dump, par.dump)
+	check("wire spans (seq vs par)", seq.spans, par.spans)
 	check("machine stats (seq vs par)", seq.stats, par.stats)
 	check("registry snapshots (seq vs par)", seq.reg, par.reg)
-	check("trace dumps (par vs par)", par.dump, par2.dump)
+	check("wire spans (par vs par)", par.spans, par2.spans)
 	check("machine stats (par vs par)", par.stats, par2.stats)
 	check("registry snapshots (par vs par)", par.reg, par2.reg)
 
@@ -170,8 +166,8 @@ func TestParallelMatchesSequentialWithWireFaults(t *testing.T) {
 
 // TestWireFaultCounters cross-checks the cluster's fault accounting
 // against the injector's own, the per-link drop breakdown against the
-// aggregate, and the trace dump's dropped-span count against the drops
-// the fabric actually discarded.
+// aggregate, and the tracer's dropped-span count against the drops the
+// fabric actually discarded.
 func TestWireFaultCounters(t *testing.T) {
 	snap := runFaultedRing(t, func(c *Cluster) error { return c.RunFor(60_000, true) })
 	var reg struct {
@@ -199,15 +195,12 @@ func TestWireFaultCounters(t *testing.T) {
 	if agg := reg.Counters["cluster/link_drops"]; linkSum != agg {
 		t.Errorf("per-link drops sum to %d, aggregate says %d", linkSum, agg)
 	}
-	var d ctrace.Dump
-	if err := json.Unmarshal(snap.dump, &d); err != nil {
-		t.Fatal(err)
-	}
+	dropped := reg.Counters["ctrace/packets_dropped"]
 	wantDropped := reg.Counters["cluster/fault_drops"] + reg.Counters["cluster/outage_drops"]
-	if d.Dropped != wantDropped {
-		t.Errorf("trace dump dropped=%d, fabric discarded %d", d.Dropped, wantDropped)
+	if dropped != wantDropped {
+		t.Errorf("tracer dropped=%d, fabric discarded %d", dropped, wantDropped)
 	}
-	if d.Dropped == 0 {
+	if dropped == 0 {
 		t.Error("no dropped spans recorded under the fault mix")
 	}
 }

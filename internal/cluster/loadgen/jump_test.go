@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -14,10 +13,8 @@ import (
 
 	"csbsim/internal/bench"
 	"csbsim/internal/cluster"
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/fault"
 	"csbsim/internal/obs/counters"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -87,7 +84,7 @@ func (sc starScenario) build(t *testing.T, wakes bool) (*cluster.Cluster, []*Gen
 		}
 	}
 	if sc.trace {
-		if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+		if _, err := c.AttachTrace(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +95,8 @@ func (sc starScenario) build(t *testing.T, wakes bool) (*cluster.Cluster, []*Gen
 // render prints everything the runs must agree on: each generator's
 // Stats and both latency histograms, every node's Stats JSON with its
 // registry snapshot (less sim/effort/steps, the one count a jump
-// changes), the cluster registry, the ctrace dump and the halt cycle.
+// changes), the cluster registry (the wire tracer's histograms and run
+// counters among it), the halt cycle and the wire spans.
 func render(t *testing.T, c *cluster.Cluster, gens []*Generator) string {
 	t.Helper()
 	var b strings.Builder
@@ -115,11 +113,7 @@ func render(t *testing.T, c *cluster.Cluster, gens []*Generator) string {
 	}
 	fmt.Fprintf(&b, "cluster %s\nhalt %d cycle %d\n", mustJSON(t, c.Registry().Snapshot()), c.HaltCycle(), c.Cycle())
 	if tr := c.Trace(); tr != nil {
-		var dump bytes.Buffer
-		if _, err := tr.WriteTo(&dump); err != nil {
-			t.Fatal(err)
-		}
-		b.Write(dump.Bytes())
+		fmt.Fprintf(&b, "spans %s\n", mustJSON(t, tr.Retained()))
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -11,7 +12,8 @@ import (
 	"csbsim/internal/cluster"
 	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/mem"
-	"csbsim/internal/obs/journey"
+	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/rec"
 )
 
 // testdata/lockstep.golden was written by the cycle-by-cycle lockstep
@@ -68,16 +70,50 @@ func buildGoldenPingPong(t *testing.T, method bench.SendMethod, wire uint64) *cl
 		}
 		n.M.WarmProgram(p)
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// attachGoldenRecorder gives a case's cluster a flight recorder and
+// returns the buffer its recording lands in.
+func attachGoldenRecorder(t *testing.T, c *cluster.Cluster) *bytes.Buffer {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachRecorder(r); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// lockstepDump is the layout of the merged trace dump the lockstep
+// engine's runs were written with.
+type lockstepDump struct {
+	ClockOffsets map[string]int64            `json:"clock_offsets"`
+	Started      uint64                      `json:"started"`
+	Completed    uint64                      `json:"completed"`
+	Dropped      uint64                      `json:"dropped"`
+	StaleDrops   uint64                      `json:"stale_drops"`
+	Histograms   map[string]counters.Summary `json:"histograms"`
+	Spans        []ctrace.MergedSpan         `json:"spans"`
+}
+
 // renderLockstepCase prints one run in the golden's format: the exit
 // cycle, then per node its halt cycle, retired count and result word
-// (ringGuest's received sum at 0x20000), then the merged trace dump.
-func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint64, halts []uint64) []byte {
+// (ringGuest's received sum at 0x20000), then the merged trace dump,
+// rendered from the run's recording: the spans from its "s" frames, the
+// histograms from the footer's whole-run rows, and the run counters
+// from the last window's cluster/ctrace/* ends. Every node's clock
+// offset is 0, as AttachTrace aligns them.
+func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint64, halts []uint64, recording []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "=== %s\nexit %d\n", name, exit)
@@ -85,9 +121,39 @@ func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint
 		fmt.Fprintf(&b, "%s halt=%d retired=%d result=%#x\n",
 			n.Name(), halts[i], n.M.CPU.Retired(), n.M.RAM.ReadUint(0x20000, 8))
 	}
-	if _, err := c.Trace().WriteTo(&b); err != nil {
+	rc, err := rec.Read(recording)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !rc.Clean || rc.Truncated || len(rc.Windows) == 0 {
+		t.Fatalf("%s: recording clean=%v truncated=%v with %d windows", name, rc.Clean, rc.Truncated, len(rc.Windows))
+	}
+	last := &rc.Windows[len(rc.Windows)-1]
+	end := func(ctr string) uint64 { return last.CtrEnd[rc.CounterIndex("cluster/ctrace/"+ctr)] }
+	d := lockstepDump{
+		ClockOffsets: map[string]int64{},
+		Started:      end("packets_started"),
+		Completed:    end("packets_completed"),
+		Dropped:      end("packets_dropped"),
+		StaleDrops:   end("stale_drops"),
+		Histograms:   map[string]counters.Summary{},
+		Spans:        rc.Spans,
+	}
+	for _, n := range c.Nodes() {
+		d.ClockOffsets[n.Name()] = 0
+	}
+	for i, hname := range rc.HistNames {
+		if hname, ok := strings.CutPrefix(hname, "cluster/"); ok && strings.HasPrefix(hname, "ctrace/") {
+			h := rc.Total[i]
+			d.Histograms[hname] = counters.Summary{Count: h.N, Min: h.Min, Max: h.Max, Mean: h.Mean(),
+				P50: h.P50, P95: h.P95, P99: h.P99}
+		}
+	}
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(append(data, '\n'))
 	return b.Bytes()
 }
 
@@ -104,6 +170,7 @@ func TestParallelMatchesLockstepGolden(t *testing.T) {
 		var got bytes.Buffer
 		for _, lc := range lockstepCases() {
 			c := lc.build(t)
+			recording := attachGoldenRecorder(t, c)
 			if err := c.Run(100_000_000, parallel); err != nil {
 				t.Fatalf("%s: %v", lc.name, err)
 			}
@@ -111,7 +178,7 @@ func TestParallelMatchesLockstepGolden(t *testing.T) {
 			for i, n := range c.Nodes() {
 				halts[i] = n.HaltCycle()
 			}
-			got.Write(renderLockstepCase(t, lc.name, c, c.HaltCycle(), halts))
+			got.Write(renderLockstepCase(t, lc.name, c, c.HaltCycle(), halts, recording.Bytes()))
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/sim"
 )
 
@@ -56,7 +54,7 @@ func sumOf(base, count int) uint64 {
 // ringSnapshot is everything the determinism guard compares byte-wise.
 type ringSnapshot struct {
 	cycle uint64
-	dump  []byte // merged ctrace dump
+	spans []byte // the wire tracer's retained spans, JSON
 	stats []byte // per-node machine stats, JSON
 	reg   []byte // cluster registry snapshot, JSON
 }
@@ -86,7 +84,7 @@ func guardRing(t *testing.T, wire uint64) *Cluster {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -118,11 +116,9 @@ func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
 		err  error
 	)
 	snap.cycle = c.Cycle()
-	var dump bytes.Buffer
-	if _, err := c.Trace().WriteTo(&dump); err != nil {
+	if snap.spans, err = json.Marshal(c.Trace().Retained()); err != nil {
 		t.Fatal(err)
 	}
-	snap.dump = dump.Bytes()
 	var stats []sim.Stats
 	for _, n := range c.Nodes() {
 		stats = append(stats, n.M.Stats())
@@ -138,7 +134,8 @@ func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
 
 // TestParallelMatchesSequential is the determinism guard (the PR's
 // acceptance check): the parallel engine must produce
-// byte-identical trace dumps, machine stats and counter snapshots to the
+// byte-identical wire spans, machine stats and counter snapshots (the
+// span histograms and run counters among them) to the
 // inline sequential reference, and repeated parallel runs must be
 // byte-identical to each other.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -155,19 +152,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s differ:\n%s\n---- vs ----\n%s", what, a, b)
 		}
 	}
-	check("trace dumps (seq vs par)", seq.dump, par.dump)
+	check("wire spans (seq vs par)", seq.spans, par.spans)
 	check("machine stats (seq vs par)", seq.stats, par.stats)
 	check("registry snapshots (seq vs par)", seq.reg, par.reg)
-	check("trace dumps (par vs par)", par.dump, par2.dump)
+	check("wire spans (par vs par)", par.spans, par2.spans)
 	check("machine stats (par vs par)", par.stats, par2.stats)
 	check("registry snapshots (par vs par)", par.reg, par2.reg)
 
-	var d ctrace.Dump
-	if err := json.Unmarshal(seq.dump, &d); err != nil {
+	var reg struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(seq.reg, &reg); err != nil {
 		t.Fatal(err)
 	}
-	if d.Started != 12 || d.Completed != 12 {
-		t.Errorf("dump started=%d completed=%d, want 12/12", d.Started, d.Completed)
+	if s, c := reg.Counters["ctrace/packets_started"], reg.Counters["ctrace/packets_completed"]; s != 12 || c != 12 {
+		t.Errorf("packets started=%d completed=%d, want 12/12", s, c)
 	}
 }
 
@@ -205,7 +204,7 @@ func TestParallelNodeChurn(t *testing.T) {
 
 // TestParallelAbortFlushesObs: a faulting node under the parallel engine
 // aborts the run with the node named in the error, and the abort path
-// still closes the recording and flushes a partial trace dump even
+// still closes the recording, partial spans included, even
 // though a sibling node is wedged in an infinite poll.
 func TestParallelAbortFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -218,7 +217,7 @@ func TestParallelAbortFlushesObs(t *testing.T) {
 	for _, n := range c.Nodes() {
 		n.MapIO(false)
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	buf := attachRecording(t, c, 100_000_000) // period longer than the run

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -39,7 +37,7 @@ func runRecordedRing(t *testing.T, run func(*Cluster) error) ([]byte, *rec.Recor
 		}
 		hookSender(c, i, uint64(97+13*i), 30_000, 45_000)
 	}
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AttachWireFaults(wireFaultMix()); err != nil {
@@ -75,7 +73,8 @@ func runRecordedRing(t *testing.T, run func(*Cluster) error) ([]byte, *rec.Recor
 // TestRecordingParallelMatchesSequential is this PR's acceptance check:
 // under the full wire-fault mix, the parallel engine must
 // produce a byte-identical recording file — header, every window frame,
-// every cycle-stamped event — to the inline sequential reference, and
+// every cycle-stamped event, every wire span — to the inline sequential
+// reference, and
 // to a second parallel run. Windowed rollups read registries only at
 // barriers, so the recording is a pure function of (seed, traffic).
 func TestRecordingParallelMatchesSequential(t *testing.T) {
@@ -93,7 +92,7 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	}
 
 	// The recording must actually exercise the machinery: windows rolled,
-	// outage windows logged, a clean footer.
+	// outage windows logged, wire spans written, a clean footer.
 	rc, err := rec.Read(seq)
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +102,9 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	}
 	if len(rc.Windows) == 0 {
 		t.Fatal("no windows recorded")
+	}
+	if len(rc.Spans) == 0 {
+		t.Error("no span frames in the traced recording — guard is vacuous")
 	}
 	outages := 0
 	for _, ev := range rc.Events {

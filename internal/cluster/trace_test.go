@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"slices"
 	"testing"
 
 	"csbsim/internal/cluster/ctrace"
-	"csbsim/internal/obs/journey"
+	"csbsim/internal/obs/rec"
 )
 
 // newTracedCluster builds a cluster with distributed tracing attached and
@@ -23,7 +22,7 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 	}
 	c.Node(0).MapIO(false)
 	c.Node(1).MapIO(false)
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(0xbeef)); err != nil {
@@ -84,22 +83,27 @@ func TestTracedRunMergedSpans(t *testing.T) {
 }
 
 // TestTracedDumpDeterministic: repeated identical cluster runs produce
-// byte-identical merged dumps.
+// byte-identical recordings, the wire span's "s" frame included.
 func TestTracedDumpDeterministic(t *testing.T) {
 	run := func() []byte {
 		c := newTracedCluster(t, 50, 7)
+		recording := attachRecording(t, c, 1_000)
 		if err := c.Run(1_000_000, false); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := c.Trace().WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return recording.Bytes()
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
-		t.Fatalf("merged dumps differ across identical runs:\n%s\n----\n%s", a, b)
+		logFirstDiff(t, a, b)
+		t.Fatal("recordings differ across identical runs")
+	}
+	rc, err := rec.Read(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rc.Spans) != 1 || !rc.Spans[0].Done {
+		t.Fatalf("recording holds spans %+v, want one completed", rc.Spans)
 	}
 }
 
@@ -222,8 +226,8 @@ func TestRecorderCadence(t *testing.T) {
 }
 
 // TestRunErrorFlushesObs: a faulting node still yields a closed
-// recording and a partial merged dump (satellite 1 — mirror of the
-// single-node flushObs abort behavior).
+// recording holding the partial span (mirror of the single-node
+// flushObs abort behavior).
 func TestRunErrorFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WireLatency = 30_000 // packet still on the wire at fault time
@@ -233,7 +237,7 @@ func TestRunErrorFlushesObs(t *testing.T) {
 	}
 	c.Node(0).MapIO(false)
 	c.Node(1).MapIO(false)
-	if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
 	recording := attachRecording(t, c, 1_000_000) // period longer than the run
@@ -270,22 +274,16 @@ spin:	dec %g5
 		t.Fatal("expected node fault")
 	}
 	// The flush must have closed the recording at the abort cycle despite
-	// the period never elapsing, and the tracer holds the partial
-	// (undelivered) span.
-	requireFlushedAt(t, recording.Bytes(), c.Cycle())
-	spans := c.Trace().Retained()
-	if len(spans) != 1 || spans[0].Done {
-		t.Fatalf("expected one partial span, got %+v", spans)
+	// the period never elapsing, with the partial (undelivered) span and
+	// the run counters that count it.
+	rc := requireFlushedAt(t, recording.Bytes(), c.Cycle())
+	if len(rc.Spans) != 1 || rc.Spans[0].Done || rc.Spans[0].WireArrive != 0 {
+		t.Fatalf("expected one partial span, got %+v", rc.Spans)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Trace().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var d ctrace.Dump
-	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Started != 1 || d.Completed != 0 {
-		t.Fatalf("partial dump started=%d completed=%d, want 1/0", d.Started, d.Completed)
+	last := &rc.Windows[len(rc.Windows)-1]
+	started := last.CtrEnd[rc.CounterIndex("cluster/ctrace/packets_started")]
+	completed := last.CtrEnd[rc.CounterIndex("cluster/ctrace/packets_completed")]
+	if started != 1 || completed != 0 {
+		t.Fatalf("recorded started=%d completed=%d, want 1/0", started, completed)
 	}
 }

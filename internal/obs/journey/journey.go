@@ -128,30 +128,13 @@ func (j Journey) E2E() uint64 {
 	return j.T[HopComplete] - j.T[HopStart]
 }
 
-// Config parameterizes the tracer.
-type Config struct {
-	// Window is the per-kind count of most-recent journeys retained for
-	// the recording (default 4096). Histograms and counters always cover
-	// the whole run regardless of the window.
-	Window int
-}
-
-// DefaultConfig returns the default retention window.
-func DefaultConfig() Config { return Config{Window: 4096} }
-
 // topN is how many slowest completed journeys are tracked exactly over
 // the whole run.
 const topN = 32
 
-func (c *Config) fill() error {
-	if c.Window == 0 {
-		c.Window = 4096
-	}
-	if c.Window < 0 {
-		return fmt.Errorf("journey: negative window")
-	}
-	return nil
-}
+// window is the per-kind count of most-recent journeys the rings retain
+// for the recording. Histograms and counters always cover the whole run.
+const window = 4096
 
 // Tracer assigns journey IDs, stamps hops, and aggregates per-hop
 // latency histograms. It implements the Tracer hook interfaces of
@@ -161,7 +144,6 @@ func (c *Config) fill() error {
 // IDs are per-kind and contiguous in acceptance order, which is what
 // lets the components pass (first, count) ranges instead of ID lists.
 type Tracer struct {
-	cfg Config
 	now func() uint64
 
 	rings  [numKinds][]Journey
@@ -188,16 +170,19 @@ type Tracer struct {
 // machine's CPU-cycle reader). Histograms and run counters are created
 // in reg so they render uniformly in the machine report; reg may be nil
 // for standalone use.
-func NewTracer(cfg Config, reg *counters.Registry, now func() uint64) (*Tracer, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
+func NewTracer(reg *counters.Registry, now func() uint64) (*Tracer, error) {
+	return newTracer(window, reg, now)
+}
+
+// newTracer creates a tracer whose rings retain the given number of
+// journeys per kind.
+func newTracer(window int, reg *counters.Registry, now func() uint64) (*Tracer, error) {
 	if now == nil {
 		return nil, fmt.Errorf("journey: nil clock")
 	}
-	t := &Tracer{cfg: cfg, now: now}
+	t := &Tracer{now: now}
 	for k := range t.rings {
-		t.rings[k] = make([]Journey, cfg.Window)
+		t.rings[k] = make([]Journey, window)
 	}
 	t.slowest = make([]Journey, 0, topN)
 	if reg == nil {
@@ -483,7 +468,7 @@ func (t *Tracer) Aborted(k Kind) uint64 { return t.aborted[k] }
 func (t *Tracer) E2EHistogram(k Kind) *counters.Histogram { return t.hE2E[k] }
 
 // Retained returns every journey still in the rings (the most recent
-// Window per kind), ordered by start cycle, then kind, then ID — a
+// window per kind), ordered by start cycle, then kind, then ID — a
 // deterministic chronological interleaving across kinds.
 func (t *Tracer) Retained() []Journey {
 	var out []Journey

@@ -11,10 +11,10 @@ import (
 )
 
 // newTestTracer builds a tracer on a settable fake clock.
-func newTestTracer(t *testing.T, cfg Config) (*Tracer, *uint64) {
+func newTestTracer(t *testing.T) (*Tracer, *uint64) {
 	t.Helper()
 	cycle := new(uint64)
-	tr, err := NewTracer(cfg, nil, func() uint64 { return *cycle })
+	tr, err := NewTracer(nil, func() uint64 { return *cycle })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func newTestTracer(t *testing.T, cfg Config) (*Tracer, *uint64) {
 }
 
 func TestTracerLifecycle(t *testing.T) {
-	tr, cycle := newTestTracer(t, DefaultConfig())
+	tr, cycle := newTestTracer(t)
 
 	// Uncached store: retire @10, dequeue @20, grant @50, complete @110.
 	*cycle = 10
@@ -91,7 +91,7 @@ func TestTracerLifecycle(t *testing.T) {
 func TestStaleStampDropped(t *testing.T) {
 	reg := counters.NewRegistry()
 	var cycle uint64
-	tr, err := NewTracer(Config{Window: 2}, reg, func() uint64 { return cycle })
+	tr, err := newTracer(2, reg, func() uint64 { return cycle })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStaleStampDropped(t *testing.T) {
 // aborting journeys of every kind allocates nothing — the same contract
 // the //csb:hotpath pragmas declare to the csbvet analyzer.
 func TestStampPathsZeroAlloc(t *testing.T) {
-	tr, cycle := newTestTracer(t, DefaultConfig())
+	tr, cycle := newTestTracer(t)
 	drive := func() {
 		for i := 0; i < 100; i++ {
 			*cycle += 3

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/journey"
 )
 
@@ -30,11 +31,12 @@ type Recording struct {
 	HistNames []string
 	Windows   []Window
 	Events    []Event
-	Total     []HistWindow      // footer: whole-run row per HistNames entry (nil without one)
-	Slowest   []journey.Journey // the tracer's slowest set, slowest first
-	Journeys  []journey.Journey // the tracer's retained recent journeys, by start cycle
-	Clean     bool              // footer frame present
-	Truncated bool              // a malformed or incomplete trailing frame dropped
+	Total     []HistWindow        // footer: whole-run row per HistNames entry (nil without one)
+	Slowest   []journey.Journey   // the tracer's slowest set, slowest first
+	Journeys  []journey.Journey   // the tracer's retained recent journeys, by start cycle
+	Spans     []ctrace.MergedSpan // the wire tracer's retained spans, by trace ID
+	Clean     bool                // footer frame present
+	Truncated bool                // a malformed or incomplete trailing frame dropped
 }
 
 // frameJSON is the union of every frame kind's fields.
@@ -100,8 +102,9 @@ func Read(data []byte) (*Recording, error) {
 // Parser parses a recording incrementally: each Write hands it the bytes
 // appended since the previous one (a followed file's new data), and every
 // frame they complete is parsed on arrival. A frame still missing bytes
-// waits for the next Write. A malformed frame ends the recording there:
-// it and everything after it are dropped and the recording is Truncated.
+// waits for the next Write. A frame of a kind the parser does not know is
+// skipped. A malformed frame ends the recording there: it and everything
+// after it are dropped and the recording is Truncated.
 type Parser struct {
 	rc   Recording
 	tail []byte // an incomplete trailing frame, awaiting more bytes
@@ -226,7 +229,16 @@ func (p *Parser) frame(doc []byte) error {
 		return nil
 	}
 	if err != nil {
-		return err
+		// A newer kind may give a known field another type: the frame is
+		// still well formed, and is skipped below.
+		var te *json.UnmarshalTypeError
+		switch f.K {
+		case "h", "w", "e", "j", "s", "f":
+			return err
+		}
+		if !errors.As(err, &te) {
+			return err
+		}
 	}
 	switch f.K {
 	case "w":
@@ -263,6 +275,12 @@ func (p *Parser) frame(doc []byte) error {
 		default:
 			return fmt.Errorf("rec: journey %d in unknown set %q", f.ID, f.Set)
 		}
+	case "s":
+		s, err := readSpan(doc, rc.Spans)
+		if err != nil {
+			return err
+		}
+		rc.Spans = append(rc.Spans, s)
 	case "f":
 		// A footer written before the whole-run rows existed has none.
 		if f.Total != nil {
@@ -276,10 +294,35 @@ func (p *Parser) frame(doc []byte) error {
 		}
 		rc.Clean = true
 		rc.End = f.C
-	default:
-		return fmt.Errorf("rec: unexpected frame kind %q", f.K)
+	case "h":
+		return errors.New("rec: second header frame")
 	}
+	// Any other kind is a newer writer's: skipped, so the frames after it
+	// (the footer included) still read.
 	return nil
+}
+
+// readSpan parses an "s" frame. Its trace ID must be positive and above
+// the previous span's, both node names set, and a completed span
+// neither dropped nor drained before it was pushed.
+func readSpan(doc []byte, prev []ctrace.MergedSpan) (ctrace.MergedSpan, error) {
+	var m ctrace.MergedSpan
+	if err := json.Unmarshal(doc, &m.Span); err != nil {
+		return m, err
+	}
+	s := &m.Span
+	switch {
+	case s.TraceID == 0 || len(prev) > 0 && s.TraceID <= prev[len(prev)-1].TraceID:
+		return m, fmt.Errorf("rec: span %d out of trace-ID order", s.TraceID)
+	case s.From == "" || s.To == "":
+		return m, fmt.Errorf("rec: span %d has no sender or receiver", s.TraceID)
+	case s.Done && (s.Dropped || s.RxDrain < s.FIFOPush):
+		return m, fmt.Errorf("rec: span %d completes inconsistently", s.TraceID)
+	}
+	if s.Done {
+		m.E2E = s.RxDrain - s.FIFOPush
+	}
+	return m, nil
 }
 
 // histRow reads a [n,sum,min,p50,p95,p99,max] row.
@@ -315,11 +358,11 @@ func (rc *Recording) HistIndex(name string) int { return indexOf(rc.HistNames, n
 const maxDiffs = 50
 
 // Diff compares two recordings: windows, events, the footer's whole-run
-// histogram rows, and the journeys. tol is a relative tolerance applied
-// to every window and footer number (0 = exact; journeys compare
-// exactly): values a,b differ when |a-b| > tol*max(|a|,|b|). Returns
-// human-readable differences, empty when the recordings match — the
-// same-seed regression contract.
+// histogram rows, the journeys and the spans. tol is a relative
+// tolerance applied to every window and footer number (0 = exact;
+// journeys and spans compare exactly): values a,b differ when
+// |a-b| > tol*max(|a|,|b|). Returns human-readable differences, empty
+// when the recordings match — the same-seed regression contract.
 func Diff(a, b *Recording, tol float64) []string {
 	var d []string
 	add := func(format string, args ...interface{}) {
@@ -428,6 +471,15 @@ func Diff(a, b *Recording, tol float64) []string {
 				add("%s journey %d differs: %s %d at %d, e2e %d vs %s %d at %d, e2e %d", set.name, i,
 					ja.Kind, ja.ID, ja.T[journey.HopStart], ja.E2E(), jb.Kind, jb.ID, jb.T[journey.HopStart], jb.E2E())
 			}
+		}
+	}
+	if len(a.Spans) != len(b.Spans) {
+		add("span count differs: %d vs %d", len(a.Spans), len(b.Spans))
+	}
+	for i := 0; i < min(len(a.Spans), len(b.Spans)); i++ {
+		if sa, sb := a.Spans[i], b.Spans[i]; sa != sb {
+			add("span %d differs: %d %s->%s at %d, e2e %d vs %d %s->%s at %d, e2e %d", i,
+				sa.TraceID, sa.From, sa.To, sa.FIFOPush, sa.E2E, sb.TraceID, sb.From, sb.To, sb.FIFOPush, sb.E2E)
 		}
 	}
 	return d

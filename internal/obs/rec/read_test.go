@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
@@ -73,7 +74,7 @@ func gaugeRecording(t testing.TB) []byte {
 func journeyRecording(t testing.TB) (*journey.Tracer, *counters.Registry, []byte) {
 	reg := counters.NewRegistry()
 	var cycle uint64
-	tr, err := journey.NewTracer(journey.DefaultConfig(), reg, func() uint64 { return cycle })
+	tr, err := journey.NewTracer(reg, func() uint64 { return cycle })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +167,97 @@ func TestFooterAndJourneys(t *testing.T) {
 	}
 }
 
+// spanRecording records a wire tracer's registry over two windows: a
+// packet n0→n1 completes in the first, and in the second one n1→n0 is
+// dropped and another n0→n1 is still in flight at the footer. It
+// returns the tracer and the recording.
+func spanRecording(t testing.TB) (*ctrace.Tracer, []byte) {
+	reg := counters.NewRegistry()
+	tr := ctrace.New(reg)
+	r, err := New(Config{Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("cluster", reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSpans(tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.SetWriter(&buf)
+	r.Start(0)
+	id := tr.PacketDeparted("n0", "n1", 64, 1, 10, 12, 20)
+	tr.PacketArrived(id, 50)
+	tr.PacketEnqueued(id, 51)
+	tr.PacketDrained(id, 90)
+	r.Roll(100)
+	tr.PacketDropped(tr.PacketDeparted("n1", "n0", 8, 0, 110, 110, 116), 116)
+	tr.PacketArrived(tr.PacketDeparted("n0", "n1", 16, 2, 120, 121, 130), 160)
+	if err := r.AddSpans(tr); err == nil {
+		t.Error("AddSpans after Start accepted")
+	}
+	r.Flush(180)
+	return tr, buf.Bytes()
+}
+
+// TestSpanFrames: the "s" frames read back as the tracer's retained
+// spans, after every window and before the footer, the same tracer
+// state writes the same bytes, and Diff reports a span that differs.
+func TestSpanFrames(t *testing.T) {
+	tr, data := spanRecording(t)
+	rc, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.Clean || rc.Truncated || len(rc.Windows) != 2 {
+		t.Fatalf("clean=%v truncated=%v windows=%d", rc.Clean, rc.Truncated, len(rc.Windows))
+	}
+	if !reflect.DeepEqual(rc.Spans, tr.Retained()) || len(rc.Spans) != 3 {
+		t.Errorf("spans read back as %+v\nwant %+v", rc.Spans, tr.Retained())
+	}
+	if s := rc.Spans[0]; !s.Done || s.E2E != 80 || rc.Spans[1].DropCycle != 116 || rc.Spans[2].RxDrain != 0 {
+		t.Errorf("spans lost a stamp: %+v", rc.Spans)
+	}
+	first, footer := bytes.Index(data, []byte(`{"k":"s"`)), bytes.Index(data, []byte(`{"k":"f"`))
+	if first < bytes.LastIndex(data, []byte(`{"k":"w"`)) || footer < bytes.LastIndex(data, []byte(`{"k":"s"`)) {
+		t.Error("span frames are not between the last window and the footer")
+	}
+	if _, again := spanRecording(t); !bytes.Equal(data, again) {
+		t.Error("the same tracer state wrote different recordings")
+	}
+	other, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Spans[2].WireArrive++
+	if d := strings.Join(Diff(rc, other, 0), "\n"); !strings.Contains(d, "span 2 differs") {
+		t.Errorf("diff misses the changed span:\n%s", d)
+	}
+}
+
+// TestReadSkipsUnknownKind: a well-formed frame of a kind this reader
+// does not know — even one giving a known field another type — is
+// skipped, so the frames after it, the footer included, still read.
+func TestReadSkipsUnknownKind(t *testing.T) {
+	want, err := Read(sampleRecording(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{`{"k":"x","note":"from a newer writer"}`, `{"k":"x","c":"not a cycle"}`} {
+		data := sampleRecording(t)
+		at := bytes.LastIndexByte(data[:bytes.Index(data, []byte(`{"k":"f"`))-1], '\n') + 1
+		data = append(fmt.Appendf(data[:at:at], "%d\n%s\n", len(doc), doc), data[at:]...)
+		rc, err := Read(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rc.Clean || rc.Truncated || !reflect.DeepEqual(rc.Total, want.Total) || rc.Total == nil {
+			t.Errorf("%s: clean=%v truncated=%v total=%v, want the footer's %v", doc, rc.Clean, rc.Truncated, rc.Total, want.Total)
+		}
+	}
+}
+
 // reframe rewrites every frame's JSON document with edit and renews the
 // length prefixes.
 func reframe(data []byte, edit func(doc string) string) []byte {
@@ -200,6 +292,35 @@ func TestReadMalformedFooterAndJourneys(t *testing.T) {
 		}
 		if rc.Clean != tc.clean || rc.Truncated == tc.clean || rc.Total != nil || len(rc.Windows) != 3 {
 			t.Errorf("%s: clean=%v truncated=%v total=%v windows=%d", tc.name, rc.Clean, rc.Truncated, rc.Total, len(rc.Windows))
+		}
+	}
+}
+
+// TestReadMalformedSpans: a span frame the reader rejects ends the
+// recording there as Truncated, keeping the spans before it: a zero or
+// out-of-order trace ID, a missing node, a completed span also marked
+// dropped or drained before its push, and a field of the wrong type.
+func TestReadMalformedSpans(t *testing.T) {
+	_, data := spanRecording(t)
+	for _, tc := range []struct {
+		name, old, new string
+		kept           int
+	}{
+		{"zero trace ID", `"trace_id":1,`, `"trace_id":0,`, 0},
+		{"trace IDs out of order", `"trace_id":2,`, `"trace_id":1,`, 1},
+		{"no sender", `"from":"n1"`, `"from":""`, 1},
+		{"no receiver", `"to":"n1","jid":2`, `"to":"","jid":2`, 2},
+		{"done and dropped", `"done":true`, `"done":true,"dropped":true`, 0},
+		{"drained before pushed", `"rx_drain":90`, `"rx_drain":5`, 0},
+		{"size not a number", `"size":8,`, `"size":"eight",`, 1},
+	} {
+		rc, err := Read(reframe(data, func(doc string) string { return strings.Replace(doc, tc.old, tc.new, 1) }))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rc.Clean || !rc.Truncated || len(rc.Spans) != tc.kept || len(rc.Windows) != 2 {
+			t.Errorf("%s: clean=%v truncated=%v spans=%d windows=%d, want a truncated tail after %d spans",
+				tc.name, rc.Clean, rc.Truncated, len(rc.Spans), len(rc.Windows), tc.kept)
 		}
 	}
 }

@@ -30,9 +30,15 @@
 // window), "j" journey (one store or descriptor journey of an attached
 // journey.Tracer: "set" is "slowest" or "recent", then id, kind, addr,
 // size, the four hop stamps "t" and the coalesced/aborted/done flags;
-// written once, at Flush, before the footer), "f" footer (totals, and
-// "total": one whole-run [n,sum,min,p50,p95,p99,max] row per histogram,
-// aligned with histn; its presence marks a clean close).
+// written once, at Flush, before the footer), "s" span (one wire
+// packet of an attached ctrace.Tracer, with ctrace.Span's fields:
+// trace_id, from, to, jid, size, done, dropped and drop_cycle, and the
+// six aligned stamps fifo_push … rx_drain; written once, at Flush, after
+// the journeys), "f" footer (totals, and "total": one whole-run
+// [n,sum,min,p50,p95,p99,max] row per histogram, aligned with histn; its
+// presence marks a clean close). A reader skips a frame of a kind it
+// does not know, so a recording with a newer kind still reads to its
+// footer.
 //
 // The header's "ctrn" table lists counters and gauges alike. Its
 // optional "gauges" list names the ctrn entries that are gauges; a
@@ -49,6 +55,7 @@ import (
 	"sort"
 	"strconv"
 
+	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
@@ -138,6 +145,7 @@ type Recorder struct {
 	slo      *SLO
 	sources  []source
 	journeys *journey.Tracer
+	spans    *ctrace.Tracer
 
 	sealed     bool
 	footerDone bool
@@ -235,6 +243,17 @@ func (r *Recorder) AddJourneys(t *journey.Tracer) error {
 		return fmt.Errorf("rec: recorder already started")
 	}
 	r.journeys = t
+	return nil
+}
+
+// AddSpans attaches a wire tracer: at Flush, before the footer, its
+// retained spans are written as "s" frames. A nil tracer writes none.
+// Must be called before the first Roll.
+func (r *Recorder) AddSpans(t *ctrace.Tracer) error {
+	if r.sealed {
+		return fmt.Errorf("rec: recorder already started")
+	}
+	r.spans = t
 	return nil
 }
 
@@ -396,10 +415,10 @@ func histWindow(prev, cur *counters.HistState) HistWindow {
 }
 
 // Flush closes the recording: a final partial window if cycles elapsed
-// since the last roll, any pending events, the attached tracer's
-// journeys, and the footer frame with every histogram's statistics over
-// the whole run (exact at bucket resolution, unlike any merge of
-// per-window quantiles). Safe to call more than once (the footer is
+// since the last roll, any pending events, the attached tracers'
+// journeys and spans, and the footer frame with every histogram's
+// statistics over the whole run (exact at bucket resolution, unlike any
+// merge of per-window quantiles). Safe to call more than once (the footer is
 // written exactly once) — both the abort paths and the normal end-of-run
 // path funnel through it.
 //
@@ -423,6 +442,11 @@ func (r *Recorder) Flush(cycle uint64) {
 		}
 		for _, j := range r.journeys.Retained() {
 			r.writeJourney("recent", &j)
+		}
+	}
+	if r.spans != nil {
+		for _, s := range r.spans.Retained() {
+			r.writeSpan(&s.Span)
 		}
 	}
 	r.jbuf = r.jbuf[:0]
@@ -608,6 +632,16 @@ func (r *Recorder) writeJourney(set string, j *journey.Journey) {
 		K string `json:"k"`
 		journeyJSON
 	}{"j", journeyJSON{set, j.ID, j.Kind.String(), j.Addr, j.Size, j.T, j.Coalesced, j.Aborted, j.Done}})
+	r.jbuf = append(r.jbuf[:0], doc...)
+	r.writeFrame()
+}
+
+// writeSpan emits one "s" frame: a wire span with its aligned stamps.
+func (r *Recorder) writeSpan(s *ctrace.Span) {
+	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
+		K string `json:"k"`
+		*ctrace.Span
+	}{"s", s})
 	r.jbuf = append(r.jbuf[:0], doc...)
 	r.writeFrame()
 }

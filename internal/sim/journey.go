@@ -67,11 +67,11 @@ func (m *Machine) registerDeviceCounters(d Device) {
 // and run counters land in the unified registry (attached implicitly),
 // so they appear in the report, the JSON stats, and the watchdog's
 // diagnostic dump. Attach before running.
-func (m *Machine) AttachJourneys(cfg journey.Config) (*journey.Tracer, error) {
+func (m *Machine) AttachJourneys() (*journey.Tracer, error) {
 	if m.journeys != nil {
 		return m.journeys, nil
 	}
-	tr, err := journey.NewTracer(cfg, m.AttachCounters(), func() uint64 { return m.cycle })
+	tr, err := journey.NewTracer(m.AttachCounters(), func() uint64 { return m.cycle })
 	if err != nil {
 		return nil, err
 	}

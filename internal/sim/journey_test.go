@@ -43,7 +43,7 @@ loop:
 // the CSB path's mean end-to-end store latency beats the uncached path's.
 func TestJourneyTracingEndToEnd(t *testing.T) {
 	mCSB := runStoreLoop(t)
-	trCSB, err := mCSB.AttachJourneys(journey.DefaultConfig())
+	trCSB, err := mCSB.AttachJourneys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestJourneyTracingEndToEnd(t *testing.T) {
 	if _, err := mUnc.LoadSource("unc.s", uncachedStoreLoop); err != nil {
 		t.Fatal(err)
 	}
-	trUnc, err := mUnc.AttachJourneys(journey.DefaultConfig())
+	trUnc, err := mUnc.AttachJourneys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestJourneyTracingPerturbsNothing(t *testing.T) {
 	run := func(attach bool) []byte {
 		m := runStoreLoop(t)
 		if attach {
-			if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+			if _, err := m.AttachJourneys(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestJourneyTracingPerturbsNothing(t *testing.T) {
 // Refresh with: go test ./internal/sim -run TestJourneyFlowsGolden -update
 func TestJourneyFlowsGolden(t *testing.T) {
 	m := runStoreLoop(t)
-	if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+	if _, err := m.AttachJourneys(); err != nil {
 		t.Fatal(err)
 	}
 	exp := obs.NewPerfetto()
@@ -248,7 +248,7 @@ func TestJourneyRecordingDeterministicUnderFaults(t *testing.T) {
 		if _, err := m.AttachFaults(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+		if _, err := m.AttachJourneys(); err != nil {
 			t.Fatal(err)
 		}
 		r, buf := recordJourneys(t, m)
@@ -297,7 +297,7 @@ func TestAbortedRunRecordsJourneys(t *testing.T) {
 	if err := m.SetWatchdog(5000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+	if _, err := m.AttachJourneys(); err != nil {
 		t.Fatal(err)
 	}
 	r, buf := recordJourneys(t, m)

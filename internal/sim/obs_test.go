@@ -13,7 +13,6 @@ import (
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
-	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -411,7 +410,7 @@ func TestObservedEffort(t *testing.T) {
 		}
 		m.WarmProgram(p)
 		if every != 0 {
-			if _, err := m.AttachJourneys(journey.DefaultConfig()); err != nil {
+			if _, err := m.AttachJourneys(); err != nil {
 				t.Fatal(err)
 			}
 			attachRecorder(t, m, m.Counters(), every)
