@@ -68,11 +68,12 @@ perf-ab:
 	done
 	bash cmd/csbperf/bench.sh compare out/perf-ab/base-*.json -- out/perf-ab/head-*.json
 
-# The steady-state zero-allocation check must run WITHOUT -race (the race
-# detector's instrumentation allocates); the race target skips it via its
-# build tag.
+# The steady-state zero-allocation checks and the machine-construction
+# allocation pin must run WITHOUT -race (the race detector's
+# instrumentation allocates); the race target skips them via their build
+# tag.
 zero-alloc:
-	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc' ./internal/bench/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs' ./internal/bench/
 	$(GO) test -run TestUncachedLoadAllocs ./internal/sim/
 
 # Journey-traced runs of the paired store workloads: record the per-hop

@@ -9,6 +9,7 @@ package bench
 import (
 	"testing"
 
+	"csbsim/internal/cache"
 	"csbsim/internal/mem"
 )
 
@@ -158,5 +159,34 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%d steps over %d measured cycles, want most cycles jumped", n, cycles)
 			}
 		})
+	}
+}
+
+// TestBuildAllocs pins machine construction by allocation count, so a
+// setup regression fails on a count rather than on wall time: the
+// default machine's Build makes exactly buildAllocs allocations, and a
+// cache level makes two (the Cache and its one flat tag array) whatever
+// its number of sets.
+func TestBuildAllocs(t *testing.T) {
+	const buildAllocs = 60
+	p := DefaultParams()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := p.Build(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != buildAllocs {
+		t.Errorf("DefaultParams().Build() made %v allocations, want %d", got, buildAllocs)
+	}
+	for _, cfg := range []cache.Config{
+		{Size: 256, Assoc: 2, LineSize: 64},       // 2 sets
+		{Size: 256 << 10, Assoc: 4, LineSize: 64}, // 1024 sets
+	} {
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := cache.New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("cache.New(%+v) made %v allocations, want 2", cfg, got)
+		}
 	}
 }

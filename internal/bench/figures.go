@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"csbsim/internal/asm"
 	"csbsim/internal/bus"
 )
 
@@ -21,22 +22,81 @@ func sizeLabels() []string {
 	return out
 }
 
+// bandwidthFigures are figures 3(a)-4(e): uncached store bandwidth, one
+// machine variation each, every scheme swept over TransferSizes.
+//   - 3(a)-(c): an 8-byte multiplexed bus at CPU:bus ratios 2, 4 and 6
+//     (32-byte line, no turnaround: peak is one line per 5 bus cycles).
+//   - 3(d)-(f): cache line (= CSB burst) size 32, 64 and 128 bytes at
+//     ratio 6.
+//   - 3(g)-(i): a mandatory turnaround cycle, then selective-flow-control
+//     acknowledgment delays of 4 and 8 bus cycles (64-byte line, ratio 6).
+//   - 4(a)-(b): a split address/data bus 128 and 256 bits wide (ratio 6,
+//     64-byte line, no turnaround).
+//   - 4(c)-(e): the 16-byte split bus with a turnaround cycle, then ack
+//     min-delays of 4 and 8 cycles.
+var bandwidthFigures = []struct {
+	id, title string
+	p         MachineParams
+}{
+	{"3a", "multiplexed bus, CPU:bus ratio 2", variant(2, 32, bus.Multiplexed, 8, 0, 0)},
+	{"3b", "multiplexed bus, CPU:bus ratio 4", variant(4, 32, bus.Multiplexed, 8, 0, 0)},
+	{"3c", "multiplexed bus, CPU:bus ratio 6", variant(6, 32, bus.Multiplexed, 8, 0, 0)},
+	{"3d", "multiplexed bus, 32B cache line", variant(6, 32, bus.Multiplexed, 8, 0, 0)},
+	{"3e", "multiplexed bus, 64B cache line", variant(6, 64, bus.Multiplexed, 8, 0, 0)},
+	{"3f", "multiplexed bus, 128B cache line", variant(6, 128, bus.Multiplexed, 8, 0, 0)},
+	{"3g", "multiplexed bus, turnaround cycle after every transaction", variant(6, 64, bus.Multiplexed, 8, 1, 0)},
+	{"3h", "multiplexed bus, 4-cycle acknowledgment min-delay", variant(6, 64, bus.Multiplexed, 8, 0, 4)},
+	{"3i", "multiplexed bus, 8-cycle acknowledgment min-delay", variant(6, 64, bus.Multiplexed, 8, 0, 8)},
+	{"4a", "split bus, 128-bit data path", variant(6, 64, bus.Split, 16, 0, 0)},
+	{"4b", "split bus, 256-bit data path", variant(6, 64, bus.Split, 32, 0, 0)},
+	{"4c", "split bus, turnaround cycle after every transaction", variant(6, 64, bus.Split, 16, 1, 0)},
+	{"4d", "split bus, 4-cycle acknowledgment min-delay", variant(6, 64, bus.Split, 16, 0, 4)},
+	{"4e", "split bus, 8-cycle acknowledgment min-delay", variant(6, 64, bus.Split, 16, 0, 8)},
+}
+
+// variant is DefaultParams with one figure's bus and line settings.
+func variant(ratio, line int, model bus.Model, width, turnaround, ack int) MachineParams {
+	p := DefaultParams()
+	p.Ratio, p.LineSize = ratio, line
+	p.Bus.Model, p.Bus.WidthBytes = model, width
+	p.Bus.Turnaround, p.Bus.AckDelay = turnaround, ack
+	return p
+}
+
 // bandwidthFigure sweeps all schemes over all transfer sizes on one
 // machine variation. The (scheme, size) grid runs on the parallel sweep
-// pool; each point builds its own machine.
+// pool; each point builds its own machine. The store programs are
+// assembled once per figure, one per (size, CSB or not), and shared
+// read-only by every point that runs them.
 func bandwidthFigure(id, title string, p MachineParams) (Result, error) {
 	r := Result{
-		ID: id, Title: title,
+		ID: id, Title: "uncached store bandwidth, " + title,
 		XLabel: "transfer size", YLabel: "bytes per bus cycle",
 		X: sizeLabels(),
 		Notes: fmt.Sprintf("%s %dB bus, ratio %d, line %dB, turnaround %d, ack delay %d",
 			p.Bus.Model, p.Bus.WidthBytes, p.Ratio, p.LineSize, p.Bus.Turnaround, p.Bus.AckDelay),
 	}
+	// progs[2*xi] stores TransferSizes[xi] without the CSB, progs[2*xi+1]
+	// with it.
+	points := make([]int, 2*len(TransferSizes))
+	for k := range points {
+		points[k] = k
+	}
+	progs, err := Sweep(points, 0, func(k int) (*asm.Program, error) {
+		return asm.Assemble("bandwidth.s", StoreBandwidthProgram(TransferSizes[k/2], p.LineSize, k%2 == 1))
+	})
+	if err != nil {
+		return r, err
+	}
 	schemes := Schemes(p.LineSize)
 	ys, err := sweepSeries(len(schemes), len(TransferSizes), func(si, xi int) (float64, error) {
 		pp := p
 		pp.Scheme = schemes[si]
-		bw, err := MeasureBandwidth(pp, TransferSizes[xi])
+		csb := 0
+		if pp.Scheme == SchemeCSB {
+			csb = 1
+		}
+		bw, err := measureStoreStream(pp, progs[2*xi+csb], TransferSizes[xi])
 		if err != nil {
 			return 0, fmt.Errorf("figure %s %s %dB: %w", id, schemes[si], TransferSizes[xi], err)
 		}
@@ -49,115 +109,6 @@ func bandwidthFigure(id, title string, p MachineParams) (Result, error) {
 		r.Series = append(r.Series, Series{Name: scheme.String(), Y: ys[si]})
 	}
 	return r, nil
-}
-
-// Figure3FrequencyRatio regenerates figures 3(a)-(c): store bandwidth on
-// an 8-byte multiplexed bus at CPU:bus frequency ratios 2, 4 and 6
-// (32-byte line, no turnaround — peak is one line per 5 bus cycles).
-func Figure3FrequencyRatio() ([]Result, error) {
-	var out []Result
-	for i, ratio := range []int{2, 4, 6} {
-		p := DefaultParams()
-		p.Ratio = ratio
-		p.LineSize = 32
-		r, err := bandwidthFigure(fmt.Sprintf("3%c", 'a'+i),
-			fmt.Sprintf("uncached store bandwidth, multiplexed bus, CPU:bus ratio %d", ratio), p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Figure3BlockSize regenerates figures 3(d)-(f): cache line (= CSB burst)
-// size 32, 64 and 128 bytes at ratio 6.
-func Figure3BlockSize() ([]Result, error) {
-	var out []Result
-	for i, line := range []int{32, 64, 128} {
-		p := DefaultParams()
-		p.LineSize = line
-		r, err := bandwidthFigure(fmt.Sprintf("3%c", 'd'+i),
-			fmt.Sprintf("uncached store bandwidth, multiplexed bus, %dB cache line", line), p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Figure3BusOverhead regenerates figures 3(g)-(i): a mandatory turnaround
-// cycle, then selective-flow-control acknowledgment delays of 4 and 8 bus
-// cycles (64-byte line, ratio 6).
-func Figure3BusOverhead() ([]Result, error) {
-	variants := []struct {
-		id, what   string
-		turnaround int
-		ack        int
-	}{
-		{"3g", "turnaround cycle after every transaction", 1, 0},
-		{"3h", "4-cycle acknowledgment min-delay", 0, 4},
-		{"3i", "8-cycle acknowledgment min-delay", 0, 8},
-	}
-	var out []Result
-	for _, v := range variants {
-		p := DefaultParams()
-		p.Bus.Turnaround = v.turnaround
-		p.Bus.AckDelay = v.ack
-		r, err := bandwidthFigure(v.id, "uncached store bandwidth, multiplexed bus, "+v.what, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Figure4BusWidth regenerates figures 4(a)-(b): a split address/data bus
-// 128 and 256 bits wide (ratio 6, 64-byte line, no turnaround).
-func Figure4BusWidth() ([]Result, error) {
-	var out []Result
-	for i, width := range []int{16, 32} {
-		p := DefaultParams()
-		p.Bus.Model = bus.Split
-		p.Bus.WidthBytes = width
-		r, err := bandwidthFigure(fmt.Sprintf("4%c", 'a'+i),
-			fmt.Sprintf("uncached store bandwidth, split bus, %d-bit data path", width*8), p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Figure4BusOverhead regenerates figures 4(c)-(e): the 16-byte split bus
-// with a turnaround cycle, then ack min-delays of 4 and 8 cycles.
-func Figure4BusOverhead() ([]Result, error) {
-	variants := []struct {
-		id, what   string
-		turnaround int
-		ack        int
-	}{
-		{"4c", "turnaround cycle after every transaction", 1, 0},
-		{"4d", "4-cycle acknowledgment min-delay", 0, 4},
-		{"4e", "8-cycle acknowledgment min-delay", 0, 8},
-	}
-	var out []Result
-	for _, v := range variants {
-		p := DefaultParams()
-		p.Bus.Model = bus.Split
-		p.Bus.WidthBytes = 16
-		p.Bus.Turnaround = v.turnaround
-		p.Bus.AckDelay = v.ack
-		r, err := bandwidthFigure(v.id, "uncached store bandwidth, split bus, "+v.what, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Figure5 regenerates figure 5: CPU cycles for a lock-access-unlock
@@ -270,30 +221,16 @@ func AblationR10KCombining() (Result, error) {
 	return r, nil
 }
 
-// All regenerates every paper figure in order.
+// All regenerates every paper figure in order: 3(a)-4(e), then 5(a) and
+// 5(b).
 func All() ([]Result, error) {
 	var out []Result
-	add := func(rs []Result, err error) error {
+	for _, f := range bandwidthFigures {
+		r, err := bandwidthFigure(f.id, f.title, f.p)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = append(out, rs...)
-		return nil
-	}
-	if err := add(Figure3FrequencyRatio()); err != nil {
-		return nil, err
-	}
-	if err := add(Figure3BlockSize()); err != nil {
-		return nil, err
-	}
-	if err := add(Figure3BusOverhead()); err != nil {
-		return nil, err
-	}
-	if err := add(Figure4BusWidth()); err != nil {
-		return nil, err
-	}
-	if err := add(Figure4BusOverhead()); err != nil {
-		return nil, err
+		out = append(out, r)
 	}
 	for _, hit := range []bool{true, false} {
 		r, err := Figure5(hit)
@@ -306,30 +243,14 @@ func All() ([]Result, error) {
 }
 
 // ByID regenerates one figure ("3a".."3i", "4a".."4e", "5a", "5b", "X1",
-// "X4").
+// "X2", "X2L", "X4", "X6", "X8").
 func ByID(id string) (Result, error) {
-	group := func(rs []Result, err error) (Result, error) {
-		if err != nil {
-			return Result{}, err
+	for _, f := range bandwidthFigures {
+		if f.id == id {
+			return bandwidthFigure(f.id, f.title, f.p)
 		}
-		for _, r := range rs {
-			if r.ID == id {
-				return r, nil
-			}
-		}
-		return Result{}, fmt.Errorf("bench: figure %q produced no result", id)
 	}
 	switch id {
-	case "3a", "3b", "3c":
-		return group(Figure3FrequencyRatio())
-	case "3d", "3e", "3f":
-		return group(Figure3BlockSize())
-	case "3g", "3h", "3i":
-		return group(Figure3BusOverhead())
-	case "4a", "4b":
-		return group(Figure4BusWidth())
-	case "4c", "4d", "4e":
-		return group(Figure4BusOverhead())
 	case "5a":
 		return Figure5(true)
 	case "5b":

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,5 +52,30 @@ func TestFigureTablesGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("figure tables drifted from %s (refresh with -update)\ngot:\n%s", golden, got.String())
+	}
+}
+
+// TestAllMatchesByID: All returns the paper's figures 3a-5b, in order,
+// exactly as ByID regenerates them one at a time.
+func TestAllMatchesByID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates the paper's figures twice")
+	}
+	all, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := goldenFigureIDs[:16] // 3a-3i, 4a-4e, 5a, 5b
+	if len(all) != len(paper) {
+		t.Fatalf("All returned %d figures, want %d", len(all), len(paper))
+	}
+	for i, id := range paper {
+		r, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all[i], r) {
+			t.Errorf("All()[%d] = figure %s, differs from ByID(%q) = %s", i, all[i].ID, id, r.ID)
+		}
 	}
 }

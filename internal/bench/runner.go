@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"csbsim/internal/asm"
 	"csbsim/internal/bus"
 	"csbsim/internal/core"
 	"csbsim/internal/mem"
@@ -99,19 +100,29 @@ func (s *span) cycles() uint64 {
 	return s.last - s.first + 1
 }
 
+// storeKind is the page kind a scheme's I/O window is mapped with: the
+// CSB captures stores to combining pages, every other scheme sends them
+// through the uncached buffer.
+func storeKind(s Scheme) mem.Kind {
+	if s == SchemeCSB {
+		return mem.KindCombining
+	}
+	return mem.KindUncached
+}
+
 // measureStoreStream is the shared store-bandwidth harness: build the
-// machine, map the I/O window with the right memory kind, run the given
-// store program to completion, drain the buffers, and return the
+// machine, map the I/O window with the scheme's memory kind, run the
+// given store program to completion, drain the buffers, and return the
 // effective bandwidth (useful bytes per bus cycle) over the observed
-// I/O-write window.
-func measureStoreStream(p MachineParams, name, src string, kind mem.Kind, totalBytes int) (float64, error) {
+// I/O-write window. The program is only read, so concurrent
+// measurements may share it.
+func measureStoreStream(p MachineParams, prog *asm.Program, totalBytes int) (float64, error) {
 	m, err := p.Build()
 	if err != nil {
 		return 0, err
 	}
-	m.MapRange(IOBase, 1<<20, kind)
-	prog, err := m.LoadSource(name, src)
-	if err != nil {
+	m.MapRange(IOBase, 1<<20, storeKind(p.Scheme))
+	if err := m.Load(prog); err != nil {
 		return 0, err
 	}
 	m.WarmProgram(prog)
@@ -136,20 +147,21 @@ func measureStoreStream(p MachineParams, name, src string, kind mem.Kind, totalB
 // (transfer size, scheme, machine) point and returns the effective
 // bandwidth in useful bytes per bus cycle.
 func MeasureBandwidth(p MachineParams, totalBytes int) (float64, error) {
-	csb := p.Scheme == SchemeCSB
-	kind := mem.KindUncached
-	if csb {
-		kind = mem.KindCombining
+	prog, err := asm.Assemble("bandwidth.s", StoreBandwidthProgram(totalBytes, p.LineSize, p.Scheme == SchemeCSB))
+	if err != nil {
+		return 0, err
 	}
-	src := StoreBandwidthProgram(totalBytes, p.LineSize, csb)
-	return measureStoreStream(p, "bandwidth.s", src, kind, totalBytes)
+	return measureStoreStream(p, prog, totalBytes)
 }
 
 // measureShuffledBandwidth is MeasureBandwidth with the shuffled-order
 // workload (ablation X4).
 func measureShuffledBandwidth(p MachineParams, totalBytes int) (float64, error) {
-	src := ShuffledStoreProgram(totalBytes, p.LineSize)
-	return measureStoreStream(p, "shuffled.s", src, mem.KindUncached, totalBytes)
+	prog, err := asm.Assemble("shuffled.s", ShuffledStoreProgram(totalBytes, p.LineSize))
+	if err != nil {
+		return 0, err
+	}
+	return measureStoreStream(p, prog, totalBytes)
 }
 
 // MeasureCSBIssueOverhead returns the CPU cycles a program needs to issue
@@ -191,11 +203,7 @@ func MeasureLockLatency(p MachineParams, nDwords int, lockHit bool) (float64, er
 		if err != nil {
 			return 0, err
 		}
-		kind := mem.KindUncached
-		if p.Scheme == SchemeCSB {
-			kind = mem.KindCombining
-		}
-		m.MapRange(IOBase, 1<<20, kind)
+		m.MapRange(IOBase, 1<<20, storeKind(p.Scheme))
 		prog, err := m.LoadSource("lock.s", src)
 		if err != nil {
 			return 0, err

@@ -77,22 +77,26 @@ func TestSweepEmptyAndWorkerClamp(t *testing.T) {
 
 // A parallel figure run must be byte-identical to the sequential one: the
 // sweep only distributes points, it never reorders or perturbs them.
+// Every bandwidth figure shares its assembled programs across the sweep
+// workers, so under -race this also shows that they are only read.
 func TestParallelFigureMatchesSequential(t *testing.T) {
 	prev := Workers()
 	defer SetWorkers(prev)
 
-	SetWorkers(1)
-	seq, err := Figure3BlockSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetWorkers(8)
-	par, err := Figure3BlockSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel figure differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	for _, f := range bandwidthFigures {
+		SetWorkers(1)
+		seq, err := ByID(f.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetWorkers(8)
+		par, err := ByID(f.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("figure %s: parallel differs from sequential:\nseq: %+v\npar: %+v", f.id, seq, par)
+		}
 	}
 }
 

@@ -56,10 +56,12 @@ type line struct {
 	dirty bool
 }
 
-// Cache is one set-associative tag array with true-LRU replacement.
+// Cache is one set-associative tag array with true-LRU replacement. The
+// tag array is one flat slice: set s holds lines[s*assoc : (s+1)*assoc].
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	lines []line
+	nsets uint64
 	clock uint64
 	stats Stats
 }
@@ -70,11 +72,7 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), nsets: uint64(nsets)}, nil
 }
 
 // Config returns the cache geometry.
@@ -83,18 +81,22 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index returns the ways of the set addr maps to, the set number and the
+// tag.
+func (c *Cache) index(addr uint64) (ways []line, set uint64, tag uint64) {
 	lineAddr := addr / uint64(c.cfg.LineSize)
-	return lineAddr % uint64(len(c.sets)), lineAddr / uint64(len(c.sets))
+	set, tag = lineAddr%c.nsets, lineAddr/c.nsets
+	base := int(set) * c.cfg.Assoc
+	return c.lines[base : base+c.cfg.Assoc], set, tag
 }
 
 // Lookup probes for the line containing addr, updating LRU state and hit
 // or miss counters.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
+	ways, _, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.used = c.clock
 			c.stats.Hits++
@@ -107,9 +109,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 
 // Contains probes without touching LRU or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways, _, tag := c.index(addr)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -120,12 +122,12 @@ func (c *Cache) Contains(addr uint64) bool {
 // Insert fills the line containing addr, returning the evicted victim's
 // line address and dirtiness when a valid line had to be replaced.
 func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted bool) {
-	set, tag := c.index(addr)
+	ways, set, tag := c.index(addr)
 	c.clock++
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.used = c.clock // already present (racing fills)
 			return 0, false, false
@@ -138,11 +140,11 @@ func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted boo
 			oldest = l.used
 		}
 	}
-	v := &c.sets[set][victim]
+	v := &ways[victim]
 	if v.valid {
 		evicted = true
 		victimDirty = v.dirty
-		victimAddr = (v.tag*uint64(len(c.sets)) + set) * uint64(c.cfg.LineSize)
+		victimAddr = (v.tag*c.nsets + set) * uint64(c.cfg.LineSize)
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.Writebacks++
@@ -154,9 +156,9 @@ func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted boo
 
 // SetDirty marks the line containing addr dirty (no-op if absent).
 func (c *Cache) SetDirty(addr uint64) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways, _, tag := c.index(addr)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.dirty = true
 			return
@@ -167,9 +169,9 @@ func (c *Cache) SetDirty(addr uint64) {
 // Invalidate drops the line containing addr, reporting whether it was
 // present and dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways, _, tag := c.index(addr)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.valid = false
 			return l.dirty, true
@@ -181,19 +183,19 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 // Preload fills the line containing addr without statistics, for warming
 // caches in tests and benchmarks.
 func (c *Cache) Preload(addr uint64) {
-	set, tag := c.index(addr)
+	ways, _, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return
 		}
 	}
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
-			c.sets[set][i] = line{tag: tag, used: c.clock, valid: true}
+	for i := range ways {
+		if !ways[i].valid {
+			ways[i] = line{tag: tag, used: c.clock, valid: true}
 			return
 		}
 	}
-	c.sets[set][0] = line{tag: tag, used: c.clock, valid: true}
+	ways[0] = line{tag: tag, used: c.clock, valid: true}
 }

@@ -408,8 +408,9 @@ func (c *Cluster) Registry() *counters.Registry { return c.reg }
 
 // AttachTrace enables cross-node distributed tracing: per-node journey
 // tracers on every machine, the wire-span tracer whose histograms land
-// in the cluster registry, and the NIC RX drain hooks. A recorder
-// attached afterwards writes the tracer's spans into the recording.
+// in the cluster registry, and the NIC RX drain hooks. An attached
+// recorder, whether attached before or after, writes the tracer's spans
+// into the recording.
 // Every node's clock offset is aligned at zero: the lookahead barrier
 // keeps all node clocks within one window of the cluster cycle, and all
 // stamps are taken in cluster cycles, so the domains coincide exactly —
@@ -421,6 +422,11 @@ func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
 	}
 	c.AttachCounters()
 	tr := ctrace.New(c.reg)
+	if c.rec != nil {
+		if err := c.rec.AddSpans(tr); err != nil {
+			return nil, err
+		}
+	}
 	for _, n := range c.nodes {
 		if _, err := n.M.AttachJourneys(); err != nil {
 			return nil, err
@@ -444,7 +450,7 @@ func (c *Cluster) Trace() *ctrace.Tracer { return c.tracer }
 
 // AttachRecorder attaches a flight recorder: every node's registry plus
 // the cluster registry become recorder sources, the wire tracer's spans
-// (when AttachTrace came first) go into the recording at its close, and
+// (attached before or after) go into the recording at its close, and
 // the cluster rolls a window every recorder-cadence cycles at the
 // single-threaded barrier (so recordings of parallel runs are
 // byte-identical to sequential ones). Cluster events — watchdog fires,

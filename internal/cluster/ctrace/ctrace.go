@@ -126,10 +126,6 @@ func newTracer(window int, reg *counters.Registry) *Tracer {
 //csb:barrier rewrites the offset table every merged stamp reads
 func (t *Tracer) SetAlign(node string, offset int64) { t.offsets[node] = offset }
 
-// E2EHistogram returns the end-to-end (fifo_push → rx_drain, aligned)
-// latency histogram.
-func (t *Tracer) E2EHistogram() *counters.Histogram { return t.hE2E }
-
 // Started returns the number of spans opened.
 func (t *Tracer) Started() uint64 { return t.started }
 
@@ -191,9 +187,6 @@ func (t *Tracer) PacketDropped(id, cycle uint64) {
 		t.dropped++
 	}
 }
-
-// Dropped returns the number of spans closed as fabric-dropped.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
 
 // PacketArrived stamps the wire latency elapsing, in the receiver's
 // cycle domain.

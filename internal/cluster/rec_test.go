@@ -117,6 +117,54 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRecorderBeforeTrace: a recorder attached before the wire tracer
+// still writes the tracer's spans as s frames, and its recording equals,
+// byte for byte, the one made in the usual order (tracer first).
+func TestRecorderBeforeTrace(t *testing.T) {
+	record := func(recFirst bool) []byte {
+		cfg := DefaultConfig()
+		cfg.Nodes = 2
+		cfg.WireLatency = 90
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range c.Nodes() {
+			n.MapIO(false)
+			if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
+				t.Fatal(err)
+			}
+			hookSender(c, i, uint64(211+17*i), 12_000, 20_000)
+		}
+		var buf *bytes.Buffer
+		if recFirst {
+			buf = attachRecording(t, c, 4_000)
+		}
+		if _, err := c.AttachTrace(); err != nil {
+			t.Fatal(err)
+		}
+		if !recFirst {
+			buf = attachRecording(t, c, 4_000)
+		}
+		if err := c.RunFor(25_000, false); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	traceFirst, recFirst := record(false), record(true)
+	rc, err := rec.Read(recFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rc.Spans) == 0 {
+		t.Fatal("recorder attached before the tracer wrote no s frames")
+	}
+	if !bytes.Equal(traceFirst, recFirst) {
+		t.Errorf("recording depends on attach order (%d vs %d bytes)", len(traceFirst), len(recFirst))
+		logFirstDiff(t, traceFirst, recFirst)
+	}
+}
+
 // TestSameSeedDiffEmpty pins the regression-check contract behind
 // `csbrec diff`: two runs from the same seed produce recordings with no
 // semantic differences (and, byte-equal files aside, Diff itself finds

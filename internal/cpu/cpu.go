@@ -174,7 +174,7 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 		iqNext:   make([]*uop, 0, cfg.ROBSize),
 		woken:    make([]*uop, 0, cfg.ROBSize),
 		exq:      make([]*uop, 0, cfg.ROBSize),
-		decCache: make([]decEntry, decCacheSize),
+		decCache: make([]decEntry, decCacheMin),
 		decGen:   1,
 	}
 	c.rob = c.robBack

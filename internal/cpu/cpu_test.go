@@ -897,3 +897,42 @@ handler:
 		}
 	}
 }
+
+// TestDecodeCacheGrows: the decode cache starts at decCacheMin entries
+// and quadruples, keeping its live entries, when a miss would evict a
+// live entry for another PC; at decCacheMax a conflicting PC replaces it.
+func TestDecodeCacheGrows(t *testing.T) {
+	r := newRig(t)
+	p, err := asm.Assemble("words.s", "add %g1, 1, %g2\nsub %g3, 2, %g4\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, code, err := p.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in0, in1 := isa.Decode(mem.ByteOrder.Uint32(code)), isa.Decode(mem.ByteOrder.Uint32(code[4:]))
+	const pc = 0x10000
+	r.ram.Write(pc, code[:4])
+	if got := r.c.decode(pc); got != in0 || len(r.c.decCache) != decCacheMin {
+		t.Fatalf("decode = %v with %d entries, want %v with %d", got, len(r.c.decCache), in0, decCacheMin)
+	}
+	// Overwrite pc's word behind the cache's back: decode(pc) returns in0
+	// for as long as pc's entry lives.
+	r.ram.Write(pc, code[4:])
+	for _, want := range []struct {
+		size int
+		pc   isa.Inst
+	}{{4 * decCacheMin, in0}, {decCacheMax, in0}, {decCacheMax, in1}} {
+		// The PC one cache size up maps to pc's slot.
+		other := uint64(pc + 4*len(r.c.decCache))
+		r.ram.Write(other, code[4:])
+		if got := r.c.decode(other); got != in1 || len(r.c.decCache) != want.size {
+			t.Fatalf("decode(%#x) = %v with %d entries, want %v with %d",
+				other, got, len(r.c.decCache), in1, want.size)
+		}
+		if got := r.c.decode(pc); got != want.pc {
+			t.Fatalf("with %d entries decode(pc) = %v, want %v", want.size, got, want.pc)
+		}
+	}
+}

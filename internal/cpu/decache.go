@@ -16,10 +16,14 @@ import "csbsim/internal/isa"
 // DMA writes are NOT snooped, matching the I-cache model (which also never
 // observes device writes): a program that DMA'd over its own code was
 // already incoherent before this cache existed.
+//
+// The array starts small, since most programs are short loops, and grows
+// x4 (up to decCacheMax) the first time a miss would evict a live entry
+// for another PC. Growth only costs refetches, never a result.
 
 const (
-	decCacheSize = 4096 // entries; instructions are 4-byte aligned
-	decCacheMask = decCacheSize - 1
+	decCacheMin = 256  // entries; instructions are 4-byte aligned
+	decCacheMax = 4096 // entries
 )
 
 type decEntry struct {
@@ -28,16 +32,37 @@ type decEntry struct {
 	inst isa.Inst
 }
 
+// decSlot returns the cache entry pc maps to.
+func (c *CPU) decSlot(pc uint64) *decEntry {
+	return &c.decCache[(pc>>2)&uint64(len(c.decCache)-1)]
+}
+
 // decode returns the instruction at pc, from the decode cache when
 // possible.
 func (c *CPU) decode(pc uint64) isa.Inst {
-	e := &c.decCache[(pc>>2)&decCacheMask]
+	e := c.decSlot(pc)
 	if e.gen == c.decGen && e.pc == pc {
 		return e.inst
+	}
+	if e.gen == c.decGen && len(c.decCache) < decCacheMax {
+		c.growDecodeCache()
+		e = c.decSlot(pc)
 	}
 	in := isa.Decode(uint32(c.ram.ReadUint(pc, 4)))
 	*e = decEntry{pc: pc, gen: c.decGen, inst: in}
 	return in
+}
+
+// growDecodeCache quadruples the decode cache and keeps its live entries:
+// each keeps its index bits, so no two collide in the larger array.
+func (c *CPU) growDecodeCache() {
+	old := c.decCache
+	c.decCache = make([]decEntry, 4*len(old))
+	for _, e := range old {
+		if e.gen == c.decGen {
+			*c.decSlot(e.pc) = e
+		}
+	}
 }
 
 // invalidateDecodeCache drops every cached decode in O(1) by bumping the
@@ -49,7 +74,7 @@ func (c *CPU) invalidateDecodeCache() {
 // decInvalidate drops cached decodes overlapping a CPU store to RAM.
 func (c *CPU) decInvalidate(pa uint64, size int) {
 	for a := pa &^ 3; a < pa+uint64(size); a += 4 {
-		e := &c.decCache[(a>>2)&decCacheMask]
+		e := c.decSlot(a)
 		if e.pc == a {
 			e.gen = 0
 		}

@@ -120,41 +120,48 @@ type PTE struct {
 	Valid    bool
 }
 
-// PageTable maps one process's virtual pages to PTEs. The zero value is an
-// empty table.
+// PageTable maps one process's virtual pages to PTEs. It keeps the mapped
+// ranges in mapping order; a later range overrides an earlier one on the
+// pages they share. The zero value is an empty table.
 type PageTable struct {
-	entries map[uint64]PTE
+	ranges []pageRange
+}
+
+// pageRange maps the virtual pages [first, last] to consecutive frames
+// from pfn on.
+type pageRange struct {
+	first, last uint64 // virtual page numbers, inclusive
+	pfn         uint64
+	kind        Kind
+	writable    bool
 }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
-	return &PageTable{entries: make(map[uint64]PTE)}
+	return &PageTable{}
 }
 
-// Map installs a translation for the page containing va.
-func (pt *PageTable) Map(va, pa uint64, kind Kind, writable bool) {
-	pt.entries[va>>PageBits] = PTE{PFN: pa >> PageBits, Kind: kind, Writable: writable, Valid: true}
-}
-
-// MapRange maps [va, va+size) to [pa, pa+size), page by page.
+// MapRange maps [va, va+size) to [pa, pa+size), page by page. A size of
+// zero maps nothing.
 func (pt *PageTable) MapRange(va, pa, size uint64, kind Kind, writable bool) {
-	first := va >> PageBits
-	last := (va + size - 1) >> PageBits
-	for vpn := first; vpn <= last; vpn++ {
-		pt.entries[vpn] = PTE{PFN: pa>>PageBits + (vpn - first), Kind: kind, Writable: writable, Valid: true}
+	if size == 0 {
+		return
 	}
+	pt.ranges = append(pt.ranges, pageRange{
+		first: va >> PageBits, last: (va + size - 1) >> PageBits,
+		pfn: pa >> PageBits, kind: kind, writable: writable,
+	})
 }
 
-// Lookup returns the PTE for the page containing va.
+// Lookup returns the PTE for the page containing va: the newest range
+// that covers it decides.
 func (pt *PageTable) Lookup(va uint64) (PTE, bool) {
-	e, ok := pt.entries[va>>PageBits]
-	return e, ok && e.Valid
+	vpn := va >> PageBits
+	for i := len(pt.ranges) - 1; i >= 0; i-- {
+		r := &pt.ranges[i]
+		if vpn >= r.first && vpn <= r.last {
+			return PTE{PFN: r.pfn + (vpn - r.first), Kind: r.kind, Writable: r.writable, Valid: true}, true
+		}
+	}
+	return PTE{}, false
 }
-
-// Unmap removes the translation for the page containing va.
-func (pt *PageTable) Unmap(va uint64) {
-	delete(pt.entries, va>>PageBits)
-}
-
-// Len reports the number of valid entries.
-func (pt *PageTable) Len() int { return len(pt.entries) }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -83,7 +84,7 @@ func TestMemoryQuick(t *testing.T) {
 
 func TestPageTableMapLookup(t *testing.T) {
 	pt := NewPageTable()
-	pt.Map(0x10000, 0x40000, KindCached, true)
+	pt.MapRange(0x10000, 0x40000, PageSize, KindCached, true)
 	pte, ok := pt.Lookup(0x10ab4)
 	if !ok {
 		t.Fatal("lookup missed")
@@ -94,18 +95,24 @@ func TestPageTableMapLookup(t *testing.T) {
 	if _, ok := pt.Lookup(0x20000); ok {
 		t.Error("unmapped page should miss")
 	}
-	pt.Unmap(0x10000)
-	if _, ok := pt.Lookup(0x10000); ok {
-		t.Error("unmapped page still present")
+	if _, ok := pt.Lookup(0x11000); ok {
+		t.Error("page past the range should miss")
+	}
+	// A later range overrides the pages it covers.
+	pt.MapRange(0x10000, 0x90000, PageSize, KindCombining, false)
+	pte, _ = pt.Lookup(0x10000)
+	if pte.PFN != 0x90000>>PageBits || pte.Kind != KindCombining || pte.Writable {
+		t.Errorf("remapped pte = %+v", pte)
+	}
+	var zero PageTable
+	if _, ok := zero.Lookup(0x10000); ok {
+		t.Error("zero-value table should miss")
 	}
 }
 
 func TestPageTableMapRange(t *testing.T) {
 	pt := NewPageTable()
 	pt.MapRange(0x10000, 0x80000, 3*PageSize+1, KindUncached, true)
-	if pt.Len() != 4 {
-		t.Fatalf("mapped %d pages, want 4", pt.Len())
-	}
 	for i := uint64(0); i < 4; i++ {
 		pte, ok := pt.Lookup(0x10000 + i*PageSize)
 		if !ok {
@@ -116,6 +123,55 @@ func TestPageTableMapRange(t *testing.T) {
 		}
 		if pte.Kind != KindUncached {
 			t.Errorf("page %d kind = %v", i, pte.Kind)
+		}
+	}
+	for _, va := range []uint64{0x10000 - 1, 0x10000 + 4*PageSize} {
+		if _, ok := pt.Lookup(va); ok {
+			t.Errorf("%#x outside the 4 mapped pages resolved", va)
+		}
+	}
+	pt.MapRange(0x40000, 0x40000, 0, KindCombining, true)
+	if _, ok := pt.Lookup(0x40000); ok {
+		t.Error("a zero-size range mapped a page")
+	}
+}
+
+// TestPageTableMatchesPageMap drives random sequences of overlapping
+// MapRange calls (mixed kinds and writability, some of size zero) and
+// checks every page against a per-page map, in which each call writes
+// one entry per page it covers and the last write wins.
+func TestPageTableMatchesPageMap(t *testing.T) {
+	const pages = 64 // virtual pages the ranges fall in
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pt := NewPageTable()
+		model := make(map[uint64]PTE)
+		for call := 0; call < 1+rng.Intn(12); call++ {
+			va := uint64(rng.Intn(pages*PageSize)) &^ 7
+			pa := uint64(rng.Intn(1<<30)) &^ 7
+			size := uint64(rng.Intn(8 * PageSize))
+			if rng.Intn(5) == 0 {
+				size = 0
+			}
+			kind := Kind(rng.Intn(int(numKinds)))
+			writable := rng.Intn(2) == 0
+			pt.MapRange(va, pa, size, kind, writable)
+			if size == 0 {
+				continue
+			}
+			first, last := va>>PageBits, (va+size-1)>>PageBits
+			for vpn := first; vpn <= last; vpn++ {
+				model[vpn] = PTE{PFN: pa>>PageBits + (vpn - first), Kind: kind, Writable: writable, Valid: true}
+			}
+		}
+		for vpn := uint64(0); vpn < pages+8; vpn++ {
+			va := vpn<<PageBits | uint64(rng.Intn(PageSize))
+			got, ok := pt.Lookup(va)
+			want, wantOK := model[vpn]
+			if ok != wantOK || got != want {
+				t.Fatalf("seed %d page %#x: Lookup = %+v, %v; per-page map %+v, %v",
+					seed, vpn, got, ok, want, wantOK)
+			}
 		}
 	}
 }
