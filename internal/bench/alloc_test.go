@@ -168,7 +168,7 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 // cache level makes two (the Cache and its one flat tag array) whatever
 // its number of sets.
 func TestBuildAllocs(t *testing.T) {
-	const buildAllocs = 60
+	const buildAllocs = 55
 	p := DefaultParams()
 	if got := testing.AllocsPerRun(20, func() {
 		if _, err := p.Build(); err != nil {

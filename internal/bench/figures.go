@@ -130,14 +130,50 @@ func Figure5(lockHit bool) (Result, error) {
 	for _, n := range LockTransferDwords {
 		r.X = append(r.X, fmt.Sprintf("%dB", n*8))
 	}
+	// Each distinct program is assembled once and shared read-only:
+	// progs[0] is the prologue, progs[1+xi] the lock sequence and
+	// progs[1+nx+xi] the CSB sequence for LockTransferDwords[xi].
+	nx := len(LockTransferDwords)
+	srcs := []string{LockPrologueProgram()}
+	for _, s := range []Scheme{0, SchemeCSB} {
+		for _, n := range LockTransferDwords {
+			srcs = append(srcs, lockSequenceProgram(s, n))
+		}
+	}
+	progs, err := Sweep(srcs, 0, func(src string) (*asm.Program, error) {
+		return asm.Assemble("lock.s", src)
+	})
+	if err != nil {
+		return r, err
+	}
+	// Each series' prologue baseline is measured once, not per point.
 	schemes := Schemes(p.LineSize)
-	ys, err := sweepSeries(len(schemes), len(LockTransferDwords), func(si, xi int) (float64, error) {
+	bases, err := Sweep(schemes, 0, func(s Scheme) (uint64, error) {
+		pp := p
+		pp.Scheme = s
+		base, err := runLock(pp, progs[0], lockHit)
+		if err != nil {
+			return 0, fmt.Errorf("figure %s %s prologue: %w", id, s, err)
+		}
+		return base, nil
+	})
+	if err != nil {
+		return r, err
+	}
+	ys, err := sweepSeries(len(schemes), nx, func(si, xi int) (float64, error) {
 		pp := p
 		pp.Scheme = schemes[si]
-		n := LockTransferDwords[xi]
-		cycles, err := MeasureLockLatency(pp, n, lockHit)
+		prog := progs[1+xi]
+		if pp.Scheme == SchemeCSB {
+			prog = progs[1+nx+xi]
+		}
+		full, err := runLock(pp, prog, lockHit)
+		var cycles float64
+		if err == nil {
+			cycles, err = lockLatency(full, bases[si])
+		}
 		if err != nil {
-			return 0, fmt.Errorf("figure %s %s n=%d: %w", id, schemes[si], n, err)
+			return 0, fmt.Errorf("figure %s %s n=%d: %w", id, schemes[si], LockTransferDwords[xi], err)
 		}
 		return cycles, nil
 	})

@@ -198,46 +198,67 @@ func MeasureCSBIssueOverhead(p MachineParams, lines int) (float64, error) {
 // of one lock-access-unlock sequence (or CSB sequence) transferring
 // nDwords doublewords, with the lock either warm in L1 or cold.
 func MeasureLockLatency(p MachineParams, nDwords int, lockHit bool) (float64, error) {
-	run := func(src string) (uint64, error) {
-		m, err := p.Build()
-		if err != nil {
-			return 0, err
-		}
-		m.MapRange(IOBase, 1<<20, storeKind(p.Scheme))
-		prog, err := m.LoadSource("lock.s", src)
-		if err != nil {
-			return 0, err
-		}
-		m.WarmProgram(prog)
-		if !lockHit {
-			// Evict the lock line so the swap misses (figure 5b). The
-			// prologue data page was warmed wholesale; invalidate the
-			// lock's line in both levels.
-			lockAddr, ok := prog.Symbol("lock")
-			if ok {
-				m.Hier.L1D().Invalidate(lockAddr)
-				m.Hier.L2().Invalidate(lockAddr)
-			}
-		}
-		if err := m.Run(50_000_000); err != nil {
-			return 0, err
-		}
-		return m.Cycle(), nil
-	}
-	var seq string
-	if p.Scheme == SchemeCSB {
-		seq = CSBSequenceProgram(nDwords)
-	} else {
-		seq = LockSequenceProgram(nDwords)
-	}
-	full, err := run(seq)
+	seq, err := asm.Assemble("lock.s", lockSequenceProgram(p.Scheme, nDwords))
 	if err != nil {
 		return 0, err
 	}
-	base, err := run(LockPrologueProgram())
+	prologue, err := asm.Assemble("lock.s", LockPrologueProgram())
 	if err != nil {
 		return 0, err
 	}
+	full, err := runLock(p, seq, lockHit)
+	if err != nil {
+		return 0, err
+	}
+	base, err := runLock(p, prologue, lockHit)
+	if err != nil {
+		return 0, err
+	}
+	return lockLatency(full, base)
+}
+
+// lockSequenceProgram is the figure-5 sequence a scheme runs: the CSB's
+// combining stores and conditional flush, or every other scheme's
+// lock-access-unlock.
+func lockSequenceProgram(s Scheme, nDwords int) string {
+	if s == SchemeCSB {
+		return CSBSequenceProgram(nDwords)
+	}
+	return LockSequenceProgram(nDwords)
+}
+
+// runLock runs prog, a figure-5 program, to its halt on a fresh machine
+// and returns the cycle count. Unless lockHit, the lock's line is evicted
+// first. The program is only read, so concurrent runs may share it.
+func runLock(p MachineParams, prog *asm.Program, lockHit bool) (uint64, error) {
+	m, err := p.Build()
+	if err != nil {
+		return 0, err
+	}
+	m.MapRange(IOBase, 1<<20, storeKind(p.Scheme))
+	if err := m.Load(prog); err != nil {
+		return 0, err
+	}
+	m.WarmProgram(prog)
+	if !lockHit {
+		// Evict the lock line so the swap misses (figure 5b). The
+		// prologue data page was warmed wholesale; invalidate the
+		// lock's line in both levels.
+		lockAddr, ok := prog.Symbol("lock")
+		if ok {
+			m.Hier.L1D().Invalidate(lockAddr)
+			m.Hier.L2().Invalidate(lockAddr)
+		}
+	}
+	if err := m.Run(50_000_000); err != nil {
+		return 0, err
+	}
+	return m.Cycle(), nil
+}
+
+// lockLatency is a sequence's cost: its run's cycles less those of the
+// prologue alone on the same machine.
+func lockLatency(full, base uint64) (float64, error) {
 	if full < base {
 		return 0, fmt.Errorf("bench: negative lock latency (%d < %d)", full, base)
 	}

@@ -83,7 +83,9 @@ type Txn struct {
 	Addr  uint64
 	Size  int
 	Write bool
-	// Data holds write payload (len == Size) or receives read data.
+	// Data holds write payload (len == Size) or receives read data, in
+	// place when its capacity allows: an agent that reuses its Txn
+	// reuses the buffer too.
 	Data []byte
 	// Ordered marks strongly-ordered uncached transactions subject to
 	// the AckDelay spacing rule.
@@ -357,7 +359,13 @@ func (b *Bus) complete(t *Txn) {
 	} else {
 		b.stats.Reads++
 		if b.router != nil && !t.Silent {
-			t.Data = b.router.Read(t.Addr, t.Size)
+			// The read lands in the Txn's own buffer, which a pooled
+			// Txn keeps from one read to the next.
+			if cap(t.Data) < t.Size {
+				t.Data = make([]byte, t.Size) //csb:alloc-ok — a Txn's first read of this size
+			}
+			t.Data = t.Data[:t.Size]
+			b.router.Read(t.Addr, t.Data)
 		} else if t.Data == nil {
 			t.Data = make([]byte, t.Size) //csb:alloc-ok — router-less test configurations only
 		}

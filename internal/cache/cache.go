@@ -11,7 +11,10 @@
 // on hit/miss latency and bus occupancy).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -38,6 +41,12 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: %d sets not a power of two", sets)
 	}
+	if c.LineSize*sets < 4 {
+		// The two top bits of a line's tag word hold its valid and
+		// dirty flags, so the tag may take at most 62 address bits.
+		return fmt.Errorf("cache: %d sets of %d-byte lines leave a tag wider than 62 bits",
+			sets, c.LineSize)
+	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache: negative hit latency")
 	}
@@ -49,21 +58,38 @@ type Stats struct {
 	Hits, Misses, Evictions, Writebacks uint64
 }
 
+// line is one way of a set in 16 bytes: key holds the tag in its low 62
+// bits (Validate keeps tags that narrow) and the valid and dirty flags in
+// its top two, and used is the LRU clock of the last touch.
 type line struct {
-	tag   uint64
-	used  uint64
-	valid bool
-	dirty bool
+	key  uint64
+	used uint64
 }
+
+const (
+	validBit = 1 << 63
+	dirtyBit = 1 << 62
+)
+
+func (l *line) valid() bool { return l.key&validBit != 0 }
+func (l *line) dirty() bool { return l.key&dirtyBit != 0 }
+func (l *line) tag() uint64 { return l.key &^ (validBit | dirtyBit) }
+
+// holds reports whether l is valid with tag tag.
+func (l *line) holds(tag uint64) bool { return l.key&^dirtyBit == tag|validBit }
 
 // Cache is one set-associative tag array with true-LRU replacement. The
 // tag array is one flat slice: set s holds lines[s*assoc : (s+1)*assoc].
+// Line size and set count are powers of two, so an address splits into
+// set and tag by shift and mask.
 type Cache struct {
-	cfg   Config
-	lines []line
-	nsets uint64
-	clock uint64
-	stats Stats
+	cfg       Config
+	lines     []line
+	nsets     uint64
+	lineShift uint
+	setShift  uint
+	clock     uint64
+	stats     Stats
 }
 
 // New builds a cache level.
@@ -72,7 +98,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
-	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), nsets: uint64(nsets)}, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, nsets*cfg.Assoc),
+		nsets:     uint64(nsets),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+	}, nil
 }
 
 // Config returns the cache geometry.
@@ -84,8 +116,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 // index returns the ways of the set addr maps to, the set number and the
 // tag.
 func (c *Cache) index(addr uint64) (ways []line, set uint64, tag uint64) {
-	lineAddr := addr / uint64(c.cfg.LineSize)
-	set, tag = lineAddr%c.nsets, lineAddr/c.nsets
+	lineAddr := addr >> c.lineShift
+	set, tag = lineAddr&(c.nsets-1), lineAddr>>c.setShift
 	base := int(set) * c.cfg.Assoc
 	return c.lines[base : base+c.cfg.Assoc], set, tag
 }
@@ -97,7 +129,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	c.clock++
 	for i := range ways {
 		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if l.holds(tag) {
 			l.used = c.clock
 			c.stats.Hits++
 			return true
@@ -111,8 +143,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Contains(addr uint64) bool {
 	ways, _, tag := c.index(addr)
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if ways[i].holds(tag) {
 			return true
 		}
 	}
@@ -128,11 +159,11 @@ func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted boo
 	var oldest uint64 = ^uint64(0)
 	for i := range ways {
 		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if l.holds(tag) {
 			l.used = c.clock // already present (racing fills)
 			return 0, false, false
 		}
-		if !l.valid {
+		if !l.valid() {
 			victim = i
 			oldest = 0
 		} else if l.used < oldest {
@@ -141,16 +172,16 @@ func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted boo
 		}
 	}
 	v := &ways[victim]
-	if v.valid {
+	if v.valid() {
 		evicted = true
-		victimDirty = v.dirty
-		victimAddr = (v.tag*c.nsets + set) * uint64(c.cfg.LineSize)
+		victimDirty = v.dirty()
+		victimAddr = (v.tag()*c.nsets + set) * uint64(c.cfg.LineSize)
 		c.stats.Evictions++
-		if v.dirty {
+		if victimDirty {
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: tag, used: c.clock, valid: true}
+	*v = line{key: tag | validBit, used: c.clock}
 	return victimAddr, victimDirty, evicted
 }
 
@@ -159,8 +190,8 @@ func (c *Cache) SetDirty(addr uint64) {
 	ways, _, tag := c.index(addr)
 	for i := range ways {
 		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.dirty = true
+		if l.holds(tag) {
+			l.key |= dirtyBit
 			return
 		}
 	}
@@ -172,9 +203,9 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	ways, _, tag := c.index(addr)
 	for i := range ways {
 		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return l.dirty, true
+		if l.holds(tag) {
+			l.key &^= validBit
+			return l.dirty(), true
 		}
 	}
 	return false, false
@@ -186,16 +217,15 @@ func (c *Cache) Preload(addr uint64) {
 	ways, _, tag := c.index(addr)
 	c.clock++
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if ways[i].holds(tag) {
 			return
 		}
 	}
 	for i := range ways {
-		if !ways[i].valid {
-			ways[i] = line{tag: tag, used: c.clock, valid: true}
+		if !ways[i].valid() {
+			ways[i] = line{key: tag | validBit, used: c.clock}
 			return
 		}
 	}
-	ways[0] = line{tag: tag, used: c.clock, valid: true}
+	ways[0] = line{key: tag | validBit, used: c.clock}
 }

@@ -29,6 +29,8 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 256, Assoc: 2, LineSize: 48},
 		{Size: 192, Assoc: 1, LineSize: 64}, // 3 sets
 		{Size: 256, Assoc: 2, LineSize: 64, HitLatency: -1},
+		{Size: 2, Assoc: 1, LineSize: 2}, // a 63-bit tag
+		{Size: 2, Assoc: 2, LineSize: 1}, // a 64-bit tag
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -348,5 +350,76 @@ func TestLRUNeverEvictsMRU(t *testing.T) {
 			lastTouched = addr &^ 63
 			haveTouch = true
 		}
+	}
+}
+
+// TestIndexMatchesDivision: index's shift-and-mask split of an address
+// gives the set and tag of the division formula, and the set's ways, for
+// random addresses in every geometry the machine is built with: the
+// default hierarchy at the figure sweeps' line sizes (figures 3d-3f),
+// plus the smallest caches the tests use.
+func TestIndexMatchesDivision(t *testing.T) {
+	var geoms []Config
+	for _, ls := range []int{32, 64, 128} {
+		h := DefaultHierConfig()
+		for _, c := range []Config{h.L1I, h.L1D, h.L2} {
+			c.LineSize = ls
+			geoms = append(geoms, c)
+		}
+	}
+	geoms = append(geoms, small(),
+		Config{Size: 64, Assoc: 1, LineSize: 64},
+		Config{Size: 512, Assoc: 4, LineSize: 64},
+		Config{Size: 4, Assoc: 1, LineSize: 4})
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range geoms {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		nsets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
+		for i := 0; i < 10_000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 0 {
+				addr >>= rng.Intn(64) // small addresses too
+			}
+			ways, set, tag := c.index(addr)
+			lineAddr := addr / uint64(cfg.LineSize)
+			wantSet, wantTag := lineAddr%nsets, lineAddr/nsets
+			if set != wantSet || tag != wantTag || len(ways) != cfg.Assoc ||
+				&ways[0] != &c.lines[int(wantSet)*cfg.Assoc] {
+				t.Fatalf("%+v: index(%#x) = set %d tag %#x, want set %d tag %#x",
+					cfg, addr, set, tag, wantSet, wantTag)
+			}
+		}
+	}
+}
+
+// TestWidestTagsKeepFlags: the tag of the top line of the address space
+// fills every bit below the valid and dirty flags, and neither flag
+// aliases a tag bit.
+func TestWidestTagsKeepFlags(t *testing.T) {
+	c, err := New(Config{Size: 4, Assoc: 2, LineSize: 2}) // 1 set of 2-byte lines: 63-bit tags
+	if err == nil {
+		t.Fatalf("1 set of 2-byte lines accepted: %+v", c.Config())
+	}
+	c, err = New(Config{Size: 8, Assoc: 2, LineSize: 2}) // 2 sets of 2-byte lines: 62-bit tags
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := ^uint64(0)
+	below := top - 4 // same set, tag one less
+	c.Insert(top)
+	if !c.Contains(top) || c.Contains(below) {
+		t.Fatalf("after inserting %#x: contains it %v, contains %#x %v", top, c.Contains(top), below, c.Contains(below))
+	}
+	c.SetDirty(top)
+	c.Insert(below)
+	if victim, dirty, evicted := c.Insert(0x0); evicted || dirty || victim != 0 {
+		t.Fatalf("inserting into set 0 evicted %#x (dirty %v)", victim, dirty)
+	}
+	if victim, dirty, evicted := c.Insert(top - 8); !evicted || !dirty || victim != top&^1 {
+		t.Fatalf("third line in set 1 evicted %#x (dirty %v, evicted %v), want the dirty line %#x",
+			victim, dirty, evicted, top&^1)
 	}
 }

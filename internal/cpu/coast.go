@@ -69,7 +69,7 @@ func (c *CPU) QuietCycles() uint64 {
 		return 0
 	}
 	u := c.rob[0]
-	if u.isMem && (!u.addrReady || !u.dataSrcReady() || u.faulted) {
+	if u.isMem() && (!u.addrReady || !u.dataSrcReady() || u.faulted) {
 		return 0
 	}
 	p.refusal = refuseNone

@@ -54,13 +54,15 @@ type CPU struct {
 	woken  []*uop
 	exq    []*uop
 
-	// Allocation-free steady state: rob and fetchQ are windows into fixed
-	// backing arrays (compacted to the front when a push reaches the end),
-	// retired uops queue in retq until no in-flight uop can reference them
-	// and then return to uopFree, and branch snapshots recycle via
-	// snapFree. stBuf is the scratch encoding buffer for store data.
+	// Allocation-free steady state: rob, fetchQ and retq are windows into
+	// fixed backing arrays (compacted to the front when a push reaches
+	// the end), retired uops queue in retq until no in-flight uop can
+	// reference them and then return to uopFree, and branch snapshots
+	// recycle via snapFree. stBuf is the scratch encoding buffer for
+	// store data.
 	robBack  []*uop
 	fqBack   []*uop
+	retqBack []*uop
 	uopFree  []*uop
 	retq     []*uop
 	snapFree []*renSnap
@@ -72,6 +74,7 @@ type CPU struct {
 	decGen   uint32
 
 	pc           uint64
+	iLineMask    uint64 // L1I line size - 1
 	fetchBlocked bool
 	fetchGen     uint64 // invalidates in-flight I-cache fill callbacks
 	branchCount  int
@@ -157,28 +160,44 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Every uop queue is a window on one array, each capped so that no
+	// append runs into the next. The ROB, fetch-queue and retired-queue
+	// windows get double-capacity backings: pushes compact a live window
+	// to the front only when it drifts past the halfway point, amortizing
+	// the copy without ring-buffer indexing at every use site. A retired
+	// uop waits in retq at most until every uop in flight at its
+	// retirement has left, so retq holds at most ROBSize+FetchQueue
+	// entries plus one cycle's retires. The scheduling queues hold at
+	// most the ROB.
+	retqMax := cfg.ROBSize + cfg.FetchQueue + cfg.RetireWidth
+	back := make([]*uop, 6*cfg.ROBSize+2*cfg.FetchQueue+2*retqMax)
+	carve := func(n int) []*uop {
+		q := back[:0:n]
+		back = back[n:]
+		return q
+	}
 	c := &CPU{
-		cfg:  cfg,
-		hier: hier,
-		ub:   ub,
-		csb:  csb,
-		ram:  ram,
-		tlb:  mem.NewTLB(cfg.TLBEntries),
-		pred: newPredictor(cfg.PredictorSize),
-		// Double-capacity backings: pushes compact the live window to the
-		// front only when it drifts past the halfway point, amortizing the
-		// copy without ring-buffer indexing at every use site.
-		robBack:  make([]*uop, 0, 2*cfg.ROBSize),
-		fqBack:   make([]*uop, 0, 2*cfg.FetchQueue),
-		iq:       make([]*uop, 0, cfg.ROBSize),
-		iqNext:   make([]*uop, 0, cfg.ROBSize),
-		woken:    make([]*uop, 0, cfg.ROBSize),
-		exq:      make([]*uop, 0, cfg.ROBSize),
-		decCache: make([]decEntry, decCacheMin),
-		decGen:   1,
+		cfg:       cfg,
+		hier:      hier,
+		ub:        ub,
+		csb:       csb,
+		ram:       ram,
+		tlb:       mem.NewTLB(cfg.TLBEntries),
+		pred:      newPredictor(cfg.PredictorSize),
+		robBack:   carve(2 * cfg.ROBSize),
+		fqBack:    carve(2 * cfg.FetchQueue),
+		retqBack:  carve(2 * retqMax),
+		iq:        carve(cfg.ROBSize),
+		iqNext:    carve(cfg.ROBSize),
+		woken:     carve(cfg.ROBSize),
+		exq:       carve(cfg.ROBSize),
+		iLineMask: uint64(hier.LineSize() - 1),
+		decCache:  make([]decEntry, decCacheMin),
+		decGen:    1,
 	}
 	c.rob = c.robBack
 	c.fetchQ = c.fqBack
+	c.retq = c.retqBack
 	c.loadDone = c.uncachedLoadDone
 	return c, nil
 }
@@ -361,9 +380,18 @@ func (c *CPU) recycleRetired() {
 			c.uopFree = append(c.uopFree, u)
 		}
 	}
-	if i > 0 {
-		c.retq = append(c.retq[:0], c.retq[i:]...)
+	c.retq = c.retq[i:]
+}
+
+// pushRetq parks a retired uop on the retired queue's window.
+//
+//csb:hotpath
+//csb:pool — the retired queue is the uop pool's quarantine stage.
+func (c *CPU) pushRetq(u *uop) {
+	if len(c.retq) == cap(c.retq) {
+		c.retq = append(c.retqBack[:0], c.retq...)
 	}
+	c.retq = append(c.retq, u)
 }
 
 // SetPageTable installs the page table used for data-address translation.
@@ -542,8 +570,8 @@ func (c *CPU) retireBound() bool {
 	}
 	if len(c.fetchQ) != 0 && len(c.rob) < c.cfg.ROBSize {
 		u := c.fetchQ[0]
-		if !(u.isBranch && c.branchCount >= c.cfg.MaxBranches) &&
-			!(u.inst.Op.IsMem() && c.memCount >= c.cfg.LSQSize) {
+		if !(u.isBranch() && c.branchCount >= c.cfg.MaxBranches) &&
+			!(u.isMem() && c.memCount >= c.cfg.LSQSize) {
 			return false
 		}
 	}
@@ -557,19 +585,34 @@ func (c *CPU) fetch() {
 		c.stats.FetchStalls++
 		return
 	}
+	// The I-cache is checked once per line: nothing in the loop can
+	// change its contents, so a line present for the group's first
+	// instruction stays present for the rest of the group.
+	line := ^uint64(0)
 	for i := 0; i < c.cfg.FetchWidth && len(c.fetchQ) < c.cfg.FetchQueue; i++ {
-		if !c.hier.Present(c.pc, true) {
-			if i == 0 {
-				c.startICacheFill(c.pc)
+		if la := c.pc &^ c.iLineMask; la != line {
+			if !c.hier.Present(c.pc, true) {
+				if i == 0 {
+					c.startICacheFill(c.pc)
+				}
+				return
 			}
-			return
+			line = la
 		}
 		u := c.newUop()
 		u.seq = c.nextSeq()
-		u.inst = c.decode(c.pc)
+		e := c.decode(c.pc)
+		u.inst = e.inst
+		u.fl = e.fl
 		u.pc = c.pc
 		u.fetchC = c.stats.Cycles
-		c.predecode(u)
+		u.predNext = e.next
+		if e.fl&flCondBranch != 0 && !c.pred.predict(u.pc) {
+			u.predNext = u.pc + 4
+		}
+		if e.fl&flStopFetch != 0 {
+			c.fetchBlocked = true
+		}
 		c.pushFetchQ(u)
 		c.stats.Fetched++
 		taken := u.predNext != u.pc+4
@@ -598,34 +641,6 @@ func (c *CPU) startICacheFill(pc uint64) {
 	c.icacheMiss = true
 }
 
-// predecode computes the predicted next PC and marks control flow.
-func (c *CPU) predecode(u *uop) {
-	in := u.inst
-	switch in.Op {
-	case isa.OpBR:
-		u.isBranch = true
-		target := u.pc + 4 + uint64(int64(4)*in.Imm)
-		taken := in.Cond == isa.CondA || (in.Cond != isa.CondN && c.pred.predict(u.pc))
-		if taken {
-			u.predNext = target
-		} else {
-			u.predNext = u.pc + 4
-		}
-	case isa.OpJAL:
-		u.isBranch = true
-		u.predNext = u.pc + 4 + uint64(int64(4)*in.Imm)
-	case isa.OpJALR:
-		u.isBranch = true
-		u.predNext = 0 // unknown: fetch stalls until it resolves
-		c.fetchBlocked = true
-	case isa.OpHALT, isa.OpIRET:
-		u.predNext = u.pc // fetch stops; retire redirects if needed
-		c.fetchBlocked = true
-	default:
-		u.predNext = u.pc + 4
-	}
-}
-
 func (c *CPU) nextSeq() uint64 {
 	c.seq++
 	return c.seq
@@ -639,11 +654,10 @@ func (c *CPU) dispatch() {
 		if len(c.rob) >= c.cfg.ROBSize {
 			return
 		}
-		if u.isBranch && c.branchCount >= c.cfg.MaxBranches {
+		if u.isBranch() && c.branchCount >= c.cfg.MaxBranches {
 			return
 		}
-		u.isMem = u.inst.Op.IsMem()
-		if u.isMem && c.memCount >= c.cfg.LSQSize {
+		if u.isMem() && c.memCount >= c.cfg.LSQSize {
 			return
 		}
 		c.fetchQ = c.fetchQ[1:]
@@ -655,10 +669,10 @@ func (c *CPU) dispatch() {
 		}
 		c.stats.Dispatched++
 		c.squashRefill = false
-		if u.isBranch {
+		if u.isBranch() {
 			c.branchCount++
 		}
-		if u.isMem {
+		if u.isMem() {
 			c.memCount++
 		}
 	}
@@ -674,7 +688,7 @@ func (c *CPU) dispatch() {
 //csb:hotpath
 //csb:pool — the issue queue is the pipeline's own storage for in-flight uops.
 func (c *CPU) enqueue(u *uop) {
-	if !u.isMem {
+	if !u.isMem() {
 		if p := u.blocker(); p != nil {
 			park(u, p)
 			return
@@ -690,16 +704,17 @@ func (c *CPU) enqueue(u *uop) {
 //
 //csb:pool
 func (c *CPU) rename(u *uop) {
-	in := u.inst
+	in := &u.inst
+	fl := u.fl
 	// Source 1.
 	switch {
-	case in.Op.FPRs1():
+	case fl&flFPRs1 != 0:
 		if p := c.fpRen[in.Rs1]; p != nil {
 			u.s1 = p
 		} else {
 			u.v1 = c.arch.F[in.Rs1]
 		}
-	case u.ReadsIntRs1():
+	case fl&flIntRs1 != 0:
 		if p := c.intRen[in.Rs1]; p != nil {
 			u.s1 = p
 		} else {
@@ -708,13 +723,13 @@ func (c *CPU) rename(u *uop) {
 	}
 	// Source 2.
 	switch {
-	case in.Op.FPRs2():
+	case fl&flFPRs2 != 0:
 		if p := c.fpRen[in.Rs2]; p != nil {
 			u.s2 = p
 		} else {
 			u.v2 = c.arch.F[in.Rs2]
 		}
-	case u.ReadsIntRs2():
+	case fl&flIntRs2 != 0:
 		if p := c.intRen[in.Rs2]; p != nil {
 			u.s2 = p
 		} else {
@@ -722,7 +737,7 @@ func (c *CPU) rename(u *uop) {
 		}
 	}
 	// Store-data source (Rd read as a source).
-	if in.ReadsRdAsSource() {
+	if fl&flReadsRd != 0 {
 		if in.Op == isa.OpSTF {
 			if p := c.fpRen[in.Rd]; p != nil {
 				u.sd = p
@@ -738,14 +753,13 @@ func (c *CPU) rename(u *uop) {
 		}
 	}
 	// Condition codes for conditional branches.
-	if in.Op == isa.OpBR && in.Cond != isa.CondA && in.Cond != isa.CondN {
+	if fl&flCondBranch != 0 {
 		if c.ccRen != nil {
 			u.ccProd = c.ccRen
 		} else {
 			u.ccVal = c.arch.CC
 		}
 	}
-	u.writesCC = writesCC(in.Op)
 
 	// Trivial completions.
 	switch in.Op {
@@ -757,17 +771,17 @@ func (c *CPU) rename(u *uop) {
 	}
 
 	// Register the new producer mappings.
-	if u.inst.WritesFPReg() {
+	if fl&flWritesFP != 0 {
 		c.fpRen[in.Rd] = u
-	} else if u.inst.WritesIntReg() {
+	} else if fl&flWritesInt != 0 {
 		c.intRen[in.Rd] = u
 	}
-	if u.writesCC {
+	if fl&flWritesCC != 0 {
 		c.ccRen = u
 	}
 
 	// Branches snapshot the rename state including their own writes.
-	if u.isBranch {
+	if fl&flBranch != 0 {
 		s := c.newSnap()
 		s.ints = c.intRen
 		s.fps = c.fpRen
@@ -788,11 +802,6 @@ func (c *CPU) markDone(u *uop) {
 		c.wake(u)
 	}
 }
-
-// ReadsIntRs1 and ReadsIntRs2 forward to the instruction predicates; kept
-// as uop methods for symmetry with the FP checks above.
-func (u *uop) ReadsIntRs1() bool { return u.inst.ReadsIntRs1() }
-func (u *uop) ReadsIntRs2() bool { return u.inst.ReadsIntRs2() }
 
 // ---- issue ----
 
@@ -823,7 +832,7 @@ func (c *CPU) issue() {
 			break
 		}
 		var waiting bool
-		if u.isMem {
+		if u.isMem() {
 			waiting = c.issueMem(u, &agus, &ports)
 		} else {
 			waiting = c.issueFU(u, &ints, &fps)
@@ -837,24 +846,12 @@ func (c *CPU) issue() {
 	c.iq = kept
 }
 
-// hasIssueStage reports whether u's class goes through the issue stage,
-// the condition for joining the issue queue at dispatch. Barriers and
-// system ops execute at retire; NOP and invalid ops (both ClassSystem)
-// are already done at rename.
-func (u *uop) hasIssueStage() bool {
-	switch u.inst.Op.Class() {
-	case isa.ClassBarrier, isa.ClassSystem:
-		return false
-	}
-	return true
-}
-
 // issueFU starts an integer, branch or FP uop, whose operands are all
 // done, on a free unit of its class. It reports whether u still waits to
 // issue.
 func (c *CPU) issueFU(u *uop, ints, fps *int) bool {
 	units := ints
-	if u.inst.Op.Class() == isa.ClassFPU {
+	if u.fl&flFPU != 0 {
 		units = fps
 	}
 	if *units <= 0 {
@@ -985,7 +982,7 @@ func (c *CPU) finishWalk(u *uop) {
 }
 
 func (c *CPU) finishTranslate(u *uop, pte mem.PTE) {
-	if u.inst.Op.IsStore() && !pte.Writable {
+	if u.fl&flStore != 0 && !pte.Writable {
 		u.faulted = true
 		u.addrReady = true
 		return
@@ -1006,7 +1003,7 @@ func (c *CPU) orderingSafe(u *uop) bool {
 		if x.inst.Op == isa.OpMEMBAR {
 			return false
 		}
-		if !x.inst.Op.IsStore() {
+		if x.fl&flStore == 0 {
 			continue
 		}
 		if !x.addrReady {
@@ -1058,12 +1055,12 @@ func (c *CPU) advance(u *uop) bool {
 		return true
 	}
 	u.executing = false
-	if u.isMem {
+	if u.isMem() {
 		c.completeCachedLoad(u)
 		return false
 	}
 	c.execute(u)
-	if u.isBranch {
+	if u.isBranch() {
 		c.resolveBranch(u)
 	}
 	return false
@@ -1180,10 +1177,10 @@ func (c *CPU) recycleFetchQ() {
 func (c *CPU) killUop(x *uop) {
 	x.dead = true
 	c.releaseSnap(x)
-	if x.isBranch && !x.resolved {
+	if x.isBranch() && !x.resolved {
 		c.branchCount--
 	}
-	if x.isMem {
+	if x.isMem() {
 		c.memCount--
 	}
 	if x.pins == 0 {

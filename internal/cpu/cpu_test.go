@@ -221,14 +221,16 @@ func TestNeedsRetireExec(t *testing.T) {
 	}{
 		{uop{inst: isa.Inst{Op: isa.OpMEMBAR}}, true},
 		{uop{inst: isa.Inst{Op: isa.OpSWAP}}, true},
+		{uop{inst: isa.Inst{Op: isa.OpSWAP}, kind: mem.KindCached}, true},
 		{uop{inst: isa.Inst{Op: isa.OpHALT}}, true},
 		{uop{inst: isa.Inst{Op: isa.OpRDPR}}, true},
 		{uop{inst: isa.Inst{Op: isa.OpADD}}, false},
-		{uop{inst: isa.Inst{Op: isa.OpLDX}, isMem: true, kind: mem.KindCached}, false},
-		{uop{inst: isa.Inst{Op: isa.OpLDX}, isMem: true, kind: mem.KindUncached}, true},
-		{uop{inst: isa.Inst{Op: isa.OpSTX}, isMem: true, kind: mem.KindCombining}, true},
+		{uop{inst: isa.Inst{Op: isa.OpLDX}, kind: mem.KindCached}, false},
+		{uop{inst: isa.Inst{Op: isa.OpLDX}, kind: mem.KindUncached}, true},
+		{uop{inst: isa.Inst{Op: isa.OpSTX}, kind: mem.KindCombining}, true},
 	}
 	for _, c := range cases {
+		c.u.fl = instFlags(&c.u.inst)
 		if got := c.u.needsRetireExec(); got != c.want {
 			t.Errorf("needsRetireExec(%s, %v) = %v, want %v",
 				c.u.inst.Op.Name(), c.u.kind, got, c.want)
@@ -914,7 +916,7 @@ func TestDecodeCacheGrows(t *testing.T) {
 	in0, in1 := isa.Decode(mem.ByteOrder.Uint32(code)), isa.Decode(mem.ByteOrder.Uint32(code[4:]))
 	const pc = 0x10000
 	r.ram.Write(pc, code[:4])
-	if got := r.c.decode(pc); got != in0 || len(r.c.decCache) != decCacheMin {
+	if got := r.c.decode(pc).inst; got != in0 || len(r.c.decCache) != decCacheMin {
 		t.Fatalf("decode = %v with %d entries, want %v with %d", got, len(r.c.decCache), in0, decCacheMin)
 	}
 	// Overwrite pc's word behind the cache's back: decode(pc) returns in0
@@ -927,11 +929,11 @@ func TestDecodeCacheGrows(t *testing.T) {
 		// The PC one cache size up maps to pc's slot.
 		other := uint64(pc + 4*len(r.c.decCache))
 		r.ram.Write(other, code[4:])
-		if got := r.c.decode(other); got != in1 || len(r.c.decCache) != want.size {
+		if got := r.c.decode(other).inst; got != in1 || len(r.c.decCache) != want.size {
 			t.Fatalf("decode(%#x) = %v with %d entries, want %v with %d",
 				other, got, len(r.c.decCache), in1, want.size)
 		}
-		if got := r.c.decode(pc); got != want.pc {
+		if got := r.c.decode(pc).inst; got != want.pc {
 			t.Fatalf("with %d entries decode(pc) = %v, want %v", want.size, got, want.pc)
 		}
 	}

@@ -65,12 +65,12 @@ func (c *CPU) CheckQueues() error {
 		p, parked := parkedOn[u]
 		switch {
 		case parked:
-			if u.isMem || !u.waitsToIssue() || p.done || !u.readsFrom(p) {
+			if u.isMem() || !u.waitsToIssue() || p.done || !u.readsFrom(p) {
 				return fmt.Errorf("cpu: cycle %d: uop seq %d (%s) is parked on seq %d, not one of its pending operands",
 					c.stats.Cycles, u.seq, uopState(u), p.seq)
 			}
 		case u.waitsToIssue():
-			if !u.isMem && u.blocker() != nil {
+			if !u.isMem() && u.blocker() != nil {
 				return fmt.Errorf("cpu: cycle %d: uop seq %d waits on seq %d but is not parked",
 					c.stats.Cycles, u.seq, u.blocker().seq)
 			}
@@ -99,7 +99,7 @@ func (c *CPU) CheckQueues() error {
 				c.stats.Cycles, c.halted, len(c.rob), c.cfg.ROBSize, len(c.iq), len(c.woken),
 				len(c.exq), len(c.fetchQ), c.cfg.FetchQueue, c.fetchBlocked, c.icacheMiss, c.branchCount, c.memCount)
 		}
-		if h := c.rob[0]; h.blocker() != nil || h.isMem && !h.addrReady {
+		if h := c.rob[0]; h.blocker() != nil || h.isMem() && !h.addrReady {
 			return fmt.Errorf("cpu: cycle %d: asleep on head seq %d (%s) whose operands or address are not ready",
 				c.stats.Cycles, h.seq, uopState(h))
 		}
@@ -115,7 +115,7 @@ func (u *uop) waitsToIssue() bool {
 	if u.done || u.executing || !u.hasIssueStage() {
 		return false
 	}
-	return !(u.isMem && u.addrReady && !u.faulted && u.needsRetireExec())
+	return !(u.isMem() && u.addrReady && !u.faulted && u.needsRetireExec())
 }
 
 // readsFrom reports whether p is one of u's source producers.
@@ -144,7 +144,7 @@ func uopState(u *uop) string {
 	add(u.done, "done")
 	add(u.dead, "dead")
 	add(u.faulted, "faulted")
-	if u.isMem {
+	if u.isMem() {
 		add(true, fmt.Sprintf("mem(va=%#x kind=%v)", u.va, u.kind))
 		add(u.translating > 0, fmt.Sprintf("translating(%d left)", u.translating))
 		add(u.addrReady, "addr-ready")

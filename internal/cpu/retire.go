@@ -50,10 +50,10 @@ func (c *CPU) retire() {
 // advance u's own retire phase or countdown; a sleeping core (see Tick)
 // re-runs exactly this step.
 func (c *CPU) retireExecStep(u *uop) bool {
-	if u.isMem && !(u.addrReady && u.dataSrcReady()) {
+	if u.isMem() && !(u.addrReady && u.dataSrcReady()) {
 		return false
 	}
-	if u.isMem && u.faulted {
+	if u.isMem() && u.faulted {
 		c.fault(u)
 		return true
 	}
@@ -104,12 +104,12 @@ func (c *CPU) commit(u *uop) bool {
 
 func (c *CPU) commitDest(u *uop) {
 	switch {
-	case u.inst.WritesFPReg():
+	case u.fl&flWritesFP != 0:
 		c.arch.F[u.inst.Rd] = u.result
-	case u.inst.WritesIntReg():
+	case u.fl&flWritesInt != 0:
 		c.arch.R[u.inst.Rd] = u.result
 	}
-	if u.writesCC {
+	if u.fl&flWritesCC != 0 {
 		c.arch.CC = u.flags
 	}
 }
@@ -126,7 +126,7 @@ func (c *CPU) popHead(u *uop) {
 	if len(c.retireObs) != 0 {
 		ev := RetireEvent{
 			Cycle: c.stats.Cycles, Seq: u.seq, PC: u.pc, Inst: u.inst,
-			Result: u.result, Addr: u.va, IsMem: u.isMem,
+			Result: u.result, Addr: u.va, IsMem: u.isMem(),
 			FetchCycle: u.fetchC, DispatchCycle: u.dispatchC,
 			IssueCycle: u.issueC, CompleteCycle: u.completeC,
 		}
@@ -135,26 +135,26 @@ func (c *CPU) popHead(u *uop) {
 		}
 	}
 	c.rob = c.rob[1:]
-	if u.inst.WritesFPReg() && c.fpRen[u.inst.Rd] == u {
+	if u.fl&flWritesFP != 0 && c.fpRen[u.inst.Rd] == u {
 		c.fpRen[u.inst.Rd] = nil
-	} else if u.inst.WritesIntReg() && c.intRen[u.inst.Rd] == u {
+	} else if u.fl&flWritesInt != 0 && c.intRen[u.inst.Rd] == u {
 		c.intRen[u.inst.Rd] = nil
 	}
 	if c.ccRen == u {
 		c.ccRen = nil
 	}
-	if u.isMem {
+	if u.isMem() {
 		c.memCount--
 	}
-	if u.isBranch && !u.resolved {
+	if u.isBranch() && !u.resolved {
 		c.branchCount--
 	}
 	c.releaseSnap(u)
 	u.retired = true
 	u.freeStamp = c.seq
-	c.retq = append(c.retq, u)
+	c.pushRetq(u)
 	c.stats.Retired++
-	if u.isBranch && u.resolved {
+	if u.isBranch() && u.resolved {
 		c.arch.PC = u.actualNext
 	} else {
 		c.arch.PC = u.pc + 4

@@ -54,7 +54,7 @@ func (c *CPU) classifyCycle() obs.StallCause {
 		// refused by the cache write buffer (commit returned false).
 		return obs.CauseStoreBuf
 	}
-	if head.isMem {
+	if head.isMem() {
 		return c.classifyMem(head)
 	}
 	// Functional-unit op still waiting on operands or latency.
@@ -64,7 +64,7 @@ func (c *CPU) classifyCycle() obs.StallCause {
 // classifyRetireExec attributes a stalled retire-executed head operation
 // (uncached/combining accesses, swaps, MEMBAR).
 func (c *CPU) classifyRetireExec(u *uop) obs.StallCause {
-	if u.isMem && !u.addrReady {
+	if u.isMem() && !u.addrReady {
 		switch {
 		case u.walkStarted:
 			return obs.CauseTLB
@@ -74,7 +74,7 @@ func (c *CPU) classifyRetireExec(u *uop) obs.StallCause {
 			return obs.CauseLSQ // AGU contention
 		}
 	}
-	if u.isMem && !u.dataSrcReady() {
+	if u.isMem() && !u.dataSrcReady() {
 		return obs.CauseExec // store data not ready
 	}
 	switch u.inst.Op {

@@ -11,6 +11,7 @@ import (
 type uop struct {
 	seq  uint64
 	inst isa.Inst
+	fl   opFlags // inst's static flags, from the decode cache
 	pc   uint64
 	// predNext is the PC fetch continued at (the prediction for branches).
 	predNext uint64
@@ -35,12 +36,10 @@ type uop struct {
 	waiters *uop
 	wnext   *uop
 
-	result   uint64
-	flags    isa.Flags
-	writesCC bool
+	result uint64
+	flags  isa.Flags
 
 	// Memory state.
-	isMem       bool
 	agenDone    bool
 	translating int // remaining TLB-walk cycles (0 when not walking)
 	walkStarted bool
@@ -62,7 +61,6 @@ type uop struct {
 	completeC uint64
 
 	// Branch state.
-	isBranch   bool
 	snap       *renSnap
 	actualNext uint64
 	resolved   bool
@@ -87,21 +85,27 @@ type renSnap struct {
 	cc   *uop
 }
 
+// isMem reports whether u accesses memory (and holds an LSQ slot).
+func (u *uop) isMem() bool { return u.fl&flMem != 0 }
+
+// isBranch reports whether u can redirect fetch (and holds a branch slot
+// and a rename snapshot).
+func (u *uop) isBranch() bool { return u.fl&flBranch != 0 }
+
 // needsRetireExec reports whether the operation's effect happens at the
 // head of the ROB rather than in the execute stage: everything with side
-// effects that must be in-order, non-speculative and exactly-once.
+// effects that must be in-order, non-speculative and exactly-once. That
+// is barriers, privileged ops and swap, and any other memory access that
+// did not translate to a cached page.
 func (u *uop) needsRetireExec() bool {
-	switch u.inst.Op {
-	case isa.OpMEMBAR, isa.OpRDPR, isa.OpWRPR, isa.OpIRET, isa.OpTRAP, isa.OpHALT:
-		return true
-	case isa.OpSWAP:
-		return true
-	}
-	if u.isMem && u.kind != mem.KindCached {
-		return true
-	}
-	return false
+	return u.fl&flRetireExec != 0 || u.fl&flMem != 0 && u.kind != mem.KindCached
 }
+
+// hasIssueStage reports whether u goes through the issue stage, the
+// condition for joining the issue queue at dispatch. Barriers and system
+// ops execute at retire; NOP and invalid ops (both ClassSystem) are
+// already done at rename.
+func (u *uop) hasIssueStage() bool { return u.fl&flIssue != 0 }
 
 // blocker returns a source producer (register, store-data or condition
 // codes) whose result is not available yet, or nil when all are.

@@ -140,11 +140,11 @@ skip:
 	var sameCycle int
 	after := func() {
 		for _, ld := range r.c.rob {
-			if !ld.isMem || !ld.faulted || !ld.done {
+			if !ld.isMem() || !ld.faulted || !ld.done {
 				continue
 			}
 			for _, u := range r.c.rob {
-				if u.isMem || u.s1 != ld || !u.issued {
+				if u.isMem() || u.s1 != ld || !u.issued {
 					continue
 				}
 				if u.issueC != ld.completeC {

@@ -281,10 +281,12 @@ func (n *NIC) IntPending() bool { return n.intPending }
 
 // ---- mem.Target ----
 
-// ReadTarget implements register and packet-buffer reads.
-func (n *NIC) ReadTarget(pa uint64, size int) []byte {
+// ReadTarget implements register and packet-buffer reads. Unmapped
+// offsets read as zero.
+func (n *NIC) ReadTarget(pa uint64, out []byte) {
 	off := pa - n.base
-	out := make([]byte, size)
+	size := len(out)
+	clear(out)
 	switch {
 	case off >= PacketBufBase && off+uint64(size) <= PacketBufBase+PacketBufSize:
 		copy(out, n.packetBuf[off-PacketBufBase:])
@@ -316,7 +318,6 @@ func (n *NIC) ReadTarget(pa uint64, size int) []byte {
 		}
 		putLE(out, v)
 	}
-	return out
 }
 
 // RxPop destructively pops one word from the receive queue — the

@@ -26,7 +26,7 @@ func TestBackpressureWindowDropsAndSignals(t *testing.T) {
 
 	// While the window is open the status register advertises a full
 	// FIFO even though the FIFO is empty...
-	st := leUint(n.ReadTarget(base+RegStatus, 8))
+	st := leUint(readNIC(n, base+RegStatus, 8))
 	if st&2 == 0 {
 		t.Fatal("full bit clear during backpressure window")
 	}
@@ -34,7 +34,7 @@ func TestBackpressureWindowDropsAndSignals(t *testing.T) {
 	// drop counter (bits [31:16]) so software can detect and retry.
 	before := (st >> 16) & 0xffff
 	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
-	st = leUint(n.ReadTarget(base+RegStatus, 8))
+	st = leUint(readNIC(n, base+RegStatus, 8))
 	after := (st >> 16) & 0xffff
 	if after != before+1 {
 		t.Fatalf("drop counter %d -> %d, want +1", before, after)
@@ -46,7 +46,7 @@ func TestBackpressureWindowDropsAndSignals(t *testing.T) {
 	// After the window passes, the retried push is accepted and the
 	// packet goes out.
 	step(n, b, 11)
-	if st := leUint(n.ReadTarget(base+RegStatus, 8)); st&2 != 0 {
+	if st := leUint(readNIC(n, base+RegStatus, 8)); st&2 != 0 {
 		t.Fatal("full bit still set after window closed")
 	}
 	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
@@ -109,7 +109,7 @@ func TestInjectedStallDelaysSendButNotRegisters(t *testing.T) {
 	if len(n.Packets()) != 0 {
 		t.Fatal("packet sent during injected stall")
 	}
-	if st := leUint(n.ReadTarget(base+RegStatus, 8)); st>>32 != 0 {
+	if st := leUint(readNIC(n, base+RegStatus, 8)); st>>32 != 0 {
 		t.Fatal("status claims packets sent during stall")
 	}
 	// Once the burst ends the packet goes out and exactly one interrupt

@@ -74,7 +74,7 @@ func TestBurstWriteToPacketBuffer(t *testing.T) {
 		t.Fatal("burst not accepted")
 	}
 	b.Drain(100)
-	got := n.ReadTarget(base+PacketBufBase, 64)
+	got := readNIC(n, base+PacketBufBase, 64)
 	if !bytes.Equal(got, line) {
 		t.Error("burst data did not land in packet buffer")
 	}
@@ -130,24 +130,24 @@ func TestDMAUnalignedTail(t *testing.T) {
 
 func TestStatusRegister(t *testing.T) {
 	n, b, _ := newRig(t, Config{FIFODepth: 1, WireCyclesPerByte: 10, DMABurst: 64})
-	st := leUint(n.ReadTarget(base+RegStatus, 8))
+	st := leUint(readNIC(n, base+RegStatus, 8))
 	if st != 0 {
 		t.Errorf("fresh status = %#x", st)
 	}
 	n.WriteTarget(base+PacketBufBase, []byte{1, 2, 3, 4})
 	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
 	n.WriteTarget(base+RegTxFIFO, desc(0, 4)) // fills the 1-deep FIFO
-	st = leUint(n.ReadTarget(base+RegStatus, 8))
+	st = leUint(readNIC(n, base+RegStatus, 8))
 	if st&2 == 0 {
 		t.Error("FIFO-full bit not set")
 	}
 	step(n, b, 1)
-	st = leUint(n.ReadTarget(base+RegStatus, 8))
+	st = leUint(readNIC(n, base+RegStatus, 8))
 	if st&1 == 0 {
 		t.Error("TX-busy bit not set during slow send")
 	}
 	step(n, b, 200)
-	st = leUint(n.ReadTarget(base+RegStatus, 8))
+	st = leUint(readNIC(n, base+RegStatus, 8))
 	// The second descriptor was dropped by the full 1-deep FIFO.
 	if got := st >> 32; got != 1 {
 		t.Errorf("packets-sent counter = %d, want 1", got)
@@ -215,16 +215,16 @@ func TestAlignSize(t *testing.T) {
 func TestRxQueuePopOnRead(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	n.Deliver(11, 22, 33)
-	if got := leUint(n.ReadTarget(base+RegRxCount, 8)); got != 3 {
+	if got := leUint(readNIC(n, base+RegRxCount, 8)); got != 3 {
 		t.Fatalf("count = %d", got)
 	}
-	if got := leUint(n.ReadTarget(base+RegRxPop, 8)); got != 11 {
+	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 11 {
 		t.Errorf("pop 1 = %d", got)
 	}
-	if got := leUint(n.ReadTarget(base+RegRxPop, 8)); got != 22 {
+	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 22 {
 		t.Errorf("pop 2 = %d (destructive read must advance)", got)
 	}
-	if got := leUint(n.ReadTarget(base+RegRxCount, 8)); got != 1 {
+	if got := leUint(readNIC(n, base+RegRxCount, 8)); got != 1 {
 		t.Errorf("count after pops = %d", got)
 	}
 	if n.RxPops() != 2 {
@@ -234,7 +234,7 @@ func TestRxQueuePopOnRead(t *testing.T) {
 
 func TestRxQueueEmptyReturnsSentinel(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
-	if got := leUint(n.ReadTarget(base+RegRxPop, 8)); got != RxEmpty {
+	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != RxEmpty {
 		t.Errorf("empty pop = %#x, want RxEmpty", got)
 	}
 	if n.RxPops() != 0 {
@@ -245,8 +245,8 @@ func TestRxQueueEmptyReturnsSentinel(t *testing.T) {
 func TestRxCountIsNonDestructive(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	n.Deliver(7)
-	n.ReadTarget(base+RegRxCount, 8)
-	n.ReadTarget(base+RegRxCount, 8)
+	readNIC(n, base+RegRxCount, 8)
+	readNIC(n, base+RegRxCount, 8)
 	if n.RxPending() != 1 {
 		t.Error("RegRxCount consumed data")
 	}
@@ -256,19 +256,19 @@ func TestDeliverTracedDrainHook(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	var drained []uint64
 	n.SetRxDrainHook(func(id uint64) { drained = append(drained, id) })
-	n.DeliverTraced(101, 1, 2)     // two-word packet
-	n.DeliverTraced(102, 3)        // one-word packet
-	n.ReadTarget(base+RegRxPop, 8) // word 1 of pkt 101
+	n.DeliverTraced(101, 1, 2)   // two-word packet
+	n.DeliverTraced(102, 3)      // one-word packet
+	readNIC(n, base+RegRxPop, 8) // word 1 of pkt 101
 	if len(drained) != 0 {
 		t.Fatalf("drain fired mid-packet: %v", drained)
 	}
-	n.ReadTarget(base+RegRxPop, 8) // word 2 of pkt 101 → drain 101
-	n.ReadTarget(base+RegRxPop, 8) // pkt 102 → drain 102
+	readNIC(n, base+RegRxPop, 8) // word 2 of pkt 101 → drain 101
+	readNIC(n, base+RegRxPop, 8) // pkt 102 → drain 102
 	if len(drained) != 2 || drained[0] != 101 || drained[1] != 102 {
 		t.Fatalf("drained = %v, want [101 102]", drained)
 	}
 	// Empty pops past the end never re-fire.
-	n.ReadTarget(base+RegRxPop, 8)
+	readNIC(n, base+RegRxPop, 8)
 	if len(drained) != 2 {
 		t.Fatalf("sentinel pop fired a drain: %v", drained)
 	}
@@ -279,8 +279,8 @@ func TestUntracedDeliverNoDrainHook(t *testing.T) {
 	var drained []uint64
 	n.SetRxDrainHook(func(id uint64) { drained = append(drained, id) })
 	n.Deliver(1, 2) // plain delivery: no span, no drain events
-	n.ReadTarget(base+RegRxPop, 8)
-	n.ReadTarget(base+RegRxPop, 8)
+	readNIC(n, base+RegRxPop, 8)
+	readNIC(n, base+RegRxPop, 8)
 	if len(drained) != 0 {
 		t.Fatalf("untraced delivery fired drains: %v", drained)
 	}
@@ -289,7 +289,7 @@ func TestUntracedDeliverNoDrainHook(t *testing.T) {
 func TestRxHighWater(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	n.Deliver(1, 2, 3)
-	n.ReadTarget(base+RegRxPop, 8)
+	readNIC(n, base+RegRxPop, 8)
 	n.Deliver(4) // pending back to 3, high water stays 3
 	if n.RxHighWater() != 3 {
 		t.Fatalf("high water = %d, want 3", n.RxHighWater())
@@ -310,7 +310,7 @@ func TestTxDestSteersPackets(t *testing.T) {
 	dst := make([]byte, 8)
 	putLE(dst, 3)
 	n.WriteTarget(base+RegTxDest, dst)
-	if got := leUint(n.ReadTarget(base+RegTxDest, 8)); got != 3 {
+	if got := leUint(readNIC(n, base+RegTxDest, 8)); got != 3 {
 		t.Errorf("RegTxDest reads back %d, want 3", got)
 	}
 	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
@@ -320,7 +320,7 @@ func TestTxDestSteersPackets(t *testing.T) {
 	// Back to auto.
 	putLE(dst, TxDestAuto)
 	n.WriteTarget(base+RegTxDest, dst)
-	if got := leUint(n.ReadTarget(base+RegTxDest, 8)); got != TxDestAuto {
+	if got := leUint(readNIC(n, base+RegTxDest, 8)); got != TxDestAuto {
 		t.Errorf("RegTxDest reads back %d, want auto sentinel", got)
 	}
 	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
@@ -343,11 +343,18 @@ func TestRxPopMatchesRegister(t *testing.T) {
 		t.Fatalf("RxPop = %d,%v want 11,true", v, ok)
 	}
 	// The register path pops the same queue.
-	if got := leUint(n.ReadTarget(base+RegRxPop, 8)); got != 22 {
+	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 22 {
 		t.Fatalf("RegRxPop = %d, want 22", got)
 	}
 	if _, ok := n.RxPop(); ok {
 		t.Error("RxPop on empty queue reported ok")
 	}
 	_ = b
+}
+
+// readNIC reads size bytes at pa from n into a fresh buffer.
+func readNIC(n *NIC, pa uint64, size int) []byte {
+	out := make([]byte, size)
+	n.ReadTarget(pa, out)
+	return out
 }

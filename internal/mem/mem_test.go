@@ -246,9 +246,7 @@ type fakeTarget struct {
 	lastAddr  uint64
 }
 
-func (f *fakeTarget) ReadTarget(pa uint64, size int) []byte {
-	return make([]byte, size)
-}
+func (f *fakeTarget) ReadTarget(pa uint64, dst []byte) { clear(dst) }
 func (f *fakeTarget) WriteTarget(pa uint64, data []byte) {
 	f.lastAddr = pa
 	f.lastWrite = append([]byte(nil), data...)
@@ -271,7 +269,8 @@ func TestRouterDeviceDispatch(t *testing.T) {
 	if got := ram.ReadUint(0x1000, 1); got != 9 {
 		t.Error("RAM write not routed")
 	}
-	if got := rt.Read(0x1000, 1); got[0] != 9 {
+	got := make([]byte, 1)
+	if rt.Read(0x1000, got); got[0] != 9 {
 		t.Error("RAM read not routed")
 	}
 }

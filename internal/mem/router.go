@@ -10,8 +10,9 @@ import (
 // the combining uncached buffer deliver multi-word transactions (§3.3 notes
 // the target device must accept burst writes; our NIC does).
 type Target interface {
-	// ReadTarget returns size bytes starting at pa.
-	ReadTarget(pa uint64, size int) []byte
+	// ReadTarget fills dst with the len(dst) bytes starting at pa. The
+	// caller owns dst, so a read allocates nothing.
+	ReadTarget(pa uint64, dst []byte)
 	// WriteTarget stores data at pa. Called for both single-beat and
 	// burst transactions.
 	WriteTarget(pa uint64, data []byte)
@@ -20,11 +21,7 @@ type Target interface {
 // ramTarget adapts Memory to the Target interface.
 type ramTarget struct{ m *Memory }
 
-func (r ramTarget) ReadTarget(pa uint64, size int) []byte {
-	buf := make([]byte, size)
-	r.m.Read(pa, buf)
-	return buf
-}
+func (r ramTarget) ReadTarget(pa uint64, dst []byte) { r.m.Read(pa, dst) }
 
 func (r ramTarget) WriteTarget(pa uint64, data []byte) { r.m.Write(pa, data) }
 
@@ -78,9 +75,10 @@ func (rt *Router) Resolve(pa uint64) Target {
 	return ramTarget{rt.ram}
 }
 
-// Read fetches size bytes at pa from whichever target owns the address.
-func (rt *Router) Read(pa uint64, size int) []byte {
-	return rt.Resolve(pa).ReadTarget(pa, size)
+// Read fills dst with the bytes at pa from whichever target owns the
+// address.
+func (rt *Router) Read(pa uint64, dst []byte) {
+	rt.Resolve(pa).ReadTarget(pa, dst)
 }
 
 // Write stores data at pa via whichever target owns the address.

@@ -13,12 +13,13 @@ import (
 )
 
 // TestUncachedLoadAllocs bounds the ring traffic guest's steady-state
-// allocations at one per uncached load, the read's data, which the target
-// returns fresh (mem.Target.ReadTarget). The load's bus transaction and
-// both completion callbacks are reused, the NIC's descriptor FIFO reuses
-// its backing, and sent packets' data is cut from 4 KiB slabs; so beyond
-// the loads only the NIC's sent-packet log grows, amortized far below one
-// allocation per 64 packets.
+// allocations at one per 64 packets sent. An uncached load allocates
+// nothing: its bus transaction and both completion callbacks are reused,
+// and the target fills the transaction's own buffer
+// (mem.Target.ReadTarget). The NIC's descriptor FIFO reuses its backing
+// and sent packets' data is cut from 4 KiB slabs, so only the NIC's
+// sent-packet log grows, amortized far below one allocation per 64
+// packets.
 func TestUncachedLoadAllocs(t *testing.T) {
 	m, err := New(DefaultConfig())
 	if err != nil {
@@ -50,8 +51,8 @@ func TestUncachedLoadAllocs(t *testing.T) {
 	if loads == 0 || packets == 0 {
 		t.Fatal("the guest issued no uncached loads or sent no packets")
 	}
-	if allocs > float64(loads+packets/64) {
-		t.Errorf("%.0f allocations for %d uncached loads and %d packets, want at most one per load plus one per 64 packets",
+	if allocs > float64(packets/64) {
+		t.Errorf("%.0f allocations for %d uncached loads and %d packets, want at most one per 64 packets",
 			allocs, loads, packets)
 	}
 }

@@ -477,7 +477,7 @@ func (u *Buffer) TickBus(b *bus.Bus) {
 				return
 			}
 			txn := u.loadTxn
-			txn.Addr, txn.Size, txn.Data = head.loadAddr, head.loadSize, nil
+			txn.Addr, txn.Size = head.loadAddr, head.loadSize
 			txn.Start, txn.End = 0, 0
 			if b.TryIssue(txn) {
 				u.loadDone = head.done
