@@ -29,8 +29,7 @@
 //     backpressure, dropped/delayed conditional-flush acks, buffer
 //     pressure) through the whole machine, and Machine.SetWatchdog arms a
 //     retire-progress watchdog that aborts a livelocked run with a
-//     diagnostic dump. cmd/faultcampaign sweeps seeds and checks guests
-//     recover to the fault-free architectural state.
+//     diagnostic dump (internal/sim's FuzzFaultRecovery checks recovery).
 //
 // See the examples directory for runnable walkthroughs and EXPERIMENTS.md
 // for the measured reproduction of every figure.

@@ -34,7 +34,7 @@ func main() {
 	// push the descriptor with one store (offset 0, length 64 → 64<<48),
 	// detect a dropped push through the status drop counter, and wait for
 	// the packets-sent counter before reusing the buffer. The protocol
-	// survives fault injection (csbsim -faults; see cmd/faultcampaign).
+	// survives fault injection (csbsim -faults; internal/sim FuzzFaultRecovery).
 	prog := `
 	.equ NICREG, 0x40000000
 	.equ PKTBUF, 0x40001000

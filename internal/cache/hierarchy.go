@@ -70,8 +70,8 @@ type mshr struct {
 	fetch     bool
 	state     mshrState
 	countdown int
-	l2Hit     bool
 	callbacks []func()
+	txn       bus.Txn // its line fill, reused by every fill it makes
 }
 
 // Hierarchy ties the three caches together and handles misses through the
@@ -82,14 +82,16 @@ type Hierarchy struct {
 	l1d *Cache
 	l2  *Cache
 
-	mshrs      []*mshr
+	mshrs      []*mshr  // busy, in allocation order
+	freeMSHRs  []*mshr  // idle, for reuse
 	writebacks []uint64 // line addresses queued for bus writeback
 	writeBuf   []uint64 // retiring cached stores (addresses)
 	storeMiss  bool     // head of writeBuf is waiting on a fill
 
-	// silentBuf is the reusable payload of Silent writeback transactions
+	// silentBuf is the payload of the Silent fills and writebacks
 	// (tag-only model: the bus only checks the length, never the bytes).
 	silentBuf []byte
+	wb        bus.Txn // the writeback, reused
 
 	stats HierStats
 }
@@ -162,32 +164,30 @@ func (h *Hierarchy) line(addr uint64) uint64 {
 	return addr &^ uint64(h.cfg.L2.LineSize-1)
 }
 
+// l1 returns the instruction cache for fetches, else the data cache.
+func (h *Hierarchy) l1(fetch bool) *Cache {
+	if fetch {
+		return h.l1i
+	}
+	return h.l1d
+}
+
 // Load initiates a cached read (fetch selects L1I). On a hit it returns
 // (latency, true, true). On a miss being handled it returns (0, false,
 // true) and runs done once the line is resident in L1 (the caller then
 // pays the hit latency). accepted=false means no MSHR was available; retry
 // next cycle.
 func (h *Hierarchy) Load(addr uint64, fetch bool, done func()) (latency int, hit, accepted bool) {
-	l1 := h.l1d
-	if fetch {
-		l1 = h.l1i
-	}
-	if l1.Lookup(addr) {
+	if l1 := h.l1(fetch); l1.Lookup(addr) {
 		return l1.Config().HitLatency, true, true
 	}
-	if h.addMiss(addr, fetch, done) {
-		return 0, false, true
-	}
-	return 0, false, false
+	return 0, false, h.addMiss(addr, fetch, done)
 }
 
 // Present reports whether addr hits in the given L1 without disturbing
 // LRU/statistics.
 func (h *Hierarchy) Present(addr uint64, fetch bool) bool {
-	if fetch {
-		return h.l1i.Contains(addr)
-	}
-	return h.l1d.Contains(addr)
+	return h.l1(fetch).Contains(addr)
 }
 
 // MarkDirty marks the L1D line dirty (atomics and direct writes).
@@ -207,12 +207,31 @@ func (h *Hierarchy) addMiss(addr uint64, fetch bool, done func()) bool {
 	if len(h.mshrs) >= h.cfg.MSHRs {
 		return false
 	}
-	m := &mshr{lineAddr: la, fetch: fetch, state: mshrProbeL2, countdown: h.cfg.L2Latency}
+	m := h.newMSHR()
+	m.lineAddr, m.fetch, m.state, m.countdown, m.txn.Addr = la, fetch, mshrProbeL2, h.cfg.L2Latency, la
 	if done != nil {
 		m.callbacks = append(m.callbacks, done)
 	}
 	h.mshrs = append(h.mshrs, m)
 	return true
+}
+
+// newMSHR takes an idle MSHR, or allocates one with its fill: a Silent
+// read (the tag-only cache takes no data) whose Done installs the line.
+func (h *Hierarchy) newMSHR() *mshr {
+	if n := len(h.freeMSHRs); n > 0 {
+		m := h.freeMSHRs[n-1]
+		h.freeMSHRs = h.freeMSHRs[:n-1]
+		return m
+	}
+	m := &mshr{} //csb:alloc-ok — cold start: the pool grows to cfg.MSHRs
+	m.txn = bus.Txn{Size: len(h.silentBuf), Data: h.silentBuf, Silent: true, Done: func(*bus.Txn) {
+		if victim, dirty, evicted := h.l2.Insert(m.lineAddr); evicted && dirty {
+			h.writebacks = append(h.writebacks, victim)
+		}
+		h.finishFill(m)
+	}}
+	return m
 }
 
 // Store enqueues a retiring cached store. It returns false when the write
@@ -266,14 +285,11 @@ func (h *Hierarchy) drainWriteBuffer() {
 		return
 	}
 	// Write-allocate: fetch the line, then complete the store.
-	ok := h.addMiss(addr, false, func() {
+	h.storeMiss = h.addMiss(addr, false, func() {
 		h.l1d.SetDirty(addr)
 		h.popWriteBuf()
 		h.storeMiss = false
 	})
-	if ok {
-		h.storeMiss = true
-	}
 }
 
 // popWriteBuf removes the head store by shifting in place, so the buffer
@@ -288,11 +304,7 @@ func (h *Hierarchy) popWriteBuf() {
 // requesting L1, queues any dirty victims for writeback, and fires the
 // waiters.
 func (h *Hierarchy) finishFill(m *mshr) {
-	l1 := h.l1d
-	if m.fetch {
-		l1 = h.l1i
-	}
-	if victim, dirty, evicted := l1.Insert(m.lineAddr); evicted && dirty {
+	if victim, dirty, evicted := h.l1(m.fetch).Insert(m.lineAddr); evicted && dirty {
 		// L1 dirty victim folds into L2 (no bus traffic).
 		h.l2.SetDirty(victim)
 	}
@@ -300,41 +312,36 @@ func (h *Hierarchy) finishFill(m *mshr) {
 	for _, cb := range m.callbacks {
 		cb()
 	}
-	// Remove m from the MSHR list.
+	m.callbacks = m.callbacks[:0]
+	// Move m from the MSHR list to the free list.
 	for i, x := range h.mshrs {
 		if x == m {
 			h.mshrs = append(h.mshrs[:i], h.mshrs[i+1:]...)
+			h.freeMSHRs = append(h.freeMSHRs, m)
 			break
 		}
 	}
 }
 
 // TickBus lets the hierarchy issue at most one bus transaction: pending
-// line fills take priority over writebacks.
+// line fills take priority over writebacks. It skips a busy bus, which
+// refuses both before any fault draw, so wb is never rewritten in flight.
 func (h *Hierarchy) TickBus(b *bus.Bus) {
+	if !b.CanIssue(false) {
+		return
+	}
 	for _, m := range h.mshrs {
 		if m.state != mshrNeedBus {
 			continue
 		}
-		mm := m
-		txn := &bus.Txn{Addr: m.lineAddr, Size: h.LineSize(), Done: func(*bus.Txn) {
-			if victim, dirty, evicted := h.l2.Insert(mm.lineAddr); evicted && dirty {
-				h.writebacks = append(h.writebacks, victim)
-			}
-			h.finishFill(mm)
-		}}
-		if b.TryIssue(txn) {
+		if b.TryIssue(&m.txn) {
 			m.state = mshrOnBus
 		}
 		return
 	}
 	if len(h.writebacks) > 0 {
-		wb := h.writebacks[0]
-		// Tag-only model: the data is already in RAM, so the writeback
-		// is a Silent (timing-only) transaction.
-		txn := &bus.Txn{Addr: wb, Size: h.LineSize(), Write: true,
-			Data: h.silentBuf, Silent: true}
-		if b.TryIssue(txn) {
+		h.wb = bus.Txn{Addr: h.writebacks[0], Size: len(h.silentBuf), Write: true, Data: h.silentBuf, Silent: true}
+		if b.TryIssue(&h.wb) {
 			copy(h.writebacks, h.writebacks[1:])
 			h.writebacks = h.writebacks[:len(h.writebacks)-1]
 			h.stats.Writebacks++
@@ -358,9 +365,5 @@ func (h *Hierarchy) Idle() bool {
 // setup, e.g. making the lock hit in L1 for figure 5a).
 func (h *Hierarchy) Warm(addr uint64, fetch bool) {
 	h.l2.Preload(h.line(addr))
-	if fetch {
-		h.l1i.Preload(h.line(addr))
-	} else {
-		h.l1d.Preload(h.line(addr))
-	}
+	h.l1(fetch).Preload(h.line(addr))
 }

@@ -24,8 +24,9 @@ var update = flag.Bool("update", false, "rewrite testdata/effort.golden")
 // requests per 1000 cycles per client.
 const serveGap = 1538
 
-// starScenario is one serving run on a 4-node star: node 0 a CSB server,
-// nodes 1-3 load-generator clients.
+// starScenario is one serving run on a 4-node star (or the topology
+// edit sets): node 0 a CSB server, the other nodes with a link to it
+// load-generator clients.
 type starScenario struct {
 	name   string
 	gen    Config
@@ -64,6 +65,9 @@ func (sc starScenario) build(t *testing.T, wakes bool) (*cluster.Cluster, []*Gen
 	for i := 1; i < 4; i++ {
 		if _, err := c.Node(i).M.LoadSource("client.s", "halt\n"); err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := c.Link(i, 0); !ok {
+			continue // the far side of a ring: no route to the server
 		}
 		gcfg := sc.gen
 		gcfg.Seed += uint64(i)

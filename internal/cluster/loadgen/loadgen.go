@@ -145,7 +145,7 @@ type Config struct {
 
 // Stats is a generator's cumulative request accounting. At any read
 // point, Issued == Completed + Lost + outstanding (requests still in
-// flight) — the exact-accounting invariant the fault campaign asserts.
+// flight) — the exact-accounting invariant TestWireFaultCampaign asserts.
 type Stats struct {
 	Issued    uint64 `json:"issued"`
 	Completed uint64 `json:"completed"`

@@ -215,10 +215,17 @@ func (c *CPU) newUop() *uop {
 	if n := len(c.uopFree); n > 0 {
 		u := c.uopFree[n-1]
 		c.uopFree = c.uopFree[:n-1]
-		*u = uop{}
+		*u = uop{fillDone: u.fillDone}
 		return u
 	}
-	return &uop{} //csb:alloc-ok — cold start: the pool grows until steady state
+	u := &uop{} //csb:alloc-ok — cold start: the pool grows until steady state
+	u.fillDone = func() {
+		u.pins--
+		if !u.dead {
+			u.memWait = false
+		}
+	}
+	return u
 }
 
 // newSnap returns a rename snapshot from the pool; its contents are
@@ -924,12 +931,7 @@ func (c *CPU) issueMem(u *uop, agus, ports *int) bool {
 //csb:pool
 func (c *CPU) startCachedLoad(u *uop) {
 	u.pins++ // the fill callback captures u; see recycleRetired
-	lat, hit, accepted := c.hier.Load(u.pa, false, func() {
-		u.pins--
-		if !u.dead {
-			u.memWait = false
-		}
-	})
+	lat, hit, accepted := c.hier.Load(u.pa, false, u.fillDone)
 	if hit || !accepted {
 		u.pins-- // callback not retained
 	}

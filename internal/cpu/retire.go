@@ -267,12 +267,7 @@ func (c *CPU) retireSwapCached(u *uop) int {
 	case 0:
 		u.pins++
 		//csb:pool — the fill callback's capture of u is pin-counted (u.pins).
-		lat, hit, accepted := c.hier.Load(u.pa, false, func() {
-			u.pins--
-			if !u.dead {
-				u.memWait = false
-			}
-		})
+		lat, hit, accepted := c.hier.Load(u.pa, false, u.fillDone)
 		if hit || !accepted {
 			u.pins-- // callback not retained
 		}

@@ -74,6 +74,8 @@ type uop struct {
 	retired   bool
 	freeStamp uint64
 	pins      int
+	// fillDone is u's cache-fill callback, built once per pooled uop.
+	fillDone func()
 }
 
 // renSnap is a branch's snapshot of the rename state, taken at dispatch and

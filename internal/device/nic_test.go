@@ -2,6 +2,8 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"csbsim/internal/bus"
@@ -357,4 +359,79 @@ func readNIC(n *NIC, pa uint64, size int) []byte {
 	out := make([]byte, size)
 	n.ReadTarget(pa, out)
 	return out
+}
+
+// nicOp encodes one FuzzNICRegisters record.
+func nicOp(write bool, sizeIdx int, off, v uint64, ticks uint8) []byte {
+	rec := make([]byte, 12)
+	rec[0] = byte(sizeIdx << 1)
+	if write {
+		rec[0] |= 1
+	}
+	binary.LittleEndian.PutUint16(rec[1:], uint16(off))
+	binary.LittleEndian.PutUint64(rec[3:], v)
+	rec[11] = ticks
+	return rec
+}
+
+// FuzzNICRegisters drives the NIC with a sequence of register and
+// packet-buffer accesses decoded from the input, ticking it on a
+// RAM-backed bus after each. A 12-byte record is a control byte (bit 0
+// write, bits 1-7 an index into the sizes {1, 2, 4, 8, 64}, modulo 5), a
+// little-endian offset (modulo RegionSize), an 8-byte value (repeated to
+// fill a 64-byte write) and the bus ticks to run. Whatever the sequence,
+// nothing panics, Err is nil or an *AddrError, BadDescs counts exactly
+// the pushes whose descriptor points outside the packet buffer, and no
+// sent packet is longer than the buffer.
+func FuzzNICRegisters(f *testing.F) {
+	f.Add(slices.Concat(
+		nicOp(true, 4, PacketBufBase+64, 0x1122334455667788, 0),
+		nicOp(true, 3, RegTxFIFO, 64|64<<48, 20),
+		nicOp(false, 3, RegStatus, 0, 0)))
+	f.Add(slices.Concat(
+		nicOp(true, 3, RegTxFIFO, 0x8000|64<<48, 1),
+		nicOp(true, 3, RegTxFIFO, PacketBufSize|1<<48, 1),
+		nicOp(false, 3, RegStatus, 0, 0)))
+	f.Add(slices.Concat(
+		nicOp(true, 3, RegDMA, 0x1000|200<<48, 255),
+		nicOp(true, 3, RegDMA, 0x1000|(PacketBufSize+1)<<48, 1),
+		nicOp(true, 3, RegTxDest, 2, 0),
+		nicOp(false, 2, RegRxPop, 0, 0)))
+	sizes := [...]int{1, 2, 4, 8, 64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, b, _ := newRig(t, DefaultConfig())
+		var bad uint64
+		buf := make([]byte, 64)
+		for ; len(data) >= 12; data = data[12:] {
+			p := buf[:sizes[int(data[0]>>1)%len(sizes)]]
+			off := uint64(binary.LittleEndian.Uint16(data[1:])) % RegionSize
+			v := binary.LittleEndian.Uint64(data[3:])
+			if data[0]&1 == 0 {
+				n.ReadTarget(base+off, p)
+			} else {
+				for i := range p {
+					p[i] = byte(v >> (8 * (i % 8)))
+				}
+				if o, l := v&(1<<48-1), v>>48; off == RegTxFIFO && len(p) == 8 &&
+					(o > PacketBufSize || o+l > PacketBufSize) {
+					bad++
+				}
+				n.WriteTarget(base+off, p)
+			}
+			step(n, b, int(data[11]))
+		}
+		if err := n.Err(); err != nil {
+			if _, ok := err.(*AddrError); !ok {
+				t.Errorf("Err() = %T %v, want nil or *AddrError", err, err)
+			}
+		}
+		if n.BadDescs() != bad {
+			t.Errorf("BadDescs() = %d, want the %d out-of-buffer pushes made", n.BadDescs(), bad)
+		}
+		for i, p := range n.Packets() {
+			if len(p.Data) > PacketBufSize {
+				t.Errorf("packet %d is %d bytes, more than the %d-byte buffer", i, len(p.Data), PacketBufSize)
+			}
+		}
+	})
 }

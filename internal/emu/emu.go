@@ -10,8 +10,7 @@
 // of a conditional flush: a swap there always "succeeds" — the source
 // register is returned unchanged and no memory is exchanged — so guest
 // retry loops written against the CSB protocol terminate immediately,
-// and the fault campaign can compare a faulted machine run against this
-// oracle's final architectural state.
+// and a faulted machine run must end in this oracle's final state.
 package emu
 
 import (

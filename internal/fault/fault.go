@@ -30,8 +30,8 @@
 // math/rand, so the determinism analyzer holds for this package too —
 // and the same seed plus configuration yields a bit-identical fault
 // schedule, which in turn keeps full-machine reports byte-identical
-// across runs. A failure found by a fault campaign is reproduced by
-// replaying its seed.
+// across runs. A failing FuzzFaultRecovery input (internal/sim) is
+// reproduced by replaying its seed.
 package fault
 
 import (

@@ -56,3 +56,60 @@ func TestUncachedLoadAllocs(t *testing.T) {
 			allocs, loads, packets)
 	}
 }
+
+// strideLoads loads one dword per line across 896 KiB of cached memory,
+// far past the 256 KiB L2, and stores into each line it loads, so every
+// load is a line fill from the bus and the dirty victims are written
+// back. Each address depends on the previous load (which reads 0), so
+// one fill is in flight at a time and every load finds a free MSHR.
+const strideLoads = `
+	set 0x20000, %o1
+	set 0x100000, %o3
+loop:
+	ldx [%o1], %g1
+	stx %g1, [%o1+8]
+	add %o1, %g1, %o1
+	add %o1, 64, %o1
+	cmp %o1, %o3
+	bl loop
+	set 0x20000, %o1
+	ba loop
+`
+
+// TestLineFillAllocs checks that an L2-missing load stream allocates
+// nothing in steady state. A fill's bus transaction and completion
+// callback belong to its MSHR and are reused; a fill is a Silent read,
+// since the tag-only cache takes no data, so the bus neither reads RAM
+// nor allocates a buffer for it; writebacks reuse one Silent
+// transaction; and each pooled uop keeps one fill callback.
+func TestLineFillAllocs(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.LoadSource("stride.s", strideLoads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmCode(p.Entry, 64)
+	m.RAM.Write(0x20000, make([]byte, 0x100000-0x20000)) // materialize the RAM pages
+	for range 700_000 {
+		m.Tick()
+	}
+	var fills, writebacks uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		s0 := m.Hier.Stats()
+		for range 100_000 {
+			m.Tick()
+		}
+		s := m.Hier.Stats()
+		fills, writebacks = s.Fills-s0.Fills, s.Writebacks-s0.Writebacks
+	})
+	t.Logf("%.0f allocations, %d fills, %d writebacks in 100k cycles", allocs, fills, writebacks)
+	if fills == 0 || writebacks == 0 {
+		t.Fatal("the stream made no line fills or no writebacks")
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocations for %d line fills and %d writebacks, want none", allocs, fills, writebacks)
+	}
+}

@@ -237,7 +237,7 @@ func lockstepCases(t *testing.T) []lockstepCase {
 			if edit != nil {
 				edit(&cfg)
 			}
-			tw.loadSource(t, cfg, generate(seed), func(m *Machine) {
+			tw.loadSource(t, cfg, generate(seed, 0), func(m *Machine) {
 				m.MapRange(diffIOBase, mem.PageSize, mem.KindUncached)
 			})
 		}}

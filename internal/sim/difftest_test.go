@@ -8,6 +8,7 @@ import (
 
 	"csbsim/internal/asm"
 	"csbsim/internal/emu"
+	"csbsim/internal/fault"
 	"csbsim/internal/isa"
 	"csbsim/internal/mem"
 )
@@ -23,6 +24,19 @@ const (
 	diffBufLen  = 512
 	diffIOBase  = 0x4800_0000 // uncached region: %o0 points here
 	diffIOLen   = 256
+	diffCSBBase = 0x4100_0000 // combining region of the §3.2 blocks
+	diffCSBLen  = 512
+)
+
+// A mix selects the kinds of a generated program's pages. Mix 0 is the
+// plain differential program: a cached scratch page at %o1 and an
+// uncached page at %o0.
+const (
+	mixScratchUncached = 1 << iota // map the scratch page uncached
+	mixIOCached                    // map %o0's page cached
+	mixCombining                   // add §3.2 blocks into a combining page
+	mixFaults                      // inject the default fault mix, so flushes fail and retries run
+	mixAll                         // one past the last mix bit
 )
 
 // genRegs are the general-purpose registers the generator uses freely.
@@ -41,6 +55,7 @@ type progGen struct {
 	r     *rand.Rand
 	b     strings.Builder
 	label int
+	mix   uint8
 }
 
 func (g *progGen) reg() string { return genRegs[g.r.Intn(len(genRegs))] }
@@ -159,8 +174,34 @@ func (g *progGen) ucLoad() {
 	g.emitf("\tldx [%%o0+%d], %s", off, g.reg())
 }
 
+// csbBlock emits a §3.2-shaped block into combining space: eight dword
+// stores to one line, in random order, then the conditional flush, and
+// the whole sequence again while the flush fails. The line address and
+// the expected count are set at the top of the retry loop, so a retry
+// stores what the first attempt did. Nothing else touches the page.
+func (g *progGen) csbBlock() {
+	l := g.newLabel()
+	base, want := g.reg(), g.reg()
+	for want == base {
+		want = g.reg()
+	}
+	g.emitf("%s:", l)
+	g.emitf("\tset %#x, %s", diffCSBBase+g.r.Intn(diffCSBLen/64)*64, base)
+	g.emitf("\tset 8, %s", want)
+	for _, dw := range g.r.Perm(8) {
+		g.emitf("\tstx %s, [%s+%d]", g.reg(), base, dw*8)
+	}
+	g.emitf("\tswap [%s], %s", base, want)
+	g.emitf("\tcmp %s, 8", want)
+	g.emitf("\tbnz %s", l)
+}
+
 // block emits one random construct.
 func (g *progGen) block(depth int) {
+	if g.mix&mixCombining != 0 && g.r.Intn(4) == 0 {
+		g.csbBlock()
+		return
+	}
 	max := 10
 	if depth >= 2 {
 		max = 8 // no further nesting
@@ -197,9 +238,11 @@ func (g *progGen) block(depth int) {
 	}
 }
 
-// generate builds a complete random program.
-func generate(seed int64) string {
-	g := &progGen{r: rand.New(rand.NewSource(seed))}
+// generate builds a complete random program for the page kinds of mix.
+// Only mixCombining changes the text, so every other mix runs the
+// program of mix 0.
+func generate(seed int64, mix uint8) string {
+	g := &progGen{r: rand.New(rand.NewSource(seed)), mix: mix}
 	g.emitf("\tset %#x, %%o1", diffScratch)
 	g.emitf("\tset %#x, %%o0", diffIOBase)
 	for i, r := range genRegs {
@@ -223,11 +266,10 @@ func generate(seed int64) string {
 	return g.b.String()
 }
 
-// runBoth executes the program on an OOO machine built from cfg and on the
-// reference emulator and compares all architectural state. setup, if not
-// nil, runs on the loaded machine before it starts. It returns the
-// machine for further checks.
-func runBoth(t *testing.T, cfg Config, seed int64, src string, setup func(*Machine)) *Machine {
+// diffSetup assembles src and returns the emulator, already run, and a
+// machine loaded with it, its pages mapped as mix selects and its faults
+// attached. seed names the program in failures.
+func diffSetup(t *testing.T, cfg Config, seed int64, mix uint8, src string) (*Machine, *emu.Emulator) {
 	t.Helper()
 	prog, err := asm.Assemble(fmt.Sprintf("seed%d.s", seed), src)
 	if err != nil {
@@ -241,55 +283,111 @@ func runBoth(t *testing.T, cfg Config, seed int64, src string, setup func(*Machi
 	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	m.MapRange(diffIOBase, mem.PageSize, mem.KindUncached)
+	if mix&mixIOCached == 0 {
+		m.MapRange(diffIOBase, mem.PageSize, mem.KindUncached)
+	} else {
+		m.MapRange(diffIOBase, mem.PageSize, mem.KindCached)
+	}
+	if mix&mixScratchUncached != 0 {
+		m.MapRange(diffScratch, mem.PageSize, mem.KindUncached)
+	}
+	if mix&mixCombining != 0 {
+		m.MapRange(diffCSBBase, mem.PageSize, mem.KindCombining)
+	}
+	if mix&mixFaults != 0 {
+		fcfg := fault.DefaultConfig()
+		fcfg.Seed = uint64(seed)
+		if _, err := m.AttachFaults(fcfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m.WarmProgram(prog)
-	if setup != nil {
-		setup(m)
-	}
-	if err := m.Run(20_000_000); err != nil {
-		t.Fatalf("seed %d: machine: %v\n%s", seed, err, src)
-	}
 
-	e, err := emu.New(prog, emu.WithMaxSteps(5_000_000))
+	e, err := emu.New(prog, emu.WithMaxSteps(5_000_000), emu.WithCombining(diffCSBBase, diffCSBLen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("seed %d: emulator: %v\n%s", seed, err, src)
 	}
+	return m, e
+}
 
+// checkArch reports every register, FP register and condition-code
+// difference between the finished machine and the emulator.
+func checkArch(t *testing.T, m *Machine, e *emu.Emulator) {
+	t.Helper()
 	st := m.CPU.State()
 	for r := isa.Reg(1); r < isa.NumRegs; r++ {
 		if st.R[r] != e.R[r] {
-			t.Errorf("seed %d: %s = %#x (machine) vs %#x (emu)",
-				seed, isa.RegName(r), st.R[r], e.R[r])
+			t.Errorf("%s = %#x (machine) vs %#x (emu)", isa.RegName(r), st.R[r], e.R[r])
 		}
 	}
 	for f := 0; f < isa.NumFRegs; f++ {
 		if st.F[f] != e.F[f] {
-			t.Errorf("seed %d: %%f%d = %#x vs %#x", seed, f, st.F[f], e.F[f])
+			t.Errorf("%%f%d = %#x vs %#x", f, st.F[f], e.F[f])
 		}
 	}
 	if st.CC != e.CC {
-		t.Errorf("seed %d: CC = %+v vs %+v", seed, st.CC, e.CC)
+		t.Errorf("CC = %+v vs %+v", st.CC, e.CC)
 	}
-	for off := uint64(0); off < diffBufLen; off += 8 {
-		mv := m.RAM.ReadUint(diffScratch+off, 8)
-		ev := e.Mem.ReadUint(diffScratch+off, 8)
-		if mv != ev {
-			t.Errorf("seed %d: mem[%#x] = %#x vs %#x", seed, diffScratch+off, mv, ev)
-		}
-	}
-	for off := uint64(0); off < diffIOLen; off += 8 {
-		mv := m.RAM.ReadUint(diffIOBase+off, 8)
-		ev := e.Mem.ReadUint(diffIOBase+off, 8)
-		if mv != ev {
-			t.Errorf("seed %d: io[%#x] = %#x vs %#x", seed, diffIOBase+off, mv, ev)
+}
+
+// diffCompare compares all architectural state of the finished machine
+// and emulator: checkArch's and the three pages' memory.
+func diffCompare(t *testing.T, seed int64, src string, m *Machine, e *emu.Emulator) {
+	t.Helper()
+	checkArch(t, m, e)
+	for _, r := range []struct {
+		name      string
+		base, len uint64
+	}{{"mem", diffScratch, diffBufLen}, {"io", diffIOBase, diffIOLen}, {"csb", diffCSBBase, diffCSBLen}} {
+		for off := uint64(0); off < r.len; off += 8 {
+			mv := m.RAM.ReadUint(r.base+off, 8)
+			ev := e.Mem.ReadUint(r.base+off, 8)
+			if mv != ev {
+				t.Errorf("%s[%#x] = %#x vs %#x", r.name, r.base+off, mv, ev)
+			}
 		}
 	}
 	if t.Failed() {
-		t.Logf("program:\n%s", src)
+		t.Logf("seed %d program:\n%s", seed, src)
 		t.FailNow()
+	}
+}
+
+// runBoth executes the program on an OOO machine built from cfg and on the
+// reference emulator and compares all architectural state. setup, if not
+// nil, runs on the loaded machine before it starts. It returns the
+// machine for further checks.
+func runBoth(t *testing.T, cfg Config, seed int64, src string, setup func(*Machine)) *Machine {
+	t.Helper()
+	m, e := diffSetup(t, cfg, seed, 0, src)
+	if setup != nil {
+		setup(m)
+	}
+	if err := m.Run(20_000_000); err != nil {
+		t.Fatalf("seed %d: machine: %v\n%s", seed, err, src)
+	}
+	diffCompare(t, seed, src, m, e)
+	return m
+}
+
+// runBothChecked is runBoth for the page kinds of mix, driven by
+// runChecked, so the scheduling queues are checked after every step.
+func runBothChecked(t *testing.T, cfg Config, seed int64, mix uint8, src string) *Machine {
+	t.Helper()
+	m, e := diffSetup(t, cfg, seed, mix, src)
+	if err := runChecked(t, m, 20_000_000); err != nil {
+		t.Fatalf("seed %d mix %d: machine: %v\n%s", seed, mix, err, src)
+	}
+	// A conditional flush retires before its line lands.
+	if err := m.Drain(1_000_000); err != nil {
+		t.Fatalf("seed %d mix %d: drain: %v", seed, mix, err)
+	}
+	diffCompare(t, seed, src, m, e)
+	if s := m.Stats(); s.CPU.CPI.Total() != s.Cycles {
+		t.Errorf("seed %d mix %d: CPI stack sums to %d, cycles %d", seed, mix, s.CPU.CPI.Total(), s.Cycles)
 	}
 	return m
 }
@@ -301,38 +399,32 @@ func diffSeeds() int {
 	return 60
 }
 
-func TestDifferentialRandomPrograms(t *testing.T) {
+// FuzzDifferential runs a random structured program (seed) on the
+// machine and on the emulator with the page kinds and faults of mix,
+// and requires identical architectural state. The corpus is the
+// differential seeds at mix 0 and each seed once more at one of the
+// other mixes.
+func FuzzDifferential(f *testing.F) {
 	for seed := 0; seed < diffSeeds(); seed++ {
-		src := generate(int64(seed))
-		runBoth(t, DefaultConfig(), int64(seed), src, nil)
+		f.Add(int64(seed), uint8(0))
+		f.Add(int64(seed), uint8(mixAll-1-seed%(mixAll-1)))
 	}
-}
-
-// checkQueuesEveryTick asserts the CPU's scheduling-queue invariant
-// (cpu.CPU.CheckQueues) after every machine cycle.
-func checkQueuesEveryTick(t *testing.T, m *Machine) {
-	t.Helper()
-	if err := m.AttachPeriodic(1, func(uint64) {
-		if err := m.CPU.CheckQueues(); err != nil {
-			t.Fatal(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
+		mix %= mixAll
+		runBothChecked(t, DefaultConfig(), seed, mix, generate(seed, mix))
+	})
 }
 
 // TestSchedulingQueuesMatchROB runs the differential seeds with a 4-entry
 // TLB, so page walks count down in the execute queue alongside
-// mispredict squashes and cached-load fills, and checks after every cycle
+// mispredict squashes and cached-load fills, and checks after every step
 // that the issue and execute queues are exactly what the ROB implies.
 func TestSchedulingQueuesMatchROB(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPU.TLBEntries = 4
 	var walks, squashes, fills uint64
 	for seed := 0; seed < diffSeeds(); seed++ {
-		src := generate(int64(seed))
-		m := runBoth(t, cfg, int64(seed), src, func(m *Machine) { checkQueuesEveryTick(t, m) })
-		s := m.Stats()
+		s := runBothChecked(t, cfg, int64(seed), 0, generate(int64(seed), 0)).Stats()
 		walks += s.TLBMisses
 		squashes += s.CPU.Mispredicts
 		fills += s.Caches.L1D.Misses
@@ -372,7 +464,7 @@ loop:
 	bnz loop
 	halt
 `, diffScratch)
-	free := runBoth(t, cfg, 0, src, func(m *Machine) { checkQueuesEveryTick(t, m) }).Stats()
+	free := runBothChecked(t, cfg, 0, 0, src).Stats()
 	if free.TLBMisses < 300 {
 		t.Errorf("TLB misses = %d, want >= 300 (every access)", free.TLBMisses)
 	}
@@ -388,7 +480,7 @@ loop:
 // I-cache miss stalls interleaved with speculation.
 func TestDifferentialColdCaches(t *testing.T) {
 	for seed := 100; seed < 110; seed++ {
-		src := generate(int64(seed))
+		src := generate(int64(seed), 0)
 		prog, err := asm.Assemble("cold.s", src)
 		if err != nil {
 			t.Fatal(err)
@@ -408,12 +500,8 @@ func TestDifferentialColdCaches(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("seed %d: emu: %v", seed, err)
 		}
-		st := m.CPU.State()
-		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if st.R[r] != e.R[r] {
-				t.Fatalf("seed %d: %s mismatch: %#x vs %#x\n%s",
-					seed, isa.RegName(r), st.R[r], e.R[r], src)
-			}
+		if checkArch(t, m, e); t.Failed() {
+			t.Fatalf("seed %d:\n%s", seed, src)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"csbsim/internal/device"
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
@@ -235,16 +234,7 @@ func TestJourneyRecordingDeterministicUnderFaults(t *testing.T) {
 	record := func(seed uint64) []byte {
 		cfg := fault.DefaultConfig()
 		cfg.Seed = seed
-		m, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nic := device.NewNIC(device.DefaultConfig(), robustNICBase)
-		if err := m.AddDevice(robustNICBase, device.RegionSize, "nic", nic, nic); err != nil {
-			t.Fatal(err)
-		}
-		m.MapRange(robustNICBase, device.PacketBufBase, mem.KindUncached)
-		m.MapRange(robustNICBase+device.PacketBufBase, 0x1000, mem.KindCombining)
+		m, _ := machineWithNIC(t)
 		if _, err := m.AttachFaults(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +242,7 @@ func TestJourneyRecordingDeterministicUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, buf := recordJourneys(t, m)
-		if _, err := m.LoadSource("nic.s", robustNICGuest); err != nil {
+		if _, err := m.LoadSource("nicsend.s", nicsendGuest); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Run(50_000_000); err != nil {

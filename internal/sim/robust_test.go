@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +12,6 @@ import (
 	"csbsim/internal/device"
 	"csbsim/internal/emu"
 	"csbsim/internal/fault"
-	"csbsim/internal/isa"
 	"csbsim/internal/mem"
 )
 
@@ -20,43 +21,100 @@ import (
 // with a usable dump, and out-of-range device accesses fail the run with
 // a typed error instead of a panic.
 
-const robustCombBase = 0x4100_0000
-const robustNICBase = 0x4000_0000
+// combBase is plain combining space, with no device behind it.
+const combBase = 0x4100_0000
 
-// robustCSBGuest is the §3.2 listing shape: store a line through the
-// CSB, conditional-flush, retry on failure.
-const robustCSBGuest = `
+// The recovery guests retry through every fault the injector can
+// inject, so a faulted run must end in the state of a fault-free run on
+// the emulator: "software retries on failure" (§3.2).
+
+// quickstartGuest is the paper's §3.2 listing: stores complete in any
+// order, the swap is the conditional flush, software retries on failure.
+const quickstartGuest = `
 	set 0x41000000, %o1
 	set 12345, %g1
 	movr2f %g1, %f0
+	set 67890, %g1
+	movr2f %g1, %f10
+	movr2f %g1, %f12
 RETRY:
-	set 8, %l4
-	std %f0, [%o1]
-	std %f0, [%o1+8]
-	std %f0, [%o1+16]
-	std %f0, [%o1+24]
-	std %f0, [%o1+32]
-	std %f0, [%o1+40]
-	std %f0, [%o1+48]
-	std %f0, [%o1+56]
-	swap [%o1], %l4
+	set 8, %l4              ! expected value
+	std %f0,  [%o1]
+	std %f10, [%o1+40]
+	std %f0,  [%o1+16]
+	std %f0,  [%o1+24]
+	std %f0,  [%o1+32]
+	std %f0,  [%o1+8]
+	std %f0,  [%o1+56]
+	std %f12, [%o1+48]
+	swap [%o1], %l4         ! conditional flush
 	cmp %l4, 8
-	bnz RETRY
+	bnz RETRY               ! retry on failure
 	membar
 	halt
 `
 
-// robustNICGuest drives the NIC with the full recovery protocol (poll
-// the full bit, detect dropped pushes via the drop counter, wait for the
-// sent counter before reusing the buffer) and scrubs timing-dependent
-// registers before halting.
-const robustNICGuest = `
-	set 0x40001000, %o1     ! packet buffer (combining)
-	set 0x40000000, %o0     ! registers (uncached)
-	set 0xffff, %o2
+// multilineGuest writes four consecutive CSB lines (dword j of line i
+// holds (i<<8)|j), retrying each flush after a short backoff spin: the
+// shape of a driver streaming a message through combining space.
+const multilineGuest = `
+	set 0x41000000, %o1     ! current line
+	mov 4, %g3              ! lines remaining
+	mov 0, %g4              ! line index
+	mov 0, %l5              ! backoff counter
+line:
+retry:
+	set 8, %l4
+	sll %g4, 8, %g6
+	or %g6, 0, %g7
+	stx %g7, [%o1]
+	or %g6, 1, %g7
+	stx %g7, [%o1+8]
+	or %g6, 2, %g7
+	stx %g7, [%o1+16]
+	or %g6, 3, %g7
+	stx %g7, [%o1+24]
+	or %g6, 4, %g7
+	stx %g7, [%o1+32]
+	or %g6, 5, %g7
+	stx %g7, [%o1+40]
+	or %g6, 6, %g7
+	stx %g7, [%o1+48]
+	or %g6, 7, %g7
+	stx %g7, [%o1+56]
+	swap [%o1], %l4         ! conditional flush
+	cmp %l4, 8
+	bz lineok
+	mov 16, %l5             ! failed: back off, then re-run the sequence
+spin:
+	subcc %l5, 1, %l5
+	bnz spin
+	ba retry
+lineok:
+	add %o1, 64, %o1
+	add %g4, 1, %g4
+	subcc %g3, 1, %g3
+	bnz line
+	membar
+	halt
+`
+
+// nicsendGuest sends three 64-byte packets (every dword of packet i is
+// 0xA0+i) through the NIC's packet buffer (CSB line bursts) and
+// descriptor FIFO, using the full recovery protocol: poll the FIFO-full
+// bit before pushing, detect a dropped push by re-reading the drop
+// counter, and wait for the packets-sent counter before reusing the
+// buffer. Timing-dependent registers are scrubbed before halt so the
+// final state is comparable with the emulator.
+const nicsendGuest = `
+	.equ NICREG, 0x40000000
+	.equ PKTBUF, 0x40001000
+	set PKTBUF, %o1
+	set NICREG, %o0
+	set 0xffff, %o2         ! drop-counter mask
 	mov 0, %o3              ! packets that must be on the wire
-	mov 2, %g3              ! messages
-	mov 0xC0, %g4
+	mov 3, %g3              ! messages to send
+	mov 0xA0, %g4           ! payload dword for this message
 msg:
 fill:
 	set 8, %l4
@@ -68,72 +126,172 @@ fill:
 	stx %g4, [%o1+40]
 	stx %g4, [%o1+48]
 	stx %g4, [%o1+56]
-	swap [%o1], %l4
+	swap [%o1], %l4         ! atomic line burst into the packet buffer
 	cmp %l4, 8
-	bnz fill
+	bnz fill                ! flush failed: re-run the store sequence
 push:
-	ldx [%o0+16], %g5
+	ldx [%o0+16], %g5       ! status register
 	and %g5, 2, %g6
 	cmp %g6, 0
-	bnz push
+	bnz push                ! FIFO full or backpressured: keep polling
 	srl %g5, 16, %l5
-	and %l5, %o2, %l5
+	and %l5, %o2, %l5       ! drop counter before the push
 	set 64, %g7
-	sll %g7, 48, %g7
-	stx %g7, [%o0]
-	membar
+	sll %g7, 48, %g7        ! descriptor: offset 0, length 64
+	stx %g7, [%o0]          ! one store pushes it
+	membar                  ! push reaches the device before the re-read
 	ldx [%o0+16], %g5
 	srl %g5, 16, %l6
-	and %l6, %o2, %l6
+	and %l6, %o2, %l6       ! drop counter after
 	cmp %l5, %l6
-	bnz push
+	bnz push                ! counter advanced: push was dropped, retry
 	add %o3, 1, %o3
 sent:
 	ldx [%o0+16], %g5
-	srl %g5, 32, %g6
+	srl %g5, 32, %g6        ! packets sent so far
 	cmp %g6, %o3
-	bl sent
+	bl sent                 ! buffer is live until the packet is on the wire
 	add %g4, 1, %g4
 	subcc %g3, 1, %g3
 	bnz msg
 	membar
-	mov %g0, %g5
+	mov %g0, %g5            ! scrub timing-dependent status reads
 	mov %g0, %g6
 	mov %g0, %l5
 	mov %g0, %l6
 	halt
 `
 
-// newFaultedNICMachine builds a machine with a NIC and the fault
-// injector attached, loaded with the NIC recovery guest.
-func newFaultedNICMachine(t *testing.T, cfg fault.Config) (*Machine, *device.NIC) {
+// recoveryGuest is one guest of the fault-recovery oracle. Besides its
+// registers and console, a run is compared on the first ram bytes of
+// combining space at combBase, or, for a guest with packets != 0, on
+// the packets it sent through a NIC at nicBase.
+type recoveryGuest struct {
+	name    string
+	src     string
+	ram     uint64
+	packets int
+}
+
+var recoveryGuests = []recoveryGuest{
+	{name: "quickstart", src: quickstartGuest, ram: 64},
+	{name: "multiline", src: multilineGuest, ram: 256},
+	{name: "nicsend", src: nicsendGuest, packets: 3},
+}
+
+// recoveryWatchdog is the watchdog window of every recovery run.
+const recoveryWatchdog = 1_000_000
+
+// machine builds a machine with g's address space, the fault injector at
+// cfg and the watchdog attached, and g's program loaded. The NIC is nil
+// for a guest that sends no packets.
+func (g recoveryGuest) machine(t *testing.T, prog *asm.Program, cfg fault.Config) (*Machine, *device.NIC) {
 	t.Helper()
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	var m *Machine
+	var nic *device.NIC
+	if g.packets != 0 {
+		m, nic = machineWithNIC(t)
+	} else {
+		var err error
+		if m, err = New(DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		m.MapRange(combBase, 1<<16, mem.KindCombining)
 	}
-	nic := device.NewNIC(device.DefaultConfig(), robustNICBase)
-	if err := m.AddDevice(robustNICBase, device.RegionSize, "nic", nic, nic); err != nil {
-		t.Fatal(err)
-	}
-	m.MapRange(robustNICBase, device.PacketBufBase, mem.KindUncached)
-	m.MapRange(robustNICBase+device.PacketBufBase, 0x1000, mem.KindCombining)
 	if _, err := m.AttachFaults(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetWatchdog(1_000_000); err != nil {
+	if err := m.SetWatchdog(recoveryWatchdog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.LoadSource("nic.s", robustNICGuest); err != nil {
+	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
-	}
-	if err := m.Run(50_000_000); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := m.Drain(1_000_000); err != nil {
-		t.Fatalf("drain: %v", err)
 	}
 	return m, nic
+}
+
+// oracle assembles g and runs it fault-free on the emulator. Its
+// combining space flushes always succeed, and its NIC is ideal: the
+// status word, which the guest never writes, reads never busy, never
+// full, no drops, and more packets sent than any guest waits for.
+func (g recoveryGuest) oracle(tb testing.TB) (*asm.Program, *emu.Emulator) {
+	tb.Helper()
+	prog, err := asm.Assemble(g.name+".s", g.src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := emu.New(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if g.packets != 0 {
+		e.MarkCombining(nicBase+device.PacketBufBase, device.PacketBufSize)
+		e.Mem.WriteUint(nicBase+device.RegStatus, 8, 0x7FFFFFFF<<32)
+	} else {
+		e.MarkCombining(combBase, 1<<16)
+	}
+	if err := e.Run(); err != nil {
+		tb.Fatalf("%s: oracle: %v", g.name, err)
+	}
+	return prog, e
+}
+
+// check compares what a finished run of g leaves behind with the
+// oracle: registers, FP registers, condition codes, console, the
+// combining space g wrote and the payloads of the packets it sent.
+func (g recoveryGuest) check(t *testing.T, m *Machine, nic *device.NIC, e *emu.Emulator) {
+	t.Helper()
+	checkArch(t, m, e)
+	if got, want := m.Console(), string(e.Console); got != want {
+		t.Errorf("console = %q, oracle %q", got, want)
+	}
+	for off := uint64(0); off < g.ram; off += 8 {
+		if mv, ev := m.RAM.ReadUint(combBase+off, 8), e.Mem.ReadUint(combBase+off, 8); mv != ev {
+			t.Errorf("mem[%#x] = %#x, oracle %#x", combBase+off, mv, ev)
+		}
+	}
+	if g.packets == 0 {
+		return
+	}
+	got := nic.Packets()
+	if len(got) != g.packets {
+		t.Fatalf("%d packets on the wire, want %d (dropped pushes: %d)", len(got), g.packets, nic.Dropped())
+	}
+	for i, p := range got {
+		want := bytes.Repeat([]byte{byte(0xA0 + i), 0, 0, 0, 0, 0, 0, 0}, 8)
+		if !bytes.Equal(p.Data, want) {
+			t.Errorf("packet %d payload %x, want %x", i, p.Data, want)
+		}
+	}
+}
+
+// runChecked runs m to HALT as Run does and checks the CPU's scheduling
+// queues (cpu.CPU.CheckQueues) after every step: each Run call ticks
+// once or jumps through one open quiet stretch, and keeps the watchdog's
+// countdown. A periodic hook would cut every quiet stretch short; this
+// leaves coasting and jumping on. It returns Run's result, or the cycle
+// limit's error once maxCycles have passed.
+func runChecked(t *testing.T, m *Machine, maxCycles uint64) error {
+	t.Helper()
+	for {
+		n := uint64(1)
+		if m.coastEnd > m.cycle {
+			n = m.coastEnd - m.cycle
+		}
+		err := m.Run(n)
+		if qerr := m.CPU.CheckQueues(); qerr != nil {
+			t.Fatalf("cycle %d: %v", m.cycle, qerr)
+		}
+		// With the core running, no device error and no watchdog trip,
+		// err is only Run's own cycle limit.
+		var wd *WatchdogError
+		if m.CPU.Halted() || m.deviceErr() != nil || errors.As(err, &wd) {
+			return err
+		}
+		if m.cycle >= maxCycles {
+			return fmt.Errorf("cycle limit %d reached at pc %#x", maxCycles, m.CPU.State().PC)
+		}
+	}
 }
 
 // TestFaultedRunByteIdenticalPerSeed is the determinism acceptance
@@ -142,12 +300,24 @@ func newFaultedNICMachine(t *testing.T, cfg fault.Config) (*Machine, *device.NIC
 // agree byte for byte — while a different seed yields a different
 // schedule.
 func TestFaultedRunByteIdenticalPerSeed(t *testing.T) {
+	g := recoveryGuests[2]
+	prog, oracle := g.oracle(t)
 	cfg := fault.DefaultConfig()
 	cfg.Seed = 3
 
 	snapshot := func(cfg fault.Config) (string, []byte) {
-		m, _ := newFaultedNICMachine(t, cfg)
+		m, nic := g.machine(t, prog, cfg)
+		if err := m.Run(50_000_000); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if err := m.Drain(1_000_000); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		g.check(t, m, nic, oracle)
 		s := m.Stats()
+		if s.Faults.Total() == 0 {
+			t.Fatalf("seed %d injected no fault", cfg.Seed)
+		}
 		data, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
@@ -174,75 +344,67 @@ func TestFaultedRunByteIdenticalPerSeed(t *testing.T) {
 	}
 }
 
-// TestFaultRecoveryMatchesEmulator sweeps seeds over the CSB retry guest
-// with all flush fault classes turned up and checks the machine ends in
-// exactly the architectural state of a fault-free emulator run.
-func TestFaultRecoveryMatchesEmulator(t *testing.T) {
-	prog, err := asm.Assemble("csb.s", robustCSBGuest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := emu.New(prog, emu.WithCombining(robustCombBase, 1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.Run(); err != nil {
-		t.Fatal(err)
-	}
+// The specs of FuzzFaultRecovery's committed corpus besides CI's
+// "default" mix: a flush-fault-heavy mix and a cranked one. Every run at
+// a committed spec must converge.
+const (
+	flushHeavySpec = "default,flushdrop=256,csbpressure=256,flushdelay=128,busnack=128"
+	crankedSpec    = "default,csbpressure=256,flushdrop=256"
+)
 
-	cfg := fault.DefaultConfig()
-	cfg.FlushDrop = 256
-	cfg.CSBPressure = 256
-	cfg.FlushDelay = 128
-	cfg.BusNack = 128
-
-	var injected uint64
+// FuzzFaultRecovery is the fault-recovery oracle. The recovery guest
+// numbered guest (modulo their count) runs with the fault injector at
+// spec and seed, and must end in exactly one of two ways: in the state
+// of its fault-free emulator run, with the CPI stack summing to the
+// cycles, or in a *WatchdogError, which a hostile spec such as
+// busnack=1024 may legitimately cause. A spec that does not parse is
+// skipped: FuzzParseSpec owns parsing. Replay one input with
+// go test -run 'FuzzFaultRecovery/<name>'.
+func FuzzFaultRecovery(f *testing.F) {
+	for g := range recoveryGuests {
+		for seed := uint64(1); seed <= 25; seed++ {
+			f.Add(uint8(g), seed, "default")
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			f.Add(uint8(g), seed, crankedSpec)
+		}
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(uint8(0), seed, flushHeavySpec)
+	}
+	progs := make([]*asm.Program, len(recoveryGuests))
+	oracles := make([]*emu.Emulator, len(recoveryGuests))
+	for i, g := range recoveryGuests {
+		progs[i], oracles[i] = g.oracle(f)
+	}
+	f.Fuzz(func(t *testing.T, guest uint8, seed uint64, spec string) {
+		cfg, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Skip(err)
+		}
 		cfg.Seed = seed
-		m, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.MapRange(robustCombBase, 1<<16, mem.KindCombining)
-		inj, err := m.AttachFaults(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetWatchdog(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Load(prog); err != nil {
-			t.Fatal(err)
-		}
-		checkQueuesEveryTick(t, m)
-		if err := m.Run(50_000_000); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := m.Drain(1_000_000); err != nil {
-			t.Fatalf("seed %d: drain: %v", seed, err)
-		}
-		injected += inj.Stats().Total()
-
-		st := m.CPU.State()
-		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if st.R[r] != oracle.R[r] {
-				t.Fatalf("seed %d: %s = %#x, oracle %#x", seed, isa.RegName(r), st.R[r], oracle.R[r])
+		i := int(guest) % len(recoveryGuests)
+		g := recoveryGuests[i]
+		m, nic := g.machine(t, progs[i], cfg)
+		err = runChecked(t, m, 50_000_000)
+		if wd := (*WatchdogError)(nil); errors.As(err, &wd) {
+			if spec == "default" || spec == flushHeavySpec || spec == crankedSpec {
+				t.Fatalf("%s wedged at committed spec %q seed %d: %v\n%s", g.name, spec, seed, err, wd.Dump)
 			}
+			return
 		}
-		if st.CC != oracle.CC {
-			t.Fatalf("seed %d: CC = %+v, oracle %+v", seed, st.CC, oracle.CC)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
 		}
-		for off := uint64(0); off < 64; off += 8 {
-			mv := m.RAM.ReadUint(robustCombBase+off, 8)
-			ev := oracle.Mem.ReadUint(robustCombBase+off, 8)
-			if mv != ev {
-				t.Fatalf("seed %d: mem[%#x] = %#x, oracle %#x", seed, robustCombBase+off, mv, ev)
-			}
+		if err := m.Drain(recoveryWatchdog); err != nil {
+			t.Fatalf("%s: drain: %v", g.name, err)
 		}
-	}
-	if injected == 0 {
-		t.Error("no faults injected across 8 seeds; the sweep exercised nothing")
-	}
+		g.check(t, m, nic, oracles[i])
+		s := m.Stats()
+		if total := s.CPU.CPI.Total(); total != s.Cycles {
+			t.Errorf("%s: CPI stack sums to %d, cycles %d", g.name, total, s.Cycles)
+		}
+	})
 }
 
 // TestWatchdogTripsOnWedgedGuest wedges the machine (every bus
@@ -300,14 +462,14 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.MapRange(robustCombBase, 1<<16, mem.KindCombining)
+	m.MapRange(combBase, 1<<16, mem.KindCombining)
 	if _, err := m.AttachFaults(fault.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetWatchdog(10_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.LoadSource("csb.s", robustCSBGuest); err != nil {
+	if _, err := m.LoadSource("quickstart.s", quickstartGuest); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(1_000_000); err != nil {
@@ -344,11 +506,11 @@ func TestBadDescriptorFailsRunTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := device.NewNIC(device.DefaultConfig(), robustNICBase)
-	if err := m.AddDevice(robustNICBase, device.RegionSize, "nic", nic, nic); err != nil {
+	nic := device.NewNIC(device.DefaultConfig(), nicBase)
+	if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
 		t.Fatal(err)
 	}
-	m.MapRange(robustNICBase, device.PacketBufBase, mem.KindUncached)
+	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
 	// Descriptor: offset 0x8000 (outside the 0x1000-byte packet buffer),
 	// length 64. This used to crash the whole simulator at transmit time.
 	if _, err := m.LoadSource("bad.s", `

@@ -396,7 +396,7 @@ func TestRetireTimingGolden(t *testing.T) {
 	var got, effort, steps strings.Builder
 	for seed := 0; seed < 60; seed++ {
 		var th *timingHash
-		m := runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed)), func(m *Machine) {
+		m := runBoth(t, DefaultConfig(), int64(seed), generate(int64(seed), 0), func(m *Machine) {
 			th = attachTimingHash(m)
 		})
 		name := fmt.Sprintf("seed%d", seed)
