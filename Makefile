@@ -79,26 +79,29 @@ zero-alloc:
 # Journey-traced runs of the paired store workloads: record the per-hop
 # store journeys for the uncached and CSB paths, render both with csbrec
 # (journey counters and whole-run per-layer latency histograms, then the
-# slowest-journey table), and write the CSB run's Perfetto trace with
-# memory-system flow arrows.
+# slowest-journey table), and draw the CSB run's Perfetto trace from its
+# recording: instruction lifetimes, bus transactions and memory-system
+# journeys with flow arrows.
 # A third run drives csbsim's end-of-run flush of the periodic hooks:
-# the recording must come out with the CSB occupancy gauges in it.
+# the recording must come out with the CSB occupancy gauges in it, and
+# its pipeline tail draws the last 16 instructions.
 # Artifacts land in out/.
 journeys:
 	mkdir -p out
 	$(GO) run ./cmd/csbsim -uncached 0x40000000:64K \
 		-journeys -record out/journeys_uncached.rec examples/asm/uncached_stores.s
 	$(GO) run ./cmd/csbsim -combining 0x40000000:64K \
-		-journeys -record out/journeys_csb.rec -perfetto out/trace_csb.json \
-		examples/asm/csb_stores.s
+		-journeys -record out/journeys_csb.rec examples/asm/csb_stores.s
 	$(GO) run ./cmd/csbrec series -m 'machine/journey/*' out/journeys_uncached.rec
 	$(GO) run ./cmd/csbrec journeys -top 5 out/journeys_uncached.rec
 	$(GO) run ./cmd/csbrec series -m 'machine/journey/*' out/journeys_csb.rec
 	$(GO) run ./cmd/csbrec journeys -top 5 out/journeys_csb.rec
-	$(GO) run ./cmd/csbsim -combining 0x40000000:64K -pipeview 16 \
+	$(GO) run ./cmd/csbrec perfetto -o out/trace_csb.json out/journeys_csb.rec
+	$(GO) run ./cmd/csbsim -combining 0x40000000:64K \
 		-record out/csb.rec -record-every 1000 examples/asm/csb_stores.s
 	$(GO) run ./cmd/csbrec summary out/csb.rec
 	$(GO) run ./cmd/csbrec series -m 'machine/csb/*' out/csb.rec | grep 'csb/occupancy_bytes'
+	$(GO) run ./cmd/csbrec pipeview -n 16 out/csb.rec
 
 # Cross-node tracing: record a traced two-node ping-pong under each
 # engine, require the two recordings to match (csbrec diff exits 1 on

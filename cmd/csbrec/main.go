@@ -2,12 +2,15 @@
 // summaries, per-series statistics (a histogram's exact over the whole
 // run, from the footer), window slices, the cycle-stamped event log, the
 // store journeys of a `csbsim -journeys -record` run and the wire spans
-// of a `csbcluster -trace -record` run, SLO checks, tolerance-aware
-// recording diffs for regression gating, and Perfetto export: counter
-// tracks of the recorded history, plus one timeline per node with the
-// wire spans and their flow arrows. A counter is shown by its change
-// over each window, a gauge (an occupancy) by its value at the window's
-// end.
+// of a `csbcluster -trace -record` run, an ASCII pipeline diagram of the
+// last retired instructions of a `csbsim -record` run, SLO checks,
+// tolerance-aware recording diffs for regression gating, and Perfetto
+// export: counter tracks of the recorded history; for a csbsim run the
+// last instructions' lifetimes, bus transactions and store journeys
+// with flow arrows between them; for a csbcluster run one timeline per
+// node with the wire spans and their flow arrows. A counter is shown by
+// its change over each window, a gauge (an occupancy) by its value at
+// the window's end.
 //
 // Usage:
 //
@@ -16,6 +19,7 @@
 //	csbrec slice [-from N] [-to M] [-m glob] file.rec
 //	csbrec events file.rec
 //	csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] file.rec
+//	csbrec pipeview [-n N] file.rec
 //	csbrec check -slo 'spec-or-@file' file.rec   (exit 1 on any breach)
 //	csbrec diff [-tol F] a.rec b.rec             (exit 1 when different)
 //	csbrec perfetto [-o out.json] file.rec
@@ -34,6 +38,7 @@ import (
 	"text/tabwriter"
 
 	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
@@ -56,6 +61,8 @@ func main() {
 		err = cmdEvents(args, os.Stdout)
 	case "journeys":
 		err = cmdJourneys(args, os.Stdout)
+	case "pipeview":
+		err = cmdPipeview(args, os.Stdout)
 	case "check":
 		err = cmdCheck(args, os.Stdout)
 	case "diff":
@@ -85,9 +92,11 @@ func usage() {
   csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] f
                                                slowest and most recent store journeys
                                                and wire spans
+  csbrec pipeview [-n N] file.rec              pipeline diagram of the last N instructions
   csbrec check -slo spec|@file file.rec        evaluate an SLO spec (exit 1 on breach)
   csbrec diff [-tol F] a.rec b.rec             compare recordings (exit 1 when different)
-  csbrec perfetto [-o out.json] file.rec       Perfetto export: counter tracks, wire spans
+  csbrec perfetto [-o out.json] file.rec       Perfetto export: counter tracks, instructions,
+                                               bus transactions, journeys, wire spans
 `)
 }
 
@@ -533,6 +542,27 @@ func spanTable(out io.Writer, ss []ctrace.MergedSpan) {
 	w.Flush()
 }
 
+func cmdPipeview(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pipeview", flag.ContinueOnError)
+	n := fs.Int("n", 20, "draw the last N retired instructions")
+	path, err := oneArg(fs, args)
+	if err != nil {
+		return err
+	}
+	if *n <= 0 {
+		return fmt.Errorf("-n must be positive, got %d", *n)
+	}
+	rc, err := loadRec(path)
+	if err != nil {
+		return err
+	}
+	if len(rc.Insts) == 0 {
+		return fmt.Errorf("%s holds no instructions (record with csbsim -record)", path)
+	}
+	fmt.Fprint(out, obs.FormatPipeline(rc.Insts[max(0, len(rc.Insts)-*n):]))
+	return nil
+}
+
 // loadSLO parses a -slo argument: a literal spec, or @path to a file.
 func loadSLO(arg string) (*rec.SLO, error) {
 	if arg == "" {
@@ -612,9 +642,9 @@ func cmdDiff(args []string, out io.Writer) error {
 }
 
 // traceEvent is the Chrome trace-event subset the export writes:
-// metadata, counter, instant and complete events, and flow arrows.
-// Loading it together with a csbsim -perfetto trace lines recorded
-// history up with the journey slices.
+// metadata, counter, instant and complete events, and flow arrows (whose
+// steps share a name, category and id). Timestamps are cycles written
+// as microseconds: only the relative scale means anything.
 type traceEvent struct {
 	Name   string         `json:"name"`
 	Cat    string         `json:"cat,omitempty"`
@@ -622,7 +652,7 @@ type traceEvent struct {
 	Ts     uint64         `json:"ts"`
 	Dur    uint64         `json:"dur,omitempty"`
 	PID    int            `json:"pid"`
-	TID    int            `json:"tid,omitempty"`
+	TID    int            `json:"tid"`
 	FlowID uint64         `json:"id,omitempty"`
 	BP     string         `json:"bp,omitempty"`
 	S      string         `json:"s,omitempty"`
@@ -685,6 +715,8 @@ func cmdPerfetto(args []string, out io.Writer) error {
 		events = append(events, e)
 	}
 	events = spanEvents(events, rc.Spans)
+	events = pipelineEvents(events, rc)
+	events = journeyEvents(events, rc)
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
@@ -768,6 +800,146 @@ func spanEvents(events []traceEvent, spans []ctrace.MergedSpan) []traceEvent {
 				PID: pid[s.From], TID: tidTx, FlowID: s.TraceID},
 			traceEvent{Name: "wire", Cat: "wire", Ph: "f", BP: "e", Ts: s.WireArrive,
 				PID: pid[s.To], TID: tidRx, FlowID: s.TraceID})
+	}
+	return events
+}
+
+// The processes of a csbsim recording's pipeline tail and journeys, and
+// the number of instruction rows: in-flight instructions rotate across
+// the lanes (half the ROB) so overlapping lifetimes stay readable.
+const (
+	pidCPU = 1
+	pidBus = 2
+	pidMem = 3
+	lanes  = 32
+)
+
+// lane returns an instruction's row in the cpu process.
+func lane(e *obs.InstEvent) int { return 1 + int(e.Seq%lanes) }
+
+// pipelineEvents appends the pipeline tail: one slice per instruction,
+// fetch to retire, with its stage stamps in the args, and one per bus
+// transaction, all on the CPU-cycle timeline.
+func pipelineEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
+	if len(rc.Insts)+len(rc.Bus) == 0 {
+		return events
+	}
+	events = append(events,
+		traceEvent{Name: "process_name", Ph: "M", PID: pidCPU,
+			Args: map[string]any{"name": "cpu pipeline"}},
+		traceEvent{Name: "process_name", Ph: "M", PID: pidBus,
+			Args: map[string]any{"name": "system bus"}})
+	for i := range rc.Insts {
+		e := &rc.Insts[i]
+		start, end := e.Span()
+		args := map[string]any{"seq": e.Seq, "pc": fmt.Sprintf("%#x", e.PC)}
+		for _, st := range []struct {
+			name  string
+			cycle uint64
+		}{
+			{"fetch", e.Fetch}, {"dispatch", e.Dispatch}, {"issue", e.Issue},
+			{"complete", e.Complete}, {"retire", e.Retire},
+		} {
+			if st.cycle != 0 {
+				args[st.name] = st.cycle
+			}
+		}
+		if e.IsMem {
+			args["va"] = fmt.Sprintf("%#x", e.Addr)
+		}
+		events = append(events, traceEvent{Name: e.Disasm, Ph: "X", Ts: start, Dur: max(end-start, 1),
+			PID: pidCPU, TID: lane(e), Args: args})
+	}
+	for _, e := range rc.Bus {
+		dir, kind := "RD", "mem"
+		if e.Write {
+			dir = "WR"
+		}
+		if e.IO {
+			kind = "io"
+		}
+		events = append(events, traceEvent{Name: fmt.Sprintf("%s %dB @%#x", dir, e.Size, e.Addr),
+			Ph: "X", Ts: e.Start, Dur: max(e.End-e.Start, 1), PID: pidBus, TID: 1,
+			Args: map[string]any{"kind": kind, "size": e.Size}})
+	}
+	return events
+}
+
+// journeyEvents appends the recent store journeys as a "memory system"
+// process with one thread per journey kind: a slice spanning each
+// journey, a nested slice per hop, and a flow arrow stitching the story
+// across processes, from the retiring store's instruction slice through
+// the journey to the bus transaction that carried it.
+func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
+	if len(rc.Journeys) == 0 {
+		return events
+	}
+	events = append(events, traceEvent{Name: "process_name", Ph: "M", PID: pidMem,
+		Args: map[string]any{"name": "memory system"}})
+	for i, name := range []string{"uncached stores", "csb stores", "nic descriptors"} {
+		events = append(events, traceEvent{Name: "thread_name", Ph: "M", PID: pidMem, TID: 1 + i,
+			Args: map[string]any{"name": name}})
+	}
+	// Memory instructions by address, so each journey finds the store
+	// that started it: the journey's first stamp is taken the cycle the
+	// store retires.
+	byAddr := make(map[uint64][]*obs.InstEvent)
+	for i := range rc.Insts {
+		if e := &rc.Insts[i]; e.IsMem {
+			byAddr[e.Addr] = append(byAddr[e.Addr], e)
+		}
+	}
+	for flowID, j := range rc.Journeys {
+		tid := 1 + int(j.Kind)
+		start, end := j.T[journey.HopStart], j.T[journey.HopComplete]
+		if end == 0 { // still in flight, or aborted mid-way
+			end = slices.Max(j.T[:])
+		}
+		args := map[string]any{"id": j.ID, "size": j.Size, "coalesced": j.Coalesced, "aborted": j.Aborted}
+		names := journey.HopNames(j.Kind)
+		for h, name := range names {
+			if name != "" && j.T[h] != 0 {
+				args[name] = j.T[h]
+			}
+		}
+		events = append(events, traceEvent{Name: fmt.Sprintf("%s @%#x", j.Kind, j.Addr),
+			Ph: "X", Ts: start, Dur: max(end-start, 1), PID: pidMem, TID: tid, Args: args})
+		// One child slice per pair of consecutive stamped hops.
+		prev := journey.HopStart
+		for h := prev + 1; h < journey.NumHops; h++ {
+			if names[h] == "" || j.T[h] == 0 {
+				continue
+			}
+			events = append(events, traceEvent{Name: names[prev] + "→" + names[h],
+				Ph: "X", Ts: j.T[prev], Dur: max(j.T[h]-j.T[prev], 1), PID: pidMem, TID: tid})
+			prev = h
+		}
+		// The store is matched by address and retire cycle. The CPU's
+		// cycle counter leads the machine clock by one (it increments at
+		// the top of its Tick), so the store is stamped one cycle after
+		// the journey opens. The bus transaction is matched by the grant
+		// stamp, its first occupied cycle.
+		steps := make([]traceEvent, 0, 3)
+		for _, e := range byAddr[j.Addr] {
+			if e.Retire == start || e.Retire == start+1 {
+				ts, _ := e.Span()
+				steps = append(steps, traceEvent{Ts: ts, PID: pidCPU, TID: lane(e)})
+				break
+			}
+		}
+		steps = append(steps, traceEvent{Ts: start, PID: pidMem, TID: tid})
+		if g := j.T[journey.HopBusGrant]; g != 0 && len(rc.Bus) > 0 {
+			steps = append(steps, traceEvent{Ts: g, PID: pidBus, TID: 1})
+		}
+		if len(steps) < 2 {
+			continue // an arrow needs two ends
+		}
+		for i := range steps {
+			steps[i].Name, steps[i].Cat, steps[i].Ph, steps[i].FlowID = "store journey", "journey", "t", uint64(flowID+1)
+		}
+		steps[0].Ph = "s"
+		steps[len(steps)-1].Ph, steps[len(steps)-1].BP = "f", "e" // bind the end to the enclosing slice
+		events = append(events, steps...)
 	}
 	return events
 }

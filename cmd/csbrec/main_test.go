@@ -13,6 +13,7 @@ import (
 
 	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/mem"
+	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
@@ -146,21 +147,17 @@ func TestPerfettoPlotsGaugeValues(t *testing.T) {
 	}
 }
 
-// recordCSBStores runs examples/asm/csb_stores.s the way `csbsim
-// -combining 0x40000000:64K -journeys -record FILE -record-every 500`
-// does, and returns the tracer, the machine's registry and the file.
-func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string) {
+// recordRun records a run of m the way `csbsim -journeys -record FILE
+// -record-every N` does: one window per every cycles, then the
+// journeys, the pipeline tail and the footer. drive runs the machine.
+// It returns the tracer and the file.
+func recordRun(t *testing.T, m *sim.Machine, every uint64, drive func() error) (*journey.Tracer, string) {
 	t.Helper()
-	m, err := sim.New(sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.MapRange(0x4000_0000, 64<<10, mem.KindCombining)
 	tr, err := m.AttachJourneys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := rec.New(rec.Config{Every: 500})
+	r, err := rec.New(rec.Config{Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +167,39 @@ func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string)
 	if err := r.AddJourneys(tr); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.AddPipeline(m.AttachPipeline()); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := r.SetWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r.Start(m.Cycle())
-	if err := m.AttachPeriodic(500, r.Roll); err != nil {
+	if err := m.AttachPeriodic(every, r.Roll); err != nil {
 		t.Fatal(err)
 	}
+	if err := drive(); err != nil {
+		t.Fatal(err)
+	}
+	m.FlushObs()
+	r.Flush(m.Cycle())
+	path := filepath.Join(t.TempDir(), "run.rec")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return tr, path
+}
+
+// recordCSBStores records examples/asm/csb_stores.s as `csbsim
+// -combining 0x40000000:64K -journeys -record FILE -record-every 500`
+// does, and returns the tracer, the machine's registry and the file.
+func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string) {
+	t.Helper()
+	m, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4000_0000, 64<<10, mem.KindCombining)
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "asm", "csb_stores.s"))
 	if err != nil {
 		t.Fatal(err)
@@ -185,15 +207,7 @@ func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string)
 	if _, err := m.LoadSource("csb_stores.s", string(src)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(10_000_000); err != nil {
-		t.Fatal(err)
-	}
-	m.FlushObs()
-	r.Flush(m.Cycle())
-	path := filepath.Join(t.TempDir(), "csb.rec")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tr, path := recordRun(t, m, 500, func() error { return m.Run(10_000_000) })
 	return tr, m.Counters(), path
 }
 
@@ -337,5 +351,172 @@ func TestJourneysListsSpans(t *testing.T) {
 	}
 	if got := run(t, cmdSummary, path); !strings.Contains(got, "spans:     3 (1 completed, 1 dropped)") {
 		t.Errorf("summary misses the span count:\n%s", got)
+	}
+}
+
+// storeLoop gathers eight doublewords into one CSB line per iteration
+// and flushes it with a swap, eight times over.
+const storeLoop = `
+	set 0x40000000, %o1
+	mov 8, %g2
+loop:
+	mov 8, %l4
+	stx %g1, [%o1]
+	stx %g1, [%o1+8]
+	stx %g1, [%o1+16]
+	stx %g1, [%o1+24]
+	stx %g1, [%o1+32]
+	stx %g1, [%o1+40]
+	stx %g1, [%o1+48]
+	stx %g1, [%o1+56]
+	swap [%o1], %l4
+	subcc %g2, 1, %g2
+	bnz loop
+	mov 3, %o0
+	trap 2
+	halt
+`
+
+// recordStoreLoop records storeLoop, warmed, run to halt and drained.
+// The run is shorter than the pipeline tail, so the recording holds
+// every instruction and bus transaction.
+func recordStoreLoop(t *testing.T) string {
+	t.Helper()
+	m, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4000_0000, 1<<16, mem.KindCombining)
+	p, err := m.LoadSource("loop.s", storeLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmProgram(p)
+	_, path := recordRun(t, m, 10_000, func() error {
+		if err := m.Run(1_000_000); err != nil {
+			return err
+		}
+		return m.Drain(1_000_000)
+	})
+	return path
+}
+
+// perfettoEvents renders a recording and returns its trace events.
+func perfettoEvents(t *testing.T, path string) []json.RawMessage {
+	t.Helper()
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(run(t, cmdPerfetto, path)), &doc); err != nil {
+		t.Fatalf("perfetto not valid JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// TestJourneyFlowsGolden pins the journeys' rendering from a recording:
+// the "memory system" track slices, the per-hop segments, and the s/t/f
+// flow arrows binding pipeline → journey → bus. The golden is the
+// output of the exporter that wrote a separate trace before the
+// recording carried the pipeline tail; it is not regenerated.
+func TestJourneyFlowsGolden(t *testing.T) {
+	// Keep only the journey-related events: everything on the memory
+	// system track plus the flow arrows (which span all three tracks).
+	var kept []json.RawMessage
+	for _, raw := range perfettoEvents(t, recordStoreLoop(t)) {
+		var e struct {
+			Cat string `json:"cat"`
+			PID int    `json:"pid"`
+		}
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.PID == pidMem || e.Cat == "journey" {
+			kept = append(kept, raw)
+		}
+	}
+	got, err := json.MarshalIndent(kept, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "journey_flows.golden.json")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("journey flow events drifted from %s\ngot %d bytes, want %d", golden, len(got), len(want))
+	}
+}
+
+// TestPerfettoDrawsPipeline: the export draws one slice per recorded
+// instruction on the cpu process, rotating across every lane, with its
+// stage stamps and, for a store, its address; one slice per bus
+// transaction on the bus process; and no zero-width slice, which would
+// vanish in the UI.
+func TestPerfettoDrawsPipeline(t *testing.T) {
+	path := recordStoreLoop(t)
+	rc, err := rec.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanesSeen := map[int]bool{}
+	var insts, bus, stores int
+	for _, raw := range perfettoEvents(t, path) {
+		var e traceEvent
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Ph != "X" || e.PID == pidMem {
+			continue
+		}
+		if e.Dur == 0 {
+			t.Errorf("zero-width slice %q", e.Name)
+		}
+		switch e.PID {
+		case pidCPU:
+			insts++
+			lanesSeen[e.TID] = true
+			if e.Args["retire"] == nil || e.Args["seq"] == nil {
+				t.Errorf("instruction %q lacks its stamps: %v", e.Name, e.Args)
+			}
+			if strings.HasPrefix(e.Name, "stx") && e.Args["va"] != nil {
+				stores++
+			}
+		case pidBus:
+			bus++
+		}
+	}
+	if insts != len(rc.Insts) || bus != len(rc.Bus) || len(lanesSeen) != lanes || stores != 64 {
+		t.Errorf("%d instruction slices on %d lanes (%d stores with an address), %d bus slices; want %d on %d lanes (64), %d",
+			insts, len(lanesSeen), stores, bus, len(rc.Insts), lanes, len(rc.Bus))
+	}
+}
+
+// TestPipeview: the diagram has one row per instruction asked for, the
+// newest last, each marked with its retire cycle, and -n beyond the tail
+// draws all of it; a count below one and a recording without a pipeline
+// tail are errors.
+func TestPipeview(t *testing.T) {
+	path := recordStoreLoop(t)
+	rc, err := rec.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := run(t, cmdPipeview, "-n", "5", path)
+	if want := obs.FormatPipeline(rc.Insts[len(rc.Insts)-5:]); out != want {
+		t.Errorf("pipeview:\n%s\nwant\n%s", out, want)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 7 || !strings.HasSuffix(lines[6], rc.Insts[len(rc.Insts)-1].Disasm) || !strings.Contains(lines[6], "R") {
+		t.Errorf("want a header, a ruler and 5 rows ending with the last instruction:\n%s", out)
+	}
+	if all := run(t, cmdPipeview, "-n", "100000", path); all != obs.FormatPipeline(rc.Insts) {
+		t.Errorf("pipeview -n 100000 does not draw the whole tail:\n%s", all)
+	}
+	for _, args := range [][]string{{"-n", "0", path}, {"-n", "-3", path}, {writeRecording(t)}} {
+		if err := cmdPipeview(args, io.Discard); err == nil {
+			t.Errorf("pipeview %v succeeded", args)
+		}
 	}
 }

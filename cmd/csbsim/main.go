@@ -14,24 +14,26 @@
 //	csbsim -combining 0x40000000:64K prog.s
 //
 // Observability flags: -cpistack prints the stall-attribution stack,
-// -perfetto writes a Chrome trace-event JSON loadable at ui.perfetto.dev,
-// -json emits the full statistics object, and -pipeview N prints an
-// ASCII pipeline diagram of the last N instructions. -counters attaches
-// the unified per-layer counter registry on its own. -record FILE writes
-// a flight recording, window by window as the run goes (watch it live
+// -json emits the full statistics object, and -counters attaches the
+// unified per-layer counter registry on its own. -record FILE writes a
+// flight recording, window by window as the run goes (watch it live
 // with csbtop FILE): every counter's change and every gauge's value (CSB
 // occupancy and pending lines, uncached-buffer and write-buffer depth)
-// per -record-every cycles, and at the end a footer with every latency
-// histogram's whole-run statistics. csbrec reads it back: `csbrec slice`
-// lists each window, `csbrec series` the whole run, and `csbrec
-// perfetto` turns it into Perfetto counter tracks. Per-window IPC is the
-// ratio of the cpu/retired and cpu/cycles deltas, bus-busy% that of
-// bus/busy_cycles and bus/cycles. -journeys traces every uncached/CSB
-// store and NIC descriptor through the memory system (per-hop cycle
-// stamps, per-layer latency histograms); with -record the slowest and
-// the most recent journeys land in the recording, an aborted run's
-// included (query them with `csbrec journeys`), and with -perfetto in
-// the trace as a "memory system" track with flow arrows.
+// per -record-every cycles, and at the end the last 4096 retired
+// instructions and bus transactions with their cycle stamps, and a
+// footer with every latency histogram's whole-run statistics. csbrec
+// reads it back: `csbrec slice` lists each window, `csbrec series` the
+// whole run, `csbrec pipeview` draws the last instructions as an ASCII
+// pipeline diagram, and `csbrec perfetto` turns it into a Perfetto
+// trace: counter tracks, instruction lifetimes and bus transactions.
+// Per-window IPC is the ratio of the cpu/retired and cpu/cycles deltas,
+// bus-busy% that of bus/busy_cycles and bus/cycles. -journeys traces
+// every uncached/CSB store and NIC descriptor through the memory system
+// (per-hop cycle stamps, per-layer latency histograms); with -record the
+// slowest and the most recent journeys land in the recording, an
+// aborted run's included (query them with `csbrec journeys`), and
+// `csbrec perfetto` draws them as a "memory system" track with flow
+// arrows to the instructions and bus transactions.
 //
 // Robustness flags: -faults attaches a deterministic fault injector
 // ("default", or a key=value list such as "busnack=64,seed=3"),
@@ -52,9 +54,7 @@ import (
 	"csbsim"
 	"csbsim/internal/bus"
 	"csbsim/internal/mem"
-	"csbsim/internal/obs"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/sim"
 	"csbsim/internal/trace"
 )
 
@@ -84,10 +84,8 @@ func main() {
 		recEach = flag.Uint64("record-every", 10_000, "recording window in CPU cycles")
 		sloSpec = flag.String("slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 
-		perfetto = flag.String("perfetto", "", "write a Chrome trace-event JSON file (load at ui.perfetto.dev)")
 		cpistack = flag.Bool("cpistack", false, "print the CPI stall-attribution stack")
 		jsonOut  = flag.Bool("json", false, "print full statistics as JSON on stdout")
-		pipeview = flag.Int("pipeview", 0, "print an ASCII pipeline diagram of the last N retired instructions")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: csbsim [flags] program.s\n")
@@ -157,9 +155,9 @@ func main() {
 		}
 	}
 	// The flight recorder rides the generic periodic hook: one rollup
-	// window per -record-every cycles, flushed with the journeys and a
-	// footer after the run (even an aborted one). -slo without -record
-	// still evaluates live, writing nothing.
+	// window per -record-every cycles, flushed with the journeys, the
+	// pipeline tail and a footer after the run (even an aborted one).
+	// -slo without -record still evaluates live, writing nothing.
 	var recorder *rec.Recorder
 	var recFile *os.File
 	if *record != "" || *sloSpec != "" {
@@ -199,6 +197,9 @@ func main() {
 			if err := r.SetWriter(f); err != nil {
 				fatal(err)
 			}
+			if err := r.AddPipeline(m.AttachPipeline()); err != nil {
+				fatal(err)
+			}
 		}
 		r.Start(m.Cycle())
 		if err := m.AttachPeriodic(*recEach, r.Roll); err != nil {
@@ -216,18 +217,7 @@ func main() {
 		fatal(err)
 	}
 	if *traceRun {
-		trace.New(os.Stderr, 0).Attach(m.CPU)
-	}
-
-	var exporter *obs.Perfetto
-	if *perfetto != "" {
-		exporter = obs.NewPerfetto()
-		m.AttachPerfetto(exporter)
-	}
-	var pipeRing *trace.Ring
-	if *pipeview > 0 {
-		pipeRing = trace.NewRing(*pipeview)
-		m.CPU.AttachRetire(pipeRing.Push)
+		trace.New(os.Stderr).Attach(m.CPU)
 	}
 
 	runErr := m.Run(*maxCycles)
@@ -240,22 +230,10 @@ func main() {
 	// One last firing of every periodic hook emits the final partial
 	// recording window; a no-op after an abort that Run already flushed.
 	m.FlushObs()
-	if exporter != nil {
-		m.ExportJourneys() // no-op unless -journeys is also on
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := exporter.WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
 	// The recording is closed even when the run aborted (watchdog, device
 	// error): FlushObs already fired the final periodic roll, this adds
-	// the journeys, the partial ones a post-mortem wants, and the footer.
+	// the journeys, the partial ones a post-mortem wants, the pipeline
+	// tail and the footer.
 	if recorder != nil {
 		recorder.Flush(m.Cycle())
 		if err := recorder.Err(); err != nil {
@@ -293,9 +271,6 @@ func main() {
 	}
 	if *cpistack {
 		fmt.Print(s.ReportCPI())
-	}
-	if *pipeview > 0 {
-		fmt.Print(obs.FormatPipeline(sim.InstEvents(pipeRing.Last(*pipeview))))
 	}
 }
 

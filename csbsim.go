@@ -19,11 +19,11 @@
 //     and read everything back through Stats.
 //   - Regenerate any of the paper's figures with Figure / AllFigures.
 //   - Observe execution: Stats.CPU.CPI is a stall-attribution stack whose
-//     buckets sum to the cycle count; Machine.AttachPerfetto exports
-//     per-instruction lifecycle traces as Chrome trace-event JSON;
-//     Machine.AttachCounters registers every layer's counters and gauges
-//     (buffer occupancies among them), which cmd/csbsim -record rolls
-//     into a windowed flight recording that cmd/csbrec reads.
+//     buckets sum to the cycle count; Machine.AttachCounters registers
+//     every layer's counters and gauges (buffer occupancies among them),
+//     which cmd/csbsim -record rolls into a windowed flight recording,
+//     ending with the last retired instructions and bus transactions
+//     (Machine.AttachPipeline), that cmd/csbrec reads and draws.
 //   - Prove recovery paths: Machine.AttachFaults threads a deterministic
 //     seed-driven fault injector (bus NACKs, device stalls, FIFO
 //     backpressure, dropped/delayed conditional-flush acks, buffer
@@ -162,11 +162,10 @@ func FormatFigureBars(r FigureResult) string { return bench.FormatBars(r) }
 // TraceRecorder records retired-instruction traces from a machine's CPU.
 type TraceRecorder = trace.Recorder
 
-// NewTrace creates a recorder streaming formatted events to w (may be
-// nil) and keeping the most recent ringSize events; attach it with
-// rec.Attach(m.CPU). Recorders register as retire observers, so they
-// coexist with Perfetto exporters and any other attached hooks.
-func NewTrace(w io.Writer, ringSize int) *TraceRecorder { return trace.New(w, ringSize) }
+// NewTrace creates a recorder streaming formatted events to w; attach
+// it with rec.Attach(m.CPU). Recorders register as retire observers, so
+// they coexist with any other attached hooks.
+func NewTrace(w io.Writer) *TraceRecorder { return trace.New(w) }
 
 // CPIStack is the stall-attribution stack carried in Stats.CPU.CPI: every
 // cycle is charged to exactly one cause, so the buckets sum to the cycle
@@ -176,19 +175,6 @@ type CPIStack = obs.CPIStack
 
 // StallCause labels one CPI stack bucket.
 type StallCause = obs.StallCause
-
-// PerfettoTrace accumulates instruction lifecycles, bus transactions and
-// store journeys and writes Chrome trace-event JSON loadable at
-// ui.perfetto.dev. Attach with Machine.AttachPerfetto before running.
-type PerfettoTrace = obs.Perfetto
-
-// NewPerfetto creates a trace exporter with the default lane count.
-func NewPerfetto() *PerfettoTrace { return obs.NewPerfetto() }
-
-// FormatPipeline renders retired-instruction lifecycle events as an ASCII
-// pipeline diagram — the plain-text fallback when no Perfetto UI is at
-// hand. Collect events with Machine.AttachInstEvents.
-func FormatPipeline(events []obs.InstEvent) string { return obs.FormatPipeline(events) }
 
 // JourneyTracer follows each uncached store, CSB store and NIC transmit
 // descriptor through the memory system after retire, stamping a cycle

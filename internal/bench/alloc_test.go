@@ -108,12 +108,17 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 // Run over 20k cycles of either store stream allocates exactly what a
 // 1000-cycle Run does, which is its cycle-limit error, and
 // sim/effort/steps shows that most of those cycles were jumped rather
-// than stepped.
+// than stepped. The "-tail" runs hold the same with the pipeline tail
+// attached, as csbsim -record attaches it.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
-	for _, csb := range []bool{false, true} {
+	for _, tc := range []struct{ csb, tail bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		csb := tc.csb
 		name := "store-bandwidth-uncached"
 		if csb {
 			name = "store-bandwidth-csb"
+		}
+		if tc.tail {
+			name += "-tail"
 		}
 		t.Run(name, func(t *testing.T) {
 			p := DefaultParams()
@@ -128,6 +133,9 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 			}
 			reg := m.AttachCounters()
 			steps := func() uint64 { return reg.Snapshot().Counters["sim/effort/steps"] }
+			if tc.tail {
+				m.AttachPipeline()
+			}
 			const span = 1 << 24
 			m.MapRange(IOBase, span, kind)
 			prog, err := m.LoadSource(name, StoreBandwidthProgram(span, p.LineSize, csb))

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"csbsim/internal/cpu"
 	"csbsim/internal/mem"
-	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/rec"
 )
@@ -140,7 +140,7 @@ func instrumentedReport(csb, doubleBuf bool) (string, error) {
 	}
 	r.Start(m.Cycle())
 	var retired int
-	m.AttachInstEvents(func(obs.InstEvent) { retired++ })
+	m.CPU.AttachRetire(func(cpu.RetireEvent) { retired++ })
 	m.MapRange(IOBase, 1<<20, kind)
 	prog, err := m.LoadSource("concurrency", StoreBandwidthProgram(1<<16, p.LineSize, csb))
 	if err != nil {

@@ -137,7 +137,8 @@ type Bus struct {
 	everIssued bool
 
 	// observers run on every completed transaction (the benchmark
-	// harness measures spans, the Perfetto exporter records bus tracks).
+	// harness measures spans, the machine's pipeline tail keeps the
+	// last ones).
 	// Register with AttachObserver; multiple observers coexist.
 	observers []func(*Txn)
 

@@ -182,6 +182,39 @@ func TestHierarchyL2HitAvoidsBus(t *testing.T) {
 	}
 }
 
+// TestSameCycleL2HitsFillOnce: three MSHRs whose L2 probes hit in the
+// same cycle each fill L1 exactly once, all in that cycle. A fill
+// removes its MSHR from the busy list, so a walk that does not account
+// for the shift skips the next MSHR (its fill lands a cycle late) and
+// fills the last one twice.
+func TestSameCycleL2HitsFillOnce(t *testing.T) {
+	h, b := newHier(t)
+	lines := []uint64{0x2000, 0x2040, 0x2080}
+	filled := make([]int, len(lines))
+	for i, a := range lines {
+		h.L2().Preload(a)
+		h.Load(a, false, func() { filled[i]++ })
+	}
+	probe := DefaultHierConfig().L2Latency
+	step(h, b, probe)
+	if h.Stats().Fills != 0 {
+		t.Fatalf("%d fills before the L2 latency elapsed", h.Stats().Fills)
+	}
+	step(h, b, 1)
+	if got := h.Stats().Fills; got != uint64(len(lines)) || filled[0] != 1 || filled[1] != 1 || filled[2] != 1 {
+		t.Errorf("after the probe cycle: %d fills, callbacks %v; want 3 fills, each callback once", got, filled)
+	}
+	step(h, b, 10)
+	if got := h.Stats().Fills; got != uint64(len(lines)) || !h.Idle() {
+		t.Errorf("%d fills in all, idle=%v; want 3 and idle", got, h.Idle())
+	}
+	for _, a := range lines {
+		if !h.Present(a, false) {
+			t.Errorf("line %#x not in L1D", a)
+		}
+	}
+}
+
 func TestHierarchyMergesMissesToSameLine(t *testing.T) {
 	h, b := newHier(t)
 	var n int

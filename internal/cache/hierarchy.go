@@ -254,21 +254,26 @@ func (h *Hierarchy) StoreBufferEmpty() bool { return len(h.writeBuf) == 0 }
 func (h *Hierarchy) WriteBufDepth() int { return len(h.writeBuf) }
 
 // TickCPU advances CPU-clocked state: L2 probe countdowns and one write
-// buffer drain per cycle.
+// buffer drain per cycle. It walks the MSHRs busy at the start of the
+// cycle by index, because an L2 hit's fill removes its MSHR from the
+// list and shifts the later ones down onto its slot.
 func (h *Hierarchy) TickCPU() {
-	for _, m := range h.mshrs {
-		if m.state == mshrProbeL2 {
-			if m.countdown > 0 {
-				m.countdown--
-				continue
-			}
-			if h.l2.Lookup(m.lineAddr) {
-				// L2 hit: fill L1 immediately (transfer time is
-				// folded into L2Latency).
-				h.finishFill(m)
-			} else {
-				m.state = mshrNeedBus
-			}
+	for i, n := 0, len(h.mshrs); i < n; i++ {
+		m := h.mshrs[i]
+		if m.state != mshrProbeL2 {
+			continue
+		}
+		if m.countdown > 0 {
+			m.countdown--
+			continue
+		}
+		if h.l2.Lookup(m.lineAddr) {
+			// L2 hit: fill L1 immediately (transfer time is folded
+			// into L2Latency).
+			h.finishFill(m)
+			i, n = i-1, n-1
+		} else {
+			m.state = mshrNeedBus
 		}
 	}
 	h.drainWriteBuffer()

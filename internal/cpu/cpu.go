@@ -114,8 +114,9 @@ type CPU struct {
 	// register (the machine switches page tables here).
 	PIDChanged func(pid uint8)
 	// retireObs observes every retired instruction in commit order;
-	// register with AttachRetire. Multiple observers (tracer, Perfetto
-	// exporter, ...) coexist and run in attachment order.
+	// register with AttachRetire. Multiple observers (tracer, the
+	// machine's retired-instruction ring, ...) coexist and run in
+	// attachment order.
 	retireObs []func(RetireEvent)
 
 	// Cycle-classification state for the CPI stack (see stall.go).
@@ -149,8 +150,8 @@ type RetireEvent struct {
 
 // AttachRetire registers fn to observe every retired instruction in
 // commit order. Observers are independent and run in attachment order, so
-// a streaming tracer and a Perfetto exporter can coexist (the old public
-// OnRetire field silently overwrote earlier hooks).
+// a streaming tracer and the machine's retired-instruction ring can
+// coexist.
 func (c *CPU) AttachRetire(fn func(RetireEvent)) {
 	c.retireObs = append(c.retireObs, fn)
 }

@@ -1,7 +1,8 @@
 // Package obs is the simulator's observability layer: CPI stall-attribution
-// stacks, per-instruction lifecycle events with a Perfetto (Chrome
-// trace-event JSON) exporter and a plain-text pipeline diagram fallback.
-// Periodic time series live in the flight recorder (internal/obs/rec).
+// stacks, per-instruction lifecycle and bus-transaction events (the
+// flight recorder's pipeline tail, drawn by `csbrec perfetto`) and a
+// plain-text pipeline diagram. Periodic time series live in the flight
+// recorder (internal/obs/rec).
 //
 // The package is a leaf: it imports only the standard library, so the
 // machine packages (cpu, sim) can depend on its types without cycles. The

@@ -455,18 +455,6 @@ func (t *Tracer) Lookup(k Kind, id uint64) (Journey, bool) {
 
 // ---- reporting ----
 
-// Started returns the number of journeys opened for a kind.
-func (t *Tracer) Started(k Kind) uint64 { return t.started[k] }
-
-// Completed returns the number of journeys finished for a kind.
-func (t *Tracer) Completed(k Kind) uint64 { return t.completed[k] }
-
-// Aborted returns the number of journeys aborted for a kind.
-func (t *Tracer) Aborted(k Kind) uint64 { return t.aborted[k] }
-
-// E2EHistogram returns the end-to-end latency histogram for a kind.
-func (t *Tracer) E2EHistogram(k Kind) *counters.Histogram { return t.hE2E[k] }
-
 // Retained returns every journey still in the rings (the most recent
 // window per kind), ordered by start cycle, then kind, then ID — a
 // deterministic chronological interleaving across kinds.

@@ -10,19 +10,22 @@ import (
 	"csbsim/internal/obs/counters"
 )
 
-// newTestTracer builds a tracer on a settable fake clock.
-func newTestTracer(t *testing.T) (*Tracer, *uint64) {
+// newTestTracer builds a tracer on a settable fake clock, with its
+// counters and histograms in the returned registry.
+func newTestTracer(t *testing.T) (*Tracer, *counters.Registry, *uint64) {
 	t.Helper()
 	cycle := new(uint64)
-	tr, err := NewTracer(nil, func() uint64 { return *cycle })
+	reg := counters.NewRegistry()
+	tr, err := NewTracer(reg, func() uint64 { return *cycle })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, cycle
+	return tr, reg, cycle
 }
 
 func TestTracerLifecycle(t *testing.T) {
-	tr, cycle := newTestTracer(t)
+	tr, reg, cycle := newTestTracer(t)
+	count := func(name string) uint64 { return reg.Snapshot().Counters["journey/"+name] }
 
 	// Uncached store: retire @10, dequeue @20, grant @50, complete @110.
 	*cycle = 10
@@ -34,13 +37,13 @@ func TestTracerLifecycle(t *testing.T) {
 	*cycle = 110
 	tr.UBEntryDone(id, 1)
 
-	if got := tr.Started(KindUncachedStore); got != 1 {
+	if got := count("uncached_store/started"); got != 1 {
 		t.Errorf("started = %d, want 1", got)
 	}
-	if got := tr.Completed(KindUncachedStore); got != 1 {
+	if got := count("uncached_store/completed"); got != 1 {
 		t.Errorf("completed = %d, want 1", got)
 	}
-	s := tr.E2EHistogram(KindUncachedStore).Summary()
+	s := reg.Snapshot().Histograms["journey/e2e/uncached_store"]
 	if s.Count != 1 || s.Min != 100 || s.Max != 100 {
 		t.Errorf("e2e summary = %+v, want one sample of 100", s)
 	}
@@ -50,7 +53,7 @@ func TestTracerLifecycle(t *testing.T) {
 	first := tr.CSBStoreAccepted(0x4100_0000, 8, false)
 	tr.CSBStoreAccepted(0x4100_0008, 8, true)
 	tr.CSBSequenceAborted(first, 2)
-	if got := tr.Aborted(KindCSBStore); got != 2 {
+	if got := count("csb_store/aborted"); got != 2 {
 		t.Errorf("aborted = %d, want 2", got)
 	}
 	*cycle = 210
@@ -62,7 +65,7 @@ func TestTracerLifecycle(t *testing.T) {
 	tr.CSBBusGranted(first, 2)
 	*cycle = 290
 	tr.CSBLineDone(first, 2)
-	if got := tr.Completed(KindCSBStore); got != 2 {
+	if got := count("csb_store/completed"); got != 2 {
 		t.Errorf("csb completed = %d, want 2", got)
 	}
 
@@ -111,7 +114,7 @@ func TestStaleStampDropped(t *testing.T) {
 // aborting journeys of every kind allocates nothing — the same contract
 // the //csb:hotpath pragmas declare to the csbvet analyzer.
 func TestStampPathsZeroAlloc(t *testing.T) {
-	tr, cycle := newTestTracer(t)
+	tr, _, cycle := newTestTracer(t)
 	drive := func() {
 		for i := 0; i < 100; i++ {
 			*cycle += 3

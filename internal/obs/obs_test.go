@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -93,97 +92,6 @@ func TestInstEventSpan(t *testing.T) {
 	e2 := InstEvent{Dispatch: 5, Retire: 9}
 	if s, r := e2.Span(); s != 5 || r != 9 {
 		t.Errorf("Span = %d..%d, want 5..9", s, r)
-	}
-}
-
-// TestPerfettoRoundTrip checks that the exported document is valid JSON in
-// the Chrome trace-event shape Perfetto loads, and that instruction and
-// bus events survive the trip.
-func TestPerfettoRoundTrip(t *testing.T) {
-	p := NewPerfetto()
-	p.AddInst(InstEvent{Seq: 1, PC: 0x1000, Disasm: "stx %o0, [%o1]",
-		Fetch: 2, Dispatch: 4, Retire: 9, IsMem: true, Addr: 0x4000_0000})
-	p.AddInst(InstEvent{Seq: 2, PC: 0x1004, Disasm: "halt", Retire: 9})
-	p.AddBus(BusEvent{Start: 12, End: 30, Addr: 0x4000_0000, Size: 8, Write: true, IO: true})
-	if p.Count() != 2 {
-		t.Errorf("Count = %d, want 2", p.Count())
-	}
-
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Ts   uint64         `json:"ts"`
-			Dur  uint64         `json:"dur"`
-			PID  int            `json:"pid"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	byPh := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		byPh[e.Ph]++
-	}
-	if byPh["M"] != 2 {
-		t.Errorf("want 2 process-name metadata events, got %d", byPh["M"])
-	}
-	if byPh["X"] != 3 {
-		t.Errorf("want 3 slices (2 inst + 1 bus), got %d", byPh["X"])
-	}
-	if len(byPh) != 2 {
-		t.Errorf("event phases %v, want only M and X", byPh)
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" && e.Dur == 0 {
-			t.Errorf("zero-duration slice %q would vanish in the UI", e.Name)
-		}
-		if e.Name == "stx %o0, [%o1]" {
-			if e.Ts != 2 || e.Dur != 7 {
-				t.Errorf("inst slice ts/dur = %d/%d, want 2/7", e.Ts, e.Dur)
-			}
-			if e.Args["va"] != "0x40000000" {
-				t.Errorf("inst args missing va: %v", e.Args)
-			}
-		}
-		if strings.HasPrefix(e.Name, "WR") && e.PID != 2 {
-			t.Errorf("bus slice on pid %d, want the bus process", e.PID)
-		}
-	}
-}
-
-func TestPerfettoLaneRotation(t *testing.T) {
-	p := NewPerfetto()
-	p.Lanes = 4
-	seen := map[int]bool{}
-	for seq := uint64(0); seq < 8; seq++ {
-		p.AddInst(InstEvent{Seq: seq, Retire: seq + 1})
-	}
-	var buf bytes.Buffer
-	p.WriteTo(&buf)
-	var doc struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			TID int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" {
-			seen[e.TID] = true
-		}
-	}
-	if len(seen) != 4 {
-		t.Errorf("instructions spread over %d lanes, want 4", len(seen))
 	}
 }
 

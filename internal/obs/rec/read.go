@@ -15,6 +15,7 @@ import (
 	"strconv"
 
 	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 )
 
@@ -35,6 +36,8 @@ type Recording struct {
 	Slowest   []journey.Journey   // the tracer's slowest set, slowest first
 	Journeys  []journey.Journey   // the tracer's retained recent journeys, by start cycle
 	Spans     []ctrace.MergedSpan // the wire tracer's retained spans, by trace ID
+	Insts     []obs.InstEvent     // the pipeline tail's last retired instructions, oldest first
+	Bus       []obs.BusEvent      // the pipeline tail's last bus transactions, oldest first
 	Clean     bool                // footer frame present
 	Truncated bool                // a malformed or incomplete trailing frame dropped
 }
@@ -233,7 +236,7 @@ func (p *Parser) frame(doc []byte) error {
 		// still well formed, and is skipped below.
 		var te *json.UnmarshalTypeError
 		switch f.K {
-		case "h", "w", "e", "j", "s", "f":
+		case "h", "w", "e", "j", "s", "i", "b", "f":
 			return err
 		}
 		if !errors.As(err, &te) {
@@ -281,6 +284,24 @@ func (p *Parser) frame(doc []byte) error {
 			return err
 		}
 		rc.Spans = append(rc.Spans, s)
+	case "i":
+		var e obs.InstEvent
+		if err := json.Unmarshal(doc, &e); err != nil {
+			return err
+		}
+		if e.Retire == 0 || max(e.Fetch, e.Dispatch, e.Issue, e.Complete) > e.Retire {
+			return fmt.Errorf("rec: instruction %d has no retire stamp, or a stage stamped after it", e.Seq)
+		}
+		rc.Insts = append(rc.Insts, e)
+	case "b":
+		var e obs.BusEvent
+		if err := json.Unmarshal(doc, &e); err != nil {
+			return err
+		}
+		if e.End <= e.Start {
+			return fmt.Errorf("rec: bus transaction at %#x ends at %d, not after its start %d", e.Addr, e.End, e.Start)
+		}
+		rc.Bus = append(rc.Bus, e)
 	case "f":
 		// A footer written before the whole-run rows existed has none.
 		if f.Total != nil {
@@ -358,11 +379,12 @@ func (rc *Recording) HistIndex(name string) int { return indexOf(rc.HistNames, n
 const maxDiffs = 50
 
 // Diff compares two recordings: windows, events, the footer's whole-run
-// histogram rows, the journeys and the spans. tol is a relative
-// tolerance applied to every window and footer number (0 = exact;
-// journeys and spans compare exactly): values a,b differ when
-// |a-b| > tol*max(|a|,|b|). Returns human-readable differences, empty
-// when the recordings match — the same-seed regression contract.
+// histogram rows, the journeys, the spans and the pipeline tail. tol is
+// a relative tolerance applied to every window and footer number (0 =
+// exact; journeys, spans and the tail compare exactly): values a,b
+// differ when |a-b| > tol*max(|a|,|b|). Returns human-readable
+// differences, empty when the recordings match — the same-seed
+// regression contract.
 func Diff(a, b *Recording, tol float64) []string {
 	var d []string
 	add := func(format string, args ...interface{}) {
@@ -480,6 +502,24 @@ func Diff(a, b *Recording, tol float64) []string {
 		if sa, sb := a.Spans[i], b.Spans[i]; sa != sb {
 			add("span %d differs: %d %s->%s at %d, e2e %d vs %d %s->%s at %d, e2e %d", i,
 				sa.TraceID, sa.From, sa.To, sa.FIFOPush, sa.E2E, sb.TraceID, sb.From, sb.To, sb.FIFOPush, sb.E2E)
+		}
+	}
+	if len(a.Insts) != len(b.Insts) {
+		add("instruction count differs: %d vs %d", len(a.Insts), len(b.Insts))
+	}
+	for i := 0; i < min(len(a.Insts), len(b.Insts)); i++ {
+		if ea, eb := a.Insts[i], b.Insts[i]; ea != eb {
+			add("instruction %d differs: seq %d %q retired at %d vs seq %d %q retired at %d", i,
+				ea.Seq, ea.Disasm, ea.Retire, eb.Seq, eb.Disasm, eb.Retire)
+		}
+	}
+	if len(a.Bus) != len(b.Bus) {
+		add("bus transaction count differs: %d vs %d", len(a.Bus), len(b.Bus))
+	}
+	for i := 0; i < min(len(a.Bus), len(b.Bus)); i++ {
+		if ea, eb := a.Bus[i], b.Bus[i]; ea != eb {
+			add("bus transaction %d differs: %#x at %d..%d vs %#x at %d..%d", i,
+				ea.Addr, ea.Start, ea.End, eb.Addr, eb.Start, eb.End)
 		}
 	}
 	return d

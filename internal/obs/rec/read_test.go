@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
@@ -233,6 +234,110 @@ func TestSpanFrames(t *testing.T) {
 	other.Spans[2].WireArrive++
 	if d := strings.Join(Diff(rc, other, 0), "\n"); !strings.Contains(d, "span 2 differs") {
 		t.Errorf("diff misses the changed span:\n%s", d)
+	}
+}
+
+// tailEvents is a small pipeline tail: a store and a halt, the store's
+// bus transaction and a line read.
+func tailEvents() ([]obs.InstEvent, []obs.BusEvent) {
+	return []obs.InstEvent{
+			{Seq: 7, PC: 0x1000, Disasm: "stx %g1, [%o1]", Fetch: 2, Dispatch: 4, Issue: 5, Complete: 6, Retire: 9,
+				IsMem: true, Addr: 0x4000_0000},
+			{Seq: 8, PC: 0x1004, Disasm: "halt", Dispatch: 4, Retire: 10},
+		}, []obs.BusEvent{
+			{Start: 12, End: 30, Addr: 0x4000_0000, Size: 8, Write: true, IO: true},
+			{Start: 36, End: 42, Addr: 0x2000, Size: 64},
+		}
+}
+
+// pipelineRecording records one window of a counter and closes with
+// the tailEvents pipeline tail.
+func pipelineRecording(t testing.TB) []byte {
+	reg, a, _, _ := testSource()
+	r, err := New(Config{Every: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSource("dev", reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddPipeline(tailEvents); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.SetWriter(&buf)
+	r.Start(0)
+	*a = 3
+	r.Roll(100)
+	if err := r.AddPipeline(tailEvents); err == nil {
+		t.Error("AddPipeline after Start accepted")
+	}
+	r.Flush(150)
+	return buf.Bytes()
+}
+
+// TestPipelineFrames: the "i" and "b" frames read back as the tail, the
+// instructions before the bus transactions, all after the last window
+// and before the footer; the same tail writes the same bytes; and Diff
+// reports an instruction or a bus transaction that differs.
+func TestPipelineFrames(t *testing.T) {
+	data := pipelineRecording(t)
+	rc, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, bus := tailEvents()
+	if !rc.Clean || rc.Truncated || len(rc.Windows) != 2 || !reflect.DeepEqual(rc.Insts, insts) || !reflect.DeepEqual(rc.Bus, bus) {
+		t.Fatalf("clean=%v truncated=%v windows=%d, tail read back as %+v %+v",
+			rc.Clean, rc.Truncated, len(rc.Windows), rc.Insts, rc.Bus)
+	}
+	i, b := bytes.Index(data, []byte(`{"k":"i"`)), bytes.Index(data, []byte(`{"k":"b"`))
+	if i < bytes.LastIndex(data, []byte(`{"k":"w"`)) || b < bytes.LastIndex(data, []byte(`{"k":"i"`)) ||
+		bytes.Index(data, []byte(`{"k":"f"`)) < bytes.LastIndex(data, []byte(`{"k":"b"`)) {
+		t.Error("tail frames are not in window, instruction, bus, footer order")
+	}
+	if !bytes.Equal(data, pipelineRecording(t)) {
+		t.Error("the same tail wrote different recordings")
+	}
+	other, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Insts[1].Retire++
+	other.Bus[0].Size = 16
+	d := strings.Join(Diff(rc, other, 0.5), "\n")
+	if !strings.Contains(d, "instruction 1 differs") || !strings.Contains(d, "bus transaction 0 differs") {
+		t.Errorf("diff misses the changed tail:\n%s", d)
+	}
+}
+
+// TestReadMalformedPipeline: a tail frame the reader rejects ends the
+// recording there as Truncated, keeping the frames before it: a stage
+// stamp after retire, a zero retire stamp, a bus transaction that does
+// not end after it starts, and a field of the wrong type.
+func TestReadMalformedPipeline(t *testing.T) {
+	data := pipelineRecording(t)
+	for _, tc := range []struct {
+		name, old, new string
+		insts, bus     int
+	}{
+		{"stamp after retire", `"complete":6,`, `"complete":60,`, 0, 0},
+		{"zero retire", `"retire":10`, `"retire":0`, 1, 0},
+		{"no retire", `,"retire":10`, ``, 1, 0},
+		{"bus ends at its start", `"end":30`, `"end":12`, 2, 0},
+		{"bus ends before its start", `"end":42`, `"end":40,"start":41`, 2, 1},
+		{"seq not a number", `"seq":8`, `"seq":"eight"`, 1, 0},
+		{"disassembly not a string", `"dis":"halt"`, `"dis":7`, 1, 0},
+		{"size not a number", `"size":64`, `"size":"line"`, 2, 1},
+	} {
+		rc, err := Read(reframe(data, func(doc string) string { return strings.Replace(doc, tc.old, tc.new, 1) }))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rc.Clean || !rc.Truncated || len(rc.Insts) != tc.insts || len(rc.Bus) != tc.bus || len(rc.Windows) != 2 {
+			t.Errorf("%s: clean=%v truncated=%v insts=%d bus=%d windows=%d, want a truncated tail after %d and %d",
+				tc.name, rc.Clean, rc.Truncated, len(rc.Insts), len(rc.Bus), len(rc.Windows), tc.insts, tc.bus)
+		}
 	}
 }
 

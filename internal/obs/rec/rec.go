@@ -34,7 +34,14 @@
 // packet of an attached ctrace.Tracer, with ctrace.Span's fields:
 // trace_id, from, to, jid, size, done, dropped and drop_cycle, and the
 // six aligned stamps fifo_push … rx_drain; written once, at Flush, after
-// the journeys), "f" footer (totals, and "total": one whole-run
+// the journeys), "i" instruction (one of the last retired instructions
+// of an attached pipeline tail, with obs.InstEvent's fields: seq, pc,
+// dis, the stage stamps fetch … retire, a stage never reached left out,
+// and mem and addr for a memory op; written once, at Flush, after the
+// spans, oldest first), "b" bus transaction (one of the tail's last bus
+// transactions, with obs.BusEvent's fields in CPU cycles: start, end,
+// addr, size, write and io; written after the "i" frames, oldest
+// first), "f" footer (totals, and "total": one whole-run
 // [n,sum,min,p50,p95,p99,max] row per histogram, aligned with histn; its
 // presence marks a clean close). A reader skips a frame of a kind it
 // does not know, so a recording with a newer kind still reads to its
@@ -56,6 +63,7 @@ import (
 	"strconv"
 
 	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
@@ -146,6 +154,7 @@ type Recorder struct {
 	sources  []source
 	journeys *journey.Tracer
 	spans    *ctrace.Tracer
+	pipeline func() ([]obs.InstEvent, []obs.BusEvent)
 
 	sealed     bool
 	footerDone bool
@@ -254,6 +263,18 @@ func (r *Recorder) AddSpans(t *ctrace.Tracer) error {
 		return fmt.Errorf("rec: recorder already started")
 	}
 	r.spans = t
+	return nil
+}
+
+// AddPipeline attaches a pipeline tail: at Flush, after the spans and
+// before the footer, the instructions and bus transactions tail returns
+// (the last ones of the run, oldest first) are written as "i" and "b"
+// frames. Must be called before the first Roll.
+func (r *Recorder) AddPipeline(tail func() ([]obs.InstEvent, []obs.BusEvent)) error {
+	if r.sealed {
+		return fmt.Errorf("rec: recorder already started")
+	}
+	r.pipeline = tail
 	return nil
 }
 
@@ -416,11 +437,11 @@ func histWindow(prev, cur *counters.HistState) HistWindow {
 
 // Flush closes the recording: a final partial window if cycles elapsed
 // since the last roll, any pending events, the attached tracers'
-// journeys and spans, and the footer frame with every histogram's
-// statistics over the whole run (exact at bucket resolution, unlike any
-// merge of per-window quantiles). Safe to call more than once (the footer is
-// written exactly once) — both the abort paths and the normal end-of-run
-// path funnel through it.
+// journeys and spans, the pipeline tail, and the footer frame with every
+// histogram's statistics over the whole run (exact at bucket resolution,
+// unlike any merge of per-window quantiles). Safe to call more than once
+// (the footer is written exactly once) — both the abort paths and the
+// normal end-of-run path funnel through it.
 //
 //csb:barrier reads every source registry; only safe between windows
 func (r *Recorder) Flush(cycle uint64) {
@@ -447,6 +468,15 @@ func (r *Recorder) Flush(cycle uint64) {
 	if r.spans != nil {
 		for _, s := range r.spans.Retained() {
 			r.writeSpan(&s.Span)
+		}
+	}
+	if r.pipeline != nil {
+		insts, bus := r.pipeline()
+		for i := range insts {
+			r.writeInst(&insts[i])
+		}
+		for i := range bus {
+			r.writeBus(&bus[i])
 		}
 	}
 	r.jbuf = r.jbuf[:0]
@@ -642,6 +672,26 @@ func (r *Recorder) writeSpan(s *ctrace.Span) {
 		K string `json:"k"`
 		*ctrace.Span
 	}{"s", s})
+	r.jbuf = append(r.jbuf[:0], doc...)
+	r.writeFrame()
+}
+
+// writeInst emits one "i" frame: a retired instruction of the tail.
+func (r *Recorder) writeInst(e *obs.InstEvent) {
+	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
+		K string `json:"k"`
+		*obs.InstEvent
+	}{"i", e})
+	r.jbuf = append(r.jbuf[:0], doc...)
+	r.writeFrame()
+}
+
+// writeBus emits one "b" frame: a bus transaction of the tail.
+func (r *Recorder) writeBus(e *obs.BusEvent) {
+	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
+		K string `json:"k"`
+		*obs.BusEvent
+	}{"b", e})
 	r.jbuf = append(r.jbuf[:0], doc...)
 	r.writeFrame()
 }

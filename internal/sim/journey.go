@@ -93,16 +93,6 @@ func wireDeviceJourneys(d Device, tr *journey.Tracer) {
 	}
 }
 
-// ExportJourneys feeds the retained journeys into the attached Perfetto
-// exporter as memory-system slices with flow arrows back to the pipeline
-// and bus tracks. Call after the run, before writing the trace; a no-op
-// unless both a Perfetto exporter and a journey tracer are attached.
-func (m *Machine) ExportJourneys() {
-	if m.perfetto != nil && m.journeys != nil {
-		m.perfetto.AddJourneys(m.journeys.Retained(), m.Cfg.Ratio)
-	}
-}
-
 // flushObs fires every periodic hook once more at the current cycle, so
 // the final partial recording window is emitted on
 // any run exit, the abort paths (watchdog trip, typed device error)

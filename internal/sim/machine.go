@@ -20,6 +20,7 @@ import (
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
+	"csbsim/internal/trace"
 	"csbsim/internal/uncbuf"
 )
 
@@ -135,8 +136,11 @@ type Machine struct {
 	devices []Device
 	spaces  map[uint8]*mem.PageTable
 
-	// Optional Perfetto exporter (see obs.go); nil when unattached.
-	perfetto *obs.Perfetto
+	// Optional rings of the last retired instructions and bus
+	// transactions (obs.go), read by the watchdog's dump and the
+	// recording's pipeline tail; nil when unattached.
+	retired *trace.Ring[cpu.RetireEvent]
+	busTail *trace.Ring[obs.BusEvent]
 
 	// Optional robustness hooks: the fault injector (fault.go), the
 	// retire-progress watchdog (watchdog.go), and the Err providers of

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"csbsim/internal/bus"
+	"csbsim/internal/cpu"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
@@ -276,56 +277,120 @@ func TestRecorderMidRun(t *testing.T) {
 	}
 }
 
-// TestAttachPerfettoIntegration runs an instrumented machine and checks
-// the exported trace holds instruction and bus events on the shared
-// CPU-cycle timeline.
-func TestAttachPerfettoIntegration(t *testing.T) {
+// recordTail attaches a recorder carrying the machine's pipeline tail
+// (as csbsim -record does) and returns the function that closes it and
+// reads it back.
+func recordTail(t *testing.T, m *Machine) func() *rec.Recording {
+	t.Helper()
+	r, err := rec.New(rec.Config{Every: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddPipeline(m.AttachPipeline()); err != nil {
+		t.Fatal(err)
+	}
+	return func() *rec.Recording {
+		r.Flush(m.Cycle())
+		rc, err := rec.Read(buf.Bytes())
+		if err != nil || !rc.Clean || rc.Truncated {
+			t.Fatalf("recording: err %v, %+v", err, rc)
+		}
+		return rc
+	}
+}
+
+// TestPipelineTailOnSharedTimeline: a run shorter than the tail records
+// every retired instruction, as the retire hook delivered it, and every
+// bus transaction, both on the CPU-cycle timeline (bus events are
+// converted from bus cycles, so nothing ends past the run).
+func TestPipelineTailOnSharedTimeline(t *testing.T) {
 	m := runStoreLoop(t)
-	p := obs.NewPerfetto()
-	m.AttachPerfetto(p)
+	read := recordTail(t, m)
+	var seqs []uint64
+	m.CPU.AttachRetire(func(ev cpu.RetireEvent) { seqs = append(seqs, ev.Seq) })
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushObs()
-	if p.Count() == 0 {
-		t.Fatal("no instructions recorded")
+	rc := read()
+	if len(rc.Insts) != len(seqs) || len(seqs) == 0 || len(rc.Bus) == 0 {
+		t.Fatalf("tail holds %d instructions and %d bus transactions; %d retired",
+			len(rc.Insts), len(rc.Bus), len(seqs))
 	}
-
-	var out bytes.Buffer
-	if _, err := p.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Ts  uint64 `json:"ts"`
-			Dur uint64 `json:"dur"`
-			PID int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	cycles := m.Cycle()
-	var busSlices int
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "X":
-			if e.PID == 2 {
-				busSlices++
-			}
-			// Both tracks live on the CPU-cycle timeline: nothing may end
-			// past the run (bus events are converted from bus cycles).
-			if e.Ts+e.Dur > cycles+uint64(m.Cfg.Ratio) {
-				t.Errorf("slice ends at %d, run was %d CPU cycles", e.Ts+e.Dur, cycles)
-			}
+	end := m.Cycle() + uint64(m.Cfg.Ratio)
+	for i, e := range rc.Insts {
+		if e.Seq != seqs[i] || e.Disasm == "" || e.Retire > end {
+			t.Fatalf("instruction %d: %+v, want seq %d retired by cycle %d", i, e, seqs[i], end)
 		}
 	}
-	if busSlices == 0 {
-		t.Error("no bus slices in trace")
+	for _, e := range rc.Bus {
+		if e.End > end || !e.IO || !e.Write {
+			t.Errorf("bus transaction %+v: want an I/O write ending by cycle %d", e, end)
+		}
+	}
+}
+
+// TestPipelineTailKeepsNewest: a run that retires more instructions and
+// completes more bus transactions than the tail holds writes exactly
+// pipelineTail of each, the newest, oldest first. The watchdog, armed
+// first, shares the grown ring and its dump still shows the last
+// wdRingSize instructions.
+func TestPipelineTailKeepsNewest(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MapRange(0x4000_0000, 1<<16, mem.KindUncached)
+	p, err := m.LoadSource("stores.s", `
+	set 0x40000000, %o1
+	set 5000, %g2
+loop:
+	stx %g2, [%o1]
+	subcc %g2, 1, %g2
+	bnz loop
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmProgram(p)
+	if err := m.SetWatchdog(100_000); err != nil {
+		t.Fatal(err)
+	}
+	read := recordTail(t, m)
+	var seqs, starts []uint64
+	m.CPU.AttachRetire(func(ev cpu.RetireEvent) { seqs = append(seqs, ev.Seq) })
+	m.Bus.AttachObserver(func(t *bus.Txn) { starts = append(starts, t.Start*uint64(m.Cfg.Ratio)) })
+	if err := m.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Drain(100_000); err != nil {
+		t.Fatal(err)
+	}
+	rc := read()
+	if len(seqs) <= pipelineTail || len(starts) <= pipelineTail {
+		t.Fatalf("%d instructions and %d bus transactions do not overflow the %d-event tail",
+			len(seqs), len(starts), pipelineTail)
+	}
+	if len(rc.Insts) != pipelineTail || len(rc.Bus) != pipelineTail {
+		t.Fatalf("tail holds %d instructions and %d bus transactions, want %d of each",
+			len(rc.Insts), len(rc.Bus), pipelineTail)
+	}
+	seqs, starts = seqs[len(seqs)-pipelineTail:], starts[len(starts)-pipelineTail:]
+	for i := range rc.Insts {
+		if rc.Insts[i].Seq != seqs[i] || rc.Bus[i].Start != starts[i] {
+			t.Fatalf("entry %d: seq %d, bus start %d; want the newest, seq %d, bus start %d",
+				i, rc.Insts[i].Seq, rc.Bus[i].Start, seqs[i], starts[i])
+		}
+	}
+	if m.retired.Cap() != pipelineTail || !strings.Contains(m.DiagnosticDump(), "--- last 32 retired instructions ---") {
+		t.Errorf("ring holds %d; the dump lost its last %d instructions", m.retired.Cap(), wdRingSize)
 	}
 }
 
@@ -333,7 +398,7 @@ func TestAttachPerfettoIntegration(t *testing.T) {
 // a plain machine carries no observers or periodic hooks.
 func TestUnattachedMachineHasNoObservers(t *testing.T) {
 	m := runStoreLoop(t)
-	if len(m.periodicHooks) != 0 || m.perfetto != nil {
+	if len(m.periodicHooks) != 0 || m.retired != nil || m.busTail != nil {
 		t.Error("fresh machine has observability state attached")
 	}
 	if err := m.Run(1_000_000); err != nil {

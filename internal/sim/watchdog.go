@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"csbsim/internal/obs"
-	"csbsim/internal/trace"
 )
 
 // wdRingSize is how many recently retired instructions the watchdog keeps
@@ -35,14 +34,13 @@ func (e *WatchdogError) Error() string {
 		e.Window, e.Cycle, e.PC, e.Retired, e.Dump)
 }
 
-// watchdogState tracks retire progress between checks and keeps the
-// recent-retirement ring for the dump. The ring's Push is allocation-free,
+// watchdogState tracks retire progress between checks. The dump reads
+// the machine's retired-instruction ring, whose Push is allocation-free,
 // so an armed watchdog does not disturb the zero-alloc tick loop.
 type watchdogState struct {
 	window      uint64
 	countdown   uint64
 	lastRetired uint64
-	ring        *trace.Ring
 }
 
 // SetWatchdog arms the retire-progress watchdog: if no instruction
@@ -56,9 +54,8 @@ func (m *Machine) SetWatchdog(window uint64) error {
 	if m.wd != nil {
 		return fmt.Errorf("sim: watchdog already armed")
 	}
-	m.wd = &watchdogState{window: window, countdown: window,
-		lastRetired: m.CPU.Retired(), ring: trace.NewRing(wdRingSize)}
-	m.CPU.AttachRetire(m.wd.ring.Push)
+	m.wd = &watchdogState{window: window, countdown: window, lastRetired: m.CPU.Retired()}
+	m.retireRing(wdRingSize)
 	return nil
 }
 
@@ -76,8 +73,10 @@ func (m *Machine) watchdogTrip() error {
 // DiagnosticDump renders the full machine state for post-mortem
 // diagnosis: the stats report, the CPI stall-attribution stack, the
 // pipeline (ROB head state), the in-flight uncached-buffer/CSB/bus
-// state, device state and errors, and — when the watchdog is armed — a
-// pipeline view of the last retired instructions. Not a hot path.
+// state, device state and errors, and — when the machine keeps a
+// retired-instruction ring (an armed watchdog, a pipeline tail) — a
+// pipeline view of the last wdRingSize retired instructions. Not a hot
+// path.
 func (m *Machine) DiagnosticDump() string {
 	var b strings.Builder
 	s := m.Stats()
@@ -107,9 +106,9 @@ func (m *Machine) DiagnosticDump() string {
 			b.WriteByte('\n')
 		}
 	}
-	if w := m.wd; w != nil && w.ring.Len() > 0 {
-		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", w.ring.Len())
-		b.WriteString(obs.FormatPipeline(InstEvents(w.ring.Last(wdRingSize))))
+	if last := m.retired.Last(wdRingSize); len(last) > 0 {
+		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", len(last))
+		b.WriteString(obs.FormatPipeline(instEvents(last)))
 	}
 	return b.String()
 }

@@ -11,25 +11,25 @@ import (
 	"csbsim/internal/cpu"
 )
 
-// Ring keeps the most recent retire events in a fixed-capacity buffer.
-// Push is allocation-free, so a ring can ride the retire hook of a
-// zero-alloc tick loop (the machine watchdog's does).
-type Ring struct {
-	buf  []cpu.RetireEvent
+// Ring keeps the most recent events in a fixed-capacity buffer. Push is
+// allocation-free, so a ring can ride the retire hook or the bus
+// observer of a zero-alloc tick loop (the machine's retired-instruction
+// and bus-transaction rings do).
+type Ring[T any] struct {
+	buf  []T
 	next int
 	full bool
 }
 
 // NewRing creates a ring holding the last capacity events (at least 1).
-func NewRing(capacity int) *Ring {
-	return &Ring{buf: make([]cpu.RetireEvent, max(capacity, 1))}
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, max(capacity, 1))}
 }
 
-// Push records one event, evicting the oldest at capacity (usable
-// directly as a retire observer).
+// Push records one event, evicting the oldest at capacity.
 //
 //csb:hotpath
-func (r *Ring) Push(ev cpu.RetireEvent) {
+func (r *Ring[T]) Push(ev T) {
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == len(r.buf) {
@@ -38,8 +38,11 @@ func (r *Ring) Push(ev cpu.RetireEvent) {
 	}
 }
 
+// Cap returns the number of events the ring holds once full.
+func (r *Ring[T]) Cap() int { return len(r.buf) }
+
 // Len returns the number of events held (0 for a nil ring).
-func (r *Ring) Len() int {
+func (r *Ring[T]) Len() int {
 	if r == nil {
 		return 0
 	}
@@ -51,12 +54,12 @@ func (r *Ring) Len() int {
 
 // Last returns a copy of up to n most recent events, oldest first (nil
 // for a nil ring).
-func (r *Ring) Last(n int) []cpu.RetireEvent {
+func (r *Ring[T]) Last(n int) []T {
 	if r == nil {
 		return nil
 	}
 	k := min(n, r.Len())
-	out := make([]cpu.RetireEvent, k)
+	out := make([]T, k)
 	start := r.next - k
 	if start < 0 {
 		start += len(r.buf)
@@ -66,51 +69,24 @@ func (r *Ring) Last(n int) []cpu.RetireEvent {
 	return out
 }
 
-// Recorder collects retire events. It can stream them to a writer, keep
-// the last N in a ring, or both. The zero value keeps nothing; use New.
+// Recorder streams retire events to a writer, one formatted line each.
 type Recorder struct {
-	w     io.Writer
-	ring  *Ring
-	count uint64
-	// Filter, if set, drops events for which it returns false.
-	Filter func(cpu.RetireEvent) bool
+	w io.Writer
 }
 
-// New creates a recorder that streams formatted events to w (may be nil)
-// and keeps the most recent ringSize events (0 keeps none).
-func New(w io.Writer, ringSize int) *Recorder {
-	r := &Recorder{w: w}
-	if ringSize > 0 {
-		r.ring = NewRing(ringSize)
-	}
-	return r
-}
+// New creates a recorder that streams formatted events to w.
+func New(w io.Writer) *Recorder { return &Recorder{w: w} }
 
 // Attach hooks the recorder to a CPU. It registers alongside any other
-// retire observers; recorders and exporters coexist.
+// retire observers.
 func (r *Recorder) Attach(c *cpu.CPU) {
 	c.AttachRetire(r.Record)
 }
 
-// Record consumes one event (usable directly as a retire observer).
+// Record writes one event (usable directly as a retire observer).
 func (r *Recorder) Record(ev cpu.RetireEvent) {
-	if r.Filter != nil && !r.Filter(ev) {
-		return
-	}
-	r.count++
-	if r.ring != nil {
-		r.ring.Push(ev)
-	}
-	if r.w != nil {
-		fmt.Fprintln(r.w, FormatEvent(ev))
-	}
+	fmt.Fprintln(r.w, FormatEvent(ev))
 }
-
-// Count returns the number of recorded events.
-func (r *Recorder) Count() uint64 { return r.count }
-
-// Last returns up to n most recent events, oldest first.
-func (r *Recorder) Last(n int) []cpu.RetireEvent { return r.ring.Last(n) }
 
 // FormatEvent renders one event as a single trace line.
 func FormatEvent(ev cpu.RetireEvent) string {
@@ -123,11 +99,4 @@ func FormatEvent(ev cpu.RetireEvent) string {
 		fmt.Fprintf(&b, "  = %#x", ev.Result)
 	}
 	return b.String()
-}
-
-// Dump writes the ring buffer contents to w, oldest first.
-func (r *Recorder) Dump(w io.Writer) {
-	for _, ev := range r.Last(r.ring.Len()) {
-		fmt.Fprintln(w, FormatEvent(ev))
-	}
 }

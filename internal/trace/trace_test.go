@@ -17,7 +17,7 @@ func ev(seq uint64, pc uint64) cpu.RetireEvent {
 
 func TestStreamsToWriter(t *testing.T) {
 	var sb strings.Builder
-	r := New(&sb, 0)
+	r := New(&sb)
 	r.Record(ev(1, 0x1000))
 	r.Record(ev(2, 0x1004))
 	out := sb.String()
@@ -30,12 +30,12 @@ func TestStreamsToWriter(t *testing.T) {
 }
 
 func TestRingKeepsMostRecent(t *testing.T) {
-	r := New(nil, 4)
+	r := NewRing[cpu.RetireEvent](4)
 	for i := uint64(1); i <= 10; i++ {
-		r.Record(ev(i, 0x1000+i*4))
+		r.Push(ev(i, 0x1000+i*4))
 	}
-	if r.Count() != 10 {
-		t.Errorf("count = %d", r.Count())
+	if r.Len() != 4 || r.Cap() != 4 {
+		t.Errorf("Len %d, Cap %d, want 4/4", r.Len(), r.Cap())
 	}
 	last := r.Last(4)
 	if len(last) != 4 {
@@ -53,9 +53,9 @@ func TestRingKeepsMostRecent(t *testing.T) {
 }
 
 func TestRingBeforeWrap(t *testing.T) {
-	r := New(nil, 8)
-	r.Record(ev(1, 0x1000))
-	r.Record(ev(2, 0x1004))
+	r := NewRing[cpu.RetireEvent](8)
+	r.Push(ev(1, 0x1000))
+	r.Push(ev(2, 0x1004))
 	last := r.Last(8)
 	if len(last) != 2 || last[0].Seq != 1 || last[1].Seq != 2 {
 		t.Errorf("pre-wrap ring wrong: %+v", last)
@@ -66,7 +66,7 @@ func TestRingBeforeWrap(t *testing.T) {
 // slice of everything pushed, and that Push does not allocate.
 func TestRingLast(t *testing.T) {
 	const capacity = 5
-	r := NewRing(capacity)
+	r := NewRing[cpu.RetireEvent](capacity)
 	if r.Len() != 0 || len(r.Last(3)) != 0 {
 		t.Fatalf("empty ring: Len %d, Last(3) %v", r.Len(), r.Last(3))
 	}
@@ -94,19 +94,9 @@ func TestRingLast(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { r.Push(all[0]) }); allocs != 0 {
 		t.Errorf("Push allocated %.1f times", allocs)
 	}
-	var nilRing *Ring
+	var nilRing *Ring[cpu.RetireEvent]
 	if nilRing.Len() != 0 || nilRing.Last(4) != nil {
 		t.Error("nil ring is not empty")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := New(nil, 8)
-	r.Filter = func(e cpu.RetireEvent) bool { return e.Inst.Op.IsMem() }
-	r.Record(ev(1, 0x1000)) // addi: filtered
-	r.Record(cpu.RetireEvent{Seq: 2, Inst: isa.Inst{Op: isa.OpSTX, Rd: 1, Rs1: 2}, IsMem: true})
-	if r.Count() != 1 {
-		t.Errorf("count = %d, want 1 (filtered)", r.Count())
 	}
 }
 
@@ -121,15 +111,5 @@ func TestFormatEventMem(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing %q in %q", want, s)
 		}
-	}
-}
-
-func TestDump(t *testing.T) {
-	r := New(nil, 4)
-	r.Record(ev(1, 0x1000))
-	var sb strings.Builder
-	r.Dump(&sb)
-	if !strings.Contains(sb.String(), "00001000") {
-		t.Error("dump empty")
 	}
 }
