@@ -13,7 +13,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/csbvet ./...
 
 # gofmt over every tracked Go file outside testdata/ (analyzer fixtures
 # keep their deliberate layout); fails listing the files that need it.
@@ -21,13 +20,13 @@ fmt-check:
 	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Project invariants: csbvet (pooling/determinism/hot-path plus the
-# cluster engine's phase-discipline and clock-domain contracts over the
-# Go sources) and csblint (SV9L protocol checks over the example
-# programs; loadgen's generated server programs are linted by their own
-# test suite). CI runs these plus a pinned staticcheck in a separate job.
+# Formatting and go vet. The project's invariant analyzers (pooling,
+# determinism, hot-path allocation, the cluster engine's phase and
+# clock-domain contracts) and the SV9L protocol lint of the example
+# programs are tests that `go test ./...` runs: TestModuleInvariants in
+# internal/analysis and TestLintExamplesClean in internal/asm. CI adds a
+# pinned staticcheck in its lint job.
 lint: fmt-check vet
-	$(GO) run ./cmd/csblint examples/asm/*.s
 
 test:
 	$(GO) test ./...
@@ -74,7 +73,7 @@ perf-ab:
 # tag.
 zero-alloc:
 	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs' ./internal/bench/
-	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs' ./internal/sim/
+	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' ./internal/sim/
 
 # Journey-traced runs of the paired store workloads: record the per-hop
 # store journeys for the uncached and CSB paths, render both with csbrec

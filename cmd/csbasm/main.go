@@ -3,12 +3,11 @@
 //
 // Usage:
 //
-//	csbasm [-sym] [-hex] [-lint] file.s
+//	csbasm [-sym] [-hex] file.s
 //
 // By default it prints a disassembly listing of the assembled program;
-// -sym adds the symbol table, -hex dumps the raw little-endian image,
-// and -lint runs the static checks (see cmd/csblint) and exits nonzero
-// on findings.
+// -sym adds the symbol table and -hex dumps the raw little-endian image.
+// cmd/csblint runs the static checks.
 package main
 
 import (
@@ -24,9 +23,8 @@ import (
 func main() {
 	syms := flag.Bool("sym", false, "print the symbol table")
 	hex := flag.Bool("hex", false, "dump the raw image as hex")
-	lint := flag.Bool("lint", false, "run the lint checks and exit nonzero on findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: csbasm [-sym] [-hex] [-lint] file.s\n")
+		fmt.Fprintf(os.Stderr, "usage: csbasm [-sym] [-hex] file.s\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -42,18 +40,6 @@ func main() {
 	prog, err := asm.Assemble(file, string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if *lint {
-		diags, err := asm.Lint(file, string(src), asm.LintConfig{})
-		if err != nil {
-			fatal(err)
-		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
 	}
 	base, data, err := prog.Bytes()
 	if err != nil {

@@ -201,15 +201,7 @@ func run(o *options, args []string, out io.Writer) error {
 			return err
 		}
 		if o.slo != "" {
-			spec := o.slo
-			if strings.HasPrefix(spec, "@") {
-				data, err := os.ReadFile(spec[1:])
-				if err != nil {
-					return err
-				}
-				spec = string(data)
-			}
-			slo, err := rec.ParseSLO(spec)
+			slo, err := rec.LoadSLO(o.slo)
 			if err != nil {
 				return err
 			}

@@ -563,21 +563,6 @@ func cmdPipeview(args []string, out io.Writer) error {
 	return nil
 }
 
-// loadSLO parses a -slo argument: a literal spec, or @path to a file.
-func loadSLO(arg string) (*rec.SLO, error) {
-	if arg == "" {
-		return nil, fmt.Errorf("missing -slo spec")
-	}
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(arg[1:])
-		if err != nil {
-			return nil, err
-		}
-		arg = string(data)
-	}
-	return rec.ParseSLO(arg)
-}
-
 func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	sloArg := fs.String("slo", "", "SLO spec string, or @file")
@@ -585,7 +570,7 @@ func cmdCheck(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	slo, err := loadSLO(*sloArg)
+	slo, err := rec.LoadSLO(*sloArg)
 	if err != nil {
 		return err
 	}

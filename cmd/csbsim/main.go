@@ -172,15 +172,7 @@ func main() {
 			fatal(err)
 		}
 		if *sloSpec != "" {
-			spec := *sloSpec
-			if strings.HasPrefix(spec, "@") {
-				data, err := os.ReadFile(spec[1:])
-				if err != nil {
-					fatal(err)
-				}
-				spec = string(data)
-			}
-			slo, err := rec.ParseSLO(spec)
+			slo, err := rec.LoadSLO(*sloSpec)
 			if err != nil {
 				fatal(err)
 			}

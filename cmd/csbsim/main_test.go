@@ -1,11 +1,60 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"csbsim"
 	"csbsim/internal/mem"
+	"csbsim/internal/obs/rec"
 )
+
+// TestMain runs the command itself when the test binary is re-executed
+// with CSBSIM_RUN_MAIN set, so a test can drive csbsim end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv("CSBSIM_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRecordHoldsEveryRetirement: a `csbsim -record` run of the CSB
+// store stream records one "i" frame per instruction Stats.CPU.Retired
+// counts, the run being shorter than the pipeline tail, and the last
+// frame is the halt that ended it.
+func TestRecordHoldsEveryRetirement(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.rec")
+	cmd := exec.Command(os.Args[0], "-combining", "0x40000000:64K", "-record", path, "-json",
+		filepath.Join("..", "..", "examples", "asm", "csb_stores.s"))
+	cmd.Env = append(os.Environ(), "CSBSIM_RUN_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("csbsim: %v\n%s", err, out)
+	}
+	var s struct{ CPU struct{ Retired uint64 } }
+	if err := json.Unmarshal(out, &s); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := rec.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := uint64(len(rc.Insts)); got != s.CPU.Retired {
+		t.Errorf("recording holds %d i frames, Stats.CPU.Retired is %d", got, s.CPU.Retired)
+	}
+	if n := len(rc.Insts); n == 0 || !strings.HasPrefix(rc.Insts[n-1].Disasm, "halt") {
+		t.Errorf("the last i frame is not the halt: %+v", rc.Insts[max(n-1, 0):])
+	}
+}
 
 func TestParseNum(t *testing.T) {
 	tests := []struct {

@@ -1,5 +1,6 @@
 // Package analysis is a self-contained static-analysis framework for the
-// repository's invariant checkers (cmd/csbvet). It mirrors the shape of
+// repository's invariant checkers, which TestModuleInvariants runs over
+// every package of the module under `go test ./...`. It mirrors the shape of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — but is
 // built purely on the standard library (go/ast, go/types, and export data
 // produced by `go list -export`), so the module keeps its zero-dependency
@@ -20,8 +21,7 @@
 //     or barrier-only APIs; colors propagate over the package call graph
 //     (see BuildCallGraph);
 //   - clockdomain: uint64 cycle stamps from different nodes' clocks must
-//     not be compared or combined without a ctrace.SetAlign-derived
-//     offset.
+//     not be compared or combined.
 //
 // Source pragmas recognized by the analyzers (always written as a whole
 // line-comment token, like //go:noinline). Pragmas marked (reason) must
@@ -47,9 +47,6 @@
 //	//csb:worker-ok (reason) on a statement line inside worker-phase
 //	                code: a reviewed shared-state access; phasesafe is
 //	                silent for that line.
-//	//csb:aligned   (reason) on an expression's line: the cycle stamps
-//	                being combined are provably in the same clock domain;
-//	                clockdomain is silent for that line.
 package analysis
 
 import (

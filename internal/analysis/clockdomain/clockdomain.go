@@ -1,11 +1,9 @@
 // Package clockdomain enforces the cluster's clock-domain discipline.
 // Every cycle stamp lives in exactly one node's clock domain: stamps are
-// read from a machine's Cycle() (or the cluster coordinator's Cycle()),
-// and ctrace merges domains onto one timeline only through SetAlign
-// offsets. Comparing or subtracting stamps from two different domains
-// without such an alignment silently produces skewed latencies — under
-// the windowed engine the node clocks agree only to within one lookahead
-// window.
+// read from a machine's Cycle() (or the cluster coordinator's Cycle()).
+// Comparing or subtracting stamps read from two different domains
+// silently produces skewed latencies — under the windowed engine the
+// node clocks agree only to within one lookahead window.
 //
 // The analyzer tracks uint64 cycle values from their sources: a value is
 // tainted with the textual receiver of the Cycle() call that produced it
@@ -13,16 +11,13 @@
 // and arithmetic within a function, and through package-local helper
 // functions whose returns carry a stamp (the call graph supplies those).
 // A binary comparison or arithmetic expression whose operands carry two
-// different domains is reported, unless either operand has passed through
-// an alignment point — an index into a ctrace-style `offsets` map — or
-// the line carries the reviewed escape hatch
-//
-//	//csb:aligned <reason>
+// different domains is reported; there is no exemption.
 //
 // The tracking is intraprocedural and flow-insensitive across loop
 // back-edges; struct fields and parameters start untainted. That is the
 // deliberate trade: it catches the bug class at its source (mixing two
-// freshly read clocks) with zero false positives on aligned plumbing.
+// freshly read clocks) without false positives on stamps already stored
+// in spans.
 package clockdomain
 
 import (
@@ -36,7 +31,7 @@ import (
 // Analyzer is the clock-domain checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "clockdomain",
-	Doc:  "flags comparisons/arithmetic mixing cycle stamps from different node clock domains without passing through a ctrace.SetAlign offset",
+	Doc:  "flags comparisons/arithmetic mixing cycle stamps from different node clock domains",
 	Run:  run,
 }
 
@@ -46,10 +41,6 @@ var cycleSources = map[string]bool{
 	"csbsim/internal/sim.Machine":     true,
 	"csbsim/internal/cluster.Cluster": true,
 }
-
-// alignedDomain marks a value that went through an alignment point; it
-// combines with any domain without a report.
-const alignedDomain = "<aligned>"
 
 type checker struct {
 	pass    *analysis.Pass
@@ -82,8 +73,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // returnsStamp reports whether some return statement in n yields a value
-// carrying a concrete clock domain (aligned values do not count — they
-// are safe to mix).
+// carrying a clock domain.
 func (c *checker) returnsStamp(n *analysis.FuncNode) bool {
 	found := false
 	ast.Inspect(n.Body(), func(x ast.Node) bool {
@@ -98,7 +88,7 @@ func (c *checker) returnsStamp(n *analysis.FuncNode) bool {
 			return true
 		}
 		for _, r := range ret.Results {
-			if d := c.domainOf(nil, r); d != "" && d != alignedDomain {
+			if c.domainOf(nil, r) != "" {
 				found = true
 			}
 		}
@@ -175,19 +165,16 @@ func (c *checker) checkBinary(env map[types.Object]string, b *ast.BinaryExpr) {
 	}
 	dx := c.domainOf(env, b.X)
 	dy := c.domainOf(env, b.Y)
-	if dx == "" || dy == "" || dx == dy || dx == alignedDomain || dy == alignedDomain {
-		return
-	}
-	if c.pass.Pragma(b.Pos(), "aligned") {
+	if dx == "" || dy == "" || dx == dy {
 		return
 	}
 	c.pass.Reportf(b.Pos(),
-		"cycle stamps from different clock domains (%s vs %s) combined without alignment; apply a ctrace.SetAlign-derived offset first (or annotate //csb:aligned with a reason)",
+		"cycle stamps from different clock domains (%s vs %s) combined without alignment; node clocks agree only to within one lookahead window",
 		dx, dy)
 }
 
-// domainOf computes the clock domain an expression's value carries: "",
-// a receiver-keyed domain like "a.M", or alignedDomain. env may be nil.
+// domainOf computes the clock domain an expression's value carries: ""
+// or a receiver-keyed domain like "a.M". env may be nil.
 func (c *checker) domainOf(env map[types.Object]string, e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
@@ -197,12 +184,6 @@ func (c *checker) domainOf(env map[types.Object]string, e ast.Expr) string {
 	case *ast.Ident:
 		if obj := c.pass.Info.ObjectOf(e); obj != nil {
 			return env[obj]
-		}
-	case *ast.IndexExpr:
-		// An index into an `offsets` map is the ctrace alignment idiom:
-		// its value neutralizes whatever domain it is combined with.
-		if isOffsetsMap(e.X) {
-			return alignedDomain
 		}
 	case *ast.CallExpr:
 		// A conversion (uint64(x), int64(x)) is domain-transparent.
@@ -215,8 +196,6 @@ func (c *checker) domainOf(env map[types.Object]string, e ast.Expr) string {
 	case *ast.BinaryExpr:
 		dx, dy := c.domainOf(env, e.X), c.domainOf(env, e.Y)
 		switch {
-		case dx == alignedDomain || dy == alignedDomain:
-			return alignedDomain
 		case dx == "":
 			return dy
 		case dy == "" || dx == dy:
@@ -263,18 +242,6 @@ func (c *checker) sourceCall(call *ast.CallExpr) (string, bool) {
 		return types.ExprString(call), true
 	}
 	return "", false
-}
-
-// isOffsetsMap matches the alignment-map shapes `offsets[...]` and
-// `x.offsets[...]` (ctrace.Tracer's per-node offset table).
-func isOffsetsMap(x ast.Expr) bool {
-	switch x := unparen(x).(type) {
-	case *ast.Ident:
-		return x.Name == "offsets"
-	case *ast.SelectorExpr:
-		return x.Sel.Name == "offsets"
-	}
-	return false
 }
 
 // namedPath renders a (possibly pointer) named type as "pkgpath.Name".

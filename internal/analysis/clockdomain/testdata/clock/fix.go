@@ -1,9 +1,7 @@
 // Package fix seeds clock-domain violations: cycle stamps read from two
-// different machines' Cycle() compared or subtracted without passing
-// through an alignment offset — the seeded bug being an unaligned
-// cross-node cycle subtraction — plus the sanctioned forms: same-domain
-// arithmetic, the ctrace offsets-map alignment idiom, and the
-// //csb:aligned escape hatch.
+// different machines' Cycle() compared or subtracted — the seeded bug
+// being a cross-node cycle subtraction — plus the sanctioned forms:
+// same-domain arithmetic and untainted operands.
 package fix
 
 import "csbsim/internal/sim"
@@ -15,9 +13,6 @@ type pair struct{ a, b *node }
 // now is a cycle-returning helper: calls to it are clock sources keyed
 // by the call site's receiver.
 func (n *node) now() uint64 { return n.M.Cycle() }
-
-// offsets mirrors ctrace.Tracer's per-node alignment table.
-var offsets map[string]int64
 
 func skew(p *pair) uint64 {
 	return p.a.M.Cycle() - p.b.M.Cycle() // want `clock domains \(p.a.M vs p.b.M\) combined without alignment`
@@ -34,18 +29,6 @@ func viaLocals(p *pair) uint64 {
 
 func viaHelper(p *pair) uint64 {
 	return p.a.now() - p.b.now() // want `clock domains \(p.a vs p.b\)`
-}
-
-// alignedIdiom routes the a-side stamp through the offsets map before
-// mixing; no diagnostic.
-func alignedIdiom(p *pair) uint64 {
-	ta := uint64(int64(p.a.M.Cycle()) + offsets["a"])
-	return ta - p.b.M.Cycle()
-}
-
-// sanctionedPragma mixes raw stamps under the reviewed escape hatch.
-func sanctionedPragma(p *pair) uint64 {
-	return p.a.M.Cycle() - p.b.M.Cycle() //csb:aligned both nodes ticked in lockstep by this test's setup
 }
 
 // sameDomain arithmetic is always fine.

@@ -8,8 +8,8 @@ package analysis_test
 // and enforces:
 //
 //   - only known pragma names appear (typo protection);
-//   - //csb:worker, //csb:barrier, //csb:aligned, //csb:alloc-ok and
-//     //csb:worker-ok carry a non-empty reason after the name;
+//   - //csb:worker, //csb:barrier, //csb:alloc-ok and //csb:worker-ok
+//     carry a non-empty reason after the name;
 //   - every pragma attaches to code: it is part of a declaration's doc
 //     comment, or sits on (or directly above) a line containing code —
 //     matching exactly where Pass.Pragma and FuncPragma look.
@@ -29,14 +29,13 @@ import (
 // knownPragmas is the full vocabulary; see the package analysis doc.
 var knownPragmas = map[string]bool{
 	"hotpath": true, "pool": true, "alloc-ok": true, "orderless": true,
-	"worker": true, "barrier": true, "aligned": true, "worker-ok": true,
+	"worker": true, "barrier": true, "worker-ok": true,
 }
 
 // reasonRequired pragmas assert a reviewed contract or exemption; the
 // review must be recorded inline.
 var reasonRequired = map[string]bool{
-	"worker": true, "barrier": true, "aligned": true,
-	"alloc-ok": true, "worker-ok": true,
+	"worker": true, "barrier": true, "alloc-ok": true, "worker-ok": true,
 }
 
 func TestPragmaHygiene(t *testing.T) {
@@ -131,7 +130,7 @@ func checkFile(t *testing.T, root, path string) {
 			}
 			line := fset.Position(c.Pos()).Line
 			if !knownPragmas[name] {
-				t.Errorf("%s:%d: unknown pragma //csb:%s (known: hotpath, pool, alloc-ok, orderless, worker, barrier, aligned, worker-ok)",
+				t.Errorf("%s:%d: unknown pragma //csb:%s (known: hotpath, pool, alloc-ok, orderless, worker, barrier, worker-ok)",
 					rel, line, name)
 				continue
 			}

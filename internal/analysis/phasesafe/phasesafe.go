@@ -59,7 +59,6 @@ var sharedTypes = map[string]string{
 // at the declarations.
 var barrierAPIs = map[string]bool{
 	"csbsim/internal/sim.Machine.FlushObs":                 true,
-	"csbsim/internal/cluster/ctrace.Tracer.SetAlign":       true,
 	"csbsim/internal/cluster/ctrace.Tracer.PacketDeparted": true,
 	"csbsim/internal/cluster/ctrace.Tracer.PacketArrived":  true,
 	"csbsim/internal/cluster/ctrace.Tracer.PacketEnqueued": true,

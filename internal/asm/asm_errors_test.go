@@ -7,8 +7,8 @@ import (
 
 // TestAssembleErrorPositions pins the assembler's error paths to
 // positioned, self-explanatory messages: each case names the line the
-// defect is on and a fragment of the diagnostic. This is what csblint
-// and csbasm -lint surface to users, so the wording is part of the
+// defect is on and a fragment of the diagnostic. This is what csbasm
+// and csblint surface to users, so the wording is part of the
 // interface.
 func TestAssembleErrorPositions(t *testing.T) {
 	cases := []struct {

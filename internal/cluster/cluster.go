@@ -411,11 +411,10 @@ func (c *Cluster) Registry() *counters.Registry { return c.reg }
 // in the cluster registry, and the NIC RX drain hooks. An attached
 // recorder, whether attached before or after, writes the tracer's spans
 // into the recording.
-// Every node's clock offset is aligned at zero: the lookahead barrier
+// The nodes' clock domains need no alignment: the lookahead barrier
 // keeps all node clocks within one window of the cluster cycle, and all
-// stamps are taken in cluster cycles, so the domains coincide exactly —
-// SetAlign stays the single point where a skewed fabric would be
-// re-aligned. Attach before running.
+// stamps are taken in cluster cycles, so the domains coincide exactly.
+// Attach before running.
 func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
 	if c.tracer != nil {
 		return c.tracer, nil
@@ -439,7 +438,6 @@ func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
 		n.NIC.SetRxDrainHook(func(id uint64) {
 			node.logEvent(evDrain, id, node.M.Cycle())
 		})
-		tr.SetAlign(n.name, 0)
 	}
 	c.tracer = tr
 	return tr, nil
@@ -738,29 +736,8 @@ func (c *Cluster) routeOne(from int, d *departure) {
 		c.faultDelayCycles += extra
 		dup = inj.DupPacket()
 	}
-	start := d.cycle
-	var due uint64
-	if lk.CyclesPerWord > 0 {
-		if lk.freeAt > start {
-			start = lk.freeAt
-		}
-		ser := lk.CyclesPerWord * uint64(len(d.words))
-		lk.freeAt = start + ser
-		due = start + ser + lk.Latency
-	} else {
-		due = start + lk.Latency
-	}
-	due += extra
-	if lk.Depth > 0 {
-		lk.pending = append(lk.pending, due)
-	}
-	c.seq++
-	f := flight{
-		words:  d.words,
-		due:    due,
-		dueEnq: due + c.cfg.RxEnqueueDelay,
-		seq:    c.seq,
-	}
+	due := lk.schedule(d.cycle, len(d.words), extra)
+	f := c.newFlight(d.words, due)
 	if c.tracer != nil {
 		f.traceID = c.openSpan(from, dest, d)
 	}
@@ -776,29 +753,15 @@ func (c *Cluster) routeOne(from int, d *departure) {
 			lk.drops++
 			return
 		}
-		start := due
-		var due2 uint64
-		if lk.CyclesPerWord > 0 {
-			if lk.freeAt > start {
-				start = lk.freeAt
-			}
-			ser := lk.CyclesPerWord * uint64(len(d.words))
-			lk.freeAt = start + ser
-			due2 = start + ser + lk.Latency
-		} else {
-			due2 = start + lk.Latency
-		}
-		if lk.Depth > 0 {
-			lk.pending = append(lk.pending, due2)
-		}
-		c.seq++
-		c.nodes[dest].inbox = append(c.nodes[dest].inbox, flight{
-			words:  d.words,
-			due:    due2,
-			dueEnq: due2 + c.cfg.RxEnqueueDelay,
-			seq:    c.seq,
-		})
+		c.nodes[dest].inbox = append(c.nodes[dest].inbox, c.newFlight(d.words, lk.schedule(due, len(d.words), 0)))
 	}
+}
+
+// newFlight numbers a routed packet's delivery in the global routing
+// order.
+func (c *Cluster) newFlight(words []uint64, due uint64) flight {
+	c.seq++
+	return flight{words: words, due: due, dueEnq: due + c.cfg.RxEnqueueDelay, seq: c.seq}
 }
 
 // dropSpan closes the trace span of a packet the fabric discarded

@@ -18,12 +18,10 @@
 // rx_enqueue when the words land in the receiver's RX queue, and rx_drain
 // when software pops the span's last word.
 //
-// Clock-domain alignment: every stamp is taken in its own node's cycle
-// domain; SetAlign records a per-node offset to the shared cluster
-// timeline (zero in today's cluster, whose lookahead barrier keeps every
-// node on the cluster clock). All histogram deltas and recorded spans use
-// the aligned stamps, so the per-hop latencies telescope exactly to the
-// e2e latency regardless of skew.
+// Clock domains: every stamp is taken in its own node's cycle domain,
+// and the cluster's lookahead barrier keeps every node on the cluster
+// clock, so the domains coincide and stamps from both nodes subtract
+// directly. The per-hop latencies telescope exactly to the e2e latency.
 //
 // Like the journey tracer, ctrace is built for the zero-alloc tick loop:
 // spans live in a preallocated ring, stamps are array writes, and the
@@ -60,15 +58,15 @@ type Span struct {
 }
 
 // HopNames lists the six stamps in order; `csbrec journeys` renders hops
-// as deltas between consecutive aligned stamps.
+// as deltas between consecutive stamps.
 var HopNames = [6]string{"fifo_push", "tx_start", "wire_depart", "wire_arrive", "rx_enqueue", "rx_drain"}
 
 // window is the count of most-recent spans the ring retains for the
 // recording. Histograms and counters always cover the whole run.
 const window = 4096
 
-// Tracer assigns trace IDs, stamps wire and RX hops, aligns the two clock
-// domains, and aggregates per-hop latency histograms. One tracer serves
+// Tracer assigns trace IDs, stamps wire and RX hops, and aggregates
+// per-hop latency histograms. One tracer serves
 // the whole cluster; internal/cluster drives it from the pump/deliver
 // path and the NICs' RX drain hooks.
 type Tracer struct {
@@ -79,10 +77,6 @@ type Tracer struct {
 	completed uint64
 	dropped   uint64 // spans closed as fabric-dropped (wire faults, outages, degraded routes)
 	stale     uint64 // stamps dropped: span already evicted from the ring
-
-	// offsets maps node name → cycles added to that node's stamps to land
-	// them on the shared cluster timeline.
-	offsets map[string]int64
 
 	hSend  *counters.Histogram // fifo_push → tx_start (FIFO wait)
 	hTx    *counters.Histogram // tx_start → wire_depart (serialization + pickup)
@@ -103,10 +97,7 @@ func newTracer(window int, reg *counters.Registry) *Tracer {
 	if reg == nil {
 		reg = counters.NewRegistry()
 	}
-	t := &Tracer{
-		ring:    make([]Span, window),
-		offsets: make(map[string]int64),
-	}
+	t := &Tracer{ring: make([]Span, window)}
 	t.hSend = reg.Histogram("ctrace/hop/fifo_wait")
 	t.hTx = reg.Histogram("ctrace/hop/tx")
 	t.hWire = reg.Histogram("ctrace/hop/wire")
@@ -119,12 +110,6 @@ func newTracer(window int, reg *counters.Registry) *Tracer {
 	reg.Counter("ctrace/stale_drops", func() uint64 { return t.stale })
 	return t
 }
-
-// SetAlign records a node's clock offset to the shared cluster timeline.
-// Call before running; today's cluster passes 0 for every node.
-//
-//csb:barrier rewrites the offset table every merged stamp reads
-func (t *Tracer) SetAlign(node string, offset int64) { t.offsets[node] = offset }
 
 // Started returns the number of spans opened.
 func (t *Tracer) Started() uint64 { return t.started }
@@ -211,7 +196,7 @@ func (t *Tracer) PacketEnqueued(id, recvCycle uint64) {
 }
 
 // PacketDrained completes a span: software popped the last word. Per-hop
-// and e2e latencies (aligned) land in the histograms.
+// and e2e latencies land in the histograms.
 //
 //csb:hotpath
 //csb:barrier updates shared histograms and the span ring at barriers
@@ -223,47 +208,24 @@ func (t *Tracer) PacketDrained(id, recvCycle uint64) {
 	s.RxDrain = recvCycle
 	s.Done = true
 	t.completed++
-	fromOff, toOff := t.offsets[s.From], t.offsets[s.To]
-	fifo := uint64(int64(s.FIFOPush) + fromOff)
-	txs := uint64(int64(s.TxStart) + fromOff)
-	dep := uint64(int64(s.WireDepart) + fromOff)
-	arr := uint64(int64(s.WireArrive) + toOff)
-	enq := uint64(int64(s.RxEnqueue) + toOff)
-	drn := uint64(int64(s.RxDrain) + toOff)
-	t.hSend.Record(txs - fifo)
-	t.hTx.Record(dep - txs)
-	t.hWire.Record(arr - dep)
-	t.hRx.Record(enq - arr)
-	t.hDrain.Record(drn - enq)
-	t.hE2E.Record(drn - fifo)
+	t.hSend.Record(s.TxStart - s.FIFOPush)
+	t.hTx.Record(s.WireDepart - s.TxStart)
+	t.hWire.Record(s.WireArrive - s.WireDepart)
+	t.hRx.Record(s.RxEnqueue - s.WireArrive)
+	t.hDrain.Record(s.RxDrain - s.RxEnqueue)
+	t.hE2E.Record(s.RxDrain - s.FIFOPush)
 }
 
-// MergedSpan is one span on the shared cluster timeline: every stamp has
-// its node's clock offset applied, and E2E is rx_drain − fifo_push. The
-// per-hop deltas of consecutive stamps telescope exactly to E2E.
+// MergedSpan is one span on the shared cluster timeline with its
+// end-to-end latency: E2E is rx_drain − fifo_push, and the per-hop deltas
+// of consecutive stamps telescope exactly to it.
 type MergedSpan struct {
 	Span
 	E2E uint64 `json:"e2e"`
 }
 
-// aligned returns the span with both nodes' offsets applied.
-func (t *Tracer) aligned(s Span) MergedSpan {
-	fromOff, toOff := t.offsets[s.From], t.offsets[s.To]
-	s.FIFOPush = uint64(int64(s.FIFOPush) + fromOff)
-	s.TxStart = uint64(int64(s.TxStart) + fromOff)
-	s.WireDepart = uint64(int64(s.WireDepart) + fromOff)
-	if s.DropCycle != 0 {
-		s.DropCycle = uint64(int64(s.DropCycle) + fromOff)
-	}
-	if s.WireArrive != 0 {
-		s.WireArrive = uint64(int64(s.WireArrive) + toOff)
-	}
-	if s.RxEnqueue != 0 {
-		s.RxEnqueue = uint64(int64(s.RxEnqueue) + toOff)
-	}
-	if s.RxDrain != 0 {
-		s.RxDrain = uint64(int64(s.RxDrain) + toOff)
-	}
+// merged returns the span with its end-to-end latency.
+func merged(s Span) MergedSpan {
 	m := MergedSpan{Span: s}
 	if s.Done {
 		m.E2E = s.RxDrain - s.FIFOPush
@@ -272,8 +234,8 @@ func (t *Tracer) aligned(s Span) MergedSpan {
 }
 
 // Retained returns every span still in the ring (the most recent window),
-// aligned, ordered by trace ID (which is also departure order — the
-// cluster pumps deterministically).
+// ordered by trace ID (which is also departure order — the cluster pumps
+// deterministically).
 func (t *Tracer) Retained() []MergedSpan {
 	var out []MergedSpan
 	last := t.next
@@ -284,7 +246,7 @@ func (t *Tracer) Retained() []MergedSpan {
 	for id := first; id <= last; id++ {
 		s := t.ring[(id-1)%uint64(len(t.ring))]
 		if s.TraceID == id {
-			out = append(out, t.aligned(s))
+			out = append(out, merged(s))
 		}
 	}
 	return out

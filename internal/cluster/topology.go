@@ -82,6 +82,22 @@ type link struct {
 	outageUntil uint64
 }
 
+// schedule books a packet of words onto the link from cycle start and
+// returns its due cycle: with a bandwidth the packet serializes behind
+// the one ahead, and it arrives a wire latency plus extra cycles after
+// its last word. With a queue bound the due cycle joins pending.
+func (lk *link) schedule(start uint64, words int, extra uint64) uint64 {
+	if lk.CyclesPerWord > 0 {
+		lk.freeAt = max(start, lk.freeAt) + lk.CyclesPerWord*uint64(words)
+		start = lk.freeAt
+	}
+	due := start + lk.Latency + extra
+	if lk.Depth > 0 {
+		lk.pending = append(lk.pending, due)
+	}
+	return due
+}
+
 // buildLinks wires the adjacency matrix for cfg and computes each node's
 // default route (-1 when the node has several neighbors and no natural
 // "next" one, i.e. a star hub — such a node must steer via RegTxDest).

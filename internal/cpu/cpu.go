@@ -209,7 +209,8 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 // handed to a callback or observer is only valid until that call returns —
 // recycleRetired reuses the slot as soon as no in-flight uop can reference
 // it. Code that must hold one across cycles pin-counts it via u.pins; the
-// noretain analyzer (cmd/csbvet) enforces this mechanically.
+// noretain analyzer (internal/analysis, run by go test) enforces this
+// mechanically.
 //
 //csb:hotpath
 func (c *CPU) newUop() *uop {

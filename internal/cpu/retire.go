@@ -66,6 +66,9 @@ func (c *CPU) retireExecStep(u *uop) bool {
 	case rexRedirected:
 		c.stats.Retired++
 		c.retiredThisCycle = true
+		if len(c.retireObs) != 0 {
+			c.notifyRetire(u)
+		}
 	}
 	return true
 }
@@ -124,15 +127,7 @@ func (c *CPU) commitDest(u *uop) {
 func (c *CPU) popHead(u *uop) {
 	c.retiredThisCycle = true
 	if len(c.retireObs) != 0 {
-		ev := RetireEvent{
-			Cycle: c.stats.Cycles, Seq: u.seq, PC: u.pc, Inst: u.inst,
-			Result: u.result, Addr: u.va, IsMem: u.isMem(),
-			FetchCycle: u.fetchC, DispatchCycle: u.dispatchC,
-			IssueCycle: u.issueC, CompleteCycle: u.completeC,
-		}
-		for _, fn := range c.retireObs {
-			fn(ev)
-		}
+		c.notifyRetire(u)
 	}
 	c.rob = c.rob[1:]
 	if u.fl&flWritesFP != 0 && c.fpRen[u.inst.Rd] == u {
@@ -158,6 +153,22 @@ func (c *CPU) popHead(u *uop) {
 		c.arch.PC = u.actualNext
 	} else {
 		c.arch.PC = u.pc + 4
+	}
+}
+
+// notifyRetire hands u's retirement to the observers. Callers test
+// len(c.retireObs) first, so a core without observers builds no event.
+//
+//csb:hotpath
+func (c *CPU) notifyRetire(u *uop) {
+	ev := RetireEvent{
+		Cycle: c.stats.Cycles, Seq: u.seq, PC: u.pc, Inst: u.inst,
+		Result: u.result, Addr: u.va, IsMem: u.isMem(),
+		FetchCycle: u.fetchC, DispatchCycle: u.dispatchC,
+		IssueCycle: u.issueC, CompleteCycle: u.completeC,
+	}
+	for _, fn := range c.retireObs {
+		fn(ev)
 	}
 }
 

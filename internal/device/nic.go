@@ -131,6 +131,10 @@ type NIC struct {
 	dmaOff    int
 	dmaInFly  bool
 	dmaPushed uint64
+	// dmaTxn is the DMA engine's one bus read, reissued for every burst
+	// and every retry; its buffer holds DMABurst bytes and its Done is
+	// bound once, so a burst allocates nothing.
+	dmaTxn bus.Txn
 
 	intPending bool
 	// Interrupt, if set, is invoked on send completion (level-style; the
@@ -259,12 +263,18 @@ func NewNIC(cfg Config, base uint64) *NIC {
 	if cfg.DMABurst <= 0 || cfg.DMABurst&(cfg.DMABurst-1) != 0 {
 		cfg.DMABurst = 64
 	}
-	return &NIC{
+	n := &NIC{
 		cfg:       cfg,
 		base:      base,
 		packetBuf: make([]byte, PacketBufSize),
 		txDest:    -1,
 	}
+	n.dmaTxn = bus.Txn{Data: make([]byte, cfg.DMABurst), Done: func(t *bus.Txn) {
+		copy(n.packetBuf[n.dmaOff:], t.Data)
+		n.dmaOff += t.Size
+		n.dmaInFly = false
+	}}
+	return n
 }
 
 // Base returns the device's base physical address.
@@ -512,14 +522,9 @@ func (n *NIC) TickBus(b *bus.Bus) {
 			for size > 1 && (n.dmaSrc+uint64(n.dmaOff))%uint64(size) != 0 {
 				size >>= 1
 			}
-			off := n.dmaOff
-			txn := &bus.Txn{Addr: n.dmaSrc + uint64(off), Size: size}
-			txn.Done = func(t *bus.Txn) {
-				copy(n.packetBuf[off:], t.Data)
-				n.dmaOff += t.Size
-				n.dmaInFly = false
-			}
-			if b.TryIssue(txn) {
+			n.dmaTxn.Addr = n.dmaSrc + uint64(n.dmaOff)
+			n.dmaTxn.Size = size
+			if b.TryIssue(&n.dmaTxn) {
 				n.dmaInFly = true
 			}
 		}

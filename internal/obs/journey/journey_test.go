@@ -112,7 +112,7 @@ func TestStaleStampDropped(t *testing.T) {
 // TestStampPathsZeroAlloc pins the tracer's hot-loop contract: once the
 // rings and the slowest set are warm, opening, stamping, finishing and
 // aborting journeys of every kind allocates nothing — the same contract
-// the //csb:hotpath pragmas declare to the csbvet analyzer.
+// the //csb:hotpath pragmas declare to the hotalloc analyzer.
 func TestStampPathsZeroAlloc(t *testing.T) {
 	tr, _, cycle := newTestTracer(t)
 	drive := func() {
@@ -162,7 +162,7 @@ func TestStampPathsZeroAlloc(t *testing.T) {
 
 // TestHotpathPragmas verifies that every function on the journey stamp
 // path, and the histogram record path, carries the //csb:hotpath pragma —
-// the contract that puts them under csbvet's allocation analyzer.
+// the contract that puts them under the hotalloc analyzer.
 func TestHotpathPragmas(t *testing.T) {
 	for _, tc := range []struct {
 		file  string

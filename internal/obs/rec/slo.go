@@ -7,6 +7,7 @@ package rec
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -96,6 +97,19 @@ func ParseSLO(spec string) (*SLO, error) {
 		return nil, fmt.Errorf("slo: empty spec")
 	}
 	return s, nil
+}
+
+// LoadSLO parses an -slo argument: a literal spec, or @path naming a
+// file that holds one.
+func LoadSLO(arg string) (*SLO, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		arg = string(data)
+	}
+	return ParseSLO(arg)
 }
 
 // parseRule parses a single "expr op number" rule.

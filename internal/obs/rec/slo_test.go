@@ -1,6 +1,8 @@
 package rec
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -81,4 +83,28 @@ func FuzzParseSLO(f *testing.F) {
 		}
 		evalBindings(bs, w, func(Event) {})
 	})
+}
+
+// TestLoadSLO: an -slo argument is a literal spec or @file; both parse
+// to the same rules, and a file that cannot be read is an error.
+func TestLoadSLO(t *testing.T) {
+	const spec = "p99(dev/lat) <= 200; rate(n1/goodput) >= 1"
+	path := filepath.Join(t.TempDir(), "run.slo")
+	if err := os.WriteFile(path, []byte(spec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lit, err := LoadSLO(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := LoadSLO("@" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lit, file) {
+		t.Errorf("@file parsed to %+v, the literal to %+v", file, lit)
+	}
+	if _, err := LoadSLO("@" + filepath.Join(t.TempDir(), "missing.slo")); err == nil {
+		t.Error("@missing loaded without an error")
+	}
 }

@@ -45,8 +45,13 @@ func attachTimingHash(m *Machine) *timingHash {
 // line formats a run's golden line: the retired count, the timing hash
 // and an FNV-1a hash of the machine's final Stats JSON, which pins every
 // counter (refused attempts, fetch stalls, CPI buckets) beside the timing.
+// The observer must have seen every retirement the stats count, halts,
+// traps and returns from interrupt included.
 func (th *timingHash) line(t *testing.T, name string, m *Machine) string {
 	t.Helper()
+	if got, want := uint64(th.n), m.CPU.Retired(); got != want {
+		t.Errorf("%s: the retire observer saw %d instructions, Stats.CPU.Retired is %d", name, got, want)
+	}
 	js, err := json.Marshal(m.Stats())
 	if err != nil {
 		t.Fatal(err)
