@@ -74,6 +74,7 @@ perf-ab:
 zero-alloc:
 	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs' ./internal/bench/
 	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' ./internal/sim/
+	$(GO) test -run 'TestRxQueueAllocs' ./internal/device/
 
 # Journey-traced runs of the paired store workloads: record the per-hop
 # store journeys for the uncached and CSB paths, render both with csbrec

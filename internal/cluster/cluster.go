@@ -13,9 +13,9 @@
 //
 // Execution: one windowed conservative-lookahead engine (engine.go). Each
 // node runs whole windows of cycles — spread over up to GOMAXPROCS host
-// threads, or inline when parallel is off — bounded by the minimum link
-// latency so no inbound packet can be missed; a zero-latency link shrinks
-// the window to one cycle. Within a window a node jumps through its quiet
+// threads, or inline when parallel is off or one node holds the work —
+// bounded by the minimum link latency so no inbound packet can be
+// missed; a zero-latency link shrinks the window to one cycle. Within a window a node jumps through its quiet
 // cycles to its next event. Run advances until every node halts and the
 // fabric drains, RunFor for a fixed horizon.
 //
@@ -197,6 +197,10 @@ type Cluster struct {
 	routeDrops uint64 // packets with no usable destination
 	linkDrops  uint64 // packets refused by a full link queue
 
+	// sched picks each window's host schedule from the nodes' effort
+	// (engine.go); its cost persists across Run and RunFor calls.
+	sched windowSched
+
 	// Wire fault-injection state; nil when unattached. Consumed only at
 	// the routing barrier, in the global (pump cycle, node index, push
 	// order) routing order, so the schedule does not depend on parallelism.
@@ -248,6 +252,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.links, c.route = buildLinks(cfg)
 	c.routePos = make([]int, len(c.nodes))
+	c.sched = windowSched{cost: make([]uint64, len(c.nodes)), seen: make([]uint64, len(c.nodes))}
 	return c, nil
 }
 

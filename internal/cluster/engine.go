@@ -31,6 +31,13 @@
 // the third edge. With one host thread no worker exists and the windows
 // run inline.
 //
+// Schedule: a pool can save at most the work outside a window's heaviest
+// node, so a window whose work one node holds runs inline on the
+// coordinator and leaves the workers parked. The choice is made from
+// simulator work, never from a wall clock: each node's full ticks per
+// window, smoothed over windows (windowSched). Both engines compute the
+// same choices, and a choice changes only which host thread runs a node.
+//
 // Determinism: a node's window run touches only node-local state (its
 // machine, its NIC, its inbox positions, its event log and outbox), and
 // every shared-state mutation — routing, tracer stamps, counters reads —
@@ -298,6 +305,74 @@ func (p *windowPool) stop() {
 	p.exited.Wait()
 }
 
+// A window's schedule follows each node's cost: its full ticks per
+// window (sim.Effort.FullTicks, the ticks that ran every stage), each
+// window folded in with weight 1/2^costShift. A window runs inline when
+// the heaviest node holds at least inlineNum/inlineDen of the summed
+// cost: the pool could then save at most the remaining quarter, less
+// than its hand-off costs. Smoothing keeps a load near the threshold
+// from flipping the schedule every window, each flip to the pool waking
+// a parked worker through its channel.
+const (
+	costShift = 4
+	inlineNum = 3
+	inlineDen = 4
+)
+
+// windowSched is the cluster's window scheduler: per-node costs that
+// persist across runs, and the run's count of windows by schedule.
+type windowSched struct {
+	// cost is each node's smoothed full ticks per window, scaled by
+	// 2^(2*costShift) so the fold keeps its fraction in integers.
+	cost []uint64
+	// seen is each node's full-tick count at the last barrier.
+	seen []uint64
+	// inline and pooled count this run's windows by the schedule chosen;
+	// a run without a pool runs its pooled windows inline too.
+	inline, pooled int
+}
+
+// begin starts a run: it reads every node's full ticks afresh, so work
+// done outside the engine's windows is not charged, and zeroes the run's
+// counts.
+//
+//csb:barrier reads every node's machine; no node window is running
+func (s *windowSched) begin(nodes []*Node) {
+	for i, n := range nodes {
+		s.seen[i] = n.M.Effort().FullTicks
+	}
+	s.inline, s.pooled = 0, 0
+}
+
+// note folds the window just run into every node's cost.
+//
+//csb:barrier reads every node's machine; no node window is running
+func (s *windowSched) note(nodes []*Node) {
+	for i, n := range nodes {
+		t := n.M.Effort().FullTicks
+		s.cost[i] += (t-s.seen[i])<<costShift - s.cost[i]>>costShift
+		s.seen[i] = t
+	}
+}
+
+// pool decides the next window: true to run it on the pool, false to run
+// it inline. A cluster with no cost yet runs inline.
+//
+//csb:barrier decides the schedule before the window opens
+func (s *windowSched) pool() bool {
+	var sum, top uint64
+	for _, c := range s.cost {
+		sum += c
+		top = max(top, c)
+	}
+	if inlineDen*top >= inlineNum*sum {
+		s.inline++
+		return false
+	}
+	s.pooled++
+	return true
+}
+
 // runWindowed is the coordinator loop behind Run and RunFor.
 func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 	w := c.lookahead()
@@ -308,13 +383,15 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		}
 	}
 	c.startObs()
+	c.sched.begin(c.nodes)
 	horizon := c.cycle + limit
 	for c.cycle < horizon {
 		end := c.cycle + w
 		if end > horizon {
 			end = horizon
 		}
-		if pool != nil {
+		// Decided with or without a pool, so both engines choose alike.
+		if c.sched.pool() && pool != nil {
 			pool.run(c.cycle, end)
 		} else {
 			for _, n := range c.nodes {
@@ -325,6 +402,7 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		// Barrier: every worker has left the window; shared state is ours.
 		// A flight routed here is due at end+1 or later unless its link
 		// has zero latency; applyDue delivers exactly those in this cycle.
+		c.sched.note(c.nodes)
 		c.drainTraceLogs()
 		c.routeAll()
 		for _, n := range c.nodes {

@@ -16,9 +16,11 @@ func withProcs(t *testing.T, procs int) {
 
 // churnRing builds a traced ring of n nodes whose node i sends i%3+1
 // packets clockwise and drains what its counter-clockwise neighbor sends,
-// so nodes halt, freeze and go quiet at staggered times. A lone node's
-// packets have no route and are counted as drops.
-func churnRing(t *testing.T, n int) *Cluster {
+// so nodes halt, freeze and go quiet at staggered times. Node 0 then
+// counts down from tail before it halts, so a long tail leaves it alone
+// with the cluster's work. A lone node's packets have no route and are
+// counted as drops.
+func churnRing(t *testing.T, n, tail int) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = n
@@ -38,7 +40,11 @@ func churnRing(t *testing.T, n int) *Cluster {
 		if n > 1 {
 			recvs = sends((i + n - 1) % n)
 		}
-		if _, err := node.M.LoadSource("churn.s", ringGuest(10*(i+1), sends(i), recvs)); err != nil {
+		src := ringGuest(10*(i+1), sends(i), recvs)
+		if i == 0 && tail > 0 {
+			src = strings.Replace(src, "\thalt\n", fmt.Sprintf("\tset %d, %%l1\ntail:\tsubcc %%l1, 1, %%l1\n\tbnz tail\n\thalt\n", tail), 1)
+		}
+		if _, err := node.M.LoadSource("churn.s", src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,33 +66,46 @@ func engineOutput(t *testing.T, c *Cluster) string {
 // TestParallelEngineIdentity runs rings of 1, 2, 3, 5 and 8 nodes under
 // GOMAXPROCS 1 to 4, in parallel with the barrier's spin and with every
 // wait parking at once, and requires each run to reproduce the inline
-// run byte for byte.
+// run byte for byte, its window schedule included. In the last ring node
+// 0 outlives the others, so its windows go back from the pool to inline
+// and the identity is also checked across a change of schedule.
 func TestParallelEngineIdentity(t *testing.T) {
-	for _, nodes := range []int{1, 2, 3, 5, 8} {
-		run := func(parallel bool) string {
-			c := churnRing(t, nodes)
+	mixed := false
+	for _, tc := range []struct {
+		name        string
+		nodes, tail int
+	}{{"nodes1", 1, 0}, {"nodes2", 2, 0}, {"nodes3", 3, 0}, {"nodes5", 5, 0}, {"nodes8", 8, 0}, {"nodes8-tail", 8, 10000}} {
+		nodes := tc.nodes
+		run := func(parallel bool) (out string, inline, pooled int) {
+			c := churnRing(t, nodes, tc.tail)
 			if err := c.Run(2_000_000, parallel); err != nil {
 				t.Fatalf("%d nodes: %v", nodes, err)
 			}
 			if c.HaltCycle() == 0 {
 				t.Fatalf("%d nodes: HaltCycle 0 after a run to halt", nodes)
 			}
-			return engineOutput(t, c)
+			inline, pooled = c.WindowCounts()
+			return fmt.Sprintf("%swindows inline %d pooled %d\n", engineOutput(t, c), inline, pooled), inline, pooled
 		}
-		want := run(false)
+		want, inline, pooled := run(false)
+		t.Logf("%s: %d windows inline, %d pooled", tc.name, inline, pooled)
+		mixed = mixed || inline > 1 && pooled > 0
 		for procs := 1; procs <= 4; procs++ {
 			for _, park := range []bool{false, true} {
-				t.Run(fmt.Sprintf("nodes%d/procs%d/park=%v", nodes, procs, park), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/procs%d/park=%v", tc.name, procs, park), func(t *testing.T) {
 					withProcs(t, procs)
 					if park {
 						parkAlways(t)
 					}
-					if got := run(true); got != want {
+					if got, _, _ := run(true); got != want {
 						t.Errorf("parallel run differs from the inline one\n%s\n---- inline ----\n%s", got, want)
 					}
 				})
 			}
 		}
+	}
+	if !mixed {
+		t.Error("no ring ran both inline and pooled windows after its first")
 	}
 }
 
@@ -117,14 +136,14 @@ func TestParallelWorkersExit(t *testing.T) {
 		run     func(c *Cluster) error
 		wantErr string
 	}{
-		{"halt", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+		{"halt", func(t *testing.T) *Cluster { return churnRing(t, 3, 0) },
 			func(c *Cluster) error { return c.Run(2_000_000, true) }, ""},
-		{"cycle-limit", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+		{"cycle-limit", func(t *testing.T) *Cluster { return churnRing(t, 3, 0) },
 			func(c *Cluster) error { return c.Run(500, true) }, "cycle limit"},
-		{"horizon", func(t *testing.T) *Cluster { return churnRing(t, 3) },
+		{"horizon", func(t *testing.T) *Cluster { return churnRing(t, 3, 0) },
 			func(c *Cluster) error { return c.RunFor(500, true) }, ""},
 		{"node-fault", func(t *testing.T) *Cluster {
-			c := churnRing(t, 3)
+			c := churnRing(t, 3, 0)
 			if _, err := c.Node(1).M.LoadSource("bad.s", bad); err != nil {
 				t.Fatal(err)
 			}

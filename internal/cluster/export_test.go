@@ -16,3 +16,7 @@ func parkAlways(t *testing.T) {
 	spinBudget = 0
 	t.Cleanup(func() { spinBudget = old })
 }
+
+// WindowCounts returns the last run's windows by schedule: inline on the
+// coordinator, and on the pool (counted as such even when no pool ran).
+func (c *Cluster) WindowCounts() (inline, pooled int) { return c.sched.inline, c.sched.pooled }

@@ -141,7 +141,12 @@ type NIC struct {
 	// kernel acks via RegIntAck).
 	Interrupt func()
 
+	// rxQueue[rxHead:] holds the words waiting in the receive queue. A pop
+	// advances rxHead; both reset when the queue drains, and a delivery
+	// that would outgrow the backing array first moves the live words
+	// down, so the drained prefix is reused instead of reallocated.
 	rxQueue []uint64
+	rxHead  int
 	rxPops  uint64
 	// rxHighWater is the deepest the RX queue has ever been (in words) —
 	// the cluster-level backpressure signal the counter registry and the
@@ -225,7 +230,7 @@ func (n *NIC) RegisterCounters(prefix string, r *counters.Registry) {
 	r.Counter(prefix+"/dropped_descs", func() uint64 { return n.dropped })
 	r.Counter(prefix+"/bad_descs", func() uint64 { return n.badDescs })
 	r.Counter(prefix+"/rx_pops", func() uint64 { return n.rxPops })
-	r.Gauge(prefix+"/rx_pending", func() uint64 { return uint64(len(n.rxQueue)) })
+	r.Gauge(prefix+"/rx_pending", func() uint64 { return uint64(n.RxPending()) })
 	r.Counter(prefix+"/rx_highwater", func() uint64 { return uint64(n.rxHighWater) })
 }
 
@@ -320,7 +325,7 @@ func (n *NIC) ReadTarget(pa uint64, out []byte) {
 		}
 		putLE(out, v)
 	case off == RegRxCount:
-		putLE(out, uint64(len(n.rxQueue)))
+		putLE(out, uint64(n.RxPending()))
 	case off == RegTxDest:
 		v := uint64(TxDestAuto)
 		if n.txDest >= 0 {
@@ -336,11 +341,15 @@ func (n *NIC) ReadTarget(pa uint64, out []byte) {
 //
 //csb:hotpath
 func (n *NIC) RxPop() (uint64, bool) {
-	if len(n.rxQueue) == 0 {
+	if n.rxHead == len(n.rxQueue) {
 		return 0, false
 	}
-	v := n.rxQueue[0]
-	n.rxQueue = n.rxQueue[1:]
+	v := n.rxQueue[n.rxHead]
+	n.rxHead++
+	if n.rxHead == len(n.rxQueue) {
+		n.rxQueue = n.rxQueue[:0]
+		n.rxHead = 0
+	}
 	n.rxPops++
 	n.notePop()
 	return v, true
@@ -370,8 +379,12 @@ func (n *NIC) DeliverWords(id uint64, words []uint64) {
 	if n.wake != nil {
 		n.wake()
 	}
-	n.rxQueue = append(n.rxQueue, words...) //csb:alloc-ok amortized RX queue growth
-	if d := len(n.rxQueue); d > n.rxHighWater {
+	if q := n.rxQueue; n.rxHead > 0 && len(q)+len(words) > cap(q) {
+		n.rxQueue = q[:copy(q, q[n.rxHead:])]
+		n.rxHead = 0
+	}
+	n.rxQueue = append(n.rxQueue, words...) //csb:alloc-ok grows only when the live queue outgrows its backing array
+	if d := n.RxPending(); d > n.rxHighWater {
 		n.rxHighWater = d
 	}
 	if id != 0 && n.rxDrained != nil && len(words) > 0 {
@@ -406,7 +419,7 @@ func (n *NIC) notePop() {
 func (n *NIC) RxHighWater() int { return n.rxHighWater }
 
 // RxPending returns the number of undelivered RX words.
-func (n *NIC) RxPending() int { return len(n.rxQueue) }
+func (n *NIC) RxPending() int { return len(n.rxQueue) - n.rxHead }
 
 // RxPops returns how many destructive RX reads have occurred.
 func (n *NIC) RxPops() uint64 { return n.rxPops }

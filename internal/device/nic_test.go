@@ -302,6 +302,46 @@ func TestRxHighWater(t *testing.T) {
 	}
 }
 
+// TestRxQueueOrderAcrossReuse: words come out in delivery order while the
+// queue reuses its drained prefix, with and without a standing backlog,
+// and the pending count and high water read as the words in flight.
+func TestRxQueueOrderAcrossReuse(t *testing.T) {
+	n, _, _ := newRig(t, DefaultConfig())
+	var next, want, high uint64
+	deliver := func(k int) {
+		for range k {
+			next++
+			n.Deliver(next)
+		}
+		high = max(high, next-want)
+	}
+	pop := func(k int) {
+		for range k {
+			want++
+			if v, ok := n.RxPop(); !ok || v != want {
+				t.Fatalf("pop = %d, %v; want %d", v, ok, want)
+			}
+		}
+	}
+	for round := range 50 {
+		deliver(round%7 + 2)
+		pop(round%7 + 1) // leaves one more word behind each round
+		if got := uint64(n.RxPending()); got != next-want {
+			t.Fatalf("round %d: pending %d, want %d", round, got, next-want)
+		}
+		if got := leUint(readNIC(n, base+RegRxCount, 8)); got != next-want {
+			t.Fatalf("round %d: RegRxCount %d, want %d", round, got, next-want)
+		}
+	}
+	pop(int(next - want))
+	if _, ok := n.RxPop(); ok || n.RxPending() != 0 {
+		t.Fatalf("queue not empty after draining every word")
+	}
+	if got := uint64(n.RxHighWater()); got != high {
+		t.Errorf("high water = %d, want %d", got, high)
+	}
+}
+
 func TestTxDestSteersPackets(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	// Default: no steering → topology default route.
