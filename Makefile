@@ -124,8 +124,8 @@ cluster-trace:
 # committed SLO spec riding along (live breaches land in the event log),
 # print the summary, re-verify the spec offline with `csbrec check`,
 # export the counter-track Perfetto view, and render every window with
-# csbtop (the finished file has a footer, so it renders and exits).
-# out/serve.rec is the replayable artifact (`csbtop out/serve.rec`); CI
+# csbrec top (the finished file has a footer, so it renders and exits).
+# out/serve.rec is the replayable artifact (`csbrec top out/serve.rec`); CI
 # uploads out/.
 flight-recorder:
 	mkdir -p out
@@ -135,6 +135,6 @@ flight-recorder:
 	$(GO) run ./cmd/csbrec summary out/serve.rec
 	$(GO) run ./cmd/csbrec check -slo @specs/serving.slo out/serve.rec
 	$(GO) run ./cmd/csbrec perfetto -o out/serve_rec_perfetto.json out/serve.rec
-	$(GO) run ./cmd/csbtop -plain out/serve.rec
+	$(GO) run ./cmd/csbrec top -plain out/serve.rec
 
 ci: lint build race zero-alloc bench-smoke

@@ -29,7 +29,7 @@
 // wire_depart → wire_arrive → rx_enqueue → rx_drain stamps aligned onto
 // the shared cluster timeline, plus per-hop latency histograms), and
 // -record FILE writes the flight recording window by window while the
-// cluster runs (watch it live with csbtop FILE). With both, the
+// cluster runs (watch it live with csbrec top FILE). With both, the
 // recording ends with the retained spans: `csbrec journeys FILE` lists
 // them and `csbrec perfetto FILE` draws one timeline per node with flow
 // arrows across the wire (load at ui.perfetto.dev).
@@ -125,7 +125,7 @@ func main() {
 	flag.Uint64Var(&o.backoff, "backoff", 0, "base retry backoff in cycles (0 = timeout/4)")
 
 	flag.BoolVar(&o.trace, "trace", false, "trace every wire packet; with -record the spans go into the recording (csbrec journeys, csbrec perfetto)")
-	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
+	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbrec top)")
 	flag.Uint64Var(&o.recEvery, "record-every", 10_000, "recording window in cluster cycles")
 	flag.StringVar(&o.slo, "slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 

@@ -8,9 +8,10 @@
 // export: counter tracks of the recorded history; for a csbsim run the
 // last instructions' lifetimes, bus transactions and store journeys
 // with flow arrows between them; for a csbcluster run one timeline per
-// node with the wire spans and their flow arrows. A counter is shown by
-// its change over each window, a gauge (an occupancy) by its value at
-// the window's end.
+// node with the wire spans and their flow arrows. top is the live
+// dashboard (top.go): it follows a recording as the simulator writes
+// it, rendering each window. A counter is shown by its change over each
+// window, a gauge (an occupancy) by its value at the window's end.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@
 //	csbrec check -slo 'spec-or-@file' file.rec   (exit 1 on any breach)
 //	csbrec diff [-tol F] a.rec b.rec             (exit 1 when different)
 //	csbrec perfetto [-o out.json] file.rec
+//	csbrec top [-frames N] [-plain] [-at CYCLE] file.rec
 package main
 
 import (
@@ -69,6 +71,8 @@ func main() {
 		err = cmdDiff(args, os.Stdout)
 	case "perfetto":
 		err = cmdPerfetto(args, os.Stdout)
+	case "top":
+		err = cmdTop(args, os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -97,6 +101,9 @@ func usage() {
   csbrec diff [-tol F] a.rec b.rec             compare recordings (exit 1 when different)
   csbrec perfetto [-o out.json] file.rec       Perfetto export: counter tracks, instructions,
                                                bus transactions, journeys, wire spans
+  csbrec top [-frames N] [-plain] [-at CYCLE] f
+                                               live dashboard: follow the recording and
+                                               render each window
 `)
 }
 

@@ -17,7 +17,7 @@
 // -json emits the full statistics object, and -counters attaches the
 // unified per-layer counter registry on its own. -record FILE writes a
 // flight recording, window by window as the run goes (watch it live
-// with csbtop FILE): every counter's change and every gauge's value (CSB
+// with csbrec top FILE): every counter's change and every gauge's value (CSB
 // occupancy and pending lines, uncached-buffer and write-buffer depth)
 // per -record-every cycles, and at the end the last 4096 retired
 // instructions and bus transactions with their cycle stamps, and a
@@ -55,7 +55,6 @@ import (
 	"csbsim/internal/bus"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/rec"
-	"csbsim/internal/trace"
 )
 
 func main() {
@@ -71,7 +70,6 @@ func main() {
 		comb      = flag.String("combining", "", "map combining space: addr:size (e.g. 0x40000000:64K)")
 		unc       = flag.String("uncached", "", "map uncached space: addr:size")
 		verbose   = flag.Bool("v", false, "print full statistics")
-		traceRun  = flag.Bool("trace", false, "stream the retired-instruction trace to stderr")
 
 		faults    = flag.String("faults", "", `inject deterministic faults: "default" or key=value list (keys: seed, `+strings.Join(csbsim.FaultSpecKeys(), ", ")+`)`)
 		faultSeed = flag.Uint64("fault-seed", 0, "override the fault spec's PRNG seed (0 = keep the spec's)")
@@ -80,7 +78,7 @@ func main() {
 		journeys   = flag.Bool("journeys", false, "trace store journeys (UB/CSB/bus/device hops); with -record they land in the recording (query with csbrec journeys)")
 		countersOn = flag.Bool("counters", false, "attach the unified counter registry (implied by -journeys); counters land in -v and -json output")
 
-		record  = flag.String("record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbtop)")
+		record  = flag.String("record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbrec top)")
 		recEach = flag.Uint64("record-every", 10_000, "recording window in CPU cycles")
 		sloSpec = flag.String("slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
 
@@ -207,9 +205,6 @@ func main() {
 	}
 	if _, err := m.LoadSource(file, string(src)); err != nil {
 		fatal(err)
-	}
-	if *traceRun {
-		trace.New(os.Stderr).Attach(m.CPU)
 	}
 
 	runErr := m.Run(*maxCycles)

@@ -27,8 +27,8 @@
 // send→receive journeys. AttachCounters registers the cluster-level wire
 // counters in every node's registry (so they surface in reports and
 // watchdog dumps), and AttachRecorder rolls every registry into a flight
-// recording on a sim-cycle cadence — the stream the csbtop dashboard
-// follows. All tracer mutations funnel through per-node event logs
+// recording on a sim-cycle cadence — the stream the csbrec top
+// dashboard follows. All tracer mutations funnel through per-node event logs
 // replayed single-threaded (see engine.go), so the parallel schedule
 // stays byte-identical to the inline one.
 package cluster
@@ -363,7 +363,7 @@ func (c *Cluster) registerWireCounters(r *counters.Registry) {
 	r.Counter("cluster/route_drops", func() uint64 { return c.routeDrops })
 	r.Counter("cluster/link_drops", func() uint64 { return c.linkDrops })
 	// Per-directed-link breakdown of link_drops, so one saturated or
-	// faulted link is attributable in dumps and csbtop.
+	// faulted link is attributable in dumps and csbrec top.
 	for i := range c.links {
 		for j := range c.links[i] {
 			if lk := c.links[i][j]; lk != nil {

@@ -150,7 +150,7 @@ type NIC struct {
 	rxPops  uint64
 	// rxHighWater is the deepest the RX queue has ever been (in words) —
 	// the cluster-level backpressure signal the counter registry and the
-	// csbtop dashboard surface.
+	// csbrec top dashboard surface.
 	rxHighWater int
 	// rxSpans tracks packet boundaries inside the RX queue for drain
 	// tracing (only populated when rxDrained is set): head span's word

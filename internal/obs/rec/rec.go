@@ -52,7 +52,8 @@
 // recording without it is all counters. A gauge's row carries the same
 // [end,delta] pair, but only end means anything: delta is v-prev in
 // uint64 arithmetic and wraps whenever the gauge falls, so every
-// consumer (csbrec, csbtop, the SLO aggregations) reads a gauge's end.
+// consumer (csbrec, its top dashboard, the SLO aggregations) reads a
+// gauge's end.
 package rec
 
 import (
@@ -129,7 +130,7 @@ type Event struct {
 }
 
 // Alert is one currently-breached SLO binding: what ActiveAlerts reports
-// at the end of a run and SLO.ActiveAt replays for csbtop.
+// at the end of a run and SLO.ActiveAt replays for csbrec top.
 type Alert struct {
 	Rule   string  `json:"rule"`
 	Series string  `json:"series"`

@@ -342,7 +342,7 @@ func (s *SLO) Check(rc *Recording) CheckResult {
 }
 
 // ActiveAt replays windows[0..wi] of a recording and returns the alerts
-// still active after window wi — csbtop's replay scrub uses it to show
+// still active after window wi — csbrec top's replay scrub uses it to show
 // breach state at an arbitrary point in a recording.
 func (s *SLO) ActiveAt(rc *Recording, wi int) []Alert {
 	bs, _ := s.bind(rc.CtrNames, rc.Gauge, rc.HistNames)

@@ -20,7 +20,6 @@ import (
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
-	"csbsim/internal/trace"
 	"csbsim/internal/uncbuf"
 )
 
@@ -139,8 +138,8 @@ type Machine struct {
 	// Optional rings of the last retired instructions and bus
 	// transactions (obs.go), read by the watchdog's dump and the
 	// recording's pipeline tail; nil when unattached.
-	retired *trace.Ring[cpu.RetireEvent]
-	busTail *trace.Ring[obs.BusEvent]
+	retired *ring[cpu.RetireEvent]
+	busTail *ring[obs.BusEvent]
 
 	// Optional robustness hooks: the fault injector (fault.go), the
 	// retire-progress watchdog (watchdog.go), and the Err providers of

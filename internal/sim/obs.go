@@ -9,7 +9,6 @@ import (
 	"csbsim/internal/bus"
 	"csbsim/internal/cpu"
 	"csbsim/internal/obs"
-	"csbsim/internal/trace"
 )
 
 // pipelineTail is how many retired instructions and bus transactions the
@@ -23,12 +22,12 @@ const pipelineTail = 4096
 func (m *Machine) retireRing(n int) {
 	switch {
 	case m.retired == nil:
-		m.retired = trace.NewRing[cpu.RetireEvent](n)
-		m.CPU.AttachRetire(func(ev cpu.RetireEvent) { m.retired.Push(ev) })
-	case m.retired.Cap() < n:
-		grown := trace.NewRing[cpu.RetireEvent](n)
-		for _, ev := range m.retired.Last(m.retired.Len()) {
-			grown.Push(ev)
+		m.retired = newRing[cpu.RetireEvent](n)
+		m.CPU.AttachRetire(func(ev cpu.RetireEvent) { m.retired.push(ev) })
+	case m.retired.capacity() < n:
+		grown := newRing[cpu.RetireEvent](n)
+		for _, ev := range m.retired.last(m.retired.size()) {
+			grown.push(ev)
 		}
 		m.retired = grown
 	}
@@ -43,10 +42,10 @@ func (m *Machine) retireRing(n int) {
 func (m *Machine) AttachPipeline() func() ([]obs.InstEvent, []obs.BusEvent) {
 	m.retireRing(pipelineTail)
 	if m.busTail == nil {
-		m.busTail = trace.NewRing[obs.BusEvent](pipelineTail)
+		m.busTail = newRing[obs.BusEvent](pipelineTail)
 		ratio := uint64(m.Cfg.Ratio)
 		m.Bus.AttachObserver(func(t *bus.Txn) {
-			m.busTail.Push(obs.BusEvent{
+			m.busTail.push(obs.BusEvent{
 				Start: t.Start * ratio,
 				End:   (t.End + 1) * ratio,
 				Addr:  t.Addr,
@@ -57,7 +56,7 @@ func (m *Machine) AttachPipeline() func() ([]obs.InstEvent, []obs.BusEvent) {
 		})
 	}
 	return func() ([]obs.InstEvent, []obs.BusEvent) {
-		return instEvents(m.retired.Last(pipelineTail)), m.busTail.Last(pipelineTail)
+		return instEvents(m.retired.last(pipelineTail)), m.busTail.last(pipelineTail)
 	}
 }
 

@@ -389,8 +389,8 @@ loop:
 				i, rc.Insts[i].Seq, rc.Bus[i].Start, seqs[i], starts[i])
 		}
 	}
-	if m.retired.Cap() != pipelineTail || !strings.Contains(m.DiagnosticDump(), "--- last 32 retired instructions ---") {
-		t.Errorf("ring holds %d; the dump lost its last %d instructions", m.retired.Cap(), wdRingSize)
+	if m.retired.capacity() != pipelineTail || !strings.Contains(m.DiagnosticDump(), "--- last 32 retired instructions ---") {
+		t.Errorf("ring holds %d; the dump lost its last %d instructions", m.retired.capacity(), wdRingSize)
 	}
 }
 

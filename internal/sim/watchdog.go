@@ -106,7 +106,7 @@ func (m *Machine) DiagnosticDump() string {
 			b.WriteByte('\n')
 		}
 	}
-	if last := m.retired.Last(wdRingSize); len(last) > 0 {
+	if last := m.retired.last(wdRingSize); len(last) > 0 {
 		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", len(last))
 		b.WriteString(obs.FormatPipeline(instEvents(last)))
 	}
