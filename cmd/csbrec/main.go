@@ -29,6 +29,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,46 +46,47 @@ import (
 	"csbsim/internal/obs/rec"
 )
 
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(args []string, out io.Writer) error{
+	"summary":  cmdSummary,
+	"series":   cmdSeries,
+	"slice":    cmdSlice,
+	"events":   cmdEvents,
+	"journeys": cmdJourneys,
+	"pipeview": cmdPipeview,
+	"check":    cmdCheck,
+	"diff":     cmdDiff,
+	"perfetto": cmdPerfetto,
+	"top":      cmdTop,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
+	os.Exit(dispatch(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
+}
+
+// dispatch executes one subcommand and returns the process exit status. A
+// subcommand's -h prints its flags and succeeds, as help does.
+func dispatch(cmd string, args []string, stdout, stderr io.Writer) int {
 	switch cmd {
-	case "summary":
-		err = cmdSummary(args, os.Stdout)
-	case "series":
-		err = cmdSeries(args, os.Stdout)
-	case "slice":
-		err = cmdSlice(args, os.Stdout)
-	case "events":
-		err = cmdEvents(args, os.Stdout)
-	case "journeys":
-		err = cmdJourneys(args, os.Stdout)
-	case "pipeview":
-		err = cmdPipeview(args, os.Stdout)
-	case "check":
-		err = cmdCheck(args, os.Stdout)
-	case "diff":
-		err = cmdDiff(args, os.Stdout)
-	case "perfetto":
-		err = cmdPerfetto(args, os.Stdout)
-	case "top":
-		err = cmdTop(args, os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "csbrec: unknown command %q\n", cmd)
+		return 0
+	}
+	f, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(stderr, "csbrec: unknown command %q\n", cmd)
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "csbrec:", err)
-		os.Exit(1)
+	if err := f(args, stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(stderr, "csbrec:", err)
+		return 1
 	}
+	return 0
 }
 
 func usage() {

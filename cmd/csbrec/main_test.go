@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -517,6 +518,31 @@ func TestPipeview(t *testing.T) {
 	for _, args := range [][]string{{"-n", "0", path}, {"-n", "-3", path}, {writeRecording(t)}} {
 		if err := cmdPipeview(args, io.Discard); err == nil {
 			t.Errorf("pipeview %v succeeded", args)
+		}
+	}
+}
+
+// TestHelpFlagSucceeds: -h on every subcommand prints its flags and exits
+// 0, as `csbrec help` does, without an error line; an unknown flag still
+// fails.
+func TestHelpFlagSucceeds(t *testing.T) {
+	want := []string{"check", "diff", "events", "journeys", "perfetto", "pipeview", "series", "slice", "summary", "top"}
+	var got []string
+	for name := range commands {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("commands %v, want %v", got, want)
+	}
+	for _, name := range want {
+		var out, errs bytes.Buffer
+		if code := dispatch(name, []string{"-h"}, &out, &errs); code != 0 || errs.Len() != 0 {
+			t.Errorf("csbrec %s -h: exit %d, stderr %q; want exit 0 and no error", name, code, errs.String())
+		}
+		errs.Reset()
+		if code := dispatch(name, []string{"-no-such-flag"}, &out, &errs); code != 1 || !strings.Contains(errs.String(), "not defined") {
+			t.Errorf("csbrec %s -no-such-flag: exit %d, stderr %q; want exit 1 and the flag error", name, code, errs.String())
 		}
 	}
 }

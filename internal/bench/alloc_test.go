@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"csbsim/internal/cache"
@@ -170,31 +171,62 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBuildAllocs pins machine construction by allocation count, so a
-// setup regression fails on a count rather than on wall time: the
-// default machine's Build makes exactly buildAllocs allocations, and a
-// cache level makes two (the Cache and its one flat tag array) whatever
-// its number of sets.
+// TestBuildAllocs pins machine construction by allocation count and
+// bytes, so a setup regression fails on a count rather than on wall time:
+// the default machine's Build makes exactly buildAllocs allocations of at
+// most buildBytes in all, and a cache level makes two (the Cache and its
+// list of tag-array chunks, which are allocated on first fill) whatever
+// its number of sets, the 256 KiB L2 in under 1 KiB.
 func TestBuildAllocs(t *testing.T) {
-	const buildAllocs = 55
+	const (
+		buildAllocs = 55
+		buildBytes  = 32 << 10
+		cacheBytes  = 1 << 10
+	)
 	p := DefaultParams()
-	if got := testing.AllocsPerRun(20, func() {
+	build := func() {
 		if _, err := p.Build(); err != nil {
 			t.Fatal(err)
 		}
-	}); got != buildAllocs {
+	}
+	if got := testing.AllocsPerRun(20, build); got != buildAllocs {
 		t.Errorf("DefaultParams().Build() made %v allocations, want %d", got, buildAllocs)
+	}
+	if got := bytesPerRun(20, build); got > buildBytes {
+		t.Errorf("DefaultParams().Build() allocated %d bytes, want at most %d", got, buildBytes)
+	} else {
+		t.Logf("DefaultParams().Build() allocated %d bytes", got)
 	}
 	for _, cfg := range []cache.Config{
 		{Size: 256, Assoc: 2, LineSize: 64},       // 2 sets
-		{Size: 256 << 10, Assoc: 4, LineSize: 64}, // 1024 sets
+		{Size: 256 << 10, Assoc: 4, LineSize: 64}, // 1024 sets: the default L2
 	} {
-		if got := testing.AllocsPerRun(20, func() {
+		newCache := func() {
 			if _, err := cache.New(cfg); err != nil {
 				t.Fatal(err)
 			}
-		}); got != 2 {
+		}
+		if got := testing.AllocsPerRun(20, newCache); got != 2 {
 			t.Errorf("cache.New(%+v) made %v allocations, want 2", cfg, got)
 		}
+		if got := bytesPerRun(20, newCache); got >= cacheBytes {
+			t.Errorf("cache.New(%+v) allocated %d bytes, want under %d", cfg, got, cacheBytes)
+		} else {
+			t.Logf("cache.New(%+v) allocated %d bytes", cfg, got)
+		}
 	}
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls after a warm-up call, as runtime.MemStats.TotalAlloc
+// counts them.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -78,13 +78,25 @@ func (l *line) tag() uint64 { return l.key &^ (validBit | dirtyBit) }
 // holds reports whether l is valid with tag tag.
 func (l *line) holds(tag uint64) bool { return l.key&^dirtyBit == tag|validBit }
 
+// chunkSets is how many sets one chunk of the tag array holds: a power
+// of two, so a set number splits into chunk and slot by shift and mask.
+const (
+	chunkShift = 6
+	chunkSets  = 1 << chunkShift
+)
+
 // Cache is one set-associative tag array with true-LRU replacement. The
-// tag array is one flat slice: set s holds lines[s*assoc : (s+1)*assoc].
-// Line size and set count are powers of two, so an address splits into
-// set and tag by shift and mask.
+// tag array is a list of chunks of chunkSets sets each (one chunk of all
+// the sets when there are fewer); set s lives in chunk s/chunkSets, whose
+// slot s%chunkSets holds its ways. A chunk is allocated the first time a
+// line is filled into one of its sets. Until then its sets read as empty,
+// which is exactly how an all-invalid set behaves, so a machine pays only
+// for the parts of its caches a program touches. Line size and set count
+// are powers of two, so an address splits into set and tag by shift and
+// mask.
 type Cache struct {
 	cfg       Config
-	lines     []line
+	chunks    [][]line
 	nsets     uint64
 	lineShift uint
 	setShift  uint
@@ -100,7 +112,7 @@ func New(cfg Config) (*Cache, error) {
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, nsets*cfg.Assoc),
+		chunks:    make([][]line, (nsets+chunkSets-1)/chunkSets),
 		nsets:     uint64(nsets),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(nsets))),
@@ -114,12 +126,26 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // index returns the ways of the set addr maps to, the set number and the
-// tag.
+// tag. A set whose chunk has never been filled has no ways.
 func (c *Cache) index(addr uint64) (ways []line, set uint64, tag uint64) {
 	lineAddr := addr >> c.lineShift
 	set, tag = lineAddr&(c.nsets-1), lineAddr>>c.setShift
-	base := int(set) * c.cfg.Assoc
-	return c.lines[base : base+c.cfg.Assoc], set, tag
+	chunk := c.chunks[set>>chunkShift]
+	if chunk == nil {
+		return nil, set, tag
+	}
+	base := int(set&(chunkSets-1)) * c.cfg.Assoc
+	return chunk[base : base+c.cfg.Assoc], set, tag
+}
+
+// fill allocates the chunk of set, which has never been filled, and
+// returns the set's ways.
+func (c *Cache) fill(set uint64) []line {
+	n := min(c.nsets, chunkSets)
+	chunk := make([]line, int(n)*c.cfg.Assoc) //csb:alloc-ok — cold start: a chunk is allocated on its first fill
+	c.chunks[set>>chunkShift] = chunk
+	base := int(set&(chunkSets-1)) * c.cfg.Assoc
+	return chunk[base : base+c.cfg.Assoc]
 }
 
 // Lookup probes for the line containing addr, updating LRU state and hit
@@ -154,6 +180,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // line address and dirtiness when a valid line had to be replaced.
 func (c *Cache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted bool) {
 	ways, set, tag := c.index(addr)
+	if ways == nil {
+		ways = c.fill(set)
+	}
 	c.clock++
 	victim := 0
 	var oldest uint64 = ^uint64(0)
@@ -214,7 +243,10 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 // Preload fills the line containing addr without statistics, for warming
 // caches in tests and benchmarks.
 func (c *Cache) Preload(addr uint64) {
-	ways, _, tag := c.index(addr)
+	ways, set, tag := c.index(addr)
+	if ways == nil {
+		ways = c.fill(set)
+	}
 	c.clock++
 	for i := range ways {
 		if ways[i].holds(tag) {

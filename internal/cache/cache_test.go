@@ -387,10 +387,12 @@ func TestLRUNeverEvictsMRU(t *testing.T) {
 }
 
 // TestIndexMatchesDivision: index's shift-and-mask split of an address
-// gives the set and tag of the division formula, and the set's ways, for
-// random addresses in every geometry the machine is built with: the
-// default hierarchy at the figure sweeps' line sizes (figures 3d-3f),
-// plus the smallest caches the tests use.
+// gives the set and tag of the division formula, and the set's ways sit
+// in slot set%chunkSets of chunk set/chunkSets, for random addresses in
+// every geometry the machine is built with: the default hierarchy at the
+// figure sweeps' line sizes (figures 3d-3f), plus the smallest caches the
+// tests use. A chunk no line has been filled into yields no ways, and
+// filling one allocates exactly that chunk.
 func TestIndexMatchesDivision(t *testing.T) {
 	var geoms []Config
 	for _, ls := range []int{32, 64, 128} {
@@ -411,21 +413,55 @@ func TestIndexMatchesDivision(t *testing.T) {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		nsets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
+		chunkLen := int(min(nsets, chunkSets)) * cfg.Assoc
+		if want := int((nsets + chunkSets - 1) / chunkSets); len(c.chunks) != want {
+			t.Fatalf("%+v: %d chunks, want %d", cfg, len(c.chunks), want)
+		}
 		for i := 0; i < 10_000; i++ {
 			addr := rng.Uint64()
 			if i%2 == 0 {
 				addr >>= rng.Intn(64) // small addresses too
 			}
-			ways, set, tag := c.index(addr)
 			lineAddr := addr / uint64(cfg.LineSize)
 			wantSet, wantTag := lineAddr%nsets, lineAddr/nsets
-			if set != wantSet || tag != wantTag || len(ways) != cfg.Assoc ||
-				&ways[0] != &c.lines[int(wantSet)*cfg.Assoc] {
+			if i%4 == 0 {
+				before := filledChunks(c)
+				if c.chunks[wantSet/chunkSets] == nil {
+					before++
+				}
+				if c.Preload(addr); filledChunks(c) != before {
+					t.Fatalf("%+v: Preload(%#x) allocated chunks other than set %d's", cfg, addr, wantSet)
+				}
+			}
+			ways, set, tag := c.index(addr)
+			if set != wantSet || tag != wantTag {
 				t.Fatalf("%+v: index(%#x) = set %d tag %#x, want set %d tag %#x",
 					cfg, addr, set, tag, wantSet, wantTag)
 			}
+			chunk := c.chunks[wantSet/chunkSets]
+			if chunk == nil {
+				if ways != nil {
+					t.Fatalf("%+v: index(%#x) in an unfilled chunk returned %d ways", cfg, addr, len(ways))
+				}
+				continue
+			}
+			if len(chunk) != chunkLen || len(ways) != cfg.Assoc ||
+				&ways[0] != &chunk[int(wantSet%chunkSets)*cfg.Assoc] {
+				t.Fatalf("%+v: index(%#x) returned %d ways not at slot %d of a %d-line chunk %d",
+					cfg, addr, len(ways), wantSet%chunkSets, len(chunk), wantSet/chunkSets)
+			}
 		}
 	}
+}
+
+func filledChunks(c *Cache) int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestWidestTagsKeepFlags: the tag of the top line of the address space
@@ -454,5 +490,249 @@ func TestWidestTagsKeepFlags(t *testing.T) {
 	if victim, dirty, evicted := c.Insert(top - 8); !evicted || !dirty || victim != top&^1 {
 		t.Fatalf("third line in set 1 evicted %#x (dirty %v, evicted %v), want the dirty line %#x",
 			victim, dirty, evicted, top&^1)
+	}
+}
+
+// flatCache is the reference model of Cache: the tag array as one flat
+// slice, all of it allocated up front, with the set and tag split by
+// division.
+type flatCache struct {
+	assoc, lineSize, nsets uint64
+	lines                  []line
+	clock                  uint64
+	stats                  Stats
+}
+
+func newFlat(cfg Config) *flatCache {
+	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
+	return &flatCache{
+		assoc: uint64(cfg.Assoc), lineSize: uint64(cfg.LineSize), nsets: uint64(nsets),
+		lines: make([]line, nsets*cfg.Assoc),
+	}
+}
+
+func (f *flatCache) index(addr uint64) ([]line, uint64, uint64) {
+	lineAddr := addr / f.lineSize
+	set := lineAddr % f.nsets
+	return f.lines[set*f.assoc : (set+1)*f.assoc], set, lineAddr / f.nsets
+}
+
+func (f *flatCache) find(ways []line, tag uint64) *line {
+	for i := range ways {
+		if ways[i].holds(tag) {
+			return &ways[i]
+		}
+	}
+	return nil
+}
+
+func (f *flatCache) Lookup(addr uint64) bool {
+	ways, _, tag := f.index(addr)
+	f.clock++
+	if l := f.find(ways, tag); l != nil {
+		l.used = f.clock
+		f.stats.Hits++
+		return true
+	}
+	f.stats.Misses++
+	return false
+}
+
+func (f *flatCache) Contains(addr uint64) bool {
+	ways, _, tag := f.index(addr)
+	return f.find(ways, tag) != nil
+}
+
+// Insert replaces the last invalid way, or else the least recently used.
+func (f *flatCache) Insert(addr uint64) (uint64, bool, bool) {
+	ways, set, tag := f.index(addr)
+	f.clock++
+	if l := f.find(ways, tag); l != nil {
+		l.used = f.clock
+		return 0, false, false
+	}
+	victim := -1
+	for i := range ways {
+		if !ways[i].valid() {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := range ways {
+			if ways[i].used < ways[victim].used {
+				victim = i
+			}
+		}
+	}
+	v := &ways[victim]
+	var victimAddr uint64
+	evicted, dirty := v.valid(), v.valid() && v.dirty()
+	if evicted {
+		victimAddr = (v.tag()*f.nsets + set) * f.lineSize
+		f.stats.Evictions++
+		if dirty {
+			f.stats.Writebacks++
+		}
+	}
+	*v = line{key: tag | validBit, used: f.clock}
+	return victimAddr, dirty, evicted
+}
+
+func (f *flatCache) SetDirty(addr uint64) {
+	ways, _, tag := f.index(addr)
+	if l := f.find(ways, tag); l != nil {
+		l.key |= dirtyBit
+	}
+}
+
+func (f *flatCache) Invalidate(addr uint64) (bool, bool) {
+	ways, _, tag := f.index(addr)
+	if l := f.find(ways, tag); l != nil {
+		l.key &^= validBit
+		return l.dirty(), true
+	}
+	return false, false
+}
+
+// Preload replaces the first invalid way, or else way 0.
+func (f *flatCache) Preload(addr uint64) {
+	ways, _, tag := f.index(addr)
+	f.clock++
+	if f.find(ways, tag) != nil {
+		return
+	}
+	v := &ways[0]
+	for i := range ways {
+		if !ways[i].valid() {
+			v = &ways[i]
+			break
+		}
+	}
+	*v = line{key: tag | validBit, used: f.clock}
+}
+
+// sameArrays reports the first set where c's tag array differs from the
+// model's: a set in a chunk never filled must be all zero in the model.
+func sameArrays(c *Cache, f *flatCache) (uint64, bool) {
+	for set := uint64(0); set < f.nsets; set++ {
+		want := f.lines[set*f.assoc : (set+1)*f.assoc]
+		var got []line
+		if chunk := c.chunks[set/chunkSets]; chunk != nil {
+			base := (set % chunkSets) * f.assoc
+			got = chunk[base : base+f.assoc]
+		}
+		for i := range want {
+			var l line
+			if got != nil {
+				l = got[i]
+			}
+			if l != want[i] {
+				return set, false
+			}
+		}
+	}
+	return 0, true
+}
+
+// TestChunkedMatchesFlat drives Cache and the flat reference model with
+// the same random sequences of every operation and compares each return
+// value, the statistics and the LRU clock after every step, and the whole
+// tag array every 64 steps and at the end. The geometries cover fewer
+// sets than one chunk, a direct-mapped cache, the 62-bit tags of two
+// 2-byte sets, and the default L1 and L2. Addresses come mostly from a
+// few sets spread over the chunks with a few more tags than ways, so
+// lines hit, conflict and are evicted; the rest are random, and the
+// widest geometry also draws from the top of the address space.
+func TestChunkedMatchesFlat(t *testing.T) {
+	h := DefaultHierConfig()
+	geoms := []Config{
+		small(), // 2 sets
+		{Size: 16 * 4 * 64, Assoc: 4, LineSize: 64},  // 16 sets
+		{Size: 64 << 10, Assoc: 1, LineSize: 64},     // direct-mapped, 1024 sets
+		{Size: 8, Assoc: 2, LineSize: 2},             // 2 sets, 62-bit tags
+		{Size: 3 * 128 * 32, Assoc: 3, LineSize: 32}, // 3 ways
+		h.L1D, h.L2,
+	}
+	for _, cfg := range geoms {
+		nsets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
+		ls := uint64(cfg.LineSize)
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			sets := make([]uint64, 6)
+			for i := range sets {
+				sets[i] = uint64(rng.Int63n(int64(nsets)))
+			}
+			ntags := uint64(cfg.Assoc + 2)
+			addr := func() uint64 {
+				switch r := rng.Intn(16); {
+				case r == 0:
+					return rng.Uint64()
+				case r == 1:
+					return ^uint64(0) - uint64(rng.Intn(4*cfg.Size))
+				default:
+					tag := uint64(rng.Int63n(int64(ntags)))
+					set := sets[rng.Intn(len(sets))]
+					return (tag*nsets+set)*ls + uint64(rng.Int63n(int64(ls)))
+				}
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := newFlat(cfg)
+			for step := 0; step < 2000; step++ {
+				a := addr()
+				var op string
+				switch rng.Intn(8) {
+				case 0, 1:
+					op = "Lookup"
+					if got, want := c.Lookup(a), f.Lookup(a); got != want {
+						t.Fatalf("%+v seed %d step %d: Lookup(%#x) = %v, want %v", cfg, seed, step, a, got, want)
+					}
+				case 2:
+					op = "Contains"
+					if got, want := c.Contains(a), f.Contains(a); got != want {
+						t.Fatalf("%+v seed %d step %d: Contains(%#x) = %v, want %v", cfg, seed, step, a, got, want)
+					}
+				case 3, 4:
+					op = "Insert"
+					gv, gd, ge := c.Insert(a)
+					wv, wd, we := f.Insert(a)
+					if gv != wv || gd != wd || ge != we {
+						t.Fatalf("%+v seed %d step %d: Insert(%#x) = (%#x, %v, %v), want (%#x, %v, %v)",
+							cfg, seed, step, a, gv, gd, ge, wv, wd, we)
+					}
+				case 5:
+					op = "SetDirty"
+					c.SetDirty(a)
+					f.SetDirty(a)
+				case 6:
+					op = "Invalidate"
+					gd, gp := c.Invalidate(a)
+					wd, wp := f.Invalidate(a)
+					if gd != wd || gp != wp {
+						t.Fatalf("%+v seed %d step %d: Invalidate(%#x) = (%v, %v), want (%v, %v)",
+							cfg, seed, step, a, gd, gp, wd, wp)
+					}
+				case 7:
+					op = "Preload"
+					c.Preload(a)
+					f.Preload(a)
+				}
+				if c.Stats() != f.stats || c.clock != f.clock {
+					t.Fatalf("%+v seed %d step %d: after %s(%#x) stats %+v clock %d, want %+v clock %d",
+						cfg, seed, step, op, a, c.Stats(), c.clock, f.stats, f.clock)
+				}
+				if step%64 == 63 {
+					if set, ok := sameArrays(c, f); !ok {
+						t.Fatalf("%+v seed %d step %d: set %d differs from the model", cfg, seed, step, set)
+					}
+				}
+			}
+			if set, ok := sameArrays(c, f); !ok {
+				t.Fatalf("%+v seed %d: set %d differs from the model", cfg, seed, set)
+			}
+		}
 	}
 }

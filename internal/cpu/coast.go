@@ -154,6 +154,6 @@ func (c *CPU) Coast(n uint64) {
 		c.stats.MembarStall += n
 	}
 	if u := p.countdown; u != nil {
-		u.remaining -= int(n)
+		u.remaining -= int32(n)
 	}
 }

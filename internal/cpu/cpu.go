@@ -870,7 +870,7 @@ func (c *CPU) issueFU(u *uop, ints, fps *int) bool {
 	u.issued = true
 	u.executing = true
 	u.issueC = c.stats.Cycles
-	u.remaining = c.latencyFor(u.inst.Op)
+	u.remaining = int32(c.latencyFor(u.inst.Op))
 	c.pushExq(u)
 	return false
 }
@@ -943,7 +943,7 @@ func (c *CPU) startCachedLoad(u *uop) {
 	if hit {
 		u.memIssued = true
 		u.executing = true
-		u.remaining = lat
+		u.remaining = int32(lat)
 		c.pushExq(u)
 		return
 	}
@@ -970,7 +970,7 @@ func (c *CPU) translate(u *uop) {
 		return
 	}
 	u.walkStarted = true
-	u.translating = c.cfg.TLBWalkLatency
+	u.translating = int32(c.cfg.TLBWalkLatency)
 	c.pushExq(u)
 }
 

@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"csbsim/internal/asm"
 	"csbsim/internal/bus"
@@ -900,6 +902,22 @@ handler:
 	}
 }
 
+// TestUopSize: newUop zeroes a whole uop for every fetched instruction,
+// so the struct stays within 256 bytes and holds no padding between its
+// fields: its size is the sum of theirs, rounded up to its alignment.
+func TestUopSize(t *testing.T) {
+	typ := reflect.TypeOf(uop{})
+	var sum uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		sum += typ.Field(i).Type.Size()
+	}
+	align := uintptr(typ.Align())
+	packed := (sum + align - 1) / align * align
+	if size := unsafe.Sizeof(uop{}); size > 256 || size != packed {
+		t.Errorf("uop is %d bytes, want at most 256 with no padding between fields (%d)", size, packed)
+	}
+}
+
 // TestDecodeCacheGrows: the decode cache starts at decCacheMin entries
 // and quadruples, keeping its live entries, when a miss would evict a
 // live entry for another PC; at decCacheMax a conflicting PC replaces it.
@@ -925,7 +943,7 @@ func TestDecodeCacheGrows(t *testing.T) {
 	for _, want := range []struct {
 		size int
 		pc   isa.Inst
-	}{{4 * decCacheMin, in0}, {decCacheMax, in0}, {decCacheMax, in1}} {
+	}{{4 * decCacheMin, in0}, {16 * decCacheMin, in0}, {decCacheMax, in0}, {decCacheMax, in1}} {
 		// The PC one cache size up maps to pc's slot.
 		other := uint64(pc + 4*len(r.c.decCache))
 		r.ram.Write(other, code[4:])

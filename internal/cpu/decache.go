@@ -28,7 +28,7 @@ import "csbsim/internal/isa"
 // rename, issue and retire test bits instead of re-deriving them.
 
 const (
-	decCacheMin = 256  // entries; instructions are 4-byte aligned
+	decCacheMin = 64   // entries; instructions are 4-byte aligned
 	decCacheMax = 4096 // entries
 )
 

@@ -286,7 +286,7 @@ func (c *CPU) retireSwapCached(u *uop) int {
 			return rexStall
 		}
 		if hit {
-			u.remaining = lat
+			u.remaining = int32(lat)
 			u.retPhase = 1
 			return rexStall
 		}
@@ -326,7 +326,7 @@ func (c *CPU) retireConditionalFlush(u *uop) int {
 			return rexStall
 		}
 		u.result = res
-		u.remaining = c.cfg.CSBLatency
+		u.remaining = int32(c.cfg.CSBLatency)
 		u.retPhase = 1
 		c.stats.CSBFlushes++
 		if c.csb.Stats().FlushOK == before {

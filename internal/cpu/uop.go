@@ -11,7 +11,6 @@ import (
 type uop struct {
 	seq  uint64
 	inst isa.Inst
-	fl   opFlags // inst's static flags, from the decode cache
 	pc   uint64
 	// predNext is the PC fetch continued at (the prediction for branches).
 	predNext uint64
@@ -22,14 +21,6 @@ type uop struct {
 	s1, s2, sd *uop
 	v1, v2, vd uint64
 	ccProd     *uop
-	ccVal      isa.Flags
-
-	// Execution state.
-	issued    bool
-	executing bool
-	remaining int
-	done      bool // result available to dependents
-	dead      bool // squashed
 
 	// Wakeup list (see park): waiters heads the list of uops parked on
 	// this one until it is done, and wnext links that list.
@@ -37,20 +28,9 @@ type uop struct {
 	wnext   *uop
 
 	result uint64
-	flags  isa.Flags
 
 	// Memory state.
-	agenDone    bool
-	translating int // remaining TLB-walk cycles (0 when not walking)
-	walkStarted bool
-	addrReady   bool
-	va, pa      uint64
-	kind        mem.Kind
-	faulted     bool
-	memIssued   bool // cache access started
-	memWait     bool // waiting for a cache fill
-	// retire-phase progress for retire-executed operations
-	retPhase int
+	va, pa uint64
 
 	// Lifecycle stamps in CPU cycles (0 = stage not reached/recorded).
 	// Cheap to set unconditionally; carried to the retire observers for
@@ -63,7 +43,6 @@ type uop struct {
 	// Branch state.
 	snap       *renSnap
 	actualNext uint64
-	resolved   bool
 
 	// Recycling state (see the free list in cpu.go). retired marks a
 	// committed uop whose slot is awaiting reuse; freeStamp is the global
@@ -71,11 +50,39 @@ type uop struct {
 	// reference has seq <= freeStamp. pins counts outstanding callbacks
 	// (cache fills, uncached-load completions) that captured this uop; a
 	// pinned uop is never recycled (it is left to the GC instead).
-	retired   bool
 	freeStamp uint64
-	pins      int
 	// fillDone is u's cache-fill callback, built once per pooled uop.
 	fillDone func()
+
+	// The narrow fields follow the word-sized ones, so no padding sits
+	// between fields and the uop that newUop zeroes for every fetched
+	// instruction stays within 256 bytes (TestUopSize).
+	fl    opFlags   // inst's static flags, from the decode cache
+	ccVal isa.Flags // the condition codes at rename, when ccProd is nil
+	flags isa.Flags // the condition codes this uop sets
+	kind  mem.Kind
+
+	remaining   int32 // execute or retire-phase cycles left
+	translating int32 // remaining TLB-walk cycles (0 when not walking)
+	retPhase    int32 // retire-phase progress for retire-executed operations
+	pins        int32
+
+	// Execution state.
+	issued    bool
+	executing bool
+	done      bool // result available to dependents
+	dead      bool // squashed
+
+	// Memory state.
+	agenDone    bool
+	walkStarted bool
+	addrReady   bool
+	faulted     bool
+	memIssued   bool // cache access started
+	memWait     bool // waiting for a cache fill
+
+	resolved bool // branch state
+	retired  bool // recycling state
 }
 
 // renSnap is a branch's snapshot of the rename state, taken at dispatch and
