@@ -72,9 +72,10 @@ perf-ab:
 # instrumentation allocates); the race target skips them via their build
 # tag.
 zero-alloc:
-	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs' ./internal/bench/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs|TestAssembleAllocs' ./internal/bench/
 	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' ./internal/sim/
 	$(GO) test -run 'TestRxQueueAllocs' ./internal/device/
+	$(GO) test -run 'TestPumpAllocs' ./internal/cluster/
 
 # Journey-traced runs of the paired store workloads: record the per-hop
 # store journeys for the uncached and CSB paths, render both with csbrec

@@ -9,8 +9,8 @@
 // The analyzers it hosts enforce contracts that the simulator's results
 // depend on but that ordinary tests only probe pointwise:
 //
-//   - noretain: pooled objects (bus.Txn, cpu uops, rename snapshots) must
-//     not be retained past the callback that delivered them;
+//   - noretain: pooled objects (bus.Txn, cpu uops) must not be retained
+//     past the callback that delivered them;
 //   - determinism: the simulation packages must produce bit-identical
 //     output across runs (no wall-clock time, no math/rand, no unsorted
 //     map iteration feeding output);

@@ -1,9 +1,8 @@
 // Package noretain flags code that retains a pooled object past the call
 // that delivered it.
 //
-// The simulator recycles bus transactions (bus.Txn), reorder-buffer
-// entries (cpu.uop) and rename snapshots (cpu.renSnap) through free lists;
-// the contract — documented on bus.Txn.Done and the cpu free lists — is
+// The simulator recycles bus transactions (bus.Txn) and reorder-buffer
+// entries (cpu.uop) through free lists; the contract — documented on bus.Txn.Done and the cpu free lists — is
 // that a callback or observer handed a pooled pointer must not keep it:
 // the owner reuses the object as soon as the call returns, so a retained
 // pointer silently aliases a future transaction or instruction.
@@ -29,15 +28,14 @@ import (
 // PooledTypes lists the pool-managed named types as "importpath.Name".
 // Values of type *T for any listed T are subject to the no-retention rule.
 var PooledTypes = map[string]bool{
-	"csbsim/internal/bus.Txn":     true,
-	"csbsim/internal/cpu.uop":     true,
-	"csbsim/internal/cpu.renSnap": true,
+	"csbsim/internal/bus.Txn": true,
+	"csbsim/internal/cpu.uop": true,
 }
 
 // Analyzer is the noretain checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "noretain",
-	Doc:  "reports pooled objects (bus.Txn, uops, rename snapshots) retained past the delivering call",
+	Doc:  "reports pooled objects (bus.Txn, uops) retained past the delivering call",
 	Run:  run,
 }
 

@@ -13,7 +13,7 @@ func TestTxnRetention(t *testing.T) {
 }
 
 // TestLocalPooledType registers a fixture-local unexported type in
-// PooledTypes, the same mechanism that covers cpu.uop and cpu.renSnap.
+// PooledTypes, the same mechanism that covers cpu.uop.
 func TestLocalPooledType(t *testing.T) {
 	const key = "csbsim/internal/analysis/noretain/fixlocal.snap"
 	noretain.PooledTypes[key] = true

@@ -1,6 +1,6 @@
 // Package fixlocal proves pooled-type tracking works for unexported named
-// types — the stand-ins for cpu.uop and cpu.renSnap, which fixtures cannot
-// name directly. The test registers fixlocal.snap in noretain.PooledTypes.
+// types — the stand-in for cpu.uop, which fixtures cannot name
+// directly. The test registers fixlocal.snap in noretain.PooledTypes.
 package fixlocal
 
 type snap struct{ pc uint64 }

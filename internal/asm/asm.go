@@ -40,7 +40,7 @@ func Assemble(name, text string) (*Program, error) {
 	return &Program{Entry: entry, Chunks: a.chunks, Symbols: a.symbols}, nil
 }
 
-type opndKind int
+type opndKind uint8
 
 const (
 	opndReg opndKind = iota
@@ -56,8 +56,39 @@ type operand struct {
 	freg isa.FReg
 	pr   isa.PR
 	base isa.Reg // opndMem
-	disp expr    // opndMem
-	e    expr    // opndExpr
+	e    expr    // opndExpr, or opndMem's displacement
+}
+
+// regOperands maps every lower-case register name the isa parsers
+// accept without leading zeros (integer, floating-point and privileged)
+// to its operand, so a register resolves with one lookup. Other
+// spellings fall back to the parsers, which also word the errors.
+var regOperands = func() map[string]operand {
+	m := make(map[string]operand)
+	// Later entries win, so a name both parsers accepted would resolve
+	// as parseOperand probes: integer, then fp, then privileged.
+	for pr := isa.PR(0); pr < isa.NumPRs; pr++ {
+		m["%"+isa.PRName(pr)] = operand{kind: opndPR, pr: pr}
+	}
+	for f := isa.FReg(0); f < isa.NumFRegs; f++ {
+		m[isa.FRegName(f)] = operand{kind: opndFReg, freg: f}
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		m[isa.RegName(r)] = operand{kind: opndReg, reg: r}
+		m[fmt.Sprintf("%%r%d", r)] = operand{kind: opndReg, reg: r}
+	}
+	m["%sp"] = operand{kind: opndReg, reg: isa.RegSP}
+	m["%fp"] = operand{kind: opndReg, reg: isa.RegFP}
+	m["%zero"] = operand{kind: opndReg, reg: isa.RegZero}
+	return m
+}()
+
+// parseReg is isa.ParseReg with regOperands' fast path.
+func parseReg(s string) (isa.Reg, error) {
+	if op, ok := regOperands[s]; ok && op.kind == opndReg {
+		return op.reg, nil
+	}
+	return isa.ParseReg(s)
 }
 
 type stmt struct {
@@ -80,6 +111,16 @@ type assembler struct {
 	entry     uint64
 	entrySet  bool
 	firstAddr uint64
+
+	// Per-program storage that parsing and emission reuse or carve
+	// from, so a source line allocates nothing of its own: toks is the
+	// token buffer every line is split into, ops and exprs the slabs
+	// statements' operands and directive expressions are cut from
+	// (capacity capped), and inst the expansion buildInst returns.
+	toks  []token
+	ops   []operand
+	exprs []expr
+	inst  [2]isa.Inst
 }
 
 func (a *assembler) errf(line int, format string, args ...any) error {
@@ -89,14 +130,22 @@ func (a *assembler) errf(line int, format string, args ...any) error {
 // ---- parsing ----
 
 func (a *assembler) parse(text string) error {
-	lines := strings.Split(text, "\n")
-	for li, raw := range lines {
-		lineNo := li + 1
+	// A line holds one statement besides its labels, and each operand
+	// but the last ends at a comma, so ops never has to grow, nor stmts
+	// unless a label shares a line.
+	nLines := strings.Count(text, "\n") + 1
+	a.stmts = make([]stmt, 0, nLines)
+	a.ops = make([]operand, 0, nLines+strings.Count(text, ","))
+	a.toks = make([]token, 0, 16)
+	for lineNo, rest, more := 1, text, true; more; lineNo++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
-		toks, err := tokenize(line)
+		toks, err := tokenize(line, a.toks[:0])
+		a.toks = toks
 		if err != nil {
 			return a.errf(lineNo, "%v", err)
 		}
@@ -146,20 +195,22 @@ func (a *assembler) parseDirective(line int, dir string, toks []token, i int) (s
 		if err != nil {
 			return st, a.errf(line, ".%s: %v", dir, err)
 		}
-		st.dirExprs = []expr{e}
+		st.dirExprs = a.carveExprs(e)
 	case "byte", "half", "word", "dword", "xword", "quad":
+		start := len(a.exprs)
 		for {
 			e, err := parseExpr(toks, &i)
 			if err != nil {
 				return st, a.errf(line, ".%s: %v", dir, err)
 			}
-			st.dirExprs = append(st.dirExprs, e)
+			a.exprs = append(a.exprs, e)
 			if i < len(toks) && toks[i].kind == tokPunct && toks[i].text == "," {
 				i++
 				continue
 			}
 			break
 		}
+		st.dirExprs = a.exprs[start:len(a.exprs):len(a.exprs)]
 	case "double", "float":
 		for {
 			neg := false
@@ -212,7 +263,7 @@ func (a *assembler) parseDirective(line int, dir string, toks []token, i int) (s
 		if err != nil {
 			return st, a.errf(line, ".equ: %v", err)
 		}
-		st.dirExprs = []expr{e}
+		st.dirExprs = a.carveExprs(e)
 		st.dir = "equ"
 	case "entry":
 		if i >= len(toks) || toks[i].kind != tokIdent {
@@ -232,14 +283,23 @@ func (a *assembler) parseDirective(line int, dir string, toks []token, i int) (s
 	return st, nil
 }
 
+// carveExprs returns a one-expression list cut from the exprs slab.
+func (a *assembler) carveExprs(e expr) []expr {
+	a.exprs = append(a.exprs, e)
+	n := len(a.exprs)
+	return a.exprs[n-1 : n : n]
+}
+
+// parseOperands parses a statement's operand list into the ops slab and
+// returns its span there, or nil when it is empty.
 func (a *assembler) parseOperands(line int, toks []token, i int) ([]operand, error) {
-	var ops []operand
+	start := len(a.ops)
 	for i < len(toks) {
 		op, ni, err := a.parseOperand(line, toks, i)
 		if err != nil {
 			return nil, err
 		}
-		ops = append(ops, op)
+		a.ops = append(a.ops, op)
 		i = ni
 		if i < len(toks) {
 			if toks[i].kind == tokPunct && toks[i].text == "," {
@@ -249,7 +309,10 @@ func (a *assembler) parseOperands(line int, toks []token, i int) ([]operand, err
 			return nil, a.errf(line, "expected ',', found %s", toks[i])
 		}
 	}
-	return ops, nil
+	if len(a.ops) == start {
+		return nil, nil
+	}
+	return a.ops[start:len(a.ops):len(a.ops)], nil
 }
 
 func (a *assembler) parseOperand(line int, toks []token, i int) (operand, int, error) {
@@ -260,24 +323,27 @@ func (a *assembler) parseOperand(line int, toks []token, i int) (operand, int, e
 		if i >= len(toks) || toks[i].kind != tokReg {
 			return operand{}, i, a.errf(line, "expected base register after '['")
 		}
-		r, err := isa.ParseReg(toks[i].text)
+		r, err := parseReg(toks[i].text)
 		if err != nil {
 			return operand{}, i, a.errf(line, "%v", err)
 		}
 		i++
-		op := operand{kind: opndMem, base: r, disp: litExpr(0)}
+		op := operand{kind: opndMem, base: r} // the zero expr is a displacement of 0
 		if i < len(toks) && toks[i].kind == tokPunct && (toks[i].text == "+" || toks[i].text == "-") {
 			e, err := parseExpr(toks, &i)
 			if err != nil {
 				return operand{}, i, a.errf(line, "bad displacement: %v", err)
 			}
-			op.disp = e
+			op.e = e
 		}
 		if i >= len(toks) || toks[i].kind != tokPunct || toks[i].text != "]" {
 			return operand{}, i, a.errf(line, "expected ']'")
 		}
 		return op, i + 1, nil
 	case t.kind == tokReg:
+		if op, ok := regOperands[t.text]; ok {
+			return op, i + 1, nil
+		}
 		if r, err := isa.ParseReg(t.text); err == nil {
 			return operand{kind: opndReg, reg: r}, i + 1, nil
 		}
@@ -421,22 +487,30 @@ func instSize(mn string) int {
 
 // ---- emission (pass 2) ----
 
+// emitter appends every chunk's bytes to buf: the open chunk is
+// buf[start:].
 type emitter struct {
 	addr  uint64
-	bytes []byte
+	buf   []byte
+	start int
 	open  bool
 }
 
 func (a *assembler) flushChunk(e *emitter) {
-	if e.open && len(e.bytes) > 0 {
-		a.chunks = append(a.chunks, Chunk{Addr: e.addr, Data: e.bytes})
+	if n := len(e.buf); e.open && n > e.start {
+		a.chunks = append(a.chunks, Chunk{Addr: e.addr, Data: e.buf[e.start:n:n]})
 	}
-	e.bytes = nil
+	e.start = len(e.buf)
 	e.open = false
 }
 
 func (a *assembler) emit() error {
-	var e emitter
+	// Every chunk is cut from one buffer sized by layout.
+	total := 0
+	for si := range a.stmts {
+		total += a.stmts[si].size
+	}
+	e := emitter{buf: make([]byte, 0, total)}
 	loc := DefaultOrigin
 	start := func(addr uint64) {
 		if !e.open {
@@ -462,12 +536,12 @@ func (a *assembler) emit() error {
 				start(st.addr)
 			}
 			a.symbols["."] = st.addr // the location counter
-			b, err := a.emitDirective(st)
-			if err != nil {
+			n := len(e.buf)
+			var err error
+			if e.buf, err = a.emitDirective(st, e.buf); err != nil {
 				return err
 			}
-			e.bytes = append(e.bytes, b...)
-			loc = st.addr + uint64(len(b))
+			loc = st.addr + uint64(len(e.buf)-n)
 			continue
 		}
 		if st.mn == "" {
@@ -482,15 +556,12 @@ func (a *assembler) emit() error {
 		if err != nil {
 			return err
 		}
-		for k, in := range insts {
+		for _, in := range insts {
 			w, err := isa.Encode(in)
 			if err != nil {
 				return a.errf(st.line, "%s: %v", st.mn, err)
 			}
-			var buf [4]byte
-			ByteOrder.PutUint32(buf[:], w)
-			e.bytes = append(e.bytes, buf[:]...)
-			_ = k
+			e.buf = ByteOrder.AppendUint32(e.buf, w)
 		}
 		loc = st.addr + uint64(len(insts)*isa.InstBytes)
 		if len(insts)*isa.InstBytes != st.size {
@@ -501,8 +572,8 @@ func (a *assembler) emit() error {
 	return nil
 }
 
-func (a *assembler) emitDirective(st *stmt) ([]byte, error) {
-	var out []byte
+// emitDirective appends st's bytes to out.
+func (a *assembler) emitDirective(st *stmt, out []byte) ([]byte, error) {
 	put := func(v uint64, n int) {
 		for k := 0; k < n; k++ {
 			out = append(out, byte(v>>(8*k)))
@@ -510,7 +581,15 @@ func (a *assembler) emitDirective(st *stmt) ([]byte, error) {
 	}
 	switch st.dir {
 	case "byte", "half", "word", "dword", "xword", "quad":
-		n := map[string]int{"byte": 1, "half": 2, "word": 4, "dword": 8, "xword": 8, "quad": 8}[st.dir]
+		n := 8
+		switch st.dir {
+		case "byte":
+			n = 1
+		case "half":
+			n = 2
+		case "word":
+			n = 4
+		}
 		for _, ex := range st.dirExprs {
 			v, err := ex.eval(a.symbols)
 			if err != nil {
@@ -533,9 +612,9 @@ func (a *assembler) emitDirective(st *stmt) ([]byte, error) {
 		if err != nil || v < 0 {
 			return nil, a.errf(st.line, ".space: invalid size")
 		}
-		out = make([]byte, v)
+		out = append(out, make([]byte, v)...)
 	case "align":
-		out = make([]byte, st.size)
+		out = append(out, make([]byte, st.size)...)
 	default:
 		return nil, a.errf(st.line, "unknown directive .%s", st.dir)
 	}

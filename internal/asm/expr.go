@@ -5,9 +5,12 @@ import "fmt"
 // expr is a constant expression: a sum of signed terms, where each term is
 // either a literal or a symbol reference. This covers everything the
 // microbenchmarks and examples need (label, label+off, a-b, plain numbers)
-// without a full expression grammar.
+// without a full expression grammar. The first term is held inline and
+// only further ones go to more, so a literal, a label or a [reg+off]
+// displacement allocates nothing; the zero expr is the literal 0.
 type expr struct {
-	terms []exprTerm
+	first exprTerm
+	more  []exprTerm
 }
 
 type exprTerm struct {
@@ -16,33 +19,58 @@ type exprTerm struct {
 	sym string // empty for literal terms
 }
 
-func litExpr(v int64) expr { return expr{terms: []exprTerm{{num: v}}} }
-
 // eval resolves the expression against a symbol table.
 func (e expr) eval(syms map[string]uint64) (int64, error) {
-	var v int64
-	for _, t := range e.terms {
-		tv := t.num
-		if t.sym != "" {
-			sv, ok := syms[t.sym]
-			if !ok {
-				return 0, fmt.Errorf("undefined symbol %q", t.sym)
-			}
-			tv = int64(sv)
+	v, err := e.first.eval(syms)
+	if err != nil {
+		return 0, err
+	}
+	for _, t := range e.more {
+		tv, err := t.eval(syms)
+		if err != nil {
+			return 0, err
 		}
-		if t.neg {
-			v -= tv
-		} else {
-			v += tv
-		}
+		v += tv
 	}
 	return v, nil
+}
+
+// eval returns the term's signed value.
+func (t exprTerm) eval(syms map[string]uint64) (int64, error) {
+	tv := t.num
+	if t.sym != "" {
+		sv, ok := syms[t.sym]
+		if !ok {
+			return 0, fmt.Errorf("undefined symbol %q", t.sym)
+		}
+		tv = int64(sv)
+	}
+	if t.neg {
+		return -tv, nil
+	}
+	return tv, nil
+}
+
+// hasSym reports whether the expression references a symbol.
+func (e expr) hasSym() bool {
+	if e.first.sym != "" {
+		return true
+	}
+	for _, t := range e.more {
+		if t.sym != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // symbols returns the symbols referenced by the expression.
 func (e expr) symbols() []string {
 	var out []string
-	for _, t := range e.terms {
+	if e.first.sym != "" {
+		out = append(out, e.first.sym)
+	}
+	for _, t := range e.more {
 		if t.sym != "" {
 			out = append(out, t.sym)
 		}
@@ -72,16 +100,22 @@ func parseExpr(toks []token, i *int) (expr, error) {
 			return e, fmt.Errorf("expected expression term")
 		}
 		t := toks[*i]
+		var term exprTerm
 		switch t.kind {
 		case tokNumber:
-			e.terms = append(e.terms, exprTerm{neg: neg, num: t.num})
+			term = exprTerm{neg: neg, num: t.num}
 		case tokIdent:
-			e.terms = append(e.terms, exprTerm{neg: neg, sym: t.text})
+			term = exprTerm{neg: neg, sym: t.text}
 		default:
 			if first {
 				return e, fmt.Errorf("expected expression, found %s", t)
 			}
 			return e, nil
+		}
+		if first {
+			e.first = term
+		} else {
+			e.more = append(e.more, term)
 		}
 		*i++
 		neg = false

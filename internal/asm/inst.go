@@ -21,7 +21,8 @@ var memAliases = map[string]isa.Op{
 	"fmov": isa.OpFMOV, "fneg": isa.OpFNEG, "fcmp": isa.OpFCMP,
 }
 
-// buildInst translates one parsed statement into 1–2 machine instructions.
+// buildInst translates one parsed statement into 1–2 machine
+// instructions, returned in a.inst: they are valid until the next call.
 func (a *assembler) buildInst(st *stmt) ([]isa.Inst, error) {
 	mn := st.mn
 	if op, ok := memAliases[mn]; ok {
@@ -34,6 +35,12 @@ func (a *assembler) buildInst(st *stmt) ([]isa.Inst, error) {
 		return a.buildBranch(st, cond)
 	}
 	return a.buildPseudo(st)
+}
+
+// one returns in as a one-instruction expansion in a.inst.
+func (a *assembler) one(in isa.Inst) ([]isa.Inst, error) {
+	a.inst[0] = in
+	return a.inst[:1], nil
 }
 
 func (a *assembler) evalImm(st *stmt, e expr) (int64, error) {
@@ -69,7 +76,7 @@ func (a *assembler) memOp(st *stmt, o operand) (isa.Reg, int64, error) {
 	if o.kind != opndMem {
 		return 0, 0, a.errf(st.line, "%s: expected memory operand [reg+imm]", st.mn)
 	}
-	disp, err := a.evalImm(st, o.disp)
+	disp, err := a.evalImm(st, o.e)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -81,7 +88,6 @@ func (a *assembler) memOp(st *stmt, o operand) (isa.Reg, int64, error) {
 
 // buildReal handles every non-pseudo opcode.
 func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
-	one := func(in isa.Inst) ([]isa.Inst, error) { return []isa.Inst{in}, nil }
 	switch op.Class() {
 	case isa.ClassInt, isa.ClassIntMul:
 		if op == isa.OpLUI {
@@ -96,7 +102,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: isa.OpLUI, Rd: rd, Imm: v})
+			return a.one(isa.Inst{Op: isa.OpLUI, Rd: rd, Imm: v})
 		}
 		// src1, src2|imm, rd
 		if err := a.wantOps(st, 3); err != nil {
@@ -115,7 +121,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if op.HasImm() {
 				return nil, a.errf(st.line, "%s: immediate form needs a constant", st.mn)
 			}
-			return one(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: st.ops[1].reg})
+			return a.one(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: st.ops[1].reg})
 		case opndExpr:
 			immOp := op
 			if !op.HasImm() {
@@ -129,7 +135,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: immOp, Rd: rd, Rs1: rs1, Imm: v})
+			return a.one(isa.Inst{Op: immOp, Rd: rd, Rs1: rs1, Imm: v})
 		default:
 			return nil, a.errf(st.line, "%s: bad second operand", st.mn)
 		}
@@ -147,13 +153,13 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: isa.Reg(f), Rs1: base, Imm: disp})
+			return a.one(isa.Inst{Op: op, Rd: isa.Reg(f), Rs1: base, Imm: disp})
 		}
 		rd, err := a.intReg(st, st.ops[1])
 		if err != nil {
 			return nil, err
 		}
-		return one(isa.Inst{Op: op, Rd: rd, Rs1: base, Imm: disp})
+		return a.one(isa.Inst{Op: op, Rd: rd, Rs1: base, Imm: disp})
 
 	case isa.ClassStore:
 		if err := a.wantOps(st, 2); err != nil {
@@ -168,13 +174,13 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: isa.Reg(f), Rs1: base, Imm: disp})
+			return a.one(isa.Inst{Op: op, Rd: isa.Reg(f), Rs1: base, Imm: disp})
 		}
 		rd, err := a.intReg(st, st.ops[0])
 		if err != nil {
 			return nil, err
 		}
-		return one(isa.Inst{Op: op, Rd: rd, Rs1: base, Imm: disp})
+		return a.one(isa.Inst{Op: op, Rd: rd, Rs1: base, Imm: disp})
 
 	case isa.ClassSwap:
 		if err := a.wantOps(st, 2); err != nil {
@@ -188,7 +194,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return one(isa.Inst{Op: isa.OpSWAP, Rd: rd, Rs1: base, Imm: disp})
+		return a.one(isa.Inst{Op: isa.OpSWAP, Rd: rd, Rs1: base, Imm: disp})
 
 	case isa.ClassBranch:
 		switch op {
@@ -204,7 +210,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: isa.OpJAL, Rd: rd, Imm: off})
+			return a.one(isa.Inst{Op: isa.OpJAL, Rd: rd, Imm: off})
 		case isa.OpJALR:
 			if err := a.wantOps(st, 3); err != nil {
 				return nil, err
@@ -221,7 +227,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: isa.OpJALR, Rd: rd, Rs1: rs1, Imm: v})
+			return a.one(isa.Inst{Op: isa.OpJALR, Rd: rd, Rs1: rs1, Imm: v})
 		}
 		return nil, a.errf(st.line, "%s: unsupported branch form", st.mn)
 
@@ -243,7 +249,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: isa.Reg(s1), Rs2: isa.Reg(s2)})
+			return a.one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: isa.Reg(s1), Rs2: isa.Reg(s2)})
 		case isa.OpFMOV, isa.OpFNEG:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -256,7 +262,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: isa.Reg(s)})
+			return a.one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: isa.Reg(s)})
 		case isa.OpFITOD, isa.OpMOVR2F:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -269,7 +275,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: s})
+			return a.one(isa.Inst{Op: op, Rd: isa.Reg(d), Rs1: s})
 		case isa.OpFDTOI, isa.OpMOVF2R:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -282,7 +288,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rd: d, Rs1: isa.Reg(s)})
+			return a.one(isa.Inst{Op: op, Rd: d, Rs1: isa.Reg(s)})
 		case isa.OpFCMP:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -295,14 +301,14 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op, Rs1: isa.Reg(s1), Rs2: isa.Reg(s2)})
+			return a.one(isa.Inst{Op: op, Rs1: isa.Reg(s1), Rs2: isa.Reg(s2)})
 		}
 
 	case isa.ClassBarrier:
 		if err := a.wantOps(st, 0); err != nil {
 			return nil, err
 		}
-		return one(isa.Inst{Op: isa.OpMEMBAR})
+		return a.one(isa.Inst{Op: isa.OpMEMBAR})
 
 	case isa.ClassSystem:
 		switch op {
@@ -310,7 +316,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err := a.wantOps(st, 0); err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: op})
+			return a.one(isa.Inst{Op: op})
 		case isa.OpTRAP:
 			if err := a.wantOps(st, 1); err != nil {
 				return nil, err
@@ -319,7 +325,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: isa.OpTRAP, Imm: v})
+			return a.one(isa.Inst{Op: isa.OpTRAP, Imm: v})
 		case isa.OpRDPR:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -331,7 +337,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return one(isa.Inst{Op: isa.OpRDPR, Rd: rd, Imm: int64(st.ops[0].pr)})
+			return a.one(isa.Inst{Op: isa.OpRDPR, Rd: rd, Imm: int64(st.ops[0].pr)})
 		case isa.OpWRPR:
 			if err := a.wantOps(st, 2); err != nil {
 				return nil, err
@@ -343,7 +349,7 @@ func (a *assembler) buildReal(st *stmt, op isa.Op) ([]isa.Inst, error) {
 			if st.ops[1].kind != opndPR {
 				return nil, a.errf(st.line, "wrpr: expected privileged register")
 			}
-			return one(isa.Inst{Op: isa.OpWRPR, Rs1: rs, Imm: int64(st.ops[1].pr)})
+			return a.one(isa.Inst{Op: isa.OpWRPR, Rs1: rs, Imm: int64(st.ops[1].pr)})
 		}
 	}
 	return nil, a.errf(st.line, "unsupported mnemonic %q", st.mn)
@@ -357,7 +363,7 @@ func (a *assembler) buildBranch(st *stmt, cond isa.Cond) ([]isa.Inst, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []isa.Inst{{Op: isa.OpBR, Cond: cond, Imm: off}}, nil
+	return a.one(isa.Inst{Op: isa.OpBR, Cond: cond, Imm: off})
 }
 
 // branchOffset converts a target operand (label or absolute expression) to
@@ -368,7 +374,7 @@ func (a *assembler) branchOffset(st *stmt, o operand) (int64, error) {
 	}
 	// Pure literals (e.g. "bnz -4") are taken as offsets directly; anything
 	// referencing a symbol is an absolute target address.
-	hasSym := len(o.e.symbols()) > 0
+	hasSym := o.e.hasSym()
 	v, err := a.evalImm(st, o.e)
 	if err != nil {
 		return 0, err
@@ -409,7 +415,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		}
 		switch st.ops[0].kind {
 		case opndReg:
-			return []isa.Inst{{Op: isa.OpOR, Rd: rd, Rs1: st.ops[0].reg, Rs2: isa.RegZero}}, nil
+			return a.one(isa.Inst{Op: isa.OpOR, Rd: rd, Rs1: st.ops[0].reg, Rs2: isa.RegZero})
 		case opndExpr:
 			v, err := a.evalImm(st, st.ops[0].e)
 			if err != nil {
@@ -418,7 +424,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 			if !isa.ImmFits(v) {
 				return nil, a.errf(st.line, "mov: %d out of range (use set)", v)
 			}
-			return []isa.Inst{{Op: isa.OpADDI, Rd: rd, Rs1: isa.RegZero, Imm: v}}, nil
+			return a.one(isa.Inst{Op: isa.OpADDI, Rd: rd, Rs1: isa.RegZero, Imm: v})
 		}
 		return nil, a.errf(st.line, "mov: bad source operand")
 	case "cmp":
@@ -431,13 +437,13 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		}
 		switch st.ops[1].kind {
 		case opndReg:
-			return []isa.Inst{{Op: isa.OpSUBCC, Rd: isa.RegZero, Rs1: rs1, Rs2: st.ops[1].reg}}, nil
+			return a.one(isa.Inst{Op: isa.OpSUBCC, Rd: isa.RegZero, Rs1: rs1, Rs2: st.ops[1].reg})
 		case opndExpr:
 			v, err := a.evalImm(st, st.ops[1].e)
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Inst{{Op: isa.OpSUBCCI, Rd: isa.RegZero, Rs1: rs1, Imm: v}}, nil
+			return a.one(isa.Inst{Op: isa.OpSUBCCI, Rd: isa.RegZero, Rs1: rs1, Imm: v})
 		}
 		return nil, a.errf(st.line, "cmp: bad second operand")
 	case "tst":
@@ -448,7 +454,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpORCC, Rd: isa.RegZero, Rs1: rs, Rs2: isa.RegZero}}, nil
+		return a.one(isa.Inst{Op: isa.OpORCC, Rd: isa.RegZero, Rs1: rs, Rs2: isa.RegZero})
 	case "clr":
 		if err := a.wantOps(st, 1); err != nil {
 			return nil, err
@@ -457,7 +463,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpOR, Rd: rd, Rs1: isa.RegZero, Rs2: isa.RegZero}}, nil
+		return a.one(isa.Inst{Op: isa.OpOR, Rd: rd, Rs1: isa.RegZero, Rs2: isa.RegZero})
 	case "inc", "dec":
 		op := isa.OpADDI
 		if st.mn == "dec" {
@@ -469,7 +475,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Inst{{Op: op, Rd: rd, Rs1: rd, Imm: 1}}, nil
+			return a.one(isa.Inst{Op: op, Rd: rd, Rs1: rd, Imm: 1})
 		case 2:
 			v, err := a.evalImm(st, st.ops[0].e)
 			if err != nil {
@@ -479,7 +485,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Inst{{Op: op, Rd: rd, Rs1: rd, Imm: v}}, nil
+			return a.one(isa.Inst{Op: op, Rd: rd, Rs1: rd, Imm: v})
 		}
 		return nil, a.errf(st.line, "%s: expected [amount,] register", st.mn)
 	case "neg":
@@ -494,7 +500,7 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpSUB, Rd: rd, Rs1: isa.RegZero, Rs2: rs}}, nil
+		return a.one(isa.Inst{Op: isa.OpSUB, Rd: rd, Rs1: isa.RegZero, Rs2: rs})
 	case "not":
 		if err := a.wantOps(st, 2); err != nil {
 			return nil, err
@@ -507,32 +513,32 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpXORI, Rd: rd, Rs1: rs, Imm: -1}}, nil
+		return a.one(isa.Inst{Op: isa.OpXORI, Rd: rd, Rs1: rs, Imm: -1})
 	case "call":
 		if err := a.wantOps(st, 1); err != nil {
 			return nil, err
 		}
 		if st.ops[0].kind == opndReg {
-			return []isa.Inst{{Op: isa.OpJALR, Rd: isa.RegRA, Rs1: st.ops[0].reg}}, nil
+			return a.one(isa.Inst{Op: isa.OpJALR, Rd: isa.RegRA, Rs1: st.ops[0].reg})
 		}
 		off, err := a.branchOffset(st, st.ops[0])
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpJAL, Rd: isa.RegRA, Imm: off}}, nil
+		return a.one(isa.Inst{Op: isa.OpJAL, Rd: isa.RegRA, Imm: off})
 	case "jmp":
 		if err := a.wantOps(st, 1); err != nil {
 			return nil, err
 		}
 		if st.ops[0].kind == opndReg {
-			return []isa.Inst{{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: st.ops[0].reg}}, nil
+			return a.one(isa.Inst{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: st.ops[0].reg})
 		}
 		return nil, a.errf(st.line, "jmp: expected register (use ba for labels)")
 	case "ret":
 		if err := a.wantOps(st, 0); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: isa.RegRA}}, nil
+		return a.one(isa.Inst{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: isa.RegRA})
 	}
 	return nil, a.errf(st.line, "unknown mnemonic %q", st.mn)
 }
@@ -541,15 +547,17 @@ func (a *assembler) buildPseudo(st *stmt) ([]isa.Inst, error) {
 func expandSet(v int64, rd isa.Reg, st *stmt, a *assembler) ([]isa.Inst, error) {
 	switch {
 	case v >= 0 && v < 1<<32:
-		return []isa.Inst{
+		a.inst = [2]isa.Inst{
 			{Op: isa.OpLUI, Rd: rd, Imm: v >> 13},
 			{Op: isa.OpORI, Rd: rd, Rs1: rd, Imm: v & 0x1fff},
-		}, nil
+		}
+		return a.inst[:], nil
 	case isa.ImmFits(v):
-		return []isa.Inst{
+		a.inst = [2]isa.Inst{
 			{Op: isa.OpADDI, Rd: rd, Rs1: isa.RegZero, Imm: v},
 			{Op: isa.OpORI, Rd: rd, Rs1: rd, Imm: 0},
-		}, nil
+		}
+		return a.inst[:], nil
 	default:
 		return nil, a.errf(st.line, "set: value %d not representable (need 0..2^32-1 or a 14-bit signed value)", v)
 	}

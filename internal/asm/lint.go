@@ -225,11 +225,8 @@ func (l *linter) checkLabels() (bail bool) {
 	}
 	for _, st := range l.a.stmts {
 		for _, op := range st.ops {
-			switch op.kind {
-			case opndExpr:
+			if op.kind == opndExpr || op.kind == opndMem {
 				addRefs(st.line, op.e)
-			case opndMem:
-				addRefs(st.line, op.disp)
 			}
 		}
 		for _, e := range st.dirExprs {

@@ -35,9 +35,9 @@ func (t token) String() string {
 	}
 }
 
-// tokenize splits one source line (comments already stripped) into tokens.
-func tokenize(line string) ([]token, error) {
-	var toks []token
+// tokenize splits one source line (comments already stripped) into
+// tokens appended to toks, whose texts are substrings of line.
+func tokenize(line string, toks []token) ([]token, error) {
 	i := 0
 	n := len(line)
 	for i < n {
@@ -45,11 +45,8 @@ func tokenize(line string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t':
 			i++
-		case strings.ContainsRune(",[]+:()", rune(c)):
-			toks = append(toks, token{kind: tokPunct, text: string(c)})
-			i++
-		case c == '-':
-			toks = append(toks, token{kind: tokPunct, text: "-"})
+		case strings.IndexByte(",[]+:()-", c) >= 0:
+			toks = append(toks, token{kind: tokPunct, text: line[i : i+1]})
 			i++
 		case c == '%':
 			j := i + 1
@@ -57,7 +54,7 @@ func tokenize(line string) ([]token, error) {
 				j++
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("stray %% at column %d", i+1)
+				return toks, fmt.Errorf("stray %% at column %d", i+1)
 			}
 			toks = append(toks, token{kind: tokReg, text: line[i:j]})
 			i = j
@@ -83,7 +80,7 @@ func tokenize(line string) ([]token, error) {
 				j++
 			}
 			if j >= n {
-				return nil, fmt.Errorf("unterminated string")
+				return toks, fmt.Errorf("unterminated string")
 			}
 			toks = append(toks, token{kind: tokString, text: sb.String()})
 			i = j + 1
@@ -92,7 +89,7 @@ func tokenize(line string) ([]token, error) {
 				toks = append(toks, token{kind: tokNumber, num: int64(line[i+1]), text: line[i : i+3]})
 				i += 3
 			} else {
-				return nil, fmt.Errorf("bad character literal at column %d", i+1)
+				return toks, fmt.Errorf("bad character literal at column %d", i+1)
 			}
 		case unicode.IsDigit(rune(c)):
 			j := i
@@ -113,13 +110,13 @@ func tokenize(line string) ([]token, error) {
 			if isFloat {
 				f, err := strconv.ParseFloat(text, 64)
 				if err != nil {
-					return nil, fmt.Errorf("bad float %q", text)
+					return toks, fmt.Errorf("bad float %q", text)
 				}
 				toks = append(toks, token{kind: tokFloat, text: text, fnum: f})
 			} else {
 				v, err := parseInt(text)
 				if err != nil {
-					return nil, fmt.Errorf("bad number %q", text)
+					return toks, fmt.Errorf("bad number %q", text)
 				}
 				toks = append(toks, token{kind: tokNumber, text: text, num: v})
 			}
@@ -132,7 +129,7 @@ func tokenize(line string) ([]token, error) {
 			toks = append(toks, token{kind: tokIdent, text: line[i:j]})
 			i = j
 		default:
-			return nil, fmt.Errorf("unexpected character %q at column %d", c, i+1)
+			return toks, fmt.Errorf("unexpected character %q at column %d", c, i+1)
 		}
 	}
 	return toks, nil

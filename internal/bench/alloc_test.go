@@ -10,13 +10,14 @@ import (
 	"runtime"
 	"testing"
 
+	"csbsim/internal/asm"
 	"csbsim/internal/cache"
 	"csbsim/internal/mem"
 )
 
 // The hot loop's contract: once a bandwidth workload reaches steady state,
-// Machine.Tick performs no heap allocations — uops, branch snapshots, bus
-// transactions, combining-buffer entries and store payloads all recycle.
+// Machine.Tick performs no heap allocations — uops, bus transactions,
+// combining-buffer entries and store payloads all recycle.
 // The journey-traced variants extend that contract to the store-journey
 // tracer: ring slots, histogram buckets and the slowest-set all recycle
 // too, so tracing every store stays allocation-free in steady state. The
@@ -179,7 +180,7 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 // its number of sets, the 256 KiB L2 in under 1 KiB.
 func TestBuildAllocs(t *testing.T) {
 	const (
-		buildAllocs = 55
+		buildAllocs = 41
 		buildBytes  = 32 << 10
 		cacheBytes  = 1 << 10
 	)
@@ -213,6 +214,32 @@ func TestBuildAllocs(t *testing.T) {
 			t.Errorf("cache.New(%+v) allocated %d bytes, want under %d", cfg, got, cacheBytes)
 		} else {
 			t.Logf("cache.New(%+v) allocated %d bytes", cfg, got)
+		}
+	}
+}
+
+// TestAssembleAllocs pins the assembler's allocations per program, a
+// fixed handful whatever its length (among them the statement list, the
+// operand slab, the token buffer every line reuses and the one buffer all
+// chunks are cut from): registers resolve through a name table and
+// single-term displacements need no term list, so no source line
+// allocates on its own.
+func TestAssembleAllocs(t *testing.T) {
+	ping, _ := PingPongPrograms(SendCSB, 30)
+	for _, tc := range []struct {
+		name, src string
+		allocs    float64
+	}{
+		{"bandwidth-4096-64-csb", StoreBandwidthProgram(4096, 64, true), 8},
+		{"ping-csb", ping, 8},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := asm.Assemble(tc.name, tc.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.allocs {
+			t.Errorf("assembling %s made %v allocations, want %v", tc.name, got, tc.allocs)
 		}
 	}
 }

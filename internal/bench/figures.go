@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"csbsim/internal/asm"
 	"csbsim/internal/bus"
 )
 
@@ -78,13 +77,13 @@ func bandwidthFigure(id, title string, p MachineParams) (Result, error) {
 	}
 	// progs[2*xi] stores TransferSizes[xi] without the CSB, progs[2*xi+1]
 	// with it.
-	points := make([]int, 2*len(TransferSizes))
-	for k := range points {
-		points[k] = k
+	var srcs []source
+	for _, size := range TransferSizes {
+		for _, csb := range []bool{false, true} {
+			srcs = append(srcs, source{"bandwidth.s", StoreBandwidthProgram(size, p.LineSize, csb)})
+		}
 	}
-	progs, err := Sweep(points, 0, func(k int) (*asm.Program, error) {
-		return asm.Assemble("bandwidth.s", StoreBandwidthProgram(TransferSizes[k/2], p.LineSize, k%2 == 1))
-	})
+	progs, err := assembleEach(srcs)
 	if err != nil {
 		return r, err
 	}
@@ -134,15 +133,13 @@ func Figure5(lockHit bool) (Result, error) {
 	// progs[0] is the prologue, progs[1+xi] the lock sequence and
 	// progs[1+nx+xi] the CSB sequence for LockTransferDwords[xi].
 	nx := len(LockTransferDwords)
-	srcs := []string{LockPrologueProgram()}
+	srcs := []source{{"lock.s", LockPrologueProgram()}}
 	for _, s := range []Scheme{0, SchemeCSB} {
 		for _, n := range LockTransferDwords {
-			srcs = append(srcs, lockSequenceProgram(s, n))
+			srcs = append(srcs, source{"lock.s", lockSequenceProgram(s, n)})
 		}
 	}
-	progs, err := Sweep(srcs, 0, func(src string) (*asm.Program, error) {
-		return asm.Assemble("lock.s", src)
-	})
+	progs, err := assembleEach(srcs)
 	if err != nil {
 		return r, err
 	}
@@ -204,15 +201,24 @@ func AblationDoubleBuffer() (Result, error) {
 		XLabel: "back-to-back line sequences", YLabel: "CPU cycles until core is free",
 		Notes: "8-byte multiplexed bus, ratio 6; bursts drain in the background afterwards",
 	}
-	for _, n := range counts {
+	// Both variants run the same program for a count: progs[xi] issues
+	// counts[xi] lines.
+	p := DefaultParams()
+	p.Scheme = SchemeCSB
+	srcs := make([]source, len(counts))
+	for xi, n := range counts {
 		r.X = append(r.X, fmt.Sprintf("%d", n))
+		srcs[xi] = source{"issue.s", issueProgram(n, p.LineSize)}
+	}
+	progs, err := assembleEach(srcs)
+	if err != nil {
+		return r, err
 	}
 	variants := []bool{false, true} // single-, then double-buffered
 	ys, err := sweepSeries(len(variants), len(counts), func(si, xi int) (float64, error) {
-		p := DefaultParams()
-		p.Scheme = SchemeCSB
-		p.DoubleBufferedCSB = variants[si]
-		return MeasureCSBIssueOverhead(p, counts[xi])
+		pp := p
+		pp.DoubleBufferedCSB = variants[si]
+		return csbIssueOverhead(pp, progs[xi])
 	})
 	if err != nil {
 		return r, err
@@ -237,12 +243,23 @@ func AblationR10KCombining() (Result, error) {
 		X:     sizeLabels(),
 		Notes: "stores within each line issue in a fixed shuffled order",
 	}
+	// Both variants run the same program for a size: progs[xi] stores
+	// TransferSizes[xi].
+	p := DefaultParams()
+	p.Scheme = Scheme(64)
+	srcs := make([]source, len(TransferSizes))
+	for xi, size := range TransferSizes {
+		srcs[xi] = source{"shuffled.s", ShuffledStoreProgram(size, p.LineSize)}
+	}
+	progs, err := assembleEach(srcs)
+	if err != nil {
+		return r, err
+	}
 	variants := []bool{false, true} // any-order, then sequential-only
 	ys, err := sweepSeries(len(variants), len(TransferSizes), func(si, xi int) (float64, error) {
-		p := DefaultParams()
-		p.Scheme = Scheme(64)
-		p.SequentialCombining = variants[si]
-		return measureShuffledBandwidth(p, TransferSizes[xi])
+		pp := p
+		pp.SequentialCombining = variants[si]
+		return measureStoreStream(pp, progs[xi], TransferSizes[xi])
 	})
 	if err != nil {
 		return r, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"csbsim/internal/asm"
 	"csbsim/internal/cluster"
 	"csbsim/internal/device"
 	"csbsim/internal/mem"
@@ -106,19 +107,33 @@ func PingPongPrograms(method SendMethod, rounds int) (ping, pong string) {
 // 64-byte messages bounced between two nodes: the cycle the last node
 // halts, over the number of rounds.
 func MeasurePingPong(method SendMethod, rounds int, wireLatency uint64) (float64, error) {
+	progs, err := assembleEach(pingPongSources(method, rounds))
+	if err != nil {
+		return 0, err
+	}
+	return pingPong(method, progs, rounds, wireLatency)
+}
+
+// pingPongSources are the ping and pong node programs.
+func pingPongSources(method SendMethod, rounds int) []source {
+	ping, pong := PingPongPrograms(method, rounds)
+	return []source{{"ping.s", ping}, {"pong.s", pong}}
+}
+
+// pingPong is MeasurePingPong on the assembled pingPongSources, which it
+// only reads: node i runs progs[i].
+func pingPong(method SendMethod, progs []*asm.Program, rounds int, wireLatency uint64) (float64, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.WireLatency = wireLatency
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	ping, pong := PingPongPrograms(method, rounds)
-	for i, prog := range [][2]string{{"ping.s", ping}, {"pong.s", pong}} {
+	for i, p := range progs[:2] {
 		n := c.Node(i)
 		n.MapIO(method == SendCSB)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
-		p, err := n.M.LoadSource(prog[0], prog[1])
-		if err != nil {
+		if err := n.M.Load(p); err != nil {
 			return 0, err
 		}
 		n.M.WarmProgram(p)
@@ -145,8 +160,18 @@ func ExtensionPingPong() (Result, error) {
 		r.X = append(r.X, fmt.Sprintf("%d", l))
 	}
 	methods := []SendMethod{SendPIO, SendCSB, SendDMA}
+	// progs[2*si:2*si+2] are method si's ping and pong, shared by every
+	// wire latency.
+	var srcs []source
+	for _, method := range methods {
+		srcs = append(srcs, pingPongSources(method, rounds)...)
+	}
+	progs, err := assembleEach(srcs)
+	if err != nil {
+		return r, err
+	}
 	ys, err := sweepSeries(len(methods), len(latencies), func(si, xi int) (float64, error) {
-		rt, err := MeasurePingPong(methods[si], rounds, latencies[xi])
+		rt, err := pingPong(methods[si], progs[2*si:2*si+2], rounds, latencies[xi])
 		if err != nil {
 			return 0, fmt.Errorf("X8 %s wire=%d: %w", methods[si], latencies[xi], err)
 		}

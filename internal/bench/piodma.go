@@ -126,9 +126,11 @@ func MeasureMessageSend(p MachineParams, method SendMethod, msgBytes int) (wire,
 	m.MapRange(0x200000, 1<<16, mem.KindCached)
 	m.WarmData(0x200000, uint64(msgBytes))
 
-	src := messageSendProgram(method, msgBytes, p.LineSize)
-	prog, err := m.LoadSource("send.s", src)
+	prog, err := assemble("send.s", messageSendProgram(method, msgBytes, p.LineSize))
 	if err != nil {
+		return 0, 0, err
+	}
+	if err := m.Load(prog); err != nil {
 		return 0, 0, err
 	}
 	m.WarmProgram(prog)

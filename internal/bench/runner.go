@@ -110,6 +110,20 @@ func storeKind(s Scheme) mem.Kind {
 	return mem.KindUncached
 }
 
+// assemble is asm.Assemble: every program a figure runs is assembled
+// through it, so a test can collect the sources the figures produce.
+var assemble = asm.Assemble
+
+// source is one program text and the file name its errors cite.
+type source struct{ name, text string }
+
+// assembleEach assembles srcs on the sweep pool, one program per source
+// in srcs' order. A figure lists each distinct source once and its
+// points share the programs, which they only read.
+func assembleEach(srcs []source) ([]*asm.Program, error) {
+	return Sweep(srcs, 0, func(s source) (*asm.Program, error) { return assemble(s.name, s.text) })
+}
+
 // measureStoreStream is the shared store-bandwidth harness: build the
 // machine, map the I/O window with the scheme's memory kind, run the
 // given store program to completion, drain the buffers, and return the
@@ -147,7 +161,7 @@ func measureStoreStream(p MachineParams, prog *asm.Program, totalBytes int) (flo
 // (transfer size, scheme, machine) point and returns the effective
 // bandwidth in useful bytes per bus cycle.
 func MeasureBandwidth(p MachineParams, totalBytes int) (float64, error) {
-	prog, err := asm.Assemble("bandwidth.s", StoreBandwidthProgram(totalBytes, p.LineSize, p.Scheme == SchemeCSB))
+	prog, err := assemble("bandwidth.s", StoreBandwidthProgram(totalBytes, p.LineSize, p.Scheme == SchemeCSB))
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +171,7 @@ func MeasureBandwidth(p MachineParams, totalBytes int) (float64, error) {
 // measureShuffledBandwidth is MeasureBandwidth with the shuffled-order
 // workload (ablation X4).
 func measureShuffledBandwidth(p MachineParams, totalBytes int) (float64, error) {
-	prog, err := asm.Assemble("shuffled.s", ShuffledStoreProgram(totalBytes, p.LineSize))
+	prog, err := assemble("shuffled.s", ShuffledStoreProgram(totalBytes, p.LineSize))
 	if err != nil {
 		return 0, err
 	}
@@ -170,17 +184,30 @@ func measureShuffledBandwidth(p MachineParams, totalBytes int) (float64, error) 
 // CSB of §3.2 pays off: the single-entry design stalls each new sequence
 // until the previous line has been handed to the system interface.
 func MeasureCSBIssueOverhead(p MachineParams, lines int) (float64, error) {
+	prog, err := assemble("issue.s", issueProgram(lines, p.LineSize))
+	if err != nil {
+		return 0, err
+	}
+	return csbIssueOverhead(p, prog)
+}
+
+// issueProgram is the CSB store stream of lines full lines without its
+// trailing barrier: the core is free at halt, and the bursts drain in
+// the background.
+func issueProgram(lines, lineSize int) string {
+	src := StoreBandwidthProgram(lines*lineSize, lineSize, true)
+	return strings.Replace(src, "\tmembar\n\thalt\n", "\thalt\n", 1)
+}
+
+// csbIssueOverhead is MeasureCSBIssueOverhead on an assembled
+// issueProgram, which it only reads.
+func csbIssueOverhead(p MachineParams, prog *asm.Program) (float64, error) {
 	m, err := p.Build()
 	if err != nil {
 		return 0, err
 	}
 	m.MapRange(IOBase, 1<<20, mem.KindCombining)
-	src := StoreBandwidthProgram(lines*p.LineSize, p.LineSize, true)
-	// Measure issue overhead only: the core is free at halt; drop the
-	// trailing barrier so the bursts drain in the background.
-	src = strings.Replace(src, "\tmembar\n\thalt\n", "\thalt\n", 1)
-	prog, err := m.LoadSource("issue.s", src)
-	if err != nil {
+	if err := m.Load(prog); err != nil {
 		return 0, err
 	}
 	m.WarmProgram(prog)
@@ -198,11 +225,11 @@ func MeasureCSBIssueOverhead(p MachineParams, lines int) (float64, error) {
 // of one lock-access-unlock sequence (or CSB sequence) transferring
 // nDwords doublewords, with the lock either warm in L1 or cold.
 func MeasureLockLatency(p MachineParams, nDwords int, lockHit bool) (float64, error) {
-	seq, err := asm.Assemble("lock.s", lockSequenceProgram(p.Scheme, nDwords))
+	seq, err := assemble("lock.s", lockSequenceProgram(p.Scheme, nDwords))
 	if err != nil {
 		return 0, err
 	}
-	prologue, err := asm.Assemble("lock.s", LockPrologueProgram())
+	prologue, err := assemble("lock.s", LockPrologueProgram())
 	if err != nil {
 		return 0, err
 	}

@@ -123,6 +123,28 @@ type SharedNICResult struct {
 // MeasureSharedNIC runs two processes sending msgs line-sized messages
 // each through one shared NIC, preempted every quantum cycles.
 func MeasureSharedNIC(useCSB bool, msgs int, quantum uint64) (SharedNICResult, error) {
+	progs, err := assembleEach(senderSources(useCSB, msgs))
+	if err != nil {
+		return SharedNICResult{}, err
+	}
+	return sharedNIC(useCSB, progs[0], progs[1], quantum)
+}
+
+// senderSources are the two senders' programs, each sending msgs
+// messages into its own packet-buffer slot.
+func senderSources(useCSB bool, msgs int) []source {
+	slotA := NICBase + device.PacketBufBase
+	slotB := slotA + 64
+	gen := lockSenderProgram
+	if useCSB {
+		gen = csbSenderProgram
+	}
+	return []source{{"a.s", gen(0x10000, slotA, msgs)}, {"b.s", gen(0x60000, slotB, msgs)}}
+}
+
+// sharedNIC is MeasureSharedNIC on the assembled senderSources, which it
+// only reads.
+func sharedNIC(useCSB bool, progA, progB *asm.Program, quantum uint64) (SharedNICResult, error) {
 	var res SharedNICResult
 	m, err := sim.New(sim.DefaultConfig())
 	if err != nil {
@@ -133,22 +155,9 @@ func MeasureSharedNIC(useCSB bool, msgs int, quantum uint64) (SharedNICResult, e
 		return res, err
 	}
 	k := kernel.New(m, quantum)
-
-	slotA := NICBase + device.PacketBufBase
-	slotB := slotA + 64
-	gen := lockSenderProgram
 	bufKind := mem.KindUncached
 	if useCSB {
-		gen = csbSenderProgram
 		bufKind = mem.KindCombining
-	}
-	progA, err := asm.Assemble("a.s", gen(0x10000, slotA, msgs))
-	if err != nil {
-		return res, err
-	}
-	progB, err := asm.Assemble("b.s", gen(0x60000, slotB, msgs))
-	if err != nil {
-		return res, err
 	}
 	pa, err := k.Spawn("sender-a", 1, progA)
 	if err != nil {
@@ -195,8 +204,18 @@ func ExtensionSharedNIC() (Result, error) {
 	}
 	variants := []bool{false, true} // lock-based, then CSB lock-free
 	names := []string{"lock+uncached", "CSB lock-free"}
+	// progs[2*si] and progs[2*si+1] are variant si's two senders, shared
+	// by every quantum.
+	var srcs []source
+	for _, useCSB := range variants {
+		srcs = append(srcs, senderSources(useCSB, msgs)...)
+	}
+	progs, err := assembleEach(srcs)
+	if err != nil {
+		return r, err
+	}
 	ys, err := sweepSeries(len(variants), len(quanta), func(si, xi int) (float64, error) {
-		res, err := MeasureSharedNIC(variants[si], msgs, quanta[xi])
+		res, err := sharedNIC(variants[si], progs[2*si], progs[2*si+1], quanta[xi])
 		if err != nil {
 			return 0, err
 		}

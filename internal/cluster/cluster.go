@@ -124,6 +124,9 @@ type Node struct {
 	// outbox collects packets pumped off the NIC during a window, routed
 	// by the coordinator at the next barrier.
 	outbox []departure
+	// slab is the unused tail of the chunk pumped packets' words are cut
+	// from (packetWords).
+	slab []uint64
 
 	// tlog defers tracer mutations made during a window (rx drain hooks,
 	// arrive/enqueue stamps) for single-threaded replay at the barrier.
@@ -546,13 +549,30 @@ func (n *Node) logEvent(kind uint8, id, cycle uint64) {
 	n.tlog = append(n.tlog, traceEvent{kind: kind, id: id, cycle: cycle}) //csb:alloc-ok amortized log growth, truncated each barrier
 }
 
+// wordSlab is the chunk size, in words, pumped packets' words are cut
+// from.
+const wordSlab = 512
+
+// packetWords returns an empty buffer of capacity k for a pumped packet's
+// words, cut from the node's slab with its capacity capped, as
+// NIC.packetData cuts sent packets' bytes: a pump allocates once per
+// wordSlab words, and a packet's words stay read-only once routed.
+func (n *Node) packetWords(k int) []uint64 {
+	if len(n.slab) < k {
+		n.slab = make([]uint64, max(wordSlab, k))
+	}
+	words := n.slab[:0:k]
+	n.slab = n.slab[k:]
+	return words
+}
+
 // pump picks up newly transmitted packets from the node's NIC and stages
 // them in its outbox for routing at the next barrier.
 func (n *Node) pump(cycle uint64) {
 	pkts := n.NIC.Packets()
 	for ; n.delivered < len(pkts); n.delivered++ {
 		p := &pkts[n.delivered]
-		words := make([]uint64, 0, (len(p.Data)+7)/8)
+		words := n.packetWords((len(p.Data) + 7) / 8)
 		for i := 0; i < len(p.Data); i += 8 {
 			var w uint64
 			for k := 7; k >= 0; k-- {

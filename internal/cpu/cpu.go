@@ -56,16 +56,16 @@ type CPU struct {
 
 	// Allocation-free steady state: rob, fetchQ and retq are windows into
 	// fixed backing arrays (compacted to the front when a push reaches
-	// the end), retired uops queue in retq until no in-flight uop can
-	// reference them and then return to uopFree, and branch snapshots
-	// recycle via snapFree. stBuf is the scratch encoding buffer for
+	// the end), and retired uops queue in retq until no in-flight uop can
+	// reference them and then return to uopFree. uops counts the slots
+	// newUop has allocated. stBuf is the scratch encoding buffer for
 	// store data.
 	robBack  []*uop
 	fqBack   []*uop
 	retqBack []*uop
 	uopFree  []*uop
+	uops     int
 	retq     []*uop
-	snapFree []*renSnap
 	stBuf    [8]byte
 
 	// Decoded-instruction cache: fetch skips the RAM read and decode for
@@ -203,7 +203,9 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 	return c, nil
 }
 
-// newUop returns a zeroed uop from the free list (or a fresh one).
+// newUop returns a zeroed uop from the free list. An empty free list
+// grows by one slab as large as the pool so far, 16 to 64 slots: a long
+// run keeps most of its uops in a few slabs and at most 63 idle.
 //
 // Pool contract (the same no-retention rule bus.Txn documents): a *uop
 // handed to a callback or observer is only valid until that call returns —
@@ -220,42 +222,30 @@ func (c *CPU) newUop() *uop {
 		*u = uop{fillDone: u.fillDone}
 		return u
 	}
-	u := &uop{} //csb:alloc-ok — cold start: the pool grows until steady state
-	u.fillDone = func() {
-		u.pins--
-		if !u.dead {
-			u.memWait = false
+	slab := make([]uop, min(64, max(16, c.uops))) //csb:alloc-ok — cold start: the pool grows until steady state
+	c.uops += len(slab)
+	for i := len(slab) - 1; i > 0; i-- {
+		c.uopFree = append(c.uopFree, &slab[i]) //csb:alloc-ok — cold start, as above
+	}
+	return &slab[0]
+}
+
+// fillCallback returns the callback a cache load of u.pa hands the
+// hierarchy for its fill. A slot builds it on its first load that misses
+// and keeps it; a hit retains no callback, so none is built for it. The
+// callback's capture of u is pin-counted by the loads (u.pins), hence:
+//
+//csb:pool
+func (c *CPU) fillCallback(u *uop) func() {
+	if u.fillDone == nil && !c.hier.Present(u.pa, false) {
+		u.fillDone = func() { //csb:alloc-ok — once per pooled slot
+			u.pins--
+			if !u.dead {
+				u.memWait = false
+			}
 		}
 	}
-	return u
-}
-
-// newSnap returns a rename snapshot from the pool; its contents are
-// overwritten in full by the caller.
-//
-// Snapshots follow the uop pool contract above: released to snapFree when
-// the owning branch retires or is squashed, never to be retained past
-// that point by anything outside the pipeline.
-//
-//csb:hotpath
-func (c *CPU) newSnap() *renSnap {
-	if n := len(c.snapFree); n > 0 {
-		s := c.snapFree[n-1]
-		c.snapFree = c.snapFree[:n-1]
-		return s
-	}
-	return &renSnap{} //csb:alloc-ok — cold start: the pool grows until steady state
-}
-
-// releaseSnap returns u's snapshot (if any) to the pool.
-//
-//csb:hotpath
-//csb:pool
-func (c *CPU) releaseSnap(u *uop) {
-	if u.snap != nil {
-		c.snapFree = append(c.snapFree, u.snap)
-		u.snap = nil
-	}
+	return u.fillDone
 }
 
 // pushROB appends to the ROB window, compacting it to the front of its
@@ -362,7 +352,7 @@ func dropYounger(q []*uop, seq uint64) []*uop {
 
 // recycleRetired moves retired uops whose references have provably drained
 // from the pipeline onto the free list. A uop retired at sequence stamp S
-// can only be referenced (as a renamed source or in a branch snapshot) by
+// can only be referenced (as a renamed source or a rename-map entry) by
 // uops fetched no later than S; once the oldest in-flight uop is younger,
 // the slot is reusable. Pinned uops (outstanding fill/load callbacks) are
 // dropped to the GC instead.
@@ -779,23 +769,21 @@ func (c *CPU) rename(u *uop) {
 		c.markDone(u)
 	}
 
-	// Register the new producer mappings.
-	if fl&flWritesFP != 0 {
-		c.fpRen[in.Rd] = u
-	} else if fl&flWritesInt != 0 {
-		c.intRen[in.Rd] = u
-	}
-	if fl&flWritesCC != 0 {
-		c.ccRen = u
-	}
+	c.mapDests(u)
+}
 
-	// Branches snapshot the rename state including their own writes.
-	if fl&flBranch != 0 {
-		s := c.newSnap()
-		s.ints = c.intRen
-		s.fps = c.fpRen
-		s.cc = c.ccRen
-		u.snap = s
+// mapDests registers u as the producer of its destinations in the
+// rename maps.
+//
+//csb:pool
+func (c *CPU) mapDests(u *uop) {
+	if u.fl&flWritesFP != 0 {
+		c.fpRen[u.inst.Rd] = u
+	} else if u.fl&flWritesInt != 0 {
+		c.intRen[u.inst.Rd] = u
+	}
+	if u.fl&flWritesCC != 0 {
+		c.ccRen = u
 	}
 }
 
@@ -933,7 +921,7 @@ func (c *CPU) issueMem(u *uop, agus, ports *int) bool {
 //csb:pool
 func (c *CPU) startCachedLoad(u *uop) {
 	u.pins++ // the fill callback captures u; see recycleRetired
-	lat, hit, accepted := c.hier.Load(u.pa, false, u.fillDone)
+	lat, hit, accepted := c.hier.Load(u.pa, false, c.fillCallback(u))
 	if hit || !accepted {
 		u.pins-- // callback not retained
 	}
@@ -1103,8 +1091,8 @@ func (c *CPU) resolveBranch(u *uop) {
 	c.squashRefill = true
 }
 
-// squashAfter kills everything younger than u and restores the rename maps
-// from u's snapshot.
+// squashAfter kills everything younger than u and rebuilds the rename
+// maps from the surviving ROB.
 func (c *CPU) squashAfter(u *uop) {
 	idx := -1
 	for i, x := range c.rob {
@@ -1137,26 +1125,15 @@ func (c *CPU) squashAfter(u *uop) {
 	c.recycleFetchQ()
 	c.fetchGen++
 	c.icacheMiss = false // a fill for the squashed stream no longer matters
-	if u.snap != nil {
-		c.intRen = u.snap.ints
-		c.fpRen = u.snap.fps
-		c.ccRen = u.snap.cc
-		// Producers that retired after the snapshot was taken have
-		// committed to the architectural file (and their uops may be
-		// recycled); scrub them so rename reads the register instead.
-		for i, p := range c.intRen {
-			if p != nil && p.retired {
-				c.intRen[i] = nil
-			}
-		}
-		for i, p := range c.fpRen {
-			if p != nil && p.retired {
-				c.fpRen[i] = nil
-			}
-		}
-		if c.ccRen != nil && c.ccRen.retired {
-			c.ccRen = nil
-		}
+	// Each register's producer is its youngest writer among the
+	// survivors, u included: replaying their destinations oldest first
+	// leaves exactly that. A register no survivor writes reads the
+	// architectural file, where every older producer has retired to.
+	c.intRen = [isa.NumRegs]*uop{}
+	c.fpRen = [isa.NumFRegs]*uop{}
+	c.ccRen = nil
+	for _, x := range c.rob {
+		c.mapDests(x)
 	}
 }
 
@@ -1180,7 +1157,6 @@ func (c *CPU) recycleFetchQ() {
 //csb:pool
 func (c *CPU) killUop(x *uop) {
 	x.dead = true
-	c.releaseSnap(x)
 	if x.isBranch() && !x.resolved {
 		c.branchCount--
 	}

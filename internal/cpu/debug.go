@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
+
+	"csbsim/internal/isa"
 )
 
 // Retired returns the committed-instruction count without copying the
@@ -38,9 +41,10 @@ func (c *CPU) PipelineDump() string {
 // order, and woken must be empty (issue consumes it every cycle). Every
 // non-memory uop waiting to issue with an operand not done must sit on
 // the wakeup list of exactly one such operand and nowhere else; wakeup
-// lists hold nothing but those uops. A core asleep at retire must still
-// meet every condition it fell asleep on (retireBound), and its ROB head's
-// operands must all be done. Invariant tests call it after every Tick;
+// lists hold nothing but those uops. Each rename map entry must name the
+// register's youngest writer in the ROB, or be nil when none writes it.
+// A core asleep at retire must still meet every condition it fell asleep
+// on (retireBound), and its ROB head's operands must all be done. Invariant tests call it after every Tick;
 // nil means consistent. Not a hot path.
 func (c *CPU) CheckQueues() error {
 	parkedOn := map[*uop]*uop{}
@@ -92,6 +96,9 @@ func (c *CPU) CheckQueues() error {
 		return fmt.Errorf("cpu: cycle %d: execute queue holds seqs %v, the ROB implies %v",
 			c.stats.Cycles, seqs(c.exq), seqs(exq))
 	}
+	if err := c.checkRename(); err != nil {
+		return err
+	}
 	if c.asleep {
 		if !c.retireBound() {
 			return fmt.Errorf("cpu: cycle %d: asleep, but other stages can act: halted=%v "+
@@ -103,6 +110,32 @@ func (c *CPU) CheckQueues() error {
 			return fmt.Errorf("cpu: cycle %d: asleep on head seq %d (%s) whose operands or address are not ready",
 				c.stats.Cycles, h.seq, uopState(h))
 		}
+	}
+	return nil
+}
+
+// checkRename compares the rename maps with a scan of the ROB from its
+// youngest entry that keeps the first writer of each register it meets.
+func (c *CPU) checkRename() error {
+	var ints [isa.NumRegs]*uop
+	var fps [isa.NumFRegs]*uop
+	var cc *uop
+	for i := len(c.rob) - 1; i >= 0; i-- {
+		u := c.rob[i]
+		switch {
+		case u.fl&flWritesFP != 0:
+			fps[u.inst.Rd] = cmp.Or(fps[u.inst.Rd], u)
+		case u.fl&flWritesInt != 0:
+			ints[u.inst.Rd] = cmp.Or(ints[u.inst.Rd], u)
+		}
+		if u.fl&flWritesCC != 0 {
+			cc = cmp.Or(cc, u)
+		}
+	}
+	if ints != c.intRen || fps != c.fpRen || cc != c.ccRen {
+		return fmt.Errorf("cpu: cycle %d: rename maps name seqs %v, fp %v, cc %v (0: none); the ROB's youngest writers are %v, fp %v, cc %v",
+			c.stats.Cycles, seqs(c.intRen[:]), seqs(c.fpRen[:]), seqs([]*uop{c.ccRen}),
+			seqs(ints[:]), seqs(fps[:]), seqs([]*uop{cc}))
 	}
 	return nil
 }
@@ -123,10 +156,13 @@ func (u *uop) readsFrom(p *uop) bool {
 	return u.s1 == p || u.s2 == p || u.sd == p || u.ccProd == p
 }
 
+// seqs lists the uops' sequence numbers, 0 for a nil entry.
 func seqs(q []*uop) []uint64 {
 	s := make([]uint64, len(q))
 	for i, u := range q {
-		s[i] = u.seq
+		if u != nil {
+			s[i] = u.seq
+		}
 	}
 	return s
 }

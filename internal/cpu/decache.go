@@ -49,7 +49,7 @@ type decEntry struct {
 type opFlags uint16
 
 const (
-	flBranch     opFlags = 1 << iota // BR, JAL, JALR: a branch slot and a rename snapshot
+	flBranch     opFlags = 1 << iota // BR, JAL, JALR: a branch slot
 	flCondBranch                     // BR on a condition: predicted at fetch, reads the condition codes
 	flStopFetch                      // JALR, HALT, IRET: fetch stops after it
 	flMem                            // loads, stores and swap: an LSQ slot

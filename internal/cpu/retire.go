@@ -117,10 +117,10 @@ func (c *CPU) commitDest(u *uop) {
 	}
 }
 
-// popHead retires the ROB head: notifies observers, releases the rename
-// entries and snapshot, and parks u on the retired queue until
-// recycleRetired proves nothing in flight can still reference it. The
-// retired queue is the uop pool's quarantine stage, hence:
+// popHead retires the ROB head: notifies observers, releases its rename
+// entries, and parks u on the retired queue until recycleRetired proves
+// nothing in flight can still reference it. The retired queue is the uop
+// pool's quarantine stage, hence:
 //
 //csb:hotpath
 //csb:pool
@@ -144,8 +144,6 @@ func (c *CPU) popHead(u *uop) {
 	if u.isBranch() && !u.resolved {
 		c.branchCount--
 	}
-	c.releaseSnap(u)
-	u.retired = true
 	u.freeStamp = c.seq
 	c.pushRetq(u)
 	c.stats.Retired++
@@ -278,7 +276,7 @@ func (c *CPU) retireSwapCached(u *uop) int {
 	case 0:
 		u.pins++
 		//csb:pool — the fill callback's capture of u is pin-counted (u.pins).
-		lat, hit, accepted := c.hier.Load(u.pa, false, u.fillDone)
+		lat, hit, accepted := c.hier.Load(u.pa, false, c.fillCallback(u))
 		if hit || !accepted {
 			u.pins-- // callback not retained
 		}

@@ -41,17 +41,16 @@ type uop struct {
 	completeC uint64
 
 	// Branch state.
-	snap       *renSnap
 	actualNext uint64
 
-	// Recycling state (see the free list in cpu.go). retired marks a
-	// committed uop whose slot is awaiting reuse; freeStamp is the global
-	// sequence number at retirement — every uop that could still hold a
-	// reference has seq <= freeStamp. pins counts outstanding callbacks
+	// Recycling state (see the free list in cpu.go). freeStamp is the
+	// global sequence number at retirement — every uop that could still
+	// hold a reference has seq <= freeStamp. pins counts outstanding callbacks
 	// (cache fills, uncached-load completions) that captured this uop; a
 	// pinned uop is never recycled (it is left to the GC instead).
 	freeStamp uint64
-	// fillDone is u's cache-fill callback, built once per pooled uop.
+	// fillDone is u's cache-fill callback, built on the slot's first
+	// missing load (fillCallback) and kept while it is pooled.
 	fillDone func()
 
 	// The narrow fields follow the word-sized ones, so no padding sits
@@ -82,23 +81,12 @@ type uop struct {
 	memWait     bool // waiting for a cache fill
 
 	resolved bool // branch state
-	retired  bool // recycling state
-}
-
-// renSnap is a branch's snapshot of the rename state, taken at dispatch and
-// restored on a misprediction. Snapshots are pooled by the CPU: released
-// when the owning branch retires or is squashed.
-type renSnap struct {
-	ints [isa.NumRegs]*uop
-	fps  [isa.NumFRegs]*uop
-	cc   *uop
 }
 
 // isMem reports whether u accesses memory (and holds an LSQ slot).
 func (u *uop) isMem() bool { return u.fl&flMem != 0 }
 
-// isBranch reports whether u can redirect fetch (and holds a branch slot
-// and a rename snapshot).
+// isBranch reports whether u can redirect fetch (and holds a branch slot).
 func (u *uop) isBranch() bool { return u.fl&flBranch != 0 }
 
 // needsRetireExec reports whether the operation's effect happens at the

@@ -205,9 +205,14 @@ func New(cfg Config) (*Buffer, error) {
 		queue:    make([]entry, cfg.Entries),
 		sendData: make([]byte, bufSize),
 	}
+	// Every entry's buffers are cut from two arrays, capacity capped so
+	// that no entry's appends run into the next.
+	data := make([]byte, cfg.Entries*bufSize)
+	mask := make([]bool, cfg.Entries*bufSize)
 	for i := range u.queue {
-		u.queue[i].data = make([]byte, 0, bufSize)
-		u.queue[i].mask = make([]bool, 0, bufSize)
+		lo, hi := i*bufSize, (i+1)*bufSize
+		u.queue[i].data = data[lo:lo:hi]
+		u.queue[i].mask = mask[lo:lo:hi]
 	}
 	u.onStoreDone = func(t *bus.Txn) {
 		u.inflight--
