@@ -70,12 +70,13 @@ perf-ab:
 # The steady-state zero-allocation checks and the machine-construction
 # allocation pin must run WITHOUT -race (the race detector's
 # instrumentation allocates); the race target skips them via their build
-# tag.
+# tag. This is the one list of them: CI runs this target. -v logs each
+# test by name, so a log shows which ran.
 zero-alloc:
-	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs|TestAssembleAllocs' ./internal/bench/
-	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' ./internal/sim/
-	$(GO) test -run 'TestRxQueueAllocs' ./internal/device/
-	$(GO) test -run 'TestPumpAllocs' ./internal/cluster/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs|TestAssembleAllocs' -v ./internal/bench/
+	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' -v ./internal/sim/
+	$(GO) test -run 'TestRxQueueAllocs' -v ./internal/device/
+	$(GO) test -run 'TestPumpAllocs' -v ./internal/cluster/
 
 # Journey-traced runs of the paired store workloads: record the per-hop
 # store journeys for the uncached and CSB paths, render both with csbrec

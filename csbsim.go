@@ -14,9 +14,10 @@
 //   - Map uncached or combining (CSB) address space with Machine.MapRange;
 //     stores to combining pages are captured by the CSB and a swap to
 //     them is the conditional flush, exactly as in the paper's listing.
-//   - Add devices (a NIC with a descriptor FIFO and DMA engine is
-//     provided), spawn preemptively-scheduled processes with a Kernel,
-//     and read everything back through Machine.Stats.
+//   - Attach the network interface (a descriptor FIFO, a DMA engine and a
+//     burst-capable packet buffer) with Machine.AddNIC, spawn
+//     preemptively-scheduled processes with a Kernel, and read everything
+//     back through Machine.Stats.
 //   - Regenerate any of the paper's figures with Figure / AllFigures.
 //   - Observe execution: Machine.Stats().CPU.CPI is a stall-attribution
 //     stack whose buckets sum to the cycle count; Machine.AttachCounters
@@ -47,7 +48,7 @@ import (
 )
 
 // Machine is the simulated node: core, caches, uncached buffer, CSB, bus,
-// memory and devices.
+// memory and the NIC.
 type Machine = sim.Machine
 
 // Config collects every machine parameter.
@@ -77,11 +78,8 @@ const (
 	KindCombining = mem.KindCombining
 )
 
-// The NIC's packet buffer offset and the size of the region it claims.
-const (
-	NICPacketBufBase = device.PacketBufBase
-	NICRegionSize    = device.RegionSize
-)
+// NICPacketBufBase is the NIC's packet buffer offset from its base.
+const NICPacketBufBase = device.PacketBufBase
 
 // DefaultConfig returns the paper's evaluation machine.
 func DefaultConfig() Config { return sim.DefaultConfig() }
@@ -96,8 +94,8 @@ func Assemble(name, src string) (*Program, error) { return asm.Assemble(name, sr
 // slice in CPU cycles.
 func NewKernel(m *Machine, quantum uint64) *Kernel { return kernel.New(m, quantum) }
 
-// NewNIC creates a NIC claiming [base, base+NICRegionSize); register it
-// with Machine.AddDevice.
+// NewNIC creates a NIC whose registers and packet buffer start at base;
+// attach it with Machine.AddNIC.
 func NewNIC(cfg NICConfig, base uint64) *NIC { return device.NewNIC(cfg, base) }
 
 // DefaultNICConfig returns a 16-deep-FIFO NIC with 64-byte DMA bursts.

@@ -114,7 +114,7 @@ func TestNICViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	nic := csbsim.NewNIC(csbsim.DefaultNICConfig(), 0x4000_0000)
-	if err := m.AddDevice(0x4000_0000, csbsim.NICRegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	nic.Deliver(5)

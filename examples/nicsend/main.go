@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	nic := csbsim.NewNIC(csbsim.DefaultNICConfig(), nicBase)
-	if err := m.AddDevice(nicBase, csbsim.NICRegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		log.Fatal(err)
 	}
 	// Register page: plain uncached. Packet buffer page: combining, so

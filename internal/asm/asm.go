@@ -37,7 +37,9 @@ func Assemble(name, text string) (*Program, error) {
 			entry = a.firstAddr
 		}
 	}
-	return &Program{Entry: entry, Chunks: a.chunks, Symbols: a.symbols}, nil
+	p := &Program{Entry: entry, Chunks: a.chunks, Symbols: a.symbols}
+	p.base, p.flat, p.flatErr = flatten(p.Chunks)
+	return p, nil
 }
 
 type opndKind uint8
@@ -164,7 +166,10 @@ func (a *assembler) parse(text string) error {
 		}
 		word := toks[i].text
 		i++
-		if strings.HasPrefix(word, ".") && !isMnemonic(word) {
+		// A dot-word followed by a colon (".RETRY:") was already taken as a
+		// label; every other dot-word is a directive, since no mnemonic
+		// starts with a dot.
+		if strings.HasPrefix(word, ".") {
 			st, err := a.parseDirective(lineNo, strings.ToLower(word[1:]), toks, i)
 			if err != nil {
 				return err
@@ -180,12 +185,6 @@ func (a *assembler) parse(text string) error {
 	}
 	return nil
 }
-
-// isMnemonic lets labels like ".RETRY" coexist with directives: a leading-dot
-// word followed by a colon was already consumed as a label, so here we only
-// need to claim dot-words that are actually instructions (there are none),
-// keeping every other dot-word a directive.
-func isMnemonic(string) bool { return false }
 
 func (a *assembler) parseDirective(line int, dir string, toks []token, i int) (stmt, error) {
 	st := stmt{line: line, dir: dir}

@@ -43,6 +43,11 @@ type Program struct {
 	Entry   uint64
 	Chunks  []Chunk
 	Symbols map[string]uint64
+
+	// The flattened span of Chunks (Bytes), computed once by Assemble.
+	base    uint64
+	flat    []byte
+	flatErr error
 }
 
 // Size returns the total number of assembled bytes.
@@ -54,14 +59,23 @@ func (p *Program) Size() int {
 	return n
 }
 
-// Bytes flattens the program into a single (addr, data) span. It returns an
-// error when chunks overlap.
-func (p *Program) Bytes() (uint64, []byte, error) {
-	if len(p.Chunks) == 0 {
+// Bytes returns the program flattened into a single (addr, data) span, or
+// an error when its chunks overlap. The span is computed once at assembly
+// and shared by every caller (programs are loaded into many machines,
+// from concurrent sweep workers): callers must not modify the returned
+// slice.
+func (p *Program) Bytes() (uint64, []byte, error) { return p.base, p.flat, p.flatErr }
+
+// flatten lays chunks out in address order in one buffer spanning them.
+// A single chunk is its own span.
+func flatten(chunks []Chunk) (uint64, []byte, error) {
+	switch len(chunks) {
+	case 0:
 		return 0, nil, nil
+	case 1:
+		return chunks[0].Addr, chunks[0].Data, nil
 	}
-	chunks := make([]Chunk, len(p.Chunks))
-	copy(chunks, p.Chunks)
+	chunks = append([]Chunk(nil), chunks...)
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i].Addr < chunks[j].Addr })
 	base := chunks[0].Addr
 	end := base

@@ -97,7 +97,7 @@ func TestCPIStackInvariantMessageSend(t *testing.T) {
 			t.Fatal(err)
 		}
 		nic := device.NewNIC(device.DefaultConfig(), NICBase)
-		if err := m.AddDevice(NICBase, device.RegionSize, "nic", nic, nic); err != nil {
+		if err := m.AddNIC(nic); err != nil {
 			t.Fatal(err)
 		}
 		m.MapRange(NICBase, device.PacketBufBase, mem.KindUncached)

@@ -110,7 +110,7 @@ func MeasureMessageSend(p MachineParams, method SendMethod, msgBytes int) (wire,
 		return 0, 0, err
 	}
 	nic := device.NewNIC(device.DefaultConfig(), NICBase)
-	if err := m.AddDevice(NICBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		return 0, 0, err
 	}
 	// Register page is plain uncached; the packet buffer page is

@@ -151,7 +151,7 @@ func sharedNIC(useCSB bool, progA, progB *asm.Program, quantum uint64) (SharedNI
 		return res, err
 	}
 	nic := device.NewNIC(device.DefaultConfig(), NICBase)
-	if err := m.AddDevice(NICBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		return res, err
 	}
 	k := kernel.New(m, quantum)

@@ -248,7 +248,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		name := fmt.Sprintf("n%d", i)
 		nic := device.NewNIC(cfg.NIC, NICBase)
-		if err := m.AddDevice(NICBase, device.RegionSize, "nic-"+name, nic, nic); err != nil {
+		if err := m.AddNIC(nic); err != nil {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, &Node{M: m, NIC: nic, name: name, idx: i})

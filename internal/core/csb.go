@@ -21,31 +21,8 @@ import (
 
 	"csbsim/internal/bus"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
-
-// Tracer receives the CSB hops of a combining store's journey (the
-// journey tracer implements it). IDs are assigned by CSBStoreAccepted in
-// acceptance order; the CSB holds a single store sequence at a time, so
-// the IDs of one sequence are contiguous and the later hops pass
-// (first, count) ranges. Calls are on the tick hot path and must not
-// allocate.
-type Tracer interface {
-	// CSBStoreAccepted opens a journey for an accepted combining store
-	// (combined reports whether it merged into a live sequence rather
-	// than starting one) and returns its ID.
-	CSBStoreAccepted(addr uint64, size int, combined bool) uint64
-	// CSBSequenceAborted marks a buffered sequence lost — a conflicting
-	// store reset the buffer, or a conditional flush failed. Software
-	// re-runs the sequence (§3.2); the retry's stores are new journeys.
-	CSBSequenceAborted(first uint64, count int)
-	// CSBFlushCommitted marks a successful conditional flush: the
-	// sequence is acknowledged and its line queued for the bus.
-	CSBFlushCommitted(first uint64, count int)
-	// CSBBusGranted marks the bus accepting the line burst.
-	CSBBusGranted(first uint64, count int)
-	// CSBLineDone marks the burst's last beat: the line has landed.
-	CSBLineDone(first uint64, count int)
-}
 
 // jrange tracks one issued line burst's journeys until its transaction
 // completes (bursts complete in issue order).
@@ -133,7 +110,7 @@ type CSB struct {
 	// Journey tracing (AttachTracer), optional. jFirst/jCount follow the
 	// live store sequence in the data register; jq matches burst
 	// completions back to flushed sequences.
-	tracer Tracer
+	tracer *journey.Tracer
 	jFirst uint64
 	jCount int
 	jq     [4]jrange
@@ -184,8 +161,11 @@ func (c *CSB) SetFaultHooks(storePressure func() bool, flushDelay func() int, dr
 }
 
 // AttachTracer installs the journey tracer. Attach before running:
-// sequences already buffered are not retroactively traced.
-func (c *CSB) AttachTracer(t Tracer) { c.tracer = t }
+// sequences already buffered are not retroactively traced. Journey IDs
+// are assigned in acceptance order and the CSB holds a single store
+// sequence at a time, so the IDs of one sequence are contiguous and the
+// later hops pass (first, count) ranges.
+func (c *CSB) AttachTracer(t *journey.Tracer) { c.tracer = t }
 
 // RegisterCounters registers the CSB's counters with the unified
 // registry under prefix (e.g. "csb"), as read closures over the live

@@ -13,6 +13,7 @@ import (
 	"csbsim/internal/bus"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
 
 // NIC register layout (offsets from the device base).
@@ -114,7 +115,8 @@ const (
 )
 
 // NIC is the simulated network interface. It implements mem.Target for
-// register/packet-buffer access and sim.Device for bus mastering (DMA).
+// register/packet-buffer access; sim.Machine.AddNIC ticks it as a bus
+// master (DMA).
 type NIC struct {
 	cfg  Config
 	base uint64
@@ -183,12 +185,9 @@ type NIC struct {
 	stallHook func() int
 	bpHook    func() int
 
-	// Journey tracing (SetJourneyHooks), all optional — plain func hooks
-	// in the SetFaultHooks idiom, so the machine can wire the tracer
-	// without this package knowing about it. Calls must not allocate.
-	descQueued func(offset uint64, length int, viaDMA bool) uint64
-	txStarted  func(id uint64)
-	txDone     func(id uint64)
+	// tracer, if attached (AttachTracer), records each descriptor's
+	// journey: queued, transmission started, on the wire.
+	tracer *journey.Tracer
 	// rxDrained fires when the last word of a span delivered via
 	// DeliverTraced is popped by software (SetRxDrainHook).
 	rxDrained func(id uint64)
@@ -205,16 +204,10 @@ type rxSpan struct {
 	words int
 }
 
-// SetJourneyHooks installs the descriptor-journey hooks (any may be
-// nil): descQueued fires when a descriptor is accepted into the FIFO and
-// returns its journey ID, txStarted when its transmission begins, txDone
-// when the packet has fully serialized onto the wire.
-func (n *NIC) SetJourneyHooks(descQueued func(offset uint64, length int, viaDMA bool) uint64,
-	txStarted, txDone func(id uint64)) {
-	n.descQueued = descQueued
-	n.txStarted = txStarted
-	n.txDone = txDone
-}
+// AttachTracer installs the journey tracer: a descriptor's journey
+// begins when it is accepted into the FIFO, and its transmission start
+// and its last byte onto the wire are stamped as hops.
+func (n *NIC) AttachTracer(t *journey.Tracer) { n.tracer = t }
 
 // SetRxDrainHook installs the RX drain hook: it fires with a span's ID
 // when the last word of a packet delivered via DeliverTraced is popped by
@@ -481,13 +474,13 @@ func (n *NIC) pushDescriptor(d txDesc) {
 		return
 	}
 	d.dest = n.txDest
-	if n.descQueued != nil {
-		d.jid = n.descQueued(d.offset, d.length, d.viaDMA)
+	if n.tracer != nil {
+		d.jid = n.tracer.NICDescQueued(d.offset, d.length, d.viaDMA)
 	}
 	n.fifo = append(n.fifo, d)
 }
 
-// ---- sim.Device ----
+// ---- bus mastering (sim.Machine.AddNIC) ----
 
 // now returns the most recently observed bus cycle (register writes land
 // during bus.Tick, one call before the device tick, so this is at most one
@@ -558,8 +551,8 @@ func (n *NIC) TickBus(b *bus.Bus) {
 			})
 			n.sending = false
 			n.intPending = true
-			if n.txDone != nil && n.cur.jid != 0 {
-				n.txDone(n.cur.jid)
+			if n.tracer != nil && n.cur.jid != 0 {
+				n.tracer.NICTxDone(n.cur.jid)
 			}
 			if n.Interrupt != nil {
 				n.Interrupt()
@@ -573,8 +566,8 @@ func (n *NIC) TickBus(b *bus.Bus) {
 		n.fifo = n.fifo[:copy(n.fifo, n.fifo[1:])]
 		n.sending = true
 		n.sendDone = b.Cycle() + uint64(n.cfg.WireCyclesPerByte*n.cur.length)
-		if n.txStarted != nil && n.cur.jid != 0 {
-			n.txStarted(n.cur.jid)
+		if n.tracer != nil && n.cur.jid != 0 {
+			n.tracer.NICTxStarted(n.cur.jid)
 		}
 	}
 }

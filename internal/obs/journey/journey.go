@@ -332,7 +332,7 @@ func (t *Tracer) abortRange(k Kind, first uint64, count int) {
 	}
 }
 
-// ---- uncbuf.Tracer ----
+// ---- uncached-buffer hops (uncbuf.Buffer.AttachTracer) ----
 
 // UBStoreAccepted opens an uncached-store journey at retire/enqueue.
 //
@@ -368,7 +368,7 @@ func (t *Tracer) UBEntryDone(first uint64, count int) {
 	}
 }
 
-// ---- core.Tracer ----
+// ---- CSB hops (core.CSB.AttachTracer) ----
 
 // CSBStoreAccepted opens a combining-store journey at retire.
 //
@@ -412,7 +412,7 @@ func (t *Tracer) CSBLineDone(first uint64, count int) {
 	}
 }
 
-// ---- device.Tracer ----
+// ---- NIC descriptor hops (device.NIC.AttachTracer) ----
 
 // NICDescQueued opens a descriptor journey at FIFO accept.
 //

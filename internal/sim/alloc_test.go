@@ -28,7 +28,7 @@ func TestUncachedLoadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
@@ -128,7 +128,7 @@ func TestDMABurstAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	p, err := m.LoadSource("spin.s", "loop:\n\tba loop\n")

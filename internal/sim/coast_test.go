@@ -39,8 +39,8 @@ func refTick(m *Machine) {
 		if m.Hier.NeedsBus() {
 			m.Hier.TickBus(m.Bus)
 		}
-		for _, d := range m.devices {
-			d.TickBus(m.Bus)
+		if m.nic != nil {
+			m.nic.TickBus(m.Bus)
 		}
 	}
 	for i := range m.periodicHooks {
@@ -263,7 +263,7 @@ func lockstepCases(t *testing.T) []lockstepCase {
 		lockstepCase{name: "ring_traffic", cycles: 60_000, build: func(t *testing.T, tw *twin) {
 			tw.loadSource(t, DefaultConfig(), ringTraffic, func(m *Machine) {
 				tw.nic = device.NewNIC(device.DefaultConfig(), nicBase)
-				if err := m.AddDevice(nicBase, device.RegionSize, "nic", tw.nic, tw.nic); err != nil {
+				if err := m.AddNIC(tw.nic); err != nil {
 					t.Fatal(err)
 				}
 				m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
@@ -272,7 +272,7 @@ func lockstepCases(t *testing.T) []lockstepCase {
 		lockstepCase{name: "halted_nic", cycles: 40_000, build: func(t *testing.T, tw *twin) {
 			tw.loadSource(t, DefaultConfig(), "\thalt\n", func(m *Machine) {
 				tw.nic = device.NewNIC(device.DefaultConfig(), nicBase)
-				if err := m.AddDevice(nicBase, device.RegionSize, "nic", tw.nic, tw.nic); err != nil {
+				if err := m.AddNIC(tw.nic); err != nil {
 					t.Fatal(err)
 				}
 			})

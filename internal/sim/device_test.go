@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"csbsim/internal/device"
+	"csbsim/internal/fault"
 	"csbsim/internal/mem"
 )
 
@@ -16,12 +19,79 @@ func machineWithNIC(t *testing.T) (*Machine, *device.NIC) {
 		t.Fatal(err)
 	}
 	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
 	m.MapRange(nicBase+device.PacketBufBase, device.PacketBufSize, mem.KindCombining)
 	return m, nic
+}
+
+// TestAddNICAttachOrder holds the one-NIC contract: a NIC attached after
+// the counter registry, the journey tracer and the fault injector is
+// wired to all three exactly as one attached before them, so a faulted,
+// traced nicsend run's Stats JSON, counter snapshot included, comes out
+// byte-identical either way. A second AddNIC fails and changes nothing.
+func TestAddNICAttachOrder(t *testing.T) {
+	run := func(nicFirst bool) []byte {
+		m, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nic := device.NewNIC(device.DefaultConfig(), nicBase)
+		addNIC := func() {
+			if err := m.AddNIC(nic); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if nicFirst {
+			addNIC()
+		}
+		m.AttachCounters()
+		if _, err := m.AttachJourneys(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AttachFaults(fault.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if !nicFirst {
+			addNIC()
+		}
+		m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
+		m.MapRange(nicBase+device.PacketBufBase, device.PacketBufSize, mem.KindCombining)
+		if _, err := m.LoadSource("nicsend.s", nicsendGuest); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		before, err := json.Marshal(m.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddNIC(device.NewNIC(device.DefaultConfig(), nicBase+device.RegionSize)); err == nil {
+			t.Error("second AddNIC succeeded")
+		}
+		if n := len(m.Router.Regions()); n != 1 {
+			t.Errorf("%d router regions after a second AddNIC, want 1", n)
+		}
+		if after, _ := json.Marshal(m.Stats()); !bytes.Equal(after, before) {
+			t.Errorf("second AddNIC changed the machine:\n%s\n%s", before, after)
+		}
+		s := m.Stats()
+		c := s.Counters.Counters
+		if c["dev0/packets_sent"] != 3 || c["journey/nic_descriptor/started"] == 0 ||
+			s.Faults.DeviceStalls+s.Faults.BackpressureWindows == 0 {
+			t.Errorf("NIC not wired to every observer: packets %d, descriptor journeys %d, device faults %d",
+				c["dev0/packets_sent"], c["journey/nic_descriptor/started"],
+				s.Faults.DeviceStalls+s.Faults.BackpressureWindows)
+		}
+		return before
+	}
+	first, last := run(true), run(false)
+	if !bytes.Equal(first, last) {
+		t.Errorf("Stats differ by attach order:\nNIC first: %s\nNIC last:  %s", first, last)
+	}
 }
 
 // End-to-end PIO send through the CSB into the NIC, descriptor push, and

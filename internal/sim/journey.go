@@ -6,30 +6,15 @@
 package sim
 
 import (
-	"fmt"
-
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
 
-// deviceJourneySink matches devices (structurally, so this package keeps
-// not importing internal/device) that accept the descriptor-journey
-// hooks — the NIC's SetJourneyHooks.
-type deviceJourneySink interface {
-	SetJourneyHooks(descQueued func(offset uint64, length int, viaDMA bool) uint64,
-		txStarted, txDone func(id uint64))
-}
-
-// deviceCounterSource matches devices that register named counters.
-type deviceCounterSource interface {
-	RegisterCounters(prefix string, r *counters.Registry)
-}
-
 // AttachCounters creates (once) the unified counter registry and has
-// every layer — CPU, bus, caches, uncached buffer, CSB, and each
-// registered device — register its named counters as read closures.
-// After attaching, Stats() carries a registry snapshot and the report
-// renders it; existing stats fields are untouched either way.
+// every layer — CPU, bus, caches, uncached buffer, CSB, and the NIC —
+// register its named counters as read closures. After attaching, Stats()
+// carries a registry snapshot and the report renders it; existing stats
+// fields are untouched either way.
 func (m *Machine) AttachCounters() *counters.Registry {
 	if m.counters != nil {
 		return m.counters
@@ -45,8 +30,8 @@ func (m *Machine) AttachCounters() *counters.Registry {
 	r.Counter("sim/effort/coasted_cycles", func() uint64 { return m.Effort().CoastedCycles })
 	r.Counter("sim/effort/asleep_cycles", func() uint64 { return m.Effort().AsleepCycles })
 	r.Counter("sim/effort/steps", func() uint64 { return m.Effort().Steps })
-	for _, d := range m.devices {
-		m.registerDeviceCounters(d)
+	if m.nic != nil {
+		m.nic.RegisterCounters(nicCounterPrefix, r)
 	}
 	return r
 }
@@ -54,19 +39,16 @@ func (m *Machine) AttachCounters() *counters.Registry {
 // Counters returns the attached registry, or nil.
 func (m *Machine) Counters() *counters.Registry { return m.counters }
 
-func (m *Machine) registerDeviceCounters(d Device) {
-	if cs, ok := d.(deviceCounterSource); ok {
-		cs.RegisterCounters(fmt.Sprintf("dev%d", m.devCounters), m.counters)
-		m.devCounters++
-	}
-}
+// nicCounterPrefix names the NIC's counters in the registry; recordings,
+// csbrec top and the SLO specs read them under it.
+const nicCounterPrefix = "dev0"
 
 // AttachJourneys creates (once) the store-journey tracer on the
 // machine's CPU-cycle clock and wires it into the uncached buffer, the
-// CSB, and every journey-capable device. The tracer's latency histograms
-// and run counters land in the unified registry (attached implicitly),
-// so they appear in the report, the JSON stats, and the watchdog's
-// diagnostic dump. Attach before running.
+// CSB, and the NIC. The tracer's latency histograms and run counters
+// land in the unified registry (attached implicitly), so they appear in
+// the report, the JSON stats, and the watchdog's diagnostic dump. Attach
+// before running.
 func (m *Machine) AttachJourneys() (*journey.Tracer, error) {
 	if m.journeys != nil {
 		return m.journeys, nil
@@ -78,20 +60,14 @@ func (m *Machine) AttachJourneys() (*journey.Tracer, error) {
 	m.journeys = tr
 	m.UB.AttachTracer(tr)
 	m.CSB.AttachTracer(tr)
-	for _, d := range m.devices {
-		wireDeviceJourneys(d, tr)
+	if m.nic != nil {
+		m.nic.AttachTracer(tr)
 	}
 	return tr, nil
 }
 
 // Journeys returns the attached tracer, or nil.
 func (m *Machine) Journeys() *journey.Tracer { return m.journeys }
-
-func wireDeviceJourneys(d Device, tr *journey.Tracer) {
-	if js, ok := d.(deviceJourneySink); ok {
-		js.SetJourneyHooks(tr.NICDescQueued, tr.NICTxStarted, tr.NICTxDone)
-	}
-}
 
 // flushObs fires every periodic hook once more at the current cycle, so
 // the final partial recording window is emitted on

@@ -14,7 +14,7 @@ import (
 // the reference TestJumpLockstep holds Run's jumps to.
 func refRun(m *Machine, maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
-		if len(m.errDevices) != 0 {
+		if m.nic != nil {
 			if err := m.deviceErr(); err != nil {
 				m.flushObs()
 				return err
@@ -37,7 +37,7 @@ func refRun(m *Machine, maxCycles uint64) error {
 			}
 		}
 	}
-	if len(m.errDevices) != 0 {
+	if m.nic != nil {
 		if err := m.deviceErr(); err != nil {
 			m.flushObs()
 			return err
@@ -53,10 +53,7 @@ func refRun(m *Machine, maxCycles uint64) error {
 func refDrain(m *Machine, maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
 		if m.Settled() {
-			if len(m.errDevices) != 0 {
-				return m.deviceErr()
-			}
-			return nil
+			return m.deviceErr()
 		}
 		m.Tick()
 	}

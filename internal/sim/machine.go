@@ -2,7 +2,7 @@
 // out-of-order core, split L1 / unified L2 caches, the uncached buffer,
 // the conditional store buffer, and a multiplexed or split system bus
 // clocked at a configurable fraction of the core frequency, with main
-// memory and memory-mapped devices behind it.
+// memory and the memory-mapped network interface behind it.
 package sim
 
 import (
@@ -14,6 +14,7 @@ import (
 	"csbsim/internal/cache"
 	"csbsim/internal/core"
 	"csbsim/internal/cpu"
+	"csbsim/internal/device"
 	"csbsim/internal/fault"
 	"csbsim/internal/isa"
 	"csbsim/internal/mem"
@@ -79,28 +80,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Device is a bus agent ticked once per bus cycle (e.g. a DMA engine).
-type Device interface {
-	// TickBus lets the device issue bus transactions.
-	TickBus(b *bus.Bus)
-	// Idle reports whether the device has no pending work.
-	Idle() bool
-	// Quiet reports whether TickBus, until an input from outside the
-	// machine's ticks reaches the device, would only note the bus cycle.
-	// The machine then may skip the device's ticks (see Tick).
-	Quiet() bool
-	// SkipTo tells a Quiet device that its ticks were skipped, the last
-	// at bus cycle busCycle, so it notes that cycle as if ticked.
-	SkipTo(busCycle uint64)
-}
-
-// deviceWaker is implemented by devices that take inputs from outside
-// the machine's ticks (device.NIC: host register writes, RX delivery);
-// the hook they run first ends a quiet stretch the machine is coasting.
-type deviceWaker interface {
-	SetWake(fn func())
-}
-
 // Stats is a full-machine snapshot.
 type Stats struct {
 	Cycles    uint64
@@ -132,8 +111,10 @@ type Machine struct {
 	CSB    *core.CSB
 	CPU    *cpu.CPU
 
-	devices []Device
-	spaces  map[uint8]*mem.PageTable
+	// nic is the machine's one memory-mapped device (AddNIC), ticked as
+	// a bus master every bus cycle; nil when none is attached.
+	nic    *device.NIC
+	spaces map[uint8]*mem.PageTable
 
 	// Optional rings of the last retired instructions and bus
 	// transactions (obs.go), read by the watchdog's dump and the
@@ -141,19 +122,15 @@ type Machine struct {
 	retired *ring[cpu.RetireEvent]
 	busTail *ring[obs.BusEvent]
 
-	// Optional robustness hooks: the fault injector (fault.go), the
-	// retire-progress watchdog (watchdog.go), and the Err providers of
-	// registered devices, polled by Run so an out-of-range guest access
-	// fails the run with a typed error instead of festering.
-	faults     *fault.Injector
-	wd         *watchdogState
-	errDevices []func() error
+	// Optional robustness hooks: the fault injector (fault.go) and the
+	// retire-progress watchdog (watchdog.go).
+	faults *fault.Injector
+	wd     *watchdogState
 
 	// Optional unified counter registry and store-journey tracer
 	// (journey.go); nil when unattached.
-	counters    *counters.Registry
-	journeys    *journey.Tracer
-	devCounters int // next device counter-prefix index
+	counters *counters.Registry
+	journeys *journey.Tracer
 
 	// Optional periodic hooks (AttachPeriodic): each fires every
 	// hook.every CPU cycles — the one cadence driver, which the flight
@@ -169,7 +146,7 @@ type Machine struct {
 	// Coasting (see Tick and CoastFor): while m.cycle < coastEnd and the
 	// core sleeps, the machine advances by O(1) coast steps; 0 when no
 	// quiet stretch is open. skippedBus records that a coast step ticked
-	// the bus without the devices. fullTicks counts the Ticks that ran
+	// the bus without the NIC. fullTicks counts the Ticks that ran
 	// every stage and coastSteps the coast steps (the sim/effort
 	// counters).
 	coastEnd   uint64
@@ -265,27 +242,29 @@ func (m *Machine) MapRange(va, size uint64, kind mem.Kind) {
 	m.AddressSpace(0).MapRange(va, va, size, kind, true)
 }
 
-// AddDevice registers a bus-mastering device region.
-func (m *Machine) AddDevice(base, size uint64, name string, t mem.Target, d Device) error {
-	if err := m.Router.Register(base, size, name, t); err != nil {
+// AddNIC attaches the machine's network interface: it registers the
+// NIC's register and packet-buffer region at nic.Base() and ticks the NIC
+// as a bus master (DMA) every bus cycle. A machine holds at most one NIC;
+// a fault injector, counter registry or journey tracer attached before
+// it is wired to it here, one attached after it by the Attach call.
+func (m *Machine) AddNIC(nic *device.NIC) error {
+	if m.nic != nil {
+		return fmt.Errorf("sim: NIC already attached")
+	}
+	if err := m.Router.Register(nic.Base(), device.RegionSize, "nic", nic); err != nil {
 		return err
 	}
-	if d != nil {
-		m.endCoast()
-		m.devices = append(m.devices, d)
-		if w, ok := d.(deviceWaker); ok {
-			w.SetWake(m.endCoast)
-		}
-		m.wireDeviceFaults(d)
-		if es, ok := d.(deviceErrSource); ok {
-			m.errDevices = append(m.errDevices, es.Err)
-		}
-		if m.counters != nil {
-			m.registerDeviceCounters(d)
-		}
-		if m.journeys != nil {
-			wireDeviceJourneys(d, m.journeys)
-		}
+	m.endCoast()
+	m.nic = nic
+	nic.SetWake(m.endCoast)
+	if m.faults != nil {
+		nic.SetFaultHooks(m.faults.DeviceStall, m.faults.Backpressure)
+	}
+	if m.counters != nil {
+		nic.RegisterCounters(nicCounterPrefix, m.counters)
+	}
+	if m.journeys != nil {
+		nic.AttachTracer(m.journeys)
 	}
 	return nil
 }
@@ -352,7 +331,7 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 // Tick advances the machine one CPU cycle (and the bus every Ratio
 // cycles). Bus-agent priority per bus cycle: CSB line bursts first (the
 // low-latency I/O path), then the uncached buffer, then cache miss
-// traffic, then DMA devices.
+// traffic, then the NIC's DMA engine.
 //
 // A Tick that leaves the core asleep at retire, or halted, computes a
 // quiet horizon (quietHorizon): the first cycle at which any agent can
@@ -365,7 +344,7 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 // whole stretch instead. An input that can change the quiet agents wakes
 // the core or calls endCoast: an interrupt, a kernel stall, a pipeline
 // flush or state restore, a NIC write or delivery, attaching a hook or
-// device.
+// the NIC.
 //
 //csb:hotpath
 //csb:worker ticked from the node's goroutine inside cluster lookahead windows
@@ -389,9 +368,9 @@ func (m *Machine) Tick() {
 		m.busCountdown = m.Cfg.Ratio
 		m.Bus.Tick()
 		// Idle agents are skipped: each predicate is the same emptiness
-		// check the agent's TickBus would bail out on. Devices are always
-		// ticked — they stamp incoming work with their last-ticked cycle,
-		// so skipping them while "idle" would skew those timestamps.
+		// check the agent's TickBus would bail out on. The NIC is always
+		// ticked — it stamps incoming work with its last-ticked cycle, so
+		// skipping it while "idle" would skew those timestamps.
 		if !m.CSB.Drained() {
 			m.CSB.TickBus(m.Bus)
 		}
@@ -401,8 +380,8 @@ func (m *Machine) Tick() {
 		if m.Hier.NeedsBus() {
 			m.Hier.TickBus(m.Bus)
 		}
-		for _, d := range m.devices {
-			d.TickBus(m.Bus)
+		if m.nic != nil {
+			m.nic.TickBus(m.Bus)
 		}
 	}
 	for i := range m.periodicHooks {
@@ -423,7 +402,7 @@ func (m *Machine) Tick() {
 // must. The stretch before it is quiet: the core's head repeats a refused
 // or counting retire step, or the core stays halted
 // (cpu.CPU.QuietCycles), the uncached buffer's send stage and the cache
-// hierarchy are idle, the CSB and every device are quiet, and the
+// hierarchy are idle, the CSB and the NIC are quiet, and the
 // horizon stops before the bus tick that completes the transaction in
 // flight or, with the bus idle, first lets a waiting buffer issue, and
 // before the next periodic-hook firing. A fault injector forbids
@@ -431,13 +410,9 @@ func (m *Machine) Tick() {
 //
 //csb:hotpath
 func (m *Machine) quietHorizon() uint64 {
-	if m.faults != nil || !m.UB.Quiet() || !m.Hier.Idle() || !m.CSB.Quiet() {
+	if m.faults != nil || !m.UB.Quiet() || !m.Hier.Idle() || !m.CSB.Quiet() ||
+		(m.nic != nil && !m.nic.Quiet()) {
 		return 0
-	}
-	for _, d := range m.devices {
-		if !d.Quiet() {
-			return 0
-		}
 	}
 	n := m.CPU.QuietCycles()
 	if n == 0 {
@@ -472,7 +447,7 @@ func (m *Machine) quietHorizon() uint64 {
 // them (their cycles and busy counts, keeping the divider phase; the
 // horizon keeps completions and issues out of the stretch), and k off
 // every periodic-hook countdown (none reaches zero before the horizon).
-// The uncached buffer, the caches, the CSB and the devices would do
+// The uncached buffer, the caches, the CSB and the NIC would do
 // nothing and are not called.
 //
 //csb:hotpath
@@ -505,17 +480,17 @@ func (m *Machine) CoastFor(k uint64) uint64 {
 	return k
 }
 
-// endCoast closes an open quiet stretch: devices whose bus ticks were
-// skipped note the bus cycle they would have seen last. It is also the
-// devices' outside-input hook (deviceWaker), run before the input lands.
+// endCoast closes an open quiet stretch: a NIC whose bus ticks were
+// skipped notes the bus cycle it would have seen last. It is also the
+// NIC's outside-input hook (NIC.SetWake), run before the input lands.
 //
 //csb:hotpath
 func (m *Machine) endCoast() {
 	m.coastEnd = 0
 	if m.skippedBus {
 		m.skippedBus = false
-		for _, d := range m.devices {
-			d.SkipTo(m.Bus.Cycle())
+		if m.nic != nil {
+			m.nic.SkipTo(m.Bus.Cycle())
 		}
 	}
 }
@@ -571,7 +546,7 @@ func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 }
 
 // Run executes until HALT or maxCycles elapse. It returns an error if the
-// CPU faulted, a device recorded an out-of-range guest access (a typed
+// CPU faulted, the NIC recorded an out-of-range guest access (a typed
 // *device.AddrError reachable via errors.As), the armed watchdog detected
 // retire-progress livelock (*WatchdogError with a diagnostic dump), or
 // the cycle limit was hit. After each Tick it jumps through the open
@@ -580,9 +555,9 @@ func (m *Machine) AttachPeriodic(every uint64, fn func(cycle uint64)) error {
 // the halt. Nothing a loop iteration checks can change inside a stretch.
 func (m *Machine) Run(maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
-		// Device errors are checked before the halt exit: a guest that
+		// NIC errors are checked before the halt exit: a guest that
 		// provokes one and then halts must still fail the run.
-		if len(m.errDevices) != 0 {
+		if m.nic != nil {
 			if err := m.deviceErr(); err != nil {
 				// Abort paths flush buffered observability state (the
 				// final partial recording window) before surfacing the
@@ -620,7 +595,7 @@ func (m *Machine) Run(maxCycles uint64) error {
 			}
 		}
 	}
-	if len(m.errDevices) != 0 {
+	if m.nic != nil {
 		if err := m.deviceErr(); err != nil {
 			m.flushObs()
 			return err
@@ -632,16 +607,13 @@ func (m *Machine) Run(maxCycles uint64) error {
 	return fmt.Errorf("sim: cycle limit %d reached at pc %#x", maxCycles, m.CPU.State().PC)
 }
 
-// Drain runs bus cycles until all buffers, devices and the bus are idle.
+// Drain runs bus cycles until all buffers, the NIC and the bus are idle.
 // Like Run, it jumps through quiet stretches, which cannot settle the
 // machine.
 func (m *Machine) Drain(maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
 		if m.Settled() {
-			if len(m.errDevices) != 0 {
-				return m.deviceErr()
-			}
-			return nil
+			return m.deviceErr()
 		}
 		m.Tick()
 		if m.coastEnd != 0 && !m.Settled() {
@@ -658,22 +630,13 @@ func (m *Machine) Drain(maxCycles uint64) error {
 
 // Settled reports whether every asynchronous engine has gone quiet: the
 // uncached buffer and CSB are empty, the bus and cache hierarchy are idle,
-// and no device has pending work. A halted CPU plus Settled means further
+// and the NIC, if any, has no pending work. A halted CPU plus Settled means further
 // ticks cannot change architectural state — the cluster scheduler uses
 // this to freeze finished nodes without dropping in-flight stores.
 //
 //csb:hotpath
 func (m *Machine) Settled() bool {
-	return m.UB.Empty() && m.CSB.Drained() && m.Bus.Idle() && m.Hier.Idle() && m.devicesIdle()
-}
-
-func (m *Machine) devicesIdle() bool {
-	for _, d := range m.devices {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
+	return m.UB.Empty() && m.CSB.Drained() && m.Bus.Idle() && m.Hier.Idle() && (m.nic == nil || m.nic.Idle())
 }
 
 // Stats snapshots all counters.

@@ -507,7 +507,7 @@ func TestBadDescriptorFailsRunTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
+	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)

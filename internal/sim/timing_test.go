@@ -123,7 +123,7 @@ func (r timedRun) machine(t *testing.T) *Machine {
 	}
 	if r.nic {
 		nic := device.NewNIC(device.DefaultConfig(), nicBase)
-		if err := m.AddDevice(nicBase, device.RegionSize, "nic", nic, nic); err != nil {
+		if err := m.AddNIC(nic); err != nil {
 			t.Fatal(err)
 		}
 		m.MapRange(nicBase, device.RegionSize, mem.KindUncached)

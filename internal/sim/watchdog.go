@@ -73,7 +73,7 @@ func (m *Machine) watchdogTrip() error {
 // DiagnosticDump renders the full machine state for post-mortem
 // diagnosis: the stats report, the CPI stall-attribution stack, the
 // pipeline (ROB head state), the in-flight uncached-buffer/CSB/bus
-// state, device state and errors, and — when the machine keeps a
+// state, NIC state and errors, and — when the machine keeps a
 // retired-instruction ring (an armed watchdog, a pipeline tail) — a
 // pipeline view of the last wdRingSize retired instructions. Not a hot
 // path.
@@ -92,19 +92,12 @@ func (m *Machine) DiagnosticDump() string {
 	fmt.Fprintf(&b, "--- csb ---\noccupancy %d/%d bytes, hit count %d, pending lines %d, busy=%v\n",
 		m.CSB.Occupancy(), m.Cfg.CSB.LineSize, m.CSB.HitCount(), m.CSB.PendingLines(), m.CSB.Busy())
 	fmt.Fprintf(&b, "--- bus ---\n%s\n", m.Bus.DebugString())
-	if len(m.devices) > 0 {
-		b.WriteString("--- devices ---\n")
-		for _, d := range m.devices {
-			if str, ok := d.(fmt.Stringer); ok {
-				fmt.Fprintf(&b, "%s idle=%v", str, d.Idle())
-			} else {
-				fmt.Fprintf(&b, "device idle=%v", d.Idle())
-			}
-			if es, ok := d.(deviceErrSource); ok && es.Err() != nil {
-				fmt.Fprintf(&b, " err=%v", es.Err())
-			}
-			b.WriteByte('\n')
+	if m.nic != nil {
+		fmt.Fprintf(&b, "--- devices ---\n%s idle=%v", m.nic, m.nic.Idle())
+		if err := m.nic.Err(); err != nil {
+			fmt.Fprintf(&b, " err=%v", err)
 		}
+		b.WriteByte('\n')
 	}
 	if last := m.retired.last(wdRingSize); len(last) > 0 {
 		fmt.Fprintf(&b, "--- last %d retired instructions ---\n", len(last))

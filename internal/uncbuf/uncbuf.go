@@ -18,26 +18,8 @@ import (
 
 	"csbsim/internal/bus"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
-
-// Tracer receives the uncached-buffer hops of a store journey (the
-// journey tracer implements it). Per-store journey IDs are assigned by
-// UBStoreAccepted in acceptance order; because stores only ever coalesce
-// into the youngest entry, the IDs inside one entry are contiguous and
-// the later hops pass (first, count) ranges. Calls are on the tick hot
-// path and must not allocate.
-type Tracer interface {
-	// UBStoreAccepted opens a journey for an accepted store (coalesced
-	// reports whether it merged into an existing entry) and returns its ID.
-	UBStoreAccepted(addr uint64, size int, coalesced bool) uint64
-	// UBEntryDeparted marks an entry's stores popped into the send stage.
-	UBEntryDeparted(first uint64, count int)
-	// UBBusGranted marks the bus accepting the entry's first transaction.
-	UBBusGranted(first uint64, count int)
-	// UBEntryDone marks the entry's last transaction complete (the write
-	// has landed at the target).
-	UBEntryDone(first uint64, count int)
-}
 
 // jrange tracks one departed entry's journeys until its transactions
 // complete. The bus completes transactions in issue order, so a FIFO
@@ -148,7 +130,7 @@ type Buffer struct {
 	// Journey tracing (AttachTracer), all optional. The send stage
 	// remembers the journey range of the entry it carries; jq matches
 	// store-transaction completions back to departed entries.
-	tracer      Tracer
+	tracer      *journey.Tracer
 	sendJFirst  uint64
 	sendJCount  int
 	sendGranted bool
@@ -171,8 +153,11 @@ func (u *Buffer) SetFaultHook(pressure func() bool) {
 }
 
 // AttachTracer installs the journey tracer. Attach before running:
-// entries already in flight are not retroactively traced.
-func (u *Buffer) AttachTracer(t Tracer) {
+// entries already in flight are not retroactively traced. Journey IDs are
+// assigned in acceptance order and stores only ever coalesce into the
+// youngest entry, so the IDs inside one entry are contiguous and the
+// later hops pass (first, count) ranges.
+func (u *Buffer) AttachTracer(t *journey.Tracer) {
 	u.tracer = t
 	if u.jq == nil {
 		// At most one departed entry awaits completions while the next
