@@ -119,7 +119,7 @@ cluster-trace:
 	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 -engine seq \
 		-trace -record out/cluster_trace_seq.rec
 	$(GO) run ./cmd/csbrec diff out/cluster_trace_parallel.rec out/cluster_trace_seq.rec
-	$(GO) run ./cmd/csbrec journeys out/cluster_trace_parallel.rec
+	$(GO) run ./cmd/csbrec journeys -top 3 -recent 2 out/cluster_trace_parallel.rec
 	$(GO) run ./cmd/csbrec perfetto -o out/cluster_trace_perfetto.json out/cluster_trace_parallel.rec
 
 # Flight recorder end to end: record a faulted serving run with the

@@ -25,14 +25,15 @@
 // and merged throughput/latency quantiles as JSON.
 //
 // Observability flags wire up the cross-node layer: -trace follows every
-// packet across the wire (per-packet spans with fifo_push → tx_start →
-// wire_depart → wire_arrive → rx_enqueue → rx_drain stamps aligned onto
-// the shared cluster timeline, plus per-hop latency histograms), and
+// packet across the wire (one wire journey per packet, fifo_push →
+// tx_start → wire_depart → wire_arrive → rx_enqueue → rx_drain stamps
+// on the shared cluster timeline, plus per-hop latency histograms), and
 // -record FILE writes the flight recording window by window while the
 // cluster runs (watch it live with csbrec top FILE). With both, the
-// recording ends with the retained spans: `csbrec journeys FILE` lists
-// them and `csbrec perfetto FILE` draws one timeline per node with flow
-// arrows across the wire (load at ui.perfetto.dev).
+// recording ends with every node's retained journeys and the wire
+// journeys: `csbrec journeys FILE` lists them and `csbrec perfetto FILE`
+// draws one timeline per node with flow arrows across the wire (load at
+// ui.perfetto.dev).
 //
 // Examples:
 //
@@ -55,6 +56,7 @@ import (
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -124,7 +126,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "retry budget per timed-out request (-serve; needs -timeout)")
 	flag.Uint64Var(&o.backoff, "backoff", 0, "base retry backoff in cycles (0 = timeout/4)")
 
-	flag.BoolVar(&o.trace, "trace", false, "trace every wire packet; with -record the spans go into the recording (csbrec journeys, csbrec perfetto)")
+	flag.BoolVar(&o.trace, "trace", false, "trace every wire packet; with -record the journeys go into the recording (csbrec journeys, csbrec perfetto)")
 	flag.StringVar(&o.record, "record", "", "write a flight-recorder recording to FILE (inspect with csbrec, watch with csbrec top)")
 	flag.Uint64Var(&o.recEvery, "record-every", 10_000, "recording window in cluster cycles")
 	flag.StringVar(&o.slo, "slo", "", "SLO spec (string or @file) evaluated per recording window; breaches land in the event log")
@@ -328,6 +330,10 @@ func run(o *options, args []string, out io.Writer) error {
 	if o.serve {
 		return reportServe(c, o, gens, clients, out)
 	}
+	var started, completed uint64
+	if traced {
+		started, completed, _ = c.Trace().Counts(journey.KindWire)
+	}
 	switch {
 	case o.jsonOut:
 		sum := struct {
@@ -337,13 +343,13 @@ func run(o *options, args []string, out io.Writer) error {
 			Started   uint64                      `json:"packets_started"`
 			Completed uint64                      `json:"packets_completed"`
 			Hops      map[string]counters.Summary `json:"hops"`
-		}{Cycles: c.Cycle(), Nodes: c.NumNodes(), Started: c.Trace().Started(), Completed: c.Trace().Completed(),
+		}{Cycles: c.Cycle(), Nodes: c.NumNodes(), Started: started, Completed: completed,
 			Hops: map[string]counters.Summary{}}
 		if len(args) == 0 {
 			sum.Rounds = o.rounds
 		}
 		c.Registry().VisitHistograms(func(h *counters.Histogram) {
-			if strings.HasPrefix(h.Name(), "ctrace/") {
+			if strings.HasPrefix(h.Name(), "journey/") {
 				sum.Hops[h.Name()] = h.Summary()
 			}
 		})
@@ -354,12 +360,12 @@ func run(o *options, args []string, out io.Writer) error {
 		fmt.Fprintln(out, string(data))
 	case o.verbose:
 		fmt.Fprintf(out, "cluster halted after %d cycles; %d packets crossed the wire (%d completed)\n",
-			c.HaltCycle(), c.Trace().Started(), c.Trace().Completed())
+			c.HaltCycle(), started, completed)
 		fmt.Fprint(out, c.Registry().Snapshot().Format())
 	default:
 		if traced {
 			fmt.Fprintf(out, "cluster halted after %d cycles; %d packets crossed the wire\n",
-				c.HaltCycle(), c.Trace().Started())
+				c.HaltCycle(), started)
 		} else {
 			fmt.Fprintf(out, "cluster halted after %d cycles\n", c.HaltCycle())
 		}

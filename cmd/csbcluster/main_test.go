@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
 // TestTraceRecordsSpans runs a short traced ping-pong the way
 // `csbcluster -trace -record FILE -json` does, under both engines: the
-// recording reads clean, holds one span per packet started, is the same
-// file under either engine, and its footer's cluster/ctrace/* rows are
-// the hops -json prints.
+// recording reads clean, holds one wire journey per packet started and
+// both nodes' journeys, is the same file under either engine, and its
+// footer's cluster/journey/* rows are the hops -json prints.
 func TestTraceRecordsSpans(t *testing.T) {
 	var recordings [2][]byte
 	for i, engine := range []string{"parallel", "seq"} {
@@ -43,14 +44,22 @@ func TestTraceRecordsSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rc.Clean || rc.Truncated || sum.Started != 20 || len(rc.Spans) != int(sum.Started) {
-			t.Fatalf("%s: clean=%v truncated=%v, %d spans for %d packets started, want 20",
-				engine, rc.Clean, rc.Truncated, len(rc.Spans), sum.Started)
+		wire, nodes := 0, map[string]bool{}
+		for _, j := range rc.Journeys {
+			if j.Kind == journey.KindWire {
+				wire++
+			} else {
+				nodes[j.Node] = true
+			}
+		}
+		if !rc.Clean || rc.Truncated || sum.Started != 20 || wire != int(sum.Started) || !nodes["n0"] || !nodes["n1"] {
+			t.Fatalf("%s: clean=%v truncated=%v, %d wire journeys for %d packets started, want 20; journeys of %v",
+				engine, rc.Clean, rc.Truncated, wire, sum.Started, nodes)
 		}
 		rows := 0
 		for j, name := range rc.HistNames {
 			hop, ok := strings.CutPrefix(name, "cluster/")
-			if !ok || !strings.HasPrefix(hop, "ctrace/") {
+			if !ok || !strings.HasPrefix(hop, "journey/") {
 				continue
 			}
 			rows++

@@ -1,14 +1,15 @@
 // csbrec inspects flight-recorder recordings (internal/obs/rec): window
 // summaries, per-series statistics (a histogram's exact over the whole
 // run, from the footer), window slices, the cycle-stamped event log, the
-// store journeys of a `csbsim -journeys -record` run and the wire spans
-// of a `csbcluster -trace -record` run, an ASCII pipeline diagram of the
-// last retired instructions of a `csbsim -record` run, SLO checks,
-// tolerance-aware recording diffs for regression gating, and Perfetto
-// export: counter tracks of the recorded history; for a csbsim run the
-// last instructions' lifetimes, bus transactions and store journeys
-// with flow arrows between them; for a csbcluster run one timeline per
-// node with the wire spans and their flow arrows. top is the live
+// journeys of a `csbsim -journeys -record` run and every node's journeys
+// plus the wire journeys of a `csbcluster -trace -record` run, an ASCII
+// pipeline diagram of the last retired instructions of a `csbsim
+// -record` run, SLO checks, tolerance-aware recording diffs for
+// regression gating, and Perfetto export: counter tracks of the recorded
+// history; for a csbsim run the last instructions' lifetimes, bus
+// transactions and store journeys with flow arrows between them; for a
+// csbcluster run one process per node with its journeys, and a flow
+// arrow from sender to receiver per wire journey. top is the live
 // dashboard (top.go): it follows a recording as the simulator writes
 // it, rendering each window. A counter is shown by its change over each
 // window, a gauge (an occupancy) by its value at the window's end.
@@ -40,7 +41,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
@@ -96,13 +96,12 @@ func usage() {
   csbrec slice [-from N] [-to M] [-m glob] f   windows in a cycle range
   csbrec events file.rec                       the cycle-stamped event log
   csbrec journeys [-top N] [-recent N] [-kind K] [-addr A | -range lo:hi] f
-                                               slowest and most recent store journeys
-                                               and wire spans
+                                               slowest and most recent journeys, by kind
   csbrec pipeview [-n N] file.rec              pipeline diagram of the last N instructions
   csbrec check -slo spec|@file file.rec        evaluate an SLO spec (exit 1 on breach)
   csbrec diff [-tol F] a.rec b.rec             compare recordings (exit 1 when different)
   csbrec perfetto [-o out.json] file.rec       Perfetto export: counter tracks, instructions,
-                                               bus transactions, journeys, wire spans
+                                               bus transactions, every node's journeys
   csbrec top [-frames N] [-plain] [-at CYCLE] f
                                                live dashboard: follow the recording and
                                                render each window
@@ -166,16 +165,16 @@ func cmdSummary(args []string, out io.Writer) error {
 		status += ", truncated tail"
 	}
 	fmt.Fprintf(out, "  status:    %s\n", status)
-	if len(rc.Spans) > 0 {
-		var done, dropped int
-		for _, s := range rc.Spans {
-			if s.Done {
+	if len(rc.Journeys) > 0 {
+		var done, aborted int
+		for _, j := range rc.Journeys {
+			if j.Done {
 				done++
-			} else if s.Dropped {
-				dropped++
+			} else if j.Aborted {
+				aborted++
 			}
 		}
-		fmt.Fprintf(out, "  spans:     %d (%d completed, %d dropped)\n", len(rc.Spans), done, dropped)
+		fmt.Fprintf(out, "  journeys:  %d recent (%d completed, %d aborted)\n", len(rc.Journeys), done, aborted)
 	}
 	if len(rc.SLOSpecs) > 0 {
 		fmt.Fprintf(out, "  slo:       %s\n", strings.Join(rc.SLOSpecs, "; "))
@@ -369,9 +368,9 @@ func cmdEvents(args []string, out io.Writer) error {
 
 func cmdJourneys(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("journeys", flag.ContinueOnError)
-	top := fs.Int("top", 10, "show the N slowest journeys and spans (0 = none)")
-	recent := fs.Int("recent", 0, "also list the N most recent journeys and spans (0 = none)")
-	kind := fs.String("kind", "", "filter journeys by kind: uncached_store, csb_store or nic_descriptor")
+	top := fs.Int("top", 10, "show the N slowest journeys of each kind (0 = none)")
+	recent := fs.Int("recent", 0, "also list the N most recent journeys of each kind (0 = none)")
+	kind := fs.String("kind", "", "filter journeys by kind: uncached_store, csb_store, nic_descriptor or wire")
 	addr := fs.String("addr", "", "filter: journeys whose span contains this address (hex ok)")
 	rng := fs.String("range", "", "filter: journeys starting inside lo:hi (hex ok)")
 	path, err := oneArg(fs, args)
@@ -386,48 +385,40 @@ func cmdJourneys(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(rc.Slowest)+len(rc.Journeys)+len(rc.Spans) == 0 {
-		return fmt.Errorf("%s holds no journeys or spans (record with csbsim -journeys -record or csbcluster -trace -record)", path)
+	if len(rc.Slowest)+len(rc.Journeys) == 0 {
+		return fmt.Errorf("%s holds no journeys (record with csbsim -journeys -record or csbcluster -trace -record)", path)
 	}
-	filter := func(js []journey.Journey) []journey.Journey {
+	// of returns the journeys of kind k that pass the filter.
+	of := func(k journey.Kind, js []journey.Journey) []journey.Journey {
 		var kept []journey.Journey
 		for _, j := range js {
-			if keep(j) {
+			if j.Kind == k && keep(j) {
 				kept = append(kept, j)
 			}
 		}
 		return kept
 	}
-	journeys := len(rc.Slowest)+len(rc.Journeys) > 0
-	if *top > 0 && journeys {
-		js := filter(rc.Slowest)
-		js = js[:min(len(js), *top)]
-		fmt.Fprintf(out, "slowest %d journeys:\n", len(js))
-		journeyTable(out, js)
-	}
-	if *recent > 0 && journeys {
-		js := filter(rc.Journeys)
-		js = js[max(0, len(js)-*recent):]
-		fmt.Fprintf(out, "most recent %d journeys:\n", len(js))
-		journeyTable(out, js)
-	}
-	if *top > 0 && len(rc.Spans) > 0 {
-		var done []ctrace.MergedSpan
-		for _, s := range rc.Spans {
-			if s.Done {
-				done = append(done, s)
-			}
+	// One table per kind with journeys to show. A tracer keeps one
+	// slowest set over all its kinds, so a kind may have recent
+	// journeys but no slowest table.
+	kinds := journey.KindWire + 1 // the last kind
+	for k := range kinds {
+		// The slowest sets of several tracers, merged: slowest first,
+		// equal latencies in recording order.
+		js := of(k, rc.Slowest)
+		sort.SliceStable(js, func(a, b int) bool { return js[a].E2E() > js[b].E2E() })
+		if js = js[:min(len(js), max(*top, 0))]; len(js) > 0 {
+			fmt.Fprintf(out, "slowest %d %s journeys:\n", len(js), k)
+			journeyTable(out, k, js)
 		}
-		// Slowest first; equal latencies keep trace-ID order.
-		sort.SliceStable(done, func(i, j int) bool { return done[i].E2E > done[j].E2E })
-		done = done[:min(len(done), *top)]
-		fmt.Fprintf(out, "slowest %d spans:\n", len(done))
-		spanTable(out, done)
 	}
-	if *recent > 0 && len(rc.Spans) > 0 {
-		ss := rc.Spans[max(0, len(rc.Spans)-*recent):]
-		fmt.Fprintf(out, "most recent %d spans:\n", len(ss))
-		spanTable(out, ss)
+	for k := range kinds {
+		js := of(k, rc.Journeys)
+		sort.SliceStable(js, func(a, b int) bool { return js[a].T[journey.HopStart] < js[b].T[journey.HopStart] })
+		if js = js[len(js)-min(len(js), max(*recent, 0)):]; len(js) > 0 {
+			fmt.Fprintf(out, "most recent %d %s journeys:\n", len(js), k)
+			journeyTable(out, k, js)
+		}
 	}
 	return nil
 }
@@ -450,7 +441,9 @@ func journeyFilter(kind, addr, rng string) (func(journey.Journey) bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		inSpan = func(j journey.Journey) bool { return j.Addr <= a && a < j.Addr+uint64(j.Size) }
+		inSpan = func(j journey.Journey) bool {
+			return j.Kind != journey.KindWire && j.Addr <= a && a < j.Addr+uint64(j.Size)
+		}
 	case rng != "":
 		lo, hi, ok := strings.Cut(rng, ":")
 		l, err1 := parseAddr(lo)
@@ -458,7 +451,7 @@ func journeyFilter(kind, addr, rng string) (func(journey.Journey) bool, error) {
 		if !ok || err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad range %q (want lo:hi)", rng)
 		}
-		inSpan = func(j journey.Journey) bool { return l <= j.Addr && j.Addr < h }
+		inSpan = func(j journey.Journey) bool { return j.Kind != journey.KindWire && l <= j.Addr && j.Addr < h }
 	}
 	return func(j journey.Journey) bool { return (kind == "" || j.Kind == want) && inSpan(j) }, nil
 }
@@ -475,78 +468,67 @@ func parseAddr(s string) (uint64, error) {
 	return v, nil
 }
 
-// journeyTable prints one row per journey: its start cycle, then each
-// later hop as the cycles since the previous stamp ("-" when the hop was
-// not reached), the end-to-end latency and the flags.
-func journeyTable(out io.Writer, js []journey.Journey) {
+// journeyTable prints one row per journey of kind k: its node (a wire
+// journey's route), ID, address (a store's or descriptor's) and size, its
+// start cycle, then each later hop as the cycles since the previous
+// stamp ("-" when the hop was not reached), the end-to-end latency and
+// the flags: coalesced, aborted (dropped@<wire_depart> for a wire
+// journey) or in-flight, and a wire journey's link to the sender's
+// nic_descriptor journey.
+func journeyTable(out io.Writer, k journey.Kind, js []journey.Journey) {
+	wire := k == journey.KindWire
+	names := journey.HopNames(k)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "kind\tid\taddr\tsize\tstart\thop1\thop2\thop3\te2e\tflags")
+	fmt.Fprint(w, "node\tid\t")
+	if !wire {
+		fmt.Fprint(w, "addr\t")
+	}
+	fmt.Fprint(w, "size\tstart")
+	for _, name := range names[journey.HopDepart:] {
+		if name != "" {
+			fmt.Fprintf(w, "\t%s", name)
+		}
+	}
+	fmt.Fprintln(w, "\te2e\tflags")
 	for _, j := range js {
 		var flags []string
 		if j.Coalesced {
 			flags = append(flags, "coalesced")
 		}
-		if j.Aborted {
+		switch {
+		case j.Aborted && wire:
+			flags = append(flags, fmt.Sprintf("dropped@%d", j.T[journey.HopWireDepart]))
+		case j.Aborted:
 			flags = append(flags, "aborted")
-		} else if !j.Done {
+		case !j.Done:
 			flags = append(flags, "in-flight")
+		}
+		if j.Link != 0 {
+			flags = append(flags, fmt.Sprintf("link=%d", j.Link))
+		}
+		if wire {
+			fmt.Fprintf(w, "%s->%s\t%d\t", j.Node, j.To, j.ID)
+		} else {
+			fmt.Fprintf(w, "%s\t%d\t%#x\t", j.Node, j.ID, j.Addr)
+		}
+		fmt.Fprintf(w, "%d\t%d", j.Size, j.T[journey.HopStart])
+		prev := j.T[journey.HopStart]
+		for h := journey.HopDepart; h <= k.Last(); h++ {
+			switch {
+			case names[h] == "":
+				continue
+			case j.T[h] == 0:
+				fmt.Fprint(w, "\t-")
+			default:
+				fmt.Fprintf(w, "\t+%d", j.T[h]-prev)
+				prev = j.T[h]
+			}
 		}
 		e2e := "-"
 		if j.Done {
 			e2e = strconv.FormatUint(j.E2E(), 10)
 		}
-		var cols [3]string
-		n, prev := 0, j.T[journey.HopStart]
-		for h, name := range journey.HopNames(j.Kind) {
-			switch {
-			case h == int(journey.HopStart) || name == "":
-				continue
-			case j.T[h] == 0:
-				cols[n] = name + ":-"
-			default:
-				cols[n] = fmt.Sprintf("%s:+%d", name, j.T[h]-prev)
-				prev = j.T[h]
-			}
-			n++
-		}
-		fmt.Fprintf(w, "%s\t%d\t%#x\t%d\t%d\t%s\t%s\t%s\t%s\t%s\n", j.Kind, j.ID, j.Addr, j.Size,
-			j.T[journey.HopStart], cols[0], cols[1], cols[2], e2e, strings.Join(flags, ","))
-	}
-	w.Flush()
-}
-
-// spanTable prints one row per wire span: its route and size, its
-// fifo_push cycle, then each later stamp as the cycles since the
-// previous one ("-" when the hop was not reached), the end-to-end
-// latency and the drop cycle or in-flight flag.
-func spanTable(out io.Writer, ss []ctrace.MergedSpan) {
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "id\tfrom\tto\tsize\tstart")
-	for _, name := range ctrace.HopNames[1:] {
-		fmt.Fprintf(w, "\t%s", name)
-	}
-	fmt.Fprintln(w, "\te2e\tflags")
-	for _, s := range ss {
-		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d", s.TraceID, s.From, s.To, s.Size, s.FIFOPush)
-		prev := s.FIFOPush
-		for _, t := range []uint64{s.TxStart, s.WireDepart, s.WireArrive, s.RxEnqueue, s.RxDrain} {
-			if t == 0 {
-				fmt.Fprint(w, "\t-")
-				continue
-			}
-			fmt.Fprintf(w, "\t+%d", t-prev)
-			prev = t
-		}
-		e2e, flag := "-", ""
-		switch {
-		case s.Done:
-			e2e = strconv.FormatUint(s.E2E, 10)
-		case s.Dropped:
-			flag = fmt.Sprintf("dropped@%d", s.DropCycle)
-		default:
-			flag = "in-flight"
-		}
-		fmt.Fprintf(w, "\t%s\t%s\n", e2e, flag)
+		fmt.Fprintf(w, "\t%s\t%s\n", e2e, strings.Join(flags, ","))
 	}
 	w.Flush()
 }
@@ -665,7 +647,7 @@ func cmdPerfetto(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	const pid = 99 // past the per-node pids of the span timelines
+	const pid = 99 // past the per-node journey processes
 	events := []traceEvent{{Name: "process_name", Ph: "M", PID: pid,
 		Args: map[string]any{"name": "flight recorder"}}}
 	for wi := range rc.Windows {
@@ -708,7 +690,6 @@ func cmdPerfetto(args []string, out io.Writer) error {
 		}
 		events = append(events, e)
 	}
-	events = spanEvents(events, rc.Spans)
 	events = pipelineEvents(events, rc)
 	events = journeyEvents(events, rc)
 	doc := struct {
@@ -729,83 +710,22 @@ func cmdPerfetto(args []string, out io.Writer) error {
 	return enc.Encode(&doc)
 }
 
-// The span timelines' thread IDs: each node process has a tx and an rx
-// thread.
-const (
-	tidTx = 1
-	tidRx = 2
-)
-
-// spanEvents appends the wire spans as one process per node (sorted by
-// name, numbered from 1) with tx and rx threads: a slice per packet on
-// each side of the wire, and a flow arrow from the sender's wire_depart
-// to the receiver's wire_arrive binding the two timelines.
-func spanEvents(events []traceEvent, spans []ctrace.MergedSpan) []traceEvent {
-	var names []string
-	for _, s := range spans {
-		names = append(names, s.From, s.To)
-	}
-	sort.Strings(names)
-	names = slices.Compact(names)
-	pid := make(map[string]int, len(names))
-	for i, n := range names {
-		pid[n] = 1 + i
-		events = append(events,
-			traceEvent{Name: "process_name", Ph: "M", PID: 1 + i,
-				Args: map[string]any{"name": "node " + n}},
-			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidTx,
-				Args: map[string]any{"name": "nic tx"}},
-			traceEvent{Name: "thread_name", Ph: "M", PID: 1 + i, TID: tidRx,
-				Args: map[string]any{"name": "nic rx"}})
-	}
-	for _, s := range spans {
-		tx := traceEvent{
-			Name: fmt.Sprintf("pkt %d → %s", s.TraceID, s.To),
-			Ph:   "X", Ts: s.FIFOPush, Dur: max(s.WireDepart-s.FIFOPush, 1),
-			PID: pid[s.From], TID: tidTx,
-			Args: map[string]any{
-				"trace_id": s.TraceID, "size": s.Size,
-				"fifo_push": s.FIFOPush, "tx_start": s.TxStart, "wire_depart": s.WireDepart,
-			},
-		}
-		if s.Dropped {
-			tx.Args["dropped_at"] = s.DropCycle
-		}
-		events = append(events, tx)
-		if s.WireArrive == 0 {
-			continue // still on the wire: sender side only
-		}
-		rxArgs := map[string]any{"trace_id": s.TraceID, "size": s.Size, "wire_arrive": s.WireArrive}
-		if s.RxEnqueue != 0 {
-			rxArgs["rx_enqueue"] = s.RxEnqueue
-		}
-		if s.RxDrain != 0 {
-			rxArgs["rx_drain"] = s.RxDrain
-		}
-		if s.Done {
-			rxArgs["e2e"] = s.E2E
-		}
-		rxEnd := max(s.WireArrive, s.RxEnqueue, s.RxDrain)
-		events = append(events,
-			traceEvent{Name: fmt.Sprintf("pkt %d ← %s", s.TraceID, s.From),
-				Ph: "X", Ts: s.WireArrive, Dur: max(rxEnd-s.WireArrive, 1),
-				PID: pid[s.To], TID: tidRx, Args: rxArgs},
-			traceEvent{Name: "wire", Cat: "wire", Ph: "s", Ts: s.WireDepart,
-				PID: pid[s.From], TID: tidTx, FlowID: s.TraceID},
-			traceEvent{Name: "wire", Cat: "wire", Ph: "f", BP: "e", Ts: s.WireArrive,
-				PID: pid[s.To], TID: tidRx, FlowID: s.TraceID})
-	}
-	return events
-}
-
-// The processes of a csbsim recording's pipeline tail and journeys, and
-// the number of instruction rows: in-flight instructions rotate across
-// the lanes (half the ROB) so overlapping lifetimes stay readable.
+// The processes of a csbsim recording's pipeline tail, the first
+// node's journeys (later nodes' follow it), and the number of
+// instruction rows: in-flight instructions rotate across the lanes (half
+// the ROB) so overlapping lifetimes stay readable.
 const (
 	pidCPU = 1
 	pidBus = 2
 	pidMem = 3
 	lanes  = 32
+)
+
+// A node process's threads: one per store or descriptor kind (1 + the
+// kind), and the two sides of its wire journeys.
+const (
+	tidWireTx = 1 + int(journey.KindWire)
+	tidWireRx = tidWireTx + 1
 )
 
 // lane returns an instruction's row in the cpu process.
@@ -859,20 +779,47 @@ func pipelineEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 	return events
 }
 
-// journeyEvents appends the recent store journeys as a "memory system"
-// process with one thread per journey kind: a slice spanning each
-// journey, a nested slice per hop, and a flow arrow stitching the story
-// across processes, from the retiring store's instruction slice through
-// the journey to the bus transaction that carried it.
+// journeyEvents appends the recent journeys, one process per node from
+// pidMem on (in the order nodes first appear): the "memory system" of a
+// csbsim recording's machine, whose pipeline tail holds its cpu and bus,
+// or "node <name>" otherwise. A store or descriptor journey is a slice
+// on its kind's thread with a nested slice per hop, and a flow arrow
+// stitching the story across processes, from the retiring store's
+// instruction slice through the journey to the bus transaction that
+// carried it. A wire journey is a slice on the sender's wire tx thread
+// and, once it arrived, one on the receiver's wire rx thread, with a
+// flow arrow from the first to the second.
 func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 	if len(rc.Journeys) == 0 {
 		return events
 	}
-	events = append(events, traceEvent{Name: "process_name", Ph: "M", PID: pidMem,
-		Args: map[string]any{"name": "memory system"}})
-	for i, name := range []string{"uncached stores", "csb stores", "nic descriptors"} {
-		events = append(events, traceEvent{Name: "thread_name", Ph: "M", PID: pidMem, TID: 1 + i,
+	pids := map[string]int{}
+	var nodes []string
+	wire := false
+	for _, j := range rc.Journeys {
+		for _, n := range []string{j.Node, j.To} {
+			if _, ok := pids[n]; n != "" && !ok {
+				pids[n] = pidMem + len(nodes)
+				nodes = append(nodes, n)
+			}
+		}
+		wire = wire || j.Kind == journey.KindWire
+	}
+	threads := []string{"uncached stores", "csb stores", "nic descriptors"}
+	if wire {
+		threads = append(threads, "wire tx", "wire rx")
+	}
+	for _, n := range nodes {
+		name := "node " + n
+		if len(rc.Insts)+len(rc.Bus) > 0 {
+			name = "memory system"
+		}
+		events = append(events, traceEvent{Name: "process_name", Ph: "M", PID: pids[n],
 			Args: map[string]any{"name": name}})
+		for i, thread := range threads {
+			events = append(events, traceEvent{Name: "thread_name", Ph: "M", PID: pids[n], TID: 1 + i,
+				Args: map[string]any{"name": thread}})
+		}
 	}
 	// Memory instructions by address, so each journey finds the store
 	// that started it: the journey's first stamp is taken the cycle the
@@ -883,13 +830,18 @@ func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 			byAddr[e.Addr] = append(byAddr[e.Addr], e)
 		}
 	}
-	for flowID, j := range rc.Journeys {
-		tid := 1 + int(j.Kind)
+	for i, j := range rc.Journeys {
+		flowID := uint64(i + 1)
+		if j.Kind == journey.KindWire {
+			events = wireEvents(events, &j, pids, flowID)
+			continue
+		}
+		pid, tid := pids[j.Node], 1+int(j.Kind)
 		start, end := j.T[journey.HopStart], j.T[journey.HopComplete]
 		if end == 0 { // still in flight, or aborted mid-way
 			end = slices.Max(j.T[:])
 		}
-		args := map[string]any{"id": j.ID, "size": j.Size, "coalesced": j.Coalesced, "aborted": j.Aborted}
+		args := map[string]any{"id": j.ID, "node": j.Node, "size": j.Size, "coalesced": j.Coalesced, "aborted": j.Aborted}
 		names := journey.HopNames(j.Kind)
 		for h, name := range names {
 			if name != "" && j.T[h] != 0 {
@@ -897,15 +849,15 @@ func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 			}
 		}
 		events = append(events, traceEvent{Name: fmt.Sprintf("%s @%#x", j.Kind, j.Addr),
-			Ph: "X", Ts: start, Dur: max(end-start, 1), PID: pidMem, TID: tid, Args: args})
+			Ph: "X", Ts: start, Dur: max(end-start, 1), PID: pid, TID: tid, Args: args})
 		// One child slice per pair of consecutive stamped hops.
 		prev := journey.HopStart
-		for h := prev + 1; h < journey.NumHops; h++ {
+		for h := prev + 1; h <= j.Kind.Last(); h++ {
 			if names[h] == "" || j.T[h] == 0 {
 				continue
 			}
 			events = append(events, traceEvent{Name: names[prev] + "→" + names[h],
-				Ph: "X", Ts: j.T[prev], Dur: max(j.T[h]-j.T[prev], 1), PID: pidMem, TID: tid})
+				Ph: "X", Ts: j.T[prev], Dur: max(j.T[h]-j.T[prev], 1), PID: pid, TID: tid})
 			prev = h
 		}
 		// The store is matched by address and retire cycle. The CPU's
@@ -921,7 +873,7 @@ func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 				break
 			}
 		}
-		steps = append(steps, traceEvent{Ts: start, PID: pidMem, TID: tid})
+		steps = append(steps, traceEvent{Ts: start, PID: pid, TID: tid})
 		if g := j.T[journey.HopBusGrant]; g != 0 && len(rc.Bus) > 0 {
 			steps = append(steps, traceEvent{Ts: g, PID: pidBus, TID: 1})
 		}
@@ -929,11 +881,50 @@ func journeyEvents(events []traceEvent, rc *rec.Recording) []traceEvent {
 			continue // an arrow needs two ends
 		}
 		for i := range steps {
-			steps[i].Name, steps[i].Cat, steps[i].Ph, steps[i].FlowID = "store journey", "journey", "t", uint64(flowID+1)
+			steps[i].Name, steps[i].Cat, steps[i].Ph, steps[i].FlowID = "store journey", "journey", "t", flowID
 		}
 		steps[0].Ph = "s"
 		steps[len(steps)-1].Ph, steps[len(steps)-1].BP = "f", "e" // bind the end to the enclosing slice
 		events = append(events, steps...)
 	}
 	return events
+}
+
+// wireEvents appends one wire journey: the sender's slice from fifo_push
+// to wire_depart, and once the packet arrived, the receiver's from
+// wire_arrive to its last stamp, bound by a flow arrow.
+func wireEvents(events []traceEvent, j *journey.Journey, pids map[string]int, flowID uint64) []traceEvent {
+	t := &j.T
+	tx := traceEvent{
+		Name: fmt.Sprintf("pkt %d → %s", j.ID, j.To),
+		Ph:   "X", Ts: t[journey.HopStart], Dur: max(t[journey.HopWireDepart]-t[journey.HopStart], 1),
+		PID: pids[j.Node], TID: tidWireTx,
+		Args: map[string]any{
+			"id": j.ID, "size": j.Size, "link": j.Link, "dropped": j.Aborted,
+			"fifo_push": t[journey.HopStart], "tx_start": t[journey.HopDepart], "wire_depart": t[journey.HopWireDepart],
+		},
+	}
+	events = append(events, tx)
+	if t[journey.HopWireArrive] == 0 {
+		return events // dropped, or still on the wire: sender side only
+	}
+	rxArgs := map[string]any{"id": j.ID, "size": j.Size, "wire_arrive": t[journey.HopWireArrive]}
+	if t[journey.HopRxEnqueue] != 0 {
+		rxArgs["rx_enqueue"] = t[journey.HopRxEnqueue]
+	}
+	if t[journey.HopRxDrain] != 0 {
+		rxArgs["rx_drain"] = t[journey.HopRxDrain]
+	}
+	if j.Done {
+		rxArgs["e2e"] = j.E2E()
+	}
+	arrive := t[journey.HopWireArrive]
+	end := max(arrive, t[journey.HopRxEnqueue], t[journey.HopRxDrain])
+	return append(events,
+		traceEvent{Name: fmt.Sprintf("pkt %d ← %s", j.ID, j.Node),
+			Ph: "X", Ts: arrive, Dur: max(end-arrive, 1), PID: pids[j.To], TID: tidWireRx, Args: rxArgs},
+		traceEvent{Name: "wire", Cat: "wire", Ph: "s", Ts: t[journey.HopWireDepart],
+			PID: pids[j.Node], TID: tidWireTx, FlowID: flowID},
+		traceEvent{Name: "wire", Cat: "wire", Ph: "f", BP: "e", Ts: arrive,
+			PID: pids[j.To], TID: tidWireRx, FlowID: flowID})
 }

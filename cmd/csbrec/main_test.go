@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
@@ -165,7 +164,7 @@ func recordRun(t *testing.T, m *sim.Machine, every uint64, drive func() error) (
 	if err := r.AddSource("machine", m.AttachCounters()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddJourneys(tr); err != nil {
+	if err := r.AddJourneys("machine", tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AddPipeline(m.AttachPipeline()); err != nil {
@@ -213,20 +212,30 @@ func recordCSBStores(t *testing.T) (*journey.Tracer, *counters.Registry, string)
 }
 
 // TestJourneysAndTotalsFromRecording: on a recorded CSB store stream,
-// `journeys` prints exactly the tracer's slowest set and `series` prints
-// every histogram's whole-run Summary, though the run spans several
-// windows whose quantiles could not be merged into it.
+// `journeys` prints exactly the tracer's slowest set, on the recording's
+// node, and `series` prints every histogram's whole-run Summary, though
+// the run spans several windows whose quantiles could not be merged
+// into it.
 func TestJourneysAndTotalsFromRecording(t *testing.T) {
 	tr, reg, path := recordCSBStores(t)
+	slow := tr.Slowest()
+	for i := range slow {
+		if slow[i].Kind != journey.KindCSBStore {
+			t.Fatalf("slowest journey %+v is no CSB store", slow[i])
+		}
+		slow[i].Node = "machine"
+	}
 	var want bytes.Buffer
-	fmt.Fprintf(&want, "slowest %d journeys:\n", len(tr.Slowest()))
-	journeyTable(&want, tr.Slowest())
+	fmt.Fprintf(&want, "slowest %d csb_store journeys:\n", len(slow))
+	journeyTable(&want, journey.KindCSBStore, slow)
 	if got := run(t, cmdJourneys, "-top", "100", path); got != want.String() {
 		t.Errorf("journeys:\n got %s\nwant %s", got, want.String())
 	}
-	if row := strings.Fields(strings.Split(want.String(), "\n")[2]); strings.Join(row, " ") !=
-		"csb_store 1 0x40000000 8 139 flush_ok:+94 bus_grant:+1 bus_complete:+54 149" {
-		t.Errorf("slowest journey: %q", row)
+	lines := strings.Split(want.String(), "\n")
+	if head, row := strings.Join(strings.Fields(lines[1]), " "), strings.Join(strings.Fields(lines[2]), " "); head !=
+		"node id addr size start flush_ok bus_grant bus_complete e2e flags" ||
+		row != "machine 1 0x40000000 8 139 +94 +1 +54 149" {
+		t.Errorf("slowest journey:\n%s\n%s", head, row)
 	}
 
 	got := map[string]string{}
@@ -252,13 +261,19 @@ func TestJourneysAndTotalsFromRecording(t *testing.T) {
 	}
 }
 
-// writeSpanRecording records a wire tracer over one window: a packet
-// n0→n1 that completes, one n1→n0 the fabric drops, and one n0→n1 still
-// on the wire at the footer. It returns the file's path.
-func writeSpanRecording(t *testing.T) string {
+// writeWireRecording records a cluster's wire tracer and a sender's
+// tracer over one window: a packet n0→n1 that completes, continuing
+// n0's descriptor journey, one n1→n0 the fabric drops, and one n0→n1
+// still on the wire at the footer. It returns the file's path.
+func writeWireRecording(t *testing.T) string {
 	t.Helper()
 	reg := counters.NewRegistry()
-	tr := ctrace.New(reg)
+	tr := journey.NewWireTracer(reg)
+	var cycle uint64
+	n0, err := journey.NewTracer(nil, func() uint64 { return cycle })
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := rec.New(rec.Config{Every: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -266,20 +281,31 @@ func writeSpanRecording(t *testing.T) string {
 	if err := r.AddSource("cluster", reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddSpans(tr); err != nil {
-		t.Fatal(err)
+	for _, src := range []struct {
+		name string
+		t    *journey.Tracer
+	}{{"n0", n0}, {"cluster", tr.Tracer}} {
+		if err := r.AddJourneys(src.name, src.t); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := r.SetWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r.Start(0)
-	id := tr.PacketDeparted("n0", "n1", 64, 7, 10, 12, 20)
-	tr.PacketArrived(id, 140)
-	tr.PacketEnqueued(id, 141)
-	tr.PacketDrained(id, 200)
-	tr.PacketDropped(tr.PacketDeparted("n1", "n0", 8, 0, 300, 302, 310), 310)
-	tr.PacketDeparted("n0", "n1", 16, 8, 500, 501, 510)
+	cycle = 10
+	desc := n0.NICDescQueued(0, 64, false)
+	cycle = 12
+	n0.NICTxStarted(desc)
+	cycle = 19
+	n0.NICTxDone(desc)
+	id := tr.WireDeparted("n0", "n1", 64, desc, 10, 12, 20)
+	tr.WireArrived(id, 140)
+	tr.WireEnqueued(id, 141)
+	tr.WireDrained(id, 200)
+	tr.WireDropped(tr.WireDeparted("n1", "n0", 8, 0, 300, 302, 310))
+	tr.WireDeparted("n0", "n1", 16, 8, 500, 501, 510)
 	r.Flush(600)
 	path := filepath.Join(t.TempDir(), "wire.rec")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -288,18 +314,19 @@ func writeSpanRecording(t *testing.T) string {
 	return path
 }
 
-// TestPerfettoDrawsSpans: the export draws one process per node with a
-// tx slice per packet, an rx slice and a wire flow arrow per packet that
-// arrived, and the drop cycle on a dropped packet's slice.
+// TestPerfettoDrawsSpans: the export draws one process per node, with
+// the sender's descriptor journey, a wire tx slice per packet sent, and
+// an rx slice and a wire flow arrow from sender to receiver per packet
+// that arrived; a dropped packet's slice says so.
 func TestPerfettoDrawsSpans(t *testing.T) {
-	out := run(t, cmdPerfetto, writeSpanRecording(t))
+	out := run(t, cmdPerfetto, writeWireRecording(t))
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("perfetto not valid JSON: %v", err)
 	}
-	var procs, slices, flowS, flowF int
+	var procs, wireSlices, flowS, flowF int
 	for _, ev := range doc.TraceEvents {
 		if ev["pid"] == 99.0 {
 			continue // the recorder's counter tracks
@@ -310,7 +337,9 @@ func TestPerfettoDrawsSpans(t *testing.T) {
 				procs++
 			}
 		case "X":
-			slices++
+			if tid := int(ev["tid"].(float64)); tid == tidWireTx || tid == tidWireRx {
+				wireSlices++
+			}
 		case "s":
 			flowS++
 		case "f":
@@ -318,40 +347,57 @@ func TestPerfettoDrawsSpans(t *testing.T) {
 		}
 	}
 	// Completed packet: tx + rx slices; dropped and in-flight: tx only.
-	if procs != 2 || slices != 4 || flowS != 1 || flowF != 1 {
-		t.Errorf("processes=%d slices=%d flows s/f=%d/%d, want 2, 4, 1/1", procs, slices, flowS, flowF)
+	if procs != 2 || wireSlices != 4 || flowS != 1 || flowF != 1 {
+		t.Errorf("processes=%d wire slices=%d flows s/f=%d/%d, want 2, 4, 1/1", procs, wireSlices, flowS, flowF)
 	}
-	for _, want := range []string{`"bp":"e"`, `"dropped_at":310`, `"name":"node n1"`, `"e2e":190`} {
+	for _, want := range []string{`"bp":"e"`, `"dropped":true`, `"name":"node n1"`, `"e2e":190`,
+		`"name":"nic_descriptor @0x0"`, `"link":1`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("perfetto export misses %s", want)
 		}
 	}
 }
 
-// TestJourneysListsSpans: a cluster recording's spans print as a table,
-// slowest completed first and most recent last, with each hop as the
-// cycles since the previous stamp; summary counts them.
+// TestJourneysListsSpans: a cluster recording's journeys print one
+// table per kind, slowest completed first and most recent last, with
+// each hop as the cycles since the previous stamp, a wire journey's
+// route, its link to the sender's descriptor journey and its drop;
+// summary counts them.
 func TestJourneysListsSpans(t *testing.T) {
-	path := writeSpanRecording(t)
+	path := writeWireRecording(t)
 	var rows []string
 	for _, line := range strings.Split(run(t, cmdJourneys, "-recent", "2", path), "\n") {
 		rows = append(rows, strings.Join(strings.Fields(line), " "))
 	}
 	want := []string{
-		"slowest 1 spans:",
-		"id from to size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
-		"1 n0 n1 64 10 +2 +8 +120 +1 +59 190",
-		"most recent 2 spans:",
-		"id from to size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
-		"2 n1 n0 8 300 +2 +8 - - - - dropped@310",
-		"3 n0 n1 16 500 +1 +9 - - - - in-flight",
+		"slowest 1 nic_descriptor journeys:",
+		"node id addr size start tx_start tx_done e2e flags",
+		"n0 1 0x0 64 10 +2 +7 9",
+		"slowest 1 wire journeys:",
+		"node id size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
+		"n0->n1 1 64 10 +2 +8 +120 +1 +59 190 link=1",
+		"most recent 1 nic_descriptor journeys:",
+		"node id addr size start tx_start tx_done e2e flags",
+		"n0 1 0x0 64 10 +2 +7 9",
+		"most recent 2 wire journeys:",
+		"node id size start tx_start wire_depart wire_arrive rx_enqueue rx_drain e2e flags",
+		"n1->n0 2 8 300 +2 +8 - - - - dropped@310",
+		"n0->n1 3 16 500 +1 +9 - - - - in-flight,link=8",
 		"",
 	}
 	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
 		t.Errorf("journeys:\n got %q\nwant %q", rows, want)
 	}
-	if got := run(t, cmdSummary, path); !strings.Contains(got, "spans:     3 (1 completed, 1 dropped)") {
-		t.Errorf("summary misses the span count:\n%s", got)
+	if got := run(t, cmdSummary, path); !strings.Contains(got, "journeys:  4 recent (2 completed, 1 aborted)") {
+		t.Errorf("summary misses the journey count:\n%s", got)
+	}
+	if got := strings.Join(strings.Fields(run(t, cmdJourneys, "-kind", "wire", "-top", "0", "-recent", "1", path)), " "); !strings.Contains(got, "n0->n1 3 16") ||
+		strings.Contains(got, "nic_descriptor") {
+		t.Errorf("journeys -kind wire:\n%s", got)
+	}
+	// A negative count shows nothing, as -recent 0 and -top 0 do.
+	if got := run(t, cmdJourneys, "-top", "-1", "-recent", "-1", path); got != "" {
+		t.Errorf("journeys -top -1 -recent -1 printed:\n%s", got)
 	}
 }
 

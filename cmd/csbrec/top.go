@@ -171,17 +171,17 @@ func render(out io.Writer, rc *rec.Recording, wi int, slo *rec.SLO) {
 		fmt.Fprintf(out, "%-10s %12d %8d %12d %8d\n", node, w.CtrEnd[sent], w.CtrDelta[sent], pending, hw)
 	}
 
-	// Wire-latency quantiles from whichever node carries the ctrace
-	// histograms (the "cluster" node in cluster runs).
+	// Wire-latency quantiles from whichever source carries the wire
+	// journeys' histograms (the "cluster" source in cluster runs).
 	for _, node := range rc.Sources {
-		e2e := hist(node + "/ctrace/e2e")
+		e2e := hist(node + "/journey/e2e/wire")
 		if e2e == nil {
 			continue
 		}
 		// n counts the packets completed over the run, Δ this window's.
 		fmt.Fprintf(out, "\ne2e latency: p50=%d p99=%d max=%d cycles  (n=%d, Δ%d)\n",
-			e2e.P50, e2e.P99, e2e.Max, ctr(node+"/ctrace/packets_completed"), e2e.N)
-		hopPrefix := node + "/ctrace/hop/"
+			e2e.P50, e2e.P99, e2e.Max, ctr(node+"/journey/wire/completed"), e2e.N)
+		hopPrefix := node + "/journey/wire/"
 		var hops []string
 		for i, name := range rc.HistNames { // sorted, so hops render in name order
 			if hop, ok := strings.CutPrefix(name, hopPrefix); ok {

@@ -14,6 +14,7 @@ import (
 	"csbsim/internal/cluster"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -221,7 +222,7 @@ func TestE2EPanelCountsRunAndWindow(t *testing.T) {
 			t.Errorf("window %d: n=%d, but its Δs sum to %d", windows, n, sum)
 		}
 	}
-	if windows < 3 || n != tr.Completed() || n == 0 {
-		t.Errorf("%d e2e panels ending at n=%d, want several ending at the %d packets completed", windows, n, tr.Completed())
+	if _, completed, _ := tr.Counts(journey.KindWire); windows < 3 || n != completed || n == 0 {
+		t.Errorf("%d e2e panels ending at n=%d, want several ending at the %d packets completed", windows, n, completed)
 	}
 }

@@ -166,7 +166,7 @@ func main() {
 		if err := r.AddSource("machine", m.AttachCounters()); err != nil {
 			fatal(err)
 		}
-		if err := r.AddJourneys(m.Journeys()); err != nil {
+		if err := r.AddJourneys("machine", m.Journeys()); err != nil {
 			fatal(err)
 		}
 		if *sloSpec != "" {

@@ -16,11 +16,14 @@
 // annotated worker function must not
 //
 //   - call a //csb:barrier function (routing, trace drains, recorder
-//     rolls, future Snapshot/Restore), and
+//     rolls, future Snapshot/Restore) or a pinned barrier-only method of
+//     another package (the cluster's wire-journey stamps among them),
+//     and
 //   - mention a value of a cross-node shared type: cluster.Cluster,
-//     ctrace.Tracer, counters.Registry, rec.Recorder. Per-node
-//     state (sim.Machine, device.NIC, cluster.Node) is the sanctioned
-//     set and stays unrestricted.
+//     journey.WireTracer (the cluster's tracer, reads included),
+//     counters.Registry, rec.Recorder. Per-node state (sim.Machine,
+//     device.NIC, cluster.Node, a machine's journey.Tracer) is the
+//     sanctioned set and stays unrestricted.
 //
 // A statement-level //csb:worker-ok <reason> pragma sanctions a reviewed
 // shared-state touch (for example, a read of a per-node registry that
@@ -46,27 +49,29 @@ var Analyzer = &analysis.Analyzer{
 // (sim.Machine, device.NIC, cluster.Node) is deliberately absent: a
 // worker owns its node outright during a window.
 var sharedTypes = map[string]string{
-	"csbsim/internal/cluster.Cluster":       "cross-node cluster state (other nodes' machines, links, inboxes)",
-	"csbsim/internal/cluster/ctrace.Tracer": "the shared wire tracer",
-	"csbsim/internal/obs/counters.Registry": "a counter registry read at barriers",
-	"csbsim/internal/obs/rec.Recorder":      "the flight recorder (reads every node's registries)",
+	"csbsim/internal/cluster.Cluster":        "cross-node cluster state (other nodes' machines, links, inboxes)",
+	"csbsim/internal/obs/journey.WireTracer": "the cluster's wire-journey tracer",
+	"csbsim/internal/obs/counters.Registry":  "a counter registry read at barriers",
+	"csbsim/internal/obs/rec.Recorder":       "the flight recorder (reads every node's registries)",
 }
 
 // barrierAPIs lists barrier-only entry points on otherwise-sanctioned
 // types, keyed "pkgpath.Type.Method". The intra-package call graph
 // cannot see another package's //csb:barrier annotations, so the
 // cross-package contract is pinned here — keep in sync with the pragmas
-// at the declarations.
+// at the declarations. The wire stamps are also caught as touches of a
+// shared journey.WireTracer; pinning them names the barrier rule.
 var barrierAPIs = map[string]bool{
-	"csbsim/internal/sim.Machine.FlushObs":                 true,
-	"csbsim/internal/cluster/ctrace.Tracer.PacketDeparted": true,
-	"csbsim/internal/cluster/ctrace.Tracer.PacketArrived":  true,
-	"csbsim/internal/cluster/ctrace.Tracer.PacketEnqueued": true,
-	"csbsim/internal/cluster/ctrace.Tracer.PacketDrained":  true,
-	"csbsim/internal/obs/rec.Recorder.Start":               true,
-	"csbsim/internal/obs/rec.Recorder.Roll":                true,
-	"csbsim/internal/obs/rec.Recorder.Flush":               true,
-	"csbsim/internal/obs/rec.Recorder.Event":               true,
+	"csbsim/internal/sim.Machine.FlushObs":                true,
+	"csbsim/internal/obs/journey.WireTracer.WireDeparted": true,
+	"csbsim/internal/obs/journey.WireTracer.WireDropped":  true,
+	"csbsim/internal/obs/journey.WireTracer.WireArrived":  true,
+	"csbsim/internal/obs/journey.WireTracer.WireEnqueued": true,
+	"csbsim/internal/obs/journey.WireTracer.WireDrained":  true,
+	"csbsim/internal/obs/rec.Recorder.Start":              true,
+	"csbsim/internal/obs/rec.Recorder.Roll":               true,
+	"csbsim/internal/obs/rec.Recorder.Flush":              true,
+	"csbsim/internal/obs/rec.Recorder.Event":              true,
 }
 
 type color uint8
@@ -155,7 +160,7 @@ func (c *checker) annotated(n *analysis.FuncNode, name string) bool {
 // checkShared reports mentions of cross-node shared types inside a
 // worker-colored body. Nested literals are skipped — they are their own
 // call-graph nodes. One report per source line keeps a chained expression
-// like c.tracer.PacketDrained(...) from firing at every level.
+// like c.tracer.WireDrained(...) from firing at every level.
 func (c *checker) checkShared(n *analysis.FuncNode) {
 	body := n.Body()
 	if body == nil {

@@ -7,15 +7,16 @@ package fix
 
 import (
 	"csbsim/internal/cluster"
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/sim"
 )
 
 // node models per-node state; declaring shared-typed fields is fine —
 // only worker-phase uses are checked.
 type node struct {
-	tr  *ctrace.Tracer
+	tr  *journey.WireTracer
+	mt  *journey.Tracer
 	cnt uint64
 }
 
@@ -37,9 +38,12 @@ func workerRoot(n *node, other *cluster.Cluster, words []uint64) {
 }
 
 // step has no annotation of its own: it inherits worker color from
-// workerRoot over the call graph, so its tracer touch is reported.
+// workerRoot over the call graph, so its wire stamp and its read of the
+// cluster's tracer are reported; a machine's tracer is per-node state.
 func step(n *node) {
-	_ = n.tr.Completed() // want `worker-phase step \(worker via //csb:worker on workerRoot\) touches ctrace.Tracer`
+	n.tr.WireArrived(1, 2) // want `barrier-only journey.WireTracer.WireArrived is called from worker-phase step \(worker via //csb:worker on workerRoot\)`
+	_ = n.tr.Retained()    // want `worker-phase step .* touches journey.WireTracer`
+	_ = n.mt.Retained()
 }
 
 // spawn colors only the goroutine literal, via a line pragma.
@@ -65,7 +69,7 @@ func sanctioned(reg *counters.Registry) {
 func makesBarrierClosure(n *node) func() {
 	//csb:barrier replayed single-threaded at the next barrier
 	return func() {
-		n.tr.PacketDrained(1, 2)
+		n.tr.WireDrained(1, 2)
 	}
 }
 

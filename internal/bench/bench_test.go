@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,29 +216,38 @@ func TestLockVsCSBSlopes(t *testing.T) {
 	}
 }
 
-// Fig 5(b): a lock miss adds roughly the 100-cycle miss latency to every
-// transfer size, while the CSB (no lock at all) is unaffected.
+// Fig 5(b) against 5(a): a lock miss adds the miss latency to every
+// lock row, exactly 102 cycles at every transfer size except combine-64
+// from 48 B up, where it adds 96, while the CSB (no lock at all) is
+// unaffected.
 func TestLockMissPenalty(t *testing.T) {
-	p := DefaultParams()
-	p.Scheme = 0
-	hit, err := MeasureLockLatency(p, 4, true)
+	hit, err := Figure5(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := MeasureLockLatency(p, 4, false)
+	miss, err := Figure5(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	penalty := miss - hit
-	if penalty < 60 || penalty > 160 {
-		t.Errorf("lock miss penalty = %.0f cycles, want ≈100", penalty)
+	want := map[string][]float64{
+		"lock+no-combine": {102, 102, 102, 102, 102, 102, 102},
+		"lock+combine-16": {102, 102, 102, 102, 102, 102, 102},
+		"lock+combine-32": {102, 102, 102, 102, 102, 102, 102},
+		"lock+combine-64": {102, 102, 102, 102, 96, 96, 96},
+		"CSB":             {0, 0, 0, 0, 0, 0, 0},
 	}
-	pC := DefaultParams()
-	pC.Scheme = SchemeCSB
-	csbHit, _ := MeasureLockLatency(pC, 4, true)
-	csbMiss, _ := MeasureLockLatency(pC, 4, false)
-	if csbHit != csbMiss {
-		t.Errorf("CSB affected by lock residence: %.0f vs %.0f", csbHit, csbMiss)
+	if len(hit.Series) != len(want) || len(miss.Series) != len(want) {
+		t.Fatalf("%d and %d series, want %d", len(hit.Series), len(miss.Series), len(want))
+	}
+	for si, h := range hit.Series {
+		m := miss.Series[si]
+		var got []float64
+		for xi := range h.Y {
+			got = append(got, m.Y[xi]-h.Y[xi])
+		}
+		if h.Name != m.Name || !slices.Equal(got, want[h.Name]) {
+			t.Errorf("%s: 5b-5a penalty %v (5b row %s), want %v", h.Name, got, m.Name, want[h.Name])
+		}
 	}
 }
 

@@ -186,7 +186,7 @@ func observedPingPong(b *testing.B, mode string) *cluster.Cluster {
 		}
 		var slo *rec.SLO
 		if err == nil {
-			slo, err = rec.ParseSLO("cluster/nodes_down == 0; p99(*/ctrace/e2e) <= 1000000")
+			slo, err = rec.ParseSLO("cluster/nodes_down == 0; p99(*/journey/e2e/wire) <= 1000000")
 		}
 		if err == nil {
 			err = r.SetSLO(slo)

@@ -19,12 +19,13 @@
 // cycles to its next event. Run advances until every node halts and the
 // fabric drains, RunFor for a fixed horizon.
 //
-// Observability: AttachTrace extends the PR 5 per-node journey tracer
-// across the wire — every pumped packet carries a trace ID (a flight-keyed
-// side channel, never guest-visible) and the cluster stamps
-// wire_depart/wire_arrive/rx_enqueue/rx_drain hops in each node's own
-// cycle domain, merged by internal/cluster/ctrace into end-to-end
-// send→receive journeys. AttachCounters registers the cluster-level wire
+// Observability: AttachTrace extends the per-node journey tracers across
+// the wire — every pumped packet opens a wire journey in the cluster's
+// own tracer (its ID rides the flight as a side channel, never
+// guest-visible), which continues the sender's descriptor journey and
+// stamps wire_depart/wire_arrive/rx_enqueue/rx_drain on the one cluster
+// clock, so each packet's hops telescope to its send→receive latency.
+// AttachCounters registers the cluster-level wire
 // counters in every node's registry (so they surface in reports and
 // watchdog dumps), and AttachRecorder rolls every registry into a flight
 // recording on a sim-cycle cadence — the stream the csbrec top
@@ -38,7 +39,6 @@ import (
 	"fmt"
 	"slices"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/device"
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
@@ -159,7 +159,7 @@ type flight struct {
 	words   []uint64
 	due     uint64 // cluster cycle the wire latency elapses (wire_arrive)
 	dueEnq  uint64 // cluster cycle the words enter the RX queue (rx_enqueue)
-	traceID uint64 // ctrace span, 0 when untraced
+	traceID uint64 // wire journey ID, 0 when untraced
 	seq     uint64 // global routing sequence — total delivery order tiebreak
 }
 
@@ -222,8 +222,8 @@ type Cluster struct {
 	degradedDrops uint64   // packets dropped because their destination is down
 
 	// Optional observability state; nil/zero when unattached.
-	tracer     *ctrace.Tracer
-	reg        *counters.Registry // cluster-level registry (ctrace hists, wire counters)
+	tracer     *journey.WireTracer // the wire journeys
+	reg        *counters.Registry  // cluster-level registry (wire journey series, wire counters)
 	countersOn bool
 	rec        *rec.Recorder
 	recEvery   uint64
@@ -414,26 +414,20 @@ func (c *Cluster) WireFaults() *fault.Injector { return c.wfaults }
 // AttachCounters or AttachTrace).
 func (c *Cluster) Registry() *counters.Registry { return c.reg }
 
-// AttachTrace enables cross-node distributed tracing: per-node journey
-// tracers on every machine, the wire-span tracer whose histograms land
-// in the cluster registry, and the NIC RX drain hooks. An attached
-// recorder, whether attached before or after, writes the tracer's spans
-// into the recording.
-// The nodes' clock domains need no alignment: the lookahead barrier
-// keeps all node clocks within one window of the cluster cycle, and all
-// stamps are taken in cluster cycles, so the domains coincide exactly.
-// Attach before running.
-func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
+// AttachTrace enables cross-node tracing: a journey tracer on every
+// machine, the cluster's wire-journey tracer whose series land in the
+// cluster registry, and the NIC RX drain hooks. An attached recorder,
+// whether attached before or after, writes every tracer's journeys into
+// the recording. The nodes' clock domains need no alignment: the
+// lookahead barrier keeps all node clocks within one window of the
+// cluster cycle, and all stamps are taken in cluster cycles, so the
+// domains coincide exactly. Attach before running.
+func (c *Cluster) AttachTrace() (*journey.WireTracer, error) {
 	if c.tracer != nil {
 		return c.tracer, nil
 	}
 	c.AttachCounters()
-	tr := ctrace.New(c.reg)
-	if c.rec != nil {
-		if err := c.rec.AddSpans(tr); err != nil {
-			return nil, err
-		}
-	}
+	c.tracer = journey.NewWireTracer(c.reg)
 	for _, n := range c.nodes {
 		if _, err := n.M.AttachJourneys(); err != nil {
 			return nil, err
@@ -447,21 +441,36 @@ func (c *Cluster) AttachTrace() (*ctrace.Tracer, error) {
 			node.logEvent(evDrain, id, node.M.Cycle())
 		})
 	}
-	c.tracer = tr
-	return tr, nil
+	if c.rec != nil {
+		if err := c.addJourneys(c.rec); err != nil {
+			return nil, err
+		}
+	}
+	return c.tracer, nil
 }
 
-// Trace returns the attached wire tracer, or nil.
-func (c *Cluster) Trace() *ctrace.Tracer { return c.tracer }
+// Trace returns the attached wire-journey tracer, or nil.
+func (c *Cluster) Trace() *journey.WireTracer { return c.tracer }
+
+// addJourneys hands the recorder every node's journey tracer and the
+// cluster's, in topology order.
+func (c *Cluster) addJourneys(r *rec.Recorder) error {
+	for _, n := range c.nodes {
+		if err := r.AddJourneys(n.name, n.M.Journeys()); err != nil {
+			return err
+		}
+	}
+	return r.AddJourneys("cluster", c.tracer.Tracer)
+}
 
 // AttachRecorder attaches a flight recorder: every node's registry plus
-// the cluster registry become recorder sources, the wire tracer's spans
-// (attached before or after) go into the recording at its close, and
-// the cluster rolls a window every recorder-cadence cycles at the
-// single-threaded barrier (so recordings of parallel runs are
-// byte-identical to sequential ones). Cluster events — watchdog fires,
-// node-down transitions, wire outage windows — land in the recording's
-// event log.
+// the cluster registry become recorder sources, every journey tracer
+// (attached before or after) writes its journeys into the recording at
+// its close, and the cluster rolls a window every recorder-cadence
+// cycles at the single-threaded barrier (so recordings of parallel runs
+// are byte-identical to sequential ones). Cluster events — watchdog
+// fires, node-down transitions, wire outage windows — land in the
+// recording's event log.
 // Attach before running, after any loadgen/workload registration that
 // creates counters.
 func (c *Cluster) AttachRecorder(r *rec.Recorder) error {
@@ -477,8 +486,10 @@ func (c *Cluster) AttachRecorder(r *rec.Recorder) error {
 	if err := r.AddSource("cluster", c.reg); err != nil {
 		return err
 	}
-	if err := r.AddSpans(c.tracer); err != nil {
-		return err
+	if c.tracer != nil {
+		if err := c.addJourneys(r); err != nil {
+			return err
+		}
 	}
 	c.rec = r
 	c.recEvery = r.Every()
@@ -626,10 +637,10 @@ func (n *Node) applyDue(cycle uint64) {
 // ---- barrier mechanics (single-threaded) ----
 
 // drainTraceLogs replays every node's deferred tracer mutations into the
-// shared tracer, in node-index order. Arrive/enqueue/drain recordings
-// commute across packets (independent span stamps, order-free histogram
-// and counter updates), so replay order between nodes cannot affect the
-// final trace state — within a node the log is chronological.
+// cluster's wire tracer, in node-index order. Arrive/enqueue/drain
+// stamps commute across packets (independent journey stamps, order-free
+// histogram and counter updates), so replay order between nodes cannot
+// affect the final trace state — within a node the log is chronological.
 //
 //csb:barrier replays deferred tracer mutations into the shared tracer
 func (c *Cluster) drainTraceLogs() {
@@ -641,11 +652,11 @@ func (c *Cluster) drainTraceLogs() {
 			ev := &n.tlog[i]
 			switch ev.kind {
 			case evArrive:
-				c.tracer.PacketArrived(ev.id, ev.cycle)
+				c.tracer.WireArrived(ev.id, ev.cycle)
 			case evEnqueue:
-				c.tracer.PacketEnqueued(ev.id, ev.cycle)
+				c.tracer.WireEnqueued(ev.id, ev.cycle)
 			case evDrain:
-				c.tracer.PacketDrained(ev.id, ev.cycle)
+				c.tracer.WireDrained(ev.id, ev.cycle)
 			}
 		}
 		n.tlog = n.tlog[:0]
@@ -717,7 +728,7 @@ func (c *Cluster) routeOne(from int, d *departure) {
 		// Destination removed from service by the watchdog: degraded-mode
 		// drop, surfaced separately from fault/queue drops.
 		c.degradedDrops++
-		c.dropSpan(from, dest, d)
+		c.dropWire(from, dest, d)
 		return
 	}
 	lk := c.links[from][dest]
@@ -730,12 +741,12 @@ func (c *Cluster) routeOne(from int, d *departure) {
 		}
 		if d.cycle < lk.outageUntil {
 			c.outageDrops++
-			c.dropSpan(from, dest, d)
+			c.dropWire(from, dest, d)
 			return
 		}
 		if inj.DropPacket() {
 			c.faultDrops++
-			c.dropSpan(from, dest, d)
+			c.dropWire(from, dest, d)
 			return
 		}
 	}
@@ -764,14 +775,14 @@ func (c *Cluster) routeOne(from int, d *departure) {
 	due := lk.schedule(d.cycle, len(d.words), extra)
 	f := c.newFlight(d.words, due)
 	if c.tracer != nil {
-		f.traceID = c.openSpan(from, dest, d)
+		f.traceID = c.openWire(from, dest, d)
 	}
 	c.nodes[dest].inbox = append(c.nodes[dest].inbox, f)
 	if dup {
 		// The duplicate rides one wire latency behind the original,
 		// re-serializing through the link front; it is subject to the
-		// same queue bound, and is never traced (the span belongs to the
-		// original delivery).
+		// same queue bound, and is never traced (the wire journey belongs
+		// to the original delivery).
 		c.faultDups++
 		if lk.Depth > 0 && len(lk.pending) >= lk.Depth {
 			c.linkDrops++
@@ -789,27 +800,26 @@ func (c *Cluster) newFlight(words []uint64, due uint64) flight {
 	return flight{words: words, due: due, dueEnq: due + c.cfg.RxEnqueueDelay, seq: c.seq}
 }
 
-// dropSpan closes the trace span of a packet the fabric discarded
-// (outage, injected drop, or degraded destination) so partial dumps show
-// the loss instead of leaking an open span.
+// dropWire records a packet the fabric discarded (outage, injected
+// drop, or degraded destination) as an aborted wire journey, so the
+// recording shows the loss instead of leaking an open journey.
 //
 //csb:barrier stamps the shared wire tracer
-func (c *Cluster) dropSpan(from, dest int, d *departure) {
+func (c *Cluster) dropWire(from, dest int, d *departure) {
 	if c.tracer == nil {
 		return
 	}
-	id := c.openSpan(from, dest, d)
-	c.tracer.PacketDropped(id, d.cycle)
+	c.tracer.WireDropped(c.openWire(from, dest, d))
 }
 
-// openSpan starts a wire-trace span for a freshly routed packet, grafting
-// the sender-side NIC stamps from the sender's journey tracer (the packet
-// carries its descriptor journey ID). When the journey has been evicted —
-// or the sender is untraced — the NIC's bus-cycle stamps are scaled to
-// the CPU-cycle domain as a fallback.
+// openWire opens a routed packet's wire journey, linked to the sender's
+// descriptor journey (the packet carries its ID) and starting from that
+// journey's stamps. When the journey has been evicted — or the sender is
+// untraced — the NIC's bus-cycle stamps are scaled to the CPU-cycle
+// domain as a fallback.
 //
 //csb:barrier reads the sender's journey tracer and stamps the shared wire tracer
-func (c *Cluster) openSpan(from, dest int, d *departure) uint64 {
+func (c *Cluster) openWire(from, dest int, d *departure) uint64 {
 	var fifoPush, txStart uint64
 	if jt := c.nodes[from].M.Journeys(); jt != nil && d.jid != 0 {
 		if j, ok := jt.Lookup(journey.KindNICDesc, d.jid); ok {
@@ -823,7 +833,7 @@ func (c *Cluster) openSpan(from, dest int, d *departure) uint64 {
 	if txStart == 0 {
 		txStart = fifoPush
 	}
-	return c.tracer.PacketDeparted(c.nodes[from].name, c.nodes[dest].name, d.size,
+	return c.tracer.WireDeparted(c.nodes[from].name, c.nodes[dest].name, d.size,
 		d.jid, fifoPush, txStart, d.cycle)
 }
 

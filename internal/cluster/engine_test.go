@@ -55,12 +55,12 @@ func churnRing(t *testing.T, n, tail int) *Cluster {
 }
 
 // engineOutput renders everything a run must reproduce byte for byte:
-// the cycle, HaltCycle, the wire spans, every node's Stats JSON
+// the cycle, HaltCycle, every tracer's journeys, every node's Stats JSON
 // and the cluster registry snapshot.
 func engineOutput(t *testing.T, c *Cluster) string {
 	t.Helper()
 	s := snapshotOf(t, c)
-	return fmt.Sprintf("cycle %d halt %d\nspans %s\nstats %s\nregistry %s\n", s.cycle, c.HaltCycle(), s.spans, s.stats, s.reg)
+	return fmt.Sprintf("cycle %d halt %d\njourneys %s\nstats %s\nregistry %s\n", s.cycle, c.HaltCycle(), s.journeys, s.stats, s.reg)
 }
 
 // TestParallelEngineIdentity runs rings of 1, 2, 3, 5 and 8 nodes under

@@ -67,11 +67,11 @@ func hookSender(c *Cluster, i int, period, until, drainUntil uint64) {
 // faultSnapshot is everything the faulted determinism guard compares
 // byte-wise, plus the injector's own accounting.
 type faultSnapshot struct {
-	cycle  uint64
-	spans  []byte // the wire tracer's retained spans, JSON
-	stats  []byte // per-node machine stats, JSON
-	reg    []byte // cluster registry snapshot, JSON
-	fstats fault.Stats
+	cycle    uint64
+	journeys []byte // every tracer's retained journeys, JSON
+	stats    []byte // per-node machine stats, JSON
+	reg      []byte // cluster registry snapshot, JSON
+	fstats   fault.Stats
 }
 
 // runFaultedRing builds a 4-node traced ring whose traffic comes from
@@ -111,7 +111,8 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 	var snap faultSnapshot
 	snap.cycle = c.Cycle()
 	snap.fstats = c.WireFaults().Stats()
-	if snap.spans, err = json.Marshal(c.Trace().Retained()); err != nil {
+	checkTracers(t, c)
+	if snap.journeys, err = journeysJSON(c); err != nil {
 		t.Fatal(err)
 	}
 	var stats []sim.Stats
@@ -129,7 +130,7 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 
 // TestParallelMatchesSequentialWithWireFaults is the PR's acceptance
 // check: with every wire fault class firing, the parallel
-// engine must still produce byte-identical wire spans, machine stats
+// engine must still produce byte-identical journeys, machine stats
 // and counter snapshots to the inline sequential reference — the fault
 // draws happen at the routing barrier in the global routing order, so
 // the schedule is a pure function of (seed, traffic), not the engine.
@@ -150,10 +151,10 @@ func TestParallelMatchesSequentialWithWireFaults(t *testing.T) {
 			t.Errorf("%s differ:\n%s\n---- vs ----\n%s", what, a, b)
 		}
 	}
-	check("wire spans (seq vs par)", seq.spans, par.spans)
+	check("journeys (seq vs par)", seq.journeys, par.journeys)
 	check("machine stats (seq vs par)", seq.stats, par.stats)
 	check("registry snapshots (seq vs par)", seq.reg, par.reg)
-	check("wire spans (par vs par)", par.spans, par2.spans)
+	check("journeys (par vs par)", par.journeys, par2.journeys)
 	check("machine stats (par vs par)", par.stats, par2.stats)
 	check("registry snapshots (par vs par)", par.reg, par2.reg)
 
@@ -166,7 +167,7 @@ func TestParallelMatchesSequentialWithWireFaults(t *testing.T) {
 
 // TestWireFaultCounters cross-checks the cluster's fault accounting
 // against the injector's own, the per-link drop breakdown against the
-// aggregate, and the tracer's dropped-span count against the drops the
+// aggregate, and the tracer's aborted wire journeys against the drops the
 // fabric actually discarded.
 func TestWireFaultCounters(t *testing.T) {
 	snap := runFaultedRing(t, func(c *Cluster) error { return c.RunFor(60_000, true) })
@@ -195,13 +196,13 @@ func TestWireFaultCounters(t *testing.T) {
 	if agg := reg.Counters["cluster/link_drops"]; linkSum != agg {
 		t.Errorf("per-link drops sum to %d, aggregate says %d", linkSum, agg)
 	}
-	dropped := reg.Counters["ctrace/packets_dropped"]
+	dropped := reg.Counters["journey/wire/aborted"]
 	wantDropped := reg.Counters["cluster/fault_drops"] + reg.Counters["cluster/outage_drops"]
 	if dropped != wantDropped {
 		t.Errorf("tracer dropped=%d, fabric discarded %d", dropped, wantDropped)
 	}
 	if dropped == 0 {
-		t.Error("no dropped spans recorded under the fault mix")
+		t.Error("no dropped wire journeys recorded under the fault mix")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"csbsim/internal/cluster"
 	"csbsim/internal/cluster/loadgen"
 	"csbsim/internal/fault"
+	"csbsim/internal/obs/journey"
 )
 
 // The wire fault campaign's serving run: a 4-node fabric slow enough for
@@ -62,7 +63,9 @@ func campaignRun(t *testing.T, topo cluster.Topology, seed uint64, fcfg *fault.C
 //     issued request completes, and goodput is at least 90% of the
 //     fault-free run's;
 //   - without retries, none fires, and issued = completed + lost + the
-//     outstanding gauges.
+//     outstanding gauges;
+//   - in every run, every node's journeys and the wire journeys hold
+//     their invariants (checkJourneys).
 func TestWireFaultCampaign(t *testing.T) {
 	specs := []string{"wire", "wiredrop=16,wiredup=8,wiredelay=32,wiredelaymax=400"}
 	seeds := uint64(3)
@@ -76,6 +79,7 @@ func TestWireFaultCampaign(t *testing.T) {
 				if bst.Lost != 0 || bst.Completed != bst.Issued {
 					t.Fatalf("fault-free run unhealthy: %+v\n%s", bst, base.DiagnosticDump())
 				}
+				checkJourneys(t, "fault-free", base)
 				for _, spec := range specs {
 					fcfg, err := fault.ParseSpec(spec)
 					if err != nil {
@@ -101,6 +105,8 @@ func campaignScenario(t *testing.T, topo cluster.Topology, seed uint64, spec str
 
 	seq, _ := campaignRun(t, topo, seed, &fcfg, true, false)
 	c, st := campaignRun(t, topo, seed, &fcfg, true, true)
+	checkJourneys(t, spec+", sequential", seq)
+	checkJourneys(t, spec, c)
 	if a, b := fingerprint(t, seq), fingerprint(t, c); a != b {
 		fail(c, "the parallel engine diverged from the sequential one:\n%s\nvs\n%s", b, a)
 	}
@@ -115,6 +121,10 @@ func campaignScenario(t *testing.T, topo cluster.Topology, seed uint64, spec str
 	}
 
 	nr, nst := campaignRun(t, topo, seed, &fcfg, false, true)
+	checkJourneys(t, spec+", no retries", nr)
+	if _, _, aborted := c.Trace().Counts(journey.KindWire); aborted == 0 {
+		fail(c, "no wire journey aborted: the dropped-packet invariants went unchecked")
+	}
 	if nst.Retries != 0 {
 		fail(nr, "%d retries fired with no budget", nst.Retries)
 	}
@@ -132,9 +142,32 @@ func campaignScenario(t *testing.T, topo cluster.Topology, seed uint64, spec str
 		spec, st.Issued, st.Retries, st.Goodput, baseGoodput, nst.Lost, c.WireFaults().Stats().WireTotal())
 }
 
+// checkJourneys requires every node's journey tracer and the cluster's
+// wire tracer to hold their invariants (journey.Tracer.Check): each
+// completed journey's hops telescope to its e2e, a dropped wire journey
+// has no receiver stamp, and started = completed + aborted + still
+// open; and the aborted wire journeys are exactly the packets the
+// fabric dropped.
+func checkJourneys(t *testing.T, run string, c *cluster.Cluster) {
+	t.Helper()
+	for _, n := range c.Nodes() {
+		if err := n.M.Journeys().Check(); err != nil {
+			t.Errorf("%s: %s: %v", run, n.Name(), err)
+		}
+	}
+	if err := c.Trace().Check(); err != nil {
+		t.Errorf("%s: cluster: %v", run, err)
+	}
+	ctr := c.Registry().Snapshot().Counters
+	drops := ctr["cluster/fault_drops"] + ctr["cluster/outage_drops"] + ctr["cluster/degraded_drops"]
+	if _, _, aborted := c.Trace().Counts(journey.KindWire); aborted != drops {
+		t.Errorf("%s: %d aborted wire journeys, but the fabric dropped %d packets", run, aborted, drops)
+	}
+}
+
 // fingerprint renders what two engines must agree on: the generators,
-// every node's statistics, the cluster registry and cycle, and the wire
-// injector's own counts.
+// every node's statistics, the cluster registry and cycle, every node's
+// journeys and the wire journeys, and the wire injector's own counts.
 func fingerprint(t *testing.T, c *cluster.Cluster) string {
 	return fmt.Sprintf("%s\nfaults %+v\n", loadgen.Render(t, c, nil), c.WireFaults().Stats())
 }

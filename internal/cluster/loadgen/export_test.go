@@ -12,10 +12,10 @@ import (
 // TestServeJumpIdentity holds the wakes to.
 func (g *Generator) stepEveryCycle(c *cluster.Cluster) { c.SetNodeWake(g.self, nil) }
 
-// BuildServe builds a starScenario with the clients' wakes on, for the
-// package's external tests.
+// BuildServe builds a starScenario with the clients' wakes on and the
+// cross-node trace attached, for the package's external tests.
 func BuildServe(t *testing.T, gen Config, edit func(*cluster.Config), faults *fault.Config) (*cluster.Cluster, []*Generator) {
-	return starScenario{gen: gen, edit: edit, faults: faults}.build(t, true)
+	return starScenario{gen: gen, edit: edit, faults: faults, trace: true}.build(t, true)
 }
 
 // Render is render, for the package's external tests.

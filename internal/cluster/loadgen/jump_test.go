@@ -100,7 +100,8 @@ func (sc starScenario) build(t *testing.T, wakes bool) (*cluster.Cluster, []*Gen
 // Stats and both latency histograms, every node's Stats JSON with its
 // registry snapshot (less sim/effort/steps, the one count a jump
 // changes), the cluster registry (the wire tracer's histograms and run
-// counters among it), the halt cycle and the wire spans.
+// counters among it), the halt cycle and, when traced, the wire
+// journeys and every node's journeys.
 func render(t *testing.T, c *cluster.Cluster, gens []*Generator) string {
 	t.Helper()
 	var b strings.Builder
@@ -117,7 +118,10 @@ func render(t *testing.T, c *cluster.Cluster, gens []*Generator) string {
 	}
 	fmt.Fprintf(&b, "cluster %s\nhalt %d cycle %d\n", mustJSON(t, c.Registry().Snapshot()), c.HaltCycle(), c.Cycle())
 	if tr := c.Trace(); tr != nil {
-		fmt.Fprintf(&b, "spans %s\n", mustJSON(t, tr.Retained()))
+		fmt.Fprintf(&b, "wire journeys %s\n", mustJSON(t, tr.Retained()))
+		for _, n := range c.Nodes() {
+			fmt.Fprintf(&b, "%s journeys %s\n", n.Name(), mustJSON(t, n.M.Journeys().Retained()))
+		}
 	}
 	return b.String()
 }

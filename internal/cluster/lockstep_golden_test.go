@@ -2,17 +2,19 @@ package cluster_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"csbsim/internal/bench"
 	"csbsim/internal/cluster"
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -103,16 +105,48 @@ type lockstepDump struct {
 	Dropped      uint64                      `json:"dropped"`
 	StaleDrops   uint64                      `json:"stale_drops"`
 	Histograms   map[string]counters.Summary `json:"histograms"`
-	Spans        []ctrace.MergedSpan         `json:"spans"`
+	Spans        []lockstepSpan              `json:"spans"`
+}
+
+// lockstepSpan is one packet's crossing in the dump's layout.
+type lockstepSpan struct {
+	TraceID    uint64 `json:"trace_id"`
+	From       string `json:"from"`
+	To         string `json:"to"`
+	JID        uint64 `json:"jid,omitempty"`
+	Size       uint32 `json:"size"`
+	Done       bool   `json:"done"`
+	FIFOPush   uint64 `json:"fifo_push"`
+	TxStart    uint64 `json:"tx_start"`
+	WireDepart uint64 `json:"wire_depart"`
+	WireArrive uint64 `json:"wire_arrive"`
+	RxEnqueue  uint64 `json:"rx_enqueue"`
+	RxDrain    uint64 `json:"rx_drain"`
+	E2E        uint64 `json:"e2e"`
+}
+
+// lockstepNames maps the dump's series names to the recording's.
+var lockstepNames = map[string]string{
+	"started":               "cluster/journey/wire/started",
+	"completed":             "cluster/journey/wire/completed",
+	"dropped":               "cluster/journey/wire/aborted",
+	"stale_drops":           "cluster/journey/stale_drops",
+	"ctrace/e2e":            "cluster/journey/e2e/wire",
+	"ctrace/hop/fifo_wait":  "cluster/journey/wire/tx_start",
+	"ctrace/hop/tx":         "cluster/journey/wire/wire_depart",
+	"ctrace/hop/wire":       "cluster/journey/wire/wire_arrive",
+	"ctrace/hop/rx_enqueue": "cluster/journey/wire/rx_enqueue",
+	"ctrace/hop/drain":      "cluster/journey/wire/rx_drain",
 }
 
 // renderLockstepCase prints one run in the golden's format: the exit
 // cycle, then per node its halt cycle, retired count and result word
 // (ringGuest's received sum at 0x20000), then the merged trace dump,
-// rendered from the run's recording: the spans from its "s" frames, the
-// histograms from the footer's whole-run rows, and the run counters
-// from the last window's cluster/ctrace/* ends. Every node's clock
-// offset is 0, as AttachTrace aligns them.
+// rendered from the run's recording: a span per wire journey of its
+// "j" frames in ID order, the histograms from the footer's whole-run
+// rows and the run counters from the last window's ends, renamed by
+// lockstepNames. Every node's clock offset is 0, as AttachTrace aligns
+// them.
 func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint64, halts []uint64, recording []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -129,26 +163,34 @@ func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint
 		t.Fatalf("%s: recording clean=%v truncated=%v with %d windows", name, rc.Clean, rc.Truncated, len(rc.Windows))
 	}
 	last := &rc.Windows[len(rc.Windows)-1]
-	end := func(ctr string) uint64 { return last.CtrEnd[rc.CounterIndex("cluster/ctrace/"+ctr)] }
+	end := func(ctr string) uint64 { return last.CtrEnd[rc.CounterIndex(lockstepNames[ctr])] }
 	d := lockstepDump{
 		ClockOffsets: map[string]int64{},
-		Started:      end("packets_started"),
-		Completed:    end("packets_completed"),
-		Dropped:      end("packets_dropped"),
+		Started:      end("started"),
+		Completed:    end("completed"),
+		Dropped:      end("dropped"),
 		StaleDrops:   end("stale_drops"),
 		Histograms:   map[string]counters.Summary{},
-		Spans:        rc.Spans,
+		Spans:        []lockstepSpan{},
 	}
 	for _, n := range c.Nodes() {
 		d.ClockOffsets[n.Name()] = 0
 	}
-	for i, hname := range rc.HistNames {
-		if hname, ok := strings.CutPrefix(hname, "cluster/"); ok && strings.HasPrefix(hname, "ctrace/") {
+	for old, hname := range lockstepNames {
+		if i := rc.HistIndex(hname); i >= 0 {
 			h := rc.Total[i]
-			d.Histograms[hname] = counters.Summary{Count: h.N, Min: h.Min, Max: h.Max, Mean: h.Mean(),
+			d.Histograms[old] = counters.Summary{Count: h.N, Min: h.Min, Max: h.Max, Mean: h.Mean(),
 				P50: h.P50, P95: h.P95, P99: h.P99}
 		}
 	}
+	for _, j := range rc.Journeys {
+		if j.Kind == journey.KindWire {
+			d.Spans = append(d.Spans, lockstepSpan{TraceID: j.ID, From: j.Node, To: j.To, JID: j.Link,
+				Size: j.Size, Done: j.Done, FIFOPush: j.T[0], TxStart: j.T[1], WireDepart: j.T[2],
+				WireArrive: j.T[3], RxEnqueue: j.T[4], RxDrain: j.T[5], E2E: j.E2E()})
+		}
+	}
+	slices.SortFunc(d.Spans, func(a, b lockstepSpan) int { return cmp.Compare(a.TraceID, b.TraceID) })
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		t.Fatal(err)

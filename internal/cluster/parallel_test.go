@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/sim"
 )
 
@@ -53,10 +54,10 @@ func sumOf(base, count int) uint64 {
 
 // ringSnapshot is everything the determinism guard compares byte-wise.
 type ringSnapshot struct {
-	cycle uint64
-	spans []byte // the wire tracer's retained spans, JSON
-	stats []byte // per-node machine stats, JSON
-	reg   []byte // cluster registry snapshot, JSON
+	cycle    uint64
+	journeys []byte // every tracer's retained journeys, JSON
+	stats    []byte // per-node machine stats, JSON
+	reg      []byte // cluster registry snapshot, JSON
 }
 
 // ringSends is how many packets each guardRing node sends and receives.
@@ -105,7 +106,18 @@ func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 			t.Errorf("node %s received sum %d, want %d", n.Name(), got, want)
 		}
 	}
+	checkTracers(t, c)
 	return snapshotOf(t, c)
+}
+
+// journeysJSON renders every node's retained journeys and the
+// cluster's wire journeys.
+func journeysJSON(c *Cluster) ([]byte, error) {
+	all := [][]journey.Journey{c.Trace().Retained()}
+	for _, n := range c.Nodes() {
+		all = append(all, n.M.Journeys().Retained())
+	}
+	return json.Marshal(all)
 }
 
 // snapshotOf renders c's observable outputs for byte-wise comparison.
@@ -116,7 +128,7 @@ func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
 		err  error
 	)
 	snap.cycle = c.Cycle()
-	if snap.spans, err = json.Marshal(c.Trace().Retained()); err != nil {
+	if snap.journeys, err = journeysJSON(c); err != nil {
 		t.Fatal(err)
 	}
 	var stats []sim.Stats
@@ -134,7 +146,7 @@ func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
 
 // TestParallelMatchesSequential is the determinism guard (the PR's
 // acceptance check): the parallel engine must produce
-// byte-identical wire spans, machine stats and counter snapshots (the
+// byte-identical journeys, machine stats and counter snapshots (the
 // span histograms and run counters among them) to the
 // inline sequential reference, and repeated parallel runs must be
 // byte-identical to each other.
@@ -152,10 +164,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s differ:\n%s\n---- vs ----\n%s", what, a, b)
 		}
 	}
-	check("wire spans (seq vs par)", seq.spans, par.spans)
+	check("journeys (seq vs par)", seq.journeys, par.journeys)
 	check("machine stats (seq vs par)", seq.stats, par.stats)
 	check("registry snapshots (seq vs par)", seq.reg, par.reg)
-	check("wire spans (par vs par)", par.spans, par2.spans)
+	check("journeys (par vs par)", par.journeys, par2.journeys)
 	check("machine stats (par vs par)", par.stats, par2.stats)
 	check("registry snapshots (par vs par)", par.reg, par2.reg)
 
@@ -165,7 +177,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err := json.Unmarshal(seq.reg, &reg); err != nil {
 		t.Fatal(err)
 	}
-	if s, c := reg.Counters["ctrace/packets_started"], reg.Counters["ctrace/packets_completed"]; s != 12 || c != 12 {
+	if s, c := reg.Counters["journey/wire/started"], reg.Counters["journey/wire/completed"]; s != 12 || c != 12 {
 		t.Errorf("packets started=%d completed=%d, want 12/12", s, c)
 	}
 }
@@ -204,7 +216,7 @@ func TestParallelNodeChurn(t *testing.T) {
 
 // TestParallelAbortFlushesObs: a faulting node under the parallel engine
 // aborts the run with the node named in the error, and the abort path
-// still closes the recording, partial spans included, even
+// still closes the recording, partial wire journeys included, even
 // though a sibling node is wedged in an infinite poll.
 func TestParallelAbortFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -260,9 +272,9 @@ spin:	dec %g5
 		t.Errorf("error does not name the faulting node: %v", err)
 	}
 	requireFlushedAt(t, buf.Bytes(), c.Cycle())
-	spans := c.Trace().Retained()
-	if len(spans) != 1 || spans[0].Done {
-		t.Fatalf("expected one partial span, got %+v", spans)
+	wire := c.Trace().Retained()
+	if len(wire) != 1 || wire[0].Done {
+		t.Fatalf("expected one partial wire journey, got %+v", wire)
 	}
 }
 

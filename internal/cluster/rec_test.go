@@ -11,7 +11,7 @@ import (
 // loose enough to stay green plus a fabric-health rule the outage
 // windows will flip, so both the quiet and the breached SLO paths land
 // in the recording the engines must agree on.
-const recRingSLO = "p99(cluster/ctrace/e2e) <= 1000000; rate(cluster/outage_drops) <= 0.01; cluster/nodes_down == 0"
+const recRingSLO = "p99(cluster/journey/e2e/wire) <= 1000000; rate(cluster/outage_drops) <= 0.01; cluster/nodes_down == 0"
 
 // runRecordedRing is runFaultedRing with a flight recorder attached:
 // same 4-node traced ring, same hook-driven traffic, same wire-fault
@@ -92,7 +92,7 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	}
 
 	// The recording must actually exercise the machinery: windows rolled,
-	// outage windows logged, wire spans written, a clean footer.
+	// outage windows logged, wire journeys written, a clean footer.
 	rc, err := rec.Read(seq)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	if len(rc.Windows) == 0 {
 		t.Fatal("no windows recorded")
 	}
-	if len(rc.Spans) == 0 {
-		t.Error("no span frames in the traced recording — guard is vacuous")
+	if len(wireJourneys(rc)) == 0 {
+		t.Error("no wire journeys in the traced recording — guard is vacuous")
 	}
 	outages := 0
 	for _, ev := range rc.Events {
@@ -117,9 +117,10 @@ func TestRecordingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRecorderBeforeTrace: a recorder attached before the wire tracer
-// still writes the tracer's spans as s frames, and its recording equals,
-// byte for byte, the one made in the usual order (tracer first).
+// TestRecorderBeforeTrace: a recorder attached before the tracers still
+// writes every node's journeys and the wire journeys as j frames, and
+// its recording equals, byte for byte, the one made in the usual order
+// (tracers first).
 func TestRecorderBeforeTrace(t *testing.T) {
 	record := func(recFirst bool) []byte {
 		cfg := DefaultConfig()
@@ -156,8 +157,8 @@ func TestRecorderBeforeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rc.Spans) == 0 {
-		t.Fatal("recorder attached before the tracer wrote no s frames")
+	if len(wireJourneys(rc)) == 0 || len(wireJourneys(rc)) == len(rc.Journeys) {
+		t.Fatal("recorder attached before the tracers wrote no wire or no node journeys")
 	}
 	if !bytes.Equal(traceFirst, recFirst) {
 		t.Errorf("recording depends on attach order (%d vs %d bytes)", len(traceFirst), len(recFirst))

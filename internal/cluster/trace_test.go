@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
+	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 )
 
@@ -34,56 +34,84 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 	return c
 }
 
-// TestTracedRunMergedSpans is the acceptance check on a live cluster: the
-// traced run produces a merged dump whose per-hop latencies sum exactly
-// to the end-to-end figure, with every stamp in order.
+// wireJourneys returns a recording's recent wire journeys.
+func wireJourneys(rc *rec.Recording) []journey.Journey {
+	var out []journey.Journey
+	for _, j := range rc.Journeys {
+		if j.Kind == journey.KindWire {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// checkTracers requires every node's journey tracer and the cluster's
+// to hold their invariants (journey.Tracer.Check).
+func checkTracers(t *testing.T, c *Cluster) {
+	t.Helper()
+	for _, n := range c.Nodes() {
+		if err := n.M.Journeys().Check(); err != nil {
+			t.Errorf("%s: %v", n.Name(), err)
+		}
+	}
+	if err := c.Trace().Check(); err != nil {
+		t.Errorf("cluster: %v", err)
+	}
+}
+
+// TestTracedRunMergedSpans is the acceptance check on a live cluster:
+// the packet's wire journey continues the sender's descriptor journey,
+// and its per-hop latencies sum exactly to the end-to-end figure, with
+// every stamp in order.
 func TestTracedRunMergedSpans(t *testing.T) {
 	c := newTracedCluster(t, 80, 0)
 	if err := c.Run(1_000_000, false); err != nil {
 		t.Fatal(err)
 	}
 	tr := c.Trace()
-	if tr.Completed() != 1 {
-		t.Fatalf("completed spans = %d, want 1", tr.Completed())
+	if _, completed, _ := tr.Counts(journey.KindWire); completed != 1 {
+		t.Fatalf("completed wire journeys = %d, want 1", completed)
 	}
-	spans := tr.Retained()
-	if len(spans) != 1 {
-		t.Fatalf("retained %d spans, want 1", len(spans))
+	js := tr.Retained()
+	if len(js) != 1 {
+		t.Fatalf("retained %d wire journeys, want 1", len(js))
 	}
-	s := spans[0]
-	if !s.Done || s.From != "n0" || s.To != "n1" {
-		t.Fatalf("bad span: %+v", s)
+	j := js[0]
+	if !j.Done || j.Node != "n0" || j.To != "n1" {
+		t.Fatalf("bad wire journey: %+v", j)
 	}
-	if s.JID == 0 {
-		t.Error("sender journey ID not grafted onto the wire span")
+	desc, ok := c.Node(0).M.Journeys().Lookup(journey.KindNICDesc, j.Link)
+	if !ok || j.T[journey.HopStart] != desc.T[journey.HopStart] || j.T[journey.HopDepart] != desc.T[journey.HopDepart] {
+		t.Errorf("wire journey %+v does not continue the sender's descriptor journey %+v", j, desc)
 	}
-	stamps := []uint64{s.FIFOPush, s.TxStart, s.WireDepart, s.WireArrive, s.RxEnqueue, s.RxDrain}
-	for i := 1; i < len(stamps); i++ {
-		if stamps[i] < stamps[i-1] {
-			t.Fatalf("hop %s (%d) precedes %s (%d)",
-				ctrace.HopNames[i], stamps[i], ctrace.HopNames[i-1], stamps[i-1])
+	names := journey.HopNames(journey.KindWire)
+	for h := journey.HopDepart; h <= journey.KindWire.Last(); h++ {
+		if j.T[h] < j.T[h-1] {
+			t.Fatalf("hop %s (%d) precedes %s (%d)", names[h], j.T[h], names[h-1], j.T[h-1])
 		}
 	}
-	hopSum := s.RxDrain - s.FIFOPush // telescoped
-	if hopSum != s.E2E || s.E2E == 0 {
-		t.Fatalf("hop sum %d vs e2e %d", hopSum, s.E2E)
+	hopSum := j.T[journey.HopRxDrain] - j.T[journey.HopStart] // telescoped
+	if hopSum != j.E2E() || j.E2E() == 0 {
+		t.Fatalf("hop sum %d vs e2e %d", hopSum, j.E2E())
 	}
 	// The wire hop must be at least the configured latency in CPU cycles.
-	if got := s.WireArrive - s.WireDepart; got < 80 {
+	if got := j.T[journey.HopWireArrive] - j.T[journey.HopWireDepart]; got < 80 {
 		t.Errorf("wire hop = %d cycles, want >= 80", got)
 	}
-	// And the registry histograms must agree with the span count.
+	// And the registry histograms must agree with the journey count.
 	snap := c.Registry().Snapshot()
-	if snap.Histograms["ctrace/e2e"].Count != 1 {
-		t.Errorf("e2e histogram count = %d, want 1", snap.Histograms["ctrace/e2e"].Count)
+	if snap.Histograms["journey/e2e/wire"].Count != 1 {
+		t.Errorf("e2e histogram count = %d, want 1", snap.Histograms["journey/e2e/wire"].Count)
 	}
-	if snap.Counters["ctrace/packets_completed"] != 1 {
-		t.Errorf("packets_completed = %d, want 1", snap.Counters["ctrace/packets_completed"])
+	if snap.Counters["journey/wire/completed"] != 1 {
+		t.Errorf("journey/wire/completed = %d, want 1", snap.Counters["journey/wire/completed"])
 	}
+	checkTracers(t, c)
 }
 
 // TestTracedDumpDeterministic: repeated identical cluster runs produce
-// byte-identical recordings, the wire span's "s" frame included.
+// byte-identical recordings, the sender's store and descriptor journeys
+// and the wire journey's "j" frames included.
 func TestTracedDumpDeterministic(t *testing.T) {
 	run := func() []byte {
 		c := newTracedCluster(t, 50, 7)
@@ -102,8 +130,17 @@ func TestTracedDumpDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rc.Spans) != 1 || !rc.Spans[0].Done {
-		t.Fatalf("recording holds spans %+v, want one completed", rc.Spans)
+	if w := wireJourneys(rc); len(w) != 1 || !w[0].Done {
+		t.Fatalf("recording holds wire journeys %+v, want one completed", w)
+	}
+	var sender int
+	for _, j := range rc.Journeys {
+		if j.Kind != journey.KindWire && j.Node == "n0" {
+			sender++
+		}
+	}
+	if sender == 0 {
+		t.Error("recording holds no journey of the sender n0")
 	}
 }
 
@@ -212,9 +249,9 @@ func TestRecorderCadence(t *testing.T) {
 	if want := (c.Cycle() + 119) / 120; uint64(len(rc.Windows)) != want {
 		t.Errorf("%d windows over %d cycles, want %d", len(rc.Windows), c.Cycle(), want)
 	}
-	e2e := rc.HistIndex("cluster/ctrace/e2e")
+	e2e := rc.HistIndex("cluster/journey/e2e/wire")
 	if e2e < 0 {
-		t.Fatal("recording has no cluster/ctrace/e2e series")
+		t.Fatal("recording has no cluster/journey/e2e/wire series")
 	}
 	var n uint64
 	for _, w := range rc.Windows {
@@ -226,7 +263,7 @@ func TestRecorderCadence(t *testing.T) {
 }
 
 // TestRunErrorFlushesObs: a faulting node still yields a closed
-// recording holding the partial span (mirror of the single-node
+// recording holding the partial wire journey (mirror of the single-node
 // flushObs abort behavior).
 func TestRunErrorFlushesObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -274,15 +311,15 @@ spin:	dec %g5
 		t.Fatal("expected node fault")
 	}
 	// The flush must have closed the recording at the abort cycle despite
-	// the period never elapsing, with the partial (undelivered) span and
-	// the run counters that count it.
+	// the period never elapsing, with the partial (undelivered) wire
+	// journey and the run counters that count it.
 	rc := requireFlushedAt(t, recording.Bytes(), c.Cycle())
-	if len(rc.Spans) != 1 || rc.Spans[0].Done || rc.Spans[0].WireArrive != 0 {
-		t.Fatalf("expected one partial span, got %+v", rc.Spans)
+	if w := wireJourneys(rc); len(w) != 1 || w[0].Done || w[0].T[journey.HopWireArrive] != 0 {
+		t.Fatalf("expected one partial wire journey, got %+v", w)
 	}
 	last := &rc.Windows[len(rc.Windows)-1]
-	started := last.CtrEnd[rc.CounterIndex("cluster/ctrace/packets_started")]
-	completed := last.CtrEnd[rc.CounterIndex("cluster/ctrace/packets_completed")]
+	started := last.CtrEnd[rc.CounterIndex("cluster/journey/wire/started")]
+	completed := last.CtrEnd[rc.CounterIndex("cluster/journey/wire/completed")]
 	if started != 1 || completed != 0 {
 		t.Fatalf("recorded started=%d completed=%d, want 1/0", started, completed)
 	}

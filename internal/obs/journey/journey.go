@@ -7,7 +7,7 @@
 // instrumentation behind the paper's §3 latency decomposition (processor
 // stall vs. buffer occupancy vs. bus transfer vs. device acceptance).
 //
-// Three journey kinds are traced:
+// Four journey kinds are traced:
 //
 //   - uncached stores: retire/UB-enqueue → UB dequeue (send stage) → bus
 //     grant → bus complete (the write landing at the device or memory is
@@ -17,7 +17,18 @@
 //     busy CSB shows up as retried flush attempts in the StallBusy
 //     counter) → bus grant of the line burst → bus complete;
 //   - NIC transmit descriptors: FIFO accept → transmit start → transmit
-//     done (wire serialization included).
+//     done (wire serialization included);
+//   - wire crossings (§2's cluster setting): one packet from the
+//     sender's FIFO accept and transmit start, onto the wire, off it at
+//     the receiver, into its RX queue, and out to software.
+//
+// A machine's tracer (NewTracer) follows the first three kinds, stamping
+// each hop with the machine's clock. A cluster's tracer (NewWireTracer)
+// follows only wire journeys; their stamps carry explicit cycles,
+// because the cluster replays them from the nodes' event logs at its
+// barriers. The cluster's lookahead barrier keeps every node on the
+// cluster clock, so stamps from both nodes subtract directly and a wire
+// journey's hops telescope exactly to its end-to-end latency.
 //
 // The tracer is built for the zero-alloc tick loop: journeys live in
 // per-kind preallocated rings, stamps are array writes, and histograms
@@ -45,10 +56,13 @@ const (
 	// KindNICDesc follows one NIC transmit descriptor from FIFO accept
 	// to the end of transmission.
 	KindNICDesc
+	// KindWire follows one packet from the sender's FIFO accept across
+	// the cluster fabric to the receiver's software pickup.
+	KindWire
 	numKinds
 )
 
-var kindNames = [numKinds]string{"uncached_store", "csb_store", "nic_descriptor"}
+var kindNames = [numKinds]string{"uncached_store", "csb_store", "nic_descriptor", "wire"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -67,7 +81,7 @@ func ParseKind(name string) (Kind, error) {
 	return 0, fmt.Errorf("journey: unknown kind %q", name)
 }
 
-// Hop indexes a journey's timestamp array. The four slots have a
+// Hop indexes a journey's timestamp array. The slots have a
 // kind-specific meaning; HopNames renders them.
 type Hop uint8
 
@@ -86,18 +100,40 @@ const (
 	// cycle the write lands at the device — device acceptance), or the
 	// NIC transmission completing.
 	HopComplete
+	// HopRxEnqueue is a wire journey's packet entering the receiver's RX
+	// queue.
+	HopRxEnqueue
+	// HopRxDrain ends a wire journey: software pops the packet's last
+	// word.
+	HopRxDrain
 	// NumHops sizes the timestamp array.
 	NumHops
 )
+
+// A wire journey stamps its crossing in the bus slots: the cluster
+// pumping the packet into flight, and the wire latency elapsing.
+const (
+	HopWireDepart = HopBusGrant
+	HopWireArrive = HopComplete
+)
+
+// Last returns the hop that ends a journey of the kind.
+func (k Kind) Last() Hop {
+	if k == KindWire {
+		return HopRxDrain
+	}
+	return HopComplete
+}
 
 // hopNames maps kind → per-slot labels ("" = slot unused for the kind).
 var hopNames = [numKinds][NumHops]string{
 	KindUncachedStore: {"retire", "ub_dequeue", "bus_grant", "bus_complete"},
 	KindCSBStore:      {"retire", "flush_ok", "bus_grant", "bus_complete"},
 	KindNICDesc:       {"fifo_push", "tx_start", "", "tx_done"},
+	KindWire:          {"fifo_push", "tx_start", "wire_depart", "wire_arrive", "rx_enqueue", "rx_drain"},
 }
 
-// HopNames returns the kind's labels for the four timestamp slots; the
+// HopNames returns the kind's labels for the timestamp slots; the
 // empty string marks a slot the kind never stamps.
 func HopNames(k Kind) [NumHops]string {
 	if int(k) < len(hopNames) {
@@ -106,18 +142,29 @@ func HopNames(k Kind) [NumHops]string {
 	return [NumHops]string{}
 }
 
-// Journey is one traced store (or descriptor). All timestamps are CPU
-// cycles on the machine's shared timeline; a zero stamp means the hop
-// was not reached.
+// Journey is one traced store, descriptor or packet. All timestamps are
+// CPU cycles on the shared timeline; a zero stamp means the hop was not
+// reached.
 type Journey struct {
-	ID        uint64
-	Kind      Kind
+	ID   uint64
+	Kind Kind
+	// Node is the node the journey ran on, a wire journey's sender. A
+	// machine's tracer leaves it empty; a recording fills it in with the
+	// tracer's source name.
+	Node string
+	// To is a wire journey's receiver.
+	To string
+	// Link is the ID of the sender's nic_descriptor journey a wire
+	// journey continues (0 when the sender's was not traced).
+	Link      uint64
 	Addr      uint64
 	Size      uint32
 	Coalesced bool
-	Aborted   bool
-	Done      bool
-	T         [NumHops]uint64
+	// Aborted marks a journey that will never complete: a CSB sequence
+	// lost to a failed flush, or a packet the fabric dropped.
+	Aborted bool
+	Done    bool
+	T       [NumHops]uint64
 }
 
 // E2E returns the end-to-end latency (0 until the journey completes).
@@ -125,7 +172,39 @@ func (j Journey) E2E() uint64 {
 	if !j.Done {
 		return 0
 	}
-	return j.T[HopComplete] - j.T[HopStart]
+	return j.T[j.Kind.Last()] - j.T[HopStart]
+}
+
+// Check reports the first invariant the journey breaks: a positive ID;
+// for a wire journey, both nodes named and, once dropped, no stamp from
+// the receiver; for a completed one, no abort and stamps that never
+// decrease from hop to hop, so its hops telescope to its E2E.
+func (j *Journey) Check() error {
+	switch {
+	case j.ID == 0:
+		return fmt.Errorf("journey: %s journey with ID 0", j.Kind)
+	case j.Kind == KindWire && (j.Node == "" || j.To == ""):
+		return fmt.Errorf("journey: wire journey %d has no sender or receiver", j.ID)
+	case j.Kind == KindWire && j.Aborted && j.T[HopWireArrive]|j.T[HopRxEnqueue]|j.T[HopRxDrain] != 0:
+		return fmt.Errorf("journey: dropped wire journey %d has a receiver stamp", j.ID)
+	case j.Done && j.Aborted:
+		return fmt.Errorf("journey: %s journey %d is both completed and aborted", j.Kind, j.ID)
+	case !j.Done:
+		return nil
+	}
+	names := HopNames(j.Kind)
+	prev := HopStart
+	for h := HopDepart; h <= j.Kind.Last(); h++ {
+		if names[h] == "" {
+			continue
+		}
+		if j.T[h] < j.T[prev] {
+			return fmt.Errorf("journey: %s journey %d: %s (%d) precedes %s (%d)",
+				j.Kind, j.ID, names[h], j.T[h], names[prev], j.T[prev])
+		}
+		prev = h
+	}
+	return nil
 }
 
 // topN is how many slowest completed journeys are tracked exactly over
@@ -137,16 +216,16 @@ const topN = 32
 const window = 4096
 
 // Tracer assigns journey IDs, stamps hops, and aggregates per-hop
-// latency histograms. It implements the Tracer hook interfaces of
-// uncbuf, core and device, and is attached through
-// sim.Machine.AttachJourneys.
+// latency histograms. A machine's tracer is attached to the uncached
+// buffer, the CSB and the NIC by sim.Machine.AttachJourneys; a
+// cluster's is driven by internal/cluster at its barriers.
 //
 // IDs are per-kind and contiguous in acceptance order, which is what
 // lets the components pass (first, count) ranges instead of ID lists.
 type Tracer struct {
 	now func() uint64
 
-	rings  [numKinds][]Journey
+	rings  [numKinds][]Journey // nil for a kind the tracer does not follow
 	nextID [numKinds]uint64
 
 	started   [numKinds]uint64
@@ -163,48 +242,66 @@ type Tracer struct {
 	hBusXfer    *counters.Histogram
 	hDevFIFO    *counters.Histogram
 	hDevTx      *counters.Histogram
+	hWire       [NumHops]*counters.Histogram // a wire journey's hop h-1 → h
 	hE2E        [numKinds]*counters.Histogram
 }
 
-// NewTracer creates a tracer stamping with the given clock (the
+// NewTracer creates a machine's tracer, following uncached stores, CSB
+// stores and NIC descriptors and stamping with the given clock (the
 // machine's CPU-cycle reader). Histograms and run counters are created
 // in reg so they render uniformly in the machine report; reg may be nil
 // for standalone use.
 func NewTracer(reg *counters.Registry, now func() uint64) (*Tracer, error) {
-	return newTracer(window, reg, now)
-}
-
-// newTracer creates a tracer whose rings retain the given number of
-// journeys per kind.
-func newTracer(window int, reg *counters.Registry, now func() uint64) (*Tracer, error) {
 	if now == nil {
 		return nil, fmt.Errorf("journey: nil clock")
 	}
-	t := &Tracer{now: now}
-	for k := range t.rings {
-		t.rings[k] = make([]Journey, window)
-	}
-	t.slowest = make([]Journey, 0, topN)
+	return newTracer(window, reg, now), nil
+}
+
+// WireTracer is a cluster's tracer: a Tracer that follows only wire
+// journeys, whose stamps carry their own cycles. It is its own type so
+// that the phase analyzer can tell the cluster's one tracer, shared
+// across nodes and touched only at barriers, from a machine's.
+type WireTracer struct{ *Tracer }
+
+// NewWireTracer creates a cluster's tracer. Its histograms and run
+// counters are created in reg (nil for standalone use).
+func NewWireTracer(reg *counters.Registry) *WireTracer {
+	return &WireTracer{newTracer(window, reg, nil)}
+}
+
+// newTracer creates a tracer whose rings retain the given number of
+// journeys per kind: a machine's with a clock, a cluster's without.
+func newTracer(window int, reg *counters.Registry, now func() uint64) *Tracer {
+	t := &Tracer{now: now, slowest: make([]Journey, 0, topN)}
 	if reg == nil {
 		reg = counters.NewRegistry()
 	}
-	t.hUBWait = reg.Histogram("journey/ub/queue_wait")
-	t.hCSBCombine = reg.Histogram("journey/csb/combine_window")
-	t.hBusArb = reg.Histogram("journey/bus/arb_wait")
-	t.hBusXfer = reg.Histogram("journey/bus/xfer")
-	t.hDevFIFO = reg.Histogram("journey/device/fifo_wait")
-	t.hDevTx = reg.Histogram("journey/device/tx")
-	t.hE2E[KindUncachedStore] = reg.Histogram("journey/e2e/uncached_store")
-	t.hE2E[KindCSBStore] = reg.Histogram("journey/e2e/csb_store")
-	t.hE2E[KindNICDesc] = reg.Histogram("journey/e2e/nic_descriptor")
-	for k := Kind(0); k < numKinds; k++ {
-		k := k
+	kinds := []Kind{KindWire}
+	if now != nil {
+		kinds = []Kind{KindUncachedStore, KindCSBStore, KindNICDesc}
+		t.hUBWait = reg.Histogram("journey/ub/queue_wait")
+		t.hCSBCombine = reg.Histogram("journey/csb/combine_window")
+		t.hBusArb = reg.Histogram("journey/bus/arb_wait")
+		t.hBusXfer = reg.Histogram("journey/bus/xfer")
+		t.hDevFIFO = reg.Histogram("journey/device/fifo_wait")
+		t.hDevTx = reg.Histogram("journey/device/tx")
+	} else {
+		for h := HopDepart; h < NumHops; h++ {
+			t.hWire[h] = reg.Histogram("journey/wire/" + hopNames[KindWire][h])
+		}
+	}
+	for _, k := range kinds {
+		t.rings[k] = make([]Journey, window)
+		t.hE2E[k] = reg.Histogram("journey/e2e/" + k.String())
+	}
+	for _, k := range kinds {
 		reg.Counter("journey/"+k.String()+"/started", func() uint64 { return t.started[k] })
 		reg.Counter("journey/"+k.String()+"/completed", func() uint64 { return t.completed[k] })
 		reg.Counter("journey/"+k.String()+"/aborted", func() uint64 { return t.aborted[k] })
 	}
 	reg.Counter("journey/stale_drops", func() uint64 { return t.stale })
-	return t, nil
+	return t
 }
 
 // slot returns the ring cell a journey ID lives in (its content is only
@@ -215,30 +312,39 @@ func (t *Tracer) slot(k Kind, id uint64) *Journey {
 	return &t.rings[k][(id-1)%uint64(len(t.rings[k]))]
 }
 
-// begin opens a journey and stamps HopStart.
+// begin opens a journey at the clock's cycle.
 //
 //csb:hotpath
 func (t *Tracer) begin(k Kind, addr uint64, size int, coalesced bool) uint64 {
+	j := t.open(k, t.now())
+	j.Addr, j.Size, j.Coalesced = addr, uint32(size), coalesced
+	return j.ID
+}
+
+// open starts the kind's next journey, stamping HopStart at cycle.
+//
+//csb:hotpath
+func (t *Tracer) open(k Kind, cycle uint64) *Journey {
 	t.nextID[k]++
 	id := t.nextID[k]
 	t.started[k]++
 	j := t.slot(k, id)
-	*j = Journey{ID: id, Kind: k, Addr: addr, Size: uint32(size), Coalesced: coalesced}
-	j.T[HopStart] = t.now()
-	return id
+	*j = Journey{ID: id, Kind: k}
+	j.T[HopStart] = cycle
+	return j
 }
 
 // stamp records a hop timestamp; it returns nil when the journey has
 // already been evicted from its ring (the stamp is counted and dropped).
 //
 //csb:hotpath
-func (t *Tracer) stamp(k Kind, id uint64, h Hop) *Journey {
+func (t *Tracer) stamp(k Kind, id uint64, h Hop, cycle uint64) *Journey {
 	j := t.slot(k, id)
 	if j.ID != id {
 		t.stale++
 		return nil
 	}
-	j.T[h] = t.now()
+	j.T[h] = cycle
 	return j
 }
 
@@ -246,8 +352,9 @@ func (t *Tracer) stamp(k Kind, id uint64, h Hop) *Journey {
 //
 //csb:hotpath
 func (t *Tracer) stampRange(k Kind, first uint64, count int, h Hop) {
+	cycle := t.now()
 	for i := 0; i < count; i++ {
-		t.stamp(k, first+uint64(i), h)
+		t.stamp(k, first+uint64(i), h, cycle)
 	}
 }
 
@@ -270,6 +377,10 @@ func (t *Tracer) finish(j *Journey) {
 	case KindNICDesc:
 		t.hDevFIFO.Record(j.T[HopDepart] - j.T[HopStart])
 		t.hDevTx.Record(j.T[HopComplete] - j.T[HopDepart])
+	case KindWire:
+		for h := HopDepart; h < NumHops; h++ {
+			t.hWire[h].Record(j.T[h] - j.T[h-1])
+		}
 	}
 	e2e := j.E2E()
 	t.hE2E[j.Kind].Record(e2e)
@@ -314,9 +425,10 @@ func (t *Tracer) recomputeSlowMin() {
 	t.slowMin = min
 }
 
-// abort marks a journey range failed (CSB conflict, flush failure).
-// Aborted journeys keep the stamps they collected and stay in the ring
-// for the recording, but contribute to no latency histogram.
+// abortRange marks a journey range failed (CSB conflict, flush failure,
+// dropped packet). Aborted journeys keep the stamps they collected and
+// stay in the ring for the recording, but contribute to no latency
+// histogram.
 //
 //csb:hotpath
 func (t *Tracer) abortRange(k Kind, first uint64, count int) {
@@ -362,7 +474,7 @@ func (t *Tracer) UBBusGranted(first uint64, count int) {
 //csb:hotpath
 func (t *Tracer) UBEntryDone(first uint64, count int) {
 	for i := 0; i < count; i++ {
-		if j := t.stamp(KindUncachedStore, first+uint64(i), HopComplete); j != nil {
+		if j := t.stamp(KindUncachedStore, first+uint64(i), HopComplete, t.now()); j != nil {
 			t.finish(j)
 		}
 	}
@@ -406,7 +518,7 @@ func (t *Tracer) CSBBusGranted(first uint64, count int) {
 //csb:hotpath
 func (t *Tracer) CSBLineDone(first uint64, count int) {
 	for i := 0; i < count; i++ {
-		if j := t.stamp(KindCSBStore, first+uint64(i), HopComplete); j != nil {
+		if j := t.stamp(KindCSBStore, first+uint64(i), HopComplete, t.now()); j != nil {
 			t.finish(j)
 		}
 	}
@@ -426,22 +538,77 @@ func (t *Tracer) NICDescQueued(offset uint64, length int, viaDMA bool) uint64 {
 //
 //csb:hotpath
 func (t *Tracer) NICTxStarted(id uint64) {
-	t.stamp(KindNICDesc, id, HopDepart)
+	t.stamp(KindNICDesc, id, HopDepart, t.now())
 }
 
 // NICTxDone completes the descriptor journey at end of transmission.
 //
 //csb:hotpath
 func (t *Tracer) NICTxDone(id uint64) {
-	if j := t.stamp(KindNICDesc, id, HopComplete); j != nil {
+	if j := t.stamp(KindNICDesc, id, HopComplete, t.now()); j != nil {
+		t.finish(j)
+	}
+}
+
+// ---- wire hops (internal/cluster, replayed at barriers) ----
+
+// WireDeparted opens a wire journey as the cluster pumps a packet from
+// node from into flight to node to. link is the sender's descriptor
+// journey; fifoPush and txStart are its stamps, and depart the pump
+// cycle. It returns the ID the flight carries.
+//
+//csb:hotpath
+//csb:barrier mutates the cluster's wire ring; called from routing at barriers
+func (t *WireTracer) WireDeparted(from, to string, size uint32, link, fifoPush, txStart, depart uint64) uint64 {
+	j := t.open(KindWire, fifoPush)
+	j.Node, j.To, j.Link, j.Size = from, to, link, size
+	j.T[HopDepart] = txStart
+	j.T[HopWireDepart] = depart
+	return j.ID
+}
+
+// WireDropped aborts a wire journey the fabric discarded (injected wire
+// fault, link outage, or a degraded destination): it keeps its sender
+// stamps, and the recording shows the loss at its wire_depart.
+//
+//csb:hotpath
+//csb:barrier mutates the cluster's wire ring; called from routing at barriers
+func (t *WireTracer) WireDropped(id uint64) {
+	t.abortRange(KindWire, id, 1)
+}
+
+// WireArrived stamps the wire latency elapsing at the receiver.
+//
+//csb:hotpath
+//csb:barrier mutates the cluster's wire ring; replayed from node logs at barriers
+func (t *WireTracer) WireArrived(id, cycle uint64) {
+	t.stamp(KindWire, id, HopWireArrive, cycle)
+}
+
+// WireEnqueued stamps the packet's words landing in the receiver's RX
+// queue.
+//
+//csb:hotpath
+//csb:barrier mutates the cluster's wire ring; replayed from node logs at barriers
+func (t *WireTracer) WireEnqueued(id, cycle uint64) {
+	t.stamp(KindWire, id, HopRxEnqueue, cycle)
+}
+
+// WireDrained completes a wire journey: software popped the packet's
+// last word.
+//
+//csb:hotpath
+//csb:barrier updates the cluster's wire ring and histograms at barriers
+func (t *WireTracer) WireDrained(id, cycle uint64) {
+	if j := t.stamp(KindWire, id, HopRxDrain, cycle); j != nil {
 		t.finish(j)
 	}
 }
 
 // Lookup returns a copy of the journey with the given ID if it is still
 // resident in its kind's ring (it may have collected only some of its
-// stamps). The cluster wire tracer uses this at packet-departure time to
-// graft the sender-side NIC hops onto a cross-node span.
+// stamps). The cluster uses this at packet-departure time to carry the
+// sender's descriptor stamps into the packet's wire journey.
 func (t *Tracer) Lookup(k Kind, id uint64) (Journey, bool) {
 	if id == 0 || int(k) >= len(t.rings) {
 		return Journey{}, false
@@ -455,13 +622,43 @@ func (t *Tracer) Lookup(k Kind, id uint64) (Journey, bool) {
 
 // ---- reporting ----
 
+// Counts returns how many journeys of the kind were started, completed
+// and aborted over the whole run.
+func (t *Tracer) Counts(k Kind) (started, completed, aborted uint64) {
+	return t.started[k], t.completed[k], t.aborted[k]
+}
+
+// Check reports the first broken invariant: a retained journey's own
+// (Journey.Check), or a kind whose run counts do not add up. Every
+// journey started is completed, aborted or still open; once a ring has
+// wrapped, an evicted journey's fate is unknown, so then the started
+// count only bounds the rest.
+func (t *Tracer) Check() error {
+	var open [numKinds]uint64
+	for _, j := range t.Retained() {
+		if err := j.Check(); err != nil {
+			return err
+		}
+		if !j.Done && !j.Aborted {
+			open[j.Kind]++
+		}
+	}
+	for k, ring := range t.rings {
+		settled := t.completed[k] + t.aborted[k] + open[k]
+		if settled > t.started[k] || t.started[k] <= uint64(len(ring)) && settled != t.started[k] {
+			return fmt.Errorf("journey: %s: %d started, but %d completed + %d aborted + %d open",
+				Kind(k), t.started[k], t.completed[k], t.aborted[k], open[k])
+		}
+	}
+	return nil
+}
+
 // Retained returns every journey still in the rings (the most recent
 // window per kind), ordered by start cycle, then kind, then ID — a
 // deterministic chronological interleaving across kinds.
 func (t *Tracer) Retained() []Journey {
 	var out []Journey
-	for k := Kind(0); k < numKinds; k++ {
-		ring := t.rings[k]
+	for k, ring := range t.rings {
 		last := t.nextID[k]
 		first := uint64(1)
 		if last > uint64(len(ring)) {

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/journey"
 )
@@ -32,14 +31,16 @@ type Recording struct {
 	HistNames []string
 	Windows   []Window
 	Events    []Event
-	Total     []HistWindow        // footer: whole-run row per HistNames entry (nil without one)
-	Slowest   []journey.Journey   // the tracer's slowest set, slowest first
-	Journeys  []journey.Journey   // the tracer's retained recent journeys, by start cycle
-	Spans     []ctrace.MergedSpan // the wire tracer's retained spans, by trace ID
-	Insts     []obs.InstEvent     // the pipeline tail's last retired instructions, oldest first
-	Bus       []obs.BusEvent      // the pipeline tail's last bus transactions, oldest first
-	Clean     bool                // footer frame present
-	Truncated bool                // a malformed or incomplete trailing frame dropped
+	Total     []HistWindow // footer: whole-run row per HistNames entry (nil without one)
+	// Slowest and Journeys hold every journey tracer's slowest set
+	// (slowest first) and retained recent journeys (by start cycle),
+	// tracer after tracer; each journey names its node.
+	Slowest   []journey.Journey
+	Journeys  []journey.Journey
+	Insts     []obs.InstEvent // the pipeline tail's last retired instructions, oldest first
+	Bus       []obs.BusEvent  // the pipeline tail's last bus transactions, oldest first
+	Clean     bool            // footer frame present
+	Truncated bool            // a malformed or incomplete trailing frame dropped
 }
 
 // frameJSON is the union of every frame kind's fields.
@@ -69,17 +70,21 @@ type frameJSON struct {
 }
 
 // journeyJSON is a "j" frame's journey: its set ("slowest" or
-// "recent"), its fields, and the flags that are set.
+// "recent"), its node, its fields, the kind's stamps, and the flags that
+// are set.
 type journeyJSON struct {
-	Set       string                  `json:"set"`
-	ID        uint64                  `json:"id"`
-	Kind      string                  `json:"kind"`
-	Addr      uint64                  `json:"addr"`
-	Size      uint32                  `json:"size"`
-	T         [journey.NumHops]uint64 `json:"t"`
-	Coalesced bool                    `json:"coalesced,omitempty"`
-	Aborted   bool                    `json:"aborted,omitempty"`
-	Done      bool                    `json:"done,omitempty"`
+	Set       string   `json:"set"`
+	Node      string   `json:"node"`
+	To        string   `json:"to,omitempty"`
+	ID        uint64   `json:"id"`
+	Kind      string   `json:"kind"`
+	Link      uint64   `json:"link,omitempty"`
+	Addr      uint64   `json:"addr"`
+	Size      uint32   `json:"size"`
+	T         []uint64 `json:"t"`
+	Coalesced bool     `json:"coalesced,omitempty"`
+	Aborted   bool     `json:"aborted,omitempty"`
+	Done      bool     `json:"done,omitempty"`
 }
 
 // ReadFile parses a recording file.
@@ -109,10 +114,18 @@ func Read(data []byte) (*Recording, error) {
 // skipped. A malformed frame ends the recording there: it and everything
 // after it are dropped and the recording is Truncated.
 type Parser struct {
-	rc   Recording
-	tail []byte // an incomplete trailing frame, awaiting more bytes
-	bad  bool   // a malformed frame ended the recording
-	err  error  // the first frame is not a valid header
+	rc     Recording
+	tail   []byte // an incomplete trailing frame, awaiting more bytes
+	bad    bool   // a malformed frame ended the recording
+	err    error  // the first frame is not a valid header
+	lastID map[journeyKey]uint64
+}
+
+// journeyKey names one ID sequence of the recent set: a node's journeys
+// of one kind.
+type journeyKey struct {
+	node string
+	kind journey.Kind
 }
 
 // errNoHeader reports a stream whose first frame is not a header.
@@ -236,7 +249,7 @@ func (p *Parser) frame(doc []byte) error {
 		// still well formed, and is skipped below.
 		var te *json.UnmarshalTypeError
 		switch f.K {
-		case "h", "w", "e", "j", "s", "i", "b", "f":
+		case "h", "w", "e", "j", "i", "b", "f":
 			return err
 		}
 		if !errors.As(err, &te) {
@@ -264,26 +277,26 @@ func (p *Parser) frame(doc []byte) error {
 	case "e":
 		rc.Events = append(rc.Events, Event{Cycle: f.C, Kind: f.Ev, Node: f.N, Rule: f.R, Value: f.Val})
 	case "j":
-		k, err := journey.ParseKind(f.Kind)
+		j, err := readJourney(&f.journeyJSON)
 		if err != nil {
 			return err
 		}
-		j := journey.Journey{ID: f.ID, Kind: k, Addr: f.Addr, Size: f.Size,
-			Coalesced: f.Coalesced, Aborted: f.Aborted, Done: f.Done, T: f.T}
 		switch f.Set {
 		case "slowest":
 			rc.Slowest = append(rc.Slowest, j)
 		case "recent":
+			key := journeyKey{j.Node, j.Kind}
+			if j.ID <= p.lastID[key] {
+				return fmt.Errorf("rec: %s journey %d on %s out of ID order", j.Kind, j.ID, j.Node)
+			}
+			if p.lastID == nil {
+				p.lastID = make(map[journeyKey]uint64)
+			}
+			p.lastID[key] = j.ID
 			rc.Journeys = append(rc.Journeys, j)
 		default:
 			return fmt.Errorf("rec: journey %d in unknown set %q", f.ID, f.Set)
 		}
-	case "s":
-		s, err := readSpan(doc, rc.Spans)
-		if err != nil {
-			return err
-		}
-		rc.Spans = append(rc.Spans, s)
 	case "i":
 		var e obs.InstEvent
 		if err := json.Unmarshal(doc, &e); err != nil {
@@ -323,27 +336,24 @@ func (p *Parser) frame(doc []byte) error {
 	return nil
 }
 
-// readSpan parses an "s" frame. Its trace ID must be positive and above
-// the previous span's, both node names set, and a completed span
-// neither dropped nor drained before it was pushed.
-func readSpan(doc []byte, prev []ctrace.MergedSpan) (ctrace.MergedSpan, error) {
-	var m ctrace.MergedSpan
-	if err := json.Unmarshal(doc, &m.Span); err != nil {
-		return m, err
+// readJourney parses a "j" frame's journey: a known kind with its
+// number of stamps, a node, and the journey's own invariants
+// (journey.Journey.Check).
+func readJourney(f *journeyJSON) (journey.Journey, error) {
+	k, err := journey.ParseKind(f.Kind)
+	if err != nil {
+		return journey.Journey{}, err
 	}
-	s := &m.Span
+	j := journey.Journey{ID: f.ID, Kind: k, Node: f.Node, To: f.To, Link: f.Link, Addr: f.Addr,
+		Size: f.Size, Coalesced: f.Coalesced, Aborted: f.Aborted, Done: f.Done}
 	switch {
-	case s.TraceID == 0 || len(prev) > 0 && s.TraceID <= prev[len(prev)-1].TraceID:
-		return m, fmt.Errorf("rec: span %d out of trace-ID order", s.TraceID)
-	case s.From == "" || s.To == "":
-		return m, fmt.Errorf("rec: span %d has no sender or receiver", s.TraceID)
-	case s.Done && (s.Dropped || s.RxDrain < s.FIFOPush):
-		return m, fmt.Errorf("rec: span %d completes inconsistently", s.TraceID)
+	case len(f.T) != int(k.Last())+1:
+		return j, fmt.Errorf("rec: %s journey %d has %d stamps, want %d", k, f.ID, len(f.T), k.Last()+1)
+	case f.Node == "":
+		return j, fmt.Errorf("rec: %s journey %d names no node", k, f.ID)
 	}
-	if s.Done {
-		m.E2E = s.RxDrain - s.FIFOPush
-	}
-	return m, nil
+	copy(j.T[:], f.T)
+	return j, j.Check()
 }
 
 // histRow reads a [n,sum,min,p50,p95,p99,max] row.
@@ -379,9 +389,9 @@ func (rc *Recording) HistIndex(name string) int { return indexOf(rc.HistNames, n
 const maxDiffs = 50
 
 // Diff compares two recordings: windows, events, the footer's whole-run
-// histogram rows, the journeys, the spans and the pipeline tail. tol is
-// a relative tolerance applied to every window and footer number (0 =
-// exact; journeys, spans and the tail compare exactly): values a,b
+// histogram rows, the journeys and the pipeline tail. tol is a relative
+// tolerance applied to every window and footer number (0 = exact;
+// journeys and the tail compare exactly): values a,b
 // differ when |a-b| > tol*max(|a|,|b|). Returns human-readable
 // differences, empty when the recordings match — the same-seed
 // regression contract.
@@ -490,18 +500,10 @@ func Diff(a, b *Recording, tol float64) []string {
 		}
 		for i := 0; i < min(len(set.a), len(set.b)); i++ {
 			if ja, jb := set.a[i], set.b[i]; ja != jb {
-				add("%s journey %d differs: %s %d at %d, e2e %d vs %s %d at %d, e2e %d", set.name, i,
-					ja.Kind, ja.ID, ja.T[journey.HopStart], ja.E2E(), jb.Kind, jb.ID, jb.T[journey.HopStart], jb.E2E())
+				add("%s journey %d differs: %s %s %d at %d, e2e %d vs %s %s %d at %d, e2e %d", set.name, i,
+					ja.Node, ja.Kind, ja.ID, ja.T[journey.HopStart], ja.E2E(),
+					jb.Node, jb.Kind, jb.ID, jb.T[journey.HopStart], jb.E2E())
 			}
-		}
-	}
-	if len(a.Spans) != len(b.Spans) {
-		add("span count differs: %d vs %d", len(a.Spans), len(b.Spans))
-	}
-	for i := 0; i < min(len(a.Spans), len(b.Spans)); i++ {
-		if sa, sb := a.Spans[i], b.Spans[i]; sa != sb {
-			add("span %d differs: %d %s->%s at %d, e2e %d vs %d %s->%s at %d, e2e %d", i,
-				sa.TraceID, sa.From, sa.To, sa.FIFOPush, sa.E2E, sb.TraceID, sb.From, sb.To, sb.FIFOPush, sb.E2E)
 		}
 	}
 	if len(a.Insts) != len(b.Insts) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
@@ -86,7 +85,7 @@ func journeyRecording(t testing.TB) (*journey.Tracer, *counters.Registry, []byte
 	if err := r.AddSource("m", reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddJourneys(tr); err != nil {
+	if err := r.AddJourneys("m", tr); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -113,18 +112,28 @@ func journeyRecording(t testing.TB) (*journey.Tracer, *counters.Registry, []byte
 	r.Roll(200)
 	cycle = 230
 	tr.UBStoreAccepted(0x3000, 8, false)
-	if err := r.AddJourneys(tr); err == nil {
+	if err := r.AddJourneys("m2", tr); err == nil {
 		t.Error("AddJourneys after Start accepted")
 	}
 	r.Flush(250)
 	return tr, reg, buf.Bytes()
 }
 
+// onNode returns journeys with their node set, as a recording of a
+// machine's tracer reads them back.
+func onNode(node string, js []journey.Journey) []journey.Journey {
+	for i := range js {
+		js[i].Node = node
+	}
+	return js
+}
+
 // TestFooterAndJourneys: the footer's whole-run row for each histogram
 // equals its Summary (the last window holds no samples, so no window's
 // row could stand in), the journey frames read back as the tracer's
-// Slowest and Retained, the same tracer state writes the same bytes,
-// and Diff reports a journey or a whole-run row that differs.
+// Slowest and Retained on the tracer's node, the same tracer state
+// writes the same bytes, and Diff reports a journey or a whole-run row
+// that differs.
 func TestFooterAndJourneys(t *testing.T) {
 	tr, reg, data := journeyRecording(t)
 	rc, err := Read(data)
@@ -146,11 +155,11 @@ func TestFooterAndJourneys(t *testing.T) {
 	if rc.Total[rc.HistIndex("m/journey/e2e/uncached_store")].N != 3 {
 		t.Errorf("e2e row counts %d stores, want 3", rc.Total[rc.HistIndex("m/journey/e2e/uncached_store")].N)
 	}
-	if !reflect.DeepEqual(rc.Slowest, tr.Slowest()) || len(rc.Slowest) != 3 {
-		t.Errorf("slowest read back as %+v\nwant %+v", rc.Slowest, tr.Slowest())
+	if want := onNode("m", tr.Slowest()); !reflect.DeepEqual(rc.Slowest, want) || len(rc.Slowest) != 3 {
+		t.Errorf("slowest read back as %+v\nwant %+v", rc.Slowest, want)
 	}
-	if !reflect.DeepEqual(rc.Journeys, tr.Retained()) || len(rc.Journeys) != 6 {
-		t.Errorf("recent read back as %+v\nwant %+v", rc.Journeys, tr.Retained())
+	if want := onNode("m", tr.Retained()); !reflect.DeepEqual(rc.Journeys, want) || len(rc.Journeys) != 6 {
+		t.Errorf("recent read back as %+v\nwant %+v", rc.Journeys, want)
 	}
 	if _, _, again := journeyRecording(t); !bytes.Equal(data, again) {
 		t.Error("the same tracer state wrote different recordings")
@@ -168,13 +177,18 @@ func TestFooterAndJourneys(t *testing.T) {
 	}
 }
 
-// spanRecording records a wire tracer's registry over two windows: a
-// packet n0→n1 completes in the first, and in the second one n1→n0 is
-// dropped and another n0→n1 is still in flight at the footer. It
-// returns the tracer and the recording.
-func spanRecording(t testing.TB) (*ctrace.Tracer, []byte) {
+// wireRecording records a cluster's wire tracer beside a node's tracer
+// over two windows: a packet n0→n1 completes in the first, and in the
+// second one n1→n0 is dropped and another n0→n1 is still in flight at
+// the footer. It returns the wire tracer and the recording.
+func wireRecording(t testing.TB) (*journey.WireTracer, []byte) {
 	reg := counters.NewRegistry()
-	tr := ctrace.New(reg)
+	tr := journey.NewWireTracer(reg)
+	var cycle uint64
+	node, err := journey.NewTracer(nil, func() uint64 { return cycle })
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := New(Config{Every: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -182,58 +196,83 @@ func spanRecording(t testing.TB) (*ctrace.Tracer, []byte) {
 	if err := r.AddSource("cluster", reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddSpans(tr); err != nil {
+	if err := r.AddJourneys("n0", node); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.AddJourneys("cluster", tr.Tracer); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddJourneys("n0", node); err == nil {
+		t.Error("a second journey source named n0 accepted")
 	}
 	var buf bytes.Buffer
 	r.SetWriter(&buf)
 	r.Start(0)
-	id := tr.PacketDeparted("n0", "n1", 64, 1, 10, 12, 20)
-	tr.PacketArrived(id, 50)
-	tr.PacketEnqueued(id, 51)
-	tr.PacketDrained(id, 90)
+	cycle = 10
+	desc := node.NICDescQueued(0, 64, false)
+	cycle = 12
+	node.NICTxStarted(desc)
+	cycle = 18
+	node.NICTxDone(desc)
+	id := tr.WireDeparted("n0", "n1", 64, desc, 10, 12, 20)
+	tr.WireArrived(id, 50)
+	tr.WireEnqueued(id, 51)
+	tr.WireDrained(id, 90)
 	r.Roll(100)
-	tr.PacketDropped(tr.PacketDeparted("n1", "n0", 8, 0, 110, 110, 116), 116)
-	tr.PacketArrived(tr.PacketDeparted("n0", "n1", 16, 2, 120, 121, 130), 160)
-	if err := r.AddSpans(tr); err == nil {
-		t.Error("AddSpans after Start accepted")
+	tr.WireDropped(tr.WireDeparted("n1", "n0", 8, 0, 110, 110, 116))
+	tr.WireArrived(tr.WireDeparted("n0", "n1", 16, 2, 120, 121, 130), 160)
+	if err := r.AddJourneys("late", tr.Tracer); err == nil {
+		t.Error("AddJourneys after Start accepted")
 	}
 	r.Flush(180)
 	return tr, buf.Bytes()
 }
 
-// TestSpanFrames: the "s" frames read back as the tracer's retained
-// spans, after every window and before the footer, the same tracer
-// state writes the same bytes, and Diff reports a span that differs.
+// TestSpanFrames: a wire journey's "j" frame names both nodes and its
+// link, the frames read back as the tracers' journeys, after every
+// window and before the footer, the same tracer state writes the same
+// bytes, and Diff reports a wire journey that differs.
 func TestSpanFrames(t *testing.T) {
-	tr, data := spanRecording(t)
+	tr, data := wireRecording(t)
 	rc, err := Read(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rc.Clean || rc.Truncated || len(rc.Windows) != 2 {
-		t.Fatalf("clean=%v truncated=%v windows=%d", rc.Clean, rc.Truncated, len(rc.Windows))
+	if !rc.Clean || rc.Truncated || len(rc.Windows) != 2 || rc.Version != 2 {
+		t.Fatalf("clean=%v truncated=%v windows=%d version=%d", rc.Clean, rc.Truncated, len(rc.Windows), rc.Version)
 	}
-	if !reflect.DeepEqual(rc.Spans, tr.Retained()) || len(rc.Spans) != 3 {
-		t.Errorf("spans read back as %+v\nwant %+v", rc.Spans, tr.Retained())
+	if len(rc.Journeys) != 4 || rc.Journeys[0].Kind != journey.KindNICDesc || rc.Journeys[0].Node != "n0" {
+		t.Fatalf("recent journeys %+v, want n0's descriptor then the three wire journeys", rc.Journeys)
 	}
-	if s := rc.Spans[0]; !s.Done || s.E2E != 80 || rc.Spans[1].DropCycle != 116 || rc.Spans[2].RxDrain != 0 {
-		t.Errorf("spans lost a stamp: %+v", rc.Spans)
+	if wire := rc.Journeys[1:]; !reflect.DeepEqual(wire, tr.Retained()) {
+		t.Errorf("wire journeys read back as %+v\nwant %+v", wire, tr.Retained())
 	}
-	first, footer := bytes.Index(data, []byte(`{"k":"s"`)), bytes.Index(data, []byte(`{"k":"f"`))
-	if first < bytes.LastIndex(data, []byte(`{"k":"w"`)) || footer < bytes.LastIndex(data, []byte(`{"k":"s"`)) {
-		t.Error("span frames are not between the last window and the footer")
+	if !reflect.DeepEqual(rc.Slowest[1:], tr.Slowest()) || len(rc.Slowest) != 2 {
+		t.Errorf("slowest read back as %+v, want n0's descriptor and %+v", rc.Slowest, tr.Slowest())
 	}
-	if _, again := spanRecording(t); !bytes.Equal(data, again) {
+	w := rc.Journeys[1:]
+	if !w[0].Done || w[0].E2E() != 80 || w[0].Link != rc.Journeys[0].ID || !w[1].Aborted ||
+		w[1].T[journey.HopWireDepart] != 116 || w[2].T[journey.HopRxDrain] != 0 || w[2].To != "n1" {
+		t.Errorf("wire journeys lost a stamp, a node or the link: %+v", w)
+	}
+	const frame = `{"k":"j","set":"recent","node":"n0","to":"n1","id":1,"kind":"wire","link":1,"addr":0,"size":64,"t":[10,12,20,50,51,90],"done":true}`
+	if !bytes.Contains(data, []byte(frame)) {
+		t.Errorf("recording lacks the frame %s", frame)
+	}
+	first, footer := bytes.Index(data, []byte(`{"k":"j"`)), bytes.Index(data, []byte(`{"k":"f"`))
+	if first < bytes.LastIndex(data, []byte(`{"k":"w"`)) || footer < bytes.LastIndex(data, []byte(`{"k":"j"`)) {
+		t.Error("journey frames are not between the last window and the footer")
+	}
+	if _, again := wireRecording(t); !bytes.Equal(data, again) {
 		t.Error("the same tracer state wrote different recordings")
 	}
 	other, err := Read(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other.Spans[2].WireArrive++
-	if d := strings.Join(Diff(rc, other, 0), "\n"); !strings.Contains(d, "span 2 differs") {
-		t.Errorf("diff misses the changed span:\n%s", d)
+	other.Journeys[3].T[journey.HopWireArrive]++
+	if d := strings.Join(Diff(rc, other, 0), "\n"); !strings.Contains(d, "recent journey 3 differs: n0 wire 3") {
+		t.Errorf("diff misses the changed wire journey:\n%s", d)
 	}
 }
 
@@ -401,32 +440,52 @@ func TestReadMalformedFooterAndJourneys(t *testing.T) {
 	}
 }
 
-// TestReadMalformedSpans: a span frame the reader rejects ends the
-// recording there as Truncated, keeping the spans before it: a zero or
-// out-of-order trace ID, a missing node, a completed span also marked
-// dropped or drained before its push, and a field of the wrong type.
+// TestReadMalformedSpans: a journey frame the reader rejects ends the
+// recording there as Truncated, keeping the journeys before it: a zero
+// or out-of-order ID within a node's kind, a missing node, a wire
+// journey without its sender or receiver, one completed yet dropped,
+// dropped with a receiver stamp, or with a stamp before the previous
+// hop's, the wrong number of stamps, and a field of the wrong type.
 func TestReadMalformedSpans(t *testing.T) {
-	_, data := spanRecording(t)
+	_, data := wireRecording(t)
 	for _, tc := range []struct {
 		name, old, new string
 		kept           int
 	}{
-		{"zero trace ID", `"trace_id":1,`, `"trace_id":0,`, 0},
-		{"trace IDs out of order", `"trace_id":2,`, `"trace_id":1,`, 1},
-		{"no sender", `"from":"n1"`, `"from":""`, 1},
-		{"no receiver", `"to":"n1","jid":2`, `"to":"","jid":2`, 2},
-		{"done and dropped", `"done":true`, `"done":true,"dropped":true`, 0},
-		{"drained before pushed", `"rx_drain":90`, `"rx_drain":5`, 0},
-		{"size not a number", `"size":8,`, `"size":"eight",`, 1},
+		{"zero ID", `"node":"n0","id":1,`, `"node":"n0","id":0,`, 0},
+		{"IDs out of order", `"id":3,"kind":"wire"`, `"id":1,"kind":"wire"`, 3},
+		{"no node", `"node":"n0","id":1,`, `"node":"","id":1,`, 0},
+		{"no sender", `"node":"n1","to":"n0"`, `"node":"","to":"n0"`, 2},
+		{"no receiver", `"to":"n1","id":3`, `"to":"","id":3`, 3},
+		{"done and dropped", `90],"done":true}`, `90],"aborted":true,"done":true}`, 1},
+		{"dropped after arriving", `"t":[120,121,130,160,0,0]`, `"t":[120,121,130,160,0,0],"aborted":true`, 3},
+		{"drained before pushed", `"t":[10,12,20,50,51,90]`, `"t":[10,12,20,50,51,5]`, 1},
+		{"too few stamps", `"t":[110,110,116,0,0,0]`, `"t":[110,110,116,0]`, 2},
+		{"size not a number", `"size":8,`, `"size":"eight",`, 2},
 	} {
-		rc, err := Read(reframe(data, func(doc string) string { return strings.Replace(doc, tc.old, tc.new, 1) }))
+		rc, err := Read(reframe(data, func(doc string) string {
+			if !strings.Contains(doc, `"set":"recent"`) {
+				return doc
+			}
+			return strings.Replace(doc, tc.old, tc.new, 1)
+		}))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if rc.Clean || !rc.Truncated || len(rc.Spans) != tc.kept || len(rc.Windows) != 2 {
-			t.Errorf("%s: clean=%v truncated=%v spans=%d windows=%d, want a truncated tail after %d spans",
-				tc.name, rc.Clean, rc.Truncated, len(rc.Spans), len(rc.Windows), tc.kept)
+		if rc.Clean || !rc.Truncated || len(rc.Journeys) != tc.kept || len(rc.Windows) != 2 {
+			t.Errorf("%s: clean=%v truncated=%v journeys=%d windows=%d, want a truncated tail after %d journeys",
+				tc.name, rc.Clean, rc.Truncated, len(rc.Journeys), len(rc.Windows), tc.kept)
 		}
+	}
+	// IDs count per sender: n1's first wire journey may follow n0's.
+	rc, err := Read(reframe(data, func(doc string) string {
+		return strings.Replace(doc, `"node":"n1","to":"n0","id":2,`, `"node":"n1","to":"n0","id":1,`, 1)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.Clean || rc.Truncated || len(rc.Journeys) != 4 {
+		t.Errorf("a second sender's first wire journey: clean=%v truncated=%v", rc.Clean, rc.Truncated)
 	}
 }
 
@@ -458,7 +517,7 @@ func TestReadGauges(t *testing.T) {
 	if rc, err := Read(sampleRecording(t)); err != nil || len(rc.Gauge) != len(rc.CtrNames) || rc.IsGauge(0) {
 		t.Errorf("recording without gauges: %v, err %v", rc.Gauge, err)
 	}
-	bad := `{"k":"h","v":1,"every":100,"c":0,"sources":["dev"],"slo":[],"ctrn":["dev/alpha"],"gauges":["dev/beta"],"histn":[]}`
+	bad := `{"k":"h","v":2,"every":100,"c":0,"sources":["dev"],"slo":[],"ctrn":["dev/alpha"],"gauges":["dev/beta"],"histn":[]}`
 	if _, err := Read([]byte(fmt.Sprintf("%d\n%s\n", len(bad), bad))); err == nil ||
 		!strings.Contains(err.Error(), `gauge "dev/beta"`) {
 		t.Errorf("gauge outside the counter table read with error %v", err)
@@ -480,6 +539,16 @@ func TestReadHugeLengthPrefix(t *testing.T) {
 	if !rc.Clean || !rc.Truncated || len(rc.Windows) != 3 {
 		t.Errorf("clean=%v truncated=%v windows=%d, want the clean prefix plus a truncated tail",
 			rc.Clean, rc.Truncated, len(rc.Windows))
+	}
+}
+
+// TestReadRejectsOldVersion: a version-1 file (its journeys have no
+// node, its packets are "s" frames) is refused at the header; the
+// FuzzRead seed recording_with_spans is such a file.
+func TestReadRejectsOldVersion(t *testing.T) {
+	v1 := bytes.Replace(sampleRecording(t), []byte(`"v":2,`), []byte(`"v":1,`), 1)
+	if _, err := Read(v1); err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Errorf("version-1 header read with error %v", err)
 	}
 }
 
@@ -515,6 +584,8 @@ func TestParserFollowsAppends(t *testing.T) {
 // in random chunks yields exactly what one Read does.
 func FuzzRead(f *testing.F) {
 	f.Add(sampleRecording(f), int64(1))
+	_, wire := wireRecording(f)
+	f.Add(wire, int64(2))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		want, wantErr := Read(data)
 		if (want == nil) == (wantErr == nil) {

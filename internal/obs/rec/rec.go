@@ -21,31 +21,33 @@
 // byte-identical to the sequential reference — the property that makes
 // `csbrec diff` trustworthy for regression checks and result caching.
 //
-// Recording format: a sequence of frames, each "<len>\n<json>\n" where
-// len is the decimal byte length of the JSON document. Frame kinds
-// ("k"): "h" header (version, cadence, source/series tables), "w" window
-// (counter [end,delta] pairs and histogram [n,sum,min,p50,p95,p99,max]
-// rows aligned with the header's series lists), "e" cycle-stamped event
-// (SLO breach/recover, watchdog fire, node-down transition, link outage
-// window), "j" journey (one store or descriptor journey of an attached
-// journey.Tracer: "set" is "slowest" or "recent", then id, kind, addr,
-// size, the four hop stamps "t" and the coalesced/aborted/done flags;
-// written once, at Flush, before the footer), "s" span (one wire
-// packet of an attached ctrace.Tracer, with ctrace.Span's fields:
-// trace_id, from, to, jid, size, done, dropped and drop_cycle, and the
-// six aligned stamps fifo_push … rx_drain; written once, at Flush, after
-// the journeys), "i" instruction (one of the last retired instructions
-// of an attached pipeline tail, with obs.InstEvent's fields: seq, pc,
-// dis, the stage stamps fetch … retire, a stage never reached left out,
-// and mem and addr for a memory op; written once, at Flush, after the
-// spans, oldest first), "b" bus transaction (one of the tail's last bus
-// transactions, with obs.BusEvent's fields in CPU cycles: start, end,
-// addr, size, write and io; written after the "i" frames, oldest
-// first), "f" footer (totals, and "total": one whole-run
-// [n,sum,min,p50,p95,p99,max] row per histogram, aligned with histn; its
-// presence marks a clean close). A reader skips a frame of a kind it
-// does not know, so a recording with a newer kind still reads to its
-// footer.
+// Recording format (version 2): a sequence of frames, each
+// "<len>\n<json>\n" where len is the decimal byte length of the JSON
+// document. Frame kinds ("k"): "h" header (version, cadence,
+// source/series tables), "w" window (counter [end,delta] pairs and
+// histogram [n,sum,min,p50,p95,p99,max] rows aligned with the header's
+// series lists), "e" cycle-stamped event (SLO breach/recover, watchdog
+// fire, node-down transition, link outage window), "j" journey (one
+// journey of an attached journey.Tracer: "set" is "slowest" or
+// "recent", then "node", the node it ran on (a wire journey's sender),
+// "to" (a wire journey's receiver), id, kind, "link" (a wire journey's
+// sender-side nic_descriptor journey), addr, size, the kind's hop
+// stamps "t" (four, six for a wire journey) and the
+// coalesced/aborted/done flags; written once, at Flush, before the
+// footer, tracer by tracer in attach order), "i" instruction (one of
+// the last retired instructions of an attached pipeline tail, with
+// obs.InstEvent's fields: seq, pc, dis, the stage stamps fetch …
+// retire, a stage never reached left out, and mem and addr for a memory
+// op; written once, at Flush, after the journeys, oldest first), "b"
+// bus transaction (one of the tail's last bus transactions, with
+// obs.BusEvent's fields in CPU cycles: start, end, addr, size, write and
+// io; written after the "i" frames, oldest first), "f" footer (totals,
+// and "total": one whole-run [n,sum,min,p50,p95,p99,max] row per
+// histogram, aligned with histn; its presence marks a clean close). A
+// reader skips a frame of a kind it does not know, so a recording with
+// a newer kind still reads to its footer. Version 1 had no node fields
+// and no wire kind, and carried a cluster's wire crossings in "s"
+// frames; a version-2 reader rejects it at the header.
 //
 // The header's "ctrn" table lists counters and gauges alike. Its
 // optional "gauges" list names the ctrn entries that are gauges; a
@@ -63,14 +65,13 @@ import (
 	"sort"
 	"strconv"
 
-	"csbsim/internal/cluster/ctrace"
 	"csbsim/internal/obs"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 )
 
 // FormatVersion is the recording format version written in the header.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Config parameterizes a Recorder.
 type Config struct {
@@ -144,6 +145,12 @@ type source struct {
 	reg  *counters.Registry
 }
 
+// journeySource is one attached journey tracer.
+type journeySource struct {
+	name string
+	t    *journey.Tracer
+}
+
 // Recorder owns the series tables, the window scratch, the event log and
 // the recording writer. Attach sources and the SLO before the run;
 // Roll/Event/Flush are barrier-phase only (single-threaded, between
@@ -153,8 +160,7 @@ type Recorder struct {
 	w        io.Writer
 	slo      *SLO
 	sources  []source
-	journeys *journey.Tracer
-	spans    *ctrace.Tracer
+	journeys []journeySource
 	pipeline func() ([]obs.InstEvent, []obs.BusEvent)
 
 	sealed     bool
@@ -245,30 +251,32 @@ func (r *Recorder) SetSLO(s *SLO) error {
 	return nil
 }
 
-// AddJourneys attaches a journey tracer: at Flush, before the footer,
-// its slowest set and its retained journeys are written as "j" frames.
-// A nil tracer writes none. Must be called before the first Roll.
-func (r *Recorder) AddJourneys(t *journey.Tracer) error {
+// AddJourneys attaches a named journey tracer, as AddSource attaches a
+// registry: at Flush, before the footer, its slowest set and its
+// retained journeys are written as "j" frames, each naming the node it
+// ran on — the tracer's name, unless the journey names its own (a wire
+// journey's sender). A nil tracer writes none. Must be called before
+// the first Roll.
+func (r *Recorder) AddJourneys(name string, t *journey.Tracer) error {
 	if r.sealed {
 		return fmt.Errorf("rec: recorder already started")
 	}
-	r.journeys = t
-	return nil
-}
-
-// AddSpans attaches a wire tracer: at Flush, before the footer, its
-// retained spans are written as "s" frames. A nil tracer writes none.
-// Must be called before the first Roll.
-func (r *Recorder) AddSpans(t *ctrace.Tracer) error {
-	if r.sealed {
-		return fmt.Errorf("rec: recorder already started")
+	if name == "" {
+		return fmt.Errorf("rec: empty journey source name")
 	}
-	r.spans = t
+	for _, s := range r.journeys {
+		if s.name == name {
+			return fmt.Errorf("rec: duplicate journey source %q", name)
+		}
+	}
+	if t != nil {
+		r.journeys = append(r.journeys, journeySource{name: name, t: t})
+	}
 	return nil
 }
 
-// AddPipeline attaches a pipeline tail: at Flush, after the spans and
-// before the footer, the instructions and bus transactions tail returns
+// AddPipeline attaches a pipeline tail: at Flush, after the journeys
+// and before the footer, the instructions and bus transactions tail returns
 // (the last ones of the run, oldest first) are written as "i" and "b"
 // frames. Must be called before the first Roll.
 func (r *Recorder) AddPipeline(tail func() ([]obs.InstEvent, []obs.BusEvent)) error {
@@ -438,7 +446,7 @@ func histWindow(prev, cur *counters.HistState) HistWindow {
 
 // Flush closes the recording: a final partial window if cycles elapsed
 // since the last roll, any pending events, the attached tracers'
-// journeys and spans, the pipeline tail, and the footer frame with every
+// journeys, the pipeline tail, and the footer frame with every
 // histogram's statistics over the whole run (exact at bucket resolution,
 // unlike any merge of per-window quantiles). Safe to call more than once
 // (the footer is written exactly once) — both the abort paths and the
@@ -458,17 +466,12 @@ func (r *Recorder) Flush(cycle uint64) {
 		return
 	}
 	r.footerDone = true
-	if r.journeys != nil {
-		for _, j := range r.journeys.Slowest() {
-			r.writeJourney("slowest", &j)
+	for _, s := range r.journeys {
+		for _, j := range s.t.Slowest() {
+			r.writeJourney("slowest", s.name, &j)
 		}
-		for _, j := range r.journeys.Retained() {
-			r.writeJourney("recent", &j)
-		}
-	}
-	if r.spans != nil {
-		for _, s := range r.spans.Retained() {
-			r.writeSpan(&s.Span)
+		for _, j := range s.t.Retained() {
+			r.writeJourney("recent", s.name, &j)
 		}
 	}
 	if r.pipeline != nil {
@@ -657,22 +660,18 @@ func (r *Recorder) appendHistRow(i int, h HistWindow) {
 }
 
 // writeJourney emits one "j" frame: a journey of the given set with its
-// hop stamps, and the flags that are set.
-func (r *Recorder) writeJourney(set string, j *journey.Journey) {
+// node (the source's name unless the journey names one), the kind's hop
+// stamps, and the flags that are set.
+func (r *Recorder) writeJourney(set, source string, j *journey.Journey) {
+	node := j.Node
+	if node == "" {
+		node = source
+	}
 	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
 		K string `json:"k"`
 		journeyJSON
-	}{"j", journeyJSON{set, j.ID, j.Kind.String(), j.Addr, j.Size, j.T, j.Coalesced, j.Aborted, j.Done}})
-	r.jbuf = append(r.jbuf[:0], doc...)
-	r.writeFrame()
-}
-
-// writeSpan emits one "s" frame: a wire span with its aligned stamps.
-func (r *Recorder) writeSpan(s *ctrace.Span) {
-	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
-		K string `json:"k"`
-		*ctrace.Span
-	}{"s", s})
+	}{"j", journeyJSON{set, node, j.To, j.ID, j.Kind.String(), j.Link, j.Addr, j.Size,
+		j.T[:j.Kind.Last()+1], j.Coalesced, j.Aborted, j.Done}})
 	r.jbuf = append(r.jbuf[:0], doc...)
 	r.writeFrame()
 }

@@ -140,7 +140,7 @@ func recordJourneys(t *testing.T, m *Machine) (*rec.Recorder, *bytes.Buffer) {
 	if err := r.AddSource("machine", m.AttachCounters()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddJourneys(m.Journeys()); err != nil {
+	if err := r.AddJourneys("machine", m.Journeys()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
