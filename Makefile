@@ -73,8 +73,8 @@ perf-ab:
 # tag. This is the one list of them: CI runs this target. -v logs each
 # test by name, so a log shows which ran.
 zero-alloc:
-	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs|TestAssembleAllocs' -v ./internal/bench/
-	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs' -v ./internal/sim/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestRunSteadyStateZeroAlloc|TestBuildAllocs|TestRegenerationAllocs|TestAssembleAllocs' -v ./internal/bench/
+	$(GO) test -run 'TestUncachedLoadAllocs|TestLineFillAllocs|TestDMABurstAllocs|TestResetAllocs' -v ./internal/sim/
 	$(GO) test -run 'TestRxQueueAllocs' -v ./internal/device/
 	$(GO) test -run 'TestPumpAllocs' -v ./internal/cluster/
 

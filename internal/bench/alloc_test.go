@@ -13,6 +13,7 @@ import (
 	"csbsim/internal/asm"
 	"csbsim/internal/cache"
 	"csbsim/internal/mem"
+	"csbsim/internal/sim"
 )
 
 // The hot loop's contract: once a bandwidth workload reaches steady state,
@@ -215,6 +216,54 @@ func TestBuildAllocs(t *testing.T) {
 		} else {
 			t.Logf("cache.New(%+v) allocated %d bytes", cfg, got)
 		}
+	}
+}
+
+// TestRegenerationAllocs pins what one regeneration of the 22 figures
+// costs on one sweep worker: the machines built through build, one per
+// Sweep call that measures on a machine (each worker resets its machine
+// between points; X8's cluster nodes are built by the cluster and not
+// counted), and the bytes and allocations of the whole regeneration, the
+// assembler's and X8's included, measured after a warm-up regeneration.
+func TestRegenerationAllocs(t *testing.T) {
+	const (
+		regenMachines = 23
+		regenAllocs   = 14_000
+		regenBytes    = 8_300_000
+	)
+	prev := Workers()
+	SetWorkers(1)
+	defer SetWorkers(prev)
+	machines := 0
+	defer func(b func(sim.Config) (*sim.Machine, error)) { build = b }(build)
+	newMachine := build
+	build = func(cfg sim.Config) (*sim.Machine, error) {
+		machines++
+		return newMachine(cfg)
+	}
+	regenerate := func() {
+		for _, id := range goldenFigureIDs {
+			if _, err := ByID(id); err != nil {
+				t.Fatalf("figure %s: %v", id, err)
+			}
+		}
+	}
+	regenerate()
+	machines = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	regenerate()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("one regeneration: %d machines built, %d allocations, %d bytes", machines, allocs, bytes)
+	if machines != regenMachines {
+		t.Errorf("one regeneration built %d machines, want %d", machines, regenMachines)
+	}
+	if allocs > regenAllocs {
+		t.Errorf("one regeneration made %d allocations, want at most %d", allocs, regenAllocs)
+	}
+	if bytes > regenBytes {
+		t.Errorf("one regeneration allocated %d bytes, want at most %d", bytes, regenBytes)
 	}
 }
 

@@ -64,9 +64,9 @@ func variant(ratio, line int, model bus.Model, width, turnaround, ack int) Machi
 
 // bandwidthFigure sweeps all schemes over all transfer sizes on one
 // machine variation. The (scheme, size) grid runs on the parallel sweep
-// pool; each point builds its own machine. The store programs are
-// assembled once per figure, one per (size, CSB or not), and shared
-// read-only by every point that runs them.
+// pool; each worker resets its machine for every point. The store
+// programs are assembled once per figure, one per (size, CSB or not),
+// and shared read-only by every point that runs them.
 func bandwidthFigure(id, title string, p MachineParams) (Result, error) {
 	r := Result{
 		ID: id, Title: "uncached store bandwidth, " + title,
@@ -88,14 +88,14 @@ func bandwidthFigure(id, title string, p MachineParams) (Result, error) {
 		return r, err
 	}
 	schemes := Schemes(p.LineSize)
-	ys, err := sweepSeries(len(schemes), len(TransferSizes), func(si, xi int) (float64, error) {
+	ys, err := sweepSeries(len(schemes), len(TransferSizes), func(w *worker, si, xi int) (float64, error) {
 		pp := p
 		pp.Scheme = schemes[si]
 		csb := 0
 		if pp.Scheme == SchemeCSB {
 			csb = 1
 		}
-		bw, err := measureStoreStream(pp, progs[2*xi+csb], TransferSizes[xi])
+		bw, err := measureStoreStream(w, pp, progs[2*xi+csb], TransferSizes[xi])
 		if err != nil {
 			return 0, fmt.Errorf("figure %s %s %dB: %w", id, schemes[si], TransferSizes[xi], err)
 		}
@@ -145,10 +145,10 @@ func Figure5(lockHit bool) (Result, error) {
 	}
 	// Each series' prologue baseline is measured once, not per point.
 	schemes := Schemes(p.LineSize)
-	bases, err := Sweep(schemes, 0, func(s Scheme) (uint64, error) {
+	bases, err := sweep(schemes, 0, func(w *worker, s Scheme) (uint64, error) {
 		pp := p
 		pp.Scheme = s
-		base, err := runLock(pp, progs[0], lockHit)
+		base, err := runLock(w, pp, progs[0], lockHit)
 		if err != nil {
 			return 0, fmt.Errorf("figure %s %s prologue: %w", id, s, err)
 		}
@@ -157,14 +157,14 @@ func Figure5(lockHit bool) (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	ys, err := sweepSeries(len(schemes), nx, func(si, xi int) (float64, error) {
+	ys, err := sweepSeries(len(schemes), nx, func(w *worker, si, xi int) (float64, error) {
 		pp := p
 		pp.Scheme = schemes[si]
 		prog := progs[1+xi]
 		if pp.Scheme == SchemeCSB {
 			prog = progs[1+nx+xi]
 		}
-		full, err := runLock(pp, prog, lockHit)
+		full, err := runLock(w, pp, prog, lockHit)
 		var cycles float64
 		if err == nil {
 			cycles, err = lockLatency(full, bases[si])
@@ -215,10 +215,10 @@ func AblationDoubleBuffer() (Result, error) {
 		return r, err
 	}
 	variants := []bool{false, true} // single-, then double-buffered
-	ys, err := sweepSeries(len(variants), len(counts), func(si, xi int) (float64, error) {
+	ys, err := sweepSeries(len(variants), len(counts), func(w *worker, si, xi int) (float64, error) {
 		pp := p
 		pp.DoubleBufferedCSB = variants[si]
-		return csbIssueOverhead(pp, progs[xi])
+		return csbIssueOverhead(w, pp, progs[xi])
 	})
 	if err != nil {
 		return r, err
@@ -256,10 +256,10 @@ func AblationR10KCombining() (Result, error) {
 		return r, err
 	}
 	variants := []bool{false, true} // any-order, then sequential-only
-	ys, err := sweepSeries(len(variants), len(TransferSizes), func(si, xi int) (float64, error) {
+	ys, err := sweepSeries(len(variants), len(TransferSizes), func(w *worker, si, xi int) (float64, error) {
 		pp := p
 		pp.SequentialCombining = variants[si]
-		return measureStoreStream(pp, progs[xi], TransferSizes[xi])
+		return measureStoreStream(w, pp, progs[xi], TransferSizes[xi])
 	})
 	if err != nil {
 		return r, err

@@ -170,7 +170,7 @@ func ExtensionPingPong() (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	ys, err := sweepSeries(len(methods), len(latencies), func(si, xi int) (float64, error) {
+	ys, err := sweepSeries(len(methods), len(latencies), func(_ *worker, si, xi int) (float64, error) {
 		rt, err := pingPong(methods[si], progs[2*si:2*si+2], rounds, latencies[xi])
 		if err != nil {
 			return 0, fmt.Errorf("X8 %s wire=%d: %w", methods[si], latencies[xi], err)

@@ -102,10 +102,15 @@ func messageSendProgram(method SendMethod, msgBytes, lineSize int) string {
 // DMA that is right after the descriptor store — the transfer itself
 // proceeds in the background).
 func MeasureMessageSend(p MachineParams, method SendMethod, msgBytes int) (wire, overhead float64, err error) {
+	return messageSend(nil, p, method, msgBytes)
+}
+
+// messageSend is MeasureMessageSend on w's machine.
+func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int) (wire, overhead float64, err error) {
 	cfg := sim.DefaultConfig()
 	cfg.Ratio = p.Ratio
 	cfg.Bus = p.Bus
-	m, err := sim.New(cfg)
+	m, err := w.machine(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -199,8 +204,8 @@ func pioVsDMA() (overheadR, latencyR Result, err error) {
 		}
 	}
 	// Each point yields two measurements: [wire latency, CPU overhead].
-	pairs, err := Sweep(points, 0, func(pt sendPoint) ([2]float64, error) {
-		wire, overhead, err := MeasureMessageSend(DefaultParams(), pt.method, pt.size)
+	pairs, err := sweep(points, 0, func(w *worker, pt sendPoint) ([2]float64, error) {
+		wire, overhead, err := messageSend(w, DefaultParams(), pt.method, pt.size)
 		return [2]float64{wire, overhead}, err
 	})
 	if err != nil {

@@ -41,6 +41,11 @@ func DefaultParams() MachineParams {
 
 // Build constructs a machine for the given parameters.
 func (p MachineParams) Build() (*sim.Machine, error) {
+	return build(p.config())
+}
+
+// config is the machine configuration of the given parameters.
+func (p MachineParams) config() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Ratio = p.Ratio
 	cfg.Bus = p.Bus
@@ -66,7 +71,7 @@ func (p MachineParams) Build() (*sim.Machine, error) {
 		cfg.CPU.IntALUs = max(1, p.CoreWidth/2)
 		cfg.CPU.FPUs = max(1, p.CoreWidth/2)
 	}
-	return sim.New(cfg)
+	return cfg
 }
 
 // span tracks the bus-cycle window occupied by the measured I/O store
@@ -124,14 +129,14 @@ func assembleEach(srcs []source) ([]*asm.Program, error) {
 	return Sweep(srcs, 0, func(s source) (*asm.Program, error) { return assemble(s.name, s.text) })
 }
 
-// measureStoreStream is the shared store-bandwidth harness: build the
-// machine, map the I/O window with the scheme's memory kind, run the
-// given store program to completion, drain the buffers, and return the
-// effective bandwidth (useful bytes per bus cycle) over the observed
+// measureStoreStream is the shared store-bandwidth harness: take w's
+// machine for p, map the I/O window with the scheme's memory kind, run
+// the given store program to completion, drain the buffers, and return
+// the effective bandwidth (useful bytes per bus cycle) over the observed
 // I/O-write window. The program is only read, so concurrent
 // measurements may share it.
-func measureStoreStream(p MachineParams, prog *asm.Program, totalBytes int) (float64, error) {
-	m, err := p.Build()
+func measureStoreStream(w *worker, p MachineParams, prog *asm.Program, totalBytes int) (float64, error) {
+	m, err := w.machine(p.config())
 	if err != nil {
 		return 0, err
 	}
@@ -165,7 +170,7 @@ func MeasureBandwidth(p MachineParams, totalBytes int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return measureStoreStream(p, prog, totalBytes)
+	return measureStoreStream(nil, p, prog, totalBytes)
 }
 
 // measureShuffledBandwidth is MeasureBandwidth with the shuffled-order
@@ -175,7 +180,7 @@ func measureShuffledBandwidth(p MachineParams, totalBytes int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	return measureStoreStream(p, prog, totalBytes)
+	return measureStoreStream(nil, p, prog, totalBytes)
 }
 
 // MeasureCSBIssueOverhead returns the CPU cycles a program needs to issue
@@ -188,7 +193,7 @@ func MeasureCSBIssueOverhead(p MachineParams, lines int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return csbIssueOverhead(p, prog)
+	return csbIssueOverhead(nil, p, prog)
 }
 
 // issueProgram is the CSB store stream of lines full lines without its
@@ -200,9 +205,9 @@ func issueProgram(lines, lineSize int) string {
 }
 
 // csbIssueOverhead is MeasureCSBIssueOverhead on an assembled
-// issueProgram, which it only reads.
-func csbIssueOverhead(p MachineParams, prog *asm.Program) (float64, error) {
-	m, err := p.Build()
+// issueProgram, which it only reads, on w's machine.
+func csbIssueOverhead(w *worker, p MachineParams, prog *asm.Program) (float64, error) {
+	m, err := w.machine(p.config())
 	if err != nil {
 		return 0, err
 	}
@@ -233,11 +238,11 @@ func MeasureLockLatency(p MachineParams, nDwords int, lockHit bool) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	full, err := runLock(p, seq, lockHit)
+	full, err := runLock(nil, p, seq, lockHit)
 	if err != nil {
 		return 0, err
 	}
-	base, err := runLock(p, prologue, lockHit)
+	base, err := runLock(nil, p, prologue, lockHit)
 	if err != nil {
 		return 0, err
 	}
@@ -254,11 +259,11 @@ func lockSequenceProgram(s Scheme, nDwords int) string {
 	return LockSequenceProgram(nDwords)
 }
 
-// runLock runs prog, a figure-5 program, to its halt on a fresh machine
-// and returns the cycle count. Unless lockHit, the lock's line is evicted
+// runLock runs prog, a figure-5 program, to its halt on w's machine and
+// returns the cycle count. Unless lockHit, the lock's line is evicted
 // first. The program is only read, so concurrent runs may share it.
-func runLock(p MachineParams, prog *asm.Program, lockHit bool) (uint64, error) {
-	m, err := p.Build()
+func runLock(w *worker, p MachineParams, prog *asm.Program, lockHit bool) (uint64, error) {
+	m, err := w.machine(p.config())
 	if err != nil {
 		return 0, err
 	}

@@ -127,7 +127,7 @@ func MeasureSharedNIC(useCSB bool, msgs int, quantum uint64) (SharedNICResult, e
 	if err != nil {
 		return SharedNICResult{}, err
 	}
-	return sharedNIC(useCSB, progs[0], progs[1], quantum)
+	return sharedNIC(nil, useCSB, progs[0], progs[1], quantum)
 }
 
 // senderSources are the two senders' programs, each sending msgs
@@ -143,10 +143,10 @@ func senderSources(useCSB bool, msgs int) []source {
 }
 
 // sharedNIC is MeasureSharedNIC on the assembled senderSources, which it
-// only reads.
-func sharedNIC(useCSB bool, progA, progB *asm.Program, quantum uint64) (SharedNICResult, error) {
+// only reads, on w's machine.
+func sharedNIC(w *worker, useCSB bool, progA, progB *asm.Program, quantum uint64) (SharedNICResult, error) {
 	var res SharedNICResult
-	m, err := sim.New(sim.DefaultConfig())
+	m, err := w.machine(sim.DefaultConfig())
 	if err != nil {
 		return res, err
 	}
@@ -214,8 +214,8 @@ func ExtensionSharedNIC() (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	ys, err := sweepSeries(len(variants), len(quanta), func(si, xi int) (float64, error) {
-		res, err := sharedNIC(variants[si], progs[2*si], progs[2*si+1], quanta[xi])
+	ys, err := sweepSeries(len(variants), len(quanta), func(w *worker, si, xi int) (float64, error) {
+		res, err := sharedNIC(w, variants[si], progs[2*si], progs[2*si+1], quanta[xi])
 		if err != nil {
 			return 0, err
 		}

@@ -1,18 +1,49 @@
 // Parallel sweep engine. Every paper figure is a sweep of independent
-// (machine, scheme, transfer-size) points, each measured on a freshly
-// built sim.Machine; machines share no mutable state (the only
-// package-level variables in the simulator are immutable lookup tables),
-// so the points can run on as many OS threads as the host offers. Sweep
-// fans the points across a worker pool and assembles results in index
-// order, so the output is byte-identical to a sequential run regardless
-// of worker count or scheduling.
+// (machine, scheme, transfer-size) points. Each sweep worker keeps one
+// sim.Machine for the length of a Sweep call and resets it
+// (sim.Machine.Reset) between the points it measures, so a point starts
+// from exactly the machine New would build without building one. A
+// worker's machine lives only as long as its Sweep: no mutable state is
+// shared between sweeps or workers (the only package-level variables in
+// the simulator are immutable lookup tables and the test hooks below), so
+// the points can run on as many OS threads as the host offers. Sweep fans
+// the points across a worker pool and assembles results in index order,
+// so the output is byte-identical to a sequential run regardless of
+// worker count or scheduling.
 package bench
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"csbsim/internal/sim"
 )
+
+// build is sim.New: every machine a figure measures on is built through
+// it, so a test can count them.
+var build = sim.New
+
+// worker is one sweep worker's reusable machine. The nil worker builds a
+// fresh machine per call, which the exported Measure functions use.
+type worker struct{ m *sim.Machine }
+
+// machine returns a machine in the state sim.New(cfg) gives: the
+// worker's own, reset, or one built on the worker's first point.
+func (w *worker) machine(cfg sim.Config) (*sim.Machine, error) {
+	if w == nil {
+		return build(cfg)
+	}
+	if w.m != nil {
+		return w.m, w.m.Reset(cfg)
+	}
+	m, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.m = m
+	return m, nil
+}
 
 // workerCount is the package-wide default parallelism for Sweep calls
 // that pass workers <= 0. Zero means "use GOMAXPROCS".
@@ -44,6 +75,12 @@ func SetWorkers(n int) {
 // measurements, and returns the error of the lowest-index failed point —
 // the same error a sequential run would surface first.
 func Sweep[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error) {
+	return sweep(points, workers, func(_ *worker, p P) (R, error) { return fn(p) })
+}
+
+// sweep is Sweep handing fn the calling worker, whose machine the
+// measurement may reset instead of building one.
+func sweep[P, R any](points []P, workers int, fn func(*worker, P) (R, error)) ([]R, error) {
 	results := make([]R, len(points))
 	if len(points) == 0 {
 		return results, nil
@@ -58,8 +95,9 @@ func Sweep[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error
 		// Sequential fast path: no goroutines, deterministic by
 		// construction. This is also the reference path the parallel
 		// assembly is tested against.
+		var w worker
 		for i, p := range points {
-			r, err := fn(p)
+			r, err := fn(&w, p)
 			if err != nil {
 				return nil, err
 			}
@@ -77,15 +115,16 @@ func Sweep[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error
 		wg       sync.WaitGroup
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
+			var w worker
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(points) || stop.Load() {
 					return
 				}
-				r, err := fn(points[i])
+				r, err := fn(&w, points[i])
 				if err != nil {
 					mu.Lock()
 					if errIdx < 0 || i < errIdx {
@@ -111,16 +150,17 @@ type seriesPoint struct{ si, xi int }
 
 // sweepSeries evaluates an nSeries x nX measurement grid on the sweep
 // pool and returns the filled Y vectors, one per series. fn receives the
-// series and x indices and returns that cell's measurement.
-func sweepSeries(nSeries, nX int, fn func(si, xi int) (float64, error)) ([][]float64, error) {
+// calling worker and the series and x indices and returns that cell's
+// measurement.
+func sweepSeries(nSeries, nX int, fn func(w *worker, si, xi int) (float64, error)) ([][]float64, error) {
 	points := make([]seriesPoint, 0, nSeries*nX)
 	for si := 0; si < nSeries; si++ {
 		for xi := 0; xi < nX; xi++ {
 			points = append(points, seriesPoint{si, xi})
 		}
 	}
-	ys, err := Sweep(points, 0, func(pt seriesPoint) (float64, error) {
-		return fn(pt.si, pt.xi)
+	ys, err := sweep(points, 0, func(w *worker, pt seriesPoint) (float64, error) {
+		return fn(w, pt.si, pt.xi)
 	})
 	if err != nil {
 		return nil, err

@@ -180,6 +180,16 @@ func New(cfg Config, rt *mem.Router) (*Bus, error) {
 	return &Bus{cfg: cfg, router: rt}, nil
 }
 
+// Reset returns the bus to the state New(cfg, router) gives over the
+// same router: idle at cycle 0, statistics cleared, no observer or nack
+// hook. A transaction in flight is dropped without completing. The
+// observer list keeps its storage. cfg must be valid (sim.Machine.Reset
+// validates the whole machine's first).
+func (b *Bus) Reset(cfg Config) {
+	clear(b.observers)
+	*b = Bus{cfg: cfg, router: b.router, observers: b.observers[:0]}
+}
+
 // Cycle returns the current bus cycle number.
 func (b *Bus) Cycle() uint64 { return b.cycle }
 

@@ -109,6 +109,11 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newCache(cfg), nil
+}
+
+// newCache is New for a valid cfg.
+func newCache(cfg Config) *Cache {
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
 	return &Cache{
 		cfg:       cfg,
@@ -116,7 +121,19 @@ func New(cfg Config) (*Cache, error) {
 		nsets:     uint64(nsets),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(nsets))),
-	}, nil
+	}
+}
+
+// Reset returns the cache to the state New gives with its configuration:
+// every line invalid, the LRU clock and statistics at zero. The chunks
+// filled so far are cleared and kept, and an all-invalid chunk behaves
+// exactly like one never filled.
+func (c *Cache) Reset() {
+	for _, chunk := range c.chunks {
+		clear(chunk)
+	}
+	c.clock = 0
+	c.stats = Stats{}
 }
 
 // Config returns the cache geometry.

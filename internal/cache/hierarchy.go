@@ -120,6 +120,43 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	}, nil
 }
 
+// Reset returns the hierarchy to the state NewHierarchy(cfg) gives: all
+// three caches empty, no miss, writeback or buffered store pending, and
+// statistics cleared. A fill or writeback in flight is dropped with its
+// waiters. A level whose geometry is unchanged is cleared in place
+// (Cache.Reset), any other is rebuilt; the MSHRs and queues keep their
+// storage. cfg must be valid (sim.Machine.Reset validates the whole
+// machine's first).
+func (h *Hierarchy) Reset(cfg HierConfig) {
+	levels := [3]*Cache{h.l1i, h.l1d, h.l2}
+	for i, lc := range [3]Config{cfg.L1I, cfg.L1D, cfg.L2} {
+		if levels[i].cfg == lc {
+			levels[i].Reset()
+		} else {
+			levels[i] = newCache(lc)
+		}
+	}
+	free := h.freeMSHRs
+	for _, m := range h.mshrs {
+		clear(m.callbacks)
+		m.callbacks = m.callbacks[:0]
+		free = append(free, m)
+	}
+	silent, writeBuf := h.silentBuf, h.writeBuf[:0]
+	if len(silent) != cfg.L2.LineSize {
+		// The pooled fills carry the old line size.
+		silent, free = make([]byte, cfg.L2.LineSize), nil
+	}
+	if cap(writeBuf) < cfg.WriteBuffer {
+		writeBuf = make([]uint64, 0, cfg.WriteBuffer)
+	}
+	*h = Hierarchy{
+		cfg: cfg, l1i: levels[0], l1d: levels[1], l2: levels[2],
+		mshrs: h.mshrs[:0], freeMSHRs: free,
+		writebacks: h.writebacks[:0], writeBuf: writeBuf, silentBuf: silent,
+	}
+}
+
 // LineSize returns the hierarchy's line size in bytes.
 func (h *Hierarchy) LineSize() int { return h.cfg.L2.LineSize }
 

@@ -133,21 +133,41 @@ func New(cfg Config) (*CSB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CSB{
-		cfg:  cfg,
-		data: make([]byte, cfg.LineSize),
-		mask: make([]bool, cfg.LineSize),
-	}
-	for i := range c.pending {
-		c.pending[i].data = make([]byte, cfg.LineSize)
-	}
+	c := &CSB{}
 	c.onBurstDone = func(t *bus.Txn) {
 		if c.tracer != nil {
 			c.burstComplete()
 		}
 		c.txnFree = append(c.txnFree, t) //csb:pool — Done handler returning t to the free list
 	}
+	c.Reset(cfg)
 	return c, nil
+}
+
+// Reset returns the CSB to the state New(cfg) gives: empty, no line
+// pending, statistics cleared, no fault hook or tracer. A burst in flight
+// is dropped. The line buffers and burst transactions keep their storage
+// while the line size fits them. cfg must be valid (sim.Machine.Reset
+// validates the whole machine's first).
+func (c *CSB) Reset(cfg Config) {
+	n := cfg.LineSize
+	line := func(b []byte) []byte {
+		if cap(b) < n {
+			return make([]byte, n)
+		}
+		clear(b[:n])
+		return b[:n]
+	}
+	mask := c.mask
+	if cap(mask) < n {
+		mask = make([]bool, n)
+	}
+	clear(mask[:n])
+	*c = CSB{
+		cfg: cfg, data: line(c.data), mask: mask[:n],
+		pending: [2]pendingLine{{data: line(c.pending[0].data)}, {data: line(c.pending[1].data)}},
+		txnFree: c.txnFree, onBurstDone: c.onBurstDone,
+	}
 }
 
 // SetFaultHooks installs the fault-injection hooks (any may be nil).

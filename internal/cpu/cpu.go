@@ -29,44 +29,21 @@ type CPU struct {
 
 	pred *predictor
 
-	rob    []*uop
-	fetchQ []*uop
+	queues
+
 	intRen [isa.NumRegs]*uop
 	fpRen  [isa.NumFRegs]*uop
 	ccRen  *uop
 	seq    uint64
 
-	// Event-driven scheduling (after gem5 O3's instruction queue): issue
-	// walks only the uops that can act this cycle, and executeAdvance
-	// only exq, the uops with a countdown running (unit or cached-load
-	// latency, or a TLB walk). iq holds the memory uops with issue-stage
-	// work and the non-memory uops whose operands are all done. A
-	// non-memory uop still waiting on an operand is parked on that
-	// producer's wakeup list instead (see park), and the producer's
-	// markDone moves it to woken, which issue merges with iq. iqNext is
-	// the buffer issue compacts into before the two swap. All queues are
-	// subsets of the ROB in program order. Squashes pop younger entries
-	// off the tails and unlink killed waiters, and flushAll empties them,
-	// so none ever holds a killed uop: killUop recycles the slot at once.
-	// CheckQueues rebuilds all of them from the ROB.
-	iq     []*uop
-	iqNext []*uop
-	woken  []*uop
-	exq    []*uop
-
-	// Allocation-free steady state: rob, fetchQ and retq are windows into
-	// fixed backing arrays (compacted to the front when a push reaches
-	// the end), and retired uops queue in retq until no in-flight uop can
-	// reference them and then return to uopFree. uops counts the slots
-	// newUop has allocated. stBuf is the scratch encoding buffer for
-	// store data.
-	robBack  []*uop
-	fqBack   []*uop
-	retqBack []*uop
-	uopFree  []*uop
-	uops     int
-	retq     []*uop
-	stBuf    [8]byte
+	// Allocation-free steady state: retired uops queue in retq until no
+	// in-flight uop can reference them and then return to uopFree. uops
+	// counts the slots newUop has allocated, in slabs. stBuf is the
+	// scratch encoding buffer for store data.
+	uopFree []*uop
+	uops    int
+	slabs   [][]uop
+	stBuf   [8]byte
 
 	// Decoded-instruction cache: fetch skips the RAM read and decode for
 	// PCs it has seen (see decache.go).
@@ -129,6 +106,39 @@ type CPU struct {
 	stats Stats
 }
 
+// queues are the core's uop queues, each a window on one array that New
+// allocates and Reset keeps.
+//
+// Event-driven scheduling (after gem5 O3's instruction queue): issue
+// walks only the uops that can act this cycle, and executeAdvance only
+// exq, the uops with a countdown running (unit or cached-load latency,
+// or a TLB walk). iq holds the memory uops with issue-stage work and the
+// non-memory uops whose operands are all done. A non-memory uop still
+// waiting on an operand is parked on that producer's wakeup list instead
+// (see park), and the producer's markDone moves it to woken, which issue
+// merges with iq. iqNext is the buffer issue compacts into before the two
+// swap. All queues are subsets of the ROB in program order. Squashes pop
+// younger entries off the tails and unlink killed waiters, and flushAll
+// empties them, so none ever holds a killed uop: killUop recycles the
+// slot at once. CheckQueues rebuilds all of them from the ROB.
+//
+// rob, fetchQ and retq are windows into the fixed backing arrays robBack,
+// fqBack and retqBack, compacted to the front when a push reaches the
+// end.
+type queues struct {
+	rob    []*uop
+	fetchQ []*uop
+	retq   []*uop
+	iq     []*uop
+	iqNext []*uop
+	woken  []*uop
+	exq    []*uop
+
+	robBack  []*uop
+	fqBack   []*uop
+	retqBack []*uop
+}
+
 // RetireEvent describes one committed instruction for tracing.
 type RetireEvent struct {
 	Cycle  uint64
@@ -161,6 +171,20 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := &CPU{hier: hier, ub: ub, csb: csb, ram: ram}
+	c.loadDone = c.uncachedLoadDone
+	c.Reset(cfg)
+	return c, nil
+}
+
+// Reset returns the core to the state New(cfg, ...) gives over the same
+// memory system, which the machine resets first: no program, an empty
+// pipeline, cold predictor, TLB and decode cache, statistics cleared, and
+// no hook or retire observer. Every uop the pool has grown goes back on
+// the free list, and the queues, decode cache, predictor and TLB keep
+// their storage while cfg's sizes fit them. cfg must be valid
+// (sim.Machine.Reset validates the whole machine's first).
+func (c *CPU) Reset(cfg Config) {
 	// Every uop queue is a window on one array, each capped so that no
 	// append runs into the next. The ROB, fetch-queue and retired-queue
 	// windows get double-capacity backings: pushes compact a live window
@@ -171,36 +195,66 @@ func New(cfg Config, hier *cache.Hierarchy, ub *uncbuf.Buffer, csb *core.CSB, ra
 	// entries plus one cycle's retires. The scheduling queues hold at
 	// most the ROB.
 	retqMax := cfg.ROBSize + cfg.FetchQueue + cfg.RetireWidth
-	back := make([]*uop, 6*cfg.ROBSize+2*cfg.FetchQueue+2*retqMax)
-	carve := func(n int) []*uop {
-		q := back[:0:n]
-		back = back[n:]
-		return q
+	q := c.queues
+	if q.robBack == nil || c.cfg.ROBSize != cfg.ROBSize || c.cfg.FetchQueue != cfg.FetchQueue || c.cfg.RetireWidth != cfg.RetireWidth {
+		back := make([]*uop, 6*cfg.ROBSize+2*cfg.FetchQueue+2*retqMax)
+		carve := func(n int) []*uop {
+			q := back[:0:n]
+			back = back[n:]
+			return q
+		}
+		q = queues{
+			robBack:  carve(2 * cfg.ROBSize),
+			fqBack:   carve(2 * cfg.FetchQueue),
+			retqBack: carve(2 * retqMax),
+			iq:       carve(cfg.ROBSize),
+			iqNext:   carve(cfg.ROBSize),
+			woken:    carve(cfg.ROBSize),
+			exq:      carve(cfg.ROBSize),
+		}
 	}
-	c := &CPU{
-		cfg:       cfg,
-		hier:      hier,
-		ub:        ub,
-		csb:       csb,
-		ram:       ram,
-		tlb:       mem.NewTLB(cfg.TLBEntries),
-		pred:      newPredictor(cfg.PredictorSize),
-		robBack:   carve(2 * cfg.ROBSize),
-		fqBack:    carve(2 * cfg.FetchQueue),
-		retqBack:  carve(2 * retqMax),
-		iq:        carve(cfg.ROBSize),
-		iqNext:    carve(cfg.ROBSize),
-		woken:     carve(cfg.ROBSize),
-		exq:       carve(cfg.ROBSize),
-		iLineMask: uint64(hier.LineSize() - 1),
-		decCache:  make([]decEntry, decCacheMin),
-		decGen:    1,
+	q.rob, q.fetchQ, q.retq = q.robBack[:0], q.fqBack[:0], q.retqBack[:0]
+	q.iq, q.iqNext, q.woken, q.exq = q.iq[:0], q.iqNext[:0], q.woken[:0], q.exq[:0]
+	tlb := c.tlb
+	if tlb == nil {
+		tlb = mem.NewTLB(cfg.TLBEntries)
+	} else {
+		tlb.Reset(cfg.TLBEntries)
 	}
-	c.rob = c.robBack
-	c.fetchQ = c.fqBack
-	c.retq = c.retqBack
-	c.loadDone = c.uncachedLoadDone
-	return c, nil
+	pred := c.pred
+	if pred == nil || len(pred.counters) != cfg.PredictorSize {
+		pred = newPredictor(cfg.PredictorSize)
+	} else {
+		pred.reset()
+	}
+	decCache := c.decCache
+	if decCache == nil {
+		decCache = make([]decEntry, decCacheMin)
+	}
+	// The free list takes back every slot of every slab, including the
+	// ones a pinned uop left to leak: nothing the last run did can reach
+	// them any more.
+	free := c.uopFree[:0]
+	for _, slab := range c.slabs {
+		for i := range slab {
+			free = append(free, &slab[i])
+		}
+	}
+	clear(c.ucLoads)
+	*c = CPU{
+		cfg:  cfg,
+		hier: c.hier, ub: c.ub, csb: c.csb, ram: c.ram,
+		tlb: tlb, pred: pred,
+		queues:  q,
+		uopFree: free, uops: c.uops, slabs: c.slabs,
+		// A reset cache starts at its first size again (growth reuses
+		// the array); the generation bump invalidates every entry.
+		decCache:  decCache[:decCacheMin],
+		decGen:    c.decGen + 1,
+		iLineMask: uint64(c.hier.LineSize() - 1),
+		ucLoads:   c.ucLoads[:0],
+		loadDone:  c.loadDone,
+	}
 }
 
 // newUop returns a zeroed uop from the free list. An empty free list
@@ -224,6 +278,7 @@ func (c *CPU) newUop() *uop {
 	}
 	slab := make([]uop, min(64, max(16, c.uops))) //csb:alloc-ok — cold start: the pool grows until steady state
 	c.uops += len(slab)
+	c.slabs = append(c.slabs, slab) //csb:alloc-ok — cold start, as above
 	for i := len(slab) - 1; i > 0; i-- {
 		c.uopFree = append(c.uopFree, &slab[i]) //csb:alloc-ok — cold start, as above
 	}
@@ -402,8 +457,8 @@ func (c *CPU) PageTable() *mem.PageTable { return c.pt }
 // TLB exposes the data TLB (the kernel flushes it when reusing ASIDs).
 func (c *CPU) TLB() *mem.TLB { return c.tlb }
 
-// Reset clears the pipeline and starts execution at entry.
-func (c *CPU) Reset(entry uint64) {
+// Start clears the pipeline and starts execution at entry.
+func (c *CPU) Start(entry uint64) {
 	c.invalidateDecodeCache() // a new program may occupy the same PCs
 	c.flushAll()
 	c.arch = ArchState{PC: entry}

@@ -72,7 +72,7 @@ func (r *rig) load(t *testing.T, src string) *asm.Program {
 	}
 	r.ram.Write(base, data)
 	r.pt.MapRange(base, base, uint64(len(data))+1<<20, mem.KindCached, true)
-	r.c.Reset(p.Entry)
+	r.c.Start(p.Entry)
 	return p
 }
 

@@ -7,7 +7,7 @@ import "csbsim/internal/isa"
 // simulated programs are static, so a hit is always correct as long as the
 // cache is invalidated whenever instruction bytes could have changed:
 //
-//   - wholesale (a generation bump) on Reset, RestoreState and
+//   - wholesale (a generation bump) on Start, Reset, RestoreState and
 //     FlushPipeline — the points where a program is (re)loaded or the
 //     kernel has mutated state behind the pipeline's back;
 //   - per line on CPU-initiated RAM writes (cached store commit, cached
@@ -143,13 +143,29 @@ func (c *CPU) decode(pc uint64) *decEntry {
 }
 
 // growDecodeCache quadruples the decode cache and keeps its live entries:
-// each keeps its index bits, so no two collide in the larger array.
+// each keeps its index bits, so no two collide in the larger array. A
+// reset core grows back into the array it grew before: the slots past
+// the old length hold only older generations, and a live entry moves up
+// past the old length or stays, so the walk never overwrites one it has
+// yet to visit.
 func (c *CPU) growDecodeCache() {
-	old := c.decCache
-	c.decCache = make([]decEntry, 4*len(old))
-	for _, e := range old {
-		if e.gen == c.decGen {
-			*c.decSlot(e.pc) = e
+	old, n := c.decCache, 4*len(c.decCache)
+	if cap(old) < n {
+		c.decCache = make([]decEntry, n)
+		for _, e := range old {
+			if e.gen == c.decGen {
+				*c.decSlot(e.pc) = e
+			}
+		}
+		return
+	}
+	c.decCache = old[:n]
+	for i := range old {
+		if e := &c.decCache[i]; e.gen == c.decGen {
+			if s := c.decSlot(e.pc); s != e {
+				*s = *e
+				e.gen = 0
+			}
 		}
 	}
 }

@@ -32,10 +32,18 @@ type predictor struct {
 
 func newPredictor(size int) *predictor {
 	p := &predictor{counters: make([]uint8, size)}
-	for i := range p.counters {
-		p.counters[i] = 1 // weakly not-taken
-	}
+	p.reset()
 	return p
+}
+
+// reset sets every counter to weakly not-taken, doubling the set prefix
+// with each copy (a reset machine pays it for every figure point).
+func (p *predictor) reset() {
+	c := p.counters
+	c[0] = 1 // Config.Validate keeps at least one counter
+	for n := 1; n < len(c); n *= 2 {
+		copy(c[n:], c[:n])
+	}
 }
 
 func (p *predictor) index(pc uint64) int {

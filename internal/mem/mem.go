@@ -24,10 +24,13 @@ const (
 // ByteOrder is the simulated machine's byte order (little-endian).
 var ByteOrder = binary.LittleEndian
 
-// Memory is sparse physical memory. The zero value is ready to use; pages
-// materialize (zero-filled) on first touch.
+// Memory is sparse physical memory. Pages materialize (zero-filled) on
+// first touch.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	// free holds the zeroed pages Reset took back, reused before new
+	// ones are allocated.
+	free []*[PageSize]byte
 }
 
 // NewMemory returns an empty physical memory.
@@ -39,10 +42,26 @@ func (m *Memory) page(pa uint64) *[PageSize]byte {
 	pn := pa >> PageBits
 	p, ok := m.pages[pn]
 	if !ok {
-		p = new([PageSize]byte)
+		if n := len(m.free); n > 0 {
+			p = m.free[n-1]
+			m.free = m.free[:n-1]
+		} else {
+			p = new([PageSize]byte)
+		}
 		m.pages[pn] = p
 	}
 	return p
+}
+
+// Reset empties memory, as NewMemory does, keeping the pages it held:
+// each is zeroed and reused by a later first touch, so the work is one
+// page clear per page the last run touched.
+func (m *Memory) Reset() {
+	for _, p := range m.pages { //csb:orderless — which zeroed page serves which frame is invisible
+		*p = [PageSize]byte{}
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
 }
 
 // Read copies len(dst) bytes starting at physical address pa.
@@ -135,6 +154,9 @@ type pageRange struct {
 	kind        Kind
 	writable    bool
 }
+
+// Reset empties the table, keeping its storage.
+func (pt *PageTable) Reset() { pt.ranges = pt.ranges[:0] }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {

@@ -48,6 +48,12 @@ func NewRouter(ram *Memory) *Router {
 	return &Router{ram: ram}
 }
 
+// Reset drops every registered device region.
+func (rt *Router) Reset() {
+	clear(rt.regions)
+	rt.regions = rt.regions[:0]
+}
+
 // RAM returns the underlying physical memory.
 func (rt *Router) RAM() *Memory { return rt.ram }
 

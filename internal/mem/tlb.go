@@ -35,6 +35,21 @@ func NewTLB(entries int) *TLB {
 	return &TLB{entries: make([]tlbEntry, entries)}
 }
 
+// Reset returns the TLB to the state NewTLB(entries) gives, keeping its
+// entry array when the size is unchanged.
+func (t *TLB) Reset(entries int) {
+	if entries <= 0 {
+		entries = 64
+	}
+	e := t.entries
+	if len(e) == entries {
+		clear(e)
+	} else {
+		e = make([]tlbEntry, entries)
+	}
+	*t = TLB{entries: e}
+}
+
 // Lookup translates va under asid. It returns the PTE and whether the
 // translation hit.
 func (t *TLB) Lookup(va uint64, asid uint8) (PTE, bool) {

@@ -207,8 +207,8 @@ func (j *Journey) Check() error {
 	return nil
 }
 
-// topN is how many slowest completed journeys are tracked exactly over
-// the whole run.
+// topN is how many slowest completed journeys of each kind are tracked
+// exactly over the whole run.
 const topN = 32
 
 // window is the per-kind count of most-recent journeys the rings retain
@@ -233,8 +233,12 @@ type Tracer struct {
 	aborted   [numKinds]uint64
 	stale     uint64 // stamps dropped: journey already evicted from its ring
 
-	slowest []Journey
-	slowMin uint64 // smallest E2E currently kept in slowest
+	// slowest holds each followed kind's topN slowest completed
+	// journeys (nil for a kind not followed), and slowMin the smallest
+	// E2E each currently keeps, so that a kind of long journeys never
+	// crowds a kind of short ones out.
+	slowest [numKinds][]Journey
+	slowMin [numKinds]uint64
 
 	hUBWait     *counters.Histogram
 	hCSBCombine *counters.Histogram
@@ -273,7 +277,7 @@ func NewWireTracer(reg *counters.Registry) *WireTracer {
 // newTracer creates a tracer whose rings retain the given number of
 // journeys per kind: a machine's with a clock, a cluster's without.
 func newTracer(window int, reg *counters.Registry, now func() uint64) *Tracer {
-	t := &Tracer{now: now, slowest: make([]Journey, 0, topN)}
+	t := &Tracer{now: now}
 	if reg == nil {
 		reg = counters.NewRegistry()
 	}
@@ -293,6 +297,7 @@ func newTracer(window int, reg *counters.Registry, now func() uint64) *Tracer {
 	}
 	for _, k := range kinds {
 		t.rings[k] = make([]Journey, window)
+		t.slowest[k] = make([]Journey, 0, topN)
 		t.hE2E[k] = reg.Histogram("journey/e2e/" + k.String())
 	}
 	for _, k := range kinds {
@@ -387,42 +392,40 @@ func (t *Tracer) finish(j *Journey) {
 	t.noteSlow(j, e2e)
 }
 
-// noteSlow keeps the topN slowest completed journeys (exact over the
-// whole run). The fixed-capacity slice never reallocates.
+// noteSlow keeps the topN slowest completed journeys of j's kind (exact
+// over the whole run). The fixed-capacity slices never reallocate.
 //
 //csb:hotpath
 func (t *Tracer) noteSlow(j *Journey, e2e uint64) {
-	if len(t.slowest) < cap(t.slowest) {
-		t.slowest = append(t.slowest, *j)
-		if len(t.slowest) == 1 || e2e < t.slowMin {
-			t.slowMin = e2e
-		}
-		if len(t.slowest) == cap(t.slowest) {
-			t.recomputeSlowMin()
+	k := j.Kind
+	s := t.slowest[k]
+	if len(s) < cap(s) {
+		s = append(s, *j)
+		t.slowest[k] = s
+		if len(s) == 1 || e2e < t.slowMin[k] {
+			t.slowMin[k] = e2e
 		}
 		return
 	}
-	if e2e <= t.slowMin {
+	if e2e <= t.slowMin[k] {
 		return
 	}
-	for i := range t.slowest {
-		if t.slowest[i].E2E() == t.slowMin {
-			t.slowest[i] = *j
+	for i := range s {
+		if s[i].E2E() == t.slowMin[k] {
+			s[i] = *j
 			break
 		}
 	}
-	t.recomputeSlowMin()
+	t.recomputeSlowMin(k)
 }
 
 //csb:hotpath
-func (t *Tracer) recomputeSlowMin() {
-	min := ^uint64(0)
-	for i := range t.slowest {
-		if e := t.slowest[i].E2E(); e < min {
-			min = e
-		}
+func (t *Tracer) recomputeSlowMin(k Kind) {
+	least := ^uint64(0)
+	for i := range t.slowest[k] {
+		least = min(least, t.slowest[k][i].E2E())
 	}
-	t.slowMin = min
+	t.slowMin[k] = least
 }
 
 // abortRange marks a journey range failed (CSB conflict, flush failure,
@@ -683,11 +686,14 @@ func (t *Tracer) Retained() []Journey {
 	return out
 }
 
-// Slowest returns the topN slowest completed journeys, slowest first
-// (ties broken by kind then ID, keeping the order deterministic).
+// Slowest returns each followed kind's topN slowest completed journeys,
+// slowest first (ties broken by kind then ID, keeping the order
+// deterministic).
 func (t *Tracer) Slowest() []Journey {
-	out := make([]Journey, len(t.slowest))
-	copy(out, t.slowest)
+	var out []Journey
+	for _, s := range t.slowest {
+		out = append(out, s...)
+	}
 	sort.Slice(out, func(a, b int) bool {
 		ea, eb := out[a].E2E(), out[b].E2E()
 		if ea != eb {

@@ -92,6 +92,59 @@ func TestTracerLifecycle(t *testing.T) {
 	}
 }
 
+// TestSlowestPerKind holds the slowest sets to one per kind: in a mixed
+// run where uncached and CSB stores (e2e 64) far outnumber and outlast
+// NIC descriptors (e2e 6), each finished kind still keeps its own topN,
+// and the set holds each kind's slowest ones, slowest first.
+func TestSlowestPerKind(t *testing.T) {
+	tr, _, cycle := newTestTracer(t)
+	for i := 0; i < 3*topN; i++ {
+		*cycle = uint64(1000 * i)
+		id := tr.UBStoreAccepted(0x4000_0000, 8, false)
+		tr.UBEntryDeparted(id, 1)
+		tr.UBBusGranted(id, 1)
+		*cycle += 64 + uint64(i%5)
+		tr.UBEntryDone(id, 1)
+
+		id = tr.CSBStoreAccepted(0x4100_0000, 8, false)
+		tr.CSBFlushCommitted(id, 1)
+		tr.CSBBusGranted(id, 1)
+		*cycle += 64
+		tr.CSBLineDone(id, 1)
+
+		if i%2 == 0 {
+			id = tr.NICDescQueued(0, 64, false)
+			*cycle += 2
+			tr.NICTxStarted(id)
+			*cycle += 4 + uint64(i%3)
+			tr.NICTxDone(id)
+		}
+	}
+	per := map[Kind][]Journey{}
+	for _, j := range tr.Slowest() {
+		per[j.Kind] = append(per[j.Kind], j)
+	}
+	for _, k := range []Kind{KindUncachedStore, KindCSBStore, KindNICDesc} {
+		s := per[k]
+		if len(s) != topN {
+			t.Errorf("%s: %d journeys in the slowest set, want %d", k, len(s), topN)
+			continue
+		}
+		for i := 1; i < len(s); i++ {
+			if s[i].E2E() > s[i-1].E2E() {
+				t.Errorf("%s: slowest set out of order at %d", k, i)
+			}
+		}
+		want := map[Kind]uint64{KindUncachedStore: 68, KindCSBStore: 64, KindNICDesc: 8}[k]
+		if s[0].E2E() != want {
+			t.Errorf("%s: slowest e2e %d, want %d", k, s[0].E2E(), want)
+		}
+		if k == KindNICDesc && s[topN-1].E2E() != 7 {
+			t.Errorf("%s: %d-th slowest e2e %d, want 7 (the 6-cycle ones are the fastest)", k, topN, s[topN-1].E2E())
+		}
+	}
+}
+
 func TestStaleStampDropped(t *testing.T) {
 	reg := counters.NewRegistry()
 	var cycle uint64

@@ -661,18 +661,52 @@ func (r *Recorder) appendHistRow(i int, h HistWindow) {
 
 // writeJourney emits one "j" frame: a journey of the given set with its
 // node (the source's name unless the journey names one), the kind's hop
-// stamps, and the flags that are set.
+// stamps, and the flags that are set. The frame is appended into jbuf
+// with the bytes json.Marshal would give journeyJSON (Read's type),
+// field for field: to and link only when set, the flags only when true.
 func (r *Recorder) writeJourney(set, source string, j *journey.Journey) {
 	node := j.Node
 	if node == "" {
 		node = source
 	}
-	doc, _ := json.Marshal(struct { // cannot fail: no maps, floats or interfaces
-		K string `json:"k"`
-		journeyJSON
-	}{"j", journeyJSON{set, node, j.To, j.ID, j.Kind.String(), j.Link, j.Addr, j.Size,
-		j.T[:j.Kind.Last()+1], j.Coalesced, j.Aborted, j.Done}})
-	r.jbuf = append(r.jbuf[:0], doc...)
+	b := append(r.jbuf[:0], `{"k":"j","set":`...)
+	b = appendMarshaledString(b, set)
+	b = append(b, `,"node":`...)
+	b = appendMarshaledString(b, node)
+	if j.To != "" {
+		b = append(b, `,"to":`...)
+		b = appendMarshaledString(b, j.To)
+	}
+	b = append(b, `,"id":`...)
+	b = strconv.AppendUint(b, j.ID, 10)
+	b = append(b, `,"kind":`...)
+	b = appendMarshaledString(b, j.Kind.String())
+	if j.Link != 0 {
+		b = append(b, `,"link":`...)
+		b = strconv.AppendUint(b, j.Link, 10)
+	}
+	b = append(b, `,"addr":`...)
+	b = strconv.AppendUint(b, j.Addr, 10)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendUint(b, uint64(j.Size), 10)
+	b = append(b, `,"t":[`...)
+	for i, t := range j.T[:j.Kind.Last()+1] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, t, 10)
+	}
+	b = append(b, ']')
+	if j.Coalesced {
+		b = append(b, `,"coalesced":true`...)
+	}
+	if j.Aborted {
+		b = append(b, `,"aborted":true`...)
+	}
+	if j.Done {
+		b = append(b, `,"done":true`...)
+	}
+	r.jbuf = append(b, '}')
 	r.writeFrame()
 }
 
@@ -730,5 +764,21 @@ func appendJSONString(b []byte, s string) []byte {
 			b = append(b, c)
 		}
 	}
+	return append(b, '"')
+}
+
+// appendMarshaledString appends s as json.Marshal encodes it, which the
+// "j" frames have always used: a plain printable ASCII string (every
+// node and kind name) between quotes, any other through json.Marshal,
+// whose escapes (<, > and & among them) appendJSONString does not make.
+func appendMarshaledString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // cannot fail: a string
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
 	return append(b, '"')
 }

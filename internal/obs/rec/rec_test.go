@@ -2,10 +2,14 @@ package rec
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"csbsim/internal/obs/counters"
+	"csbsim/internal/obs/journey"
 )
 
 // testSource builds a registry with two counters and one histogram the
@@ -366,3 +370,58 @@ func TestRollAllocFree(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestJourneyFrameMatchesMarshal holds writeJourney, which appends a "j"
+// frame into the recorder's scratch buffer, to the bytes json.Marshal
+// gives the same journey as the reader's journeyJSON: randomized
+// journeys of every kind, wire journeys with their receiver and link,
+// every flag combination, set and node names that need escaping, and a
+// journey that names no node (the source's name is used).
+func TestJourneyFrameMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"machine", "n0", "n12", "", `a"b\c`, "<&>", "tab\there", "é"}
+	kinds := []journey.Kind{journey.KindUncachedStore, journey.KindCSBStore, journey.KindNICDesc, journey.KindWire}
+	var out bytes.Buffer
+	r := &Recorder{w: &out}
+	for i := 0; i < 2000; i++ {
+		j := journey.Journey{
+			ID:        rng.Uint64() >> uint(rng.Intn(64)),
+			Kind:      kinds[i%len(kinds)],
+			Node:      names[rng.Intn(len(names))],
+			Addr:      rng.Uint64() >> uint(rng.Intn(64)),
+			Size:      rng.Uint32() >> uint(rng.Intn(32)),
+			Coalesced: rng.Intn(2) == 0,
+			Aborted:   rng.Intn(2) == 0,
+			Done:      rng.Intn(2) == 0,
+		}
+		if j.Kind == journey.KindWire {
+			j.To = names[rng.Intn(len(names))]
+			if rng.Intn(4) != 0 {
+				j.Link = rng.Uint64() >> uint(rng.Intn(64))
+			}
+		}
+		for h := range j.T {
+			j.T[h] = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		set, source := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+		node := j.Node
+		if node == "" {
+			node = source
+		}
+		want, err := json.Marshal(struct {
+			K string `json:"k"`
+			journeyJSON
+		}{"j", journeyJSON{set, node, j.To, j.ID, j.Kind.String(), j.Link, j.Addr, j.Size,
+			j.T[:j.Kind.Last()+1], j.Coalesced, j.Aborted, j.Done}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		r.writeJourney(set, source, &j)
+		got := out.Bytes()
+		prefix := strconv.Itoa(len(want)) + "\n"
+		if !bytes.HasPrefix(got, []byte(prefix)) || !bytes.Equal(got[len(prefix):], append(want, '\n')) {
+			t.Fatalf("journey %+v (set %q, source %q):\nframe   %s\nmarshal %s", j, set, source, got, want)
+		}
+	}
+}

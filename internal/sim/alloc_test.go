@@ -178,3 +178,48 @@ func TestDMABurstAllocs(t *testing.T) {
 		t.Error("the second transfer's packet differs from the source")
 	}
 }
+
+// TestResetAllocs holds Machine.Reset to its purpose: a machine reset and
+// rerun on the same point, as a figure's sweep worker does, allocates
+// nothing once the first run has grown its uop slabs, cache chunks,
+// memory pages and transactions.
+func TestResetAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		kind mem.Kind
+	}{{"uncached_stores.s", mem.KindUncached}, {"csb_stores.s", mem.KindCombining}} {
+		t.Run(tc.file, func(t *testing.T) {
+			cfg := DefaultConfig()
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.LoadSource(tc.file, exampleSource(t, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if err := m.Reset(cfg); err != nil {
+					t.Fatal(err)
+				}
+				m.MapRange(0x4000_0000, 1<<16, tc.kind)
+				if err := m.Load(p); err != nil {
+					t.Fatal(err)
+				}
+				m.WarmProgram(p)
+				if err := m.Run(1_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Drain(100_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := testing.AllocsPerRun(5, run); got != 0 {
+				t.Errorf("Reset and rerun allocated %v times, want 0", got)
+			}
+			if m.Stats().CPU.Retired == 0 {
+				t.Fatal("the program retired nothing")
+			}
+		})
+	}
+}

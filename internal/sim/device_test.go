@@ -18,13 +18,20 @@ func machineWithNIC(t *testing.T) (*Machine, *device.NIC) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, addNIC(t, m)
+}
+
+// addNIC attaches a NIC at nicBase to m and maps its register page
+// uncached and its packet buffer combining.
+func addNIC(t *testing.T, m *Machine) *device.NIC {
+	t.Helper()
 	nic := device.NewNIC(device.DefaultConfig(), nicBase)
 	if err := m.AddNIC(nic); err != nil {
 		t.Fatal(err)
 	}
 	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
 	m.MapRange(nicBase+device.PacketBufBase, device.PacketBufSize, mem.KindCombining)
-	return m, nic
+	return nic
 }
 
 // TestAddNICAttachOrder holds the one-NIC contract: a NIC attached after

@@ -280,6 +280,22 @@ func diffSetup(t *testing.T, cfg Config, seed int64, mix uint8, src string) (*Ma
 	if err != nil {
 		t.Fatal(err)
 	}
+	diffLoad(t, m, seed, mix, prog)
+
+	e, err := emu.New(prog, emu.WithMaxSteps(5_000_000), emu.WithCombining(diffCSBBase, diffCSBLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("seed %d: emulator: %v\n%s", seed, err, src)
+	}
+	return m, e
+}
+
+// diffLoad loads prog into m, maps its pages as mix selects, attaches
+// its faults and warms its caches.
+func diffLoad(t *testing.T, m *Machine, seed int64, mix uint8, prog *asm.Program) {
+	t.Helper()
 	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +318,6 @@ func diffSetup(t *testing.T, cfg Config, seed int64, mix uint8, src string) (*Ma
 		}
 	}
 	m.WarmProgram(prog)
-
-	e, err := emu.New(prog, emu.WithMaxSteps(5_000_000), emu.WithCombining(diffCSBBase, diffCSBLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("seed %d: emulator: %v\n%s", seed, err, src)
-	}
-	return m, e
 }
 
 // checkArch reports every register, FP register and condition-code
@@ -399,15 +406,28 @@ func diffSeeds() int {
 	return 60
 }
 
+// diffInput is one FuzzDifferential input.
+type diffInput struct {
+	seed int64
+	mix  uint8
+}
+
+// diffCorpus is FuzzDifferential's corpus: the differential seeds at mix
+// 0 and each seed once more at one of the other mixes.
+func diffCorpus() []diffInput {
+	var in []diffInput
+	for seed := 0; seed < diffSeeds(); seed++ {
+		in = append(in, diffInput{int64(seed), 0}, diffInput{int64(seed), uint8(mixAll - 1 - seed%(mixAll-1))})
+	}
+	return in
+}
+
 // FuzzDifferential runs a random structured program (seed) on the
 // machine and on the emulator with the page kinds and faults of mix,
-// and requires identical architectural state. The corpus is the
-// differential seeds at mix 0 and each seed once more at one of the
-// other mixes.
+// and requires identical architectural state. The corpus is diffCorpus.
 func FuzzDifferential(f *testing.F) {
-	for seed := 0; seed < diffSeeds(); seed++ {
-		f.Add(int64(seed), uint8(0))
-		f.Add(int64(seed), uint8(mixAll-1-seed%(mixAll-1)))
+	for _, in := range diffCorpus() {
+		f.Add(in.seed, in.mix)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
 		mix %= mixAll

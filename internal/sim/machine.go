@@ -116,6 +116,11 @@ type Machine struct {
 	nic    *device.NIC
 	spaces map[uint8]*mem.PageTable
 
+	// pidChanged and trap are the core's PIDChanged and TrapHook, built
+	// once by New and reinstalled by Reset.
+	pidChanged func(pid uint8)
+	trap       func(code int64) bool
+
 	// Optional rings of the last retired instructions and bus
 	// transactions (obs.go), read by the watchdog's dump and the
 	// recording's pipeline tail; nil when unattached.
@@ -192,16 +197,65 @@ func New(cfg Config) (*Machine, error) {
 		busCountdown: cfg.Ratio,
 	}
 	// Default address space for PID 0: created lazily by MapRange.
-	pt := mem.NewPageTable()
-	m.spaces[0] = pt
-	c.SetPageTable(pt)
-	c.PIDChanged = func(pid uint8) {
+	m.spaces[0] = mem.NewPageTable()
+	m.pidChanged = func(pid uint8) {
 		if pt, ok := m.spaces[pid]; ok {
 			c.SetPageTable(pt)
 		}
 	}
-	c.TrapHook = m.defaultTrap
+	m.trap = m.defaultTrap
+	m.wireCPU()
 	return m, nil
+}
+
+// wireCPU installs the machine's hooks and PID 0's page table on the
+// core.
+func (m *Machine) wireCPU() {
+	m.CPU.SetPageTable(m.spaces[0])
+	m.CPU.PIDChanged = m.pidChanged
+	m.CPU.TrapHook = m.trap
+}
+
+// Reset returns m to the state New(cfg) would build, keeping the storage
+// every layer has grown: the core's uop slabs, queues, predictor, TLB and
+// decode cache, the caches' tag chunks, memory's pages, the buffers'
+// entries and transactions. Each layer resets its own state (cpu, cache,
+// mem, uncbuf, core and bus each have a Reset), so the work follows what
+// the last run touched, not the machine's capacity; a layer whose shape
+// cfg changes (a new BlockSize, line size or queue depth) gets new storage
+// for that part alone. Everything attached after New is dropped: the NIC
+// and its address region, bus observers, periodic hooks, the fault
+// injector, watchdog, counters, journeys and rings, and the address
+// spaces of every PID but 0, whose page table is emptied. A run in
+// progress is abandoned: what it left in flight never completes. An
+// invalid cfg is refused before anything is touched.
+func (m *Machine) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	m.RAM.Reset()
+	m.Router.Reset()
+	m.Bus.Reset(cfg.Bus)
+	m.Hier.Reset(cfg.Caches)
+	m.UB.Reset(cfg.UB)
+	m.CSB.Reset(cfg.CSB)
+	m.CPU.Reset(cfg.CPU)
+	pt := m.spaces[0]
+	pt.Reset()
+	clear(m.spaces)
+	m.spaces[0] = pt
+	clear(m.periodicHooks)
+	*m = Machine{
+		Cfg: cfg, RAM: m.RAM, Router: m.Router, Bus: m.Bus,
+		Hier: m.Hier, UB: m.UB, CSB: m.CSB, CPU: m.CPU,
+		spaces:        m.spaces,
+		pidChanged:    m.pidChanged,
+		trap:          m.trap,
+		periodicHooks: m.periodicHooks[:0],
+		busCountdown:  cfg.Ratio,
+	}
+	m.wireCPU()
+	return nil
 }
 
 // defaultTrap implements the console conventions used by the examples:
@@ -281,7 +335,7 @@ func (m *Machine) Load(p *asm.Program) error {
 	// (programs that want uncached or combining space call MapRange).
 	span := uint64(len(data)) + 1<<20
 	m.MapRange(base&^uint64(mem.PageSize-1), span, mem.KindCached)
-	m.CPU.Reset(p.Entry)
+	m.CPU.Start(p.Entry)
 	return nil
 }
 

@@ -187,15 +187,22 @@ const recoveryWatchdog = 1_000_000
 // for a guest that sends no packets.
 func (g recoveryGuest) machine(t *testing.T, prog *asm.Program, cfg fault.Config) (*Machine, *device.NIC) {
 	t.Helper()
-	var m *Machine
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, g.setup(t, m, prog, cfg)
+}
+
+// setup gives a new or reset machine g's address space, NIC, fault
+// injector at cfg and watchdog, and loads g's program. The NIC is nil
+// for a guest that sends no packets.
+func (g recoveryGuest) setup(t *testing.T, m *Machine, prog *asm.Program, cfg fault.Config) *device.NIC {
+	t.Helper()
 	var nic *device.NIC
 	if g.packets != 0 {
-		m, nic = machineWithNIC(t)
+		nic = addNIC(t, m)
 	} else {
-		var err error
-		if m, err = New(DefaultConfig()); err != nil {
-			t.Fatal(err)
-		}
 		m.MapRange(combBase, 1<<16, mem.KindCombining)
 	}
 	if _, err := m.AttachFaults(cfg); err != nil {
@@ -207,7 +214,7 @@ func (g recoveryGuest) machine(t *testing.T, prog *asm.Program, cfg fault.Config
 	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	return m, nic
+	return nic
 }
 
 // oracle assembles g and runs it fault-free on the emulator. Its
@@ -352,6 +359,32 @@ const (
 	crankedSpec    = "default,csbpressure=256,flushdrop=256"
 )
 
+// recoveryInput is one FuzzFaultRecovery input.
+type recoveryInput struct {
+	guest uint8
+	seed  uint64
+	spec  string
+}
+
+// recoveryCorpus is FuzzFaultRecovery's corpus: every guest under the
+// default mix and the cranked one, and the quickstart guest under the
+// flush-heavy one.
+func recoveryCorpus() []recoveryInput {
+	var in []recoveryInput
+	for g := range recoveryGuests {
+		for seed := uint64(1); seed <= 25; seed++ {
+			in = append(in, recoveryInput{uint8(g), seed, "default"})
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			in = append(in, recoveryInput{uint8(g), seed, crankedSpec})
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		in = append(in, recoveryInput{0, seed, flushHeavySpec})
+	}
+	return in
+}
+
 // FuzzFaultRecovery is the fault-recovery oracle. The recovery guest
 // numbered guest (modulo their count) runs with the fault injector at
 // spec and seed, and must end in exactly one of two ways: in the state
@@ -361,16 +394,8 @@ const (
 // skipped: FuzzParseSpec owns parsing. Replay one input with
 // go test -run 'FuzzFaultRecovery/<name>'.
 func FuzzFaultRecovery(f *testing.F) {
-	for g := range recoveryGuests {
-		for seed := uint64(1); seed <= 25; seed++ {
-			f.Add(uint8(g), seed, "default")
-		}
-		for seed := uint64(1); seed <= 5; seed++ {
-			f.Add(uint8(g), seed, crankedSpec)
-		}
-	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		f.Add(uint8(0), seed, flushHeavySpec)
+	for _, in := range recoveryCorpus() {
+		f.Add(in.guest, in.seed, in.spec)
 	}
 	progs := make([]*asm.Program, len(recoveryGuests))
 	oracles := make([]*emu.Emulator, len(recoveryGuests))

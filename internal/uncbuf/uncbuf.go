@@ -110,6 +110,10 @@ type Buffer struct {
 	queue []entry // ring buffer, capacity cfg.Entries
 	qhead int
 	qlen  int
+	// dataBack and maskBack are the arrays the entries' buffers are cut
+	// from.
+	dataBack []byte
+	maskBack []bool
 	// chunks of the popped head entry awaiting bus issue
 	sending    []bus.Chunk
 	sendChunks []bus.Chunk // backing storage reused by sending
@@ -184,21 +188,7 @@ func New(cfg Config) (*Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bufSize := max(cfg.BlockSize, 8) // plain entries hold one ≤8-byte store
-	u := &Buffer{
-		cfg:      cfg,
-		queue:    make([]entry, cfg.Entries),
-		sendData: make([]byte, bufSize),
-	}
-	// Every entry's buffers are cut from two arrays, capacity capped so
-	// that no entry's appends run into the next.
-	data := make([]byte, cfg.Entries*bufSize)
-	mask := make([]bool, cfg.Entries*bufSize)
-	for i := range u.queue {
-		lo, hi := i*bufSize, (i+1)*bufSize
-		u.queue[i].data = data[lo:lo:hi]
-		u.queue[i].mask = mask[lo:lo:hi]
-	}
+	u := &Buffer{}
 	u.onStoreDone = func(t *bus.Txn) {
 		u.inflight--
 		if u.tracer != nil {
@@ -214,7 +204,41 @@ func New(cfg Config) (*Buffer, error) {
 			done(t.Data)
 		}
 	}}
+	u.Reset(cfg)
 	return u, nil
+}
+
+// Reset returns the buffer to the state New(cfg) gives: empty, nothing
+// in flight, statistics cleared, no fault hook or tracer. Entries, store
+// transactions and the send stage keep their storage; a queue that needs
+// larger entry buffers than the buffer has held (a larger BlockSize or
+// more Entries) gets new ones. cfg must be valid (sim.Machine.Reset
+// validates the whole machine's first).
+func (u *Buffer) Reset(cfg Config) {
+	bufSize := max(cfg.BlockSize, 8) // plain entries hold one ≤8-byte store
+	queue, data, mask := u.queue, u.dataBack, u.maskBack
+	if cap(queue) < cfg.Entries {
+		queue = make([]entry, cfg.Entries)
+	}
+	queue = queue[:cfg.Entries]
+	if n := cfg.Entries * bufSize; cap(data) < n {
+		data, mask = make([]byte, n), make([]bool, n)
+	}
+	// Every entry's buffers are cut from the two arrays, capacity capped
+	// so that no entry's appends run into the next.
+	for i := range queue {
+		lo, hi := i*bufSize, (i+1)*bufSize
+		queue[i] = entry{data: data[lo:lo:hi], mask: mask[lo:lo:hi]}
+	}
+	sendData := u.sendData
+	if cap(sendData) < bufSize {
+		sendData = make([]byte, bufSize)
+	}
+	*u = Buffer{
+		cfg: cfg, queue: queue, dataBack: data, maskBack: mask,
+		sendChunks: u.sendChunks[:0], sendData: sendData[:bufSize],
+		txnFree: u.txnFree, onStoreDone: u.onStoreDone, loadTxn: u.loadTxn,
+	}
 }
 
 // at returns the i-th queued entry (0 = head).
