@@ -107,7 +107,8 @@ journeys:
 
 # Cross-node tracing: record a traced two-node ping-pong under each
 # engine, require the two recordings to match (csbrec diff exits 1 on
-# any difference, the wire spans included), then list the slowest spans
+# any difference, the wire spans included), do the same at a zero-latency
+# wire, whose windows end at the transmit lead, then list the slowest spans
 # and write the two-timeline Perfetto export to out/. CI uploads out/ as
 # an artifact. What the trace and the recorder cost is checked exactly
 # by TestServeObservedEffort and TestObservedEffort (go test ./...) and
@@ -119,6 +120,11 @@ cluster-trace:
 	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 120 -engine seq \
 		-trace -record out/cluster_trace_seq.rec
 	$(GO) run ./cmd/csbrec diff out/cluster_trace_parallel.rec out/cluster_trace_seq.rec
+	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 0 -engine parallel \
+		-trace -record out/cluster_trace_wire0_parallel.rec
+	$(GO) run ./cmd/csbcluster -send csb -rounds 50 -wire 0 -engine seq \
+		-trace -record out/cluster_trace_wire0_seq.rec
+	$(GO) run ./cmd/csbrec diff out/cluster_trace_wire0_parallel.rec out/cluster_trace_wire0_seq.rec
 	$(GO) run ./cmd/csbrec journeys -top 3 -recent 2 out/cluster_trace_parallel.rec
 	$(GO) run ./cmd/csbrec perfetto -o out/cluster_trace_perfetto.json out/cluster_trace_parallel.rec
 

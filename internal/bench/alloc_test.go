@@ -12,6 +12,7 @@ import (
 
 	"csbsim/internal/asm"
 	"csbsim/internal/cache"
+	"csbsim/internal/cluster"
 	"csbsim/internal/mem"
 	"csbsim/internal/sim"
 )
@@ -220,26 +221,35 @@ func TestBuildAllocs(t *testing.T) {
 }
 
 // TestRegenerationAllocs pins what one regeneration of the 22 figures
-// costs on one sweep worker: the machines built through build, one per
-// Sweep call that measures on a machine (each worker resets its machine
-// between points; X8's cluster nodes are built by the cluster and not
-// counted), and the bytes and allocations of the whole regeneration, the
-// assembler's and X8's included, measured after a warm-up regeneration.
+// costs on one sweep worker: the machines built through build and
+// buildCluster, one per Sweep call that measures on a machine and one
+// per node of X8's cluster (each worker resets its machine or cluster
+// between points), and the bytes and allocations of the whole
+// regeneration, the assembler's included, measured after a warm-up
+// regeneration.
 func TestRegenerationAllocs(t *testing.T) {
 	const (
-		regenMachines = 23
-		regenAllocs   = 14_000
-		regenBytes    = 8_300_000
+		regenMachines = 25
+		regenAllocs   = 11_300
+		regenBytes    = 5_750_000
 	)
 	prev := Workers()
 	SetWorkers(1)
 	defer SetWorkers(prev)
 	machines := 0
 	defer func(b func(sim.Config) (*sim.Machine, error)) { build = b }(build)
-	newMachine := build
+	defer func(b func(cluster.Config) (*cluster.Cluster, error)) { buildCluster = b }(buildCluster)
+	newMachine, newCluster := build, buildCluster
 	build = func(cfg sim.Config) (*sim.Machine, error) {
 		machines++
 		return newMachine(cfg)
+	}
+	buildCluster = func(cfg cluster.Config) (*cluster.Cluster, error) {
+		c, err := newCluster(cfg)
+		if err == nil {
+			machines += c.NumNodes()
+		}
+		return c, err
 	}
 	regenerate := func() {
 		for _, id := range goldenFigureIDs {

@@ -111,7 +111,7 @@ func MeasurePingPong(method SendMethod, rounds int, wireLatency uint64) (float64
 	if err != nil {
 		return 0, err
 	}
-	return pingPong(method, progs, rounds, wireLatency)
+	return pingPong(nil, method, progs, rounds, wireLatency)
 }
 
 // pingPongSources are the ping and pong node programs.
@@ -120,12 +120,12 @@ func pingPongSources(method SendMethod, rounds int) []source {
 	return []source{{"ping.s", ping}, {"pong.s", pong}}
 }
 
-// pingPong is MeasurePingPong on the assembled pingPongSources, which it
-// only reads: node i runs progs[i].
-func pingPong(method SendMethod, progs []*asm.Program, rounds int, wireLatency uint64) (float64, error) {
+// pingPong is MeasurePingPong on w's cluster and the assembled
+// pingPongSources, which it only reads: node i runs progs[i].
+func pingPong(w *worker, method SendMethod, progs []*asm.Program, rounds int, wireLatency uint64) (float64, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.WireLatency = wireLatency
-	c, err := cluster.New(cfg)
+	c, err := w.cluster(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -170,8 +170,8 @@ func ExtensionPingPong() (Result, error) {
 	if err != nil {
 		return r, err
 	}
-	ys, err := sweepSeries(len(methods), len(latencies), func(_ *worker, si, xi int) (float64, error) {
-		rt, err := pingPong(methods[si], progs[2*si:2*si+2], rounds, latencies[xi])
+	ys, err := sweepSeries(len(methods), len(latencies), func(w *worker, si, xi int) (float64, error) {
+		rt, err := pingPong(w, methods[si], progs[2*si:2*si+2], rounds, latencies[xi])
 		if err != nil {
 			return 0, fmt.Errorf("X8 %s wire=%d: %w", methods[si], latencies[xi], err)
 		}

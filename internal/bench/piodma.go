@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"csbsim/internal/asm"
 	"csbsim/internal/device"
 	"csbsim/internal/mem"
 	"csbsim/internal/sim"
@@ -102,11 +103,17 @@ func messageSendProgram(method SendMethod, msgBytes, lineSize int) string {
 // DMA that is right after the descriptor store — the transfer itself
 // proceeds in the background).
 func MeasureMessageSend(p MachineParams, method SendMethod, msgBytes int) (wire, overhead float64, err error) {
-	return messageSend(nil, p, method, msgBytes)
+	prog, err := assemble("send.s", messageSendProgram(method, msgBytes, p.LineSize))
+	if err != nil {
+		return 0, 0, err
+	}
+	return messageSend(nil, p, method, msgBytes, prog, true)
 }
 
-// messageSend is MeasureMessageSend on w's machine.
-func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int) (wire, overhead float64, err error) {
+// messageSend is MeasureMessageSend on w's machine running prog, the
+// send program of method and msgBytes, which it only reads. With toWire
+// false the run stops at the halt and wire reads 0.
+func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int, prog *asm.Program, toWire bool) (wire, overhead float64, err error) {
 	cfg := sim.DefaultConfig()
 	cfg.Ratio = p.Ratio
 	cfg.Bus = p.Bus
@@ -131,10 +138,6 @@ func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int) (w
 	m.MapRange(0x200000, 1<<16, mem.KindCached)
 	m.WarmData(0x200000, uint64(msgBytes))
 
-	prog, err := assemble("send.s", messageSendProgram(method, msgBytes, p.LineSize))
-	if err != nil {
-		return 0, 0, err
-	}
 	if err := m.Load(prog); err != nil {
 		return 0, 0, err
 	}
@@ -151,7 +154,7 @@ func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int) (w
 		if wireDone == 0 && len(nic.Packets()) > 0 {
 			wireDone = m.Cycle()
 		}
-		if cpuDone != 0 && wireDone != 0 {
+		if cpuDone != 0 && (wireDone != 0 || !toWire) {
 			return float64(wireDone), float64(cpuDone), nil
 		}
 		m.Tick()
@@ -164,63 +167,56 @@ func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int) (w
 // descriptor store), plain PIO's grows steeply, CSB PIO's grows gently —
 // so the CSB pushes the PIO/DMA break-even point toward larger messages.
 func ExtensionPIOvsDMA() (Result, error) {
-	r, _, err := pioVsDMA()
-	return r, err
+	return pioVsDMA(false)
 }
 
 // ExtensionPIOvsDMALatency is the companion wire-latency view of the same
-// sweep (figure id X2L).
+// sends (figure id X2L).
 func ExtensionPIOvsDMALatency() (Result, error) {
-	_, r, err := pioVsDMA()
-	return r, err
+	return pioVsDMA(true)
 }
 
-func pioVsDMA() (overheadR, latencyR Result, err error) {
+// pioVsDMA sweeps one send per (method, message size): X2, the CPU
+// overhead, whose points stop at the halt, or with toWire X2L, the wire
+// latency, whose points run on until the packet is on the wire (never
+// before the halt). The figure's programs are assembled once.
+func pioVsDMA(toWire bool) (Result, error) {
 	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
-	overheadR = Result{
+	r := Result{
 		ID: "X2", Title: "per-message CPU overhead: PIO vs CSB-PIO vs DMA",
 		XLabel: "message size", YLabel: "CPU cycles until processor free",
 		Notes: "NIC with on-board packet buffer; DMA reads memory in 64B bursts",
 	}
-	latencyR = Result{
-		ID: "X2L", Title: "message wire latency: PIO vs CSB-PIO vs DMA",
-		XLabel: "message size", YLabel: "CPU cycles to wire",
-		Notes: overheadR.Notes,
+	if toWire {
+		r.ID, r.Title, r.YLabel = "X2L", "message wire latency: PIO vs CSB-PIO vs DMA", "CPU cycles to wire"
 	}
 	for _, s := range sizes {
-		label := fmt.Sprintf("%dB", s)
-		overheadR.X = append(overheadR.X, label)
-		latencyR.X = append(latencyR.X, label)
+		r.X = append(r.X, fmt.Sprintf("%dB", s))
 	}
 	methods := []SendMethod{SendPIO, SendCSB, SendDMA}
-	type sendPoint struct {
-		method SendMethod
-		size   int
-	}
-	points := make([]sendPoint, 0, len(methods)*len(sizes))
+	p := DefaultParams()
+	var srcs []source
 	for _, method := range methods {
 		for _, size := range sizes {
-			points = append(points, sendPoint{method, size})
+			srcs = append(srcs, source{"send.s", messageSendProgram(method, size, p.LineSize)})
 		}
 	}
-	// Each point yields two measurements: [wire latency, CPU overhead].
-	pairs, err := sweep(points, 0, func(w *worker, pt sendPoint) ([2]float64, error) {
-		wire, overhead, err := messageSend(w, DefaultParams(), pt.method, pt.size)
-		return [2]float64{wire, overhead}, err
+	progs, err := assembleEach(srcs)
+	if err != nil {
+		return r, err
+	}
+	ys, err := sweepSeries(len(methods), len(sizes), func(w *worker, si, xi int) (float64, error) {
+		wire, overhead, err := messageSend(w, p, methods[si], sizes[xi], progs[si*len(sizes)+xi], toWire)
+		if toWire {
+			return wire, err
+		}
+		return overhead, err
 	})
 	if err != nil {
-		return overheadR, latencyR, err
+		return r, err
 	}
-	for mi, method := range methods {
-		ov := Series{Name: method.String()}
-		lat := Series{Name: method.String()}
-		for si := range sizes {
-			pair := pairs[mi*len(sizes)+si]
-			lat.Y = append(lat.Y, pair[0])
-			ov.Y = append(ov.Y, pair[1])
-		}
-		overheadR.Series = append(overheadR.Series, ov)
-		latencyR.Series = append(latencyR.Series, lat)
+	for si, method := range methods {
+		r.Series = append(r.Series, Series{Name: method.String(), Y: ys[si]})
 	}
-	return overheadR, latencyR, nil
+	return r, nil
 }

@@ -1,9 +1,10 @@
 // Parallel sweep engine. Every paper figure is a sweep of independent
 // (machine, scheme, transfer-size) points. Each sweep worker keeps one
-// sim.Machine for the length of a Sweep call and resets it
-// (sim.Machine.Reset) between the points it measures, so a point starts
-// from exactly the machine New would build without building one. A
-// worker's machine lives only as long as its Sweep: no mutable state is
+// sim.Machine (or, for X8, one cluster.Cluster) for the length of a Sweep
+// call and resets it (sim.Machine.Reset, cluster.Cluster.Reset) between
+// the points it measures, so a point starts from exactly the state New
+// would build without building it. A worker's machine and cluster live
+// only as long as its Sweep: no mutable state is
 // shared between sweeps or workers (the only package-level variables in
 // the simulator are immutable lookup tables and the test hooks below), so
 // the points can run on as many OS threads as the host offers. Sweep fans
@@ -17,16 +18,25 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"csbsim/internal/cluster"
 	"csbsim/internal/sim"
 )
 
-// build is sim.New: every machine a figure measures on is built through
-// it, so a test can count them.
-var build = sim.New
+// build is sim.New and buildCluster cluster.New: every machine and
+// cluster a figure measures on is built through them, so a test can count
+// the machines.
+var (
+	build        = sim.New
+	buildCluster = cluster.New
+)
 
-// worker is one sweep worker's reusable machine. The nil worker builds a
-// fresh machine per call, which the exported Measure functions use.
-type worker struct{ m *sim.Machine }
+// worker is one sweep worker's reusable machine and cluster. The nil
+// worker builds fresh ones per call, which the exported Measure functions
+// use.
+type worker struct {
+	m *sim.Machine
+	c *cluster.Cluster
+}
 
 // machine returns a machine in the state sim.New(cfg) gives: the
 // worker's own, reset, or one built on the worker's first point.
@@ -43,6 +53,23 @@ func (w *worker) machine(cfg sim.Config) (*sim.Machine, error) {
 	}
 	w.m = m
 	return m, nil
+}
+
+// cluster returns a cluster in the state cluster.New(cfg) gives: the
+// worker's own, reset, or one built on the worker's first point.
+func (w *worker) cluster(cfg cluster.Config) (*cluster.Cluster, error) {
+	if w == nil {
+		return buildCluster(cfg)
+	}
+	if w.c != nil {
+		return w.c, w.c.Reset(cfg)
+	}
+	c, err := buildCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.c = c
+	return c, nil
 }
 
 // workerCount is the package-wide default parallelism for Sweep calls

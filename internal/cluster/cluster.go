@@ -15,9 +15,12 @@
 // node runs whole windows of cycles — spread over up to GOMAXPROCS host
 // threads, or inline when parallel is off or one node holds the work —
 // bounded by the minimum link latency so no inbound packet can be
-// missed; a zero-latency link shrinks the window to one cycle. Within a window a node jumps through its quiet
-// cycles to its next event. Run advances until every node halts and the
-// fabric drains, RunFor for a fixed horizon.
+// missed. At a latency of 0 or 1 a window runs to the earliest cycle a
+// node's NIC can put a packet on the wire (its transmit lead) plus the
+// latency, except while a node hook is live or the watchdog is armed,
+// which keep one-cycle windows. Within a window a node jumps through its
+// quiet cycles to its next event. Run advances until every node halts and
+// the fabric drains, RunFor for a fixed horizon.
 //
 // Observability: AttachTrace extends the per-node journey tracers across
 // the wire — every pumped packet opens a wire journey in the cluster's
@@ -62,8 +65,9 @@ type Config struct {
 	// WireLatency is the propagation delay in *CPU cycles* from a packet
 	// completing transmission to its words appearing in the receiver's
 	// RX queue, applied to every link (override per link with SetLink).
-	// Zero is allowed: the engine then barriers every cycle (1-cycle
-	// windows) and delivers the packet in the cycle it was pumped.
+	// Zero is allowed: the engine then ends its windows at the nodes'
+	// transmit lead (engine.go) and delivers the packet in the cycle it
+	// was pumped.
 	WireLatency uint64
 	// Bandwidth is the default link serialization cost in cycles per
 	// 8-byte word (0 = infinitely fast links).
@@ -133,9 +137,13 @@ type Node struct {
 	tlog []traceEvent
 
 	// frozen marks a node the scheduler no longer ticks: its CPU halted
-	// with everything settled (and no live hook), or it faulted.
-	frozen bool
-	err    error
+	// with everything settled (and no live hook), or it faulted. quietAt
+	// is the cycle the node last froze or retired its hook.
+	frozen  bool
+	quietAt uint64
+	err     error
+	// lastEnq is the cycle the last flight entered the NIC RX queue.
+	lastEnq uint64
 
 	// haltAt is the first cluster cycle after whose tick the CPU read
 	// halted; 0 until then.
@@ -234,29 +242,81 @@ type Cluster struct {
 // cfg.Topology. Nodes are named "n0" … "n<N-1>". The caller maps I/O
 // space and loads programs on each node's machine.
 func New(cfg Config) (*Cluster, error) {
+	c := &Cluster{}
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newNode builds node i: a machine with its NIC attached.
+func newNode(cfg Config, i int) (*Node, error) {
+	m, err := sim.New(cfg.Node)
+	if err != nil {
+		return nil, err
+	}
+	nic := device.NewNIC(cfg.NIC, NICBase)
+	if err := m.AddNIC(nic); err != nil {
+		return nil, err
+	}
+	return &Node{M: m, NIC: nic, name: fmt.Sprintf("n%d", i), idx: i}, nil
+}
+
+// Reset returns c to the state New(cfg) would build, keeping what its
+// nodes have grown: each kept node's machine is reset (sim.Machine.Reset)
+// and its NIC (device.NIC.Reset) re-attached, and the node keeps its
+// inbox, outbox, word slab and event log storage. Nodes beyond the old
+// count are built afresh and surplus ones dropped. Everything attached
+// after New goes: node hooks, link overrides, wire faults, the watchdog,
+// counters, tracers and the recorder; the window schedule forgets its
+// costs. A run in progress is abandoned. An invalid cfg is refused before
+// anything is touched. New is Reset on a zero Cluster.
+func (c *Cluster) Reset(cfg Config) error {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
 	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("cluster: invalid node count %d", cfg.Nodes)
+		return fmt.Errorf("cluster: invalid node count %d", cfg.Nodes)
 	}
-	c := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.Nodes; i++ {
-		m, err := sim.New(cfg.Node)
+	if err := cfg.Node.Validate(); err != nil {
+		return err
+	}
+	nodes := c.nodes[:min(len(c.nodes), cfg.Nodes)]
+	clear(c.nodes[len(nodes):])
+	for i, n := range nodes {
+		if err := n.M.Reset(cfg.Node); err != nil {
+			return err
+		}
+		n.NIC.Reset(cfg.NIC)
+		if err := n.M.AddNIC(n.NIC); err != nil {
+			return err
+		}
+		*n = Node{M: n.M, NIC: n.NIC, name: n.name, idx: i,
+			inbox: n.inbox[:0], outbox: n.outbox[:0], slab: n.slab, tlog: n.tlog[:0]}
+	}
+	for i := len(nodes); i < cfg.Nodes; i++ {
+		n, err := newNode(cfg, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		name := fmt.Sprintf("n%d", i)
-		nic := device.NewNIC(cfg.NIC, NICBase)
-		if err := m.AddNIC(nic); err != nil {
-			return nil, err
-		}
-		c.nodes = append(c.nodes, &Node{M: m, NIC: nic, name: name, idx: i})
+		nodes = append(nodes, n)
 	}
-	c.links, c.route = buildLinks(cfg)
-	c.routePos = make([]int, len(c.nodes))
-	c.sched = windowSched{cost: make([]uint64, len(c.nodes)), seen: make([]uint64, len(c.nodes))}
-	return c, nil
+	links, route := buildLinks(cfg)
+	*c = Cluster{nodes: nodes, cfg: cfg, links: links, route: route,
+		routePos: resized(c.routePos, cfg.Nodes),
+		sched:    windowSched{cost: resized(c.sched.cost, cfg.Nodes), seen: resized(c.sched.seen, cfg.Nodes)}}
+	return nil
+}
+
+// resized returns s with length n, zeroed, reusing its backing array
+// when it is large enough.
+func resized[T int | uint64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // MapIO maps the standard NIC layout into a node's PID-0 address space:
@@ -628,6 +688,7 @@ func (n *Node) applyDue(cycle uint64) {
 		if f.traceID != 0 {
 			n.logEvent(evEnqueue, f.traceID, f.dueEnq)
 		}
+		n.lastEnq = f.dueEnq
 		f.words = nil
 		n.enqPos++
 		n.rxWoke = true

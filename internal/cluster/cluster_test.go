@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"io"
 	"testing"
 
 	"csbsim/internal/device"
 	"csbsim/internal/mem"
+	"csbsim/internal/obs/rec"
 )
 
 func newCluster(t *testing.T, wire uint64) *Cluster {
@@ -135,6 +137,64 @@ func TestZeroLatencyDeliversInPumpCycle(t *testing.T) {
 	}
 }
 
+// TestSettledRunForAdvances: RunFor(1) on a settled zero-latency cluster
+// moves Cycle one cycle, as a one-cycle window does, also after a run at a
+// higher latency left the clock on a window edge past the cycle the
+// cluster went quiet; and the recorder's last roll never passes the clock.
+func TestSettledRunForAdvances(t *testing.T) {
+	c := newCluster(t, 0)
+	c.Node(0).MapIO(false)
+	c.Node(1).MapIO(false)
+	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Node(1).M.LoadSource("idle.s", "halt\n"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := rec.New(rec.Config{Every: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetWriter(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachRecorder(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(100_000, false); err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string) {
+		t.Helper()
+		for range 4 {
+			before := c.Cycle()
+			if err := c.RunFor(1, false); err != nil {
+				t.Fatal(err)
+			}
+			if c.Cycle() != before+1 {
+				t.Fatalf("%s: RunFor(1) from cycle %d ended at %d, want %d", what, before, c.Cycle(), before+1)
+			}
+			if c.lastRoll > c.Cycle() {
+				t.Fatalf("%s: recorder last rolled at %d, after the clock %d", what, c.lastRoll, c.Cycle())
+			}
+		}
+	}
+	step("settled at latency 0")
+	for _, lat := range []uint64{5, 0} {
+		for _, ij := range [][2]int{{0, 1}, {1, 0}} {
+			if err := c.SetLink(ij[0], ij[1], LinkConfig{Latency: lat}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lat > 1 {
+			if err := c.Run(100_000, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("after a latency-5 run")
+}
+
 func TestBidirectionalTraffic(t *testing.T) {
 	c := newCluster(t, 30)
 	c.Node(0).MapIO(false)
@@ -203,5 +263,70 @@ func TestMapIOCombining(t *testing.T) {
 	pte, ok = c.Node(0).M.AddressSpace(0).Lookup(NICBase)
 	if !ok || pte.Kind != mem.KindUncached {
 		t.Errorf("registers not uncached: %+v", pte)
+	}
+}
+
+// TestResetDropsAttachments: Reset leaves nothing attached after New —
+// no hook, link override, wire faults, watchdog, counters, tracer or
+// recorder — and a cluster reset after a run behaves like a new one.
+func TestResetDropsAttachments(t *testing.T) {
+	load := func(c *Cluster) {
+		t.Helper()
+		for i, src := range []string{sendProg(42), recvProg} {
+			c.Node(i).MapIO(false)
+			if _, err := c.Node(i).M.LoadSource("n.s", src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run := func(c *Cluster) (uint64, uint64) {
+		t.Helper()
+		load(c)
+		if err := c.Run(100_000, false); err != nil {
+			t.Fatal(err)
+		}
+		return c.HaltCycle(), c.Node(1).M.RAM.ReadUint(0x20000, 8)
+	}
+	c := newCluster(t, 0)
+	c.SetNodeHook(0, func(uint64) bool { return true })
+	c.SetNodeWake(0, func() uint64 { return 0 })
+	if err := c.SetLink(0, 1, LinkConfig{Latency: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AttachWireFaults(wireFaultMix()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetWatchdog(50_000, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AttachTrace(); err != nil {
+		t.Fatal(err)
+	}
+	load(c)
+	if err := c.RunFor(2000, false); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.WireLatency = 0
+	if err := c.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Node(0)
+	switch {
+	case c.Cycle() != 0 || n.M.Cycle() != 0:
+		t.Errorf("cycles %d/%d after Reset, want 0", c.Cycle(), n.M.Cycle())
+	case n.hook != nil || n.wake != nil:
+		t.Error("node hook survived Reset")
+	case c.links[0][1].Latency != 0:
+		t.Errorf("link latency %d survived Reset", c.links[0][1].Latency)
+	case c.wfaults != nil || c.wdWindow != 0 || c.reg != nil || c.tracer != nil || c.rec != nil:
+		t.Error("an attachment survived Reset")
+	case n.M.Counters() != nil || n.M.Journeys() != nil:
+		t.Error("a node's counters or journeys survived Reset")
+	}
+	haltReset, gotReset := run(c)
+	halt, got := run(newCluster(t, 0))
+	if haltReset != halt || gotReset != got || got != 42 {
+		t.Errorf("reset cluster halted at %d with %d, new one at %d with %d, want 42", haltReset, gotReset, halt, got)
 	}
 }

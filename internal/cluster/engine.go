@@ -4,8 +4,18 @@
 // latency W is the lookahead: a packet pumped at cycle t cannot arrive
 // anywhere before t+W, so every node can tick a whole window of W cycles
 // without observing an inbound packet the coordinator hasn't already
-// delivered to its inbox. A zero-latency link makes W one cycle, and the
-// barrier itself delivers what arrives in the cycle it was pumped.
+// delivered to its inbox. Like a CMB null message, the lookahead also
+// draws on the senders' state: a packet leaves a NIC only on a bus tick,
+// one bus tick after its transmission starts, so no node can pump before
+// its transmit lead (the next bus tick while its NIC is sending, one bus
+// period later otherwise). When W would be one cycle (a link latency of
+// 0 or 1) a window instead runs to the earliest transmit lead plus the
+// latency, and the barrier delivers what arrives in the window's last
+// cycle. Three exceptions: a node with a live hook, which may act on its
+// NIC in any cycle, and an armed watchdog, whose progress marks are taken
+// at every barrier, keep one-cycle windows; latencies of 2 and more keep
+// the fixed W grid, which recorder rolls and watchdog marks are observed
+// on. An attached recorder clips a lead window at its next roll.
 // Between windows a single-threaded barrier routes the window's
 // departures, replays the deferred tracer logs in node order, and rolls
 // the flight recorder's window when one is due.
@@ -62,8 +72,9 @@ import (
 // just a large batching factor.
 const soloLookahead = 4096
 
-// lookahead computes the window W = max(1, min link latency).
-func (c *Cluster) lookahead() uint64 {
+// minLatency returns the minimum link latency, or math.MaxUint64 when the
+// cluster has no links.
+func (c *Cluster) minLatency() uint64 {
 	w := uint64(math.MaxUint64)
 	for i := range c.links {
 		for j := range c.links[i] {
@@ -72,10 +83,65 @@ func (c *Cluster) lookahead() uint64 {
 			}
 		}
 	}
+	return w
+}
+
+// lookahead computes the link window W = max(1, min link latency), the
+// fixed window length at latencies of 2 and more.
+func (c *Cluster) lookahead() uint64 {
+	w := c.minLatency()
 	if w == math.MaxUint64 {
 		return soloLookahead
 	}
 	return max(w, 1)
+}
+
+// transmitLead returns the earliest cycle at which node n, whose hook is
+// not live, can pump a packet, reckoned from the barrier at cycle now, or
+// math.MaxUint64 when it is frozen. A NIC finishes a transmission only on
+// a bus tick, and an idle transmitter needs one bus tick to start a
+// descriptor — whether it arrives by a bus write or at the end of a DMA —
+// and a later one to finish it: so the lead is the machine's next bus
+// tick while the NIC is sending and one bus period later otherwise.
+//
+//csb:barrier reads the node's machine and NIC between windows
+func (n *Node) transmitLead(now uint64) uint64 {
+	if n.frozen {
+		return math.MaxUint64
+	}
+	lead := now + n.M.NextBusTick() - n.M.Cycle()
+	if !n.NIC.Sending() {
+		lead += uint64(n.M.Cfg.Ratio)
+	}
+	return lead
+}
+
+// leadEnd returns the end of the next window when the link window is one
+// cycle (minimum latency lat of 0 or 1): the earliest transmit lead of any
+// node plus lat. A packet pumped inside the window is then due no earlier
+// than the window end, where the barrier delivers it, so no node misses a
+// delivery; the nodes' machines tick exactly as in one-cycle windows. A
+// node with a live hook keeps the window at one cycle, and an attached
+// recorder clips it at its next roll, so rolls land on the same cycles.
+//
+//csb:barrier reads every node's machine and NIC between windows
+func (c *Cluster) leadEnd(lat uint64) uint64 {
+	end := uint64(math.MaxUint64)
+	for _, n := range c.nodes {
+		if n.hookActive() {
+			return c.cycle + 1
+		}
+		if lead := n.transmitLead(c.cycle); lead != math.MaxUint64 {
+			end = min(end, lead+lat)
+		}
+	}
+	if end == math.MaxUint64 {
+		return c.cycle + 1 // every node frozen: a one-cycle window, as before
+	}
+	if c.rec != nil {
+		end = min(end, c.lastRoll+c.recEvery)
+	}
+	return end
 }
 
 // runWindow advances this node through the window (start, end] one step
@@ -102,7 +168,7 @@ func (n *Node) runWindow(start, end uint64) {
 		if n.hookActive() && (n.wake == nil || n.rxWoke || cyc >= n.wakeAt) {
 			n.rxWoke = false
 			if !n.hook(cyc) {
-				n.hookDone = true
+				n.hookDone, n.quietAt = true, cyc
 			} else if n.wake != nil {
 				n.wakeAt = n.wake()
 			}
@@ -111,7 +177,7 @@ func (n *Node) runWindow(start, end uint64) {
 			n.M.Tick()
 			if err := n.M.CPU.Err(); err != nil {
 				n.err = err
-				n.frozen = true
+				n.frozen, n.quietAt = true, cyc
 			} else if n.M.CPU.Halted() {
 				if n.haltAt == 0 {
 					n.haltAt = cyc
@@ -119,7 +185,7 @@ func (n *Node) runWindow(start, end uint64) {
 				if !n.hookActive() && n.M.Settled() {
 					// Halted with every engine quiet and no live hook:
 					// further ticks are no-ops, stop paying for them.
-					n.frozen = true
+					n.frozen, n.quietAt = true, cyc
 				}
 			}
 		}
@@ -373,9 +439,17 @@ func (s *windowSched) pool() bool {
 	return true
 }
 
-// runWindowed is the coordinator loop behind Run and RunFor.
+// runWindowed is the coordinator loop behind Run and RunFor. At a minimum
+// link latency of 2 or more every window is W = lookahead() cycles long,
+// on a grid the recorder's rolls and the watchdog's marks are observed
+// on. At 0 or 1, where W is one cycle, a window instead runs to the
+// nodes' transmit lead (leadEnd), unless the watchdog is armed: its
+// progress marks are taken at every barrier, so it keeps one-cycle
+// windows.
 func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 	w := c.lookahead()
+	lat := c.minLatency()
+	byLead := lat <= 1 && c.wdWindow == 0
 	var pool *windowPool
 	if parallel {
 		if pool = startPool(c.nodes); pool != nil {
@@ -386,16 +460,18 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 	c.sched.begin(c.nodes)
 	horizon := c.cycle + limit
 	for c.cycle < horizon {
-		end := c.cycle + w
-		if end > horizon {
-			end = horizon
+		start := c.cycle
+		end := start + w
+		if byLead {
+			end = c.leadEnd(lat)
 		}
+		end = min(end, horizon)
 		// Decided with or without a pool, so both engines choose alike.
 		if c.sched.pool() && pool != nil {
-			pool.run(c.cycle, end)
+			pool.run(start, end)
 		} else {
 			for _, n := range c.nodes {
-				n.runWindow(c.cycle, end)
+				n.runWindow(start, end)
 			}
 		}
 		c.cycle = end
@@ -410,6 +486,14 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		}
 		c.drainTraceLogs()
 		c.compactInboxes()
+		if byLead && c.settled() {
+			// Nothing changed after the cluster settled: stop where
+			// one-cycle windows stop, so the recorder's last roll and
+			// flush and Cycle come out alike. A one-cycle window always
+			// moves the clock, also when the cluster was settled before
+			// it started.
+			c.cycle = max(c.settledAt(), start+1)
+		}
 		c.maybeRoll()
 		for _, n := range c.nodes {
 			if n.err != nil {
@@ -445,6 +529,16 @@ func (c *Cluster) settled() bool {
 	return true
 }
 
+// settledAt returns the cycle a settled cluster went quiet: the last
+// node freeze, hook retirement or RX enqueue.
+func (c *Cluster) settledAt() uint64 {
+	var at uint64
+	for _, n := range c.nodes {
+		at = max(at, n.quietAt, n.lastEnq)
+	}
+	return at
+}
+
 // Run advances the cluster until every live node halts and the fabric
 // drains, or maxCycles elapse (an error). parallel spreads each window's
 // nodes over up to GOMAXPROCS host threads; the result (machine state,
@@ -469,8 +563,10 @@ func (c *Cluster) RunFor(cycles uint64, parallel bool) error {
 
 // HaltCycle returns the cluster cycle after whose tick the last live node
 // halted — where a cycle-by-cycle run would stop — or 0 while a live node
-// is still running. Cycle, by contrast, is the barrier clock: it ends on
-// a window edge at or after the fabric drains.
+// is still running. Cycle, by contrast, is the barrier clock: after a Run
+// at a link latency of 2 or more it ends on a window edge at or after the
+// fabric drains; at 0 or 1, where windows end at the transmit lead, it
+// ends where one-cycle windows end, in the cycle the cluster went quiet.
 func (c *Cluster) HaltCycle() uint64 {
 	var last uint64
 	for _, n := range c.nodes {

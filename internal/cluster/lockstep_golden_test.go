@@ -12,7 +12,6 @@ import (
 
 	"csbsim/internal/bench"
 	"csbsim/internal/cluster"
-	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
@@ -27,10 +26,11 @@ import (
 // The file cannot be regenerated: it pins results the engine can no
 // longer be asked for.
 
-// lockstepCase is one workload of the lockstep golden.
+// lockstepCase is one workload of the lockstep golden. build sets it up
+// on c reset to the workload's config, or on a new cluster when c is nil.
 type lockstepCase struct {
 	name  string
-	build func(t *testing.T) *cluster.Cluster
+	build func(t *testing.T, c *cluster.Cluster) *cluster.Cluster
 }
 
 // lockstepCases lists the golden's workloads: the determinism guard's
@@ -40,12 +40,12 @@ func lockstepCases() []lockstepCase {
 	var cs []lockstepCase
 	for _, wire := range []uint64{0, 1, 7, 90} {
 		cs = append(cs, lockstepCase{fmt.Sprintf("ring wire=%d", wire),
-			func(t *testing.T) *cluster.Cluster { return cluster.GuardRing(t, wire) }})
+			func(t *testing.T, c *cluster.Cluster) *cluster.Cluster { return cluster.GuardRing(t, c, wire) }})
 	}
 	for _, m := range []bench.SendMethod{bench.SendPIO, bench.SendCSB, bench.SendDMA} {
 		for _, wire := range []uint64{0, 60} {
 			cs = append(cs, lockstepCase{fmt.Sprintf("x8 %s wire=%d", m, wire),
-				func(t *testing.T) *cluster.Cluster { return buildGoldenPingPong(t, m, wire) }})
+				func(t *testing.T, c *cluster.Cluster) *cluster.Cluster { return buildGoldenPingPong(t, c, m, wire) }})
 		}
 	}
 	return cs
@@ -53,25 +53,9 @@ func lockstepCases() []lockstepCase {
 
 // buildGoldenPingPong is bench.MeasurePingPong's cluster (30 rounds) with
 // the wire tracer attached.
-func buildGoldenPingPong(t *testing.T, method bench.SendMethod, wire uint64) *cluster.Cluster {
+func buildGoldenPingPong(t *testing.T, c *cluster.Cluster, method bench.SendMethod, wire uint64) *cluster.Cluster {
 	t.Helper()
-	cfg := cluster.DefaultConfig()
-	cfg.WireLatency = wire
-	c, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ping, pong := bench.PingPongPrograms(method, 30)
-	for i, src := range []string{ping, pong} {
-		n := c.Node(i)
-		n.MapIO(method == bench.SendCSB)
-		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
-		p, err := n.M.LoadSource(n.Name()+".s", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.M.WarmProgram(p)
-	}
+	c = buildPingPong(t, c, method, wire)
 	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,34 +186,46 @@ func renderLockstepCase(t *testing.T, name string, c *cluster.Cluster, exit uint
 // TestParallelMatchesLockstepGolden: the windowed engine, parallel and
 // inline, reproduces the lockstep engine's results. HaltCycle stands in
 // for lockstep's exit cycle and each node's halt cycle for the one
-// lockstep observed; everything else must match byte for byte.
+// lockstep observed; everything else must match byte for byte. The
+// "reset" pass runs every case inline on one cluster that Reset carries
+// from case to case, twice over, so it both drops and adds nodes.
 func TestParallelMatchesLockstepGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/lockstep.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		var got bytes.Buffer
-		for _, lc := range lockstepCases() {
-			c := lc.build(t)
-			recording := attachGoldenRecorder(t, c)
-			if err := c.Run(100_000_000, parallel); err != nil {
-				t.Fatalf("%s: %v", lc.name, err)
-			}
-			halts := make([]uint64, c.NumNodes())
-			for i, n := range c.Nodes() {
-				halts[i] = n.HaltCycle()
-			}
-			got.Write(renderLockstepCase(t, lc.name, c, c.HaltCycle(), halts, recording.Bytes()))
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-			for i := range min(len(gl), len(wl)) {
-				if gl[i] != wl[i] {
-					t.Fatalf("parallel=%v: line %d differs:\n got %q\nwant %q", parallel, i+1, gl[i], wl[i])
+	for _, pass := range []struct {
+		name            string
+		parallel, reset bool
+		rounds          int
+	}{{"inline", false, false, 1}, {"parallel", true, false, 1}, {"reset", false, true, 2}} {
+		var reused *cluster.Cluster
+		for range pass.rounds {
+			var got bytes.Buffer
+			for _, lc := range lockstepCases() {
+				c := lc.build(t, reused)
+				if pass.reset {
+					reused = c
 				}
+				recording := attachGoldenRecorder(t, c)
+				if err := c.Run(100_000_000, pass.parallel); err != nil {
+					t.Fatalf("%s: %s: %v", pass.name, lc.name, err)
+				}
+				halts := make([]uint64, c.NumNodes())
+				for i, n := range c.Nodes() {
+					halts[i] = n.HaltCycle()
+				}
+				got.Write(renderLockstepCase(t, lc.name, c, c.HaltCycle(), halts, recording.Bytes()))
 			}
-			t.Fatalf("parallel=%v: %d lines, want %d", parallel, len(gl), len(wl))
+			if !bytes.Equal(got.Bytes(), want) {
+				gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				for i := range min(len(gl), len(wl)) {
+					if gl[i] != wl[i] {
+						t.Fatalf("%s: line %d differs:\n got %q\nwant %q", pass.name, i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("%s: %d lines, want %d", pass.name, len(gl), len(wl))
+			}
 		}
 	}
 }

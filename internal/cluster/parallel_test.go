@@ -65,8 +65,9 @@ const ringSends = 3
 
 // guardRing builds the guard workload — a 4-node traced ring with
 // per-link bandwidth, queue depth and RX staging all exercised, each node
-// sending ringSends packets clockwise and receiving as many.
-func guardRing(t *testing.T, wire uint64) *Cluster {
+// sending ringSends packets clockwise and receiving as many. It is built
+// on c reset to the workload's config, or on a new cluster when c is nil.
+func guardRing(t *testing.T, c *Cluster, wire uint64) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
@@ -75,7 +76,12 @@ func guardRing(t *testing.T, wire uint64) *Cluster {
 	cfg.Bandwidth = 2
 	cfg.LinkDepth = 8
 	cfg.RxEnqueueDelay = 13
-	c, err := New(cfg)
+	var err error
+	if c == nil {
+		c, err = New(cfg)
+	} else {
+		err = c.Reset(cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func guardRing(t *testing.T, wire uint64) *Cluster {
 // verifies delivery, and snapshots every observable output.
 func runRing(t *testing.T, run func(*Cluster) error) ringSnapshot {
 	t.Helper()
-	c := guardRing(t, 90)
+	c := guardRing(t, nil, 90)
 	if err := run(c); err != nil {
 		t.Fatal(err)
 	}

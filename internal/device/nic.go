@@ -255,24 +255,55 @@ const RxEmpty = ^uint64(0)
 
 // NewNIC creates a NIC claiming [base, base+RegionSize).
 func NewNIC(cfg Config, base uint64) *NIC {
+	n := &NIC{base: base, packetBuf: make([]byte, PacketBufSize)}
+	n.dmaTxn.Done = func(t *bus.Txn) {
+		copy(n.packetBuf[n.dmaOff:], t.Data)
+		n.dmaOff += t.Size
+		n.dmaInFly = false
+	}
+	n.Reset(cfg)
+	return n
+}
+
+// normalized replaces an unset FIFO depth and an unset or non-power-of-two
+// DMA burst with the defaults.
+func (cfg Config) normalized() Config {
 	if cfg.FIFODepth <= 0 {
 		cfg.FIFODepth = 16
 	}
 	if cfg.DMABurst <= 0 || cfg.DMABurst&(cfg.DMABurst-1) != 0 {
 		cfg.DMABurst = 64
 	}
-	n := &NIC{
+	return cfg
+}
+
+// Reset returns n to the state NewNIC(cfg, n.Base()) would build, keeping
+// its packet buffer, descriptor FIFO, RX queue, sent-packet list and
+// packet slab: the packet buffer is zeroed, the queues and lists emptied,
+// the counters cleared, and every hook (tracer, drain hook, fault hooks,
+// wake, Interrupt) dropped. A slice Packets returned before the reset is
+// overwritten by the packets sent after it.
+func (n *NIC) Reset(cfg Config) {
+	cfg = cfg.normalized()
+	data := n.dmaTxn.Data
+	if len(data) == cfg.DMABurst {
+		clear(data)
+	} else {
+		data = make([]byte, cfg.DMABurst)
+	}
+	clear(n.packetBuf)
+	*n = NIC{
 		cfg:       cfg,
-		base:      base,
-		packetBuf: make([]byte, PacketBufSize),
+		base:      n.base,
+		packetBuf: n.packetBuf,
+		fifo:      n.fifo[:0],
+		dmaTxn:    bus.Txn{Data: data, Done: n.dmaTxn.Done},
+		rxQueue:   n.rxQueue[:0],
+		rxSpans:   n.rxSpans[:0],
+		packets:   n.packets[:0],
+		slab:      n.slab,
 		txDest:    -1,
 	}
-	n.dmaTxn = bus.Txn{Data: make([]byte, cfg.DMABurst), Done: func(t *bus.Txn) {
-		copy(n.packetBuf[n.dmaOff:], t.Data)
-		n.dmaOff += t.Size
-		n.dmaInFly = false
-	}}
-	return n
 }
 
 // Base returns the device's base physical address.
@@ -601,6 +632,11 @@ func (n *NIC) Quiet() bool {
 // Quiet, the last of them at bus cycle busCycle: the cycle it would have
 // noted, so descriptor and DMA stamps come out as if it had been ticked.
 func (n *NIC) SkipTo(busCycle uint64) { n.lastCycle = busCycle }
+
+// Sending reports whether a transmission is in progress: only then can
+// the next bus tick put a packet on the wire; an idle transmitter needs
+// one bus tick to start a queued descriptor and a later one to finish it.
+func (n *NIC) Sending() bool { return n.sending }
 
 // Idle reports whether no transmission or DMA work is pending.
 func (n *NIC) Idle() bool {

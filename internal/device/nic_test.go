@@ -14,9 +14,16 @@ const base = 0x4000_0000
 
 func newRig(t *testing.T, cfg Config) (*NIC, *bus.Bus, *mem.Memory) {
 	t.Helper()
+	n := NewNIC(cfg, base)
+	b, ram := rigFor(t, n)
+	return n, b, ram
+}
+
+// rigFor maps n on a new bus over a new memory.
+func rigFor(t *testing.T, n *NIC) (*bus.Bus, *mem.Memory) {
+	t.Helper()
 	ram := mem.NewMemory()
 	rt := mem.NewRouter(ram)
-	n := NewNIC(cfg, base)
 	if err := rt.Register(base, RegionSize, "nic", n); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +31,7 @@ func newRig(t *testing.T, cfg Config) (*NIC, *bus.Bus, *mem.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, b, ram
+	return b, ram
 }
 
 func step(n *NIC, b *bus.Bus, cycles int) {

@@ -382,6 +382,11 @@ func (m *Machine) WarmData(addr, size uint64) {
 // Cycle returns the elapsed CPU cycles.
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
+// NextBusTick returns the cycle the next bus tick runs in: the Cycle
+// reached by the Tick (or coast step) that ticks the bus next, between
+// Cycle()+1 and Cycle()+Ratio.
+func (m *Machine) NextBusTick() uint64 { return m.cycle + uint64(m.busCountdown) }
+
 // Tick advances the machine one CPU cycle (and the bus every Ratio
 // cycles). Bus-agent priority per bus cycle: CSB line bursts first (the
 // low-latency I/O path), then the uncached buffer, then cache miss
