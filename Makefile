@@ -4,7 +4,7 @@ GO ?= go
 # Parallel workers for figure sweeps (cmd/csbfig -j); defaults to all cores.
 J ?= 0
 
-.PHONY: all build vet fmt-check lint test race bench-smoke figures perf-ab zero-alloc journeys cluster-trace flight-recorder ci
+.PHONY: all build vet fmt-check lint test race bench-smoke examples figures perf-ab zero-alloc journeys cluster-trace flight-recorder ci
 
 all: build
 
@@ -38,6 +38,18 @@ race:
 # harnesses without paying for full benchmark runs.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
+
+# Run every example program (examples/<name>/main.go) and diff its stdout
+# against the committed examples/<name>/output.golden; an example without
+# a golden fails. The outputs are deterministic. Refresh a golden only on
+# purpose: go run ./examples/<name> > examples/<name>/output.golden
+EXAMPLES := $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "examples: $$e"; \
+		$(GO) run ./examples/$$e > .examples.out; \
+		diff -u examples/$$e/output.golden .examples.out; \
+	done; rm -f .examples.out
 
 # Regenerate all paper figures, sweeping measurement points across $(J)
 # workers (0 = one per core).
@@ -145,4 +157,4 @@ flight-recorder:
 	$(GO) run ./cmd/csbrec perfetto -o out/serve_rec_perfetto.json out/serve.rec
 	$(GO) run ./cmd/csbrec top -plain out/serve.rec
 
-ci: lint build race zero-alloc bench-smoke
+ci: lint build race zero-alloc examples bench-smoke

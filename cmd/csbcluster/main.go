@@ -285,7 +285,7 @@ func run(o *options, args []string, out io.Writer) error {
 				return err
 			}
 			n := c.Node(i)
-			n.MapIO(csb)
+			n.M.MapNIC(csb)
 			n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 			prog, err := n.M.LoadSource(path, string(src))
 			if err != nil {
@@ -295,7 +295,7 @@ func run(o *options, args []string, out io.Writer) error {
 		}
 	default:
 		for _, n := range c.Nodes() {
-			n.MapIO(csb)
+			n.M.MapNIC(csb)
 			n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		}
 		ping, pong := bench.PingPongPrograms(method, o.rounds)

@@ -179,7 +179,7 @@ func TestE2EPanelCountsRunAndWindow(t *testing.T) {
 	ping, pong := bench.PingPongPrograms(bench.SendCSB, 20)
 	for i, src := range []string{ping, pong} {
 		n := c.Node(i)
-		n.MapIO(true)
+		n.M.MapNIC(true)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		if _, err := n.M.LoadSource(n.Name()+".s", src); err != nil {
 			t.Fatal(err)

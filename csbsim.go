@@ -14,10 +14,12 @@
 //   - Map uncached or combining (CSB) address space with Machine.MapRange;
 //     stores to combining pages are captured by the CSB and a swap to
 //     them is the conditional flush, exactly as in the paper's listing.
-//   - Attach the network interface (a descriptor FIFO, a DMA engine and a
-//     burst-capable packet buffer) with Machine.AddNIC, spawn
-//     preemptively-scheduled processes with a Kernel, and read everything
-//     back through Machine.Stats.
+//   - Give the machine its network interface (a descriptor FIFO, a DMA
+//     engine and a burst-capable packet buffer) by setting Config.NIC;
+//     the machine builds it at address 0x4000_0000, keeps it across
+//     Machine.Reset, and Machine.MapNIC maps its registers and packet
+//     buffer. Spawn preemptively-scheduled processes with a Kernel, and
+//     read everything back through Machine.Stats.
 //   - Regenerate any of the paper's figures with Figure / AllFigures.
 //   - Observe execution: Machine.Stats().CPU.CPI is a stall-attribution
 //     stack whose buckets sum to the cycle count; Machine.AttachCounters
@@ -65,7 +67,8 @@ type Kernel = kernel.Kernel
 // burst-capable packet buffer).
 type NIC = device.NIC
 
-// NICConfig parameterizes the NIC.
+// NICConfig parameterizes the NIC; point Config.NIC at one to give a
+// machine its NIC.
 type NICConfig = device.Config
 
 // FigureResult is a regenerated figure: labeled series of measured values.
@@ -93,10 +96,6 @@ func Assemble(name, src string) (*Program, error) { return asm.Assemble(name, sr
 // NewKernel creates a kernel scheduling processes on m with the given time
 // slice in CPU cycles.
 func NewKernel(m *Machine, quantum uint64) *Kernel { return kernel.New(m, quantum) }
-
-// NewNIC creates a NIC whose registers and packet buffer start at base;
-// attach it with Machine.AddNIC.
-func NewNIC(cfg NICConfig, base uint64) *NIC { return device.NewNIC(cfg, base) }
 
 // DefaultNICConfig returns a 16-deep-FIFO NIC with 64-byte DMA bursts.
 func DefaultNICConfig() NICConfig { return device.DefaultConfig() }

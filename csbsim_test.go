@@ -109,15 +109,15 @@ func TestKernelViaFacade(t *testing.T) {
 }
 
 func TestNICViaFacade(t *testing.T) {
-	m, err := csbsim.NewMachine(csbsim.DefaultConfig())
+	cfg := csbsim.DefaultConfig()
+	nicCfg := csbsim.DefaultNICConfig()
+	cfg.NIC = &nicCfg
+	m, err := csbsim.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := csbsim.NewNIC(csbsim.DefaultNICConfig(), 0x4000_0000)
-	if err := m.AddNIC(nic); err != nil {
-		t.Fatal(err)
-	}
-	nic.Deliver(5)
+	nic := m.NIC()
+	nic.DeliverWords(0, []uint64{5})
 	if nic.RxPending() != 1 {
 		t.Error("deliver failed")
 	}

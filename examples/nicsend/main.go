@@ -12,22 +12,21 @@ import (
 	"csbsim"
 )
 
-const nicBase = 0x4000_0000
-
 func main() {
-	m, err := csbsim.NewMachine(csbsim.DefaultConfig())
+	// The machine's NIC is part of its configuration; it sits at
+	// 0x4000_0000, its registers first, its packet buffer a page above.
+	cfg := csbsim.DefaultConfig()
+	nicCfg := csbsim.DefaultNICConfig()
+	cfg.NIC = &nicCfg
+	m, err := csbsim.NewMachine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nic := csbsim.NewNIC(csbsim.DefaultNICConfig(), nicBase)
-	if err := m.AddNIC(nic); err != nil {
-		log.Fatal(err)
-	}
+	nic := m.NIC()
 	// Register page: plain uncached. Packet buffer page: combining, so
 	// the CSB delivers payloads as atomic line bursts (§3.3: the device
 	// accepts burst writes).
-	m.MapRange(nicBase, csbsim.NICPacketBufBase, csbsim.KindUncached)
-	m.MapRange(nicBase+csbsim.NICPacketBufBase, 0x1000, csbsim.KindCombining)
+	m.MapNIC(true)
 
 	// Send three 64-byte messages with the full recovery protocol: fill a
 	// line via the CSB (retrying failed flushes), poll the FIFO-full bit,

@@ -230,8 +230,8 @@ func TestBuildAllocs(t *testing.T) {
 func TestRegenerationAllocs(t *testing.T) {
 	const (
 		regenMachines = 25
-		regenAllocs   = 11_300
-		regenBytes    = 5_750_000
+		regenAllocs   = 10_950
+		regenBytes    = 5_200_000
 	)
 	prev := Workers()
 	SetWorkers(1)

@@ -66,7 +66,7 @@ func TestCPIStackInvariantPingPong(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range c.Nodes() {
-			n.MapIO(method == SendCSB)
+			n.M.MapNIC(method == SendCSB)
 			n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		}
 		pa, err := c.Node(0).M.LoadSource("ping.s", pingProgram(method, 5))
@@ -92,20 +92,14 @@ func TestCPIStackInvariantPingPong(t *testing.T) {
 func TestCPIStackInvariantMessageSend(t *testing.T) {
 	for _, method := range []SendMethod{SendPIO, SendCSB, SendDMA} {
 		p := DefaultParams()
-		m, err := sim.New(sim.DefaultConfig())
+		cfg := sim.DefaultConfig()
+		nic := device.DefaultConfig()
+		cfg.NIC = &nic
+		m, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nic := device.NewNIC(device.DefaultConfig(), NICBase)
-		if err := m.AddNIC(nic); err != nil {
-			t.Fatal(err)
-		}
-		m.MapRange(NICBase, device.PacketBufBase, mem.KindUncached)
-		bufKind := mem.KindUncached
-		if method == SendCSB {
-			bufKind = mem.KindCombining
-		}
-		m.MapRange(NICBase+device.PacketBufBase, device.PacketBufSize, bufKind)
+		m.MapNIC(method == SendCSB)
 		m.MapRange(0x200000, 1<<16, mem.KindCached)
 		m.WarmData(0x200000, 256)
 		prog, err := m.LoadSource("send.s", messageSendProgram(method, 256, p.LineSize))
@@ -161,7 +155,7 @@ func observedPingPong(b *testing.B, mode string) *cluster.Cluster {
 	ping, pong := PingPongPrograms(SendCSB, 600)
 	for i, src := range []string{ping, pong} {
 		n := c.Node(i)
-		n.MapIO(true)
+		n.M.MapNIC(true)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		p, err := n.M.LoadSource(n.Name()+".s", src)
 		if err != nil {

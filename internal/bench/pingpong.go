@@ -56,8 +56,8 @@ func recvBlock(b *strings.Builder, tag string) {
 }
 
 func pingPongProlog(b *strings.Builder, method SendMethod) {
-	fmt.Fprintf(b, "\tset %#x, %%o0\n", cluster.NICBase)
-	fmt.Fprintf(b, "\tset %#x, %%o1\n", cluster.NICBase+device.PacketBufBase)
+	fmt.Fprintf(b, "\tset %#x, %%o0\n", device.Base)
+	fmt.Fprintf(b, "\tset %#x, %%o1\n", device.Base+device.PacketBufBase)
 	b.WriteString("\tset 0xAB, %g1\n\tmovr2f %g1, %f0\n")
 	// Descriptor for a 64-byte send from packet-buffer offset 0.
 	b.WriteString("\tset 64, %g4\n\tsll %g4, 48, %g4\n")
@@ -131,7 +131,7 @@ func pingPong(w *worker, method SendMethod, progs []*asm.Program, rounds int, wi
 	}
 	for i, p := range progs[:2] {
 		n := c.Node(i)
-		n.MapIO(method == SendCSB)
+		n.M.MapNIC(method == SendCSB)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		if err := n.M.Load(p); err != nil {
 			return 0, err

@@ -10,11 +10,6 @@ import (
 	"csbsim/internal/sim"
 )
 
-// NICBase is where the benchmark NIC is mapped. Its first page holds the
-// control registers (plain uncached), its second the packet buffer
-// (combining for CSB runs, uncached otherwise).
-const NICBase uint64 = 0x4000_0000
-
 // SendMethod selects how a message reaches the NIC (extension X2).
 type SendMethod int
 
@@ -47,8 +42,8 @@ func (s SendMethod) String() string {
 // initiating the send.
 func messageSendProgram(method SendMethod, msgBytes, lineSize int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "\tset %#x, %%o0\n", NICBase)                      // registers
-	fmt.Fprintf(&b, "\tset %#x, %%o1\n", NICBase+device.PacketBufBase) // packet buffer
+	fmt.Fprintf(&b, "\tset %#x, %%o0\n", device.Base)                      // registers
+	fmt.Fprintf(&b, "\tset %#x, %%o1\n", device.Base+device.PacketBufBase) // packet buffer
 	b.WriteString("\tmov 99, %g1\n\tmovr2f %g1, %f0\n")
 
 	dwords := msgBytes / 8
@@ -117,22 +112,16 @@ func messageSend(w *worker, p MachineParams, method SendMethod, msgBytes int, pr
 	cfg := sim.DefaultConfig()
 	cfg.Ratio = p.Ratio
 	cfg.Bus = p.Bus
+	nicCfg := device.DefaultConfig()
+	cfg.NIC = &nicCfg
 	m, err := w.machine(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	nic := device.NewNIC(device.DefaultConfig(), NICBase)
-	if err := m.AddNIC(nic); err != nil {
-		return 0, 0, err
-	}
+	nic := m.NIC()
 	// Register page is plain uncached; the packet buffer page is
 	// combining for CSB sends and uncached otherwise.
-	m.MapRange(NICBase, device.PacketBufBase, mem.KindUncached)
-	bufKind := mem.KindUncached
-	if method == SendCSB {
-		bufKind = mem.KindCombining
-	}
-	m.MapRange(NICBase+device.PacketBufBase, device.PacketBufSize, bufKind)
+	m.MapNIC(method == SendCSB)
 	// Cached staging buffer for the DMA variant, warm (a reused send
 	// buffer, as in real messaging layers).
 	m.MapRange(0x200000, 1<<16, mem.KindCached)

@@ -70,7 +70,7 @@ acquire:
 	subcc %%g3, 1, %%g3
 	bnz msg
 	halt
-`, org, NICBase, slot, msgs)
+`, org, device.Base, slot, msgs)
 }
 
 // csbSenderProgram emits the lock-free CSB sender.
@@ -109,7 +109,7 @@ RETRY:
 	subcc %%g3, 1, %%g3
 	bnz msg
 	halt
-`, org, NICBase, slot, msgs)
+`, org, device.Base, slot, msgs)
 }
 
 // SharedNICResult captures one X6 run.
@@ -133,7 +133,7 @@ func MeasureSharedNIC(useCSB bool, msgs int, quantum uint64) (SharedNICResult, e
 // senderSources are the two senders' programs, each sending msgs
 // messages into its own packet-buffer slot.
 func senderSources(useCSB bool, msgs int) []source {
-	slotA := NICBase + device.PacketBufBase
+	slotA := device.Base + device.PacketBufBase
 	slotB := slotA + 64
 	gen := lockSenderProgram
 	if useCSB {
@@ -146,14 +146,14 @@ func senderSources(useCSB bool, msgs int) []source {
 // only reads, on w's machine.
 func sharedNIC(w *worker, useCSB bool, progA, progB *asm.Program, quantum uint64) (SharedNICResult, error) {
 	var res SharedNICResult
-	m, err := w.machine(sim.DefaultConfig())
+	cfg := sim.DefaultConfig()
+	nicCfg := device.DefaultConfig()
+	cfg.NIC = &nicCfg
+	m, err := w.machine(cfg)
 	if err != nil {
 		return res, err
 	}
-	nic := device.NewNIC(device.DefaultConfig(), NICBase)
-	if err := m.AddNIC(nic); err != nil {
-		return res, err
-	}
+	nic := m.NIC()
 	k := kernel.New(m, quantum)
 	bufKind := mem.KindUncached
 	if useCSB {
@@ -168,8 +168,8 @@ func sharedNIC(w *worker, useCSB bool, progA, progB *asm.Program, quantum uint64
 		return res, err
 	}
 	for _, p := range []*kernel.Process{pa, pb} {
-		p.Space.MapRange(NICBase, NICBase, device.PacketBufBase, mem.KindUncached, true)
-		p.Space.MapRange(NICBase+device.PacketBufBase, NICBase+device.PacketBufBase,
+		p.Space.MapRange(device.Base, device.Base, device.PacketBufBase, mem.KindUncached, true)
+		p.Space.MapRange(device.Base+device.PacketBufBase, device.Base+device.PacketBufBase,
 			device.PacketBufSize, bufKind, true)
 		// The shared lock lives in cached memory visible to both.
 		p.Space.MapRange(0x90000, 0x90000, mem.PageSize, mem.KindCached, true)

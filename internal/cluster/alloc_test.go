@@ -16,7 +16,7 @@ func TestPumpAllocs(t *testing.T) {
 	const sends = 200
 	c := newCluster(t, 0)
 	n := c.Node(0)
-	n.MapIO(false)
+	n.M.MapNIC(false)
 	src := `
 	set 0x40000000, %o0
 	set 0x40001000, %o1

@@ -1,7 +1,8 @@
 // Package cluster joins N simulated machines with a network fabric,
 // turning the single-node simulator into the workstation-cluster setting
 // that motivates the paper (§2: NOW-style fine-grain communication, DEC
-// Memory Channel, Atoll). Each node has its own NIC; packets transmitted
+// Memory Channel, Atoll). Each node is a machine built with its own NIC
+// (Config.Node.NIC, which the cluster requires); packets transmitted
 // by one node are routed over a directed link — after the link's latency,
 // serialization and queueing — into the destination node's receive queue,
 // where software picks them up with destructive uncached loads.
@@ -44,18 +45,16 @@ import (
 
 	"csbsim/internal/device"
 	"csbsim/internal/fault"
-	"csbsim/internal/mem"
 	"csbsim/internal/obs/counters"
 	"csbsim/internal/obs/journey"
 	"csbsim/internal/obs/rec"
 	"csbsim/internal/sim"
 )
 
-// NICBase is where each node's NIC is mapped.
-const NICBase uint64 = 0x4000_0000
-
 // Config parameterizes the cluster.
 type Config struct {
+	// Node configures every node's machine. Its NIC must be set: a node
+	// reaches the fabric through it.
 	Node sim.Config
 	// Nodes is the node count (0 = two nodes).
 	Nodes int
@@ -81,13 +80,15 @@ type Config struct {
 	// paper's NI discussion implies. 0 (the default) preserves the
 	// historical instant-enqueue behavior.
 	RxEnqueueDelay uint64
-	NIC            device.Config
 }
 
-// DefaultConfig builds two paper-default nodes joined by a 120-cycle wire
-// (~200 ns at the paper's 600 MHz).
+// DefaultConfig builds two paper-default nodes, each with the default
+// NIC, joined by a 120-cycle wire (~200 ns at the paper's 600 MHz).
 func DefaultConfig() Config {
-	return Config{Node: sim.DefaultConfig(), Nodes: 2, WireLatency: 120, NIC: device.DefaultConfig()}
+	node := sim.DefaultConfig()
+	nic := device.DefaultConfig()
+	node.NIC = &nic
+	return Config{Node: node, Nodes: 2, WireLatency: 120}
 }
 
 // NodeHook is a host-side driver for one node (a load generator): it runs
@@ -99,7 +100,8 @@ func DefaultConfig() Config {
 // still progresses.
 type NodeHook func(cycle uint64) bool
 
-// Node is one machine plus its NIC and its endpoint state on the fabric.
+// Node is one machine and its endpoint state on the fabric. NIC is the
+// machine's own (M.NIC()).
 type Node struct {
 	M   *sim.Machine
 	NIC *device.NIC
@@ -128,9 +130,10 @@ type Node struct {
 	// outbox collects packets pumped off the NIC during a window, routed
 	// by the coordinator at the next barrier.
 	outbox []departure
-	// slab is the unused tail of the chunk pumped packets' words are cut
-	// from (packetWords).
-	slab []uint64
+	// slab is the chunk pumped packets' words are cut from, slab[:slabUsed]
+	// already handed out (packetWords).
+	slab     []uint64
+	slabUsed int
 
 	// tlog defers tracer mutations made during a window (rx drain hooks,
 	// arrive/enqueue stamps) for single-threaded replay at the barrier.
@@ -240,7 +243,7 @@ type Cluster struct {
 
 // New builds an N-node cluster (cfg.Nodes, default 2) wired per
 // cfg.Topology. Nodes are named "n0" … "n<N-1>". The caller maps I/O
-// space and loads programs on each node's machine.
+// space (sim.Machine.MapNIC) and loads programs on each node's machine.
 func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{}
 	if err := c.Reset(cfg); err != nil {
@@ -249,34 +252,34 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newNode builds node i: a machine with its NIC attached.
+// newNode builds node i's machine, its NIC with it.
 func newNode(cfg Config, i int) (*Node, error) {
 	m, err := sim.New(cfg.Node)
 	if err != nil {
 		return nil, err
 	}
-	nic := device.NewNIC(cfg.NIC, NICBase)
-	if err := m.AddNIC(nic); err != nil {
-		return nil, err
-	}
-	return &Node{M: m, NIC: nic, name: fmt.Sprintf("n%d", i), idx: i}, nil
+	return &Node{M: m, NIC: m.NIC(), name: fmt.Sprintf("n%d", i), idx: i}, nil
 }
 
 // Reset returns c to the state New(cfg) would build, keeping what its
-// nodes have grown: each kept node's machine is reset (sim.Machine.Reset)
-// and its NIC (device.NIC.Reset) re-attached, and the node keeps its
-// inbox, outbox, word slab and event log storage. Nodes beyond the old
-// count are built afresh and surplus ones dropped. Everything attached
-// after New goes: node hooks, link overrides, wire faults, the watchdog,
-// counters, tracers and the recorder; the window schedule forgets its
-// costs. A run in progress is abandoned. An invalid cfg is refused before
-// anything is touched. New is Reset on a zero Cluster.
+// nodes have grown: each kept node's machine is reset with its NIC
+// (sim.Machine.Reset), and the node keeps its inbox, outbox, word slab
+// (rewound) and event log storage. Nodes beyond the old count are built
+// afresh and surplus ones dropped. Everything attached after New goes:
+// node hooks, link overrides, wire faults, the watchdog, counters,
+// tracers and the recorder; the window schedule forgets its costs. A run
+// in progress is abandoned. An invalid cfg, nodes without a NIC among
+// them, is refused before anything is touched. New is Reset on a zero
+// Cluster.
 func (c *Cluster) Reset(cfg Config) error {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
 	if cfg.Nodes < 1 {
 		return fmt.Errorf("cluster: invalid node count %d", cfg.Nodes)
+	}
+	if cfg.Node.NIC == nil {
+		return fmt.Errorf("cluster: nodes need a NIC (Config.Node.NIC is nil)")
 	}
 	if err := cfg.Node.Validate(); err != nil {
 		return err
@@ -287,11 +290,7 @@ func (c *Cluster) Reset(cfg Config) error {
 		if err := n.M.Reset(cfg.Node); err != nil {
 			return err
 		}
-		n.NIC.Reset(cfg.NIC)
-		if err := n.M.AddNIC(n.NIC); err != nil {
-			return err
-		}
-		*n = Node{M: n.M, NIC: n.NIC, name: n.name, idx: i,
+		*n = Node{M: n.M, NIC: n.M.NIC(), name: n.name, idx: i,
 			inbox: n.inbox[:0], outbox: n.outbox[:0], slab: n.slab, tlog: n.tlog[:0]}
 	}
 	for i := len(nodes); i < cfg.Nodes; i++ {
@@ -319,16 +318,9 @@ func resized[T int | uint64](s []T, n int) []T {
 	return s
 }
 
-// MapIO maps the standard NIC layout into a node's PID-0 address space:
-// registers uncached, packet buffer combining (csb) or uncached.
-func (n *Node) MapIO(csb bool) {
-	n.M.MapRange(NICBase, device.PacketBufBase, mem.KindUncached)
-	kind := mem.KindUncached
-	if csb {
-		kind = mem.KindCombining
-	}
-	n.M.MapRange(NICBase+device.PacketBufBase, device.PacketBufSize, kind)
-}
+// MapIO is n.M.MapNIC(csb), kept for the benchmark harness
+// (cmd/csbperf), which calls it.
+func (n *Node) MapIO(csb bool) { n.M.MapNIC(csb) }
 
 // Cycle returns the global cluster cycle.
 func (c *Cluster) Cycle() uint64 { return c.cycle }
@@ -629,11 +621,12 @@ const wordSlab = 512
 // NIC.packetData cuts sent packets' bytes: a pump allocates once per
 // wordSlab words, and a packet's words stay read-only once routed.
 func (n *Node) packetWords(k int) []uint64 {
-	if len(n.slab) < k {
+	if len(n.slab)-n.slabUsed < k {
 		n.slab = make([]uint64, max(wordSlab, k))
+		n.slabUsed = 0
 	}
-	words := n.slab[:0:k]
-	n.slab = n.slab[k:]
+	words := n.slab[n.slabUsed : n.slabUsed : n.slabUsed+k]
+	n.slabUsed += k
 	return words
 }
 

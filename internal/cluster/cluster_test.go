@@ -68,8 +68,8 @@ func itoa(v int) string {
 
 func TestPacketCrossesWire(t *testing.T) {
 	c := newCluster(t, 50)
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(0x1234)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestPacketCrossesWire(t *testing.T) {
 func TestWireLatencyDelaysDelivery(t *testing.T) {
 	cycles := func(wire uint64) uint64 {
 		c := newCluster(t, wire)
-		c.Node(0).MapIO(false)
-		c.Node(1).MapIO(false)
+		c.Node(0).M.MapNIC(false)
+		c.Node(1).M.MapNIC(false)
 		if _, err := c.Node(0).M.LoadSource("send.s", sendProg(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +116,8 @@ func TestZeroLatencyDeliversInPumpCycle(t *testing.T) {
 	if w := c.lookahead(); w != 1 {
 		t.Fatalf("window = %d cycles at zero latency, want 1", w)
 	}
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestZeroLatencyDeliversInPumpCycle(t *testing.T) {
 // cluster went quiet; and the recorder's last roll never passes the clock.
 func TestSettledRunForAdvances(t *testing.T) {
 	c := newCluster(t, 0)
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,8 @@ func TestSettledRunForAdvances(t *testing.T) {
 
 func TestBidirectionalTraffic(t *testing.T) {
 	c := newCluster(t, 30)
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	// Each node sends a distinct word and receives the other's.
 	both := func(v int) string {
 		return `
@@ -241,7 +241,7 @@ wait:	ldx [%o0+0x28], %g1
 
 func TestNodeFaultSurfaces(t *testing.T) {
 	c := newCluster(t, 0)
-	c.Node(0).MapIO(false)
+	c.Node(0).M.MapNIC(false)
 	if _, err := c.Node(0).M.LoadSource("bad.s", "set 0x70000000, %o1\nldx [%o1], %g1\nhalt\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -256,24 +256,44 @@ func TestNodeFaultSurfaces(t *testing.T) {
 func TestMapIOCombining(t *testing.T) {
 	c := newCluster(t, 0)
 	c.Node(0).MapIO(true)
-	pte, ok := c.Node(0).M.AddressSpace(0).Lookup(NICBase + device.PacketBufBase)
+	pte, ok := c.Node(0).M.AddressSpace(0).Lookup(device.Base + device.PacketBufBase)
 	if !ok || pte.Kind != mem.KindCombining {
 		t.Errorf("packet buffer not combining: %+v", pte)
 	}
-	pte, ok = c.Node(0).M.AddressSpace(0).Lookup(NICBase)
+	pte, ok = c.Node(0).M.AddressSpace(0).Lookup(device.Base)
 	if !ok || pte.Kind != mem.KindUncached {
 		t.Errorf("registers not uncached: %+v", pte)
 	}
 }
 
+// TestNodesNeedNIC: New and Reset refuse nodes configured without a
+// NIC, and the refused Reset leaves the cluster as it was.
+func TestNodesNeedNIC(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Node.NIC = nil
+	if _, err := New(cfg); err == nil {
+		t.Error("New built nodes without a NIC")
+	}
+	c := newCluster(t, 0)
+	nic := c.Node(1).NIC
+	cfg.Nodes = 3
+	if err := c.Reset(cfg); err == nil {
+		t.Error("Reset accepted nodes without a NIC")
+	}
+	if c.NumNodes() != 2 || c.Node(1).NIC != nic || c.Node(1).M.NIC() != nic {
+		t.Errorf("the refused Reset changed the cluster: %d nodes", c.NumNodes())
+	}
+}
+
 // TestResetDropsAttachments: Reset leaves nothing attached after New —
 // no hook, link override, wire faults, watchdog, counters, tracer or
-// recorder — and a cluster reset after a run behaves like a new one.
+// recorder — keeps each node's NIC and word slab, rewound, and a cluster
+// reset after a run behaves like a new one.
 func TestResetDropsAttachments(t *testing.T) {
 	load := func(c *Cluster) {
 		t.Helper()
 		for i, src := range []string{sendProg(42), recvProg} {
-			c.Node(i).MapIO(false)
+			c.Node(i).M.MapNIC(false)
 			if _, err := c.Node(i).M.LoadSource("n.s", src); err != nil {
 				t.Fatal(err)
 			}
@@ -306,6 +326,10 @@ func TestResetDropsAttachments(t *testing.T) {
 	if err := c.RunFor(2000, false); err != nil {
 		t.Fatal(err)
 	}
+	nic, slab := c.Node(0).NIC, c.Node(0).slab
+	if len(slab) == 0 {
+		t.Fatal("node n0 pumped no packet before the Reset")
+	}
 	cfg := DefaultConfig()
 	cfg.WireLatency = 0
 	if err := c.Reset(cfg); err != nil {
@@ -313,6 +337,10 @@ func TestResetDropsAttachments(t *testing.T) {
 	}
 	n := c.Node(0)
 	switch {
+	case n.NIC != nic || n.M.NIC() != nic:
+		t.Error("Reset replaced node n0's NIC")
+	case n.slabUsed != 0 || &n.slab[0] != &slab[0]:
+		t.Errorf("node n0's word slab not kept and rewound (%d words used)", n.slabUsed)
 	case c.Cycle() != 0 || n.M.Cycle() != 0:
 		t.Errorf("cycles %d/%d after Reset, want 0", c.Cycle(), n.M.Cycle())
 	case n.hook != nil || n.wake != nil:

@@ -35,7 +35,7 @@ func churnRing(t *testing.T, n, tail int) *Cluster {
 	}
 	sends := func(i int) int { return i%3 + 1 }
 	for i, node := range c.Nodes() {
-		node.MapIO(false)
+		node.M.MapNIC(false)
 		recvs := 0
 		if n > 1 {
 			recvs = sends((i + n - 1) % n)

@@ -52,12 +52,12 @@ func hookSender(c *Cluster, i int, period, until, drainUntil uint64) {
 		if cycle >= next && cycle <= until {
 			next = cycle + period
 			slot := (sent % (device.PacketBufSize / 64)) * 64
-			base := NICBase + device.PacketBufBase + slot
+			base := device.Base + device.PacketBufBase + slot
 			nicStoreWord(node, base, uint64(i)<<32|sent)
 			for w := uint64(1); w < 8; w++ {
 				nicStoreWord(node, base+w*8, sent*w)
 			}
-			nicStoreWord(node, NICBase+device.RegTxFIFO, slot|64<<48)
+			nicStoreWord(node, device.Base+device.RegTxFIFO, slot|64<<48)
 			sent++
 		}
 		return cycle < drainUntil
@@ -93,7 +93,7 @@ func runFaultedRing(t *testing.T, run func(*Cluster) error) faultSnapshot {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 			t.Fatal(err)
 		}

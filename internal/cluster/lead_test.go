@@ -26,7 +26,7 @@ func buildPingPong(t *testing.T, c *cluster.Cluster, method bench.SendMethod, wi
 	ping, pong := bench.PingPongPrograms(method, 30)
 	for i, src := range []string{ping, pong} {
 		n := c.Node(i)
-		n.MapIO(method == bench.SendCSB)
+		n.M.MapNIC(method == bench.SendCSB)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		p, err := n.M.LoadSource(n.Name()+".s", src)
 		if err != nil {
@@ -155,11 +155,11 @@ func randomCluster(t *testing.T, c *cluster.Cluster, seed uint64) *cluster.Clust
 	cfg.Bandwidth = uint64(rng.IntN(3))
 	cfg.RxEnqueueDelay = uint64(rng.IntN(2) * rng.IntN(8))
 	cfg.Node.Ratio = []int{1, 2, 3, 6}[rng.IntN(4)]
-	cfg.NIC.WireCyclesPerByte = rng.IntN(2)
+	cfg.Node.NIC.WireCyclesPerByte = rng.IntN(2)
 	c = newOrReset(t, c, cfg)
 	for _, n := range c.Nodes() {
 		method := bench.SendMethod(rng.IntN(3))
-		n.MapIO(method == bench.SendCSB)
+		n.M.MapNIC(method == bench.SendCSB)
 		n.M.MapRange(0x200000, 1<<16, mem.KindCached)
 		n.M.MapRange(0x20000, 1<<12, mem.KindCached)
 		p, err := n.M.LoadSource(n.Name()+".s", randomGuest(rng, method, 2+rng.IntN(5)))

@@ -375,14 +375,14 @@ func (g *Generator) inject(cycle uint64) {
 // push, and (with deadlines on) arms the attempt's deadline.
 func (g *Generator) send(p *pendingReq, cycle uint64) {
 	slot := uint64(int(p.id)%g.slots) * g.slotBytes
-	base := cluster.NICBase + device.PacketBufBase + slot
+	base := device.Base + device.PacketBufBase + slot
 	hdr := uint64(g.self)<<48 | uint64(p.gen)<<40 | p.id
 	g.writeWord(base, hdr)
 	for w := 1; w < g.cfg.Words; w++ {
 		g.writeWord(base+uint64(w*8), g.prng.Uint64())
 	}
-	g.writeWord(cluster.NICBase+device.RegTxDest, uint64(g.cfg.Servers[p.srv]))
-	g.writeWord(cluster.NICBase+device.RegTxFIFO, slot|g.slotBytes<<48)
+	g.writeWord(device.Base+device.RegTxDest, uint64(g.cfg.Servers[p.srv]))
+	g.writeWord(device.Base+device.RegTxFIFO, slot|g.slotBytes<<48)
 	if g.cfg.Timeout > 0 {
 		p.deadline = cycle + g.cfg.Timeout
 		g.dlq = append(g.dlq, deadlineEnt{id: p.id, deadline: p.deadline, gen: p.gen})

@@ -41,8 +41,8 @@ func ServerProgram(method bench.SendMethod, words int) (string, error) {
 		return "", fmt.Errorf("loadgen: CSB replies need the full 8-word line, got %d words", words)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "\tset %#x, %%o0\n", cluster.NICBase)
-	fmt.Fprintf(&b, "\tset %#x, %%o1\n", cluster.NICBase+device.PacketBufBase)
+	fmt.Fprintf(&b, "\tset %#x, %%o0\n", device.Base)
+	fmt.Fprintf(&b, "\tset %#x, %%o1\n", device.Base+device.PacketBufBase)
 	// Filler payload word for the non-header reply words.
 	b.WriteString("\tset 0xAB, %g1\n\tmovr2f %g1, %f0\n")
 	// Transmit descriptor: offset 0, length words*8.
@@ -114,7 +114,7 @@ func ServerProgram(method bench.SendMethod, words int) (string, error) {
 // and, for DMA, the uncached staging buffer into server node n's address
 // space.
 func ServerMapIO(n *cluster.Node, method bench.SendMethod) {
-	n.MapIO(method == bench.SendCSB)
+	n.M.MapNIC(method == bench.SendCSB)
 	if method == bench.SendDMA {
 		n.M.MapRange(DMAStageBase, DMAStageSize, mem.KindUncached)
 	}

@@ -86,7 +86,7 @@ func guardRing(t *testing.T, c *Cluster, wire uint64) *Cluster {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("ring.s", ringGuest(100*(i+1), ringSends, ringSends)); err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestParallelNodeChurn(t *testing.T) {
 	}
 	counts := func(i int) int { return i%3 + 1 }
 	for i, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		src := ringGuest(10*(i+1), counts(i), counts((i+7)%8))
 		if _, err := n.M.LoadSource("churn.s", src); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestParallelAbortFlushesObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 	}
 	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestTxDestSteering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 	}
 	steer := `
 	.equ NICREG, 0x40000000
@@ -359,7 +359,7 @@ func TestStarTopologyRouting(t *testing.T) {
 		t.Error("star leaves must not be directly linked")
 	}
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 	}
 	c.AttachCounters()
 	// Leaf 1 sends one packet on the default route (the hub picks it up);
@@ -398,8 +398,8 @@ func TestLinkBandwidthSerializes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Node(0).MapIO(false)
-		c.Node(1).MapIO(false)
+		c.Node(0).M.MapNIC(false)
+		c.Node(1).M.MapNIC(false)
 		if _, err := c.Node(0).M.LoadSource("send.s", ringGuest(1, 6, 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -428,8 +428,8 @@ func TestLinkDepthDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	c.AttachCounters()
 	if _, err := c.Node(0).M.LoadSource("send.s", ringGuest(1, 3, 0)); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func runRecordedRing(t *testing.T, run func(*Cluster) error) ([]byte, *rec.Recor
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestRecorderBeforeTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, n := range c.Nodes() {
-			n.MapIO(false)
+			n.M.MapNIC(false)
 			if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestRecorderFlushedOnWatchdogAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func busyRing(t *testing.T) *cluster.Cluster {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("busy.s", busyGuest); err != nil {
 			t.Fatal(err)
 		}

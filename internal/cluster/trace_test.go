@@ -20,8 +20,8 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestRxEnqueueDelayDelaysDelivery(t *testing.T) {
 // registry.
 func TestClusterCountersInNodeRegistries(t *testing.T) {
 	c := newCluster(t, 40)
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	c.AttachCounters()
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(1)); err != nil {
 		t.Fatal(err)
@@ -199,8 +199,8 @@ func TestClusterCountersInNodeRegistries(t *testing.T) {
 // and occupancy counters reflect the queued packet.
 func TestWireCountersDuringFlight(t *testing.T) {
 	c := newCluster(t, 10_000)
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	c.AttachCounters()
 	if _, err := c.Node(0).M.LoadSource("send.s", sendProg(1)); err != nil {
 		t.Fatal(err)
@@ -272,8 +272,8 @@ func TestRunErrorFlushesObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Node(0).MapIO(false)
-	c.Node(1).MapIO(false)
+	c.Node(0).M.MapNIC(false)
+	c.Node(1).M.MapNIC(false)
 	if _, err := c.AttachTrace(); err != nil {
 		t.Fatal(err)
 	}

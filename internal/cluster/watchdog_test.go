@@ -24,7 +24,7 @@ func wedgedPair(t *testing.T) *Cluster {
 	t.Helper()
 	c := newCluster(t, 120)
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestClusterWatchdogTripsWindowed(t *testing.T) {
 func TestClusterWatchdogIdleNotWedged(t *testing.T) {
 	c := newCluster(t, 120)
 	for _, n := range c.Nodes() {
-		n.MapIO(false)
+		n.M.MapNIC(false)
 		if _, err := n.M.LoadSource("idle.s", "halt\n"); err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,12 @@ import (
 	"csbsim/internal/obs/journey"
 )
 
-// NIC register layout (offsets from the device base).
+// Base is the physical address of the NIC's window, RegionSize bytes
+// long: its registers, then its packet buffer. A machine maps its one NIC
+// there.
+const Base uint64 = 0x4000_0000
+
+// NIC register layout (offsets from Base).
 const (
 	// RegTxFIFO pushes a transmit descriptor: bits [47:0] packet buffer
 	// offset, bits [63:48] length. One uncached store both enqueues the
@@ -115,11 +120,10 @@ const (
 )
 
 // NIC is the simulated network interface. It implements mem.Target for
-// register/packet-buffer access; sim.Machine.AddNIC ticks it as a bus
-// master (DMA).
+// register/packet-buffer access at Base; a machine configured with one
+// (sim.Config.NIC) ticks it as a bus master (DMA).
 type NIC struct {
-	cfg  Config
-	base uint64
+	cfg Config
 
 	packetBuf []byte
 	fifo      []txDesc
@@ -162,10 +166,12 @@ type NIC struct {
 
 	lastCycle uint64 // most recent bus cycle seen in TickBus (or SkipTo)
 	packets   []Packet
-	// slab is the unused tail of the chunk sent packets' Data is cut
-	// from, so a send allocates once per packetSlab bytes, not per packet.
-	slab    []byte
-	dropped uint64
+	// slab is the chunk sent packets' Data is cut from, slab[:slabUsed]
+	// already handed out, so a send allocates once per packetSlab bytes,
+	// not per packet.
+	slab     []byte
+	slabUsed int
+	dropped  uint64
 
 	// txDest is the destination node index latched from RegTxDest and
 	// stamped onto every descriptor at push time (-1 = default route).
@@ -188,8 +194,8 @@ type NIC struct {
 	// tracer, if attached (AttachTracer), records each descriptor's
 	// journey: queued, transmission started, on the wire.
 	tracer *journey.Tracer
-	// rxDrained fires when the last word of a span delivered via
-	// DeliverTraced is popped by software (SetRxDrainHook).
+	// rxDrained fires when the last word of a span delivered with a
+	// nonzero ID is popped by software (SetRxDrainHook).
 	rxDrained func(id uint64)
 
 	// wake, if set, runs before any input from outside the bus ticks — a
@@ -210,9 +216,9 @@ type rxSpan struct {
 func (n *NIC) AttachTracer(t *journey.Tracer) { n.tracer = t }
 
 // SetRxDrainHook installs the RX drain hook: it fires with a span's ID
-// when the last word of a packet delivered via DeliverTraced is popped by
-// software. The hook enables span tracking; without it DeliverTraced
-// behaves exactly like Deliver.
+// when the last word of a packet delivered with that nonzero ID
+// (DeliverWords) is popped by software. The hook enables span tracking;
+// without it the ID is ignored.
 func (n *NIC) SetRxDrainHook(fn func(id uint64)) { n.rxDrained = fn }
 
 // RegisterCounters registers the NIC's counters with the unified
@@ -253,9 +259,10 @@ func (n *NIC) setErr(op string, addr uint64, size int, bound uint64) {
 // RxEmpty is returned by RegRxPop when the receive queue is empty.
 const RxEmpty = ^uint64(0)
 
-// NewNIC creates a NIC claiming [base, base+RegionSize).
-func NewNIC(cfg Config, base uint64) *NIC {
-	n := &NIC{base: base, packetBuf: make([]byte, PacketBufSize)}
+// NewNIC creates a NIC; its registers and packet buffer answer at
+// [Base, Base+RegionSize).
+func NewNIC(cfg Config) *NIC {
+	n := &NIC{packetBuf: make([]byte, PacketBufSize)}
 	n.dmaTxn.Done = func(t *bus.Txn) {
 		copy(n.packetBuf[n.dmaOff:], t.Data)
 		n.dmaOff += t.Size
@@ -277,12 +284,14 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// Reset returns n to the state NewNIC(cfg, n.Base()) would build, keeping
-// its packet buffer, descriptor FIFO, RX queue, sent-packet list and
-// packet slab: the packet buffer is zeroed, the queues and lists emptied,
-// the counters cleared, and every hook (tracer, drain hook, fault hooks,
-// wake, Interrupt) dropped. A slice Packets returned before the reset is
-// overwritten by the packets sent after it.
+// Reset returns n to the state NewNIC(cfg) would build, keeping its
+// packet buffer, descriptor FIFO, RX queue, sent-packet list and packet
+// slab: the packet buffer is zeroed, the queues and lists emptied, the
+// slab rewound, the counters cleared, and every hook (tracer, drain hook,
+// fault hooks, wake, Interrupt) dropped. A machine's Reset resets its NIC
+// this way and installs the machine's hooks again (sim.Machine.Reset). A
+// slice Packets returned before the reset, and the Data of its packets,
+// is overwritten by the packets sent after it.
 func (n *NIC) Reset(cfg Config) {
 	cfg = cfg.normalized()
 	data := n.dmaTxn.Data
@@ -294,7 +303,6 @@ func (n *NIC) Reset(cfg Config) {
 	clear(n.packetBuf)
 	*n = NIC{
 		cfg:       cfg,
-		base:      n.base,
 		packetBuf: n.packetBuf,
 		fifo:      n.fifo[:0],
 		dmaTxn:    bus.Txn{Data: data, Done: n.dmaTxn.Done},
@@ -305,9 +313,6 @@ func (n *NIC) Reset(cfg Config) {
 		txDest:    -1,
 	}
 }
-
-// Base returns the device's base physical address.
-func (n *NIC) Base() uint64 { return n.base }
 
 // Packets returns everything transmitted so far.
 func (n *NIC) Packets() []Packet { return n.packets }
@@ -323,7 +328,7 @@ func (n *NIC) IntPending() bool { return n.intPending }
 // ReadTarget implements register and packet-buffer reads. Unmapped
 // offsets read as zero.
 func (n *NIC) ReadTarget(pa uint64, out []byte) {
-	off := pa - n.base
+	off := pa - Base
 	size := len(out)
 	clear(out)
 	switch {
@@ -384,19 +389,10 @@ func (n *NIC) RxPop() (uint64, bool) {
 // longer be quiet.
 func (n *NIC) SetWake(fn func()) { n.wake = fn }
 
-// Deliver injects received words into the RX queue (the simulated wire's
-// receive side).
-func (n *NIC) Deliver(words ...uint64) { n.DeliverWords(0, words) }
-
-// DeliverTraced is Deliver plus span tracking: when an RX drain hook is
-// installed, the words are remembered as one packet span and the hook
-// fires with id when software pops the span's last word. Guest-visible
-// behavior is identical to Deliver.
-func (n *NIC) DeliverTraced(id uint64, words ...uint64) { n.DeliverWords(id, words) }
-
-// DeliverWords is the non-variadic core of Deliver/DeliverTraced (id 0 =
-// untraced), taking the word slice directly so per-cycle callers stay off
-// the allocator.
+// DeliverWords injects received words into the RX queue (the simulated
+// wire's receive side). A nonzero id tracks them as one packet span:
+// when an RX drain hook is installed, it fires with id once software pops
+// the span's last word. Guest-visible behavior does not depend on id.
 //
 //csb:hotpath
 func (n *NIC) DeliverWords(id uint64, words []uint64) {
@@ -455,7 +451,7 @@ func (n *NIC) WriteTarget(pa uint64, data []byte) {
 	if n.wake != nil {
 		n.wake()
 	}
-	off := pa - n.base
+	off := pa - Base
 	switch {
 	case off >= PacketBufBase && off+uint64(len(data)) <= PacketBufBase+PacketBufSize:
 		copy(n.packetBuf[off-PacketBufBase:], data)
@@ -511,7 +507,7 @@ func (n *NIC) pushDescriptor(d txDesc) {
 	n.fifo = append(n.fifo, d)
 }
 
-// ---- bus mastering (sim.Machine.AddNIC) ----
+// ---- bus mastering (sim.Machine ticks it every bus cycle) ----
 
 // now returns the most recently observed bus cycle (register writes land
 // during bus.Tick, one call before the device tick, so this is at most one
@@ -607,14 +603,16 @@ func (n *NIC) TickBus(b *bus.Bus) {
 const packetSlab = 4096
 
 // packetData returns a length-byte buffer for a sent packet's Data, cut
-// from the current slab with its capacity capped, so no two packets
-// share writable bytes.
+// from the slab with its capacity capped, so no two packets share
+// writable bytes.
 func (n *NIC) packetData(length int) []byte {
-	if len(n.slab) < length {
+	if len(n.slab)-n.slabUsed < length {
 		n.slab = make([]byte, max(packetSlab, length))
+		n.slabUsed = 0
 	}
-	data := n.slab[:length:length]
-	n.slab = n.slab[length:]
+	end := n.slabUsed + length
+	data := n.slab[n.slabUsed:end:end]
+	n.slabUsed = end
 	return data
 }
 
@@ -668,7 +666,7 @@ func leUint(data []byte) uint64 {
 
 // String describes the NIC configuration.
 func (n *NIC) String() string {
-	return fmt.Sprintf("nic(base=%#x fifo=%d dma=%dB)", n.base, n.cfg.FIFODepth, n.cfg.DMABurst)
+	return fmt.Sprintf("nic(base=%#x fifo=%d dma=%dB)", Base, n.cfg.FIFODepth, n.cfg.DMABurst)
 }
 
 var _ mem.Target = (*NIC)(nil)

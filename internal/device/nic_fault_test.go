@@ -20,21 +20,21 @@ func window(n int) func() int {
 
 func TestBackpressureWindowDropsAndSignals(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
-	n.WriteTarget(base+PacketBufBase, []byte{1, 2, 3, 4})
+	n.WriteTarget(Base+PacketBufBase, []byte{1, 2, 3, 4})
 	n.SetFaultHooks(nil, window(10))
 	step(n, b, 1) // the hook opens the window on this tick
 
 	// While the window is open the status register advertises a full
 	// FIFO even though the FIFO is empty...
-	st := leUint(readNIC(n, base+RegStatus, 8))
+	st := leUint(readNIC(n, Base+RegStatus, 8))
 	if st&2 == 0 {
 		t.Fatal("full bit clear during backpressure window")
 	}
 	// ...and a push that ignores it is dropped, visible in the status
 	// drop counter (bits [31:16]) so software can detect and retry.
 	before := (st >> 16) & 0xffff
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
-	st = leUint(readNIC(n, base+RegStatus, 8))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
+	st = leUint(readNIC(n, Base+RegStatus, 8))
 	after := (st >> 16) & 0xffff
 	if after != before+1 {
 		t.Fatalf("drop counter %d -> %d, want +1", before, after)
@@ -46,10 +46,10 @@ func TestBackpressureWindowDropsAndSignals(t *testing.T) {
 	// After the window passes, the retried push is accepted and the
 	// packet goes out.
 	step(n, b, 11)
-	if st := leUint(readNIC(n, base+RegStatus, 8)); st&2 != 0 {
+	if st := leUint(readNIC(n, Base+RegStatus, 8)); st&2 != 0 {
 		t.Fatal("full bit still set after window closed")
 	}
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
 	step(n, b, 10)
 	if len(n.Packets()) != 1 {
 		t.Fatalf("packets = %d, want 1", len(n.Packets()))
@@ -62,15 +62,15 @@ func TestFIFOOverflowUnderBackpressureDeliversQueuedInterrupts(t *testing.T) {
 	n, b, _ := newRig(t, Config{FIFODepth: 2, WireCyclesPerByte: 5, DMABurst: 64})
 	ints := 0
 	n.Interrupt = func() { ints++ }
-	n.WriteTarget(base+PacketBufBase, []byte{9, 9, 9, 9})
+	n.WriteTarget(Base+PacketBufBase, []byte{9, 9, 9, 9})
 
 	// Fill the FIFO, tick once so the head moves to the transmitter,
 	// refill the freed slot, then overflow.
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
 	step(n, b, 1)
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4)) // FIFO full again: dropped
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4)) // FIFO full again: dropped
 	if n.Dropped() != 1 {
 		t.Fatalf("Dropped() = %d after overflow, want 1", n.Dropped())
 	}
@@ -79,7 +79,7 @@ func TestFIFOOverflowUnderBackpressureDeliversQueuedInterrupts(t *testing.T) {
 	// the three accepted packets transmit and interrupt as usual.
 	n.SetFaultHooks(nil, window(20))
 	step(n, b, 1)
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
 	if n.Dropped() != 2 {
 		t.Fatalf("Dropped() = %d during window, want 2", n.Dropped())
 	}
@@ -99,9 +99,9 @@ func TestInjectedStallDelaysSendButNotRegisters(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	ints := 0
 	n.Interrupt = func() { ints++ }
-	n.WriteTarget(base+PacketBufBase, []byte{1, 2, 3, 4})
+	n.WriteTarget(Base+PacketBufBase, []byte{1, 2, 3, 4})
 	n.SetFaultHooks(window(50), nil)
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
 
 	// The device is frozen for 50 bus cycles: nothing transmits, but
 	// status polls still complete (software keeps spinning safely).
@@ -109,7 +109,7 @@ func TestInjectedStallDelaysSendButNotRegisters(t *testing.T) {
 	if len(n.Packets()) != 0 {
 		t.Fatal("packet sent during injected stall")
 	}
-	if st := leUint(readNIC(n, base+RegStatus, 8)); st>>32 != 0 {
+	if st := leUint(readNIC(n, Base+RegStatus, 8)); st>>32 != 0 {
 		t.Fatal("status claims packets sent during stall")
 	}
 	// Once the burst ends the packet goes out and exactly one interrupt
@@ -124,7 +124,7 @@ func TestBadDescriptorRecordsAddrErrorInsteadOfPanic(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	// A descriptor pointing past the packet buffer used to panic the
 	// simulator when transmission sliced packetBuf.
-	n.WriteTarget(base+RegTxFIFO, desc(0x8000, 64))
+	n.WriteTarget(Base+RegTxFIFO, desc(0x8000, 64))
 	step(n, b, 20)
 
 	var ae *AddrError
@@ -140,12 +140,12 @@ func TestBadDescriptorRecordsAddrErrorInsteadOfPanic(t *testing.T) {
 		t.Fatal("bogus descriptor transmitted")
 	}
 	// Only the first error is retained; the device keeps working.
-	n.WriteTarget(base+RegTxFIFO, desc(0, PacketBufSize+1))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, PacketBufSize+1))
 	if n.BadDescs() != 2 {
 		t.Fatal("second bad descriptor not counted")
 	}
-	n.WriteTarget(base+PacketBufBase, []byte{5, 6, 7, 8})
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+PacketBufBase, []byte{5, 6, 7, 8})
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
 	step(n, b, 10)
 	if len(n.Packets()) != 1 {
 		t.Fatal("NIC wedged after bad descriptor")
@@ -155,7 +155,7 @@ func TestBadDescriptorRecordsAddrErrorInsteadOfPanic(t *testing.T) {
 func TestBadDMARecordsAddrError(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	// A DMA length larger than the packet buffer would overrun it.
-	n.WriteTarget(base+RegDMA, desc(0x1_0000, PacketBufSize+64))
+	n.WriteTarget(Base+RegDMA, desc(0x1_0000, PacketBufSize+64))
 	step(n, b, 100)
 	var ae *AddrError
 	if err := n.Err(); !errors.As(err, &ae) {

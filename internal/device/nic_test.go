@@ -10,11 +10,9 @@ import (
 	"csbsim/internal/mem"
 )
 
-const base = 0x4000_0000
-
 func newRig(t *testing.T, cfg Config) (*NIC, *bus.Bus, *mem.Memory) {
 	t.Helper()
-	n := NewNIC(cfg, base)
+	n := NewNIC(cfg)
 	b, ram := rigFor(t, n)
 	return n, b, ram
 }
@@ -24,9 +22,7 @@ func rigFor(t *testing.T, n *NIC) (*bus.Bus, *mem.Memory) {
 	t.Helper()
 	ram := mem.NewMemory()
 	rt := mem.NewRouter(ram)
-	if err := rt.Register(base, RegionSize, "nic", n); err != nil {
-		t.Fatal(err)
-	}
+	rt.SetDevice(Base, RegionSize, n)
 	b, err := bus.New(bus.Config{Model: bus.Multiplexed, WidthBytes: 8, ReadWait: 4}, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +48,9 @@ func TestPIOPacketSend(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	// Write payload into the packet buffer (as CSB bursts would).
 	payload := []byte("hello, wire!")
-	n.WriteTarget(base+PacketBufBase+64, payload)
+	n.WriteTarget(Base+PacketBufBase+64, payload)
 	// Push a descriptor: offset 64, length len(payload).
-	n.WriteTarget(base+RegTxFIFO, desc(64, len(payload)))
+	n.WriteTarget(Base+RegTxFIFO, desc(64, len(payload)))
 	step(n, b, 10)
 	pkts := n.Packets()
 	if len(pkts) != 1 {
@@ -78,12 +74,12 @@ func TestBurstWriteToPacketBuffer(t *testing.T) {
 	for i := range line {
 		line[i] = byte(i)
 	}
-	txn := &bus.Txn{Addr: base + PacketBufBase, Size: 64, Write: true, Data: line, IO: true, Ordered: true}
+	txn := &bus.Txn{Addr: Base + PacketBufBase, Size: 64, Write: true, Data: line, IO: true, Ordered: true}
 	if !b.TryIssue(txn) {
 		t.Fatal("burst not accepted")
 	}
 	b.Drain(100)
-	got := readNIC(n, base+PacketBufBase, 64)
+	got := readNIC(n, Base+PacketBufBase, 64)
 	if !bytes.Equal(got, line) {
 		t.Error("burst data did not land in packet buffer")
 	}
@@ -99,7 +95,7 @@ func TestDMATransfer(t *testing.T) {
 	src := uint64(0x1_0000)
 	ram.Write(src, msg)
 	// One store starts the whole DMA (Atoll-style packed descriptor).
-	n.WriteTarget(base+RegDMA, desc(src, len(msg)))
+	n.WriteTarget(Base+RegDMA, desc(src, len(msg)))
 	step(n, b, 500)
 	pkts := n.Packets()
 	if len(pkts) != 1 {
@@ -127,7 +123,7 @@ func TestDMAUnalignedTail(t *testing.T) {
 		msg[i] = byte(i)
 	}
 	ram.Write(0x2_0000, msg)
-	n.WriteTarget(base+RegDMA, desc(0x2_0000, len(msg)))
+	n.WriteTarget(Base+RegDMA, desc(0x2_0000, len(msg)))
 	step(n, b, 1000)
 	if len(n.Packets()) != 1 {
 		t.Fatal("packet not sent")
@@ -139,24 +135,24 @@ func TestDMAUnalignedTail(t *testing.T) {
 
 func TestStatusRegister(t *testing.T) {
 	n, b, _ := newRig(t, Config{FIFODepth: 1, WireCyclesPerByte: 10, DMABurst: 64})
-	st := leUint(readNIC(n, base+RegStatus, 8))
+	st := leUint(readNIC(n, Base+RegStatus, 8))
 	if st != 0 {
 		t.Errorf("fresh status = %#x", st)
 	}
-	n.WriteTarget(base+PacketBufBase, []byte{1, 2, 3, 4})
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4))
-	n.WriteTarget(base+RegTxFIFO, desc(0, 4)) // fills the 1-deep FIFO
-	st = leUint(readNIC(n, base+RegStatus, 8))
+	n.WriteTarget(Base+PacketBufBase, []byte{1, 2, 3, 4})
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 4)) // fills the 1-deep FIFO
+	st = leUint(readNIC(n, Base+RegStatus, 8))
 	if st&2 == 0 {
 		t.Error("FIFO-full bit not set")
 	}
 	step(n, b, 1)
-	st = leUint(readNIC(n, base+RegStatus, 8))
+	st = leUint(readNIC(n, Base+RegStatus, 8))
 	if st&1 == 0 {
 		t.Error("TX-busy bit not set during slow send")
 	}
 	step(n, b, 200)
-	st = leUint(readNIC(n, base+RegStatus, 8))
+	st = leUint(readNIC(n, Base+RegStatus, 8))
 	// The second descriptor was dropped by the full 1-deep FIFO.
 	if got := st >> 32; got != 1 {
 		t.Errorf("packets-sent counter = %d, want 1", got)
@@ -169,7 +165,7 @@ func TestStatusRegister(t *testing.T) {
 func TestFIFOOverflowDrops(t *testing.T) {
 	n, _, _ := newRig(t, Config{FIFODepth: 2, DMABurst: 64})
 	for i := 0; i < 5; i++ {
-		n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+		n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	}
 	if n.Dropped() != 3 {
 		t.Errorf("dropped = %d, want 3", n.Dropped())
@@ -180,7 +176,7 @@ func TestInterruptOnCompletion(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	fired := 0
 	n.Interrupt = func() { fired++ }
-	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	step(n, b, 10)
 	if fired != 1 {
 		t.Fatalf("interrupt fired %d times, want 1", fired)
@@ -188,7 +184,7 @@ func TestInterruptOnCompletion(t *testing.T) {
 	if !n.IntPending() {
 		t.Fatal("interrupt not pending")
 	}
-	n.WriteTarget(base+RegIntAck, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	n.WriteTarget(Base+RegIntAck, []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	if n.IntPending() {
 		t.Error("ack did not clear interrupt")
 	}
@@ -196,7 +192,7 @@ func TestInterruptOnCompletion(t *testing.T) {
 
 func TestWireSerializationDelay(t *testing.T) {
 	n, b, _ := newRig(t, Config{FIFODepth: 4, WireCyclesPerByte: 2, DMABurst: 64})
-	n.WriteTarget(base+RegTxFIFO, desc(0, 50))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 50))
 	start := b.Cycle()
 	step(n, b, 1) // starts sending
 	for i := 0; i < 1000 && len(n.Packets()) == 0; i++ {
@@ -223,17 +219,17 @@ func TestAlignSize(t *testing.T) {
 
 func TestRxQueuePopOnRead(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
-	n.Deliver(11, 22, 33)
-	if got := leUint(readNIC(n, base+RegRxCount, 8)); got != 3 {
+	n.DeliverWords(0, []uint64{11, 22, 33})
+	if got := leUint(readNIC(n, Base+RegRxCount, 8)); got != 3 {
 		t.Fatalf("count = %d", got)
 	}
-	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 11 {
+	if got := leUint(readNIC(n, Base+RegRxPop, 8)); got != 11 {
 		t.Errorf("pop 1 = %d", got)
 	}
-	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 22 {
+	if got := leUint(readNIC(n, Base+RegRxPop, 8)); got != 22 {
 		t.Errorf("pop 2 = %d (destructive read must advance)", got)
 	}
-	if got := leUint(readNIC(n, base+RegRxCount, 8)); got != 1 {
+	if got := leUint(readNIC(n, Base+RegRxCount, 8)); got != 1 {
 		t.Errorf("count after pops = %d", got)
 	}
 	if n.RxPops() != 2 {
@@ -243,7 +239,7 @@ func TestRxQueuePopOnRead(t *testing.T) {
 
 func TestRxQueueEmptyReturnsSentinel(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
-	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != RxEmpty {
+	if got := leUint(readNIC(n, Base+RegRxPop, 8)); got != RxEmpty {
 		t.Errorf("empty pop = %#x, want RxEmpty", got)
 	}
 	if n.RxPops() != 0 {
@@ -253,9 +249,9 @@ func TestRxQueueEmptyReturnsSentinel(t *testing.T) {
 
 func TestRxCountIsNonDestructive(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
-	n.Deliver(7)
-	readNIC(n, base+RegRxCount, 8)
-	readNIC(n, base+RegRxCount, 8)
+	n.DeliverWords(0, []uint64{7})
+	readNIC(n, Base+RegRxCount, 8)
+	readNIC(n, Base+RegRxCount, 8)
 	if n.RxPending() != 1 {
 		t.Error("RegRxCount consumed data")
 	}
@@ -265,19 +261,19 @@ func TestDeliverTracedDrainHook(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	var drained []uint64
 	n.SetRxDrainHook(func(id uint64) { drained = append(drained, id) })
-	n.DeliverTraced(101, 1, 2)   // two-word packet
-	n.DeliverTraced(102, 3)      // one-word packet
-	readNIC(n, base+RegRxPop, 8) // word 1 of pkt 101
+	n.DeliverWords(101, []uint64{1, 2}) // two-word packet
+	n.DeliverWords(102, []uint64{3})    // one-word packet
+	readNIC(n, Base+RegRxPop, 8)        // word 1 of pkt 101
 	if len(drained) != 0 {
 		t.Fatalf("drain fired mid-packet: %v", drained)
 	}
-	readNIC(n, base+RegRxPop, 8) // word 2 of pkt 101 → drain 101
-	readNIC(n, base+RegRxPop, 8) // pkt 102 → drain 102
+	readNIC(n, Base+RegRxPop, 8) // word 2 of pkt 101 → drain 101
+	readNIC(n, Base+RegRxPop, 8) // pkt 102 → drain 102
 	if len(drained) != 2 || drained[0] != 101 || drained[1] != 102 {
 		t.Fatalf("drained = %v, want [101 102]", drained)
 	}
 	// Empty pops past the end never re-fire.
-	readNIC(n, base+RegRxPop, 8)
+	readNIC(n, Base+RegRxPop, 8)
 	if len(drained) != 2 {
 		t.Fatalf("sentinel pop fired a drain: %v", drained)
 	}
@@ -287,9 +283,9 @@ func TestUntracedDeliverNoDrainHook(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
 	var drained []uint64
 	n.SetRxDrainHook(func(id uint64) { drained = append(drained, id) })
-	n.Deliver(1, 2) // plain delivery: no span, no drain events
-	readNIC(n, base+RegRxPop, 8)
-	readNIC(n, base+RegRxPop, 8)
+	n.DeliverWords(0, []uint64{1, 2}) // plain delivery: no span, no drain events
+	readNIC(n, Base+RegRxPop, 8)
+	readNIC(n, Base+RegRxPop, 8)
 	if len(drained) != 0 {
 		t.Fatalf("untraced delivery fired drains: %v", drained)
 	}
@@ -297,13 +293,13 @@ func TestUntracedDeliverNoDrainHook(t *testing.T) {
 
 func TestRxHighWater(t *testing.T) {
 	n, _, _ := newRig(t, DefaultConfig())
-	n.Deliver(1, 2, 3)
-	readNIC(n, base+RegRxPop, 8)
-	n.Deliver(4) // pending back to 3, high water stays 3
+	n.DeliverWords(0, []uint64{1, 2, 3})
+	readNIC(n, Base+RegRxPop, 8)
+	n.DeliverWords(0, []uint64{4}) // pending back to 3, high water stays 3
 	if n.RxHighWater() != 3 {
 		t.Fatalf("high water = %d, want 3", n.RxHighWater())
 	}
-	n.Deliver(5) // pending 4 → new high water
+	n.DeliverWords(0, []uint64{5}) // pending 4 → new high water
 	if n.RxHighWater() != 4 {
 		t.Fatalf("high water = %d, want 4", n.RxHighWater())
 	}
@@ -318,7 +314,7 @@ func TestRxQueueOrderAcrossReuse(t *testing.T) {
 	deliver := func(k int) {
 		for range k {
 			next++
-			n.Deliver(next)
+			n.DeliverWords(0, []uint64{next})
 		}
 		high = max(high, next-want)
 	}
@@ -336,7 +332,7 @@ func TestRxQueueOrderAcrossReuse(t *testing.T) {
 		if got := uint64(n.RxPending()); got != next-want {
 			t.Fatalf("round %d: pending %d, want %d", round, got, next-want)
 		}
-		if got := leUint(readNIC(n, base+RegRxCount, 8)); got != next-want {
+		if got := leUint(readNIC(n, Base+RegRxCount, 8)); got != next-want {
 			t.Fatalf("round %d: RegRxCount %d, want %d", round, got, next-want)
 		}
 	}
@@ -352,27 +348,27 @@ func TestRxQueueOrderAcrossReuse(t *testing.T) {
 func TestTxDestSteersPackets(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
 	// Default: no steering → topology default route.
-	n.WriteTarget(base+PacketBufBase, []byte{1, 0, 0, 0, 0, 0, 0, 0})
-	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+	n.WriteTarget(Base+PacketBufBase, []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	step(n, b, 10)
 	// Steer to node 3; the setting is sticky across descriptors.
 	dst := make([]byte, 8)
 	putLE(dst, 3)
-	n.WriteTarget(base+RegTxDest, dst)
-	if got := leUint(readNIC(n, base+RegTxDest, 8)); got != 3 {
+	n.WriteTarget(Base+RegTxDest, dst)
+	if got := leUint(readNIC(n, Base+RegTxDest, 8)); got != 3 {
 		t.Errorf("RegTxDest reads back %d, want 3", got)
 	}
-	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	step(n, b, 10)
-	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	step(n, b, 10)
 	// Back to auto.
 	putLE(dst, TxDestAuto)
-	n.WriteTarget(base+RegTxDest, dst)
-	if got := leUint(readNIC(n, base+RegTxDest, 8)); got != TxDestAuto {
+	n.WriteTarget(Base+RegTxDest, dst)
+	if got := leUint(readNIC(n, Base+RegTxDest, 8)); got != TxDestAuto {
 		t.Errorf("RegTxDest reads back %d, want auto sentinel", got)
 	}
-	n.WriteTarget(base+RegTxFIFO, desc(0, 8))
+	n.WriteTarget(Base+RegTxFIFO, desc(0, 8))
 	step(n, b, 10)
 	pkts := n.Packets()
 	if len(pkts) != 4 {
@@ -387,12 +383,12 @@ func TestTxDestSteersPackets(t *testing.T) {
 
 func TestRxPopMatchesRegister(t *testing.T) {
 	n, b, _ := newRig(t, DefaultConfig())
-	n.Deliver(11, 22)
+	n.DeliverWords(0, []uint64{11, 22})
 	if v, ok := n.RxPop(); !ok || v != 11 {
 		t.Fatalf("RxPop = %d,%v want 11,true", v, ok)
 	}
 	// The register path pops the same queue.
-	if got := leUint(readNIC(n, base+RegRxPop, 8)); got != 22 {
+	if got := leUint(readNIC(n, Base+RegRxPop, 8)); got != 22 {
 		t.Fatalf("RegRxPop = %d, want 22", got)
 	}
 	if _, ok := n.RxPop(); ok {
@@ -454,7 +450,7 @@ func FuzzNICRegisters(f *testing.F) {
 			off := uint64(binary.LittleEndian.Uint16(data[1:])) % RegionSize
 			v := binary.LittleEndian.Uint64(data[3:])
 			if data[0]&1 == 0 {
-				n.ReadTarget(base+off, p)
+				n.ReadTarget(Base+off, p)
 			} else {
 				for i := range p {
 					p[i] = byte(v >> (8 * (i % 8)))
@@ -463,7 +459,7 @@ func FuzzNICRegisters(f *testing.F) {
 					(o > PacketBufSize || o+l > PacketBufSize) {
 					bad++
 				}
-				n.WriteTarget(base+off, p)
+				n.WriteTarget(Base+off, p)
 			}
 			step(n, b, int(data[11]))
 		}

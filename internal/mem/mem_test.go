@@ -256,13 +256,23 @@ func TestRouterDeviceDispatch(t *testing.T) {
 	ram := NewMemory()
 	rt := NewRouter(ram)
 	dev := &fakeTarget{}
-	if err := rt.Register(0x4000_0000, 0x1000, "nic", dev); err != nil {
-		t.Fatal(err)
-	}
+	rt.SetDevice(0x4000_0000, 0x1000, dev)
 	// Device range goes to the device.
 	rt.Write(0x4000_0010, []byte{1, 2, 3})
 	if dev.lastAddr != 0x4000_0010 || len(dev.lastWrite) != 3 {
 		t.Errorf("device write not routed: %+v", dev)
+	}
+	// Either side of the window goes to RAM.
+	rt.Write(0x3fff_ffff, []byte{7})
+	rt.Write(0x4000_1000, []byte{8})
+	if dev.lastAddr != 0x4000_0010 || ram.ReadUint(0x3fff_ffff, 1) != 7 || ram.ReadUint(0x4000_1000, 1) != 8 {
+		t.Errorf("write beside the device window routed to the device: %+v", dev)
+	}
+	// Without a device the window's addresses are RAM again.
+	rt.SetDevice(0, 0, nil)
+	rt.Write(0x4000_0010, []byte{4})
+	if dev.lastAddr != 0x4000_0010 || len(dev.lastWrite) != 3 || ram.ReadUint(0x4000_0010, 1) != 4 {
+		t.Errorf("write after the device went routed to it: %+v", dev)
 	}
 	// Other addresses go to RAM.
 	rt.Write(0x1000, []byte{9})
@@ -272,19 +282,6 @@ func TestRouterDeviceDispatch(t *testing.T) {
 	got := make([]byte, 1)
 	if rt.Read(0x1000, got); got[0] != 9 {
 		t.Error("RAM read not routed")
-	}
-}
-
-func TestRouterRejectsOverlap(t *testing.T) {
-	rt := NewRouter(NewMemory())
-	if err := rt.Register(0x1000, 0x1000, "a", &fakeTarget{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Register(0x1800, 0x1000, "b", &fakeTarget{}); err == nil {
-		t.Error("overlap not rejected")
-	}
-	if err := rt.Register(0x2000, 0x1000, "c", &fakeTarget{}); err != nil {
-		t.Errorf("adjacent region rejected: %v", err)
 	}
 }
 

@@ -23,15 +23,12 @@ import (
 // sent-packet log grows, amortized far below one allocation per 64
 // packets.
 func TestUncachedLoadAllocs(t *testing.T) {
-	m, err := New(DefaultConfig())
+	m, err := New(nicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddNIC(nic); err != nil {
-		t.Fatal(err)
-	}
-	m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
+	nic := m.NIC()
+	m.MapRange(device.Base, device.RegionSize, mem.KindUncached)
 	p, err := m.LoadSource("ring.s", ringTraffic)
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +120,11 @@ func TestLineFillAllocs(t *testing.T) {
 // bursts each) by writing the DMA register; the measured stretch ends
 // before the transfer's last burst, so no packet is sent inside it.
 func TestDMABurstAllocs(t *testing.T) {
-	m, err := New(DefaultConfig())
+	m, err := New(nicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddNIC(nic); err != nil {
-		t.Fatal(err)
-	}
+	nic := m.NIC()
 	p, err := m.LoadSource("spin.s", "loop:\n\tba loop\n")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +138,7 @@ func TestDMABurstAllocs(t *testing.T) {
 	m.RAM.Write(src, payload)
 	var reg [8]byte
 	binary.LittleEndian.PutUint64(reg[:], src|uint64(size)<<48)
-	startDMA := func() { nic.WriteTarget(nicBase+device.RegDMA, reg[:]) }
+	startDMA := func() { nic.WriteTarget(device.Base+device.RegDMA, reg[:]) }
 
 	// One whole transfer warms the path and times it.
 	startDMA()

@@ -220,9 +220,9 @@ func haltedNICStep(m *Machine, nic *device.NIC) {
 	}
 	c := m.Cycle()
 	if c%997 == 500 {
-		word(nicBase+device.PacketBufBase, c)
-		word(nicBase+device.PacketBufBase+8, ^c)
-		word(nicBase+device.RegTxFIFO, 16<<48)
+		word(device.Base+device.PacketBufBase, c)
+		word(device.Base+device.PacketBufBase+8, ^c)
+		word(device.Base+device.RegTxFIFO, 16<<48)
 	}
 	if c%1301 == 700 {
 		nic.DeliverWords(0, []uint64{c})
@@ -261,21 +261,13 @@ func lockstepCases(t *testing.T) []lockstepCase {
 		streamCase("csb@flushlat12", "csb_stores.s", mem.KindCombining, func(c *Config) { c.CPU.CSBLatency = 12 }),
 		streamCase("uncached@split", "uncached_stores.s", mem.KindUncached, splitBusAck),
 		lockstepCase{name: "ring_traffic", cycles: 60_000, build: func(t *testing.T, tw *twin) {
-			tw.loadSource(t, DefaultConfig(), ringTraffic, func(m *Machine) {
-				tw.nic = device.NewNIC(device.DefaultConfig(), nicBase)
-				if err := m.AddNIC(tw.nic); err != nil {
-					t.Fatal(err)
-				}
-				m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
+			tw.loadSource(t, nicConfig(), ringTraffic, func(m *Machine) {
+				tw.nic = m.NIC()
+				m.MapRange(device.Base, device.RegionSize, mem.KindUncached)
 			})
 		}},
 		lockstepCase{name: "halted_nic", cycles: 40_000, build: func(t *testing.T, tw *twin) {
-			tw.loadSource(t, DefaultConfig(), "\thalt\n", func(m *Machine) {
-				tw.nic = device.NewNIC(device.DefaultConfig(), nicBase)
-				if err := m.AddNIC(tw.nic); err != nil {
-					t.Fatal(err)
-				}
-			})
+			tw.loadSource(t, nicConfig(), "\thalt\n", func(m *Machine) { tw.nic = m.NIC() })
 			tw.sched = func() { haltedNICStep(tw.m, tw.nic) }
 		}},
 		lockstepCase{name: "timer_kernel", build: func(t *testing.T, tw *twin) {

@@ -10,50 +10,34 @@ import (
 	"csbsim/internal/mem"
 )
 
-const nicBase = 0x4000_0000
+// nicConfig is DefaultConfig with the default NIC.
+func nicConfig() Config {
+	cfg := DefaultConfig()
+	nic := device.DefaultConfig()
+	cfg.NIC = &nic
+	return cfg
+}
 
+// machineWithNIC builds a machine with the default NIC, its register
+// page mapped uncached and its packet buffer combining.
 func machineWithNIC(t *testing.T) (*Machine, *device.NIC) {
 	t.Helper()
-	m, err := New(DefaultConfig())
+	m, err := New(nicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, addNIC(t, m)
+	m.MapNIC(true)
+	return m, m.NIC()
 }
 
-// addNIC attaches a NIC at nicBase to m and maps its register page
-// uncached and its packet buffer combining.
-func addNIC(t *testing.T, m *Machine) *device.NIC {
-	t.Helper()
-	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddNIC(nic); err != nil {
-		t.Fatal(err)
-	}
-	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
-	m.MapRange(nicBase+device.PacketBufBase, device.PacketBufSize, mem.KindCombining)
-	return nic
-}
-
-// TestAddNICAttachOrder holds the one-NIC contract: a NIC attached after
-// the counter registry, the journey tracer and the fault injector is
-// wired to all three exactly as one attached before them, so a faulted,
-// traced nicsend run's Stats JSON, counter snapshot included, comes out
-// byte-identical either way. A second AddNIC fails and changes nothing.
-func TestAddNICAttachOrder(t *testing.T) {
-	run := func(nicFirst bool) []byte {
-		m, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nic := device.NewNIC(device.DefaultConfig(), nicBase)
-		addNIC := func() {
-			if err := m.AddNIC(nic); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if nicFirst {
-			addNIC()
-		}
+// TestConfigNICWiring: the NIC Config.NIC builds is wired to the counter
+// registry (dev0/*), the journey tracer (nic_descriptor journeys) and
+// the fault injector attached after New, and a Reset machine's NIC is
+// wired again by the same calls, so a faulted, traced nicsend run's
+// Stats JSON, counter snapshot included, is the same on both. A machine
+// configured without a NIC has none, and its I/O addresses are RAM.
+func TestConfigNICWiring(t *testing.T) {
+	run := func(m *Machine) []byte {
 		m.AttachCounters()
 		if _, err := m.AttachJourneys(); err != nil {
 			t.Fatal(err)
@@ -61,29 +45,12 @@ func TestAddNICAttachOrder(t *testing.T) {
 		if _, err := m.AttachFaults(fault.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
-		if !nicFirst {
-			addNIC()
-		}
-		m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
-		m.MapRange(nicBase+device.PacketBufBase, device.PacketBufSize, mem.KindCombining)
+		m.MapNIC(true)
 		if _, err := m.LoadSource("nicsend.s", nicsendGuest); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Run(10_000_000); err != nil {
 			t.Fatal(err)
-		}
-		before, err := json.Marshal(m.Stats())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.AddNIC(device.NewNIC(device.DefaultConfig(), nicBase+device.RegionSize)); err == nil {
-			t.Error("second AddNIC succeeded")
-		}
-		if n := len(m.Router.Regions()); n != 1 {
-			t.Errorf("%d router regions after a second AddNIC, want 1", n)
-		}
-		if after, _ := json.Marshal(m.Stats()); !bytes.Equal(after, before) {
-			t.Errorf("second AddNIC changed the machine:\n%s\n%s", before, after)
 		}
 		s := m.Stats()
 		c := s.Counters.Counters
@@ -93,11 +60,38 @@ func TestAddNICAttachOrder(t *testing.T) {
 				c["dev0/packets_sent"], c["journey/nic_descriptor/started"],
 				s.Faults.DeviceStalls+s.Faults.BackpressureWindows)
 		}
-		return before
+		js, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
 	}
-	first, last := run(true), run(false)
-	if !bytes.Equal(first, last) {
-		t.Errorf("Stats differ by attach order:\nNIC first: %s\nNIC last:  %s", first, last)
+	m, err := New(nicConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic := m.NIC()
+	first := run(m)
+	if err := m.Reset(nicConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if m.NIC() != nic {
+		t.Error("Reset replaced the NIC instead of keeping it")
+	}
+	if again := run(m); !bytes.Equal(first, again) {
+		t.Errorf("Stats differ after Reset:\nnew:   %s\nreset: %s", first, again)
+	}
+
+	bare, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.NIC() != nil {
+		t.Fatal("a machine configured without a NIC has one")
+	}
+	bare.Router.Write(device.Base+device.RegTxFIFO, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if got := bare.RAM.ReadUint(device.Base+device.RegTxFIFO, 8); got != 0x0807060504030201 {
+		t.Errorf("a NIC-less machine's I/O address reads %#x from RAM", got)
 	}
 }
 
@@ -156,7 +150,7 @@ RETRY:
 // word must be observed exactly once, in order.
 func TestRxDrainProgram(t *testing.T) {
 	m, nic := machineWithNIC(t)
-	nic.Deliver(100, 200, 300, 400)
+	nic.DeliverWords(0, []uint64{100, 200, 300, 400})
 	src := `
 	.equ NICREG, 0x40000000
 	set NICREG, %o0
@@ -199,7 +193,7 @@ done:
 // the branch — which contains an RxPop load — is fetched and squashed.
 func TestWrongPathNeverPopsRxQueue(t *testing.T) {
 	m, nic := machineWithNIC(t)
-	nic.Deliver(111, 222)
+	nic.DeliverWords(0, []uint64{111, 222})
 	src := `
 	.equ NICREG, 0x40000000
 	set NICREG, %o0

@@ -16,9 +16,9 @@ import (
 )
 
 // AttachFaults installs a deterministic fault injector across the whole
-// machine. Attach before running; a NIC added later (AddNIC) is wired
-// automatically. The returned injector exposes the injection
-// counters, which also appear in Stats().Faults and the Report output.
+// machine, the NIC included. Attach before running. The returned
+// injector exposes the injection counters, which also appear in
+// Stats().Faults and the Report output.
 func (m *Machine) AttachFaults(cfg fault.Config) (*fault.Injector, error) {
 	if m.faults != nil {
 		return nil, fmt.Errorf("sim: fault injector already attached")

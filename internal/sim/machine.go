@@ -2,7 +2,10 @@
 // out-of-order core, split L1 / unified L2 caches, the uncached buffer,
 // the conditional store buffer, and a multiplexed or split system bus
 // clocked at a configurable fraction of the core frequency, with main
-// memory and the memory-mapped network interface behind it.
+// memory and, when Config.NIC asks for one, the memory-mapped network
+// interface behind it. The NIC is part of the machine: New builds it at
+// device.Base, Reset resets it with the rest, and MapNIC maps its window
+// into the guest's address space.
 package sim
 
 import (
@@ -37,11 +40,14 @@ type Config struct {
 	// ContextSwitchCost models the kernel's save/restore path in CPU
 	// cycles when the Go-level scheduler switches processes.
 	ContextSwitchCost int
+	// NIC configures the machine's network interface, built at
+	// device.Base; nil means the machine has none.
+	NIC *device.Config
 }
 
 // DefaultConfig is the paper's base machine: 4-wide core, 64-byte lines,
 // 8-byte multiplexed bus at ratio 6, non-combining uncached buffer, 64-byte
-// single-entry CSB.
+// single-entry CSB, and no NIC.
 func DefaultConfig() Config {
 	return Config{
 		CPU:               cpu.DefaultConfig(),
@@ -111,8 +117,8 @@ type Machine struct {
 	CSB    *core.CSB
 	CPU    *cpu.CPU
 
-	// nic is the machine's one memory-mapped device (AddNIC), ticked as
-	// a bus master every bus cycle; nil when none is attached.
+	// nic is the machine's one memory-mapped device (Config.NIC), ticked
+	// as a bus master every bus cycle; nil when the machine has none.
 	nic    *device.NIC
 	spaces map[uint8]*mem.PageTable
 
@@ -205,6 +211,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.trap = m.defaultTrap
 	m.wireCPU()
+	m.setNIC(cfg.NIC)
 	return m, nil
 }
 
@@ -219,12 +226,14 @@ func (m *Machine) wireCPU() {
 // Reset returns m to the state New(cfg) would build, keeping the storage
 // every layer has grown: the core's uop slabs, queues, predictor, TLB and
 // decode cache, the caches' tag chunks, memory's pages, the buffers'
-// entries and transactions. Each layer resets its own state (cpu, cache,
-// mem, uncbuf, core and bus each have a Reset), so the work follows what
-// the last run touched, not the machine's capacity; a layer whose shape
-// cfg changes (a new BlockSize, line size or queue depth) gets new storage
-// for that part alone. Everything attached after New is dropped: the NIC
-// and its address region, bus observers, periodic hooks, the fault
+// entries and transactions, and the NIC's buffers and packet slab. Each
+// layer resets its own state (cpu, cache, mem, uncbuf, core, bus and the
+// NIC each have a Reset), so the work follows what the last run touched,
+// not the machine's capacity; a layer whose shape cfg changes (a new
+// BlockSize, line size or queue depth) gets new storage for that part
+// alone. The NIC is kept and reset when cfg.NIC asks for one, built when
+// the machine had none, and dropped when cfg.NIC is nil. Everything
+// attached after New is dropped: bus observers, periodic hooks, the fault
 // injector, watchdog, counters, journeys and rings, and the address
 // spaces of every PID but 0, whose page table is emptied. A run in
 // progress is abandoned: what it left in flight never completes. An
@@ -234,7 +243,6 @@ func (m *Machine) Reset(cfg Config) error {
 		return err
 	}
 	m.RAM.Reset()
-	m.Router.Reset()
 	m.Bus.Reset(cfg.Bus)
 	m.Hier.Reset(cfg.Caches)
 	m.UB.Reset(cfg.UB)
@@ -248,6 +256,7 @@ func (m *Machine) Reset(cfg Config) error {
 	*m = Machine{
 		Cfg: cfg, RAM: m.RAM, Router: m.Router, Bus: m.Bus,
 		Hier: m.Hier, UB: m.UB, CSB: m.CSB, CPU: m.CPU,
+		nic:           m.nic,
 		spaces:        m.spaces,
 		pidChanged:    m.pidChanged,
 		trap:          m.trap,
@@ -255,8 +264,30 @@ func (m *Machine) Reset(cfg Config) error {
 		busCountdown:  cfg.Ratio,
 	}
 	m.wireCPU()
+	m.setNIC(cfg.NIC)
 	return nil
 }
+
+// setNIC gives m the NIC cfg asks for, at device.Base: the one it has,
+// reset, or a new one; with a nil cfg it drops the NIC and its window.
+func (m *Machine) setNIC(cfg *device.Config) {
+	if cfg == nil {
+		m.nic = nil
+		m.Router.SetDevice(0, 0, nil)
+		return
+	}
+	if m.nic == nil {
+		m.nic = device.NewNIC(*cfg)
+	} else {
+		m.nic.Reset(*cfg)
+	}
+	m.nic.SetWake(m.endCoast)
+	m.Router.SetDevice(device.Base, device.RegionSize, m.nic)
+}
+
+// NIC returns the machine's network interface, or nil when its Config
+// asks for none.
+func (m *Machine) NIC() *device.NIC { return m.nic }
 
 // defaultTrap implements the console conventions used by the examples:
 // trap 1 prints the byte in %o0, trap 2 prints %o0 as a decimal, trap 3
@@ -296,31 +327,15 @@ func (m *Machine) MapRange(va, size uint64, kind mem.Kind) {
 	m.AddressSpace(0).MapRange(va, va, size, kind, true)
 }
 
-// AddNIC attaches the machine's network interface: it registers the
-// NIC's register and packet-buffer region at nic.Base() and ticks the NIC
-// as a bus master (DMA) every bus cycle. A machine holds at most one NIC;
-// a fault injector, counter registry or journey tracer attached before
-// it is wired to it here, one attached after it by the Attach call.
-func (m *Machine) AddNIC(nic *device.NIC) error {
-	if m.nic != nil {
-		return fmt.Errorf("sim: NIC already attached")
+// MapNIC identity-maps the NIC's window into PID 0's address space: the
+// register page uncached, the packet buffer combining (csb) or uncached.
+func (m *Machine) MapNIC(csb bool) {
+	m.MapRange(device.Base, device.PacketBufBase, mem.KindUncached)
+	kind := mem.KindUncached
+	if csb {
+		kind = mem.KindCombining
 	}
-	if err := m.Router.Register(nic.Base(), device.RegionSize, "nic", nic); err != nil {
-		return err
-	}
-	m.endCoast()
-	m.nic = nic
-	nic.SetWake(m.endCoast)
-	if m.faults != nil {
-		nic.SetFaultHooks(m.faults.DeviceStall, m.faults.Backpressure)
-	}
-	if m.counters != nil {
-		nic.RegisterCounters(nicCounterPrefix, m.counters)
-	}
-	if m.journeys != nil {
-		nic.AttachTracer(m.journeys)
-	}
-	return nil
+	m.MapRange(device.Base+device.PacketBufBase, device.PacketBufSize, kind)
 }
 
 // Load writes an assembled program into RAM, identity-maps its span as
@@ -402,8 +417,7 @@ func (m *Machine) NextBusTick() uint64 { return m.cycle + uint64(m.busCountdown)
 // Drain, kernel.Run, the cluster's node windows) call CoastFor with the
 // whole stretch instead. An input that can change the quiet agents wakes
 // the core or calls endCoast: an interrupt, a kernel stall, a pipeline
-// flush or state restore, a NIC write or delivery, attaching a hook or
-// the NIC.
+// flush or state restore, a NIC write or delivery, attaching a hook.
 //
 //csb:hotpath
 //csb:worker ticked from the node's goroutine inside cluster lookahead windows

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"csbsim/internal/asm"
+	"csbsim/internal/device"
 	"csbsim/internal/fault"
 	"csbsim/internal/mem"
 	"csbsim/internal/obs/rec"
@@ -152,8 +153,10 @@ func TestResetMatchesNewDifferential(t *testing.T) {
 
 // TestResetMatchesNewFaultRecovery chains FuzzFaultRecovery's corpus,
 // each input paired with the next, through checkResetChain: a reset
-// machine drops the last run's fault injector, watchdog and NIC, and the
-// next input's are attached to it as to a new machine.
+// machine drops the last run's fault injector and watchdog, and the next
+// input's are attached to it as to a new machine. The nicsend guest's
+// machine has a NIC and the others' have none, so the chain's resets
+// keep, build and drop the NIC.
 func TestResetMatchesNewFaultRecovery(t *testing.T) {
 	progs := make([]*asm.Program, len(recoveryGuests))
 	for i, g := range recoveryGuests {
@@ -170,7 +173,7 @@ func TestResetMatchesNewFaultRecovery(t *testing.T) {
 		g := recoveryGuests[i]
 		points = append(points, resetPoint{
 			name: fmt.Sprintf("%s seed %d spec %q", g.name, in.seed, in.spec),
-			cfg:  DefaultConfig(),
+			cfg:  g.config(),
 			run: func(t *testing.T, m *Machine) error {
 				g.setup(t, m, progs[i], cfg)
 				if err := m.Run(50_000_000); err != nil {
@@ -187,8 +190,11 @@ func TestResetMatchesNewFaultRecovery(t *testing.T) {
 // still in them, through checkResetChain: a CSB sequence left open at
 // the halt (valid line, nonzero hit count), an uncached store stream cut
 // off by its cycle limit with entries queued and a transaction on the
-// bus, and a run that never touches I/O space, which shows whatever the
-// one before it left behind.
+// bus, a NIC send on a slow wire cut off mid-transmission with received
+// words left unread, and a run that never touches I/O space, which shows
+// whatever the one before it left behind. The NIC sends alternate
+// between two NIC configs and the NIC-less points, so the chain's resets
+// keep, reconfigure, build and drop the NIC.
 func TestResetMatchesNewMidRun(t *testing.T) {
 	source := func(name, src string, kind mem.Kind, cycles uint64) resetPoint {
 		prog, err := asm.Assemble(name+".s", src)
@@ -219,5 +225,24 @@ loop:
 	bnz loop
 	halt
 `, mem.KindCached, 10_000)
-	checkResetChain(t, []resetPoint{open, quiet, cut, quiet, open, cut, open})
+	sendProg, err := asm.Assemble("nicsend.s", nicsendGuest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nicSend := func(name string, nic device.Config, cycles uint64) resetPoint {
+		cfg := DefaultConfig()
+		cfg.NIC = &nic
+		return resetPoint{name: name, cfg: cfg, run: func(t *testing.T, m *Machine) error {
+			m.MapNIC(true)
+			m.NIC().DeliverWords(9, []uint64{1, 2, 3})
+			if err := m.Load(sendProg); err != nil {
+				t.Fatal(err)
+			}
+			m.WarmProgram(sendProg)
+			return m.Run(cycles)
+		}}
+	}
+	send := nicSend("nic-send", device.DefaultConfig(), 1_000_000)
+	sendCut := nicSend("nic-send-cut", device.Config{FIFODepth: 2, WireCyclesPerByte: 3, DMABurst: 32}, 1500)
+	checkResetChain(t, []resetPoint{open, quiet, cut, send, sendCut, quiet, send, send, open, sendCut, cut, open})
 }

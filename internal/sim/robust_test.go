@@ -165,7 +165,7 @@ sent:
 // recoveryGuest is one guest of the fault-recovery oracle. Besides its
 // registers and console, a run is compared on the first ram bytes of
 // combining space at combBase, or, for a guest with packets != 0, on
-// the packets it sent through a NIC at nicBase.
+// the packets it sent through its machine's NIC.
 type recoveryGuest struct {
 	name    string
 	src     string
@@ -182,26 +182,34 @@ var recoveryGuests = []recoveryGuest{
 // recoveryWatchdog is the watchdog window of every recovery run.
 const recoveryWatchdog = 1_000_000
 
-// machine builds a machine with g's address space, the fault injector at
-// cfg and the watchdog attached, and g's program loaded. The NIC is nil
-// for a guest that sends no packets.
+// config is the machine g runs on: the default one, with the default NIC
+// for a guest that sends packets.
+func (g recoveryGuest) config() Config {
+	if g.packets != 0 {
+		return nicConfig()
+	}
+	return DefaultConfig()
+}
+
+// machine builds a machine with g's config and address space, the fault
+// injector at cfg and the watchdog attached, and g's program loaded. The
+// NIC is nil for a guest that sends no packets.
 func (g recoveryGuest) machine(t *testing.T, prog *asm.Program, cfg fault.Config) (*Machine, *device.NIC) {
 	t.Helper()
-	m, err := New(DefaultConfig())
+	m, err := New(g.config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, g.setup(t, m, prog, cfg)
 }
 
-// setup gives a new or reset machine g's address space, NIC, fault
-// injector at cfg and watchdog, and loads g's program. The NIC is nil
-// for a guest that sends no packets.
+// setup gives a new or reset machine built from g.config g's address
+// space, fault injector at cfg and watchdog, and loads g's program. It
+// returns the machine's NIC, nil for a guest that sends no packets.
 func (g recoveryGuest) setup(t *testing.T, m *Machine, prog *asm.Program, cfg fault.Config) *device.NIC {
 	t.Helper()
-	var nic *device.NIC
 	if g.packets != 0 {
-		nic = addNIC(t, m)
+		m.MapNIC(true)
 	} else {
 		m.MapRange(combBase, 1<<16, mem.KindCombining)
 	}
@@ -214,7 +222,7 @@ func (g recoveryGuest) setup(t *testing.T, m *Machine, prog *asm.Program, cfg fa
 	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	return nic
+	return m.NIC()
 }
 
 // oracle assembles g and runs it fault-free on the emulator. Its
@@ -232,8 +240,8 @@ func (g recoveryGuest) oracle(tb testing.TB) (*asm.Program, *emu.Emulator) {
 		tb.Fatal(err)
 	}
 	if g.packets != 0 {
-		e.MarkCombining(nicBase+device.PacketBufBase, device.PacketBufSize)
-		e.Mem.WriteUint(nicBase+device.RegStatus, 8, 0x7FFFFFFF<<32)
+		e.MarkCombining(device.Base+device.PacketBufBase, device.PacketBufSize)
+		e.Mem.WriteUint(device.Base+device.RegStatus, 8, 0x7FFFFFFF<<32)
 	} else {
 		e.MarkCombining(combBase, 1<<16)
 	}
@@ -527,15 +535,11 @@ func TestWatchdogArmingErrors(t *testing.T) {
 // buffer must surface from Run as a *device.AddrError — even though the
 // guest halts cleanly right after provoking it.
 func TestBadDescriptorFailsRunTyped(t *testing.T) {
-	m, err := New(DefaultConfig())
+	m, err := New(nicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := device.NewNIC(device.DefaultConfig(), nicBase)
-	if err := m.AddNIC(nic); err != nil {
-		t.Fatal(err)
-	}
-	m.MapRange(nicBase, device.PacketBufBase, mem.KindUncached)
+	m.MapRange(device.Base, device.PacketBufBase, mem.KindUncached)
 	// Descriptor: offset 0x8000 (outside the 0x1000-byte packet buffer),
 	// length 64. This used to crash the whole simulator at transmit time.
 	if _, err := m.LoadSource("bad.s", `

@@ -117,16 +117,16 @@ func (r timedRun) machine(t *testing.T) *Machine {
 	if r.cfg != nil {
 		r.cfg(&cfg)
 	}
+	if r.nic {
+		nic := device.DefaultConfig()
+		cfg.NIC = &nic
+	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.nic {
-		nic := device.NewNIC(device.DefaultConfig(), nicBase)
-		if err := m.AddNIC(nic); err != nil {
-			t.Fatal(err)
-		}
-		m.MapRange(nicBase, device.RegionSize, mem.KindUncached)
+		m.MapRange(device.Base, device.RegionSize, mem.KindUncached)
 	} else {
 		m.MapRange(0x4000_0000, 1<<16, r.kind)
 	}
